@@ -1,7 +1,7 @@
 """Temporal-aware retrieval engine for long-video question answering.
 
-Indexes time-stamped auxiliary text channels (speech transcripts,
-on-screen text, object detections), selects information-dense keyframes
+Indexes time-stamped auxiliary text channels (speech transcripts and
+on-screen text), selects information-dense keyframes
 by entropy weighting, rescores lexical hits by temporal proximity to
 query anchors, and composes an augmented prompt for an external
 video-language model.

@@ -34,7 +34,6 @@ from .evalharness import (
 )
 from .ingest import (
     detection_to_json,
-    detections_to_snippets,
     parse_detections_jsonl,
     parse_snippet_jsonl,
     parse_srt,
@@ -63,7 +62,7 @@ from .vectorindex import (
 )
 from .vectorindex import load_index as load_vec_index
 
-CHANNEL_FILES = {Channel.ASR: "asr.jsonl", Channel.OCR: "ocr.jsonl", Channel.DET: "det.jsonl"}
+CHANNEL_FILES = {Channel.ASR: "asr.jsonl", Channel.OCR: "ocr.jsonl"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,11 +202,6 @@ def cmd_ingest(args) -> int:
     for msg in file_errors:
         print(msg, file=sys.stderr)
 
-    if detections and not by_channel[Channel.DET]:
-        # Detection labels double as the DET retrieval repository.
-        for snippet in detections_to_snippets(detections):
-            by_channel[Channel.DET].append(validate_snippet(snippet, video))
-
     total = sum(len(v) for v in by_channel.values()) + len(detections)
     if total == 0:
         print("error: no data survived ingestion", file=sys.stderr)
@@ -274,14 +268,43 @@ def _read_store_snippets(store: Path, channel: Channel) -> list[Snippet]:
     return report.snippets
 
 
+def _read_json(path: Path) -> object:
+    try:
+        return json.loads(path.read_bytes())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _read_video(path: Path) -> VideoRecord:
+    meta = _read_json(path)
+    try:
+        return VideoRecord(
+            video_id=meta["video_id"], duration_s=meta["duration_s"], fps=meta.get("fps")
+        )
+    except (KeyError, TypeError, AttributeError, DataError) as exc:
+        raise DataError(f"{path}: bad video record ({exc})") from None
+
+
 def _read_store_frames(store: Path) -> list[dict]:
     path = store / "frames.jsonl"
     if not path.exists():
         return []
     frames = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            frames.append(json.loads(line))
+    for line_no, line in enumerate(path.read_bytes().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            frame = json.loads(line)
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            frame = None
+        if not (
+            isinstance(frame, dict)
+            and type(frame.get("frame_index")) is int
+            and type(frame.get("t")) in (int, float)
+            and isinstance(frame.get("text", ""), str)
+        ):
+            raise DataError(f"{path}:{line_no}: bad frame record")
+        frames.append(frame)
     return frames
 
 
@@ -293,7 +316,7 @@ def cmd_build(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    video_meta = json.loads((store / "video.json").read_text(encoding="utf-8"))
+    video_meta = _read_json(store / "video.json")
     (out / "video.json").write_text(json.dumps(video_meta) + "\n", encoding="utf-8")
 
     for channel in Channel:
@@ -345,10 +368,7 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
     meta_path = index_dir / "video.json"
     if not meta_path.exists():
         raise DataError(f"{meta_path} not found; run build first")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    video = VideoRecord(
-        video_id=meta["video_id"], duration_s=meta["duration_s"], fps=meta.get("fps")
-    )
+    video = _read_video(meta_path)
 
     channels: dict[Channel, ChannelIndex] = {}
     for channel in Channel:
@@ -381,10 +401,11 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
             for f in sorted(raw_frames, key=lambda f: (f["t"], f["frame_index"]))
         ]
     else:
-        # No frame metadata: synthesize a uniform grid without embeddings.
+        # No frame metadata: synthesize a uniform grid without embeddings,
+        # one frame at t=0 when n_frames is 1.
         n = cfg.n_frames
         frames = [
-            FrameRecord(frame_index=i, t=i * video.duration_s / (n - 1)) for i in range(n)
+            FrameRecord(frame_index=i, t=i * video.duration_s / max(n - 1, 1)) for i in range(n)
         ]
 
     if cfg.providers.lvlm == "stub":

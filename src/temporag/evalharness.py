@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DataError, InfeasibleSpecError
-from .frames import select_keyframes
+from .frames import frame_similarities, select_keyframes
 from .pipeline import augment_query, dense_accept, retrieve_channel
 from .providers import StubLvlm
 from .rescore import DecayParams, compute_anchors
@@ -261,15 +261,12 @@ def run_eval(corpus: Corpus, config: RunConfig, flags: AblationFlags = AblationF
     duration = corpus.spec.duration_s
     query_text = " ".join(corpus.spec.query_terms)
 
-    anchors = compute_anchors(corpus.frames, built.query_vec, built.frame_index)
+    sims = frame_similarities(corpus.frames, built.frame_index, built.query_vec)
+    anchors = compute_anchors(corpus.frames, sims)
     decay = config.decay_params()
     if not flags.tw:
         decay = DecayParams(lambdas=(0.0, 0.0, 0.0), time_norm=decay.time_norm)
 
-    sims = [
-        float(np.dot(built.frame_index.get(f.embedding_ref).astype(np.float64), built.query_vec))
-        for f in corpus.frames
-    ]
     select_keyframes(
         corpus.frames,
         sims,

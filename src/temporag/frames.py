@@ -13,11 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import DataError, LengthMismatchError
 from .ingest import DetectionRecord
 from .providers import DetectorProvider
 from .types import FrameRecord
+from .vectorindex import FlatVectorIndex
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,31 @@ class SelectorConfig:
             raise DataError(f"n_bins ({self.n_bins}) must not exceed max_frames ({self.max_frames})")
 
 
+def frame_similarities(
+    frames: Sequence[FrameRecord], frame_index: FlatVectorIndex, query_vec: np.ndarray
+) -> list[float]:
+    """Inner product of each frame's stored embedding with a unit query vector.
+
+    This is the one per-query similarity pass: it feeds both keyframe
+    gating and the semantic anchor. A frame without a stored embedding gets
+    -1.0, the lowest cosine, so it passes no gate above -1. An
+    ``embedding_ref`` missing from ``frame_index`` is a ``DataError``.
+    """
+    sims = []
+    for frame in frames:
+        if frame.embedding_ref is None:
+            sims.append(-1.0)
+            continue
+        if frame.embedding_ref not in frame_index:
+            raise DataError(
+                f"frame {frame.frame_index}: embedding {frame.embedding_ref!r} "
+                "is not in the frame index"
+            )
+        vec = frame_index.get(frame.embedding_ref).astype(np.float64)
+        sims.append(float(np.dot(vec, query_vec)))
+    return sims
+
+
 def weight_frames(sims: Sequence[float]) -> FrameWeighting:
     """Compute the entropy weighting of a non-empty similarity list.
 
@@ -60,9 +85,17 @@ def weight_frames(sims: Sequence[float]) -> FrameWeighting:
     distribution is valid. Natural log; the base cancels in alpha anyway.
     """
     arr = np.ascontiguousarray(sims, dtype=np.float64)
-    if arr.size == 0:
+    n = arr.size
+    if n == 0:
         raise DataError("similarity list must be non-empty")
-    probs, entropy, alpha = _kernels.entropy_alpha(arr)
+    pos = np.maximum(arr, 0.0)
+    total = float(np.sum(pos))
+    probs = pos / total if total > 0.0 else np.zeros(n, dtype=np.float64)
+    entropy = np.zeros(n, dtype=np.float64)
+    nz = probs > 0.0
+    entropy[nz] = -probs[nz] * np.log(probs[nz])
+    h_total = float(np.sum(entropy))
+    alpha = entropy / h_total if h_total > 0.0 else np.full(n, 1.0 / n, dtype=np.float64)
     return FrameWeighting(sims=arr, probs=probs, entropy=entropy, alpha=alpha)
 
 

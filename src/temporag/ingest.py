@@ -73,7 +73,10 @@ class JsonlReport:
 def _decode(data: bytes) -> str:
     if isinstance(data, str):
         return data
-    return data.decode("utf-8-sig")
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not valid UTF-8 ({exc})") from None
 
 
 # --- subtitles ----------------------------------------------------------------
@@ -215,11 +218,6 @@ def parse_snippet_jsonl(data: bytes, expect_channel: Channel | None = None) -> J
     return report
 
 
-def parse_ocr_jsonl(data: bytes) -> JsonlReport:
-    """Parse an OCR snippet JSONL file (channel must be "ocr")."""
-    return parse_snippet_jsonl(data, expect_channel=Channel.OCR)
-
-
 def write_snippet_jsonl(snippets: list[Snippet]) -> str:
     return "".join(snippet_to_json(s) + "\n" for s in snippets)
 
@@ -288,19 +286,6 @@ def parse_detections_jsonl(data: bytes) -> tuple[list[DetectionRecord], list[tup
 
 def _sorted_objects(record: DetectionRecord) -> list[DetectedObject]:
     return sorted(record.objects, key=lambda o: (-o.confidence, o.label))
-
-
-def detections_to_snippets(dets: list[DetectionRecord]) -> list[Snippet]:
-    """Flatten detection labels into DET-channel snippets at the frame instant."""
-    snippets = []
-    for i, record in enumerate(sorted(dets, key=lambda r: (r.t, r.frame_index)), start=1):
-        labels = " ".join(o.label for o in _sorted_objects(record))
-        if not labels:
-            continue
-        snippets.append(
-            Snippet(id=f"det-{i:06d}", channel=Channel.DET, text=labels, t_start=record.t, t_end=record.t)
-        )
-    return snippets
 
 
 def serialize_scene_graph(dets: list[DetectionRecord]) -> SceneGraphText:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import prompts, rescore as rescore_mod, textindex
 from .errors import BudgetTooSmallError, DataError, EmptyIndexError, ProviderUnavailableError
-from .frames import SelectorConfig, detect_on_keyframes, select_keyframes
+from .frames import SelectorConfig, detect_on_keyframes, frame_similarities, select_keyframes
 from .ingest import SceneGraphText, serialize_scene_graph
 from .providers import DecodeParams, DetectorProvider, LvlmProvider
 from .rescore import AnchorSet, DecayParams, RescoreConfig, compute_anchors
@@ -506,12 +506,7 @@ def run_query(
     # question when decoupling marked detection NULL.
     frame_query_text = request.det or question
     frame_query_vec = normalize(runtime.embedder.embed([frame_query_text])[0])
-    sims = [
-        float(np.dot(runtime.frame_index.get(f.embedding_ref).astype(np.float64), frame_query_vec))
-        if f.embedding_ref is not None and f.embedding_ref in runtime.frame_index
-        else -1.0
-        for f in runtime.frames
-    ]
+    sims = frame_similarities(runtime.frames, runtime.frame_index, frame_query_vec)
     keyframes = select_keyframes(
         runtime.frames,
         sims,
@@ -521,7 +516,7 @@ def run_query(
         duration_s=runtime.video.duration_s,
         entropy_weighted=se,
     )
-    anchors = compute_anchors(runtime.frames, frame_query_vec, runtime.frame_index)
+    anchors = compute_anchors(runtime.frames, sims)
 
     def run_channel(channel: Channel, req_text: str | None) -> list[ScoredSnippet]:
         if req_text is None or channel not in runtime.channels:

@@ -16,10 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
-from .errors import AllZeroMassError, DataError, EmptyFrameListError
+from .errors import AllZeroMassError, DataError, EmptyFrameListError, LengthMismatchError
 from .types import FrameRecord, ScoredSnippet, Snippet
-from .vectorindex import FlatVectorIndex
 
 
 class TimeNorm(str, Enum):
@@ -78,30 +76,27 @@ class RescoreConfig:
         return self.pool_multiplier * self.top_k
 
 
-def compute_anchors(
-    frames: Sequence[FrameRecord],
-    query_vec: np.ndarray,
-    frame_index: FlatVectorIndex,
-) -> AnchorSet:
+def compute_anchors(frames: Sequence[FrameRecord], sims: Sequence[float]) -> AnchorSet:
     """Derive the three anchors from a time-sorted frame list.
 
-    The semantic anchor is the time of the frame whose stored embedding has
-    maximal inner product with the query vector; ties break toward the
-    earliest time. Frames without a stored embedding are skipped; if no
-    frame has one, the semantic anchor falls back to the first frame time.
+    ``sims`` holds each frame's query similarity (see
+    ``frames.frame_similarities``). The semantic anchor is the time of the
+    frame with maximal similarity; ties break toward the earliest time.
+    Frames without a stored embedding are skipped, whatever placeholder
+    their similarity holds; if no frame has one, the semantic anchor falls
+    back to the first frame time.
     """
     if not frames:
         raise EmptyFrameListError("at least one frame required")
+    if len(frames) != len(sims):
+        raise LengthMismatchError(len(frames), len(sims))
     t_first = frames[0].t
     t_last = frames[-1].t
 
     best_sim = -math.inf
     t_semantic = t_first
-    for frame in frames:
-        if frame.embedding_ref is None or frame.embedding_ref not in frame_index:
-            continue
-        sim = float(np.dot(frame_index.get(frame.embedding_ref).astype(np.float64), query_vec))
-        if sim > best_sim:
+    for frame, sim in zip(frames, sims):
+        if frame.embedding_ref is not None and sim > best_sim:
             best_sim = sim
             t_semantic = frame.t
     return AnchorSet(t_last=t_last, t_first=t_first, t_semantic=t_semantic)
@@ -146,12 +141,10 @@ def rescore(
         if duration_s <= 0:
             raise DataError(f"duration_s must be positive, got {duration_s}")
         scale = duration_s
-    times = np.ascontiguousarray(
-        [snippet.t_mid / scale for snippet, _ in candidates], dtype=np.float64
-    )
+    times = np.array([snippet.t_mid / scale for snippet, _ in candidates], dtype=np.float64)
     a0, a1, a2 = (a / scale for a in anchors.as_tuple())
     l0, l1, l2 = params.lambdas
-    decays = _kernels.decay_multipliers(times, a0, a1, a2, l0, l1, l2)
+    decays = np.exp(-(l0 * np.abs(a0 - times) + l1 * np.abs(a1 - times) + l2 * np.abs(a2 - times)))
 
     mass = raws * decays
     total = float(np.sum(mass))

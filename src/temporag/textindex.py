@@ -15,7 +15,6 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     DataError,
     DuplicateDocIdError,
@@ -56,8 +55,8 @@ class Bm25Index:
     """Inverted index with document statistics for one channel.
 
     ``postings`` maps token -> [(doc_id, term_frequency)] sorted by doc_id.
-    The private arrays mirror the postings in dense positional form for the
-    scoring kernel.
+    The private arrays mirror the postings in dense positional form for
+    vectorized scoring.
     """
 
     channel: Channel
@@ -83,7 +82,7 @@ class Bm25Index:
 
 
 def _finalize(index: Bm25Index) -> Bm25Index:
-    """Derive the positional arrays used by the scoring kernel."""
+    """Derive the positional arrays used by ``search``."""
     k1, b = index.params.k1, index.params.b
     dl = np.array([index.doc_len[d] for d in index._doc_ids], dtype=np.float64)
     index._dl_norm = k1 * (1.0 - b + b * dl / index.avg_dl) if index.n_docs else dl
@@ -186,15 +185,13 @@ def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[str,
     if not positions_parts:
         return []
 
+    positions = np.concatenate(positions_parts)
+    tfs = np.concatenate(tfs_parts)
+    idfs = np.concatenate(idfs_parts)
+    k1 = index.params.k1
     scores = np.zeros(index.n_docs, dtype=np.float64)
-    _kernels.bm25_accumulate(
-        scores,
-        np.ascontiguousarray(np.concatenate(positions_parts)),
-        np.ascontiguousarray(np.concatenate(tfs_parts)),
-        np.ascontiguousarray(np.concatenate(idfs_parts)),
-        index._dl_norm,
-        index.params.k1,
-    )
+    # Okapi term contributions, accumulated per document in posting order.
+    np.add.at(scores, positions, idfs * tfs * (k1 + 1.0) / (tfs + index._dl_norm[positions]))
 
     hits = [(index._doc_ids[i], float(scores[i])) for i in np.nonzero(scores > 0.0)[0]]
     hits.sort(key=lambda h: (-h[1], h[0]))
@@ -243,32 +240,44 @@ def save_index(index: Bm25Index, path: str) -> None:
 
 
 def load_index(path: str) -> Bm25Index:
+    """Read an index written by ``save_index``.
+
+    A truncated or corrupt file raises ``DataError`` naming the path; an
+    unknown magic or format version raises ``VersionMismatchError``.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise VersionMismatchError(f"{path}: bad magic, not a temporag index")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != FORMAT_VERSION:
-            raise VersionMismatchError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-        channel = Channel.parse(_read_str(fh))
-        k1, b = struct.unpack("<dd", fh.read(16))
-        (n_docs,) = struct.unpack("<I", fh.read(4))
-        doc_ids = []
-        doc_len = {}
-        for _ in range(n_docs):
-            doc_id = _read_str(fh)
-            (length,) = struct.unpack("<I", fh.read(4))
-            doc_ids.append(doc_id)
-            doc_len[doc_id] = length
-        (n_tokens,) = struct.unpack("<I", fh.read(4))
-        postings: dict[str, list[tuple[str, int]]] = {}
-        for _ in range(n_tokens):
-            token = _read_str(fh)
-            (n_postings,) = struct.unpack("<I", fh.read(4))
-            plist = []
-            for _ in range(n_postings):
-                doc_index, tf = struct.unpack("<II", fh.read(8))
-                plist.append((doc_ids[doc_index], tf))
-            postings[token] = plist
+        try:
+            return _read_index(fh, path)
+        except (struct.error, IndexError, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: truncated or corrupt index ({exc})") from None
+
+
+def _read_index(fh: BinaryIO, path: str) -> Bm25Index:
+    if fh.read(4) != MAGIC:
+        raise VersionMismatchError(f"{path}: bad magic, not a temporag index")
+    (version,) = struct.unpack("<I", fh.read(4))
+    if version != FORMAT_VERSION:
+        raise VersionMismatchError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    channel = Channel.parse(_read_str(fh))
+    k1, b = struct.unpack("<dd", fh.read(16))
+    (n_docs,) = struct.unpack("<I", fh.read(4))
+    doc_ids = []
+    doc_len = {}
+    for _ in range(n_docs):
+        doc_id = _read_str(fh)
+        (length,) = struct.unpack("<I", fh.read(4))
+        doc_ids.append(doc_id)
+        doc_len[doc_id] = length
+    (n_tokens,) = struct.unpack("<I", fh.read(4))
+    postings: dict[str, list[tuple[str, int]]] = {}
+    for _ in range(n_tokens):
+        token = _read_str(fh)
+        (n_postings,) = struct.unpack("<I", fh.read(4))
+        plist = []
+        for _ in range(n_postings):
+            doc_index, tf = struct.unpack("<II", fh.read(8))
+            plist.append((doc_ids[doc_index], tf))
+        postings[token] = plist
 
     avg_dl = (sum(doc_len.values()) / n_docs) if n_docs else 0.0
     index = Bm25Index(

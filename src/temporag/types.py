@@ -22,11 +22,10 @@ from .errors import (
 
 
 class Channel(str, Enum):
-    """Auxiliary text channel a snippet belongs to."""
+    """Auxiliary text channel a snippet belongs to: speech or on-screen text."""
 
     ASR = "asr"
     OCR = "ocr"
-    DET = "det"
 
     @classmethod
     def parse(cls, tag: str) -> "Channel":
@@ -100,15 +99,13 @@ class RetrievalRequest:
     """Per-channel retrieval texts produced by query decoupling.
 
     ``None`` means the channel is not needed; downstream retrieval skips
-    such channels and never searches with an empty string.
+    such channels and never searches with an empty string. ``det`` is not a
+    retrieval channel: it is the text matched against frame embeddings.
     """
 
     asr: str | None = None
     ocr: str | None = None
     det: str | None = None
-
-    def for_channel(self, channel: Channel) -> str | None:
-        return {Channel.ASR: self.asr, Channel.OCR: self.ocr, Channel.DET: self.det}[channel]
 
     @property
     def is_empty(self) -> bool:

@@ -154,10 +154,6 @@ class HashEmbedder:
         return out
 
 
-def hash_embedder(dim: int, seed: int = 0) -> HashEmbedder:
-    return HashEmbedder(dim=dim, seed=seed)
-
-
 # --- vector record file ---------------------------------------------------------
 #
 # Layout: magic "TVRG" | u32 version | u32 dim
@@ -179,8 +175,16 @@ def save_vectors(path: str, ids: Sequence[str], vectors: Sequence[np.ndarray], d
 
 
 def load_vectors(path: str) -> tuple[int, list[tuple[str, np.ndarray]]]:
+    """Read a vector record file; a truncated or corrupt one raises ``DataError``."""
     with open(path, "rb") as fh:
         data = fh.read()
+    try:
+        return _parse_vectors(data, path)
+    except (struct.error, ValueError) as exc:  # ValueError covers frombuffer and UTF-8
+        raise DataError(f"{path}: truncated or corrupt vector file ({exc})") from None
+
+
+def _parse_vectors(data: bytes, path: str) -> tuple[int, list[tuple[str, np.ndarray]]]:
     if data[:4] != MAGIC:
         raise VersionMismatchError(f"{path}: bad magic, not a temporag vector file")
     version, dim = struct.unpack_from("<II", data, 4)

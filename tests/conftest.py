@@ -1,4 +1,4 @@
-"""Shared fixtures: kernel warmup, a local HTTP provider server, corpus helpers."""
+"""Shared fixtures: the C9 suite time budget, a local HTTP provider server, corpus helpers."""
 
 from __future__ import annotations
 
@@ -7,10 +7,8 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import numpy as np
 import pytest
 
-from temporag import _kernels
 from temporag.types import Channel, Snippet
 
 _SESSION_START = time.perf_counter()
@@ -31,21 +29,6 @@ def pytest_sessionfinish(session, exitstatus):
     )
     if not ok and exitstatus == 0:
         session.exitstatus = 1
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation once so timed tests measure steady state."""
-    _kernels.entropy_alpha(np.array([0.5, 0.2]))
-    _kernels.decay_multipliers(np.array([0.5]), 1.0, 0.0, 0.5, 1.0, 1.0, 1.0)
-    _kernels.bm25_accumulate(
-        np.zeros(2),
-        np.array([0, 1], dtype=np.int64),
-        np.array([1.0, 2.0]),
-        np.array([0.5, 0.5]),
-        np.array([1.2, 1.2]),
-        1.2,
-    )
 
 
 def make_snippet(

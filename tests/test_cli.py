@@ -85,6 +85,23 @@ class TestIngest:
         captured = capsys.readouterr()
         assert "line errors: 1" in captured.out
 
+    def test_det_tagged_line_is_line_error(self, tmp_path, capsys):
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text(
+            '{"id": "a", "channel": "ocr", "text": "x", "t_start": 1, "t_end": 1}\n'
+            '{"id": "d", "channel": "det", "text": "person", "t_start": 2, "t_end": 2}\n'
+            '{"id": "b", "channel": "ocr", "text": "y", "t_start": 3, "t_end": 3}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "store"
+        rc = run_cli(["ingest", mixed, "--video-id", "v", "--duration-s", "10", "--out", out])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "ocr: 2 snippets" in captured.out
+        assert "line errors: 1," in captured.out
+        assert f"{mixed}:2: unknown channel tag 'det'" in captured.err
+        assert [json.loads(line)["id"] for line in (out / "ocr.jsonl").read_text().splitlines()] == ["a", "b"]
+
     def test_all_bad_input_is_data_error(self, tmp_path):
         bad = tmp_path / "junk.srt"
         bad.write_text("not a subtitle file at all", encoding="utf-8")
@@ -108,14 +125,15 @@ class TestIngest:
             ]
         )
         assert rc == 0
-        assert (out / "det.jsonl").exists()
         assert (out / "detections.jsonl").exists()
+        assert not (out / "det.jsonl").exists()
 
 
 class TestBuild:
     def test_outputs_exist(self, built_index):
         for name in ("asr.bm25", "asr.vec", "ocr.bm25", "ocr.vec", "frames.vec", "video.json"):
             assert (built_index / name).exists(), name
+        assert not list(built_index.glob("det.*"))
 
     def test_deterministic_rebuild_byte_identical(self, tmp_path, built_index):
         second = tmp_path / "index2"
@@ -235,6 +253,57 @@ class TestAnswer:
     def test_missing_index_is_data_error(self, tmp_path):
         rc = run_cli(["answer", "--index", tmp_path / "nope", "--query", "q"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("asr.bm25", 0.5),
+            ("asr.bm25", 0.1),
+            ("ocr.bm25", 0.99),
+            ("asr.vec", 0.5),
+            ("ocr.vec", 0.02),
+            ("frames.vec", 0.5),
+            ("frames.vec", 0.75),
+            ("video.json", b"{not json\n"),
+            ("video.json", b'{"video_id": "harbor"}\n'),
+            ("frames.jsonl", b"{not json\n"),
+            ("frames.jsonl", b'{"frame_index": "3", "t": 1.0}\n'),
+        ],
+    )
+    def test_corrupt_index_file_is_data_error(self, built_index, capsys, name, damage):
+        path = built_index / name
+        data = path.read_bytes()
+        if isinstance(damage, float):  # truncate at this fraction of the file
+            path.write_bytes(data[: int(len(data) * damage)])
+        elif name == "video.json":
+            path.write_bytes(damage)
+        else:  # append one garbage line
+            path.write_bytes(data + damage)
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 2
+        assert f"data error: {path}" in capsys.readouterr().err
+
+    def test_single_synthesized_frame(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        index = tmp_path / "index"
+        assert run_cli(
+            ["ingest", DEMO / "audio.srt", DEMO / "screen_text.jsonl",
+             "--video-id", "v", "--duration-s", "120", "--out", store]
+        ) == 0
+        assert run_cli(["build", "--store", store, "--out", index]) == 0
+        assert not (index / "frames.jsonl").exists()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_frames": 1, "n_bins": 1, "max_frames": 1}))
+        capsys.readouterr()
+        rc = run_cli(
+            ["answer", "--index", index, "--query", self.QUERY, "--config", config, "--json"]
+        )
+        assert rc == 0
+        trace = json.loads(capsys.readouterr().out)["trace"]
+        assert trace["anchors"] == {"t_first": 0.0, "t_last": 0.0, "t_semantic": 0.0}
 
     def test_json_output_mode(self, built_index, capsys):
         rc = run_cli(

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from temporag.errors import DataError, LengthMismatchError
-from temporag.frames import SelectorConfig, detect_on_keyframes, select_keyframes, weight_frames
+from temporag.frames import (
+    SelectorConfig,
+    detect_on_keyframes,
+    frame_similarities,
+    select_keyframes,
+    weight_frames,
+)
 from temporag.ingest import DetectedObject
 from temporag.providers import FixtureDetector, StubDetector
 from temporag.ingest import DetectionRecord
 from temporag.types import FrameRecord
+from temporag.vectorindex import FlatVectorIndex, normalize
 
 
 # Independent scalar oracle for the entropy weighting, parameterized by log
@@ -27,6 +34,29 @@ def oracle_alpha(sims, log=math.log):
 def frames_uniform(n, duration):
     step = duration / (n - 1) if n > 1 else 0.0
     return [FrameRecord(frame_index=i, t=i * step) for i in range(n)]
+
+
+class TestFrameSimilarities:
+    def test_dot_per_embedded_frame_and_placeholder(self):
+        index = FlatVectorIndex(2)
+        index.add("a", [1.0, 0.0])
+        index.add("b", [0.0, 1.0])
+        frames = [
+            FrameRecord(frame_index=0, t=0.0, embedding_ref="b"),
+            FrameRecord(frame_index=1, t=1.0),
+            FrameRecord(frame_index=2, t=2.0, embedding_ref="a"),
+        ]
+        q = normalize([3.0, 4.0])
+        assert frame_similarities(frames, index, q) == [
+            float(np.dot(index.get("b").astype(np.float64), q)),
+            -1.0,
+            float(np.dot(index.get("a").astype(np.float64), q)),
+        ]
+
+    def test_dangling_embedding_ref_is_data_error(self):
+        frames = [FrameRecord(frame_index=4, t=0.0, embedding_ref="missing")]
+        with pytest.raises(DataError, match="missing"):
+            frame_similarities(frames, FlatVectorIndex(2), normalize([1.0, 0.0]))
 
 
 class TestWeightFrames:

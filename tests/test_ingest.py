@@ -12,9 +12,8 @@ from temporag.errors import (
 from temporag.ingest import (
     DetectedObject,
     DetectionRecord,
-    detections_to_snippets,
     parse_detections_jsonl,
-    parse_ocr_jsonl,
+    parse_snippet_jsonl,
     parse_srt,
     parse_vtt,
     serialize_scene_graph,
@@ -157,7 +156,7 @@ class TestParseOcrJsonl:
             b'{"id": "o%d", "channel": "ocr", "text": "t%d", "t_start": 1, "t_end": 1}' % (i, i)
             for i in range(3)
         )
-        report = parse_ocr_jsonl(data)
+        report = parse_snippet_jsonl(data, expect_channel=Channel.OCR)
         assert len(report.snippets) == 3 and not report.errors
 
     def test_partial_tolerance(self):
@@ -166,7 +165,7 @@ class TestParseOcrJsonl:
             b"{not json}\n"
             b'{"id": "b", "channel": "ocr", "text": "y", "t_start": 2, "t_end": 2}\n'
         )
-        report = parse_ocr_jsonl(data)
+        report = parse_snippet_jsonl(data, expect_channel=Channel.OCR)
         assert len(report.snippets) == 2
         assert len(report.errors) == 1
         assert report.errors[0][0] == 2
@@ -174,20 +173,20 @@ class TestParseOcrJsonl:
     def test_channel_mismatch_is_line_error(self):
         data = b'{"id": "a", "channel": "asr", "text": "x", "t_start": 1, "t_end": 1}\n' \
                b'{"id": "b", "channel": "ocr", "text": "y", "t_start": 1, "t_end": 1}\n'
-        report = parse_ocr_jsonl(data)
+        report = parse_snippet_jsonl(data, expect_channel=Channel.OCR)
         assert len(report.snippets) == 1
         assert "mismatch" in report.errors[0][1]
 
     def test_empty_text_dropped_with_count(self):
         data = b'{"id": "a", "channel": "ocr", "text": "  ", "t_start": 1, "t_end": 1}\n' \
                b'{"id": "b", "channel": "ocr", "text": "y", "t_start": 1, "t_end": 1}\n'
-        report = parse_ocr_jsonl(data)
+        report = parse_snippet_jsonl(data, expect_channel=Channel.OCR)
         assert report.dropped_empty == 1
         assert [s.id for s in report.snippets] == ["b"]
 
     def test_all_lines_failing_rejects_file(self):
         with pytest.raises(NoValidLinesError):
-            parse_ocr_jsonl(b"junk\nmore junk\n")
+            parse_snippet_jsonl(b"junk\nmore junk\n", expect_channel=Channel.OCR)
 
 
 class TestDetections:
@@ -207,20 +206,6 @@ class TestDetections:
     def test_bad_confidence(self):
         with pytest.raises(DataError):
             DetectedObject(label="x", box=(0.1, 0.1, 0.2, 0.9), confidence=1.5)
-
-    def test_to_det_snippets(self):
-        rec = DetectionRecord(
-            frame_index=1,
-            t=5.0,
-            objects=(
-                DetectedObject(label="dog", box=(0.1, 0.1, 0.5, 0.5), confidence=0.5),
-                DetectedObject(label="person", box=(0.2, 0.2, 0.6, 0.6), confidence=0.9),
-            ),
-        )
-        (s,) = detections_to_snippets([rec])
-        assert s.channel is Channel.DET
-        assert s.text == "person dog"  # confidence-descending
-        assert s.t_start == s.t_end == 5.0
 
 
 class TestSceneGraph:

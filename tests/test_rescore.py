@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from temporag.errors import AllZeroMassError, DataError, EmptyFrameListError
+from temporag.errors import (
+    AllZeroMassError,
+    DataError,
+    EmptyFrameListError,
+    LengthMismatchError,
+)
+from temporag.frames import frame_similarities
 from temporag.rescore import (
     AnchorSet,
     DecayParams,
@@ -20,7 +26,7 @@ from temporag.vectorindex import FlatVectorIndex, normalize
 from conftest import make_snippet
 
 
-# Term-by-term oracle for the rescoring formula, independent of the kernel:
+# Term-by-term oracle for the rescoring formula, independent of the vectorized code:
 # score_i = raw_i * exp(-sum_k lambda_k |a_k - t_i|) normalized over the pool.
 def oracle_rescore(raws, times, anchors, lambdas, duration):
     masses = []
@@ -48,13 +54,14 @@ class TestComputeAnchors:
         frames = frames_at([0.0, 5.0, 10.0])
         index = self.build_index([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
         q = normalize([0.0, 1.0, 0.0, 0.0])
-        anchors = compute_anchors(frames, q, index)
+        anchors = compute_anchors(frames, frame_similarities(frames, index, q))
         assert (anchors.t_last, anchors.t_first, anchors.t_semantic) == (10.0, 0.0, 5.0)
 
     def test_single_frame(self):
         frames = frames_at([3.0])
         index = self.build_index([[1, 0, 0, 0]])
-        anchors = compute_anchors(frames, normalize([1.0, 1.0, 0.0, 0.0]), index)
+        sims = frame_similarities(frames, index, normalize([1.0, 1.0, 0.0, 0.0]))
+        anchors = compute_anchors(frames, sims)
         assert anchors == AnchorSet(t_last=3.0, t_first=3.0, t_semantic=3.0)
 
     def test_argmax_matches_exhaustive_scan(self):
@@ -66,22 +73,40 @@ class TestComputeAnchors:
         q = normalize(rng.standard_normal(4))
         sims = [float(np.dot(index.get(f"f{i}").astype(np.float64), q)) for i in range(10)]
         expected_t = frames[int(np.argmax(sims))].t
-        assert compute_anchors(frames, q, index).t_semantic == expected_t
+        assert frame_similarities(frames, index, q) == sims
+        assert compute_anchors(frames, sims).t_semantic == expected_t
 
     def test_tie_breaks_to_earliest(self):
         frames = frames_at([1.0, 2.0])
         index = self.build_index([[1, 0, 0, 0], [1, 0, 0, 0]])
-        anchors = compute_anchors(frames, normalize([1.0, 0.0, 0.0, 0.0]), index)
+        sims = frame_similarities(frames, index, normalize([1.0, 0.0, 0.0, 0.0]))
+        anchors = compute_anchors(frames, sims)
         assert anchors.t_semantic == 1.0
 
     def test_empty_frames(self):
         with pytest.raises(EmptyFrameListError):
-            compute_anchors([], normalize([1.0, 0.0, 0.0, 0.0]), FlatVectorIndex(4))
+            compute_anchors([], [])
 
     def test_no_embeddings_falls_back_to_first(self):
         frames = [FrameRecord(frame_index=0, t=2.0), FrameRecord(frame_index=1, t=9.0)]
-        anchors = compute_anchors(frames, normalize([1.0, 0.0, 0.0, 0.0]), FlatVectorIndex(4))
+        sims = frame_similarities(frames, FlatVectorIndex(4), normalize([1.0, 0.0, 0.0, 0.0]))
+        assert sims == [-1.0, -1.0]
+        anchors = compute_anchors(frames, sims)
         assert anchors.t_semantic == 2.0
+
+    def test_unembedded_frame_never_wins(self):
+        # An antipodal embedded frame still beats an earlier -1.0 placeholder,
+        # and any value at an unembedded frame is ignored.
+        frames = [
+            FrameRecord(frame_index=0, t=1.0),
+            FrameRecord(frame_index=1, t=2.0, embedding_ref="f1"),
+            FrameRecord(frame_index=2, t=3.0),
+        ]
+        assert compute_anchors(frames, [-1.0, -1.0, 5.0]).t_semantic == 2.0
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatchError):
+            compute_anchors(frames_at([1.0, 2.0]), [0.5])
 
 
 class TestDecayMultiplier:

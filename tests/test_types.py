@@ -80,7 +80,7 @@ class TestVideoRecord:
 
 class TestChannel:
     def test_exact_members(self):
-        assert {c.value for c in Channel} == {"asr", "ocr", "det"}
+        assert {c.value for c in Channel} == {"asr", "ocr"}
 
     @pytest.mark.parametrize("tag", ["ASR", "subtitles", "", "audio"])
     def test_unknown_tag_is_error(self, tag):

@@ -12,7 +12,6 @@ from temporag.vectorindex import (
     FlatVectorIndex,
     HashEmbedder,
     PrecomputedEmbeddings,
-    hash_embedder,
     load_index,
     load_vectors,
     normalize,
@@ -112,29 +111,29 @@ class TestFlatVectorIndex:
 
 class TestHashEmbedder:
     def test_deterministic(self):
-        e = hash_embedder(16, seed=3)
+        e = HashEmbedder(16, seed=3)
         a = e.embed(["a b"])[0]
-        b = hash_embedder(16, seed=3).embed(["a b"])[0]
+        b = HashEmbedder(16, seed=3).embed(["a b"])[0]
         np.testing.assert_array_equal(a, b)
 
     def test_identity_similarity(self):
-        e = hash_embedder(16, seed=1)
+        e = HashEmbedder(16, seed=1)
         v1, v2 = e.embed(["x", "x"])
         assert float(np.dot(v1, v2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_seed_changes_vectors(self):
-        a = hash_embedder(16, seed=1).embed(["cat"])[0]
-        b = hash_embedder(16, seed=2).embed(["cat"])[0]
+        a = HashEmbedder(16, seed=1).embed(["cat"])[0]
+        b = HashEmbedder(16, seed=2).embed(["cat"])[0]
         assert not np.allclose(a, b)
 
     def test_min_dim(self):
         with pytest.raises(DataError):
-            hash_embedder(4)
+            HashEmbedder(4)
 
     def test_shared_tokens_more_similar_than_disjoint(self):
         # Monte Carlo with fixed seed: pairs sharing a token must be more
         # similar on average than token-disjoint pairs.
-        e = hash_embedder(32, seed=9)
+        e = HashEmbedder(32, seed=9)
         rng = np.random.default_rng(9)
         shared_sims = []
         disjoint_sims = []
@@ -147,7 +146,7 @@ class TestHashEmbedder:
         assert np.mean(shared_sims) > np.mean(disjoint_sims)
 
     def test_embeddings_are_unit_norm(self):
-        e = hash_embedder(24, seed=4)
+        e = HashEmbedder(24, seed=4)
         for v in e.embed(["one", "two words", "three word text"]):
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
