@@ -109,19 +109,18 @@ def _load_effective_config(args) -> RunConfig:
 # --- ingest -------------------------------------------------------------------
 
 
-def _classify_jsonl(path: Path) -> str:
+def _classify_jsonl(data: bytes) -> str:
     """Detection files carry an "objects" key; snippet files a "channel" key."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                return "snippets"  # let the tolerant parser report it
-            if isinstance(obj, dict) and "objects" in obj:
-                return "detections"
-            return "snippets"
+    for line in data.splitlines():
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return "snippets"  # let the tolerant parser report it
+        if isinstance(obj, dict) and "objects" in obj:
+            return "detections"
+        return "snippets"
     return "snippets"
 
 
@@ -154,7 +153,7 @@ def cmd_ingest(args) -> int:
             elif suffix == ".vtt":
                 snippets = parse_vtt(data)
             elif suffix == ".jsonl":
-                if _classify_jsonl(path) == "detections":
+                if _classify_jsonl(data) == "detections":
                     records, errors = parse_detections_jsonl(data)
                     detections.extend(records)
                     n_line_errors += len(errors)
@@ -173,6 +172,9 @@ def cmd_ingest(args) -> int:
         except TemporagError as exc:
             file_errors.append(f"{path}: {exc}")
             continue
+        except OSError as exc:
+            file_errors.append(f"{path}: cannot read ({exc.strerror})")
+            continue
         for snippet in snippets:
             try:
                 by_channel[snippet.channel].append(validate_snippet(snippet, video))
@@ -182,22 +184,28 @@ def cmd_ingest(args) -> int:
 
     frames = []
     if args.frames:
-        with open(args.frames, "r", encoding="utf-8-sig") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    frames.append(
-                        {
-                            "frame_index": int(obj["frame_index"]),
-                            "t": float(obj["t"]),
-                            **({"text": obj["text"]} if "text" in obj else {}),
-                        }
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    n_line_errors += 1
-                    print(f"{args.frames}:{line_no}: bad frame record", file=sys.stderr)
+        try:
+            with open(args.frames, "r", encoding="utf-8-sig") as fh:
+                frame_lines = fh.readlines()
+        except OSError as exc:
+            raise DataError(f"{args.frames}: cannot read ({exc.strerror})") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{args.frames}: not valid UTF-8 ({exc})") from None
+        for line_no, line in enumerate(frame_lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                frames.append(
+                    {
+                        "frame_index": int(obj["frame_index"]),
+                        "t": float(obj["t"]),
+                        **({"text": obj["text"]} if "text" in obj else {}),
+                    }
+                )
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                n_line_errors += 1
+                print(f"{args.frames}:{line_no}: bad frame record", file=sys.stderr)
 
     for msg in file_errors:
         print(msg, file=sys.stderr)
@@ -327,10 +335,7 @@ def cmd_build(args) -> int:
         save_bm25(index, str(out / f"{channel.value}.bm25"))
         vectors = _embed_or_lookup(cfg, [s.id for s in snippets], [s.text for s in snippets])
         save_vectors(
-            str(out / f"{channel.value}.vec"),
-            [s.id for s in snippets],
-            [v.astype(np.float32) for v in vectors],
-            len(vectors[0]),
+            str(out / f"{channel.value}.vec"), [s.id for s in snippets], vectors, len(vectors[0])
         )
         (out / CHANNEL_FILES[channel]).write_text(
             write_snippet_jsonl(snippets), encoding="utf-8"
@@ -346,12 +351,7 @@ def cmd_build(args) -> int:
         if with_text:
             ids = [_frame_ref(f["frame_index"]) for f in with_text]
             vectors = _embed_or_lookup(cfg, ids, [f["text"] for f in with_text])
-            save_vectors(
-                str(out / "frames.vec"),
-                ids,
-                [v.astype(np.float32) for v in vectors],
-                len(vectors[0]),
-            )
+            save_vectors(str(out / "frames.vec"), ids, vectors, len(vectors[0]))
         print(f"frames: {len(frames)} records, {len(with_text)} embedded")
 
     if (store / "detections.jsonl").exists():

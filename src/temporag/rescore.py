@@ -127,8 +127,10 @@ def rescore(
     """Apply temporal decay and normalize scores over the candidate pool.
 
     Every candidate's raw score must be non-negative; the normalized scores
-    sum to one. Raises ``AllZeroMassError`` when every raw * decay product
-    is zero.
+    sum to one. When every decay underflows (long videos in raw seconds),
+    the exponents are shifted by their minimum over positive-raw candidates,
+    a common factor that cancels in the normalization. Raises
+    ``AllZeroMassError`` when every raw score is zero.
     """
     if not candidates:
         raise DataError("candidate pool must be non-empty")
@@ -144,12 +146,17 @@ def rescore(
     times = np.array([snippet.t_mid / scale for snippet, _ in candidates], dtype=np.float64)
     a0, a1, a2 = (a / scale for a in anchors.as_tuple())
     l0, l1, l2 = params.lambdas
-    decays = np.exp(-(l0 * np.abs(a0 - times) + l1 * np.abs(a1 - times) + l2 * np.abs(a2 - times)))
+    exponents = l0 * np.abs(a0 - times) + l1 * np.abs(a1 - times) + l2 * np.abs(a2 - times)
+    decays = np.exp(-exponents)
 
     mass = raws * decays
     total = float(np.sum(mass))
     if total <= 0.0:
-        raise AllZeroMassError("every raw * decay product is zero")
+        positive = raws > 0.0
+        if not np.any(positive):
+            raise AllZeroMassError("every raw score is zero")
+        mass = raws * np.exp(-(exponents - exponents[positive].min()))
+        total = float(np.sum(mass))
     scores = mass / total
     return [
         ScoredSnippet(snippet=snippet, raw_score=float(raw), decay=float(d), score=float(s))

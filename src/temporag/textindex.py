@@ -6,12 +6,14 @@ is the single writer, after which concurrent searches need no locking.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 import struct
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import BinaryIO, Sequence
+from itertools import accumulate, pairwise
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +27,8 @@ from .errors import (
 from .types import Channel, Snippet
 
 MAGIC = b"TVRG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+U4 = np.dtype("<u4")
 
 # Alphanumeric runs; underscore is a boundary like any other punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -44,53 +47,67 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self):
-        if self.k1 <= 0:
-            raise DataError(f"k1 must be positive, got {self.k1}")
+        if not 0.0 < self.k1 < math.inf:
+            raise DataError(f"k1 must be positive and finite, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise DataError(f"b must be within [0, 1], got {self.b}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Bm25Index:
-    """Inverted index with document statistics for one channel.
+    """Inverted index of one channel, in compressed sparse row form.
 
-    ``postings`` maps token -> [(doc_id, term_frequency)] sorted by doc_id.
-    The private arrays mirror the postings in dense positional form for
-    vectorized scoring.
+    ``doc_ids`` is sorted, so a document's position is its rank by id.
+    ``token_row`` maps each token, in sorted order, to its row ``r``; the
+    postings of row ``r`` are ``doc_pos[offsets[r]:offsets[r + 1]]`` (doc
+    positions, ascending) and the matching ``tf`` term frequencies. These
+    and ``doc_len`` are ``<u4``; after a load, read-only views of the file.
     """
 
     channel: Channel
     params: Bm25Params
-    postings: dict[str, list[tuple[str, int]]]
-    doc_len: dict[str, int]
-    n_docs: int
-    avg_dl: float
-    _doc_ids: list[str] = field(default_factory=list, repr=False)
-    _doc_pos: dict[str, int] = field(default_factory=dict, repr=False)
-    _dl_norm: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _token_arrays: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
+    doc_ids: list[str]
+    token_row: dict[str, int]
+    doc_len: np.ndarray
+    offsets: np.ndarray
+    doc_pos: np.ndarray
+    tf: np.ndarray
+    avg_dl: float = field(init=False)
+    dl_norm: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n_docs = len(self.doc_ids)
+        self.avg_dl = int(self.doc_len.sum(dtype=np.int64)) / n_docs if n_docs else 0.0
+        k1, b = self.params.k1, self.params.b
+        dl = self.doc_len.astype(np.float64)
+        self.dl_norm = k1 * (1.0 - b + b * dl / self.avg_dl) if self.avg_dl else dl
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.doc_ids)
+
+    def _span(self, token: str) -> tuple[int, int]:
+        row = self.token_row.get(token)
+        if row is None:
+            return 0, 0
+        return self.offsets.item(row), self.offsets.item(row + 1)
+
+    def postings(self, token: str) -> list[tuple[str, int]]:
+        """``[(doc_id, tf)]`` of one token, ascending by doc_id; empty if unseen."""
+        lo, hi = self._span(token)
+        return [
+            (self.doc_ids[p], f)
+            for p, f in zip(self.doc_pos[lo:hi].tolist(), self.tf[lo:hi].tolist())
+        ]
 
     def idf(self, token: str) -> float:
         """ln(1 + (N - df + 0.5) / (df + 0.5)); 0 for unseen tokens."""
-        df = len(self.postings.get(token, ()))
-        if df == 0:
-            return 0.0
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
-
-    def __len__(self) -> int:
-        return self.n_docs
+        lo, hi = self._span(token)
+        return _idf(self.n_docs, hi - lo) if hi > lo else 0.0
 
 
-def _finalize(index: Bm25Index) -> Bm25Index:
-    """Derive the positional arrays used by ``search``."""
-    k1, b = index.params.k1, index.params.b
-    dl = np.array([index.doc_len[d] for d in index._doc_ids], dtype=np.float64)
-    index._dl_norm = k1 * (1.0 - b + b * dl / index.avg_dl) if index.n_docs else dl
-    for token, plist in index.postings.items():
-        positions = np.array([index._doc_pos[d] for d, _ in plist], dtype=np.int64)
-        tfs = np.array([tf for _, tf in plist], dtype=np.float64)
-        index._token_arrays[token] = (positions, tfs)
-    return index
+def _idf(n_docs: int, df: int) -> float:
+    return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
 
 
 def build_index(docs: Sequence[Snippet], params: Bm25Params | None = None) -> Bm25Index:
@@ -101,35 +118,30 @@ def build_index(docs: Sequence[Snippet], params: Bm25Params | None = None) -> Bm
         raise MixedChannelsError(f"documents span channels {sorted(c.value for c in channels)}")
     channel = channels.pop() if channels else Channel.ASR
 
-    doc_len: dict[str, int] = {}
-    doc_ids: list[str] = []
-    postings: dict[str, dict[str, int]] = {}
-    for doc in docs:
-        if doc.id in doc_len:
+    ordered = sorted(docs, key=lambda d: d.id)
+    for prev, doc in pairwise(ordered):
+        if prev.id == doc.id:
             raise DuplicateDocIdError(doc.id)
+    doc_len = []
+    rows: dict[str, list[tuple[int, int]]] = {}  # token -> [(doc position, tf)]
+    for pos, doc in enumerate(ordered):
         tokens = tokenize(doc.text)
-        doc_len[doc.id] = len(tokens)
-        doc_ids.append(doc.id)
-        for token in tokens:
-            postings.setdefault(token, {}).setdefault(doc.id, 0)
-            postings[token][doc.id] += 1
+        doc_len.append(len(tokens))
+        for token, tf in Counter(tokens).items():
+            rows.setdefault(token, []).append((pos, tf))
 
-    sorted_postings = {
-        token: sorted(per_doc.items()) for token, per_doc in sorted(postings.items())
-    }
-    n_docs = len(doc_ids)
-    avg_dl = (sum(doc_len.values()) / n_docs) if n_docs else 0.0
-    index = Bm25Index(
+    vocab = sorted(rows)
+    postings = [p for token in vocab for p in rows[token]]
+    return Bm25Index(
         channel=channel,
         params=params,
-        postings=sorted_postings,
-        doc_len=doc_len,
-        n_docs=n_docs,
-        avg_dl=avg_dl,
-        _doc_ids=doc_ids,
-        _doc_pos={d: i for i, d in enumerate(doc_ids)},
+        doc_ids=[d.id for d in ordered],
+        token_row={token: r for r, token in enumerate(vocab)},
+        doc_len=np.array(doc_len, dtype=U4),
+        offsets=np.array(list(accumulate((len(rows[t]) for t in vocab), initial=0)), dtype=U4),
+        doc_pos=np.array([p for p, _ in postings], dtype=U4),
+        tf=np.array([f for _, f in postings], dtype=U4),
     )
-    return _finalize(index)
 
 
 def bm25_score(index: Bm25Index, query_tokens: Sequence[str], doc_id: str) -> float:
@@ -138,21 +150,15 @@ def bm25_score(index: Bm25Index, query_tokens: Sequence[str], doc_id: str) -> fl
     Repeated query tokens contribute once per occurrence. Terms absent
     from the document contribute zero.
     """
-    if doc_id not in index.doc_len:
+    pos = bisect_left(index.doc_ids, doc_id)
+    if pos == index.n_docs or index.doc_ids[pos] != doc_id:
         raise UnknownDocIdError(doc_id)
     k1, b = index.params.k1, index.params.b
-    dl = index.doc_len[doc_id]
+    dl = int(index.doc_len[pos])
     norm = k1 * (1.0 - b + b * dl / index.avg_dl)
     score = 0.0
     for token in query_tokens:
-        plist = index.postings.get(token)
-        if not plist:
-            continue
-        tf = 0
-        for d, f in plist:
-            if d == doc_id:
-                tf = f
-                break
+        tf = dict(index.postings(token)).get(doc_id, 0)
         if tf == 0:
             continue
         score += index.idf(token) * tf * (k1 + 1.0) / (tf + norm)
@@ -171,123 +177,144 @@ def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[str,
     if not query_tokens or index.n_docs == 0:
         return []
 
-    positions_parts = []
-    tfs_parts = []
-    idfs_parts = []
-    for token in query_tokens:
-        arrays = index._token_arrays.get(token)
-        if arrays is None:
-            continue
-        positions, tfs = arrays
-        positions_parts.append(positions)
-        tfs_parts.append(tfs)
-        idfs_parts.append(np.full(len(positions), index.idf(token), dtype=np.float64))
-    if not positions_parts:
+    spans = [(lo, hi) for lo, hi in map(index._span, query_tokens) if hi > lo]
+    if not spans:
         return []
-
-    positions = np.concatenate(positions_parts)
-    tfs = np.concatenate(tfs_parts)
-    idfs = np.concatenate(idfs_parts)
+    # intp, not the stored u4: numpy fancy-indexes with intp several times faster.
+    positions = np.concatenate([index.doc_pos[lo:hi] for lo, hi in spans], dtype=np.intp)
+    tfs = np.concatenate([index.tf[lo:hi] for lo, hi in spans], dtype=np.float64)
+    idfs = np.array([idf for lo, hi in spans for idf in [_idf(index.n_docs, hi - lo)] * (hi - lo)])
     k1 = index.params.k1
     scores = np.zeros(index.n_docs, dtype=np.float64)
-    # Okapi term contributions, accumulated per document in posting order.
-    np.add.at(scores, positions, idfs * tfs * (k1 + 1.0) / (tfs + index._dl_norm[positions]))
+    # Okapi term contributions, accumulated per document in query-token order.
+    np.add.at(scores, positions, idfs * tfs * (k1 + 1.0) / (tfs + index.dl_norm[positions]))
 
-    hits = [(index._doc_ids[i], float(scores[i])) for i in np.nonzero(scores > 0.0)[0]]
+    hits = [(index.doc_ids[i], float(scores[i])) for i in np.nonzero(scores > 0.0)[0]]
     hits.sort(key=lambda h: (-h[1], h[0]))
     return hits[:pool_size]
 
 
-# --- binary persistence ------------------------------------------------------
+# --- binary persistence, format version 2 ---------------------------------------
 #
-# Layout (all integers little-endian):
-#   magic "TVRG" | u32 version | str channel | f64 k1 | f64 b
-#   u32 n_docs | per doc: str doc_id, u32 doc_len
-#   u32 n_tokens | per token: str token, u32 n_postings,
-#                  per posting: u32 doc_index, u32 tf
-# Strings are u32 length + UTF-8 bytes.
+# All integers little-endian u32, floats f64:
+#   magic "TVRG" | version | channel (a one-string table) | k1 | b
+#   | n_docs | n_tokens | doc-id table (sorted) | token table (sorted)
+#   | doc_len[n_docs] | offsets[n_tokens + 1] | doc_pos[n_postings] | tf[n_postings]
+# A string table is offsets[n + 1] into one UTF-8 blob that follows them.
+# n_postings is offsets[n_tokens]. The arrays load as views of the file's
+# bytes, so the loader checks every invariant that search relies on.
 
 
-def _write_str(fh: BinaryIO, s: str) -> None:
-    data = s.encode("utf-8")
-    fh.write(struct.pack("<I", len(data)))
-    fh.write(data)
+def pack_strings(strings: Sequence[str]) -> bytes:
+    """A string table: u32 offsets[n + 1], then the concatenated UTF-8."""
+    blobs = [s.encode("utf-8") for s in strings]
+    offsets = np.array(list(accumulate(map(len, blobs), initial=0)), dtype=U4)
+    return offsets.tobytes() + b"".join(blobs)
 
 
-def _read_str(fh: BinaryIO) -> str:
-    (n,) = struct.unpack("<I", fh.read(4))
-    return fh.read(n).decode("utf-8")
+class IndexFileReader:
+    """Bounds-checked reads over one index file, read whole at open.
+
+    Arrays are ``np.frombuffer`` views of the file's bytes. A bad magic or
+    format version raises ``VersionMismatchError``; every other failure is
+    a ``DataError`` naming the path.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        try:
+            with open(path, "rb") as fh:
+                self.data = fh.read()
+        except OSError as exc:
+            raise DataError(f"{path}: cannot read index ({exc.strerror})") from None
+        if self.data[:4] != MAGIC:
+            raise VersionMismatchError(f"{path}: bad magic, not a temporag index")
+        self.pos = 4
+        (version,) = self.unpack("<I")
+        if version != FORMAT_VERSION:
+            raise VersionMismatchError(
+                f"{path}: format version {version}, expected {FORMAT_VERSION}"
+            )
+
+    def corrupt(self, problem: str) -> DataError:
+        return DataError(f"{self.path}: truncated or corrupt index ({problem})")
+
+    def _take(self, n_bytes: int) -> int:
+        start = self.pos
+        if start + n_bytes > len(self.data):
+            raise self.corrupt(f"needs {start + n_bytes} bytes, has {len(self.data)}")
+        self.pos += n_bytes
+        return start
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self._take(struct.calcsize(fmt)))
+
+    def array(self, count: int, dtype: np.dtype = U4) -> np.ndarray:
+        offset = self._take(count * dtype.itemsize)
+        return np.frombuffer(self.data, dtype=dtype, count=count, offset=offset)
+
+    def offsets(self, n: int) -> np.ndarray:
+        """``n + 1`` u32 offsets that start at 0 and never decrease."""
+        offsets = self.array(n + 1)
+        if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
+            raise self.corrupt("offsets not monotone")
+        return offsets
+
+    def strings(self, n: int) -> list[str]:
+        offsets = self.offsets(n)
+        base = self._take(int(offsets[-1]))
+        bounds = [base + o for o in offsets.tolist()]
+        data = self.data
+        try:
+            return [data[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
+        except UnicodeDecodeError as exc:
+            raise self.corrupt(f"invalid UTF-8: {exc.reason}") from None
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise self.corrupt(f"{len(self.data) - self.pos} trailing bytes")
 
 
 def save_index(index: Bm25Index, path: str) -> None:
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", FORMAT_VERSION))
-    _write_str(buf, index.channel.value)
-    buf.write(struct.pack("<dd", index.params.k1, index.params.b))
-    buf.write(struct.pack("<I", index.n_docs))
-    for doc_id in index._doc_ids:
-        _write_str(buf, doc_id)
-        buf.write(struct.pack("<I", index.doc_len[doc_id]))
-    buf.write(struct.pack("<I", len(index.postings)))
-    for token, plist in index.postings.items():
-        _write_str(buf, token)
-        buf.write(struct.pack("<I", len(plist)))
-        for doc_id, tf in plist:
-            buf.write(struct.pack("<II", index._doc_pos[doc_id], tf))
+    k1, b = index.params.k1, index.params.b
+    head = MAGIC + struct.pack("<I", FORMAT_VERSION) + pack_strings([index.channel.value])
+    head += struct.pack("<ddII", k1, b, index.n_docs, len(index.token_row))
+    tables = pack_strings(index.doc_ids) + pack_strings(list(index.token_row))
+    arrays = (index.doc_len, index.offsets, index.doc_pos, index.tf)
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(head + tables + b"".join(a.tobytes() for a in arrays))
 
 
 def load_index(path: str) -> Bm25Index:
-    """Read an index written by ``save_index``.
-
-    A truncated or corrupt file raises ``DataError`` naming the path; an
-    unknown magic or format version raises ``VersionMismatchError``.
-    """
-    with open(path, "rb") as fh:
-        try:
-            return _read_index(fh, path)
-        except (struct.error, IndexError, UnicodeDecodeError) as exc:
-            raise DataError(f"{path}: truncated or corrupt index ({exc})") from None
-
-
-def _read_index(fh: BinaryIO, path: str) -> Bm25Index:
-    if fh.read(4) != MAGIC:
-        raise VersionMismatchError(f"{path}: bad magic, not a temporag index")
-    (version,) = struct.unpack("<I", fh.read(4))
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    channel = Channel.parse(_read_str(fh))
-    k1, b = struct.unpack("<dd", fh.read(16))
-    (n_docs,) = struct.unpack("<I", fh.read(4))
-    doc_ids = []
-    doc_len = {}
-    for _ in range(n_docs):
-        doc_id = _read_str(fh)
-        (length,) = struct.unpack("<I", fh.read(4))
-        doc_ids.append(doc_id)
-        doc_len[doc_id] = length
-    (n_tokens,) = struct.unpack("<I", fh.read(4))
-    postings: dict[str, list[tuple[str, int]]] = {}
-    for _ in range(n_tokens):
-        token = _read_str(fh)
-        (n_postings,) = struct.unpack("<I", fh.read(4))
-        plist = []
-        for _ in range(n_postings):
-            doc_index, tf = struct.unpack("<II", fh.read(8))
-            plist.append((doc_ids[doc_index], tf))
-        postings[token] = plist
-
-    avg_dl = (sum(doc_len.values()) / n_docs) if n_docs else 0.0
-    index = Bm25Index(
+    """Read an index written by ``save_index``; see ``IndexFileReader`` for errors."""
+    reader = IndexFileReader(path)
+    (channel_tag,) = reader.strings(1)
+    k1, b, n_docs, n_tokens = reader.unpack("<ddII")
+    try:
+        channel = Channel.parse(channel_tag)
+        params = Bm25Params(k1=k1, b=b)
+    except DataError as exc:
+        raise reader.corrupt(str(exc)) from None
+    doc_ids = reader.strings(n_docs)
+    tokens = reader.strings(n_tokens)
+    doc_len = reader.array(n_docs)
+    offsets = reader.offsets(n_tokens)
+    doc_pos = reader.array(int(offsets[-1]))
+    tf = reader.array(int(offsets[-1]))
+    reader.end()
+    if not all(x < y for x, y in pairwise(doc_ids)):
+        raise reader.corrupt("doc ids not unique and sorted")
+    if not all(x < y for x, y in pairwise(tokens)):
+        raise reader.corrupt("token table not strictly sorted")
+    if len(doc_pos) and (doc_pos.max() >= n_docs or tf.min() < 1):
+        raise reader.corrupt("posting out of range")
+    return Bm25Index(
         channel=channel,
-        params=Bm25Params(k1=k1, b=b),
-        postings=postings,
+        params=params,
+        doc_ids=doc_ids,
+        token_row=dict(zip(tokens, range(n_tokens))),
         doc_len=doc_len,
-        n_docs=n_docs,
-        avg_dl=avg_dl,
-        _doc_ids=doc_ids,
-        _doc_pos={d: i for i, d in enumerate(doc_ids)},
+        offsets=offsets,
+        doc_pos=doc_pos,
+        tf=tf,
     )
-    return _finalize(index)

@@ -2,29 +2,23 @@
 
 Vectors are normalized at insert so inner product equals cosine similarity
 and one acceptance threshold is meaningful across providers. Storage is
-float32, matching the on-disk record format, so persistence round-trips
+one float32 matrix, the same bytes as on disk, so persistence round-trips
 bit-exactly. No approximation anywhere: search is a full scan.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import struct
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DimMismatchError,
-    DuplicateIdError,
-    VersionMismatchError,
-    ZeroVectorError,
-)
-from .textindex import MAGIC, FORMAT_VERSION, tokenize
+from .errors import DataError, DimMismatchError, DuplicateIdError, ZeroVectorError
+from .textindex import FORMAT_VERSION, MAGIC, IndexFileReader, pack_strings, tokenize
 
 DEFAULT_THRESHOLD = 0.3
+F4 = np.dtype("<f4")
 
 
 def normalize(v: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -43,7 +37,11 @@ class EmbeddingProvider(Protocol):
 
 
 class FlatVectorIndex:
-    """Exact flat index over unit vectors with an acceptance threshold."""
+    """Exact flat index over unit vectors with an acceptance threshold.
+
+    Rows live in one ``<f4`` matrix, a read-only view of the file's bytes
+    after a load. ``similarities`` scans a float64 copy made on first use.
+    """
 
     def __init__(self, dim: int, threshold: float = DEFAULT_THRESHOLD):
         if dim < 1:
@@ -51,15 +49,15 @@ class FlatVectorIndex:
         self.dim = dim
         self.threshold = threshold
         self._ids: list[str] = []
-        self._pos: dict[str, int] = {}
-        self._rows: list[np.ndarray] = []
-        self._matrix: np.ndarray | None = None
+        self._row: dict[str, int] = {}
+        self._f4 = np.zeros((0, dim), dtype=F4)
+        self._f8: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._ids)
 
     def __contains__(self, vec_id: str) -> bool:
-        return vec_id in self._pos
+        return vec_id in self._row
 
     @property
     def ids(self) -> list[str]:
@@ -70,32 +68,25 @@ class FlatVectorIndex:
         arr = np.asarray(v, dtype=np.float64)
         if arr.shape != (self.dim,):
             raise DimMismatchError(self.dim, arr.shape[0] if arr.ndim == 1 else -1)
-        if vec_id in self._pos:
+        if vec_id in self._row:
             raise DuplicateIdError(vec_id)
-        unit = normalize(arr).astype(np.float32)
-        self._pos[vec_id] = len(self._ids)
+        unit = normalize(arr).astype(F4)
+        self._row[vec_id] = len(self._ids)
         self._ids.append(vec_id)
-        self._rows.append(unit)
-        self._matrix = None
+        self._f4 = np.concatenate([self._f4, unit[None]])
+        self._f8 = None
 
     def get(self, vec_id: str) -> np.ndarray:
-        return self._rows[self._pos[vec_id]]
-
-    def _stacked(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = (
-                np.stack(self._rows).astype(np.float64)
-                if self._rows
-                else np.zeros((0, self.dim), dtype=np.float64)
-            )
-        return self._matrix
+        return self._f4[self._row[vec_id]]
 
     def similarities(self, q: np.ndarray) -> np.ndarray:
         """Inner products of the query against every stored vector."""
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dim,):
             raise DimMismatchError(self.dim, q.shape[0] if q.ndim == 1 else -1)
-        return self._stacked() @ q
+        if self._f8 is None:
+            self._f8 = self._f4.astype(np.float64)
+        return self._f8 @ q
 
     def search(
         self, q: np.ndarray, k: int, threshold: float | None = None
@@ -154,81 +145,60 @@ class HashEmbedder:
         return out
 
 
-# --- vector record file ---------------------------------------------------------
+# --- vector file, format version 2 ----------------------------------------------
 #
-# Layout: magic "TVRG" | u32 version | u32 dim
-#         | per record: u32 id length, id bytes, dim * f32 little-endian
-# Used both for index persistence and for precomputed embedding stores.
+# magic "TVRG" | u32 version | u32 dim | u32 n | id table | <f4 matrix n x dim
+# The id table is a string table (see ``textindex.pack_strings``). Used both
+# for index persistence and for precomputed embedding stores.
 
 
 def save_vectors(path: str, ids: Sequence[str], vectors: Sequence[np.ndarray], dim: int) -> None:
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<II", FORMAT_VERSION, dim))
-    for vec_id, vec in zip(ids, vectors):
-        data = vec_id.encode("utf-8")
-        buf.write(struct.pack("<I", len(data)))
-        buf.write(data)
-        buf.write(np.asarray(vec, dtype="<f4").tobytes())
+    matrix = np.empty((len(ids), dim), dtype=F4)
+    for row, vec in zip(matrix, vectors, strict=True):
+        if np.shape(vec) != (dim,):
+            raise DimMismatchError(dim, np.size(vec))
+        row[:] = vec
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-def load_vectors(path: str) -> tuple[int, list[tuple[str, np.ndarray]]]:
-    """Read a vector record file; a truncated or corrupt one raises ``DataError``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return _parse_vectors(data, path)
-    except (struct.error, ValueError) as exc:  # ValueError covers frombuffer and UTF-8
-        raise DataError(f"{path}: truncated or corrupt vector file ({exc})") from None
-
-
-def _parse_vectors(data: bytes, path: str) -> tuple[int, list[tuple[str, np.ndarray]]]:
-    if data[:4] != MAGIC:
-        raise VersionMismatchError(f"{path}: bad magic, not a temporag vector file")
-    version, dim = struct.unpack_from("<II", data, 4)
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    records = []
-    offset = 12
-    row_bytes = 4 * dim
-    while offset < len(data):
-        (id_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        vec_id = data[offset : offset + id_len].decode("utf-8")
-        offset += id_len
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).copy()
-        offset += row_bytes
-        records.append((vec_id, vec))
-    return dim, records
+        fh.write(
+            MAGIC
+            + struct.pack("<III", FORMAT_VERSION, dim, len(ids))
+            + pack_strings(ids)
+            + matrix.tobytes()
+        )
 
 
 def save_index(index: FlatVectorIndex, path: str) -> None:
-    save_vectors(path, index._ids, index._rows, index.dim)
+    save_vectors(path, index._ids, index._f4, index.dim)
 
 
 def load_index(path: str, threshold: float = DEFAULT_THRESHOLD) -> FlatVectorIndex:
-    dim, records = load_vectors(path)
+    """Read a vector file; rows keep their stored bits, with no re-normalization.
+
+    Errors are those of ``textindex.IndexFileReader``.
+    """
+    reader = IndexFileReader(path)
+    dim, n = reader.unpack("<II")
+    if dim < 1:
+        raise reader.corrupt(f"dim {dim}")
+    ids = reader.strings(n)
+    matrix = reader.array(n * dim, F4).reshape(n, dim)
+    reader.end()
+    row = dict(zip(ids, range(n)))
+    if len(row) != n:
+        raise reader.corrupt("duplicate ids")
     index = FlatVectorIndex(dim, threshold=threshold)
-    for vec_id, vec in records:
-        # Already unit-norm at save time; bypass re-normalization to keep
-        # the round trip bit-exact.
-        index._pos[vec_id] = len(index._ids)
-        index._ids.append(vec_id)
-        index._rows.append(vec)
+    index._ids, index._row, index._f4 = ids, row, matrix
     return index
 
 
 class PrecomputedEmbeddings:
-    """Embeddings keyed by id, loaded from a vector record file."""
+    """Embeddings keyed by id, loaded from a vector file."""
 
     def __init__(self, path: str):
-        self.dim, records = load_vectors(path)
-        self._by_id = {vec_id: vec for vec_id, vec in records}
+        self._index = load_index(path)
 
     def lookup(self, ids: Sequence[str]) -> list[np.ndarray]:
-        missing = [i for i in ids if i not in self._by_id]
+        missing = [i for i in ids if i not in self._index]
         if missing:
             raise DataError(f"embeddings missing for ids: {', '.join(sorted(missing))}")
-        return [self._by_id[i] for i in ids]
+        return [self._index.get(i) for i in ids]

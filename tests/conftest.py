@@ -8,6 +8,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import strategies as st
 
 from temporag.types import Channel, Snippet
 
@@ -45,6 +46,33 @@ def make_snippet(
         t_start=t_start,
         t_end=t_end if t_end is not None else t_start,
     )
+
+
+# One byte-level damage to a file: ("flip", position, xor mask),
+# ("truncate", position, _) or ("insert", position, byte). Positions wrap
+# modulo the current length, so a strategy is independent of file size.
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "truncate", "insert"]),
+        st.integers(0, 1 << 16),
+        st.integers(1, 255),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def mutate_bytes(data: bytes, mutations) -> bytes:
+    buf = bytearray(data)
+    for kind, where, value in mutations:
+        pos = where % (len(buf) + 1)
+        if kind == "truncate":
+            del buf[pos:]
+        elif kind == "insert":
+            buf[pos:pos] = bytes([value])
+        elif pos < len(buf):
+            buf[pos] ^= value
+    return bytes(buf)
 
 
 class _ProviderHandler(BaseHTTPRequestHandler):

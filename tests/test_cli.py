@@ -110,6 +110,42 @@ class TestIngest:
         )
         assert rc == 2
 
+    def test_missing_input_reported_with_file_errors(self, tmp_path, capsys):
+        missing = tmp_path / "missing.srt"
+        out = tmp_path / "o"
+        rc = run_cli(
+            ["ingest", DEMO / "audio.srt", missing, "--video-id", "v", "--duration-s", "120",
+             "--out", out]
+        )
+        assert rc == 0
+        assert f"{missing}: cannot read" in capsys.readouterr().err
+        assert (out / "asr.jsonl").exists()
+        rc = run_cli(["ingest", missing, "--video-id", "v", "--duration-s", "120", "--out", out])
+        assert rc == 2
+
+    def test_non_utf8_jsonl_input_is_file_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'\xff\xfe{"id": "a"}\n')
+        rc = run_cli(["ingest", bad, "--video-id", "v", "--duration-s", "10", "--out", tmp_path / "o"])
+        assert rc == 2
+        assert f"{bad}: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(None, "cannot read"), (b'{"frame_index": 1, "t": 1.0, "text": "\xff"}\n', "not valid UTF-8")],
+        ids=["missing", "non_utf8"],
+    )
+    def test_bad_frames_file_is_data_error(self, tmp_path, capsys, content, message):
+        frames = tmp_path / "frames.jsonl"
+        if content is not None:
+            frames.write_bytes(content)
+        rc = run_cli(
+            ["ingest", DEMO / "audio.srt", "--frames", frames, "--video-id", "v",
+             "--duration-s", "120", "--out", tmp_path / "o"]
+        )
+        assert rc == 2
+        assert f"data error: {frames}: {message}" in capsys.readouterr().err
+
     def test_detections_derive_det_channel(self, tmp_path):
         out = tmp_path / "store"
         rc = run_cli(
@@ -285,6 +321,29 @@ class TestAnswer:
         )
         assert rc == 2
         assert f"data error: {path}" in capsys.readouterr().err
+
+    def test_version_1_index_is_data_error(self, built_index, capsys):
+        # A version-1 directory, as the loader sees it: each binary file's
+        # header carries format version 1.
+        for path in [*built_index.glob("*.bm25"), *built_index.glob("*.vec")]:
+            data = bytearray(path.read_bytes())
+            data[4:8] = (1).to_bytes(4, "little")
+            path.write_bytes(bytes(data))
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 2
+        assert "format version 1, expected 2" in capsys.readouterr().err
+
+    def test_missing_vector_file_is_data_error(self, built_index, capsys):
+        (built_index / "asr.vec").unlink()
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 2
+        assert f"data error: {built_index / 'asr.vec'}: cannot read" in capsys.readouterr().err
 
     def test_single_synthesized_frame(self, tmp_path, capsys):
         store = tmp_path / "store"

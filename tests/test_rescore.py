@@ -187,6 +187,30 @@ class TestRescore:
         with pytest.raises(AllZeroMassError):
             rescore([(make_snippet("a", "x", 1.0, 2.0), 0.0)], self.ANCHORS, DecayParams(), 100.0)
 
+    def test_raw_seconds_underflow_matches_log_space_oracle(self):
+        # A 2 h video in raw seconds: every decay underflows to 0.0, yet the
+        # pool normalizes as exp(log raw_i - E_i - logsumexp_j(log raw_j - E_j)).
+        anchors = AnchorSet(t_last=7200.0, t_first=0.0, t_semantic=3600.0)
+        params = DecayParams(lambdas=(1.0, 1.0, 1.0), time_norm=TimeNorm.RAW_SECONDS)
+        times, raws = [100.0, 6000.0, 6002.0, 5999.0], [1.0, 2.0, 1.5, 0.0]
+        candidates = [
+            (make_snippet(f"c{i}", "x", t, t), r) for i, (t, r) in enumerate(zip(times, raws))
+        ]
+        got = rescore(candidates, anchors, params, 7200.0)
+        assert [s.decay for s in got] == [0.0] * 4
+        logs = [
+            math.log(r) - sum(abs(a - t) for a in anchors.as_tuple()) if r > 0 else -math.inf
+            for t, r in zip(times, raws)
+        ]
+        peak = max(logs)
+        log_total = peak + math.log(math.fsum(math.exp(x - peak) for x in logs))
+        for s, x in zip(got, logs):
+            assert s.score == pytest.approx(math.exp(x - log_total), abs=1e-12)
+        assert got[1].score > got[2].score > 0.0 == got[0].score == got[3].score
+
+        two = rescore(candidates[:2], anchors, params, 7200.0)
+        assert [s.score for s in two] == [0.0, 1.0]
+
     def test_negative_raw_rejected(self):
         with pytest.raises(DataError):
             rescore([(make_snippet("a", "x", 1.0, 2.0), -0.1)], self.ANCHORS, DecayParams(), 100.0)

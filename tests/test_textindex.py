@@ -1,12 +1,15 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from temporag.errors import (
     DataError,
     DuplicateDocIdError,
     MixedChannelsError,
+    TemporagError,
     UnknownDocIdError,
     VersionMismatchError,
 )
@@ -21,7 +24,7 @@ from temporag.textindex import (
 )
 from temporag.types import Channel
 
-from conftest import make_snippet
+from conftest import MUTATIONS, make_snippet, mutate_bytes
 
 
 # Independent scalar oracle: a literal transliteration of the okapi formula
@@ -96,7 +99,7 @@ class TestBuildIndex:
     def test_postings_sorted_by_doc_id(self):
         docs = [make_snippet(sid, "shared word", 0.0, 1.0) for sid in ("z", "a", "m")]
         index = build_index(docs)
-        assert [d for d, _ in index.postings["shared"]] == ["a", "m", "z"]
+        assert [d for d, _ in index.postings("shared")] == ["a", "m", "z"]
 
     def test_bad_params(self):
         with pytest.raises(DataError):
@@ -209,7 +212,10 @@ class TestPersistence:
         loaded = load_index(str(path))
         assert loaded.n_docs == index.n_docs
         assert loaded.avg_dl == pytest.approx(index.avg_dl, abs=1e-9)
-        assert loaded.postings == index.postings
+        assert loaded.doc_ids == index.doc_ids
+        assert loaded.token_row == index.token_row
+        for name in ("doc_len", "offsets", "doc_pos", "tf"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(index, name))
         assert loaded.params == index.params
         assert loaded.channel is index.channel
         query = "w1 w2 w9"
@@ -238,11 +244,47 @@ class TestPersistence:
         with pytest.raises(VersionMismatchError):
             load_index(str(path))
 
+    def test_version_1_file_rejected(self, tmp_path):
+        # Version 1: per-doc (id, length) and per-token (token, postings) records.
+        def s(text):
+            return struct.pack("<I", len(text)) + text.encode()
+
+        path = tmp_path / "v1.bm25"
+        path.write_bytes(
+            b"TVRG" + struct.pack("<I", 1) + s("asr") + struct.pack("<dd", 1.2, 0.75)
+            + struct.pack("<I", 1) + s("a") + struct.pack("<I", 1)
+            + struct.pack("<I", 1) + s("cat") + struct.pack("<III", 1, 0, 1)
+        )
+        with pytest.raises(VersionMismatchError, match="version 1"):
+            load_index(str(path))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bm25_fuzz")
+    docs = random_corpus(np.random.default_rng(5), 6) + [
+        make_snippet("é-doc", "café w1 münchen w2", 9.0, 10.0)
+    ]
+    save_index(build_index(docs), str(path / "clean.bm25"))
+    return path
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(mutations=MUTATIONS)
+def test_mutated_file_loads_or_raises_temporag_error(fuzz_dir, mutations):
+    path = fuzz_dir / "mutated.bm25"
+    path.write_bytes(mutate_bytes((fuzz_dir / "clean.bm25").read_bytes(), mutations))
+    try:
+        loaded = load_index(str(path))
+    except TemporagError:
+        return
+    search(loaded, "w1 w2 café w3", 5)
+
 
 def test_avg_dl_invariant_random():
     rng = np.random.default_rng(21)
     docs = random_corpus(rng, 40)
     index = build_index(docs)
     assert index.avg_dl == pytest.approx(
-        sum(index.doc_len.values()) / index.n_docs, abs=1e-9
+        sum(index.doc_len.tolist()) / index.n_docs, abs=1e-9
     )

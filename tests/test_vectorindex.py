@@ -1,10 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from temporag.errors import (
     DataError,
     DimMismatchError,
     DuplicateIdError,
+    TemporagError,
     VersionMismatchError,
     ZeroVectorError,
 )
@@ -13,11 +17,12 @@ from temporag.vectorindex import (
     HashEmbedder,
     PrecomputedEmbeddings,
     load_index,
-    load_vectors,
     normalize,
     save_index,
     save_vectors,
 )
+
+from conftest import MUTATIONS, mutate_bytes
 
 
 class TestNormalize:
@@ -168,17 +173,27 @@ class TestPersistence:
         vectors = [rng.standard_normal(8).astype(np.float32) for _ in ids]
         path = tmp_path / "store.vec"
         save_vectors(str(path), ids, vectors, 8)
-        dim, records = load_vectors(str(path))
-        assert dim == 8
-        assert [r[0] for r in records] == ids
-        for (_, got), want in zip(records, vectors):
-            np.testing.assert_array_equal(got, want)
+        loaded = load_index(str(path))
+        assert loaded.dim == 8
+        assert loaded.ids == ids
+        for vid, want in zip(ids, vectors):
+            np.testing.assert_array_equal(loaded.get(vid), want)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.vec"
         path.write_bytes(b"WHAT" + b"\x00" * 16)
         with pytest.raises(VersionMismatchError):
-            load_vectors(str(path))
+            load_index(str(path))
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # Version 1: header, then (u32 id length, id, dim x f32) records.
+        path = tmp_path / "v1.vec"
+        record = struct.pack("<I", 1) + b"a" + np.ones(4, dtype="<f4").tobytes()
+        path.write_bytes(b"TVRG" + struct.pack("<II", 1, 4) + record)
+        with pytest.raises(VersionMismatchError, match="version 1"):
+            load_index(str(path))
+        with pytest.raises(VersionMismatchError):
+            PrecomputedEmbeddings(str(path))
 
     def test_precomputed_missing_ids_named(self, tmp_path):
         path = tmp_path / "pre.vec"
@@ -186,6 +201,34 @@ class TestPersistence:
         store = PrecomputedEmbeddings(str(path))
         with pytest.raises(DataError, match="b"):
             store.lookup(["a", "b"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("vec_fuzz")
+    index = FlatVectorIndex(8)
+    for i, vid in enumerate(["a", "b", "ça", "d-03"]):
+        index.add(vid, np.arange(8.0) - i)
+    save_index(index, str(path / "clean.vec"))
+    return path
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(mutations=MUTATIONS)
+def test_mutated_file_loads_or_raises_temporag_error(fuzz_dir, mutations):
+    path = fuzz_dir / "mutated.vec"
+    path.write_bytes(mutate_bytes((fuzz_dir / "clean.vec").read_bytes(), mutations))
+    try:
+        loaded = load_index(str(path))
+    except TemporagError:
+        return
+    q = normalize(np.ones(8))
+    if loaded.dim != 8:  # a query of the wrong dimension is a defined error
+        with pytest.raises(DimMismatchError):
+            loaded.similarities(q)
+        return
+    loaded.similarities(q)
+    loaded.search(q, 3)
 
 
 def test_search_equals_brute_force_at_scale():
