@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import shutil
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -35,6 +35,7 @@ from .evalharness import (
 from .ingest import (
     detection_to_json,
     parse_detections_jsonl,
+    parse_frames_jsonl,
     parse_snippet_jsonl,
     parse_srt,
     parse_vtt,
@@ -68,6 +69,10 @@ CHANNEL_FILES = {Channel.ASR: "asr.jsonl", Channel.OCR: "ocr.jsonl"}
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse API
         raise ConfigError(message)
+
+
+def _write_jsonl(path: Path, lines) -> None:
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def _frame_ref(frame_index: int) -> str:
@@ -185,27 +190,14 @@ def cmd_ingest(args) -> int:
     frames = []
     if args.frames:
         try:
-            with open(args.frames, "r", encoding="utf-8-sig") as fh:
-                frame_lines = fh.readlines()
+            frames, errors = parse_frames_jsonl(Path(args.frames).read_bytes(), video.duration_s)
         except OSError as exc:
             raise DataError(f"{args.frames}: cannot read ({exc.strerror})") from None
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{args.frames}: not valid UTF-8 ({exc})") from None
-        for line_no, line in enumerate(frame_lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                frames.append(
-                    {
-                        "frame_index": int(obj["frame_index"]),
-                        "t": float(obj["t"]),
-                        **({"text": obj["text"]} if "text" in obj else {}),
-                    }
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                n_line_errors += 1
-                print(f"{args.frames}:{line_no}: bad frame record", file=sys.stderr)
+        except DataError as exc:
+            raise DataError(f"{args.frames}: {exc}") from None
+        n_line_errors += len(errors)
+        for line_no, msg in errors:
+            print(f"{args.frames}:{line_no}: {msg}", file=sys.stderr)
 
     for msg in file_errors:
         print(msg, file=sys.stderr)
@@ -217,24 +209,16 @@ def cmd_ingest(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "video.json").write_text(
-        json.dumps({"video_id": video.video_id, "duration_s": video.duration_s, "fps": video.fps})
-        + "\n",
-        encoding="utf-8",
-    )
+    _write_jsonl(out / "video.json", [json.dumps(asdict(video))])
     for channel, snippets in by_channel.items():
         if snippets:
             (out / CHANNEL_FILES[channel]).write_text(
                 write_snippet_jsonl(snippets), encoding="utf-8"
             )
     if detections:
-        (out / "detections.jsonl").write_text(
-            "".join(detection_to_json(r) + "\n" for r in detections), encoding="utf-8"
-        )
+        _write_jsonl(out / "detections.jsonl", map(detection_to_json, detections))
     if frames:
-        (out / "frames.jsonl").write_text(
-            "".join(json.dumps(f) + "\n" for f in frames), encoding="utf-8"
-        )
+        _write_jsonl(out / "frames.jsonl", map(json.dumps, frames))
 
     for channel in Channel:
         print(f"{channel.value}: {len(by_channel[channel])} snippets")
@@ -248,12 +232,13 @@ def cmd_ingest(args) -> int:
 
 
 def _make_embedder(cfg: RunConfig):
+    """The live text embedder. ``file`` has none: it only looks up stored ids."""
     kind = cfg.providers.embed
     if kind == "hash":
         return HashEmbedder(cfg.providers.embed_dim, cfg.providers.embed_seed)
     if kind == "http":
         return HttpEmbeddingClient(base_url=cfg.providers.embed_url)
-    return None  # "file": handled by lookup, no live embedder
+    raise ConfigError("providers.embed=file cannot embed new text; use hash or http")
 
 
 def _embed_or_lookup(cfg: RunConfig, ids: list[str], texts: list[str]) -> list[np.ndarray]:
@@ -266,54 +251,47 @@ def _embed_or_lookup(cfg: RunConfig, ids: list[str], texts: list[str]) -> list[n
     return [normalize(v) for v in embedder.embed(texts)]
 
 
+def _read_store_jsonl(path: Path, parse) -> list:
+    """Parse one store file strictly: any failure is a DataError naming the path."""
+    try:
+        records, errors = parse(path.read_bytes())
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from None
+    except TemporagError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if errors:
+        line_no, msg = errors[0]
+        raise DataError(f"{path}:{line_no}: {msg} ({len(errors)} bad lines; re-run ingest)")
+    return records
+
+
 def _read_store_snippets(store: Path, channel: Channel) -> list[Snippet]:
     path = store / CHANNEL_FILES[channel]
     if not path.exists():
         return []
-    report = parse_snippet_jsonl(path.read_bytes(), expect_channel=channel)
-    if report.errors:
-        raise DataError(f"{path}: {len(report.errors)} bad lines; re-run ingest")
-    return report.snippets
 
+    def parse(data: bytes):
+        report = parse_snippet_jsonl(data, expect_channel=channel)
+        return report.snippets, report.errors
 
-def _read_json(path: Path) -> object:
-    try:
-        return json.loads(path.read_bytes())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: not valid JSON ({exc})") from None
+    return _read_store_jsonl(path, parse)
 
 
 def _read_video(path: Path) -> VideoRecord:
-    meta = _read_json(path)
     try:
+        meta = json.loads(path.read_bytes())
         return VideoRecord(
             video_id=meta["video_id"], duration_s=meta["duration_s"], fps=meta.get("fps")
         )
-    except (KeyError, TypeError, AttributeError, DataError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, DataError) as exc:
         raise DataError(f"{path}: bad video record ({exc})") from None
 
 
-def _read_store_frames(store: Path) -> list[dict]:
+def _read_store_frames(store: Path, duration_s: float) -> list[dict]:
     path = store / "frames.jsonl"
     if not path.exists():
         return []
-    frames = []
-    for line_no, line in enumerate(path.read_bytes().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            frame = json.loads(line)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            frame = None
-        if not (
-            isinstance(frame, dict)
-            and type(frame.get("frame_index")) is int
-            and type(frame.get("t")) in (int, float)
-            and isinstance(frame.get("text", ""), str)
-        ):
-            raise DataError(f"{path}:{line_no}: bad frame record")
-        frames.append(frame)
-    return frames
+    return _read_store_jsonl(path, lambda data: parse_frames_jsonl(data, duration_s))
 
 
 def cmd_build(args) -> int:
@@ -324,8 +302,8 @@ def cmd_build(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    video_meta = _read_json(store / "video.json")
-    (out / "video.json").write_text(json.dumps(video_meta) + "\n", encoding="utf-8")
+    video = _read_video(store / "video.json")
+    _write_jsonl(out / "video.json", [json.dumps(asdict(video))])
 
     for channel in Channel:
         snippets = _read_store_snippets(store, channel)
@@ -342,11 +320,9 @@ def cmd_build(args) -> int:
         )
         print(f"{channel.value}: indexed {len(snippets)} snippets")
 
-    frames = _read_store_frames(store)
+    frames = _read_store_frames(store, video.duration_s)
     if frames:
-        (out / "frames.jsonl").write_text(
-            "".join(json.dumps(f) + "\n" for f in frames), encoding="utf-8"
-        )
+        _write_jsonl(out / "frames.jsonl", map(json.dumps, frames))
         with_text = [f for f in frames if f.get("text")]
         if with_text:
             ids = [_frame_ref(f["frame_index"]) for f in with_text]
@@ -354,10 +330,10 @@ def cmd_build(args) -> int:
             save_vectors(str(out / "frames.vec"), ids, vectors, len(vectors[0]))
         print(f"frames: {len(frames)} records, {len(with_text)} embedded")
 
-    if (store / "detections.jsonl").exists():
-        (out / "detections.jsonl").write_text(
-            (store / "detections.jsonl").read_text(encoding="utf-8"), encoding="utf-8"
-        )
+    detections_path = store / "detections.jsonl"
+    if detections_path.exists():
+        _read_store_jsonl(detections_path, parse_detections_jsonl)  # checked, then copied
+        shutil.copyfile(detections_path, out / "detections.jsonl")
     return 0
 
 
@@ -376,17 +352,17 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
         if not bm25_path.exists():
             continue
         snippets = {s.id: s for s in _read_store_snippets(index_dir, channel)}
-        dense = load_vec_index(str(index_dir / f"{channel.value}.vec"), threshold=cfg.tau)
+        dense = load_vec_index(str(index_dir / f"{channel.value}.vec"))
         channels[channel] = ChannelIndex(
             channel=channel, snippets=snippets, bm25=load_bm25(str(bm25_path)), dense=dense
         )
 
-    raw_frames = _read_store_frames(index_dir)
+    raw_frames = _read_store_frames(index_dir, video.duration_s)
     frames_vec_path = index_dir / "frames.vec"
     if frames_vec_path.exists():
-        frame_index = load_vec_index(str(frames_vec_path), threshold=cfg.tau)
+        frame_index = load_vec_index(str(frames_vec_path))
     else:
-        frame_index = FlatVectorIndex(cfg.providers.embed_dim, threshold=cfg.tau)
+        frame_index = FlatVectorIndex(cfg.providers.embed_dim)
     if raw_frames:
         frames = [
             FrameRecord(
@@ -412,24 +388,14 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
         lvlm = StubLvlm()
     else:
         lvlm = HttpLvlmClient(base_url=cfg.providers.lvlm_url)
-    if cfg.providers.embed == "hash":
-        embedder = HashEmbedder(cfg.providers.embed_dim, cfg.providers.embed_seed)
-    elif cfg.providers.embed == "http":
-        embedder = HttpEmbeddingClient(base_url=cfg.providers.embed_url)
-    else:
-        raise ConfigError(
-            "providers.embed=file cannot embed query text at answer time; use hash or http"
-        )
+    embedder = _make_embedder(cfg)
     if cfg.providers.detector == "stub":
         detector = StubDetector()
     elif cfg.providers.detector == "http":
         detector = HttpDetector(base_url=cfg.providers.detector_url)
     else:
-        fixture_path = cfg.providers.fixtures_file or str(index_dir / "detections.jsonl")
-        if not os.path.exists(fixture_path):
-            raise DataError(f"detector fixtures not found at {fixture_path}")
-        records, _ = parse_detections_jsonl(Path(fixture_path).read_bytes())
-        detector = FixtureDetector(records)
+        fixture_path = Path(cfg.providers.fixtures_file or index_dir / "detections.jsonl")
+        detector = FixtureDetector(_read_store_jsonl(fixture_path, parse_detections_jsonl))
 
     return VideoRuntime(
         video=video,

@@ -228,10 +228,10 @@ class _BuiltCorpus:
 def _build(corpus: Corpus, config: RunConfig) -> _BuiltCorpus:
     embedder = HashEmbedder(config.providers.embed_dim, config.providers.embed_seed)
     bm25 = build_index(corpus.snippets)
-    dense = FlatVectorIndex(embedder.dim, threshold=config.tau)
+    dense = FlatVectorIndex(embedder.dim)
     for snippet, vec in zip(corpus.snippets, embedder.embed([s.text for s in corpus.snippets])):
         dense.add(snippet.id, vec)
-    frame_index = FlatVectorIndex(embedder.dim, threshold=config.tau)
+    frame_index = FlatVectorIndex(embedder.dim)
     refs = list(corpus.frame_texts)
     for ref, vec in zip(refs, embedder.embed([corpus.frame_texts[r] for r in refs])):
         frame_index.add(ref, vec)

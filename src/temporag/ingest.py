@@ -1,9 +1,9 @@
 """Parsers for auxiliary-text sources and the scene-graph text renderer.
 
 Supported inputs: SRT and WebVTT subtitles (ASR channel), snippet JSONL
-(OCR channel), and detection JSONL. Parsing is total over the documented
-grammars: every input yields snippets or a located error, never a silent
-partial loss beyond the documented empty-text drop.
+(OCR channel), detection JSONL and frames JSONL. Parsing is total over
+the documented grammars: every input yields records or a located error,
+never a silent partial loss beyond the documented empty-text drop.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .errors import (
     MalformedTimestampError,
     MissingHeaderError,
     NoValidLinesError,
+    TimeOutOfRangeError,
 )
 from .types import Channel, Snippet, snippet_from_obj, snippet_to_json
 
@@ -265,23 +266,59 @@ def detection_to_json(record: DetectionRecord) -> str:
     )
 
 
-def parse_detections_jsonl(data: bytes) -> tuple[list[DetectionRecord], list[tuple[int, str]]]:
-    """Tolerantly parse detection JSONL with the same rules as snippet JSONL."""
+def _parse_jsonl_lines(data: bytes, from_obj) -> tuple[list, list[tuple[int, str]]]:
+    """Records built by ``from_obj`` from each non-blank line, plus located errors."""
     records = []
     errors = []
-    lines = _decode(data).splitlines()
-    n_attempted = 0
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(_decode(data).splitlines(), start=1):
         if not line.strip():
             continue
-        n_attempted += 1
         try:
-            records.append(detection_from_obj(json.loads(line)))
+            records.append(from_obj(json.loads(line)))
         except (json.JSONDecodeError, DataError) as exc:
             errors.append((line_no, str(exc)))
-    if n_attempted and not records:
-        raise NoValidLinesError(f"all {n_attempted} lines failed to parse")
     return records, errors
+
+
+def parse_detections_jsonl(data: bytes) -> tuple[list[DetectionRecord], list[tuple[int, str]]]:
+    """Tolerantly parse detection JSONL with the same rules as snippet JSONL."""
+    records, errors = _parse_jsonl_lines(data, detection_from_obj)
+    if errors and not records:
+        raise NoValidLinesError(f"all {len(errors)} lines failed to parse")
+    return records, errors
+
+
+# --- frames -------------------------------------------------------------------
+
+
+def frame_from_obj(obj: object, duration_s: float) -> dict:
+    """Check one frames JSONL record: {"frame_index", "t", optional "text"}.
+
+    ``frame_index`` must be a non-negative int, ``t`` a number within
+    [0, duration_s] (so never NaN or infinite), and ``text``, when present,
+    a string. Returns the record with ``t`` as a float and unknown keys
+    dropped.
+    """
+    if not isinstance(obj, dict):
+        raise DataError(f"expected an object, got {type(obj).__name__}")
+    frame_index, t = obj.get("frame_index"), obj.get("t")
+    if type(frame_index) is not int or frame_index < 0:
+        raise DataError(f"frame_index must be a non-negative integer, got {frame_index!r}")
+    if type(t) not in (int, float):
+        raise DataError(f"t must be a number, got {t!r}")
+    if not 0.0 <= t <= duration_s:
+        raise TimeOutOfRangeError(t, duration_s)
+    frame = {"frame_index": frame_index, "t": float(t)}
+    if "text" in obj:
+        if not isinstance(obj["text"], str):
+            raise DataError(f"text must be a string, got {type(obj['text']).__name__}")
+        frame["text"] = obj["text"]
+    return frame
+
+
+def parse_frames_jsonl(data: bytes, duration_s: float) -> tuple[list[dict], list[tuple[int, str]]]:
+    """Parse frames JSONL into ``frame_from_obj`` records plus located line errors."""
+    return _parse_jsonl_lines(data, lambda obj: frame_from_obj(obj, duration_s))
 
 
 def _sorted_objects(record: DetectionRecord) -> list[DetectedObject]:

@@ -13,7 +13,6 @@ import hashlib
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -69,7 +68,12 @@ class Evidence:
     asr_hits: tuple[ScoredSnippet, ...]
     ocr_hits: tuple[ScoredSnippet, ...]
     scene_graph: SceneGraphText
-    token_estimate: int
+
+    @property
+    def token_estimate(self) -> int:
+        """Whitespace tokens of the scene lines and the rendered hit lines."""
+        n = sum(len(line.split()) for line in self.scene_graph.lines)
+        return n + sum(len(_hit_line(h).split()) for h in (*self.asr_hits, *self.ocr_hits))
 
 
 @dataclass(frozen=True)
@@ -197,19 +201,18 @@ def retrieve_channel(
     *,
     duration_s: float,
     query_vec: np.ndarray | None = None,
-    tau: float | None = None,
+    tau: float,
 ) -> list[ScoredSnippet]:
     """Pool, rescore, and cut one channel's candidates.
 
     LEXICAL pools BM25 hits and applies the dense acceptance filter;
-    DENSE pools vector hits above the threshold; MAX_FUSE unions both
+    DENSE pools vector hits with similarity >= ``tau``; MAX_FUSE unions both
     pools with each signal min-max rescaled and fused by max. The pool is
     then temporally rescored and cut to ``cfg.top_k``. Returns [] when
     nothing survives pooling or filtering.
     """
     if not req_text.strip():
         raise DataError("request text must be non-empty; NULL channels are skipped by the caller")
-    tau = dense.threshold if tau is None else tau
     pool_size = cfg.pool_size
 
     if fusion is FusionMode.LEXICAL:
@@ -358,17 +361,6 @@ def parse_bundle_sections(rendered: str) -> dict[str, str]:
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
 
-def _evidence_tokens(
-    scene_lines: Sequence[str],
-    asr_hits: Sequence[ScoredSnippet],
-    ocr_hits: Sequence[ScoredSnippet],
-) -> int:
-    n = sum(len(line.split()) for line in scene_lines)
-    n += sum(len(_hit_line(h).split()) for h in asr_hits)
-    n += sum(len(_hit_line(h).split()) for h in ocr_hits)
-    return n
-
-
 def compose(
     keyframes: Sequence[FrameRecord],
     evidence: Evidence,
@@ -412,7 +404,6 @@ def compose(
         asr_hits=tuple(asr_hits),
         ocr_hits=tuple(ocr_hits),
         scene_graph=evidence.scene_graph,
-        token_estimate=_evidence_tokens(scene_lines, asr_hits, ocr_hits),
     )
     final_aq = AugmentedQuery(
         original=aq.original, reformulations=aq.reformulations, generated_context=context
@@ -502,10 +493,20 @@ def run_query(
     if not tw:
         decay = DecayParams(lambdas=(0.0, 0.0, 0.0), time_norm=decay.time_norm)
 
-    # The detector request drives frame similarity; fall back to the raw
-    # question when decoupling marked detection NULL.
-    frame_query_text = request.det or question
-    frame_query_vec = normalize(runtime.embedder.embed([frame_query_text])[0])
+    asr_req = request.asr if use_asr else None
+    ocr_req = request.ocr if use_ocr else None
+    wanted = [
+        (channel, req_text)
+        for channel, req_text in ((Channel.ASR, asr_req), (Channel.OCR, ocr_req))
+        if req_text is not None and channel in runtime.channels
+    ]
+    # One embed call: the frame query first, then each wanted channel's
+    # request. The detector request drives frame similarity; fall back to
+    # the raw question when decoupling marked detection NULL.
+    frame_vec, *channel_vecs = runtime.embedder.embed(
+        [request.det or question, *(req_text for _, req_text in wanted)]
+    )
+    frame_query_vec = normalize(frame_vec)
     sims = frame_similarities(runtime.frames, runtime.frame_index, frame_query_vec)
     keyframes = select_keyframes(
         runtime.frames,
@@ -518,12 +519,10 @@ def run_query(
     )
     anchors = compute_anchors(runtime.frames, sims)
 
-    def run_channel(channel: Channel, req_text: str | None) -> list[ScoredSnippet]:
-        if req_text is None or channel not in runtime.channels:
-            return []
+    hits: dict[Channel, list[ScoredSnippet]] = {Channel.ASR: [], Channel.OCR: []}
+    for (channel, req_text), vec in zip(wanted, channel_vecs, strict=True):
         chan = runtime.channels[channel]
-        query_vec = normalize(runtime.embedder.embed([req_text])[0])
-        return retrieve_channel(
+        hits[channel] = retrieve_channel(
             req_text,
             chan.bm25,
             chan.dense,
@@ -533,17 +532,9 @@ def run_query(
             cfg,
             fusion,
             duration_s=runtime.video.duration_s,
-            query_vec=query_vec,
+            query_vec=normalize(vec),
             tau=tau,
         )
-
-    asr_req = request.asr if use_asr else None
-    ocr_req = request.ocr if use_ocr else None
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        asr_future = pool.submit(run_channel, Channel.ASR, asr_req)
-        ocr_future = pool.submit(run_channel, Channel.OCR, ocr_req)
-        asr_hits = asr_future.result()
-        ocr_hits = ocr_future.result()
 
     detections = detect_on_keyframes(keyframes, runtime.detector)
     scene_graph = serialize_scene_graph(detections)
@@ -554,10 +545,9 @@ def run_query(
         aq = AugmentedQuery(original=question, reformulations=(), generated_context="")
 
     evidence = Evidence(
-        asr_hits=tuple(asr_hits),
-        ocr_hits=tuple(ocr_hits),
+        asr_hits=tuple(hits[Channel.ASR]),
+        ocr_hits=tuple(hits[Channel.OCR]),
         scene_graph=scene_graph,
-        token_estimate=_evidence_tokens(scene_graph.lines, asr_hits, ocr_hits),
     )
     bundle = compose(keyframes, evidence, aq, budget_tokens)
     out = answer(runtime.lvlm, bundle)

@@ -155,12 +155,13 @@ def bm25_score(index: Bm25Index, query_tokens: Sequence[str], doc_id: str) -> fl
         raise UnknownDocIdError(doc_id)
     k1, b = index.params.k1, index.params.b
     dl = int(index.doc_len[pos])
-    norm = k1 * (1.0 - b + b * dl / index.avg_dl)
     score = 0.0
     for token in query_tokens:
         tf = dict(index.postings(token)).get(doc_id, 0)
         if tf == 0:
             continue
+        # tf > 0 means some document has a token, so avg_dl > 0 here.
+        norm = k1 * (1.0 - b + b * dl / index.avg_dl)
         score += index.idf(token) * tf * (k1 + 1.0) / (tf + norm)
     return score
 

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DataError, DimMismatchError, DuplicateIdError, ZeroVectorError
 from .textindex import FORMAT_VERSION, MAGIC, IndexFileReader, pack_strings, tokenize
 
-DEFAULT_THRESHOLD = 0.3
 F4 = np.dtype("<f4")
 
 
@@ -37,17 +36,16 @@ class EmbeddingProvider(Protocol):
 
 
 class FlatVectorIndex:
-    """Exact flat index over unit vectors with an acceptance threshold.
+    """Exact flat index over unit vectors.
 
     Rows live in one ``<f4`` matrix, a read-only view of the file's bytes
     after a load. ``similarities`` scans a float64 copy made on first use.
     """
 
-    def __init__(self, dim: int, threshold: float = DEFAULT_THRESHOLD):
+    def __init__(self, dim: int):
         if dim < 1:
             raise DataError(f"dim must be positive, got {dim}")
         self.dim = dim
-        self.threshold = threshold
         self._ids: list[str] = []
         self._row: dict[str, int] = {}
         self._f4 = np.zeros((0, dim), dtype=F4)
@@ -88,18 +86,15 @@ class FlatVectorIndex:
             self._f8 = self._f4.astype(np.float64)
         return self._f8 @ q
 
-    def search(
-        self, q: np.ndarray, k: int, threshold: float | None = None
-    ) -> list[tuple[str, float]]:
+    def search(self, q: np.ndarray, k: int, threshold: float) -> list[tuple[str, float]]:
         """Up to k entries with score >= threshold, best first.
 
         Exact full scan; ties break by ascending id.
         """
         if k < 1:
             raise DataError(f"k must be >= 1, got {k}")
-        tau = self.threshold if threshold is None else threshold
         scores = self.similarities(q)
-        kept = [(self._ids[i], float(scores[i])) for i in np.nonzero(scores >= tau)[0]]
+        kept = [(self._ids[i], float(scores[i])) for i in np.nonzero(scores >= threshold)[0]]
         kept.sort(key=lambda h: (-h[1], h[0]))
         return kept[:k]
 
@@ -171,7 +166,7 @@ def save_index(index: FlatVectorIndex, path: str) -> None:
     save_vectors(path, index._ids, index._f4, index.dim)
 
 
-def load_index(path: str, threshold: float = DEFAULT_THRESHOLD) -> FlatVectorIndex:
+def load_index(path: str) -> FlatVectorIndex:
     """Read a vector file; rows keep their stored bits, with no re-normalization.
 
     Errors are those of ``textindex.IndexFileReader``.
@@ -186,7 +181,7 @@ def load_index(path: str, threshold: float = DEFAULT_THRESHOLD) -> FlatVectorInd
     row = dict(zip(ids, range(n)))
     if len(row) != n:
         raise reader.corrupt("duplicate ids")
-    index = FlatVectorIndex(dim, threshold=threshold)
+    index = FlatVectorIndex(dim)
     index._ids, index._row, index._f4 = ids, row, matrix
     return index
 

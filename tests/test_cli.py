@@ -146,6 +146,41 @@ class TestIngest:
         assert rc == 2
         assert f"data error: {frames}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"frame_index": "3", "t": 1.0},
+            {"frame_index": True, "t": 1.0},
+            {"frame_index": -1, "t": 1.0},
+            {"frame_index": 1, "t": "1.0"},
+            {"frame_index": 1, "t": float("nan")},
+            {"frame_index": 1, "t": -50},
+            {"frame_index": 1, "t": 120.5},
+            {"frame_index": 1, "t": 1.0, "text": 5},
+        ],
+        ids=["index_str", "index_bool", "index_negative", "t_str", "t_nan", "t_negative",
+             "t_past_end", "text_int"],
+    )
+    def test_bad_frame_record_is_line_error(self, tmp_path, capsys, record):
+        frames = tmp_path / "frames.jsonl"
+        frames.write_text(
+            '{"frame_index": 0, "t": 0.0, "text": "dock"}\n' + json.dumps(record) + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "store"
+        rc = run_cli(
+            ["ingest", DEMO / "audio.srt", "--frames", frames, "--video-id", "v",
+             "--duration-s", "120", "--out", out]
+        )
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert f"{frames}:2: " in captured.err
+        assert "frames: 1 records" in captured.out
+        assert "line errors: 1," in captured.out
+        assert (out / "frames.jsonl").read_text().splitlines() == [
+            '{"frame_index": 0, "t": 0.0, "text": "dock"}'
+        ]
+
     def test_detections_derive_det_channel(self, tmp_path):
         out = tmp_path / "store"
         rc = run_cli(
@@ -189,6 +224,22 @@ class TestBuild:
             a = hashlib.sha256((built_index / name).read_bytes()).hexdigest()
             b = hashlib.sha256((second / name).read_bytes()).hexdigest()
             assert a == b, name
+
+    def test_bad_store_frame_is_data_error_at_its_line(self, tmp_path, built_index, capsys):
+        path = built_index.parent / "store" / "frames.jsonl"
+        data = path.read_bytes()
+        path.write_bytes(data + b'{"frame_index": 99, "t": NaN}\n')
+        rc = run_cli(["build", "--store", path.parent, "--out", tmp_path / "o"])
+        assert rc == 2
+        line_no = len(data.splitlines()) + 1
+        assert f"data error: {path}:{line_no}: time nan outside" in capsys.readouterr().err
+
+    def test_non_utf8_detections_is_data_error(self, tmp_path, built_index, capsys):
+        path = built_index.parent / "store" / "detections.jsonl"
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        rc = run_cli(["build", "--store", path.parent, "--out", tmp_path / "o"])
+        assert rc == 2
+        assert f"data error: {path}: not valid UTF-8" in capsys.readouterr().err
 
     def test_missing_store_is_data_error(self, tmp_path):
         rc = run_cli(["build", "--store", tmp_path / "nope", "--out", tmp_path / "o"])
@@ -304,6 +355,7 @@ class TestAnswer:
             ("video.json", b'{"video_id": "harbor"}\n'),
             ("frames.jsonl", b"{not json\n"),
             ("frames.jsonl", b'{"frame_index": "3", "t": 1.0}\n'),
+            ("frames.jsonl", b'{"frame_index": 99, "t": NaN}\n'),
         ],
     )
     def test_corrupt_index_file_is_data_error(self, built_index, capsys, name, damage):
@@ -321,6 +373,39 @@ class TestAnswer:
         )
         assert rc == 2
         assert f"data error: {path}" in capsys.readouterr().err
+
+    def test_http_embed_one_call_per_question(self, tmp_path, provider_server):
+        server, url = provider_server
+        config = tmp_path / "http.json"
+        config.write_text(
+            json.dumps({"providers": {"embed": "http", "embed_url": url, "detector": "stub"}}),
+            encoding="utf-8",
+        )
+        store = tmp_path / "store"
+        index = tmp_path / "index"
+        assert run_cli(
+            ["ingest", DEMO / "audio.srt", DEMO / "screen_text.jsonl", "--frames",
+             DEMO / "frames.jsonl", "--video-id", "harbor", "--duration-s", "120", "--out", store]
+        ) == 0
+        assert run_cli(["build", "--store", store, "--out", index, "--config", config]) == 0
+        trace_path = tmp_path / "trace.json"
+        rc = run_cli(
+            ["answer", "--index", index, "--query", self.QUERY, "--config", config,
+             "--trace", trace_path]
+        )
+        assert rc == 0
+        request = json.loads(trace_path.read_text(encoding="utf-8"))["request"]
+        channel_texts = [request[c] for c in ("asr", "ocr") if request[c] is not None]
+        assert channel_texts
+        assert server.last_request["path"] == "/embed"
+        assert server.last_request["payload"]["texts"] == [request["det"], *channel_texts]
+
+    def test_file_embed_cannot_answer(self, tmp_path, built_index, capsys):
+        config = tmp_path / "file.json"
+        config.write_text(json.dumps({"providers": {"embed": "file"}}), encoding="utf-8")
+        rc = run_cli(["answer", "--index", built_index, "--query", self.QUERY, "--config", config])
+        assert rc == 1
+        assert "providers.embed=file cannot embed" in capsys.readouterr().err
 
     def test_version_1_index_is_data_error(self, built_index, capsys):
         # A version-1 directory, as the loader sees it: each binary file's

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from temporag import textindex
+from temporag import prompts, textindex
 from temporag.errors import (
     BudgetTooSmallError,
     DataError,
@@ -70,9 +72,9 @@ class TestDecoupleQuery:
         assert req.asr is None and req.det == "dog"
 
 
-def build_channel(snippets, embedder, tau=0.3):
+def build_channel(snippets, embedder):
     bm25 = build_index(snippets)
-    dense = FlatVectorIndex(embedder.dim, threshold=tau)
+    dense = FlatVectorIndex(embedder.dim)
     for s, v in zip(snippets, embedder.embed([s.text for s in snippets])):
         dense.add(s.id, v)
     return ChannelIndex(
@@ -158,6 +160,7 @@ class TestRetrieveChannel:
                 DecayParams(),
                 RescoreConfig(top_k=1),
                 duration_s=600.0,
+                tau=0.3,
             )
 
     def test_empty_index_error(self):
@@ -178,6 +181,7 @@ class TestRetrieveChannel:
                 DecayParams(),
                 RescoreConfig(top_k=1),
                 duration_s=600.0,
+                tau=0.3,
             )
 
     def test_no_lexical_match_returns_empty(self):
@@ -192,6 +196,7 @@ class TestRetrieveChannel:
             DecayParams(),
             RescoreConfig(top_k=3),
             duration_s=600.0,
+            tau=0.3,
         )
         assert out == []
 
@@ -297,7 +302,6 @@ def evidence_with(asr=(), ocr=(), scene_lines=("t=1.0s: (none)",)):
         asr_hits=tuple(asr),
         ocr_hits=tuple(ocr),
         scene_graph=SceneGraphText(lines=tuple(scene_lines)),
-        token_estimate=0,
     )
 
 
@@ -404,7 +408,7 @@ def test_question_that_is_literally_a_header_cannot_break_sections():
     assert sections["BACKGROUND CONTEXT"] == " ### OCR EVIDENCE"
 
 
-def build_runtime(tau=0.3, seed=7):
+def build_runtime(seed=7):
     embedder = HashEmbedder(32, seed=seed)
     video = VideoRecord(video_id="v", duration_s=100.0)
     asr = [
@@ -417,7 +421,7 @@ def build_runtime(tau=0.3, seed=7):
         make_snippet("o2", "EXIT this way", 90.0, 90.0, channel=Channel.OCR),
     ]
     frames = []
-    frame_index = FlatVectorIndex(32, threshold=tau)
+    frame_index = FlatVectorIndex(32)
     frame_texts = ["open sea deck", "storm clouds captain", "harbor sign dock", "crowd waving"]
     for i, text in enumerate(frame_texts):
         ref = f"f{i}"
@@ -428,8 +432,8 @@ def build_runtime(tau=0.3, seed=7):
         frames=frames,
         frame_index=frame_index,
         channels={
-            Channel.ASR: build_channel(asr, embedder, tau),
-            Channel.OCR: build_channel(ocr, embedder, tau),
+            Channel.ASR: build_channel(asr, embedder),
+            Channel.OCR: build_channel(ocr, embedder),
         },
         lvlm=StubLvlm(),
         embedder=embedder,
@@ -493,3 +497,56 @@ class TestRunQuery:
         result = run(build_runtime())
         assert set(result.trace["anchors"]) == {"t_first", "t_last", "t_semantic"}
         assert result.trace["bundle"]["sha256"] == result.bundle.sha256
+
+
+class FixedDecoupleLvlm(StubLvlm):
+    """The stub LVLM, except that decoupling returns a fixed request."""
+
+    def __init__(self, request):
+        self.request = request
+
+    def complete(self, system_prompt, user_prompt, params=None):
+        if user_prompt.split("\n", 1)[0] == prompts.DECOUPLE_MARKER:
+            return json.dumps(self.request)
+        return super().complete(system_prompt, user_prompt, params)
+
+
+class CountingEmbedder:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        return self.inner.embed(texts)
+
+
+class TestSinglePass:
+    REQUEST = {"asr": "captain storm", "ocr": "harbor sign", "det": "dock"}
+
+    def runtime(self):
+        runtime = build_runtime()
+        runtime.lvlm = FixedDecoupleLvlm(self.REQUEST)
+        runtime.embedder = CountingEmbedder(runtime.embedder)
+        return runtime
+
+    def test_one_embed_call_frame_query_then_asr_then_ocr(self):
+        runtime = self.runtime()
+        result = run(runtime)
+        assert runtime.embedder.calls == [["dock", "captain storm", "harbor sign"]]
+        assert result.trace["request"] == self.REQUEST
+
+    def test_ablated_channel_text_left_out(self):
+        runtime = self.runtime()
+        result = run(runtime, use_asr=False)
+        assert runtime.embedder.calls == [["dock", "harbor sign"]]
+        assert result.trace["request"] == {**self.REQUEST, "asr": None}
+        assert result.trace["channels"]["asr"] == []
+
+    def test_channel_without_index_text_left_out(self):
+        runtime = self.runtime()
+        del runtime.channels[Channel.OCR]
+        result = run(runtime)
+        assert runtime.embedder.calls == [["dock", "captain storm"]]
+        assert result.trace["request"] == self.REQUEST
+        assert result.trace["channels"]["ocr"] == []

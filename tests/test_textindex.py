@@ -119,6 +119,11 @@ class TestBm25Score:
         index = build_index([make_snippet("a", "cat", 0.0, 1.0)])
         assert bm25_score(index, ["cat"], "a") == pytest.approx(math.log(4.0 / 3.0), abs=1e-9)
 
+    def test_all_empty_token_docs_score_zero(self):
+        # Every document tokenizes to nothing, so avg_dl is 0.
+        index = build_index([make_snippet("a", "!!!", 0.0, 1.0)])
+        assert bm25_score(index, ["x"], "a") == 0.0
+
     def test_unknown_doc(self):
         index = build_index([make_snippet("a", "cat", 0.0, 1.0)])
         with pytest.raises(UnknownDocIdError):

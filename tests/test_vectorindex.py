@@ -44,8 +44,8 @@ class TestNormalize:
             assert abs(np.linalg.norm(normalize(v)) - 1.0) <= 1e-9
 
 
-def filled_index(rng, n, dim=16, threshold=0.3):
-    index = FlatVectorIndex(dim, threshold=threshold)
+def filled_index(rng, n, dim=16):
+    index = FlatVectorIndex(dim)
     for i in range(n):
         index.add(f"v{i:04d}", rng.standard_normal(dim))
     return index
@@ -56,7 +56,7 @@ class TestFlatVectorIndex:
         index = FlatVectorIndex(4)
         index.add("a", [1.0, 2.0, 3.0, 4.0])
         q = normalize([1.0, 2.0, 3.0, 4.0])
-        hits = index.search(q, 1)
+        hits = index.search(q, 1, threshold=0.3)
         assert hits[0][0] == "a"
         assert hits[0][1] == pytest.approx(1.0, abs=1e-6)
 
@@ -66,7 +66,7 @@ class TestFlatVectorIndex:
             index.add("a", [1.0, 2.0])
         index.add("a", [1.0, 0.0, 0.0, 0.0])
         with pytest.raises(DimMismatchError):
-            index.search(np.array([1.0, 0.0]), 1)
+            index.search(np.array([1.0, 0.0]), 1, threshold=0.3)
 
     def test_duplicate_id(self):
         index = FlatVectorIndex(2)
@@ -75,9 +75,9 @@ class TestFlatVectorIndex:
             index.add("a", [0.0, 1.0])
 
     def test_orthogonal_below_threshold_excluded(self):
-        index = FlatVectorIndex(2, threshold=0.3)
+        index = FlatVectorIndex(2)
         index.add("x", [0.0, 1.0])
-        assert index.search(np.array([1.0, 0.0]), 5) == []
+        assert index.search(np.array([1.0, 0.0]), 5, threshold=0.3) == []
 
     def test_threshold_boundary_is_inclusive(self):
         index = FlatVectorIndex(2)
@@ -111,7 +111,7 @@ class TestFlatVectorIndex:
     def test_k_must_be_positive(self):
         index = FlatVectorIndex(2)
         with pytest.raises(DataError):
-            index.search(np.array([1.0, 0.0]), 0)
+            index.search(np.array([1.0, 0.0]), 0, threshold=0.3)
 
 
 class TestHashEmbedder:
@@ -228,7 +228,7 @@ def test_mutated_file_loads_or_raises_temporag_error(fuzz_dir, mutations):
             loaded.similarities(q)
         return
     loaded.similarities(q)
-    loaded.search(q, 3)
+    loaded.search(q, 3, threshold=0.3)
 
 
 def test_search_equals_brute_force_at_scale():
