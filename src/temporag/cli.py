@@ -265,7 +265,8 @@ def _read_store_jsonl(path: Path, parse) -> list:
     return records
 
 
-def _read_store_snippets(store: Path, channel: Channel) -> list[Snippet]:
+def _read_store_snippets(store: Path, channel: Channel, video: VideoRecord) -> list[Snippet]:
+    """A channel's store snippets, with finite times inside the video."""
     path = store / CHANNEL_FILES[channel]
     if not path.exists():
         return []
@@ -274,7 +275,14 @@ def _read_store_snippets(store: Path, channel: Channel) -> list[Snippet]:
         report = parse_snippet_jsonl(data, expect_channel=channel)
         return report.snippets, report.errors
 
-    return _read_store_jsonl(path, parse)
+    snippets = _read_store_jsonl(path, parse)
+    for s in snippets:
+        if not 0.0 <= s.t_start <= s.t_end <= video.duration_s:  # NaN fails too
+            raise DataError(
+                f"{path}: snippet {s.id!r}: times [{s.t_start}, {s.t_end}] outside "
+                f"0 <= t_start <= t_end <= {video.duration_s} (re-run ingest)"
+            )
+    return snippets
 
 
 def _read_video(path: Path) -> VideoRecord:
@@ -306,7 +314,7 @@ def cmd_build(args) -> int:
     _write_jsonl(out / "video.json", [json.dumps(asdict(video))])
 
     for channel in Channel:
-        snippets = _read_store_snippets(store, channel)
+        snippets = _read_store_snippets(store, channel, video)
         if not snippets:
             continue
         index = build_index(snippets)
@@ -314,9 +322,6 @@ def cmd_build(args) -> int:
         vectors = _embed_or_lookup(cfg, [s.id for s in snippets], [s.text for s in snippets])
         save_vectors(
             str(out / f"{channel.value}.vec"), [s.id for s in snippets], vectors, len(vectors[0])
-        )
-        (out / CHANNEL_FILES[channel]).write_text(
-            write_snippet_jsonl(snippets), encoding="utf-8"
         )
         print(f"{channel.value}: indexed {len(snippets)} snippets")
 
@@ -351,11 +356,14 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
         bm25_path = index_dir / f"{channel.value}.bm25"
         if not bm25_path.exists():
             continue
-        snippets = {s.id: s for s in _read_store_snippets(index_dir, channel)}
         dense = load_vec_index(str(index_dir / f"{channel.value}.vec"))
-        channels[channel] = ChannelIndex(
-            channel=channel, snippets=snippets, bm25=load_bm25(str(bm25_path)), dense=dense
-        )
+        bm25 = load_bm25(str(bm25_path))
+        if np.any(bm25.t_end > video.duration_s):
+            raise DataError(
+                f"{bm25_path}: a document ends at {float(bm25.t_end.max())}s, "
+                f"after duration_s {video.duration_s} in {meta_path}"
+            )
+        channels[channel] = ChannelIndex(channel=channel, bm25=bm25, dense=dense)
 
     raw_frames = _read_store_frames(index_dir, video.duration_s)
     frames_vec_path = index_dir / "frames.vec"

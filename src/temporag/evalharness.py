@@ -21,7 +21,7 @@ from .frames import frame_similarities, select_keyframes
 from .pipeline import augment_query, dense_accept, retrieve_channel
 from .providers import StubLvlm
 from .rescore import DecayParams, compute_anchors
-from .textindex import build_index, search as bm25_search
+from .textindex import Bm25Index, build_index, search as bm25_search
 from .types import Channel, FrameRecord, QueryRequest, Snippet
 from .vectorindex import FlatVectorIndex, HashEmbedder, normalize
 
@@ -217,10 +217,9 @@ def gen_corpus(spec: SyntheticSpec) -> Corpus:
 
 @dataclass
 class _BuiltCorpus:
-    bm25: object
+    bm25: Bm25Index
     dense: FlatVectorIndex
     frame_index: FlatVectorIndex
-    by_id: dict[str, Snippet]
     query_vec: np.ndarray
     embedder: HashEmbedder
 
@@ -241,7 +240,6 @@ def _build(corpus: Corpus, config: RunConfig) -> _BuiltCorpus:
         bm25=bm25,
         dense=dense,
         frame_index=frame_index,
-        by_id={s.id: s for s in corpus.snippets},
         query_vec=query_vec,
         embedder=embedder,
     )
@@ -284,7 +282,6 @@ def run_eval(corpus: Corpus, config: RunConfig, flags: AblationFlags = AblationF
             query_text,
             built.bm25,
             built.dense,
-            built.by_id,
             anchors,
             decay,
             config.rescore_config(),
@@ -295,7 +292,7 @@ def run_eval(corpus: Corpus, config: RunConfig, flags: AblationFlags = AblationF
         )
         pool = bm25_search(built.bm25, query_text, config.rescore_config().pool_size)
         kept = dense_accept(built.dense, built.query_vec, [doc_id for doc_id, _ in pool], config.tau)
-        tokens_retained = sum(len(built.by_id[doc_id].text.split()) for doc_id in kept)
+        tokens_retained = sum(len(built.bm25.snippet(doc_id).text.split()) for doc_id in kept)
 
     needle_id = corpus.ground_truth.needle_id
     ranked = [h.snippet.id for h in hits]

@@ -317,8 +317,20 @@ def frame_from_obj(obj: object, duration_s: float) -> dict:
 
 
 def parse_frames_jsonl(data: bytes, duration_s: float) -> tuple[list[dict], list[tuple[int, str]]]:
-    """Parse frames JSONL into ``frame_from_obj`` records plus located line errors."""
-    return _parse_jsonl_lines(data, lambda obj: frame_from_obj(obj, duration_s))
+    """Parse frames JSONL into ``frame_from_obj`` records plus located line errors.
+
+    A record that repeats an earlier record's ``frame_index`` is a line error.
+    """
+    seen: set[int] = set()
+
+    def from_obj(obj: object) -> dict:
+        frame = frame_from_obj(obj, duration_s)
+        if frame["frame_index"] in seen:
+            raise DataError(f"duplicate frame_index {frame['frame_index']}")
+        seen.add(frame["frame_index"])
+        return frame
+
+    return _parse_jsonl_lines(data, from_obj)
 
 
 def _sorted_objects(record: DetectionRecord) -> list[DetectedObject]:

@@ -15,7 +15,7 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .types import (
     QueryRequest,
     RetrievalRequest,
     ScoredSnippet,
-    Snippet,
     VideoRecord,
 )
 from .vectorindex import EmbeddingProvider, FlatVectorIndex, normalize
@@ -105,10 +104,9 @@ class PromptBundle:
 
 @dataclass
 class ChannelIndex:
-    """One channel's snippets with their lexical and dense indices."""
+    """One channel's indices; ``bm25`` also holds its document table."""
 
     channel: Channel
-    snippets: dict[str, Snippet]
     bm25: Bm25Index
     dense: FlatVectorIndex
 
@@ -193,7 +191,6 @@ def retrieve_channel(
     req_text: str,
     bm25: Bm25Index,
     dense: FlatVectorIndex,
-    snippets: Mapping[str, Snippet],
     anchors: AnchorSet,
     decay: DecayParams,
     cfg: RescoreConfig,
@@ -208,8 +205,9 @@ def retrieve_channel(
     LEXICAL pools BM25 hits and applies the dense acceptance filter;
     DENSE pools vector hits with similarity >= ``tau``; MAX_FUSE unions both
     pools with each signal min-max rescaled and fused by max. The pool is
-    then temporally rescored and cut to ``cfg.top_k``. Returns [] when
-    nothing survives pooling or filtering.
+    then temporally rescored and cut to ``cfg.top_k``. Only pooled ids
+    become ``Snippet``s, looked up in ``bm25``'s document table. Returns []
+    when nothing survives pooling or filtering.
     """
     if not req_text.strip():
         raise DataError("request text must be non-empty; NULL channels are skipped by the caller")
@@ -252,7 +250,7 @@ def retrieve_channel(
 
     if not candidates:
         return []
-    pool_snippets = [(snippets[doc_id], raw) for doc_id, raw in candidates]
+    pool_snippets = [(bm25.snippet(doc_id), raw) for doc_id, raw in candidates]
     scored = rescore_mod.rescore(pool_snippets, anchors, decay, duration_s)
     return rescore_mod.top_k(scored, cfg.top_k)
 
@@ -526,7 +524,6 @@ def run_query(
             req_text,
             chan.bm25,
             chan.dense,
-            chan.snippets,
             anchors,
             decay,
             cfg,

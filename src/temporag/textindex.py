@@ -27,8 +27,9 @@ from .errors import (
 from .types import Channel, Snippet
 
 MAGIC = b"TVRG"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 U4 = np.dtype("<u4")
+F8 = np.dtype("<f8")
 
 # Alphanumeric runs; underscore is a boundary like any other punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -55,18 +56,23 @@ class Bm25Params:
 
 @dataclass(eq=False)
 class Bm25Index:
-    """Inverted index of one channel, in compressed sparse row form.
+    """One channel's document table and its inverted index, in CSR form.
 
-    ``doc_ids`` is sorted, so a document's position is its rank by id.
-    ``token_row`` maps each token, in sorted order, to its row ``r``; the
-    postings of row ``r`` are ``doc_pos[offsets[r]:offsets[r + 1]]`` (doc
-    positions, ascending) and the matching ``tf`` term frequencies. These
-    and ``doc_len`` are ``<u4``; after a load, read-only views of the file.
+    ``doc_ids`` is sorted, so a document's position is its rank by id;
+    ``texts``, ``t_start`` and ``t_end`` (``<f8``) are the documents' columns
+    in that order. ``token_row`` maps each token, in sorted order, to its
+    row ``r``; the postings of row ``r`` are ``doc_pos[offsets[r]:offsets[r + 1]]``
+    (doc positions, ascending) and the matching ``tf`` term frequencies.
+    These and ``doc_len`` are ``<u4``. After a load, every array is a
+    read-only view of the file.
     """
 
     channel: Channel
     params: Bm25Params
     doc_ids: list[str]
+    texts: list[str]
+    t_start: np.ndarray
+    t_end: np.ndarray
     token_row: dict[str, int]
     doc_len: np.ndarray
     offsets: np.ndarray
@@ -74,6 +80,7 @@ class Bm25Index:
     tf: np.ndarray
     avg_dl: float = field(init=False)
     dl_norm: np.ndarray = field(init=False, repr=False)
+    _snippets: dict[str, Snippet] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         n_docs = len(self.doc_ids)
@@ -85,6 +92,32 @@ class Bm25Index:
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
+
+    def position(self, doc_id: str) -> int:
+        """Rank of ``doc_id`` in the sorted doc table; ``UnknownDocIdError`` if absent."""
+        pos = bisect_left(self.doc_ids, doc_id)
+        if pos == self.n_docs or self.doc_ids[pos] != doc_id:
+            raise UnknownDocIdError(doc_id)
+        return pos
+
+    def snippet(self, doc_id: str) -> Snippet:
+        """The stored document ``doc_id``, built at its first lookup and then kept.
+
+        A load builds no ``Snippet``; an index asked many questions builds
+        each pooled document once. Concurrent lookups need no lock: a race
+        at worst builds an equal snippet twice.
+        """
+        snippet = self._snippets.get(doc_id)
+        if snippet is None:
+            pos = self.position(doc_id)
+            snippet = self._snippets[doc_id] = Snippet(
+                id=doc_id,
+                channel=self.channel,
+                text=self.texts[pos],
+                t_start=self.t_start.item(pos),
+                t_end=self.t_end.item(pos),
+            )
+        return snippet
 
     def _span(self, token: str) -> tuple[int, int]:
         row = self.token_row.get(token)
@@ -136,6 +169,9 @@ def build_index(docs: Sequence[Snippet], params: Bm25Params | None = None) -> Bm
         channel=channel,
         params=params,
         doc_ids=[d.id for d in ordered],
+        texts=[d.text for d in ordered],
+        t_start=np.array([d.t_start for d in ordered], dtype=F8),
+        t_end=np.array([d.t_end for d in ordered], dtype=F8),
         token_row={token: r for r, token in enumerate(vocab)},
         doc_len=np.array(doc_len, dtype=U4),
         offsets=np.array(list(accumulate((len(rows[t]) for t in vocab), initial=0)), dtype=U4),
@@ -150,9 +186,7 @@ def bm25_score(index: Bm25Index, query_tokens: Sequence[str], doc_id: str) -> fl
     Repeated query tokens contribute once per occurrence. Terms absent
     from the document contribute zero.
     """
-    pos = bisect_left(index.doc_ids, doc_id)
-    if pos == index.n_docs or index.doc_ids[pos] != doc_id:
-        raise UnknownDocIdError(doc_id)
+    pos = index.position(doc_id)
     k1, b = index.params.k1, index.params.b
     dl = int(index.doc_len[pos])
     score = 0.0
@@ -195,15 +229,17 @@ def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[str,
     return hits[:pool_size]
 
 
-# --- binary persistence, format version 2 ---------------------------------------
+# --- binary persistence, format version 3 ---------------------------------------
 #
 # All integers little-endian u32, floats f64:
 #   magic "TVRG" | version | channel (a one-string table) | k1 | b
-#   | n_docs | n_tokens | doc-id table (sorted) | token table (sorted)
+#   | n_docs | n_tokens | doc-id table (sorted) | text table
+#   | t_start[n_docs] | t_end[n_docs] | token table (sorted)
 #   | doc_len[n_docs] | offsets[n_tokens + 1] | doc_pos[n_postings] | tf[n_postings]
 # A string table is offsets[n + 1] into one UTF-8 blob that follows them.
 # n_postings is offsets[n_tokens]. The arrays load as views of the file's
-# bytes, so the loader checks every invariant that search relies on.
+# bytes, so the loader checks every invariant that search and the document
+# lookup rely on.
 
 
 def pack_strings(strings: Sequence[str]) -> bytes:
@@ -217,11 +253,11 @@ class IndexFileReader:
     """Bounds-checked reads over one index file, read whole at open.
 
     Arrays are ``np.frombuffer`` views of the file's bytes. A bad magic or
-    format version raises ``VersionMismatchError``; every other failure is
-    a ``DataError`` naming the path.
+    a format version other than ``version`` raises ``VersionMismatchError``;
+    every other failure is a ``DataError`` naming the path.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, version: int):
         self.path = path
         try:
             with open(path, "rb") as fh:
@@ -231,11 +267,9 @@ class IndexFileReader:
         if self.data[:4] != MAGIC:
             raise VersionMismatchError(f"{path}: bad magic, not a temporag index")
         self.pos = 4
-        (version,) = self.unpack("<I")
-        if version != FORMAT_VERSION:
-            raise VersionMismatchError(
-                f"{path}: format version {version}, expected {FORMAT_VERSION}"
-            )
+        (found,) = self.unpack("<I")
+        if found != version:
+            raise VersionMismatchError(f"{path}: format version {found}, expected {version}")
 
     def corrupt(self, problem: str) -> DataError:
         return DataError(f"{self.path}: truncated or corrupt index ({problem})")
@@ -280,7 +314,13 @@ def save_index(index: Bm25Index, path: str) -> None:
     k1, b = index.params.k1, index.params.b
     head = MAGIC + struct.pack("<I", FORMAT_VERSION) + pack_strings([index.channel.value])
     head += struct.pack("<ddII", k1, b, index.n_docs, len(index.token_row))
-    tables = pack_strings(index.doc_ids) + pack_strings(list(index.token_row))
+    tables = (
+        pack_strings(index.doc_ids)
+        + pack_strings(index.texts)
+        + index.t_start.tobytes()
+        + index.t_end.tobytes()
+        + pack_strings(list(index.token_row))
+    )
     arrays = (index.doc_len, index.offsets, index.doc_pos, index.tf)
     with open(path, "wb") as fh:
         fh.write(head + tables + b"".join(a.tobytes() for a in arrays))
@@ -288,7 +328,7 @@ def save_index(index: Bm25Index, path: str) -> None:
 
 def load_index(path: str) -> Bm25Index:
     """Read an index written by ``save_index``; see ``IndexFileReader`` for errors."""
-    reader = IndexFileReader(path)
+    reader = IndexFileReader(path, FORMAT_VERSION)
     (channel_tag,) = reader.strings(1)
     k1, b, n_docs, n_tokens = reader.unpack("<ddII")
     try:
@@ -297,6 +337,9 @@ def load_index(path: str) -> Bm25Index:
     except DataError as exc:
         raise reader.corrupt(str(exc)) from None
     doc_ids = reader.strings(n_docs)
+    texts = reader.strings(n_docs)
+    t_start = reader.array(n_docs, F8)
+    t_end = reader.array(n_docs, F8)
     tokens = reader.strings(n_tokens)
     doc_len = reader.array(n_docs)
     offsets = reader.offsets(n_tokens)
@@ -305,6 +348,9 @@ def load_index(path: str) -> Bm25Index:
     reader.end()
     if not all(x < y for x, y in pairwise(doc_ids)):
         raise reader.corrupt("doc ids not unique and sorted")
+    # NaN fails every comparison, and t_end < inf bounds both columns.
+    if not np.all((0.0 <= t_start) & (t_start <= t_end) & (t_end < np.inf)):
+        raise reader.corrupt("times not finite with 0 <= t_start <= t_end")
     if not all(x < y for x, y in pairwise(tokens)):
         raise reader.corrupt("token table not strictly sorted")
     if len(doc_pos) and (doc_pos.max() >= n_docs or tf.min() < 1):
@@ -313,6 +359,9 @@ def load_index(path: str) -> Bm25Index:
         channel=channel,
         params=params,
         doc_ids=doc_ids,
+        texts=texts,
+        t_start=t_start,
+        t_end=t_end,
         token_row=dict(zip(tokens, range(n_tokens))),
         doc_len=doc_len,
         offsets=offsets,

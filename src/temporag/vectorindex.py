@@ -15,9 +15,11 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import DataError, DimMismatchError, DuplicateIdError, ZeroVectorError
-from .textindex import FORMAT_VERSION, MAGIC, IndexFileReader, pack_strings, tokenize
+from .textindex import MAGIC, IndexFileReader, pack_strings, tokenize
 
 F4 = np.dtype("<f4")
+# The vector file layout is independent of the ``.bm25`` one and versioned apart.
+FORMAT_VERSION = 2
 
 
 def normalize(v: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -171,7 +173,7 @@ def load_index(path: str) -> FlatVectorIndex:
 
     Errors are those of ``textindex.IndexFileReader``.
     """
-    reader = IndexFileReader(path)
+    reader = IndexFileReader(path, FORMAT_VERSION)
     dim, n = reader.unpack("<II")
     if dim < 1:
         raise reader.corrupt(f"dim {dim}")

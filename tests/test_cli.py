@@ -1,10 +1,13 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from temporag import cli
 from temporag.cli import main
+from temporag.textindex import load_index, save_index
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -157,9 +160,10 @@ class TestIngest:
             {"frame_index": 1, "t": -50},
             {"frame_index": 1, "t": 120.5},
             {"frame_index": 1, "t": 1.0, "text": 5},
+            {"frame_index": 0, "t": 5.0, "text": "harbor"},
         ],
         ids=["index_str", "index_bool", "index_negative", "t_str", "t_nan", "t_negative",
-             "t_past_end", "text_int"],
+             "t_past_end", "text_int", "index_duplicate"],
     )
     def test_bad_frame_record_is_line_error(self, tmp_path, capsys, record):
         frames = tmp_path / "frames.jsonl"
@@ -233,6 +237,33 @@ class TestBuild:
         assert rc == 2
         line_no = len(data.splitlines()) + 1
         assert f"data error: {path}:{line_no}: time nan outside" in capsys.readouterr().err
+
+    def test_duplicate_store_frame_is_data_error_at_its_line(self, tmp_path, built_index, capsys):
+        path = built_index.parent / "store" / "frames.jsonl"
+        data = path.read_bytes()
+        path.write_bytes(data + b'{"frame_index": 0, "t": 5.0, "text": "harbor"}\n')
+        rc = run_cli(["build", "--store", path.parent, "--out", tmp_path / "o"])
+        assert rc == 2
+        line_no = len(data.splitlines()) + 1
+        assert f"data error: {path}:{line_no}: duplicate frame_index 0" in capsys.readouterr().err
+
+    def test_index_holds_no_snippet_jsonl(self, built_index):
+        assert not (built_index / "asr.jsonl").exists()
+        assert not (built_index / "ocr.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "t_start, t_end",
+        [(float("nan"), 1.0), (5.0, 4.0), (1.0, 120.5)],
+        ids=["t_start_nan", "inverted", "t_end_past_duration"],
+    )
+    def test_bad_store_snippet_time_is_data_error(self, tmp_path, built_index, capsys, t_start, t_end):
+        path = built_index.parent / "store" / "ocr.jsonl"
+        first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = {**json.loads(first), "t_start": t_start, "t_end": t_end}
+        path.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+        rc = run_cli(["build", "--store", path.parent, "--out", tmp_path / "o"])
+        assert rc == 2
+        assert f"data error: {path}: snippet {record['id']!r}: " in capsys.readouterr().err
 
     def test_non_utf8_detections_is_data_error(self, tmp_path, built_index, capsys):
         path = built_index.parent / "store" / "detections.jsonl"
@@ -337,6 +368,26 @@ class TestAnswer:
         trace = json.loads(trace_path.read_text(encoding="utf-8"))
         assert trace["channels"]["asr"] == [] and trace["channels"]["ocr"] == []
 
+    def test_answers_without_store(self, built_index, capsys):
+        shutil.rmtree(built_index.parent / "store")
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 0
+        assert "MARINA OFFICE" in capsys.readouterr().out
+
+    def test_reads_no_snippet_jsonl(self, built_index, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("answer parsed snippet JSONL")
+
+        monkeypatch.setattr(cli, "parse_snippet_jsonl", fail)
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 0
+
     def test_missing_index_is_data_error(self, tmp_path):
         rc = run_cli(["answer", "--index", tmp_path / "nope", "--query", "q"])
         assert rc == 2
@@ -356,12 +407,24 @@ class TestAnswer:
             ("frames.jsonl", b"{not json\n"),
             ("frames.jsonl", b'{"frame_index": "3", "t": 1.0}\n'),
             ("frames.jsonl", b'{"frame_index": 99, "t": NaN}\n'),
+            pytest.param("asr.bm25", {"t_start": float("nan")}, id="asr.bm25-t_start_nan"),
+            pytest.param("ocr.bm25", {"t_start": 200.0}, id="ocr.bm25-t_start_after_t_end"),
+            pytest.param(
+                "asr.bm25", {"t_start": 100.0, "t_end": 120.5}, id="asr.bm25-t_end_past_duration"
+            ),
         ],
     )
     def test_corrupt_index_file_is_data_error(self, built_index, capsys, name, damage):
         path = built_index / name
         data = path.read_bytes()
-        if isinstance(damage, float):  # truncate at this fraction of the file
+        if isinstance(damage, dict):  # rewrite the first document's times
+            index = load_index(str(path))
+            for column, value in damage.items():
+                times = getattr(index, column).copy()
+                times[0] = value
+                setattr(index, column, times)
+            save_index(index, str(path))
+        elif isinstance(damage, float):  # truncate at this fraction of the file
             path.write_bytes(data[: int(len(data) * damage)])
         elif name == "video.json":
             path.write_bytes(damage)
@@ -420,6 +483,19 @@ class TestAnswer:
         )
         assert rc == 2
         assert "format version 1, expected 2" in capsys.readouterr().err
+
+    def test_version_2_bm25_is_data_error(self, built_index, capsys):
+        # Version 2 had no text table or time columns; only .bm25 files moved on.
+        path = built_index / "ocr.bm25"
+        data = bytearray(path.read_bytes())
+        data[4:8] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 2
+        assert f"data error: {path}: format version 2, expected 3" in capsys.readouterr().err
 
     def test_missing_vector_file_is_data_error(self, built_index, capsys):
         (built_index / "asr.vec").unlink()

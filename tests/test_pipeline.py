@@ -77,9 +77,7 @@ def build_channel(snippets, embedder):
     dense = FlatVectorIndex(embedder.dim)
     for s, v in zip(snippets, embedder.embed([s.text for s in snippets])):
         dense.add(s.id, v)
-    return ChannelIndex(
-        channel=snippets[0].channel, snippets={s.id: s for s in snippets}, bm25=bm25, dense=dense
-    )
+    return ChannelIndex(channel=snippets[0].channel, bm25=bm25, dense=dense)
 
 
 def seeded_corpus(rng, n, duration=600.0, channel=Channel.ASR):
@@ -107,7 +105,6 @@ class TestRetrieveChannel:
             "needle phrase",
             chan.bm25,
             chan.dense,
-            chan.snippets,
             self.ANCHORS,
             DecayParams(),
             RescoreConfig(top_k=5),
@@ -133,7 +130,6 @@ class TestRetrieveChannel:
             req,
             chan.bm25,
             chan.dense,
-            chan.snippets,
             self.ANCHORS,
             decay,
             cfg,
@@ -143,7 +139,8 @@ class TestRetrieveChannel:
         )
         pool = textindex.search(chan.bm25, req, cfg.pool_size)
         kept = set(dense_accept(chan.dense, qv, [d for d, _ in pool], 0.0))
-        pool = [(chan.snippets[d], r) for d, r in pool if d in kept]
+        by_id = {s.id: s for s in snippets}
+        pool = [(by_id[d], r) for d, r in pool if d in kept]
         want = top_k(rescore(pool, self.ANCHORS, decay, 600.0), cfg.top_k)
         assert got == want
 
@@ -155,8 +152,7 @@ class TestRetrieveChannel:
                 "  ",
                 chan.bm25,
                 chan.dense,
-                chan.snippets,
-                self.ANCHORS,
+                    self.ANCHORS,
                 DecayParams(),
                 RescoreConfig(top_k=1),
                 duration_s=600.0,
@@ -167,7 +163,6 @@ class TestRetrieveChannel:
         embedder = HashEmbedder(32)
         chan = ChannelIndex(
             channel=Channel.ASR,
-            snippets={},
             bm25=build_index([]),
             dense=FlatVectorIndex(32),
         )
@@ -176,8 +171,7 @@ class TestRetrieveChannel:
                 "x",
                 chan.bm25,
                 chan.dense,
-                chan.snippets,
-                self.ANCHORS,
+                    self.ANCHORS,
                 DecayParams(),
                 RescoreConfig(top_k=1),
                 duration_s=600.0,
@@ -191,7 +185,6 @@ class TestRetrieveChannel:
             "zebra",
             chan.bm25,
             chan.dense,
-            chan.snippets,
             self.ANCHORS,
             DecayParams(),
             RescoreConfig(top_k=3),
@@ -212,7 +205,6 @@ class TestRetrieveChannel:
             "ferry dock harbor",
             chan.bm25,
             chan.dense,
-            chan.snippets,
             self.ANCHORS,
             DecayParams(),
             RescoreConfig(top_k=2),
@@ -237,7 +229,6 @@ class TestRetrieveChannel:
             req,
             chan.bm25,
             chan.dense,
-            chan.snippets,
             self.ANCHORS,
             DecayParams(),
             RescoreConfig(top_k=3),
@@ -258,7 +249,6 @@ class TestRetrieveChannel:
             "sign hello",
             chan.bm25,
             chan.dense,
-            chan.snippets,
             self.ANCHORS,
             DecayParams(),
             RescoreConfig(top_k=3),

@@ -18,6 +18,7 @@ from temporag.textindex import (
     bm25_score,
     build_index,
     load_index,
+    pack_strings,
     save_index,
     search,
     tokenize,
@@ -128,6 +129,8 @@ class TestBm25Score:
         index = build_index([make_snippet("a", "cat", 0.0, 1.0)])
         with pytest.raises(UnknownDocIdError):
             bm25_score(index, ["cat"], "nope")
+        with pytest.raises(UnknownDocIdError):
+            index.snippet("b")
 
     def test_three_doc_brute_force(self):
         docs = [
@@ -218,13 +221,30 @@ class TestPersistence:
         assert loaded.n_docs == index.n_docs
         assert loaded.avg_dl == pytest.approx(index.avg_dl, abs=1e-9)
         assert loaded.doc_ids == index.doc_ids
+        assert loaded.texts == index.texts
         assert loaded.token_row == index.token_row
-        for name in ("doc_len", "offsets", "doc_pos", "tf"):
+        for name in ("t_start", "t_end", "doc_len", "offsets", "doc_pos", "tf"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(index, name))
         assert loaded.params == index.params
         assert loaded.channel is index.channel
         query = "w1 w2 w9"
         assert search(loaded, query, 10) == search(index, query, 10)
+        assert [loaded.snippet(d.id) for d in docs] == docs
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("t_start", math.nan), ("t_end", math.inf), ("t_start", -1.0), ("t_start", 99.0)],
+        ids=["t_start_nan", "t_end_inf", "t_start_negative", "t_start_after_t_end"],
+    )
+    def test_bad_times_rejected(self, tmp_path, column, value):
+        index = build_index(random_corpus(np.random.default_rng(4), 5))
+        times = getattr(index, column).copy()
+        times[2] = value
+        setattr(index, column, times)
+        path = tmp_path / "bad.bm25"
+        save_index(index, str(path))
+        with pytest.raises(DataError, match=f"{path}: .*times not finite"):
+            load_index(str(path))
 
     def test_save_is_deterministic(self, tmp_path):
         docs = random_corpus(np.random.default_rng(3), 15)
@@ -263,6 +283,17 @@ class TestPersistence:
         with pytest.raises(VersionMismatchError, match="version 1"):
             load_index(str(path))
 
+    def test_version_2_file_rejected(self, tmp_path):
+        # Version 2: no text table or time columns after the doc-id table.
+        path = tmp_path / "v2.bm25"
+        path.write_bytes(
+            b"TVRG" + struct.pack("<I", 2) + pack_strings(["asr"])
+            + struct.pack("<ddII", 1.2, 0.75, 1, 1) + pack_strings(["a"]) + pack_strings(["cat"])
+            + struct.pack("<IIIII", 1, 0, 1, 0, 1)
+        )
+        with pytest.raises(VersionMismatchError, match="version 2, expected 3"):
+            load_index(str(path))
+
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
@@ -284,6 +315,10 @@ def test_mutated_file_loads_or_raises_temporag_error(fuzz_dir, mutations):
     except TemporagError:
         return
     search(loaded, "w1 w2 café w3", 5)
+    for doc_id, text in zip(loaded.doc_ids, loaded.texts):
+        snippet = loaded.snippet(doc_id)
+        assert snippet.text == text
+        assert 0.0 <= snippet.t_start <= snippet.t_end < math.inf
 
 
 def test_avg_dl_invariant_random():
