@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_from_dict, load_config
+from .config import RunConfig, config_from_dict, is_finite_number, load_config
 from .errors import (
     ConfigError,
     DataError,
@@ -32,6 +31,7 @@ from .evalharness import (
     run_eval,
     sweep_threshold,
 )
+from .frames import load_frame_table, save_frame_table
 from .ingest import (
     detection_to_json,
     parse_detections_jsonl,
@@ -64,6 +64,8 @@ from .vectorindex import (
 from .vectorindex import load_index as load_vec_index
 
 CHANNEL_FILES = {Channel.ASR: "asr.jsonl", Channel.OCR: "ocr.jsonl"}
+FRAME_TABLE = "frames.tbl"
+DETECTION_TABLE = "detections.tbl"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -325,20 +327,23 @@ def cmd_build(args) -> int:
         )
         print(f"{channel.value}: indexed {len(snippets)} snippets")
 
-    frames = _read_store_frames(store, video.duration_s)
-    if frames:
-        _write_jsonl(out / "frames.jsonl", map(json.dumps, frames))
-        with_text = [f for f in frames if f.get("text")]
-        if with_text:
-            ids = [_frame_ref(f["frame_index"]) for f in with_text]
-            vectors = _embed_or_lookup(cfg, ids, [f["text"] for f in with_text])
-            save_vectors(str(out / "frames.vec"), ids, vectors, len(vectors[0]))
-        print(f"frames: {len(frames)} records, {len(with_text)} embedded")
+    frames = sorted(
+        _read_store_frames(store, video.duration_s), key=lambda f: (f["t"], f["frame_index"])
+    )
+    save_frame_table(
+        str(out / FRAME_TABLE), [f["frame_index"] for f in frames], [f["t"] for f in frames]
+    )
+    with_text = [f for f in frames if f.get("text")]
+    if with_text:
+        ids = [_frame_ref(f["frame_index"]) for f in with_text]
+        vectors = _embed_or_lookup(cfg, ids, [f["text"] for f in with_text])
+        save_vectors(str(out / "frames.vec"), ids, vectors, len(vectors[0]))
+    print(f"frames: {len(frames)} records, {len(with_text)} embedded")
 
     detections_path = store / "detections.jsonl"
     if detections_path.exists():
-        _read_store_jsonl(detections_path, parse_detections_jsonl)  # checked, then copied
-        shutil.copyfile(detections_path, out / "detections.jsonl")
+        records = _read_store_jsonl(detections_path, parse_detections_jsonl)
+        FixtureDetector.from_records(records).save(str(out / DETECTION_TABLE))
     return 0
 
 
@@ -356,8 +361,12 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
         bm25_path = index_dir / f"{channel.value}.bm25"
         if not bm25_path.exists():
             continue
-        dense = load_vec_index(str(index_dir / f"{channel.value}.vec"))
+        vec_path = index_dir / f"{channel.value}.vec"
+        dense = load_vec_index(str(vec_path))
         bm25 = load_bm25(str(bm25_path))
+        # Both id sets are unique, so equal sizes and containment mean equal sets.
+        if len(dense) != bm25.n_docs or not all(map(dense.__contains__, bm25.doc_ids)):
+            raise DataError(f"{vec_path}: ids differ from the doc ids in {bm25_path}; re-run build")
         if np.any(bm25.t_end > video.duration_s):
             raise DataError(
                 f"{bm25_path}: a document ends at {float(bm25.t_end.max())}s, "
@@ -365,25 +374,20 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
             )
         channels[channel] = ChannelIndex(channel=channel, bm25=bm25, dense=dense)
 
-    raw_frames = _read_store_frames(index_dir, video.duration_s)
+    frame_table_path = index_dir / FRAME_TABLE
+    if not frame_table_path.exists():
+        raise DataError(f"{frame_table_path} not found; re-run build")
+    frame_ids, frame_times = load_frame_table(str(frame_table_path), video.duration_s)
     frames_vec_path = index_dir / "frames.vec"
     if frames_vec_path.exists():
         frame_index = load_vec_index(str(frames_vec_path))
     else:
         frame_index = FlatVectorIndex(cfg.providers.embed_dim)
-    if raw_frames:
-        frames = [
-            FrameRecord(
-                frame_index=f["frame_index"],
-                t=f["t"],
-                embedding_ref=(
-                    _frame_ref(f["frame_index"])
-                    if _frame_ref(f["frame_index"]) in frame_index
-                    else None
-                ),
-            )
-            for f in sorted(raw_frames, key=lambda f: (f["t"], f["frame_index"]))
-        ]
+    if len(frame_ids):
+        frames = []
+        for i, t in zip(frame_ids.tolist(), frame_times.tolist()):
+            ref = _frame_ref(i)
+            frames.append(FrameRecord(i, t, ref if ref in frame_index else None))
     else:
         # No frame metadata: synthesize a uniform grid without embeddings,
         # one frame at t=0 when n_frames is 1.
@@ -401,9 +405,16 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
         detector = StubDetector()
     elif cfg.providers.detector == "http":
         detector = HttpDetector(base_url=cfg.providers.detector_url)
+    elif cfg.providers.fixtures_file:
+        records = _read_store_jsonl(Path(cfg.providers.fixtures_file), parse_detections_jsonl)
+        detector = FixtureDetector.from_records(records)
     else:
-        fixture_path = Path(cfg.providers.fixtures_file or index_dir / "detections.jsonl")
-        detector = FixtureDetector(_read_store_jsonl(fixture_path, parse_detections_jsonl))
+        table_path = index_dir / DETECTION_TABLE
+        if not table_path.exists():
+            raise DataError(
+                f"{table_path} not found; build writes it from the store's detections.jsonl"
+            )
+        detector = FixtureDetector.load(str(table_path))
 
     return VideoRuntime(
         video=video,
@@ -446,25 +457,33 @@ def cmd_answer(args) -> int:
 
 # --- eval ----------------------------------------------------------------------
 
-_SPEC_KEYS = {
-    "seed",
-    "duration_s",
-    "n_snippets",
-    "n_duplicates",
-    "needle_time",
-    "vocab_size",
-    "query_terms",
-    "n_frames",
-}
+_SPEC_INTS = ("seed", "n_snippets", "n_duplicates", "vocab_size", "n_frames")
+_SPEC_NUMBERS = ("duration_s", "needle_time")
 
 
 def _load_spec(path: str | None) -> SyntheticSpec:
     if path is None:
         return SyntheticSpec(seed=0)
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    unknown = set(data) - _SPEC_KEYS
+    try:
+        data = json.loads(Path(path).read_bytes())
+    except OSError as exc:
+        raise ConfigError(f"spec {path}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise ConfigError(f"spec {path}: not valid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"spec {path}: not a JSON object")
+    unknown = set(data) - {*_SPEC_INTS, *_SPEC_NUMBERS, "query_terms"}
     if unknown:
         raise ConfigError(f"unknown spec keys: {', '.join(sorted(unknown))}")
+    for key, value in data.items():
+        if key in _SPEC_INTS:
+            ok = type(value) is int and value >= 0
+        elif key in _SPEC_NUMBERS:
+            ok = is_finite_number(value) or (key == "needle_time" and value is None)
+        else:
+            ok = isinstance(value, list) and all(isinstance(t, str) for t in value)
+        if not ok:
+            raise ConfigError(f"spec {path}: bad {key} {value!r}")
     if "query_terms" in data:
         data["query_terms"] = tuple(data["query_terms"])
     return SyntheticSpec(**data)
@@ -472,6 +491,8 @@ def _load_spec(path: str | None) -> SyntheticSpec:
 
 def cmd_eval(args) -> int:
     cfg = _load_effective_config(args)
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     base_spec = _load_spec(args.spec)
     flags = AblationFlags(
         se=not args.no_se,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -113,6 +114,16 @@ def config_from_dict(data: dict) -> RunConfig:
     return cfg
 
 
+def is_finite_number(value: object) -> bool:
+    """True for an int or float that converts to a finite float; bools are not numbers."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _validate(cfg: RunConfig) -> None:
     if cfg.fusion not in _VALID_FUSIONS:
         raise ConfigError(f"fusion must be one of {sorted(_VALID_FUSIONS)}, got {cfg.fusion!r}")
@@ -124,8 +135,11 @@ def _validate(cfg: RunConfig) -> None:
         value = getattr(cfg, name)
         if not isinstance(value, int) or value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    for name in ("lambda0", "lambda1", "lambda2"):
-        if getattr(cfg, name) < 0:
+    for name in ("tau", "lambda0", "lambda1", "lambda2"):
+        value = getattr(cfg, name)
+        if not is_finite_number(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if name != "tau" and value < 0:
             raise ConfigError(f"{name} must be non-negative")
     if cfg.providers.lvlm not in ("stub", "http"):
         raise ConfigError(f"providers.lvlm must be stub or http, got {cfg.providers.lvlm!r}")

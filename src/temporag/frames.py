@@ -8,6 +8,7 @@ stay spread over the video.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import DataError, LengthMismatchError
 from .ingest import DetectionRecord
 from .providers import DetectorProvider
+from .textindex import F8, U4, IndexFileReader, write_index_file
 from .types import FrameRecord
 from .vectorindex import FlatVectorIndex
 
@@ -168,3 +170,47 @@ def detect_on_keyframes(
         DetectionRecord(frame_index=frame.frame_index, t=frame.t, objects=tuple(objects))
         for frame, objects in zip(keyframes, per_frame)
     ]
+
+
+# --- frame table, format version 1 ----------------------------------------------
+#
+# magic "TVRG" | u32 version | u32 n | <u4 frame_index[n] | <f8 t[n]
+# ``build`` writes the rows sorted by (t, frame_index). Zero rows means the
+# store had no frame metadata.
+
+FRAME_TABLE_VERSION = 1
+
+
+def save_frame_table(path: str, frame_index: Sequence[int], t: Sequence[float]) -> None:
+    """Write the two frame columns in the order given."""
+    frame_index = np.asarray(frame_index, dtype=U4)
+    write_index_file(
+        path,
+        FRAME_TABLE_VERSION,
+        struct.pack("<I", len(frame_index)),
+        frame_index.tobytes(),
+        np.asarray(t, dtype=F8).tobytes(),
+    )
+
+
+def load_frame_table(path: str, duration_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(frame_index, t)`` columns of a frame table, as views of the file.
+
+    Besides the errors of ``textindex.IndexFileReader``, the loader requires
+    ``0 <= t <= duration_s``, unique frame indices and rows sorted by
+    ``(t, frame_index)``; each failure is a ``DataError`` naming the path.
+    """
+    reader = IndexFileReader(path, FRAME_TABLE_VERSION)
+    (n,) = reader.unpack("<I")
+    frame_index = reader.array(n)
+    t = reader.array(n, F8)
+    reader.end()
+    if not np.all((0.0 <= t) & (t <= duration_s)):  # NaN fails too
+        raise reader.corrupt(f"frame times outside [0, {duration_s}]")
+    ranked = np.sort(frame_index)  # not np.unique, which imports numpy.ma
+    if np.any(ranked[1:] == ranked[:-1]):
+        raise reader.corrupt("duplicate frame_index")
+    dt = np.diff(t)
+    if np.any((dt < 0.0) | ((dt == 0.0) & (frame_index[1:] <= frame_index[:-1]))):
+        raise reader.corrupt("rows not sorted by (t, frame_index)")
+    return frame_index, t

@@ -23,6 +23,9 @@ from .errors import (
 )
 from .types import Channel, Snippet, snippet_from_obj, snippet_to_json
 
+# Frame indices are stored as u32 in the index's frame and detection tables.
+FRAME_INDEX_LIMIT = 1 << 32
+
 
 @dataclass(frozen=True)
 class DetectedObject:
@@ -235,6 +238,8 @@ def detection_from_obj(obj: object) -> DetectionRecord:
         raw_objects = obj["objects"]
     except (KeyError, TypeError, ValueError):
         raise DataError("detection record needs frame_index, t, objects") from None
+    if not 0 <= frame_index < FRAME_INDEX_LIMIT:
+        raise DataError(f"frame_index must be within [0, 2**32), got {frame_index}")
     if not isinstance(raw_objects, list):
         raise DataError("objects must be a list")
     objects = []
@@ -294,7 +299,7 @@ def parse_detections_jsonl(data: bytes) -> tuple[list[DetectionRecord], list[tup
 def frame_from_obj(obj: object, duration_s: float) -> dict:
     """Check one frames JSONL record: {"frame_index", "t", optional "text"}.
 
-    ``frame_index`` must be a non-negative int, ``t`` a number within
+    ``frame_index`` must be an int in [0, 2**32), ``t`` a number within
     [0, duration_s] (so never NaN or infinite), and ``text``, when present,
     a string. Returns the record with ``t`` as a float and unknown keys
     dropped.
@@ -302,8 +307,10 @@ def frame_from_obj(obj: object, duration_s: float) -> dict:
     if not isinstance(obj, dict):
         raise DataError(f"expected an object, got {type(obj).__name__}")
     frame_index, t = obj.get("frame_index"), obj.get("t")
-    if type(frame_index) is not int or frame_index < 0:
-        raise DataError(f"frame_index must be a non-negative integer, got {frame_index!r}")
+    if type(frame_index) is not int or not 0 <= frame_index < FRAME_INDEX_LIMIT:
+        raise DataError(
+            f"frame_index must be a non-negative integer below 2**32, got {frame_index!r}"
+        )
     if type(t) not in (int, float):
         raise DataError(f"t must be a number, got {t!r}")
     if not 0.0 <= t <= duration_s:

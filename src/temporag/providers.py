@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from . import prompts
 from .errors import ProviderUnavailableError
 from .ingest import DetectedObject, DetectionRecord
-from .textindex import tokenize
+from .textindex import F8, U4, IndexFileReader, pack_strings, tokenize, write_index_file
 from .types import FrameRecord
 
 ENV_LVLM_URL = "TEMPORAG_LVLM_URL"
@@ -189,14 +191,120 @@ class StubDetector:
         return out
 
 
-class FixtureDetector:
-    """Echoes detections loaded from a fixture file, keyed by frame index."""
+# Detection table, format version 1:
+#   magic "TVRG" | u32 version | u32 n_frames | <u4 frame_index[n_frames]
+#   | u32 object_offsets[n_frames + 1] | label table | <f8 box[n_objects][4]
+#   | <f8 confidence[n_objects]
+# Frame indices are unique and ascending. The objects of row r are
+# object_offsets[r] up to object_offsets[r + 1], and n_objects is
+# object_offsets[n_frames]. The label table is a string table (see
+# ``textindex.pack_strings``) with one entry per object.
+DETECTION_TABLE_VERSION = 1
 
-    def __init__(self, records: Sequence[DetectionRecord]):
-        self._by_frame = {r.frame_index: list(r.objects) for r in records}
+
+class FixtureDetector:
+    """Echoes stored detections, held as one table keyed by sorted frame index.
+
+    ``from_records`` builds the table from parsed records and ``load`` reads
+    it from a file written by ``save``. ``detect`` finds each keyframe's row
+    by binary search and builds ``DetectedObject``s for those rows only, at
+    their first request; a detector asked many questions builds each row
+    once. Concurrent calls need no lock: a race at worst builds a row twice.
+    """
+
+    def __init__(
+        self,
+        frame_index: np.ndarray,
+        object_offsets: np.ndarray,
+        labels: Sequence[str],
+        box: np.ndarray,
+        confidence: np.ndarray,
+    ):
+        self.frame_index = frame_index
+        self.object_offsets = object_offsets
+        self.labels = labels
+        self.box = box
+        self.confidence = confidence
+        self._rows: dict[int, list[DetectedObject]] = {}
+
+    @classmethod
+    def from_records(cls, records: Sequence[DetectionRecord]) -> "FixtureDetector":
+        """The table of parsed records; a repeated ``frame_index`` keeps the last one."""
+        by_frame = {r.frame_index: r.objects for r in records}
+        keys = sorted(by_frame)
+        objects = [o for k in keys for o in by_frame[k]]
+        return cls(
+            frame_index=np.array(keys, dtype=U4),
+            object_offsets=np.array(
+                list(accumulate((len(by_frame[k]) for k in keys), initial=0)), dtype=U4
+            ),
+            labels=[o.label for o in objects],
+            box=np.array([o.box for o in objects], dtype=F8).reshape(-1, 4),
+            confidence=np.array([o.confidence for o in objects], dtype=F8),
+        )
+
+    @classmethod
+    def load(cls, path: str) -> "FixtureDetector":
+        """Read a detection table; the arrays are views of the file.
+
+        Besides the errors of ``textindex.IndexFileReader``, the loader checks
+        every object as ``DetectedObject`` would, so ``detect`` never raises.
+        """
+        reader = IndexFileReader(path, DETECTION_TABLE_VERSION)
+        (n_frames,) = reader.unpack("<I")
+        frame_index = reader.array(n_frames)
+        object_offsets = reader.offsets(n_frames)
+        n_objects = int(object_offsets[-1])
+        labels = reader.string_table(n_objects)
+        box = reader.array(4 * n_objects, F8).reshape(n_objects, 4)
+        confidence = reader.array(n_objects, F8)
+        reader.end()
+        if np.any(frame_index[1:] <= frame_index[:-1]):
+            raise reader.corrupt("frame indices not unique and sorted")
+        if np.any(labels.offsets[1:] == labels.offsets[:-1]):
+            raise reader.corrupt("empty label")
+        x1, y1, x2, y2 = box.T  # NaN fails every comparison below
+        if not np.all((0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0)):
+            raise reader.corrupt("box outside 0 <= x1 < x2 <= 1, 0 <= y1 < y2 <= 1")
+        if not np.all((0.0 <= confidence) & (confidence <= 1.0)):
+            raise reader.corrupt("confidence outside [0, 1]")
+        return cls(frame_index, object_offsets, labels, box, confidence)
+
+    def save(self, path: str) -> None:
+        write_index_file(
+            path,
+            DETECTION_TABLE_VERSION,
+            struct.pack("<I", len(self.frame_index)),
+            self.frame_index.tobytes(),
+            self.object_offsets.tobytes(),
+            pack_strings(self.labels),
+            self.box.tobytes(),
+            self.confidence.tobytes(),
+        )
 
     def detect(self, keyframes: Sequence[FrameRecord]) -> list[list[DetectedObject]]:
-        return [self._by_frame.get(f.frame_index, []) for f in keyframes]
+        keys = [f.frame_index for f in keyframes]
+        rows = np.searchsorted(self.frame_index, keys).tolist()
+        return [
+            self._objects(row)
+            if row < len(self.frame_index) and self.frame_index.item(row) == key
+            else []
+            for key, row in zip(keys, rows)
+        ]
+
+    def _objects(self, row: int) -> list[DetectedObject]:
+        objects = self._rows.get(row)
+        if objects is None:
+            lo, hi = self.object_offsets.item(row), self.object_offsets.item(row + 1)
+            objects = self._rows[row] = [
+                DetectedObject(
+                    label=self.labels[j],
+                    box=tuple(self.box[j].tolist()),
+                    confidence=self.confidence.item(j),
+                )
+                for j in range(lo, hi)
+            ]
+        return objects
 
 
 # --- HTTP clients -----------------------------------------------------------------

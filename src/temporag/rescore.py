@@ -54,8 +54,8 @@ class DecayParams:
     def __post_init__(self):
         if len(self.lambdas) != 3:
             raise DataError(f"exactly three decay strengths required, got {len(self.lambdas)}")
-        if any(l < 0 for l in self.lambdas):
-            raise DataError(f"decay strengths must be non-negative, got {self.lambdas}")
+        if not all(0 <= l < math.inf for l in self.lambdas):  # NaN fails too
+            raise DataError(f"decay strengths must be non-negative and finite, got {self.lambdas}")
 
 
 @dataclass(frozen=True)

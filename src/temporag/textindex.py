@@ -11,9 +11,9 @@ import re
 import struct
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, pairwise
-from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from .errors import (
 from .types import Channel, Snippet
 
 MAGIC = b"TVRG"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+U1 = np.dtype("u1")
 U4 = np.dtype("<u4")
 F8 = np.dtype("<f8")
 
@@ -60,7 +61,8 @@ class Bm25Index:
 
     ``doc_ids`` is sorted, so a document's position is its rank by id;
     ``texts``, ``t_start`` and ``t_end`` (``<f8``) are the documents' columns
-    in that order. ``token_row`` maps each token, in sorted order, to its
+    in that order; after a load, ``texts`` is a ``StringTable`` that decodes
+    one text per lookup. ``token_row`` maps each token, in sorted order, to its
     row ``r``; the postings of row ``r`` are ``doc_pos[offsets[r]:offsets[r + 1]]``
     (doc positions, ascending) and the matching ``tf`` term frequencies.
     These and ``doc_len`` are ``<u4``. After a load, every array is a
@@ -70,7 +72,7 @@ class Bm25Index:
     channel: Channel
     params: Bm25Params
     doc_ids: list[str]
-    texts: list[str]
+    texts: Sequence[str]
     t_start: np.ndarray
     t_end: np.ndarray
     token_row: dict[str, int]
@@ -229,7 +231,7 @@ def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[str,
     return hits[:pool_size]
 
 
-# --- binary persistence, format version 3 ---------------------------------------
+# --- binary persistence, format version 4 ---------------------------------------
 #
 # All integers little-endian u32, floats f64:
 #   magic "TVRG" | version | channel (a one-string table) | k1 | b
@@ -239,7 +241,9 @@ def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[str,
 # A string table is offsets[n + 1] into one UTF-8 blob that follows them.
 # n_postings is offsets[n_tokens]. The arrays load as views of the file's
 # bytes, so the loader checks every invariant that search and the document
-# lookup rely on.
+# lookup rely on. Version 4 has the layout of version 3; its text table is
+# decoded per document, and the index directory around it holds the frame
+# and detection tables that version 3 directories lack.
 
 
 def pack_strings(strings: Sequence[str]) -> bytes:
@@ -247,6 +251,29 @@ def pack_strings(strings: Sequence[str]) -> bytes:
     blobs = [s.encode("utf-8") for s in strings]
     offsets = np.array(list(accumulate(map(len, blobs), initial=0)), dtype=U4)
     return offsets.tobytes() + b"".join(blobs)
+
+
+class StringTable(Sequence):
+    """A loaded string table that decodes one entry per lookup.
+
+    ``IndexFileReader.string_table`` checks the blob once, so no lookup
+    raises on its bytes: the whole blob is valid UTF-8 and every entry
+    starts on a character boundary.
+    """
+
+    def __init__(self, data: bytes, base: int, offsets: np.ndarray):
+        self._data = data
+        self._base = base
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i: int) -> str:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        lo = self._base + self.offsets.item(i)
+        return self._data[lo : self._base + self.offsets.item(i + 1)].decode("utf-8")
 
 
 class IndexFileReader:
@@ -295,6 +322,21 @@ class IndexFileReader:
             raise self.corrupt("offsets not monotone")
         return offsets
 
+    def string_table(self, n: int) -> StringTable:
+        """A string table of ``n`` entries, checked whole and decoded per lookup."""
+        offsets = self.offsets(n)
+        size = int(offsets[-1])
+        base = self._take(size)
+        try:
+            str(memoryview(self.data)[base : base + size], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.corrupt(f"invalid UTF-8: {exc.reason}") from None
+        starts = offsets[offsets < size]
+        blob = np.frombuffer(self.data, dtype=U1, count=size, offset=base)
+        if np.any((blob[starts] & 0xC0) == 0x80):  # a UTF-8 continuation byte
+            raise self.corrupt("string offset inside a UTF-8 character")
+        return StringTable(self.data, base, offsets)
+
     def strings(self, n: int) -> list[str]:
         offsets = self.offsets(n)
         base = self._take(int(offsets[-1]))
@@ -310,20 +352,26 @@ class IndexFileReader:
             raise self.corrupt(f"{len(self.data) - self.pos} trailing bytes")
 
 
+def write_index_file(path: str, version: int, *parts: bytes) -> None:
+    """Write the magic, ``version`` and ``parts``: a file ``IndexFileReader`` opens."""
+    with open(path, "wb") as fh:
+        fh.writelines((MAGIC, struct.pack("<I", version), *parts))
+
+
 def save_index(index: Bm25Index, path: str) -> None:
     k1, b = index.params.k1, index.params.b
-    head = MAGIC + struct.pack("<I", FORMAT_VERSION) + pack_strings([index.channel.value])
-    head += struct.pack("<ddII", k1, b, index.n_docs, len(index.token_row))
-    tables = (
-        pack_strings(index.doc_ids)
-        + pack_strings(index.texts)
-        + index.t_start.tobytes()
-        + index.t_end.tobytes()
-        + pack_strings(list(index.token_row))
+    write_index_file(
+        path,
+        FORMAT_VERSION,
+        pack_strings([index.channel.value]),
+        struct.pack("<ddII", k1, b, index.n_docs, len(index.token_row)),
+        pack_strings(index.doc_ids),
+        pack_strings(index.texts),
+        index.t_start.tobytes(),
+        index.t_end.tobytes(),
+        pack_strings(list(index.token_row)),
+        *(a.tobytes() for a in (index.doc_len, index.offsets, index.doc_pos, index.tf)),
     )
-    arrays = (index.doc_len, index.offsets, index.doc_pos, index.tf)
-    with open(path, "wb") as fh:
-        fh.write(head + tables + b"".join(a.tobytes() for a in arrays))
 
 
 def load_index(path: str) -> Bm25Index:
@@ -337,7 +385,7 @@ def load_index(path: str) -> Bm25Index:
     except DataError as exc:
         raise reader.corrupt(str(exc)) from None
     doc_ids = reader.strings(n_docs)
-    texts = reader.strings(n_docs)
+    texts = reader.string_table(n_docs)
     t_start = reader.array(n_docs, F8)
     t_end = reader.array(n_docs, F8)
     tokens = reader.strings(n_tokens)

@@ -15,7 +15,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import DataError, DimMismatchError, DuplicateIdError, ZeroVectorError
-from .textindex import MAGIC, IndexFileReader, pack_strings, tokenize
+from .textindex import IndexFileReader, pack_strings, tokenize, write_index_file
 
 F4 = np.dtype("<f4")
 # The vector file layout is independent of the ``.bm25`` one and versioned apart.
@@ -155,13 +155,13 @@ def save_vectors(path: str, ids: Sequence[str], vectors: Sequence[np.ndarray], d
         if np.shape(vec) != (dim,):
             raise DimMismatchError(dim, np.size(vec))
         row[:] = vec
-    with open(path, "wb") as fh:
-        fh.write(
-            MAGIC
-            + struct.pack("<III", FORMAT_VERSION, dim, len(ids))
-            + pack_strings(ids)
-            + matrix.tobytes()
-        )
+    write_index_file(
+        path,
+        FORMAT_VERSION,
+        struct.pack("<II", dim, len(ids)),
+        pack_strings(ids),
+        matrix.tobytes(),
+    )
 
 
 def save_index(index: FlatVectorIndex, path: str) -> None:

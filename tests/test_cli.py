@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -7,7 +8,10 @@ import pytest
 
 from temporag import cli
 from temporag.cli import main
+from temporag.frames import load_frame_table, save_frame_table
 from temporag.textindex import load_index, save_index
+from temporag.vectorindex import load_index as load_vec_index
+from temporag.vectorindex import save_vectors
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -161,9 +165,10 @@ class TestIngest:
             {"frame_index": 1, "t": 120.5},
             {"frame_index": 1, "t": 1.0, "text": 5},
             {"frame_index": 0, "t": 5.0, "text": "harbor"},
+            {"frame_index": 2**32, "t": 1.0},
         ],
         ids=["index_str", "index_bool", "index_negative", "t_str", "t_nan", "t_negative",
-             "t_past_end", "text_int", "index_duplicate"],
+             "t_past_end", "text_int", "index_duplicate", "index_past_u32"],
     )
     def test_bad_frame_record_is_line_error(self, tmp_path, capsys, record):
         frames = tmp_path / "frames.jsonl"
@@ -206,9 +211,11 @@ class TestIngest:
 
 class TestBuild:
     def test_outputs_exist(self, built_index):
-        for name in ("asr.bm25", "asr.vec", "ocr.bm25", "ocr.vec", "frames.vec", "video.json"):
+        for name in ("asr.bm25", "asr.vec", "ocr.bm25", "ocr.vec", "frames.vec", "frames.tbl",
+                     "detections.tbl", "video.json"):
             assert (built_index / name).exists(), name
         assert not list(built_index.glob("det.*"))
+        assert not list(built_index.glob("*.jsonl"))
 
     def test_deterministic_rebuild_byte_identical(self, tmp_path, built_index):
         second = tmp_path / "index2"
@@ -224,7 +231,8 @@ class TestBuild:
             ]
         )
         assert rc == 0
-        for name in ("asr.bm25", "asr.vec", "ocr.bm25", "ocr.vec", "frames.vec"):
+        for name in ("asr.bm25", "asr.vec", "ocr.bm25", "ocr.vec", "frames.vec", "frames.tbl",
+                     "detections.tbl"):
             a = hashlib.sha256((built_index / name).read_bytes()).hexdigest()
             b = hashlib.sha256((second / name).read_bytes()).hexdigest()
             assert a == b, name
@@ -388,6 +396,42 @@ class TestAnswer:
         )
         assert rc == 0
 
+    def test_reads_no_frame_or_detection_jsonl(self, built_index, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("answer parsed frame or detection JSONL")
+
+        monkeypatch.setattr(cli, "parse_frames_jsonl", fail)
+        monkeypatch.setattr(cli, "parse_detections_jsonl", fail)
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 0
+
+    @pytest.mark.parametrize("name", ["frames.tbl", "detections.tbl"])
+    def test_missing_table_is_data_error(self, built_index, capsys, name):
+        path = built_index / name
+        path.unlink()
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 2
+        assert f"data error: {path} not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fusion", ["lexical", "dense", "max_fuse"])
+    def test_vec_ids_differ_from_bm25_is_data_error(self, built_index, capsys, fusion):
+        path = built_index / "ocr.vec"
+        dense = load_vec_index(str(path))
+        ids = dense.ids
+        save_vectors(str(path), [f"x-{i}" for i in ids], [dense.get(i) for i in ids], dense.dim)
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json", "--fusion", fusion]
+        )
+        assert rc == 2
+        assert f"data error: {path}: ids differ" in capsys.readouterr().err
+
     def test_missing_index_is_data_error(self, tmp_path):
         rc = run_cli(["answer", "--index", tmp_path / "nope", "--query", "q"])
         assert rc == 2
@@ -404,9 +448,11 @@ class TestAnswer:
             ("frames.vec", 0.75),
             ("video.json", b"{not json\n"),
             ("video.json", b'{"video_id": "harbor"}\n'),
-            ("frames.jsonl", b"{not json\n"),
-            ("frames.jsonl", b'{"frame_index": "3", "t": 1.0}\n'),
-            ("frames.jsonl", b'{"frame_index": 99, "t": NaN}\n'),
+            ("frames.tbl", 0.5),
+            pytest.param("frames.tbl", {"t": float("nan")}, id="frames.tbl-t_nan"),
+            pytest.param("frames.tbl", {"t": 120.5}, id="frames.tbl-t_past_duration"),
+            pytest.param("frames.tbl", {"frame_index": 1}, id="frames.tbl-duplicate_frame_index"),
+            ("detections.tbl", 0.5),
             pytest.param("asr.bm25", {"t_start": float("nan")}, id="asr.bm25-t_start_nan"),
             pytest.param("ocr.bm25", {"t_start": 200.0}, id="ocr.bm25-t_start_after_t_end"),
             pytest.param(
@@ -417,7 +463,13 @@ class TestAnswer:
     def test_corrupt_index_file_is_data_error(self, built_index, capsys, name, damage):
         path = built_index / name
         data = path.read_bytes()
-        if isinstance(damage, dict):  # rewrite the first document's times
+        if isinstance(damage, dict) and name == "frames.tbl":  # rewrite the first row
+            columns = dict(zip(("frame_index", "t"), load_frame_table(str(path), math.inf)))
+            for column, value in damage.items():
+                columns[column] = columns[column].copy()
+                columns[column][0] = value
+            save_frame_table(str(path), columns["frame_index"], columns["t"])
+        elif isinstance(damage, dict):  # rewrite the first document's times
             index = load_index(str(path))
             for column, value in damage.items():
                 times = getattr(index, column).copy()
@@ -426,10 +478,8 @@ class TestAnswer:
             save_index(index, str(path))
         elif isinstance(damage, float):  # truncate at this fraction of the file
             path.write_bytes(data[: int(len(data) * damage)])
-        elif name == "video.json":
+        else:
             path.write_bytes(damage)
-        else:  # append one garbage line
-            path.write_bytes(data + damage)
         rc = run_cli(
             ["answer", "--index", built_index, "--query", self.QUERY,
              "--config", DEMO / "config.json"]
@@ -495,7 +545,20 @@ class TestAnswer:
              "--config", DEMO / "config.json"]
         )
         assert rc == 2
-        assert f"data error: {path}: format version 2, expected 3" in capsys.readouterr().err
+        assert f"data error: {path}: format version 2, expected 4" in capsys.readouterr().err
+
+    def test_version_3_bm25_is_data_error(self, built_index, capsys):
+        # Version 3 directories have frames.jsonl and detections.jsonl, not tables.
+        path = built_index / "asr.bm25"
+        data = bytearray(path.read_bytes())
+        data[4:8] = (3).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 2
+        assert f"data error: {path}: format version 3, expected 4" in capsys.readouterr().err
 
     def test_missing_vector_file_is_data_error(self, built_index, capsys):
         (built_index / "asr.vec").unlink()
@@ -514,7 +577,8 @@ class TestAnswer:
              "--video-id", "v", "--duration-s", "120", "--out", store]
         ) == 0
         assert run_cli(["build", "--store", store, "--out", index]) == 0
-        assert not (index / "frames.jsonl").exists()
+        frame_index, _ = load_frame_table(str(index / "frames.tbl"), 120.0)
+        assert len(frame_index) == 0
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n_frames": 1, "n_bins": 1, "max_frames": 1}))
         capsys.readouterr()
@@ -571,6 +635,24 @@ class TestEval:
         rc = run_cli(["eval", "--spec", spec, "--seeds", "1", "--out", tmp_path / "r"])
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"{not json", b'{"n_snippets": "x"}', b'{"seed": -1}'],
+        ids=["missing", "not_json", "n_snippets_str", "seed_negative"],
+    )
+    def test_bad_spec_is_usage_error(self, tmp_path, capsys, content):
+        spec = tmp_path / "spec.json"
+        if content is not None:
+            spec.write_bytes(content)
+        rc = run_cli(["eval", "--spec", spec])
+        assert rc == 1
+        assert f"error: spec {spec}: " in capsys.readouterr().err
+
+    def test_zero_seeds_is_usage_error(self, capsys):
+        rc = run_cli(["eval", "--seeds", "0"])
+        assert rc == 1
+        assert "error: --seeds must be at least 1" in capsys.readouterr().err
+
     def test_unknown_spec_key_is_usage_error(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"seed": 1, "wat": 2}), encoding="utf-8")
@@ -591,6 +673,26 @@ class TestExitCodes:
     def test_bad_lambda_flag(self, built_index):
         rc = run_cli(["answer", "--index", built_index, "--query", "q", "--lambda", "1,2"])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({"tau": float("nan")}, []),
+            ({"tau": "x"}, []),
+            ({"tau": 10**400}, []),
+            ({"lambda0": float("nan")}, []),
+            ({"lambda2": float("inf")}, []),
+            ({}, ["--lambda", "nan,1,1"]),
+        ],
+        ids=["tau_nan", "tau_str", "tau_past_float", "lambda0_nan", "lambda2_inf",
+             "lambda_flag_nan"],
+    )
+    def test_non_finite_number_is_usage_error(self, tmp_path, built_index, capsys, config, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        rc = run_cli(["answer", "--index", built_index, "--query", "q", "--config", cfg, *flags])
+        assert rc == 1
+        assert "must be a finite number" in capsys.readouterr().err
 
 
 def test_effective_config_echoed_to_stderr(built_index, capsys):

@@ -1,13 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from temporag.errors import DataError, LengthMismatchError
+from temporag.errors import DataError, LengthMismatchError, TemporagError
 from temporag.frames import (
     SelectorConfig,
     detect_on_keyframes,
     frame_similarities,
+    load_frame_table,
+    save_frame_table,
     select_keyframes,
     weight_frames,
 )
@@ -16,6 +20,8 @@ from temporag.providers import FixtureDetector, StubDetector
 from temporag.ingest import DetectionRecord
 from temporag.types import FrameRecord
 from temporag.vectorindex import FlatVectorIndex, normalize
+
+from conftest import MUTATIONS, mutate_bytes
 
 
 # Independent scalar oracle for the entropy weighting, parameterized by log
@@ -228,7 +234,7 @@ class TestDetectOnKeyframes:
         obj = DetectedObject(label="cat", box=(0.1, 0.1, 0.4, 0.4), confidence=0.8)
         fixtures = [DetectionRecord(frame_index=2, t=99.0, objects=(obj,))]
         keyframes = [FrameRecord(frame_index=2, t=20.0), FrameRecord(frame_index=3, t=30.0)]
-        records = detect_on_keyframes(keyframes, FixtureDetector(fixtures))
+        records = detect_on_keyframes(keyframes, FixtureDetector.from_records(fixtures))
         assert records[0].t == 20.0 and records[0].objects == (obj,)
         assert records[1].objects == ()
 
@@ -241,3 +247,58 @@ class TestDetectOnKeyframes:
         assert [len(r.objects) for r in a] == [0, 1, 2, 0, 1]
         assert a[1].objects[0].label == "car"
         assert a[2].objects[1].label == "sign"
+
+
+class TestFrameTable:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "frames.tbl"
+        save_frame_table(str(path), [3, 1, 2], [0.0, 5.0, 5.0])
+        frame_index, t = load_frame_table(str(path), 10.0)
+        assert frame_index.tolist() == [3, 1, 2]
+        assert t.tolist() == [0.0, 5.0, 5.0]
+
+    def test_zero_rows(self, tmp_path):
+        path = tmp_path / "frames.tbl"
+        save_frame_table(str(path), [], [])
+        frame_index, t = load_frame_table(str(path), 10.0)
+        assert len(frame_index) == len(t) == 0
+
+    @pytest.mark.parametrize(
+        "frame_index, t, problem",
+        [
+            ([0, 1], [0.0, math.nan], "frame times outside"),
+            ([0, 1], [0.0, 10.5], "frame times outside"),
+            ([0, 1], [-1.0, 1.0], "frame times outside"),
+            ([1, 1], [0.0, 1.0], "duplicate frame_index"),
+            ([0, 1], [2.0, 1.0], "not sorted"),
+            ([2, 1], [1.0, 1.0], "not sorted"),
+        ],
+        ids=["t_nan", "t_past_duration", "t_negative", "duplicate", "t_descending", "tie_unsorted"],
+    )
+    def test_bad_rows_rejected(self, tmp_path, frame_index, t, problem):
+        path = tmp_path / "frames.tbl"
+        save_frame_table(str(path), frame_index, t)
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}: .*{problem}"):
+            load_frame_table(str(path), 10.0)
+
+
+@pytest.fixture(scope="module")
+def frame_table_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("frame_table_fuzz")
+    save_frame_table(str(path / "clean.tbl"), [4, 0, 2, 7], [0.0, 1.5, 1.5, 9.0])
+    return path
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(mutations=MUTATIONS)
+def test_mutated_file_loads_or_raises_temporag_error(frame_table_dir, mutations):
+    path = frame_table_dir / "mutated.tbl"
+    path.write_bytes(mutate_bytes((frame_table_dir / "clean.tbl").read_bytes(), mutations))
+    try:
+        frame_index, t = load_frame_table(str(path), 10.0)
+    except TemporagError:
+        return
+    frames = [FrameRecord(i, ti) for i, ti in zip(frame_index.tolist(), t.tolist())]
+    assert len({f.frame_index for f in frames}) == len(frames)
+    assert all(0.0 <= f.t <= 10.0 for f in frames)
+    assert frames == sorted(frames, key=lambda f: (f.t, f.frame_index))

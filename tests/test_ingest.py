@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -196,6 +198,16 @@ class TestDetections:
         assert not errors
         assert records[0].frame_index == 3
         assert records[0].objects[0].label == "cat"
+
+    @pytest.mark.parametrize("frame_index", [-1, 2**32])
+    def test_frame_index_outside_u32_is_line_error(self, frame_index):
+        data = (
+            b'{"frame_index": 3, "t": 12.0, "objects": []}\n'
+            + json.dumps({"frame_index": frame_index, "t": 1.0, "objects": []}).encode()
+        )
+        records, errors = parse_detections_jsonl(data)
+        assert [r.frame_index for r in records] == [3]
+        assert errors == [(2, f"frame_index must be within [0, 2**32), got {frame_index}")]
 
     def test_invalid_box(self):
         with pytest.raises(InvalidBoxError):

@@ -1,12 +1,17 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from temporag import prompts
-from temporag.errors import ProviderUnavailableError
+from temporag import prompts, providers
+from temporag.errors import DataError, ProviderUnavailableError, TemporagError
+from temporag.ingest import DetectedObject, DetectionRecord
 from temporag.providers import (
     DecodeParams,
+    FixtureDetector,
     HttpDetector,
     HttpEmbeddingClient,
     HttpLvlmClient,
@@ -14,6 +19,8 @@ from temporag.providers import (
     StubLvlm,
 )
 from temporag.types import FrameRecord
+
+from conftest import MUTATIONS, mutate_bytes
 
 
 class TestStubLvlmDecouple:
@@ -145,3 +152,91 @@ def test_stub_detector_examples():
         for obj in per:
             x1, y1, x2, y2 = obj.box
             assert 0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0
+
+
+def _obj(label, confidence=0.5, box=(0.1, 0.2, 0.3, 0.4)):
+    return DetectedObject(label=label, box=box, confidence=confidence)
+
+
+DETECTIONS = [
+    DetectionRecord(7, 7.0, (_obj("cat", 0.9), _obj("dög", 0.25, (0.0, 0.0, 1.0, 1.0)))),
+    DetectionRecord(2, 2.0, ()),
+    DetectionRecord(5, 5.0, (_obj("old"),)),
+    DetectionRecord(5, 5.5, (_obj("new"),)),
+]
+
+
+def _frames(*indices):
+    return [FrameRecord(frame_index=i, t=float(i)) for i in indices]
+
+
+class TestFixtureDetector:
+    def test_echoes_last_record_per_frame(self):
+        detector = FixtureDetector.from_records(DETECTIONS)
+        assert detector.detect(_frames(7, 5, 2, 3)) == [
+            list(DETECTIONS[0].objects), [_obj("new")], [], []
+        ]
+
+    def test_table_round_trip(self, tmp_path):
+        path = tmp_path / "detections.tbl"
+        built = FixtureDetector.from_records(DETECTIONS)
+        built.save(str(path))
+        keyframes = _frames(0, 2, 5, 7, 9)
+        assert FixtureDetector.load(str(path)).detect(keyframes) == built.detect(keyframes)
+
+    def test_builds_objects_only_for_requested_frames(self, tmp_path, monkeypatch):
+        path = tmp_path / "detections.tbl"
+        FixtureDetector.from_records(DETECTIONS).save(str(path))
+        detector = FixtureDetector.load(str(path))
+        built = []
+
+        class CountingObject(DetectedObject):
+            def __post_init__(self):
+                built.append(self.label)
+                super().__post_init__()
+
+        monkeypatch.setattr(providers, "DetectedObject", CountingObject)
+        detector.detect(_frames(5, 3))
+        assert built == ["new"]
+
+    @pytest.mark.parametrize(
+        "column, value, problem",
+        [
+            ("box", [0.5, 0.1, 0.2, 0.9], "box outside"),
+            ("box", [0.1, 0.1, 0.2, 1.5], "box outside"),
+            ("box", [math.nan, 0.1, 0.2, 0.3], "box outside"),
+            ("confidence", 1.5, "confidence outside"),
+            ("confidence", math.nan, "confidence outside"),
+            ("labels", "", "empty label"),
+            ("frame_index", 7, "frame indices not unique and sorted"),
+        ],
+        ids=["x_inverted", "y2_past_1", "x1_nan", "confidence_past_1", "confidence_nan",
+             "empty_label", "frame_index_unsorted"],
+    )
+    def test_bad_table_rejected(self, tmp_path, column, value, problem):
+        detector = FixtureDetector.from_records(DETECTIONS)
+        getattr(detector, column)[0] = value
+        path = tmp_path / "detections.tbl"
+        detector.save(str(path))
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}: .*{problem}"):
+            FixtureDetector.load(str(path))
+
+
+@pytest.fixture(scope="module")
+def detection_table_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("detection_table_fuzz")
+    FixtureDetector.from_records(DETECTIONS).save(str(path / "clean.tbl"))
+    return path
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(mutations=MUTATIONS)
+def test_mutated_file_loads_or_raises_temporag_error(detection_table_dir, mutations):
+    path = detection_table_dir / "mutated.tbl"
+    path.write_bytes(mutate_bytes((detection_table_dir / "clean.tbl").read_bytes(), mutations))
+    try:
+        detector = FixtureDetector.load(str(path))
+    except TemporagError:
+        return
+    keyframes = _frames(*detector.frame_index.tolist(), 3)
+    assert len(detector.detect(keyframes)) == len(keyframes)

@@ -142,6 +142,11 @@ class TestDecayMultiplier:
         with pytest.raises(DataError):
             DecayParams(lambdas=(1.0, -0.5, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, bad):
+        with pytest.raises(DataError, match="non-negative and finite"):
+            DecayParams(lambdas=(1.0, bad, 1.0))
+
 
 class TestRescore:
     ANCHORS = AnchorSet(t_last=100.0, t_first=0.0, t_semantic=50.0)

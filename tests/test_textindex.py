@@ -221,7 +221,7 @@ class TestPersistence:
         assert loaded.n_docs == index.n_docs
         assert loaded.avg_dl == pytest.approx(index.avg_dl, abs=1e-9)
         assert loaded.doc_ids == index.doc_ids
-        assert loaded.texts == index.texts
+        assert list(loaded.texts) == index.texts
         assert loaded.token_row == index.token_row
         for name in ("t_start", "t_end", "doc_len", "offsets", "doc_pos", "tf"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(index, name))
@@ -291,7 +291,20 @@ class TestPersistence:
             + struct.pack("<ddII", 1.2, 0.75, 1, 1) + pack_strings(["a"]) + pack_strings(["cat"])
             + struct.pack("<IIIII", 1, 0, 1, 0, 1)
         )
-        with pytest.raises(VersionMismatchError, match="version 2, expected 3"):
+        with pytest.raises(VersionMismatchError, match="version 2, expected 4"):
+            load_index(str(path))
+
+
+    def test_text_offset_inside_utf8_character_rejected(self, tmp_path):
+        index = build_index([make_snippet("a", "é", 0.0, 1.0), make_snippet("b", "x", 1.0, 2.0)])
+        path = tmp_path / "split.bm25"
+        save_index(index, str(path))
+        data = path.read_bytes()
+        table = pack_strings(["é", "x"])  # offsets 0, 2, 3
+        split = struct.pack("<III", 0, 1, 3) + "éx".encode()  # splits the é
+        assert data.count(table) == 1
+        path.write_bytes(data.replace(table, split))
+        with pytest.raises(DataError, match=f"{path}: .*offset inside a UTF-8 character"):
             load_index(str(path))
 
 
