@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_from_dict, is_finite_number, load_config
+from .config import RunConfig, config_from_dict, load_config
 from .errors import (
     ConfigError,
     DataError,
@@ -23,7 +23,6 @@ from .errors import (
     TemporagError,
 )
 from .evalharness import (
-    AblationFlags,
     SyntheticSpec,
     aggregate_reports,
     gen_corpus,
@@ -41,7 +40,7 @@ from .ingest import (
     parse_vtt,
     write_snippet_jsonl,
 )
-from .pipeline import ChannelIndex, VideoRuntime, run_query
+from .pipeline import AblationFlags, ChannelIndex, VideoRuntime, run_query
 from .providers import (
     FixtureDetector,
     HttpDetector,
@@ -53,7 +52,14 @@ from .providers import (
 from .textindex import build_index
 from .textindex import load_index as load_bm25
 from .textindex import save_index as save_bm25
-from .types import Channel, FrameRecord, Snippet, VideoRecord, validate_snippet
+from .types import (
+    Channel,
+    FrameRecord,
+    Snippet,
+    VideoRecord,
+    is_finite_number,
+    validate_snippet,
+)
 from .vectorindex import (
     FlatVectorIndex,
     HashEmbedder,
@@ -65,7 +71,14 @@ from .vectorindex import load_index as load_vec_index
 
 CHANNEL_FILES = {Channel.ASR: "asr.jsonl", Channel.OCR: "ocr.jsonl"}
 FRAME_TABLE = "frames.tbl"
+FRAME_VECTORS = "frames.vec"
 DETECTION_TABLE = "detections.tbl"
+# Every file build may write. It removes them all first, so a rebuild
+# leaves none of an earlier build's files behind.
+INDEX_FILES = frozenset(
+    {"video.json", FRAME_TABLE, FRAME_VECTORS, DETECTION_TABLE}
+    | {f"{c.value}.{ext}" for c in Channel for ext in ("bm25", "vec")}
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -313,6 +326,8 @@ def cmd_build(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     video = _read_video(store / "video.json")
+    for name in INDEX_FILES:
+        (out / name).unlink(missing_ok=True)
     _write_jsonl(out / "video.json", [json.dumps(asdict(video))])
 
     for channel in Channel:
@@ -337,7 +352,7 @@ def cmd_build(args) -> int:
     if with_text:
         ids = [_frame_ref(f["frame_index"]) for f in with_text]
         vectors = _embed_or_lookup(cfg, ids, [f["text"] for f in with_text])
-        save_vectors(str(out / "frames.vec"), ids, vectors, len(vectors[0]))
+        save_vectors(str(out / FRAME_VECTORS), ids, vectors, len(vectors[0]))
     print(f"frames: {len(frames)} records, {len(with_text)} embedded")
 
     detections_path = store / "detections.jsonl"
@@ -348,6 +363,16 @@ def cmd_build(args) -> int:
 
 
 # --- answer --------------------------------------------------------------------
+
+
+def _ablation_flags(args) -> AblationFlags:
+    return AblationFlags(
+        se=not args.no_se,
+        tw=not args.no_tw,
+        ocr=not args.no_ocr,
+        asr=not args.no_asr,
+        context=not args.no_context,
+    )
 
 
 def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
@@ -378,7 +403,7 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
     if not frame_table_path.exists():
         raise DataError(f"{frame_table_path} not found; re-run build")
     frame_ids, frame_times = load_frame_table(str(frame_table_path), video.duration_s)
-    frames_vec_path = index_dir / "frames.vec"
+    frames_vec_path = index_dir / FRAME_VECTORS
     if frames_vec_path.exists():
         frame_index = load_vec_index(str(frames_vec_path))
     else:
@@ -439,11 +464,7 @@ def cmd_answer(args) -> int:
         fusion=cfg.fusion_mode(),
         tau=cfg.tau,
         budget_tokens=cfg.budget_tokens,
-        se=not args.no_se,
-        tw=not args.no_tw,
-        use_ocr=not args.no_ocr,
-        use_asr=not args.no_asr,
-        use_context=not args.no_context,
+        flags=_ablation_flags(args),
     )
     trace_json = json.dumps(result.trace, indent=2, ensure_ascii=False) + "\n"
     if args.trace:
@@ -463,7 +484,7 @@ _SPEC_NUMBERS = ("duration_s", "needle_time")
 
 def _load_spec(path: str | None) -> SyntheticSpec:
     if path is None:
-        return SyntheticSpec(seed=0)
+        return SyntheticSpec()
     try:
         data = json.loads(Path(path).read_bytes())
     except OSError as exc:
@@ -486,7 +507,12 @@ def _load_spec(path: str | None) -> SyntheticSpec:
             raise ConfigError(f"spec {path}: bad {key} {value!r}")
     if "query_terms" in data:
         data["query_terms"] = tuple(data["query_terms"])
-    return SyntheticSpec(**data)
+    try:
+        spec = SyntheticSpec(**data)
+        gen_corpus(spec)  # duplicate placement and the vocabulary do not depend on the seed
+    except DataError as exc:
+        raise ConfigError(f"spec {path}: {exc}") from None
+    return spec
 
 
 def cmd_eval(args) -> int:
@@ -494,13 +520,7 @@ def cmd_eval(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     base_spec = _load_spec(args.spec)
-    flags = AblationFlags(
-        se=not args.no_se,
-        tw=not args.no_tw,
-        ocr=not args.no_ocr,
-        asr=not args.no_asr,
-        context=not args.no_context,
-    )
+    flags = _ablation_flags(args)
     seeds = [base_spec.seed + i for i in range(args.seeds)]
     out_dir = Path(args.out) if args.out else None
     if out_dir:

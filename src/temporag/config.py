@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .pipeline import FusionMode
 from .rescore import DecayParams, RescoreConfig, TimeNorm
 from .frames import SelectorConfig
+from .types import is_finite_number
 
 
 @dataclass(frozen=True)
@@ -112,16 +112,6 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(str(exc)) from None
     _validate(cfg)
     return cfg
-
-
-def is_finite_number(value: object) -> bool:
-    """True for an int or float that converts to a finite float; bools are not numbers."""
-    if type(value) not in (int, float):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 def _validate(cfg: RunConfig) -> None:

@@ -20,15 +20,7 @@ class DataError(TemporagError):
 
 
 class ProviderUnavailableError(TemporagError):
-    """An external provider (LVLM, embedder, detector) could not be reached.
-
-    ``retriable`` distinguishes transient failures (timeouts, 5xx) from
-    permanent ones (auth, 4xx).
-    """
-
-    def __init__(self, message: str, *, retriable: bool = False):
-        super().__init__(message)
-        self.retriable = retriable
+    """An external provider (LVLM, embedder, detector) could not be reached."""
 
 
 # --- core-model -----------------------------------------------------------

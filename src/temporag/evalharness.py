@@ -2,28 +2,27 @@
 
 The corpus plants one correctly timed target snippet among lexically
 identical, wrongly timed duplicates: exactly the situation temporal
-rescoring exists to disambiguate. Reports mirror the retrieval trade-off
-axes: recall/MRR against the planted needle, retained token volume under
-the acceptance threshold, and wall time.
+rescoring exists to disambiguate. Each eval asks one question through
+``pipeline.run_query`` over an in-memory runtime with the stub providers,
+and scores the ASR retrieval: recall/MRR against the planted needle,
+retained token volume under the acceptance threshold, and wall time.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import DataError, InfeasibleSpecError
-from .frames import frame_similarities, select_keyframes
-from .pipeline import augment_query, dense_accept, retrieve_channel
-from .providers import StubLvlm
-from .rescore import DecayParams, compute_anchors
-from .textindex import Bm25Index, build_index, search as bm25_search
-from .types import Channel, FrameRecord, QueryRequest, Snippet
-from .vectorindex import FlatVectorIndex, HashEmbedder, normalize
+from .pipeline import AblationFlags, ChannelIndex, VideoRuntime, run_query
+from .providers import StubDetector, StubLvlm
+from .textindex import build_index
+from .types import Channel, FrameRecord, Snippet, VideoRecord
+from .vectorindex import FlatVectorIndex, HashEmbedder
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class SyntheticSpec:
     ``needle_time`` defaults to the middle of the video.
     """
 
-    seed: int
+    seed: int = 0
     duration_s: float = 600.0
     n_snippets: int = 200
     n_duplicates: int = 20
@@ -86,35 +85,7 @@ class EvalReport:
     wall_time_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "recall_at_1": self.recall_at_1,
-            "recall_at_k": self.recall_at_k,
-            "mrr": self.mrr,
-            "mean_time_error_s": self.mean_time_error_s,
-            "tokens_retained": self.tokens_retained,
-            "wall_time_ms": self.wall_time_ms,
-        }
-
-    def key_fields(self) -> tuple:
-        """Everything except wall time, for determinism comparisons."""
-        return (
-            self.recall_at_1,
-            self.recall_at_k,
-            self.mrr,
-            self.mean_time_error_s,
-            self.tokens_retained,
-        )
-
-
-@dataclass(frozen=True)
-class AblationFlags:
-    """Subtractive switches mirroring the ablation axes."""
-
-    se: bool = True
-    tw: bool = True
-    ocr: bool = True
-    asr: bool = True
-    context: bool = True
+        return asdict(self)
 
 
 _NEEDLE_DUR = 4.0
@@ -215,84 +186,69 @@ def gen_corpus(spec: SyntheticSpec) -> Corpus:
     )
 
 
-@dataclass
-class _BuiltCorpus:
-    bm25: Bm25Index
-    dense: FlatVectorIndex
-    frame_index: FlatVectorIndex
-    query_vec: np.ndarray
-    embedder: HashEmbedder
+def eval_question(spec: SyntheticSpec) -> str:
+    """The question each eval asks: the query terms after a speech cue.
+
+    The cue ("mentioned") makes the stub LVLM's decoupler send the content
+    words to the ASR channel, where the corpus lives.
+    """
+    return f"What is mentioned about {' '.join(spec.query_terms)}?"
 
 
-def _build(corpus: Corpus, config: RunConfig) -> _BuiltCorpus:
+def _vector_index(embedder: HashEmbedder, texts: dict[str, str]) -> FlatVectorIndex:
+    index = FlatVectorIndex(embedder.dim)
+    for vec_id, vec in zip(texts, embedder.embed(list(texts.values()))):
+        index.add(vec_id, vec)
+    return index
+
+
+def build_runtime(corpus: Corpus, config: RunConfig) -> VideoRuntime:
+    """An in-memory runtime over the corpus with the stub LVLM and detector.
+
+    The ASR channel holds every snippet; frames are embedded from
+    ``corpus.frame_texts``. Both use the configured hash embedder, whatever
+    ``config.providers`` names, so an eval needs no external service.
+    """
     embedder = HashEmbedder(config.providers.embed_dim, config.providers.embed_seed)
-    bm25 = build_index(corpus.snippets)
-    dense = FlatVectorIndex(embedder.dim)
-    for snippet, vec in zip(corpus.snippets, embedder.embed([s.text for s in corpus.snippets])):
-        dense.add(snippet.id, vec)
-    frame_index = FlatVectorIndex(embedder.dim)
-    refs = list(corpus.frame_texts)
-    for ref, vec in zip(refs, embedder.embed([corpus.frame_texts[r] for r in refs])):
-        frame_index.add(ref, vec)
-    query_text = " ".join(corpus.spec.query_terms)
-    query_vec = normalize(embedder.embed([query_text])[0])
-    return _BuiltCorpus(
-        bm25=bm25,
-        dense=dense,
-        frame_index=frame_index,
-        query_vec=query_vec,
+    asr = ChannelIndex(
+        channel=Channel.ASR,
+        bm25=build_index(corpus.snippets),
+        dense=_vector_index(embedder, {s.id: s.text for s in corpus.snippets}),
+    )
+    return VideoRuntime(
+        video=VideoRecord(video_id="eval", duration_s=corpus.spec.duration_s),
+        frames=corpus.frames,
+        frame_index=_vector_index(embedder, corpus.frame_texts),
+        channels={Channel.ASR: asr},
+        lvlm=StubLvlm(),
         embedder=embedder,
+        detector=StubDetector(),
     )
 
 
 def run_eval(corpus: Corpus, config: RunConfig, flags: AblationFlags = AblationFlags()) -> EvalReport:
-    """Retrieve against the planted needle and score the outcome.
+    """Ask ``eval_question`` with one ``run_query`` call and score its ASR retrieval.
 
-    Flags are applied subtractively: ``tw`` off zeroes decay strengths,
-    ``se`` off selects keyframes with uniform weights, ``asr``/``ocr`` off
-    drop those channels, ``context`` off skips the augmentation call.
-    ``tokens_retained`` counts whitespace tokens of every pooled snippet
-    accepted by the dense threshold, before the top-K cut.
+    Recall, MRR and the mean time error score the ASR top-K hits (before
+    the prompt budget trims them) against the planted needle; with no hits
+    the time error is the video's duration. ``tokens_retained`` counts
+    whitespace tokens of the ASR pool that passed the dense threshold,
+    before the top-K cut. ``wall_time_ms`` includes building the runtime.
     """
     t0 = time.perf_counter()
-    built = _build(corpus, config)
-    duration = corpus.spec.duration_s
-    query_text = " ".join(corpus.spec.query_terms)
-
-    sims = frame_similarities(corpus.frames, built.frame_index, built.query_vec)
-    anchors = compute_anchors(corpus.frames, sims)
-    decay = config.decay_params()
-    if not flags.tw:
-        decay = DecayParams(lambdas=(0.0, 0.0, 0.0), time_norm=decay.time_norm)
-
-    select_keyframes(
-        corpus.frames,
-        sims,
-        config.selector_config(),
-        duration_s=duration,
-        entropy_weighted=flags.se,
+    result = run_query(
+        build_runtime(corpus, config),
+        eval_question(corpus.spec),
+        selector_cfg=config.selector_config(),
+        decay=config.decay_params(),
+        cfg=config.rescore_config(),
+        fusion=config.fusion_mode(),
+        tau=config.tau,
+        budget_tokens=config.budget_tokens,
+        flags=flags,
     )
-    if flags.context:
-        augment_query(StubLvlm(), QueryRequest(query_text=query_text, video_id="eval"))
-
-    hits = []
-    tokens_retained = 0
-    if flags.asr:  # the synthetic corpus is ASR-channel
-        hits = retrieve_channel(
-            query_text,
-            built.bm25,
-            built.dense,
-            anchors,
-            decay,
-            config.rescore_config(),
-            config.fusion_mode(),
-            duration_s=duration,
-            query_vec=built.query_vec,
-            tau=config.tau,
-        )
-        pool = bm25_search(built.bm25, query_text, config.rescore_config().pool_size)
-        kept = dense_accept(built.dense, built.query_vec, [doc_id for doc_id, _ in pool], config.tau)
-        tokens_retained = sum(len(built.bm25.snippet(doc_id).text.split()) for doc_id in kept)
+    asr = result.retrieval[Channel.ASR]
+    hits = asr.hits
 
     needle_id = corpus.ground_truth.needle_id
     ranked = [h.snippet.id for h in hits]
@@ -304,7 +260,7 @@ def run_eval(corpus: Corpus, config: RunConfig, flags: AblationFlags = AblationF
             np.mean([abs(h.snippet.t_mid - corpus.ground_truth.needle_time) for h in hits])
         )
     else:
-        mean_time_error = duration
+        mean_time_error = corpus.spec.duration_s
 
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return EvalReport(
@@ -312,7 +268,7 @@ def run_eval(corpus: Corpus, config: RunConfig, flags: AblationFlags = AblationF
         recall_at_k=recall_at_k,
         mrr=mrr,
         mean_time_error_s=mean_time_error,
-        tokens_retained=tokens_retained,
+        tokens_retained=sum(len(h.snippet.text.split()) for h in asr.pool),
         wall_time_ms=wall_ms,
     )
 
@@ -332,7 +288,7 @@ def sweep_threshold(
 def aggregate_reports(reports: list[EvalReport]) -> dict[str, dict[str, float]]:
     """Mean and sample stddev per metric across a seed battery."""
     out = {}
-    for name in ("recall_at_1", "recall_at_k", "mrr", "mean_time_error_s", "tokens_retained", "wall_time_ms"):
+    for name in (f.name for f in fields(EvalReport)):
         values = [float(getattr(r, name)) for r in reports]
         out[name] = {
             "mean": statistics.fmean(values),

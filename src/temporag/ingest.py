@@ -9,6 +9,7 @@ never a silent partial loss beyond the documented empty-text drop.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from .errors import (
     NoValidLinesError,
     TimeOutOfRangeError,
 )
-from .types import Channel, Snippet, snippet_from_obj, snippet_to_json
+from .types import Channel, Snippet, is_finite_number, snippet_from_obj, snippet_to_json
 
 # Frame indices are stored as u32 in the index's frame and detection tables.
 FRAME_INDEX_LIMIT = 1 << 32
@@ -229,17 +230,28 @@ def write_snippet_jsonl(snippets: list[Snippet]) -> str:
 # --- detections ---------------------------------------------------------------
 
 
-def detection_from_obj(obj: object) -> DetectionRecord:
+def _frame_key(obj: object, duration_s: float = math.inf) -> tuple[int, float]:
+    """The checked ``frame_index`` and ``t`` of a frames or detection record.
+
+    ``frame_index`` must be an int in [0, 2**32) and ``t`` a finite number
+    within [0, duration_s]; a bool is neither. ``duration_s`` defaults to
+    no upper bound.
+    """
     if not isinstance(obj, dict):
         raise DataError(f"expected an object, got {type(obj).__name__}")
-    try:
-        frame_index = int(obj["frame_index"])
-        t = float(obj["t"])
-        raw_objects = obj["objects"]
-    except (KeyError, TypeError, ValueError):
-        raise DataError("detection record needs frame_index, t, objects") from None
-    if not 0 <= frame_index < FRAME_INDEX_LIMIT:
-        raise DataError(f"frame_index must be within [0, 2**32), got {frame_index}")
+    frame_index, t = obj.get("frame_index"), obj.get("t")
+    if type(frame_index) is not int or not 0 <= frame_index < FRAME_INDEX_LIMIT:
+        raise DataError(f"frame_index must be an integer within [0, 2**32), got {frame_index!r}")
+    if type(t) not in (int, float):
+        raise DataError(f"t must be a number, got {t!r}")
+    if not (0.0 <= t <= duration_s and is_finite_number(t)):  # NaN fails too
+        raise TimeOutOfRangeError(t, duration_s)
+    return frame_index, float(t)
+
+
+def detection_from_obj(obj: object) -> DetectionRecord:
+    frame_index, t = _frame_key(obj)
+    raw_objects = obj.get("objects")
     if not isinstance(raw_objects, list):
         raise DataError("objects must be a list")
     objects = []
@@ -299,23 +311,12 @@ def parse_detections_jsonl(data: bytes) -> tuple[list[DetectionRecord], list[tup
 def frame_from_obj(obj: object, duration_s: float) -> dict:
     """Check one frames JSONL record: {"frame_index", "t", optional "text"}.
 
-    ``frame_index`` must be an int in [0, 2**32), ``t`` a number within
-    [0, duration_s] (so never NaN or infinite), and ``text``, when present,
-    a string. Returns the record with ``t`` as a float and unknown keys
-    dropped.
+    ``frame_index`` and ``t`` are checked as ``_frame_key`` says, and
+    ``text``, when present, must be a string. Returns the record with ``t``
+    as a float and unknown keys dropped.
     """
-    if not isinstance(obj, dict):
-        raise DataError(f"expected an object, got {type(obj).__name__}")
-    frame_index, t = obj.get("frame_index"), obj.get("t")
-    if type(frame_index) is not int or not 0 <= frame_index < FRAME_INDEX_LIMIT:
-        raise DataError(
-            f"frame_index must be a non-negative integer below 2**32, got {frame_index!r}"
-        )
-    if type(t) not in (int, float):
-        raise DataError(f"t must be a number, got {t!r}")
-    if not 0.0 <= t <= duration_s:
-        raise TimeOutOfRangeError(t, duration_s)
-    frame = {"frame_index": frame_index, "t": float(t)}
+    frame_index, t = _frame_key(obj, duration_s)
+    frame = {"frame_index": frame_index, "t": t}
     if "text" in obj:
         if not isinstance(obj["text"], str):
             raise DataError(f"text must be a string, got {type(obj['text']).__name__}")

@@ -42,14 +42,6 @@ MIN_BUDGET_TOKENS = 256
 DEFAULT_BUDGET_TOKENS = 2048
 
 SECTION_HEADER_PREFIX = "### "
-SECTION_NAMES = (
-    "SCENE GRAPH",
-    "ASR EVIDENCE",
-    "OCR EVIDENCE",
-    "BACKGROUND CONTEXT",
-    "QUESTION",
-    "REPHRASINGS",
-)
 
 
 class FusionMode(str, Enum):
@@ -100,6 +92,30 @@ class PromptBundle:
     @property
     def token_count(self) -> int:
         return len(self.rendered.split())
+
+
+@dataclass(frozen=True)
+class AblationFlags:
+    """Subtractive switches mirroring the ablation axes.
+
+    ``se`` off makes frame weights uniform, ``tw`` off zeroes the decay
+    strengths, ``ocr``/``asr`` off drop that channel, ``context`` off skips
+    augmentation.
+    """
+
+    se: bool = True
+    tw: bool = True
+    ocr: bool = True
+    asr: bool = True
+    context: bool = True
+
+
+@dataclass(frozen=True)
+class Retrieval:
+    """One channel's top-K hits and the rescored, accepted pool they were cut from."""
+
+    hits: list[ScoredSnippet]
+    pool: list[ScoredSnippet]
 
 
 @dataclass
@@ -199,15 +215,15 @@ def retrieve_channel(
     duration_s: float,
     query_vec: np.ndarray | None = None,
     tau: float,
-) -> list[ScoredSnippet]:
+) -> Retrieval:
     """Pool, rescore, and cut one channel's candidates.
 
     LEXICAL pools BM25 hits and applies the dense acceptance filter;
     DENSE pools vector hits with similarity >= ``tau``; MAX_FUSE unions both
     pools with each signal min-max rescaled and fused by max. The pool is
     then temporally rescored and cut to ``cfg.top_k``. Only pooled ids
-    become ``Snippet``s, looked up in ``bm25``'s document table. Returns []
-    when nothing survives pooling or filtering.
+    become ``Snippet``s, looked up in ``bm25``'s document table. Both lists
+    are empty when nothing survives pooling or filtering.
     """
     if not req_text.strip():
         raise DataError("request text must be non-empty; NULL channels are skipped by the caller")
@@ -249,10 +265,10 @@ def retrieve_channel(
         raise DataError(f"unknown fusion mode {fusion!r}")
 
     if not candidates:
-        return []
+        return Retrieval(hits=[], pool=[])
     pool_snippets = [(bm25.snippet(doc_id), raw) for doc_id, raw in candidates]
     scored = rescore_mod.rescore(pool_snippets, anchors, decay, duration_s)
-    return rescore_mod.top_k(scored, cfg.top_k)
+    return Retrieval(hits=rescore_mod.top_k(scored, cfg.top_k), pool=scored)
 
 
 # --- stage 3: augmentation ---------------------------------------------------------
@@ -335,25 +351,6 @@ def _render_sections(
         ),
     ]
     return "\n".join(parts)
-
-
-def parse_bundle_sections(rendered: str) -> dict[str, str]:
-    """Split a rendered bundle back into its six sections."""
-    headers = {SECTION_HEADER_PREFIX + name: name for name in SECTION_NAMES}
-    sections: dict[str, str] = {}
-    current: str | None = None
-    body: list[str] = []
-    for line in rendered.splitlines():
-        if line in headers:
-            if current is not None:
-                sections[current] = "\n".join(body)
-            current = headers[line]
-            body = []
-        elif current is not None:
-            body.append(line)
-    if current is not None:
-        sections[current] = "\n".join(body)
-    return sections
 
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
@@ -440,9 +437,16 @@ class VideoRuntime:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """The answer, its bundle and trace, and each channel's retrieval.
+
+    ``retrieval`` holds the hits before ``compose`` trims them to the budget;
+    a channel that was not searched has empty lists.
+    """
+
     answer: str
     bundle: PromptBundle
     trace: dict
+    retrieval: dict[Channel, Retrieval]
 
 
 def _round(x: float) -> float:
@@ -471,28 +475,22 @@ def run_query(
     fusion: FusionMode = FusionMode.LEXICAL,
     tau: float = 0.3,
     budget_tokens: int = DEFAULT_BUDGET_TOKENS,
-    se: bool = True,
-    tw: bool = True,
-    use_ocr: bool = True,
-    use_asr: bool = True,
-    use_context: bool = True,
+    flags: AblationFlags = AblationFlags(),
 ) -> PipelineResult:
     """Run decouple, retrieve, augment, compose, and answer for one question.
 
     ``tau`` is the single acceptance threshold, applied both to keyframe
     similarity gating (it overrides ``selector_cfg.sim_threshold``) and to
-    the dense snippet filter. The ablation switches are subtractive: ``tw``
-    off zeroes the decay strengths, ``se`` off makes frame weights uniform,
-    channel switches drop that channel's hits, ``use_context`` off skips
-    augmentation.
+    the dense snippet filter. ``flags`` switches mechanisms off, as
+    ``AblationFlags`` documents.
     """
     q = QueryRequest(query_text=question, video_id=runtime.video.video_id)
     request = decouple_query(runtime.lvlm, q)
-    if not tw:
+    if not flags.tw:
         decay = DecayParams(lambdas=(0.0, 0.0, 0.0), time_norm=decay.time_norm)
 
-    asr_req = request.asr if use_asr else None
-    ocr_req = request.ocr if use_ocr else None
+    asr_req = request.asr if flags.asr else None
+    ocr_req = request.ocr if flags.ocr else None
     wanted = [
         (channel, req_text)
         for channel, req_text in ((Channel.ASR, asr_req), (Channel.OCR, ocr_req))
@@ -513,14 +511,14 @@ def run_query(
             max_frames=selector_cfg.max_frames, sim_threshold=tau, n_bins=selector_cfg.n_bins
         ),
         duration_s=runtime.video.duration_s,
-        entropy_weighted=se,
+        entropy_weighted=flags.se,
     )
     anchors = compute_anchors(runtime.frames, sims)
 
-    hits: dict[Channel, list[ScoredSnippet]] = {Channel.ASR: [], Channel.OCR: []}
+    retrieval = {channel: Retrieval(hits=[], pool=[]) for channel in (Channel.ASR, Channel.OCR)}
     for (channel, req_text), vec in zip(wanted, channel_vecs, strict=True):
         chan = runtime.channels[channel]
-        hits[channel] = retrieve_channel(
+        retrieval[channel] = retrieve_channel(
             req_text,
             chan.bm25,
             chan.dense,
@@ -536,14 +534,14 @@ def run_query(
     detections = detect_on_keyframes(keyframes, runtime.detector)
     scene_graph = serialize_scene_graph(detections)
 
-    if use_context:
+    if flags.context:
         aq = augment_query(runtime.lvlm, q)
     else:
         aq = AugmentedQuery(original=question, reformulations=(), generated_context="")
 
     evidence = Evidence(
-        asr_hits=tuple(hits[Channel.ASR]),
-        ocr_hits=tuple(hits[Channel.OCR]),
+        asr_hits=tuple(retrieval[Channel.ASR].hits),
+        ocr_hits=tuple(retrieval[Channel.OCR].hits),
         scene_graph=scene_graph,
     )
     bundle = compose(keyframes, evidence, aq, budget_tokens)
@@ -559,7 +557,7 @@ def run_query(
         "fusion": fusion.value,
         "top_k": cfg.top_k,
         "pool_multiplier": cfg.pool_multiplier,
-        "flags": {"se": se, "tw": tw, "ocr": use_ocr, "asr": use_asr, "context": use_context},
+        "flags": dict(vars(flags)),
         "anchors": {
             "t_first": _round(anchors.t_first),
             "t_last": _round(anchors.t_last),
@@ -581,4 +579,4 @@ def run_query(
             "budget_tokens": budget_tokens,
         },
     }
-    return PipelineResult(answer=out, bundle=bundle, trace=trace)
+    return PipelineResult(answer=out, bundle=bundle, trace=trace, retrieval=retrieval)

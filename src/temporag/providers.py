@@ -316,17 +316,15 @@ def _post_json(url: str, payload: dict, headers: dict[str, str], timeout: float)
     try:
         resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
     except requests.exceptions.Timeout as exc:
-        raise ProviderUnavailableError(f"timeout calling {url}", retriable=True) from exc
+        raise ProviderUnavailableError(f"timeout calling {url}") from exc
     except requests.exceptions.RequestException as exc:
-        raise ProviderUnavailableError(f"cannot reach {url}: {exc}", retriable=True) from exc
-    if resp.status_code >= 500:
-        raise ProviderUnavailableError(f"{url} returned {resp.status_code}", retriable=True)
+        raise ProviderUnavailableError(f"cannot reach {url}: {exc}") from exc
     if resp.status_code >= 400:
-        raise ProviderUnavailableError(f"{url} returned {resp.status_code}", retriable=False)
+        raise ProviderUnavailableError(f"{url} returned {resp.status_code}")
     try:
         return resp.json()
     except ValueError as exc:
-        raise ProviderUnavailableError(f"{url} returned non-JSON body", retriable=False) from exc
+        raise ProviderUnavailableError(f"{url} returned non-JSON body") from exc
 
 
 class HttpLvlmClient:
@@ -341,7 +339,7 @@ class HttpLvlmClient:
     ):
         self.base_url = (base_url or os.environ.get(ENV_LVLM_URL, "")).rstrip("/")
         if not self.base_url:
-            raise ProviderUnavailableError(f"{ENV_LVLM_URL} not set", retriable=False)
+            raise ProviderUnavailableError(f"{ENV_LVLM_URL} not set")
         self.api_key = api_key or os.environ.get(ENV_LVLM_KEY, "")
         self.model = model or os.environ.get(ENV_LVLM_MODEL, "default")
         self.timeout = timeout
@@ -368,9 +366,7 @@ class HttpLvlmClient:
         try:
             return body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
-            raise ProviderUnavailableError(
-                "malformed chat completion response", retriable=False
-            ) from exc
+            raise ProviderUnavailableError("malformed chat completion response") from exc
 
 
 class HttpEmbeddingClient:
@@ -387,7 +383,7 @@ class HttpEmbeddingClient:
     ):
         self.base_url = (base_url or os.environ.get(ENV_EMBED_URL, "")).rstrip("/")
         if not self.base_url:
-            raise ProviderUnavailableError(f"{ENV_EMBED_URL} not set", retriable=False)
+            raise ProviderUnavailableError(f"{ENV_EMBED_URL} not set")
         self.token = token or os.environ.get(ENV_EMBED_TOKEN, "")
         self.timeout = timeout
 
@@ -401,11 +397,10 @@ class HttpEmbeddingClient:
         try:
             vectors = [np.asarray(v, dtype=np.float64) for v in body["vectors"]]
         except (KeyError, TypeError) as exc:
-            raise ProviderUnavailableError("malformed embed response", retriable=False) from exc
+            raise ProviderUnavailableError("malformed embed response") from exc
         if len(vectors) != len(texts):
             raise ProviderUnavailableError(
-                f"embed returned {len(vectors)} vectors for {len(texts)} texts",
-                retriable=False,
+                f"embed returned {len(vectors)} vectors for {len(texts)} texts"
             )
         return vectors
 
@@ -416,7 +411,7 @@ class HttpDetector:
     def __init__(self, base_url: str | None = None, timeout: float = DEFAULT_TIMEOUT_S):
         self.base_url = (base_url or os.environ.get(ENV_DETECT_URL, "")).rstrip("/")
         if not self.base_url:
-            raise ProviderUnavailableError(f"{ENV_DETECT_URL} not set", retriable=False)
+            raise ProviderUnavailableError(f"{ENV_DETECT_URL} not set")
         self.timeout = timeout
 
     def detect(self, keyframes: Sequence[FrameRecord]) -> list[list[DetectedObject]]:
@@ -440,4 +435,4 @@ class HttpDetector:
                 for per_frame in raw
             ]
         except (KeyError, TypeError, ValueError) as exc:
-            raise ProviderUnavailableError("malformed detect response", retriable=False) from exc
+            raise ProviderUnavailableError("malformed detect response") from exc

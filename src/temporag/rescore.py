@@ -102,22 +102,6 @@ def compute_anchors(frames: Sequence[FrameRecord], sims: Sequence[float]) -> Anc
     return AnchorSet(t_last=t_last, t_first=t_first, t_semantic=t_semantic)
 
 
-def decay_multiplier(
-    t_i: float, anchors: AnchorSet, params: DecayParams, duration_s: float
-) -> float:
-    """exp(-sum_k lambda_k * |anchor_k - t_i|) in the configured time units."""
-    scale = 1.0
-    if params.time_norm is TimeNorm.NORMALIZED_BY_DURATION:
-        if duration_s <= 0:
-            raise DataError(f"duration_s must be positive, got {duration_s}")
-        scale = duration_s
-    a0, a1, a2 = anchors.as_tuple()
-    l0, l1, l2 = params.lambdas
-    t = t_i / scale
-    exponent = l0 * abs(a0 / scale - t) + l1 * abs(a1 / scale - t) + l2 * abs(a2 / scale - t)
-    return math.exp(-exponent)
-
-
 def rescore(
     candidates: Sequence[tuple[Snippet, float]],
     anchors: AnchorSet,

@@ -182,26 +182,6 @@ def build_index(docs: Sequence[Snippet], params: Bm25Params | None = None) -> Bm
     )
 
 
-def bm25_score(index: Bm25Index, query_tokens: Sequence[str], doc_id: str) -> float:
-    """Okapi score of one document for a query token list.
-
-    Repeated query tokens contribute once per occurrence. Terms absent
-    from the document contribute zero.
-    """
-    pos = index.position(doc_id)
-    k1, b = index.params.k1, index.params.b
-    dl = int(index.doc_len[pos])
-    score = 0.0
-    for token in query_tokens:
-        tf = dict(index.postings(token)).get(doc_id, 0)
-        if tf == 0:
-            continue
-        # tf > 0 means some document has a token, so avg_dl > 0 here.
-        norm = k1 * (1.0 - b + b * dl / index.avg_dl)
-        score += index.idf(token) * tf * (k1 + 1.0) / (tf + norm)
-    return score
-
-
 def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[str, float]]:
     """Top ``pool_size`` documents with positive score, best first.
 

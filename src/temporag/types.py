@@ -21,6 +21,16 @@ from .errors import (
 )
 
 
+def is_finite_number(value: object) -> bool:
+    """True for an int or float that converts to a finite float; bools are not numbers."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 class Channel(str, Enum):
     """Auxiliary text channel a snippet belongs to: speech or on-screen text."""
 

@@ -1,15 +1,21 @@
-"""Shared fixtures: the C9 suite time budget, a local HTTP provider server, corpus helpers."""
+"""Shared fixtures: the C9 suite time budget, a local HTTP provider server, corpus
+helpers, and scalar oracles of the decay and BM25 formulas."""
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Sequence
 
 import pytest
 from hypothesis import strategies as st
 
+from temporag.errors import DataError
+from temporag.rescore import AnchorSet, DecayParams, TimeNorm
+from temporag.textindex import Bm25Index
 from temporag.types import Channel, Snippet
 
 _SESSION_START = time.perf_counter()
@@ -46,6 +52,42 @@ def make_snippet(
         t_start=t_start,
         t_end=t_end if t_end is not None else t_start,
     )
+
+
+def decay_multiplier(
+    t_i: float, anchors: AnchorSet, params: DecayParams, duration_s: float
+) -> float:
+    """exp(-sum_k lambda_k * |anchor_k - t_i|) in the configured time units."""
+    scale = 1.0
+    if params.time_norm is TimeNorm.NORMALIZED_BY_DURATION:
+        if duration_s <= 0:
+            raise DataError(f"duration_s must be positive, got {duration_s}")
+        scale = duration_s
+    a0, a1, a2 = anchors.as_tuple()
+    l0, l1, l2 = params.lambdas
+    t = t_i / scale
+    exponent = l0 * abs(a0 / scale - t) + l1 * abs(a1 / scale - t) + l2 * abs(a2 / scale - t)
+    return math.exp(-exponent)
+
+
+def bm25_score(index: Bm25Index, query_tokens: Sequence[str], doc_id: str) -> float:
+    """Okapi score of one document for a query token list.
+
+    Repeated query tokens contribute once per occurrence. Terms absent
+    from the document contribute zero.
+    """
+    pos = index.position(doc_id)
+    k1, b = index.params.k1, index.params.b
+    dl = int(index.doc_len[pos])
+    score = 0.0
+    for token in query_tokens:
+        tf = dict(index.postings(token)).get(doc_id, 0)
+        if tf == 0:
+            continue
+        # tf > 0 means some document has a token, so avg_dl > 0 here.
+        norm = k1 * (1.0 - b + b * dl / index.avg_dl)
+        score += index.idf(token) * tf * (k1 + 1.0) / (tf + norm)
+    return score
 
 
 # One byte-level damage to a file: ("flip", position, xor mask),

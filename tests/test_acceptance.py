@@ -16,13 +16,14 @@ import pytest
 
 from temporag.cli import main as cli_main
 from temporag.config import RunConfig
-from temporag.evalharness import AblationFlags, SyntheticSpec, gen_corpus, run_eval, sweep_threshold
+from temporag.evalharness import SyntheticSpec, gen_corpus, run_eval, sweep_threshold
 from temporag.frames import weight_frames
-from temporag.rescore import AnchorSet, DecayParams, decay_multiplier, rescore, top_k
-from temporag.textindex import bm25_score, build_index, search, tokenize
+from temporag.pipeline import AblationFlags
+from temporag.rescore import AnchorSet, DecayParams, rescore, top_k
+from temporag.textindex import build_index, search, tokenize
 from temporag.vectorindex import FlatVectorIndex, normalize
 
-from conftest import make_snippet
+from conftest import bm25_score, decay_multiplier, make_snippet
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 DEMO = Path(__file__).resolve().parent.parent / "demo"

@@ -237,6 +237,23 @@ class TestBuild:
             b = hashlib.sha256((second / name).read_bytes()).hexdigest()
             assert a == b, name
 
+    def test_rebuild_removes_files_it_does_not_write(self, tmp_path, built_index, capsys):
+        store = tmp_path / "asr_only"
+        rc = run_cli(["ingest", DEMO / "audio.srt", "--video-id", "harbor", "--duration-s", "120",
+                      "--out", store])
+        assert rc == 0
+        (built_index / "notes.txt").write_text("kept", encoding="utf-8")
+        rc = run_cli(["build", "--store", store, "--out", built_index, "--config",
+                      DEMO / "config.json"])
+        assert rc == 0
+        names = {p.name for p in built_index.iterdir()}
+        assert names == {"video.json", "asr.bm25", "asr.vec", "frames.tbl", "notes.txt"}
+        capsys.readouterr()
+        rc = run_cli(["answer", "--index", built_index, "--query", "What is said?",
+                      "--config", DEMO / "config.json"])
+        assert rc == 2
+        assert f"data error: {built_index / 'detections.tbl'} not found" in capsys.readouterr().err
+
     def test_bad_store_frame_is_data_error_at_its_line(self, tmp_path, built_index, capsys):
         path = built_index.parent / "store" / "frames.jsonl"
         data = path.read_bytes()
@@ -635,10 +652,20 @@ class TestEval:
         rc = run_cli(["eval", "--spec", spec, "--seeds", "1", "--out", tmp_path / "r"])
         assert rc == 0
 
+    def test_spec_without_seed_starts_at_seed_zero(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_snippets": 80}), encoding="utf-8")
+        rc = run_cli(["eval", "--spec", spec, "--out", tmp_path / "r"])
+        assert rc == 0
+        report = json.loads((tmp_path / "r" / "report.json").read_text(encoding="utf-8"))
+        assert [row["seed"] for row in report["rows"]] == [0]
+
     @pytest.mark.parametrize(
         "content",
-        [None, b"{not json", b'{"n_snippets": "x"}', b'{"seed": -1}'],
-        ids=["missing", "not_json", "n_snippets_str", "seed_negative"],
+        [None, b"{not json", b'{"n_snippets": "x"}', b'{"seed": -1}', b'{"n_duplicates": 0}',
+         b'{"duration_s": 8.0, "n_snippets": 20, "n_duplicates": 2}'],
+        ids=["missing", "not_json", "n_snippets_str", "seed_negative", "zero_duplicates",
+             "infeasible_placement"],
     )
     def test_bad_spec_is_usage_error(self, tmp_path, capsys, content):
         spec = tmp_path / "spec.json"

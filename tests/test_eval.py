@@ -1,19 +1,33 @@
 import pytest
 
+from temporag import evalharness
 from temporag.config import RunConfig
 from temporag.errors import DataError
 from temporag.evalharness import (
-    AblationFlags,
     EvalReport,
     SyntheticSpec,
     aggregate_reports,
+    eval_question,
     gen_corpus,
     render_table,
     run_eval,
     sweep_threshold,
 )
+from temporag.pipeline import AblationFlags
+from temporag.types import Channel
 
 CFG = RunConfig()
+
+
+def key_fields(report: EvalReport) -> tuple:
+    """Everything except wall time, for determinism comparisons."""
+    return (
+        report.recall_at_1,
+        report.recall_at_k,
+        report.mrr,
+        report.mean_time_error_s,
+        report.tokens_retained,
+    )
 
 
 class TestSpecValidation:
@@ -98,7 +112,36 @@ class TestRunEval:
         corpus = gen_corpus(SyntheticSpec(seed=2))
         a = run_eval(corpus, CFG)
         b = run_eval(corpus, CFG)
-        assert a.key_fields() == b.key_fields()
+        assert key_fields(a) == key_fields(b)
+
+    def test_one_run_query_call_scored_from_its_asr_retrieval(self, monkeypatch):
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(run_query(*args, **kwargs))
+            return results[-1]
+
+        run_query = evalharness.run_query
+        monkeypatch.setattr(evalharness, "run_query", spy)
+        corpus = gen_corpus(SyntheticSpec(seed=3))
+        report = run_eval(corpus, CFG, AblationFlags(se=False, context=False))
+        assert len(results) == 1
+        result = results[0]
+        assert result.trace["question"] == "What is mentioned about crimson anvil lantern?"
+        # The speech cue sends the content words to ASR, the corpus's channel.
+        content = "mentioned crimson anvil lantern"
+        assert result.trace["request"] == {"asr": content, "ocr": None, "det": content}
+        assert result.trace["flags"] == {
+            "se": False, "tw": True, "ocr": True, "asr": True, "context": False
+        }
+        asr = result.retrieval[Channel.ASR]
+        assert report.recall_at_1 == float(asr.hits[0].snippet.id == "needle")
+        assert report.tokens_retained == sum(len(h.snippet.text.split()) for h in asr.pool)
+        assert len(asr.pool) > len(asr.hits)
+
+    def test_question_carries_a_speech_cue(self):
+        spec = SyntheticSpec(seed=0, query_terms=("amber", "bell"))
+        assert eval_question(spec) == "What is mentioned about amber bell?"
 
     def test_recall_at_1_bounded_by_recall_at_k(self):
         for seed in range(5):

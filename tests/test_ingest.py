@@ -207,7 +207,36 @@ class TestDetections:
         )
         records, errors = parse_detections_jsonl(data)
         assert [r.frame_index for r in records] == [3]
-        assert errors == [(2, f"frame_index must be within [0, 2**32), got {frame_index}")]
+        assert errors == [
+            (2, f"frame_index must be an integer within [0, 2**32), got {frame_index}")
+        ]
+
+    @pytest.mark.parametrize(
+        "frame_index, t, message",
+        [
+            (3.7, 1.0, "frame_index must be an integer within [0, 2**32), got 3.7"),
+            (True, 1.0, "frame_index must be an integer within [0, 2**32), got True"),
+            (None, 1.0, "frame_index must be an integer within [0, 2**32), got None"),
+            (1, "nan", "t must be a number, got 'nan'"),
+            (1, True, "t must be a number, got True"),
+            (1, None, "t must be a number, got None"),
+            (1, float("nan"), "time nan outside [0, inf]"),
+            (1, float("inf"), "time inf outside [0, inf]"),
+            (1, -0.5, "time -0.5 outside [0, inf]"),
+            (1, 10**400, "outside [0, inf]"),
+        ],
+        ids=["index_float", "index_bool", "index_missing", "t_str", "t_bool", "t_missing",
+             "t_nan", "t_inf", "t_negative", "t_past_float"],
+    )
+    def test_bad_frame_index_or_time_is_line_error(self, frame_index, t, message):
+        data = (
+            b'{"frame_index": 3, "t": 12.0, "objects": []}\n'
+            + json.dumps({"frame_index": frame_index, "t": t, "objects": []}).encode()
+        )
+        records, errors = parse_detections_jsonl(data)
+        assert [r.frame_index for r in records] == [3]
+        assert len(errors) == 1 and errors[0][0] == 2
+        assert errors[0][1].endswith(message)
 
     def test_invalid_box(self):
         with pytest.raises(InvalidBoxError):

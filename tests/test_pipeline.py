@@ -14,6 +14,8 @@ from temporag.errors import (
 from temporag.frames import SelectorConfig
 from temporag.ingest import SceneGraphText
 from temporag.pipeline import (
+    SECTION_HEADER_PREFIX,
+    AblationFlags,
     AugmentedQuery,
     ChannelIndex,
     Evidence,
@@ -24,7 +26,6 @@ from temporag.pipeline import (
     compose,
     decouple_query,
     dense_accept,
-    parse_bundle_sections,
     retrieve_channel,
     run_query,
 )
@@ -111,7 +112,7 @@ class TestRetrieveChannel:
             duration_s=600.0,
             query_vec=qv,
             tau=0.3,
-        )
+        ).hits
         assert [h.snippet.id for h in hits] == ["a"]
         assert hits[0].score == pytest.approx(1.0, abs=1e-12)
 
@@ -141,8 +142,9 @@ class TestRetrieveChannel:
         kept = set(dense_accept(chan.dense, qv, [d for d, _ in pool], 0.0))
         by_id = {s.id: s for s in snippets}
         pool = [(by_id[d], r) for d, r in pool if d in kept]
-        want = top_k(rescore(pool, self.ANCHORS, decay, 600.0), cfg.top_k)
-        assert got == want
+        scored = rescore(pool, self.ANCHORS, decay, 600.0)
+        assert got.hits == top_k(scored, cfg.top_k)
+        assert got.pool == scored
 
     def test_empty_request_rejected(self):
         embedder = HashEmbedder(32)
@@ -190,7 +192,7 @@ class TestRetrieveChannel:
             RescoreConfig(top_k=3),
             duration_s=600.0,
             tau=0.3,
-        )
+        ).hits
         assert out == []
 
     def test_dense_mode_uses_vector_hits(self):
@@ -212,7 +214,7 @@ class TestRetrieveChannel:
             duration_s=600.0,
             query_vec=qv,
             tau=0.3,
-        )
+        ).hits
         assert [h.snippet.id for h in hits] == ["close"]
 
     def test_max_fuse_unions_both_signals(self):
@@ -236,7 +238,7 @@ class TestRetrieveChannel:
             duration_s=600.0,
             query_vec=qv,
             tau=0.0,
-        )
+        ).hits
         ids = {h.snippet.id for h in hits}
         assert {"lex", "sem"} <= ids
 
@@ -255,7 +257,7 @@ class TestRetrieveChannel:
             duration_s=600.0,
             query_vec=qv,
             tau=1.0,
-        )
+        ).hits
         assert out == []
 
 
@@ -271,7 +273,7 @@ class TestAugmentQuery:
         assert aq.reformulations == () and aq.generated_context == ""
 
     def test_provider_failure_degrades(self):
-        failing = CannedLvlm(ProviderUnavailableError("down", retriable=True))
+        failing = CannedLvlm(ProviderUnavailableError("down"))
         aq = augment_query(failing, QUERY)
         assert aq.reformulations == ()
 
@@ -293,6 +295,35 @@ def evidence_with(asr=(), ocr=(), scene_lines=("t=1.0s: (none)",)):
         ocr_hits=tuple(ocr),
         scene_graph=SceneGraphText(lines=tuple(scene_lines)),
     )
+
+
+SECTION_NAMES = (
+    "SCENE GRAPH",
+    "ASR EVIDENCE",
+    "OCR EVIDENCE",
+    "BACKGROUND CONTEXT",
+    "QUESTION",
+    "REPHRASINGS",
+)
+
+
+def parse_bundle_sections(rendered: str) -> dict[str, str]:
+    """Split a rendered bundle back into its six sections."""
+    headers = {SECTION_HEADER_PREFIX + name: name for name in SECTION_NAMES}
+    sections: dict[str, str] = {}
+    current: str | None = None
+    body: list[str] = []
+    for line in rendered.splitlines():
+        if line in headers:
+            if current is not None:
+                sections[current] = "\n".join(body)
+            current = headers[line]
+            body = []
+        elif current is not None:
+            body.append(line)
+    if current is not None:
+        sections[current] = "\n".join(body)
+    return sections
 
 
 class TestCompose:
@@ -470,16 +501,16 @@ class TestRunQuery:
     def test_ablations_are_subtractive(self):
         # Disabling one channel must not change the other channel's hits.
         full = run(build_runtime())
-        no_ocr = run(build_runtime(), use_ocr=False)
+        no_ocr = run(build_runtime(), flags=AblationFlags(ocr=False))
         assert no_ocr.trace["channels"]["ocr"] == []
         assert no_ocr.trace["channels"]["asr"] == full.trace["channels"]["asr"]
 
     def test_no_tw_zeroes_lambdas(self):
-        result = run(build_runtime(), tw=False)
+        result = run(build_runtime(), flags=AblationFlags(tw=False))
         assert result.trace["lambdas"] == [0.0, 0.0, 0.0]
 
     def test_no_context_skips_augmentation(self):
-        result = run(build_runtime(), use_context=False)
+        result = run(build_runtime(), flags=AblationFlags(context=False))
         assert result.trace["augmented"]["reformulations"] == []
         assert result.trace["augmented"]["context"] == ""
 
@@ -528,7 +559,7 @@ class TestSinglePass:
 
     def test_ablated_channel_text_left_out(self):
         runtime = self.runtime()
-        result = run(runtime, use_asr=False)
+        result = run(runtime, flags=AblationFlags(asr=False))
         assert runtime.embedder.calls == [["dock", "harbor sign"]]
         assert result.trace["request"] == {**self.REQUEST, "asr": None}
         assert result.trace["channels"]["asr"] == []

@@ -16,14 +16,13 @@ from temporag.rescore import (
     RescoreConfig,
     TimeNorm,
     compute_anchors,
-    decay_multiplier,
     rescore,
     top_k,
 )
 from temporag.types import FrameRecord
 from temporag.vectorindex import FlatVectorIndex, normalize
 
-from conftest import make_snippet
+from conftest import decay_multiplier, make_snippet
 
 
 # Term-by-term oracle for the rescoring formula, independent of the vectorized code:

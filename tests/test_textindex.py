@@ -15,7 +15,6 @@ from temporag.errors import (
 )
 from temporag.textindex import (
     Bm25Params,
-    bm25_score,
     build_index,
     load_index,
     pack_strings,
@@ -25,7 +24,7 @@ from temporag.textindex import (
 )
 from temporag.types import Channel
 
-from conftest import MUTATIONS, make_snippet, mutate_bytes
+from conftest import MUTATIONS, bm25_score, make_snippet, mutate_bytes
 
 
 # Independent scalar oracle: a literal transliteration of the okapi formula
