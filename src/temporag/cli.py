@@ -25,10 +25,10 @@ from .errors import (
 from .evalharness import (
     SyntheticSpec,
     aggregate_reports,
+    build_runtime,
     gen_corpus,
     render_table,
     run_eval,
-    sweep_threshold,
 )
 from .frames import load_frame_table, save_frame_table
 from .ingest import (
@@ -389,8 +389,8 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
         vec_path = index_dir / f"{channel.value}.vec"
         dense = load_vec_index(str(vec_path))
         bm25 = load_bm25(str(bm25_path))
-        # Both id sets are unique, so equal sizes and containment mean equal sets.
-        if len(dense) != bm25.n_docs or not all(map(dense.__contains__, bm25.doc_ids)):
+        # Both tables are strictly sorted, so the same ids are the same bytes.
+        if dense.id_table != bm25.doc_ids:
             raise DataError(f"{vec_path}: ids differ from the doc ids in {bm25_path}; re-run build")
         if np.any(bm25.t_end > video.duration_s):
             raise DataError(
@@ -409,10 +409,13 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
     else:
         frame_index = FlatVectorIndex(cfg.providers.embed_dim)
     if len(frame_ids):
-        frames = []
-        for i, t in zip(frame_ids.tolist(), frame_times.tolist()):
-            ref = _frame_ref(i)
-            frames.append(FrameRecord(i, t, ref if ref in frame_index else None))
+        refs = [_frame_ref(i) for i in frame_ids.tolist()]
+        frames = [
+            FrameRecord(i, t, ref if row >= 0 else None)
+            for i, t, ref, row in zip(
+                frame_ids.tolist(), frame_times.tolist(), refs, frame_index.rows(refs).tolist()
+            )
+        ]
     else:
         # No frame metadata: synthesize a uniform grid without embeddings,
         # one frame at t=0 when n_frames is 1.
@@ -531,15 +534,17 @@ def cmd_eval(args) -> int:
             taus = [float(t) for t in args.sweep_tau.split(",")]
         except ValueError:
             raise ConfigError("--sweep-tau expects comma-separated numbers") from None
+        configs = [cfg.replace(tau=tau) for tau in taus]  # checked as --tau is
+        # One corpus and runtime per seed, shared by every tau, in the order given.
+        reports_by_tau = [[] for _ in taus]
+        for seed in seeds:
+            corpus = gen_corpus(replace(base_spec, seed=seed))
+            runtime = build_runtime(corpus, cfg)
+            for reports, tau_cfg in zip(reports_by_tau, configs):
+                reports.append(run_eval(corpus, tau_cfg, flags, runtime))
         rows = []
         payload = []
-        for tau in taus:
-            reports = []
-            for seed in seeds:
-                corpus = gen_corpus(replace(base_spec, seed=seed))
-                reports.extend(
-                    r for _, r in sweep_threshold(corpus, [tau], cfg, flags)
-                )
+        for tau, reports in zip(taus, reports_by_tau):
             agg = aggregate_reports(reports)
             rows.append(
                 {

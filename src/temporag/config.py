@@ -83,7 +83,10 @@ class RunConfig:
         return d
 
     def replace(self, **overrides) -> "RunConfig":
-        return dataclasses.replace(self, **overrides)
+        """A copy with ``overrides``, checked as a loaded config is."""
+        cfg = dataclasses.replace(self, **overrides)
+        _validate(cfg)
+        return cfg
 
 
 _RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}

@@ -77,6 +77,13 @@ class Corpus:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One eval's metrics; ``run_eval`` defines each.
+
+    ``wall_time_ms`` is the whole ``run_eval`` call: the query and its
+    scoring, plus building the runtime when the call builds it, not when
+    it is given one (as a threshold sweep does).
+    """
+
     recall_at_1: float
     recall_at_k: float
     mrr: float
@@ -226,18 +233,25 @@ def build_runtime(corpus: Corpus, config: RunConfig) -> VideoRuntime:
     )
 
 
-def run_eval(corpus: Corpus, config: RunConfig, flags: AblationFlags = AblationFlags()) -> EvalReport:
+def run_eval(
+    corpus: Corpus,
+    config: RunConfig,
+    flags: AblationFlags = AblationFlags(),
+    runtime: VideoRuntime | None = None,
+) -> EvalReport:
     """Ask ``eval_question`` with one ``run_query`` call and score its ASR retrieval.
 
     Recall, MRR and the mean time error score the ASR top-K hits (before
     the prompt budget trims them) against the planted needle; with no hits
     the time error is the video's duration. ``tokens_retained`` counts
     whitespace tokens of the ASR pool that passed the dense threshold,
-    before the top-K cut. ``wall_time_ms`` includes building the runtime.
+    before the top-K cut. ``runtime`` is ``build_runtime(corpus, config)``
+    by default; evals of one corpus under settings that leave the runtime
+    as it is (``tau``, the decay, the flags) can share one.
     """
     t0 = time.perf_counter()
     result = run_query(
-        build_runtime(corpus, config),
+        runtime if runtime is not None else build_runtime(corpus, config),
         eval_question(corpus.spec),
         selector_cfg=config.selector_config(),
         decay=config.decay_params(),
@@ -279,10 +293,11 @@ def sweep_threshold(
     config: RunConfig,
     flags: AblationFlags = AblationFlags(),
 ) -> list[tuple[float, EvalReport]]:
-    """One report per acceptance threshold, ascending."""
+    """One report per acceptance threshold, ascending, all over one runtime."""
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise DataError("thresholds must be sorted ascending")
-    return [(tau, run_eval(corpus, config.replace(tau=tau), flags)) for tau in taus]
+    runtime = build_runtime(corpus, config)
+    return [(tau, run_eval(corpus, config.replace(tau=tau), flags, runtime)) for tau in taus]
 
 
 def aggregate_reports(reports: list[EvalReport]) -> dict[str, dict[str, float]]:

@@ -55,28 +55,39 @@ class SelectorConfig:
             raise DataError(f"n_bins ({self.n_bins}) must not exceed max_frames ({self.max_frames})")
 
 
+def frame_rows(frames: Sequence[FrameRecord], frame_index: FlatVectorIndex) -> np.ndarray:
+    """Each frame's row in ``frame_index`` (``intp``), -1 for a frame without an embedding.
+
+    An ``embedding_ref`` missing from ``frame_index`` is a ``DataError``
+    naming the frame.
+    """
+    embedded = [i for i, frame in enumerate(frames) if frame.embedding_ref is not None]
+    found = frame_index.rows([frames[i].embedding_ref for i in embedded])
+    if np.any(found < 0):
+        frame = frames[embedded[int(np.argmax(found < 0))]]
+        raise DataError(
+            f"frame {frame.frame_index}: embedding {frame.embedding_ref!r} "
+            "is not in the frame index"
+        )
+    rows = np.full(len(frames), -1, dtype=np.intp)
+    rows[embedded] = found
+    return rows
+
+
 def frame_similarities(
-    frames: Sequence[FrameRecord], frame_index: FlatVectorIndex, query_vec: np.ndarray
-) -> list[float]:
+    rows: np.ndarray, frame_index: FlatVectorIndex, query_vec: np.ndarray
+) -> np.ndarray:
     """Inner product of each frame's stored embedding with a unit query vector.
 
-    This is the one per-query similarity pass: it feeds both keyframe
-    gating and the semantic anchor. A frame without a stored embedding gets
-    -1.0, the lowest cosine, so it passes no gate above -1. An
-    ``embedding_ref`` missing from ``frame_index`` is a ``DataError``.
+    ``rows`` is ``frame_rows`` of the frames. This is the one per-query
+    similarity pass, one ``f8`` matrix-vector product: it feeds both
+    keyframe gating and the semantic anchor. A frame without a stored
+    embedding gets -1.0, the lowest cosine, so it passes no gate above -1.
     """
-    sims = []
-    for frame in frames:
-        if frame.embedding_ref is None:
-            sims.append(-1.0)
-            continue
-        if frame.embedding_ref not in frame_index:
-            raise DataError(
-                f"frame {frame.frame_index}: embedding {frame.embedding_ref!r} "
-                "is not in the frame index"
-            )
-        vec = frame_index.get(frame.embedding_ref).astype(np.float64)
-        sims.append(float(np.dot(vec, query_vec)))
+    sims = np.full(len(rows), -1.0)
+    embedded = rows >= 0
+    if embedded.any():
+        sims[embedded] = frame_index.similarities(query_vec)[rows[embedded]]
     return sims
 
 
@@ -120,39 +131,33 @@ def select_keyframes(
     ``entropy_weighted`` off, ranking uses raw similarity alone (uniform
     alpha), which is the ablation behavior.
     """
-    frames = list(frames)
     if len(frames) != len(sims):
         raise LengthMismatchError(len(frames), len(sims))
-    if not frames:
+    if not len(frames):
         return []
     weighting = weight_frames(sims)
+    sims = weighting.sims
     alpha = weighting.alpha if entropy_weighted else np.full(len(frames), 1.0 / len(frames))
 
-    candidates = [i for i in range(len(frames)) if weighting.sims[i] >= cfg.sim_threshold]
-    if not candidates:
+    candidates = np.flatnonzero(sims >= cfg.sim_threshold)
+    if not len(candidates):
         return []
+    t = np.array([frames[i].t for i in candidates.tolist()], dtype=np.float64)
+    index = np.array([frames[i].frame_index for i in candidates.tolist()], dtype=np.int64)
 
     duration = duration_s if duration_s is not None else max(f.t for f in frames)
     width = duration / cfg.n_bins if duration > 0 else 0.0
+    bins = np.zeros(len(candidates), dtype=np.intp)
+    if width > 0:
+        bins = np.minimum((t / width).astype(np.intp), cfg.n_bins - 1)
 
-    bins: list[list[int]] = [[] for _ in range(cfg.n_bins)]
-    for i in candidates:
-        b = min(int(frames[i].t / width), cfg.n_bins - 1) if width > 0 else 0
-        bins[b].append(i)
-    for b in bins:
-        b.sort(key=lambda i: (-alpha[i] * weighting.sims[i], frames[i].t, frames[i].frame_index))
-
-    selected: list[int] = []
-    queues = [list(reversed(b)) for b in bins]  # pop() takes the bin's best
-    while len(selected) < cfg.max_frames and any(queues):
-        for queue in queues:
-            if queue:
-                selected.append(queue.pop())
-                if len(selected) >= cfg.max_frames:
-                    break
-
-    selected.sort(key=lambda i: (frames[i].t, frames[i].frame_index))
-    return [frames[i] for i in selected]
+    # Within each bin, best alpha * similarity first, then earlier (t, frame_index).
+    order = np.lexsort((index, t, -alpha[candidates] * sims[candidates], bins))
+    in_bin = np.arange(len(order)) - np.searchsorted(bins[order], bins[order])
+    # Round-robin: every bin's best, then every bin's second best, and so on.
+    picked = order[np.lexsort((bins[order], in_bin))][: cfg.max_frames]
+    picked = picked[np.lexsort((index[picked], t[picked]))]
+    return [frames[i] for i in candidates[picked].tolist()]
 
 
 def detect_on_keyframes(

@@ -13,7 +13,7 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -21,7 +21,13 @@ import numpy as np
 
 from . import prompts, rescore as rescore_mod, textindex
 from .errors import BudgetTooSmallError, DataError, EmptyIndexError, ProviderUnavailableError
-from .frames import SelectorConfig, detect_on_keyframes, frame_similarities, select_keyframes
+from .frames import (
+    SelectorConfig,
+    detect_on_keyframes,
+    frame_rows,
+    frame_similarities,
+    select_keyframes,
+)
 from .ingest import SceneGraphText, serialize_scene_graph
 from .providers import DecodeParams, DetectorProvider, LvlmProvider
 from .rescore import AnchorSet, DecayParams, RescoreConfig, compute_anchors
@@ -120,11 +126,21 @@ class Retrieval:
 
 @dataclass
 class ChannelIndex:
-    """One channel's indices; ``bm25`` also holds its document table."""
+    """One channel's indices; ``bm25`` also holds its document table.
+
+    When the dense ids are the doc ids in the same order, as a loaded index
+    requires, a doc's position is its dense row: the two indices share one
+    lookup cache, so an id ``search`` returns costs ``dense_accept`` no
+    second lookup.
+    """
 
     channel: Channel
     bm25: Bm25Index
     dense: FlatVectorIndex
+
+    def __post_init__(self):
+        if self.dense.id_table == self.bm25.doc_ids:
+            self.dense.share_lookups(self.bm25.doc_row)
 
 
 # --- stage 1: query decoupling -------------------------------------------------
@@ -424,7 +440,11 @@ def answer(lvlm: LvlmProvider, bundle: PromptBundle) -> str:
 
 @dataclass
 class VideoRuntime:
-    """Everything needed to answer questions about one indexed video."""
+    """Everything needed to answer questions about one indexed video.
+
+    ``frame_rows`` is each frame's row in ``frame_index`` (-1 without an
+    embedding), found once here for every question's similarity pass.
+    """
 
     video: VideoRecord
     frames: list[FrameRecord]
@@ -433,6 +453,10 @@ class VideoRuntime:
     lvlm: LvlmProvider
     embedder: EmbeddingProvider
     detector: DetectorProvider
+    frame_rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.frame_rows = frame_rows(self.frames, self.frame_index)
 
 
 @dataclass(frozen=True)
@@ -503,7 +527,7 @@ def run_query(
         [request.det or question, *(req_text for _, req_text in wanted)]
     )
     frame_query_vec = normalize(frame_vec)
-    sims = frame_similarities(runtime.frames, runtime.frame_index, frame_query_vec)
+    sims = frame_similarities(runtime.frame_rows, runtime.frame_index, frame_query_vec)
     keyframes = select_keyframes(
         runtime.frames,
         sims,

@@ -90,16 +90,19 @@ def compute_anchors(frames: Sequence[FrameRecord], sims: Sequence[float]) -> Anc
         raise EmptyFrameListError("at least one frame required")
     if len(frames) != len(sims):
         raise LengthMismatchError(len(frames), len(sims))
-    t_first = frames[0].t
-    t_last = frames[-1].t
-
-    best_sim = -math.inf
-    t_semantic = t_first
-    for frame, sim in zip(frames, sims):
-        if frame.embedding_ref is not None and sim > best_sim:
-            best_sim = sim
-            t_semantic = frame.t
-    return AnchorSet(t_last=t_last, t_first=t_first, t_semantic=t_semantic)
+    sims = np.asarray(sims, dtype=np.float64)
+    # NaN and -inf never win; with no winner, argmax picks the first frame.
+    ranked = np.where(sims > -np.inf, sims, -np.inf)
+    best = int(np.argmax(ranked))
+    if frames[best].embedding_ref is None:
+        # The first maximum over all frames, when embedded, is the first over
+        # the embedded ones; only otherwise are the others masked out.
+        embedded = np.fromiter(
+            (frame.embedding_ref is not None for frame in frames), dtype=bool, count=len(frames)
+        )
+        best = int(np.argmax(np.where(embedded, ranked, -np.inf)))
+    t_semantic = frames[best].t
+    return AnchorSet(t_last=frames[-1].t, t_first=frames[0].t, t_semantic=t_semantic)
 
 
 def rescore(

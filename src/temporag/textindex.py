@@ -2,6 +2,11 @@
 
 One index per channel. Indices are write-once/read-many: ``build_index``
 is the single writer, after which concurrent searches need no locking.
+
+A loaded index decodes no id table whole: its doc ids and tokens stay
+sorted ``StringTable``s, a lookup bisects one (decoding one entry per
+probe, once per distinct key), and ``search`` decodes only the ids it
+returns.
 """
 
 from __future__ import annotations
@@ -59,29 +64,35 @@ class Bm25Params:
 class Bm25Index:
     """One channel's document table and its inverted index, in CSR form.
 
-    ``doc_ids`` is sorted, so a document's position is its rank by id;
-    ``texts``, ``t_start`` and ``t_end`` (``<f8``) are the documents' columns
-    in that order; after a load, ``texts`` is a ``StringTable`` that decodes
-    one text per lookup. ``token_row`` maps each token, in sorted order, to its
-    row ``r``; the postings of row ``r`` are ``doc_pos[offsets[r]:offsets[r + 1]]``
+    ``doc_ids`` is strictly sorted, so a document's position is its rank by
+    id; ``texts``, ``t_start`` and ``t_end`` (``<f8``) are the documents'
+    columns in that order. ``tokens`` is the strictly sorted vocabulary;
+    the postings of token row ``r`` are ``doc_pos[offsets[r]:offsets[r + 1]]``
     (doc positions, ascending) and the matching ``tf`` term frequencies.
-    These and ``doc_len`` are ``<u4``. After a load, every array is a
-    read-only view of the file.
+    These and ``doc_len`` are ``<u4``. After a load, ``doc_ids``, ``texts``
+    and ``tokens`` are ``StringTable``s that decode one entry per lookup,
+    and every array is a read-only view of the file.
+
+    ``token_row`` and ``doc_row`` are lookup caches, filled as tokens and
+    doc ids are asked for or returned by ``search``: key to row or
+    position, -1 for a key the index does not hold.
     """
 
     channel: Channel
     params: Bm25Params
-    doc_ids: list[str]
+    doc_ids: Sequence[str]
     texts: Sequence[str]
     t_start: np.ndarray
     t_end: np.ndarray
-    token_row: dict[str, int]
+    tokens: Sequence[str]
     doc_len: np.ndarray
     offsets: np.ndarray
     doc_pos: np.ndarray
     tf: np.ndarray
     avg_dl: float = field(init=False)
     dl_norm: np.ndarray = field(init=False, repr=False)
+    token_row: dict[str, int] = field(init=False, repr=False, default_factory=dict)
+    doc_row: dict[str, int] = field(init=False, repr=False, default_factory=dict)
     _snippets: dict[str, Snippet] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -97,8 +108,8 @@ class Bm25Index:
 
     def position(self, doc_id: str) -> int:
         """Rank of ``doc_id`` in the sorted doc table; ``UnknownDocIdError`` if absent."""
-        pos = bisect_left(self.doc_ids, doc_id)
-        if pos == self.n_docs or self.doc_ids[pos] != doc_id:
+        pos = cached_rank(self.doc_row, self.doc_ids, doc_id)
+        if pos < 0:
             raise UnknownDocIdError(doc_id)
         return pos
 
@@ -122,8 +133,8 @@ class Bm25Index:
         return snippet
 
     def _span(self, token: str) -> tuple[int, int]:
-        row = self.token_row.get(token)
-        if row is None:
+        row = cached_rank(self.token_row, self.tokens, token)
+        if row < 0:
             return 0, 0
         return self.offsets.item(row), self.offsets.item(row + 1)
 
@@ -143,6 +154,38 @@ class Bm25Index:
 
 def _idf(n_docs: int, df: int) -> float:
     return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+
+
+def cached_rank(cache: dict[str, int], table: Sequence[str], key: str) -> int:
+    """Position of ``key`` in the strictly sorted ``table``, or -1 if absent.
+
+    ``cache`` keeps every answer, so a key costs one bisection (one decode
+    per probe of a ``StringTable``) and then dict hits. A race at worst
+    bisects for the same key twice.
+    """
+    pos = cache.get(key)
+    if pos is None:
+        pos = bisect_left(table, key)
+        if pos == len(table) or table[pos] != key:
+            pos = -1
+        cache[key] = pos
+    return pos
+
+
+def top_hits(scores: np.ndarray, keep: np.ndarray, k: int) -> tuple[list[int], list[float]]:
+    """The ``k`` best positions ``i`` with ``keep[i]`` and their scores.
+
+    Order is score descending, then position: over a strictly sorted id
+    table, position order is id order.
+    """
+    hits = np.flatnonzero(keep)
+    if len(hits) > k:
+        # Keep every hit tied with the k-th best score; the sort then cuts exactly.
+        kth = np.partition(scores[hits], len(hits) - k)[len(hits) - k]
+        hits = hits[scores[hits] >= kth]
+    hit_scores = scores[hits]
+    best = np.lexsort((hits, -hit_scores))[:k]
+    return hits[best].tolist(), hit_scores[best].tolist()
 
 
 def build_index(docs: Sequence[Snippet], params: Bm25Params | None = None) -> Bm25Index:
@@ -174,7 +217,7 @@ def build_index(docs: Sequence[Snippet], params: Bm25Params | None = None) -> Bm
         texts=[d.text for d in ordered],
         t_start=np.array([d.t_start for d in ordered], dtype=F8),
         t_end=np.array([d.t_end for d in ordered], dtype=F8),
-        token_row={token: r for r, token in enumerate(vocab)},
+        tokens=vocab,
         doc_len=np.array(doc_len, dtype=U4),
         offsets=np.array(list(accumulate((len(rows[t]) for t in vocab), initial=0)), dtype=U4),
         doc_pos=np.array([p for p, _ in postings], dtype=U4),
@@ -200,15 +243,17 @@ def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[str,
     # intp, not the stored u4: numpy fancy-indexes with intp several times faster.
     positions = np.concatenate([index.doc_pos[lo:hi] for lo, hi in spans], dtype=np.intp)
     tfs = np.concatenate([index.tf[lo:hi] for lo, hi in spans], dtype=np.float64)
-    idfs = np.array([idf for lo, hi in spans for idf in [_idf(index.n_docs, hi - lo)] * (hi - lo)])
+    dfs = [hi - lo for lo, hi in spans]
+    idfs = np.repeat([_idf(index.n_docs, df) for df in dfs], dfs)
     k1 = index.params.k1
     scores = np.zeros(index.n_docs, dtype=np.float64)
     # Okapi term contributions, accumulated per document in query-token order.
     np.add.at(scores, positions, idfs * tfs * (k1 + 1.0) / (tfs + index.dl_norm[positions]))
-
-    hits = [(index.doc_ids[i], float(scores[i])) for i in np.nonzero(scores > 0.0)[0]]
-    hits.sort(key=lambda h: (-h[1], h[0]))
-    return hits[:pool_size]
+    # Only the returned ids are decoded; their positions are kept for ``snippet``.
+    best, best_scores = top_hits(scores, scores > 0.0, pool_size)
+    doc_ids = [index.doc_ids[i] for i in best]
+    index.doc_row.update(zip(doc_ids, best))
+    return list(zip(doc_ids, best_scores))
 
 
 # --- binary persistence, format version 4 ---------------------------------------
@@ -223,7 +268,8 @@ def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[str,
 # bytes, so the loader checks every invariant that search and the document
 # lookup rely on. Version 4 has the layout of version 3; its text table is
 # decoded per document, and the index directory around it holds the frame
-# and detection tables that version 3 directories lack.
+# and detection tables that version 3 directories lack. No table is decoded
+# whole: the loader checks each one's order on its bytes, and lookups bisect.
 
 
 def pack_strings(strings: Sequence[str]) -> bytes:
@@ -238,7 +284,8 @@ class StringTable(Sequence):
 
     ``IndexFileReader.string_table`` checks the blob once, so no lookup
     raises on its bytes: the whole blob is valid UTF-8 and every entry
-    starts on a character boundary.
+    starts on a character boundary. Two tables are equal when their offsets
+    and bytes are, which compares them without decoding either.
     """
 
     def __init__(self, data: bytes, base: int, offsets: np.ndarray):
@@ -254,6 +301,96 @@ class StringTable(Sequence):
             raise IndexError(i)
         lo = self._base + self.offsets.item(i)
         return self._data[lo : self._base + self.offsets.item(i + 1)].decode("utf-8")
+
+    def _blob(self) -> np.ndarray:
+        return np.frombuffer(self._data, dtype=U1, count=self.offsets.item(-1), offset=self._base)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StringTable):
+            return NotImplemented
+        return np.array_equal(self.offsets, other.offsets) and np.array_equal(
+            self._blob(), other._blob()
+        )
+
+    __hash__ = None
+
+    def is_strictly_sorted(self) -> bool:
+        """Whether every entry is less than the next, compared as UTF-8 bytes.
+
+        UTF-8 byte order is code-point order, Python's ``str`` order. Adjacent
+        entries are compared eight bytes at a time, all pairs at once, and
+        only the pairs still tied move on to the next eight bytes; memory
+        stays linear in the table's size.
+        """
+        if len(self) < 2:
+            return True
+        size = self.offsets.item(-1)
+        padded = np.zeros(size + 8, dtype=U1)
+        padded[:size] = self._blob()
+        # words[i]: the eight bytes from byte i on, as one big-endian integer.
+        words = np.ndarray((size + 1,), dtype=">u8", buffer=padded, strides=(1,))
+        starts = self.offsets[:-1].astype(np.intp)
+        lens = np.diff(self.offsets).astype(np.intp)
+        pairs = np.arange(len(self) - 1)  # left entry of each pair still tied
+        done = 0  # bytes compared so far in every tied pair
+        while len(pairs):
+            left, right = pairs, pairs + 1
+            rest_l, rest_r = lens[left] - done, lens[right] - done
+            word_l = words[starts[left] + done] & _HEAD_MASKS[np.minimum(rest_l, 8)]
+            word_r = words[starts[right] + done] & _HEAD_MASKS[np.minimum(rest_r, 8)]
+            if np.any(word_l > word_r):
+                return False
+            tied = word_l == word_r
+            # A tie where either entry ends is a prefix: ordered iff the left is shorter.
+            ends = tied & ((rest_l <= 8) | (rest_r <= 8))
+            if np.any(rest_l[ends] >= rest_r[ends]):
+                return False
+            pairs = pairs[tied & ~ends]
+            done += 8
+        return True
+
+    def find(self, keys: Sequence[str]) -> np.ndarray:
+        """The position of each key in this strictly sorted table, -1 where absent.
+
+        One vectorized search for every key at once, decoding no entry; it
+        holds the table's entries padded to the longest key's length.
+        """
+        encoded = [key.encode("utf-8") for key in keys]
+        key_lens = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+        width = max(1, int(key_lens.max(initial=0)))
+        lens = np.diff(self.offsets).astype(np.intp)
+        fits = np.flatnonzero(lens <= width)  # a longer entry equals no key
+        if not len(fits) or not len(keys):
+            return np.full(len(keys), -1, dtype=np.intp)
+        entries = _sort_keys(self._blob(), self.offsets[fits], lens[fits], width)
+        wanted = _sort_keys(
+            np.frombuffer(b"".join(encoded), dtype=U1),
+            np.cumsum(key_lens) - key_lens,
+            key_lens,
+            width,
+        )
+        pos = np.minimum(np.searchsorted(entries, wanted), len(fits) - 1)
+        return np.where(entries[pos] == wanted, fits[pos], -1)
+
+
+# _HEAD_MASKS[k] keeps the first k bytes of a big-endian u8 word.
+_HEAD_MASKS = np.array(
+    [(2**64 - 1) ^ (2 ** (64 - 8 * k) - 1) for k in range(9)], dtype=np.uint64
+)
+
+
+def _sort_keys(blob: np.ndarray, starts: np.ndarray, lens: np.ndarray, width: int) -> np.ndarray:
+    """Strings of at most ``width`` bytes as fixed-width keys in the strings' order.
+
+    Byte ``b`` becomes the big-endian u2 ``b + 1`` and the tail stays zero,
+    so a prefix sorts first and no two strings share a key; plain ``S``
+    keys pad with NUL bytes, which would make "a" equal "a\\x00".
+    """
+    inside = np.arange(width) < lens[:, None]
+    units = np.zeros((len(lens), width), dtype=">u2")
+    units[inside] = blob[(starts[:, None] + np.arange(width))[inside]]
+    units += inside
+    return units.view(f"S{2 * width}").ravel()
 
 
 class IndexFileReader:
@@ -317,16 +454,6 @@ class IndexFileReader:
             raise self.corrupt("string offset inside a UTF-8 character")
         return StringTable(self.data, base, offsets)
 
-    def strings(self, n: int) -> list[str]:
-        offsets = self.offsets(n)
-        base = self._take(int(offsets[-1]))
-        bounds = [base + o for o in offsets.tolist()]
-        data = self.data
-        try:
-            return [data[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
-        except UnicodeDecodeError as exc:
-            raise self.corrupt(f"invalid UTF-8: {exc.reason}") from None
-
     def end(self) -> None:
         if self.pos != len(self.data):
             raise self.corrupt(f"{len(self.data) - self.pos} trailing bytes")
@@ -344,12 +471,12 @@ def save_index(index: Bm25Index, path: str) -> None:
         path,
         FORMAT_VERSION,
         pack_strings([index.channel.value]),
-        struct.pack("<ddII", k1, b, index.n_docs, len(index.token_row)),
+        struct.pack("<ddII", k1, b, index.n_docs, len(index.tokens)),
         pack_strings(index.doc_ids),
         pack_strings(index.texts),
         index.t_start.tobytes(),
         index.t_end.tobytes(),
-        pack_strings(list(index.token_row)),
+        pack_strings(index.tokens),
         *(a.tobytes() for a in (index.doc_len, index.offsets, index.doc_pos, index.tf)),
     )
 
@@ -357,29 +484,29 @@ def save_index(index: Bm25Index, path: str) -> None:
 def load_index(path: str) -> Bm25Index:
     """Read an index written by ``save_index``; see ``IndexFileReader`` for errors."""
     reader = IndexFileReader(path, FORMAT_VERSION)
-    (channel_tag,) = reader.strings(1)
+    (channel_tag,) = reader.string_table(1)
     k1, b, n_docs, n_tokens = reader.unpack("<ddII")
     try:
         channel = Channel.parse(channel_tag)
         params = Bm25Params(k1=k1, b=b)
     except DataError as exc:
         raise reader.corrupt(str(exc)) from None
-    doc_ids = reader.strings(n_docs)
+    doc_ids = reader.string_table(n_docs)
     texts = reader.string_table(n_docs)
     t_start = reader.array(n_docs, F8)
     t_end = reader.array(n_docs, F8)
-    tokens = reader.strings(n_tokens)
+    tokens = reader.string_table(n_tokens)
     doc_len = reader.array(n_docs)
     offsets = reader.offsets(n_tokens)
     doc_pos = reader.array(int(offsets[-1]))
     tf = reader.array(int(offsets[-1]))
     reader.end()
-    if not all(x < y for x, y in pairwise(doc_ids)):
+    if not doc_ids.is_strictly_sorted():
         raise reader.corrupt("doc ids not unique and sorted")
     # NaN fails every comparison, and t_end < inf bounds both columns.
     if not np.all((0.0 <= t_start) & (t_start <= t_end) & (t_end < np.inf)):
         raise reader.corrupt("times not finite with 0 <= t_start <= t_end")
-    if not all(x < y for x, y in pairwise(tokens)):
+    if not tokens.is_strictly_sorted():
         raise reader.corrupt("token table not strictly sorted")
     if len(doc_pos) and (doc_pos.max() >= n_docs or tf.min() < 1):
         raise reader.corrupt("posting out of range")
@@ -390,7 +517,7 @@ def load_index(path: str) -> Bm25Index:
         texts=texts,
         t_start=t_start,
         t_end=t_end,
-        token_row=dict(zip(tokens, range(n_tokens))),
+        tokens=tokens,
         doc_len=doc_len,
         offsets=offsets,
         doc_pos=doc_pos,

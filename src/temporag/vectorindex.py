@@ -4,22 +4,35 @@ Vectors are normalized at insert so inner product equals cosine similarity
 and one acceptance threshold is meaningful across providers. Storage is
 one float32 matrix, the same bytes as on disk, so persistence round-trips
 bit-exactly. No approximation anywhere: search is a full scan.
+
+Rows are kept sorted by id. A loaded index keeps its ids as the file's
+``StringTable``: an id lookup bisects it once per distinct id, and
+``search`` decodes only the ids it returns.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from bisect import bisect_left
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .errors import DataError, DimMismatchError, DuplicateIdError, ZeroVectorError
-from .textindex import IndexFileReader, pack_strings, tokenize, write_index_file
+from .textindex import (
+    IndexFileReader,
+    StringTable,
+    cached_rank,
+    pack_strings,
+    tokenize,
+    top_hits,
+    write_index_file,
+)
 
 F4 = np.dtype("<f4")
 # The vector file layout is independent of the ``.bm25`` one and versioned apart.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def normalize(v: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -40,15 +53,17 @@ class EmbeddingProvider(Protocol):
 class FlatVectorIndex:
     """Exact flat index over unit vectors.
 
-    Rows live in one ``<f4`` matrix, a read-only view of the file's bytes
-    after a load. ``similarities`` scans a float64 copy made on first use.
+    Rows live in one ``<f4`` matrix in ascending id order, a read-only view
+    of the file's bytes after a load. ``similarities`` scans a float64 copy
+    made on first use. ``_row`` is a lookup cache, filled as ids are asked
+    for: id to row, -1 for an id the index does not hold.
     """
 
     def __init__(self, dim: int):
         if dim < 1:
             raise DataError(f"dim must be positive, got {dim}")
         self.dim = dim
-        self._ids: list[str] = []
+        self._ids: Sequence[str] = []
         self._row: dict[str, int] = {}
         self._f4 = np.zeros((0, dim), dtype=F4)
         self._f8: np.ndarray | None = None
@@ -56,31 +71,66 @@ class FlatVectorIndex:
     def __len__(self) -> int:
         return len(self._ids)
 
+    def _position(self, vec_id: str) -> int:
+        return cached_rank(self._row, self._ids, vec_id)
+
     def __contains__(self, vec_id: str) -> bool:
-        return vec_id in self._row
+        return self._position(vec_id) >= 0
 
     @property
     def ids(self) -> list[str]:
         return list(self._ids)
 
+    @property
+    def id_table(self) -> Sequence[str]:
+        """The sorted ids themselves: a list, or the file's ``StringTable`` after a load."""
+        return self._ids
+
+    def share_lookups(self, cache: dict[str, int]) -> None:
+        """Fill and read ``cache`` as this index's lookup cache.
+
+        For an index whose ids are another table's, in the same order, so
+        both map an id to the same position. ``add`` stops the sharing.
+        """
+        self._row = cache
+
+    def rows(self, ids: Sequence[str]) -> np.ndarray:
+        """The row of each id, -1 where absent.
+
+        Over a loaded table, the ids not looked up before are searched all at
+        once; every answer is cached.
+        """
+        todo = [vec_id for vec_id in ids if vec_id not in self._row]
+        if isinstance(self._ids, StringTable):
+            self._row.update(zip(todo, self._ids.find(todo).tolist()))
+        else:
+            for vec_id in todo:
+                self._position(vec_id)
+        return np.array([self._row[vec_id] for vec_id in ids], dtype=np.intp)
+
     def add(self, vec_id: str, v: Sequence[float] | np.ndarray) -> None:
-        """Store a vector under an id, normalized to unit length."""
+        """Store a vector under an id, normalized to unit length, at its rank by id."""
         arr = np.asarray(v, dtype=np.float64)
         if arr.shape != (self.dim,):
             raise DimMismatchError(self.dim, arr.shape[0] if arr.ndim == 1 else -1)
-        if vec_id in self._row:
+        if vec_id in self:
             raise DuplicateIdError(vec_id)
         unit = normalize(arr).astype(F4)
-        self._row[vec_id] = len(self._ids)
-        self._ids.append(vec_id)
-        self._f4 = np.concatenate([self._f4, unit[None]])
+        self._ids = list(self._ids)
+        pos = bisect_left(self._ids, vec_id)
+        self._ids.insert(pos, vec_id)
+        self._f4 = np.insert(self._f4, pos, unit, axis=0)
+        self._row = {}
         self._f8 = None
 
     def get(self, vec_id: str) -> np.ndarray:
-        return self._f4[self._row[vec_id]]
+        row = self._position(vec_id)
+        if row < 0:
+            raise KeyError(vec_id)
+        return self._f4[row]
 
     def similarities(self, q: np.ndarray) -> np.ndarray:
-        """Inner products of the query against every stored vector."""
+        """Inner products of the query against every stored vector, in row order."""
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dim,):
             raise DimMismatchError(self.dim, q.shape[0] if q.ndim == 1 else -1)
@@ -96,9 +146,8 @@ class FlatVectorIndex:
         if k < 1:
             raise DataError(f"k must be >= 1, got {k}")
         scores = self.similarities(q)
-        kept = [(self._ids[i], float(scores[i])) for i in np.nonzero(scores >= threshold)[0]]
-        kept.sort(key=lambda h: (-h[1], h[0]))
-        return kept[:k]
+        best, best_scores = top_hits(scores, scores >= threshold, k)
+        return [(self._ids[i], score) for i, score in zip(best, best_scores)]
 
 
 # --- deterministic hash embedder ----------------------------------------------
@@ -142,24 +191,28 @@ class HashEmbedder:
         return out
 
 
-# --- vector file, format version 2 ----------------------------------------------
+# --- vector file, format version 3 ----------------------------------------------
 #
 # magic "TVRG" | u32 version | u32 dim | u32 n | id table | <f4 matrix n x dim
-# The id table is a string table (see ``textindex.pack_strings``). Used both
-# for index persistence and for precomputed embedding stores.
+# The id table is a string table (see ``textindex.pack_strings``), strictly
+# sorted, with the matrix rows in the same order. Version 3 has the layout
+# of version 2, whose rows were in the writer's order. Used both for index
+# persistence and for precomputed embedding stores.
 
 
 def save_vectors(path: str, ids: Sequence[str], vectors: Sequence[np.ndarray], dim: int) -> None:
-    matrix = np.empty((len(ids), dim), dtype=F4)
-    for row, vec in zip(matrix, vectors, strict=True):
+    """Write ``vectors`` under ``ids``, rows sorted by id."""
+    ordered = sorted(zip(ids, vectors, strict=True), key=lambda row: row[0])
+    matrix = np.empty((len(ordered), dim), dtype=F4)
+    for row, (_, vec) in zip(matrix, ordered):
         if np.shape(vec) != (dim,):
             raise DimMismatchError(dim, np.size(vec))
         row[:] = vec
     write_index_file(
         path,
         FORMAT_VERSION,
-        struct.pack("<II", dim, len(ids)),
-        pack_strings(ids),
+        struct.pack("<II", dim, len(ordered)),
+        pack_strings([vec_id for vec_id, _ in ordered]),
         matrix.tobytes(),
     )
 
@@ -177,14 +230,13 @@ def load_index(path: str) -> FlatVectorIndex:
     dim, n = reader.unpack("<II")
     if dim < 1:
         raise reader.corrupt(f"dim {dim}")
-    ids = reader.strings(n)
+    ids = reader.string_table(n)
     matrix = reader.array(n * dim, F4).reshape(n, dim)
     reader.end()
-    row = dict(zip(ids, range(n)))
-    if len(row) != n:
-        raise reader.corrupt("duplicate ids")
+    if not ids.is_strictly_sorted():
+        raise reader.corrupt("duplicate ids or ids out of order")
     index = FlatVectorIndex(dim)
-    index._ids, index._row, index._f4 = ids, row, matrix
+    index._ids, index._f4 = ids, matrix
     return index
 
 
@@ -195,7 +247,8 @@ class PrecomputedEmbeddings:
         self._index = load_index(path)
 
     def lookup(self, ids: Sequence[str]) -> list[np.ndarray]:
-        missing = [i for i in ids if i not in self._index]
+        rows = self._index.rows(ids).tolist()
+        missing = [i for i, row in zip(ids, rows) if row < 0]
         if missing:
             raise DataError(f"embeddings missing for ids: {', '.join(sorted(missing))}")
         return [self._index.get(i) for i in ids]

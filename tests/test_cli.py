@@ -2,14 +2,24 @@ import hashlib
 import json
 import math
 import shutil
+import struct
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from temporag import cli
+from temporag import cli, evalharness
 from temporag.cli import main
 from temporag.frames import load_frame_table, save_frame_table
-from temporag.textindex import load_index, save_index
+from temporag.textindex import (
+    IndexFileReader,
+    StringTable,
+    load_index,
+    pack_strings,
+    save_index,
+    tokenize,
+    write_index_file,
+)
 from temporag.vectorindex import load_index as load_vec_index
 from temporag.vectorindex import save_vectors
 
@@ -425,6 +435,108 @@ class TestAnswer:
         )
         assert rc == 0
 
+    def test_decodes_no_id_table_whole(self, tmp_path, monkeypatch):
+        # The demo store plus filler documents, so that each id table holds
+        # more entries than one answer may decode from it.
+        store, index = tmp_path / "store", tmp_path / "index"
+        assert run_cli(
+            ["ingest", DEMO / "audio.srt", DEMO / "screen_text.jsonl", DEMO / "detections.jsonl",
+             "--frames", DEMO / "frames.jsonl", "--video-id", "harbor", "--duration-s", "120",
+             "--out", store]
+        ) == 0
+        for channel in ("asr", "ocr"):
+            with open(store / f"{channel}.jsonl", "a", encoding="utf-8") as fh:
+                for i in range(300):
+                    doc = {"id": f"{channel}-filler-{i:04d}", "channel": channel,
+                           "text": f"filler{i} quay{i % 7}", "t_start": 1.0, "t_end": 2.0}
+                    fh.write(json.dumps(doc) + "\n")
+        assert run_cli(["build", "--store", store, "--out", index,
+                        "--config", DEMO / "config.json"]) == 0
+
+        names = {}  # id of each loaded table -> (file name, position in the file)
+        tables = []  # keeps every table alive, so no id is reused
+        decoded = Counter()
+        real_string_table = IndexFileReader.string_table
+        real_getitem = StringTable.__getitem__
+
+        def string_table(reader, n):
+            table = real_string_table(reader, n)
+            name = Path(reader.path).name
+            names[id(table)] = (name, sum(1 for f, _ in names.values() if f == name))
+            tables.append(table)
+            return table
+
+        def getitem(table, i):
+            decoded[names[id(table)]] += 1
+            return real_getitem(table, i)
+
+        monkeypatch.setattr(IndexFileReader, "string_table", string_table)
+        monkeypatch.setattr(StringTable, "__getitem__", getitem)
+        trace_path = tmp_path / "trace.json"
+        rc = run_cli(
+            ["answer", "--index", index, "--query", self.QUERY, "--config", DEMO / "config.json",
+             "--trace", trace_path]
+        )
+        assert rc == 0
+        trace = json.loads(trace_path.read_text(encoding="utf-8"))
+        pool = trace["top_k"] * trace["pool_multiplier"]
+        sizes = {names[id(t)]: len(t) for t in tables}
+        assert decoded[("frames.vec", 0)] == 0
+        for channel in ("asr", "ocr"):
+            request = trace["request"][channel] or ""
+            n_docs = sizes[(f"{channel}.bm25", 1)]
+            depth = n_docs.bit_length() + 1
+            bounds = {
+                (f"{channel}.bm25", 1): pool,  # doc ids: the returned pool
+                (f"{channel}.bm25", 3): len(tokenize(request)) * depth,  # tokens: bisections
+            }
+            for table, bound in bounds.items():
+                assert bound < sizes[table], table
+                assert decoded[table] <= bound, table
+            # .vec ids: the pooled ids' rows are their doc positions, found by search.
+            assert decoded[(f"{channel}.vec", 0)] == 0
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["token_order", "duplicate_doc_id", "vec_order", "vec_reordered_doc_ids"],
+    )
+    def test_unsorted_id_table_is_data_error(self, built_index, capsys, damage):
+        if damage.startswith("vec"):
+            path = built_index / "asr.vec"
+            dense = load_vec_index(str(path))
+            ids = list(dense.ids)
+            ids[0], ids[1] = ids[1], ids[0]
+            if damage == "vec_order":
+                ids[1] = "zz-" + ids[1]
+            rows = [dense.get(i) if i in dense else dense.get(i[3:]) for i in ids]
+            # Written by hand: save_vectors would sort the rows.
+            write_index_file(
+                str(path), 3, struct.pack("<II", dense.dim, len(ids)), pack_strings(ids),
+                b"".join(r.tobytes() for r in rows),
+            )
+            problem = "duplicate ids or ids out of order"
+        else:
+            path = built_index / "ocr.bm25"
+            index = load_index(str(path))
+            column = "tokens" if damage == "token_order" else "doc_ids"
+            table = list(getattr(index, column))
+            if damage == "token_order":
+                table[3], table[4] = table[4], table[3]
+                problem = "token table not strictly sorted"
+            else:
+                table[4] = table[3]
+                problem = "doc ids not unique and sorted"
+            setattr(index, column, table)
+            save_index(index, str(path))
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 2
+        assert f"data error: {path}: truncated or corrupt index ({problem})" in (
+            capsys.readouterr().err
+        )
+
     @pytest.mark.parametrize("name", ["frames.tbl", "detections.tbl"])
     def test_missing_table_is_data_error(self, built_index, capsys, name):
         path = built_index / name
@@ -549,7 +661,20 @@ class TestAnswer:
              "--config", DEMO / "config.json"]
         )
         assert rc == 2
-        assert "format version 1, expected 2" in capsys.readouterr().err
+        assert "format version 1, expected 3" in capsys.readouterr().err
+
+    def test_version_2_vec_is_data_error(self, built_index, capsys):
+        # Version 2 .vec files kept their rows in the writer's order, not by id.
+        path = built_index / "asr.vec"
+        data = bytearray(path.read_bytes())
+        data[4:8] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 2
+        assert f"data error: {path}: format version 2, expected 3" in capsys.readouterr().err
 
     def test_version_2_bm25_is_data_error(self, built_index, capsys):
         # Version 2 had no text table or time columns; only .bm25 files moved on.
@@ -642,6 +767,35 @@ class TestEval:
         tokens = [row["aggregate"]["tokens_retained"]["mean"] for row in payload]
         assert all(a >= b for a, b in zip(tokens, tokens[1:]))
         assert tokens[-1] == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5", "1e400", "-5,inf"])
+    def test_sweep_tau_checked_as_tau(self, capsys, value):
+        run_cli(["eval", f"--tau={value.split(',')[-1]}"])
+        tau_err = capsys.readouterr().err
+        rc = run_cli(["eval", f"--sweep-tau={value}"])
+        err = capsys.readouterr().err
+        if value in ("-5",):
+            assert rc == 0
+        else:
+            assert rc == 1
+            assert "error: tau must be a finite number" in err
+            assert err.splitlines()[-1] == tau_err.splitlines()[-1]
+
+    def test_sweep_builds_one_runtime_per_seed(self, monkeypatch, capsys):
+        built = []
+        real = evalharness.build_runtime
+
+        def spy(corpus, config):
+            built.append(corpus.spec.seed)
+            return real(corpus, config)
+
+        monkeypatch.setattr(cli, "build_runtime", spy)
+        monkeypatch.setattr(evalharness, "build_runtime", spy)
+        rc = run_cli(["eval", "--seeds", "3", "--sweep-tau", "0.5,0,0.3"])
+        assert rc == 0
+        assert built == [0, 1, 2]
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [float(row.split()[0]) for row in rows] == [0.5, 0.0, 0.3]
 
     def test_spec_file(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -9,6 +9,7 @@ from temporag.errors import DataError, LengthMismatchError, TemporagError
 from temporag.frames import (
     SelectorConfig,
     detect_on_keyframes,
+    frame_rows,
     frame_similarities,
     load_frame_table,
     save_frame_table,
@@ -19,7 +20,7 @@ from temporag.ingest import DetectedObject
 from temporag.providers import FixtureDetector, StubDetector
 from temporag.ingest import DetectionRecord
 from temporag.types import FrameRecord
-from temporag.vectorindex import FlatVectorIndex, normalize
+from temporag.vectorindex import FlatVectorIndex, load_index, normalize, save_index
 
 from conftest import MUTATIONS, mutate_bytes
 
@@ -43,6 +44,10 @@ def frames_uniform(n, duration):
 
 
 class TestFrameSimilarities:
+    @staticmethod
+    def sims(frames, index, q):
+        return frame_similarities(frame_rows(frames, index), index, q).tolist()
+
     def test_dot_per_embedded_frame_and_placeholder(self):
         index = FlatVectorIndex(2)
         index.add("a", [1.0, 0.0])
@@ -53,16 +58,54 @@ class TestFrameSimilarities:
             FrameRecord(frame_index=2, t=2.0, embedding_ref="a"),
         ]
         q = normalize([3.0, 4.0])
-        assert frame_similarities(frames, index, q) == [
+        np.testing.assert_array_equal(frame_rows(frames, index), [1, -1, 0])
+        assert self.sims(frames, index, q) == [
             float(np.dot(index.get("b").astype(np.float64), q)),
             -1.0,
             float(np.dot(index.get("a").astype(np.float64), q)),
         ]
 
+    def test_no_frame_embedded(self):
+        # The index's dimension differs from the query's: no product is taken.
+        frames = [FrameRecord(frame_index=i, t=float(i)) for i in range(3)]
+        index = FlatVectorIndex(8)
+        assert self.sims(frames, index, normalize([1.0, 0.0])) == [-1.0, -1.0, -1.0]
+
+    def test_single_frame(self):
+        index = FlatVectorIndex(2)
+        index.add("only", [0.0, 2.0])
+        frames = [FrameRecord(frame_index=7, t=0.0, embedding_ref="only")]
+        assert self.sims(frames, index, normalize([0.0, 1.0])) == [1.0]
+
+    def test_no_frames(self):
+        index = FlatVectorIndex(2)
+        assert self.sims([], index, normalize([0.0, 1.0])) == []
+
     def test_dangling_embedding_ref_is_data_error(self):
-        frames = [FrameRecord(frame_index=4, t=0.0, embedding_ref="missing")]
-        with pytest.raises(DataError, match="missing"):
-            frame_similarities(frames, FlatVectorIndex(2), normalize([1.0, 0.0]))
+        index = FlatVectorIndex(2)
+        index.add("present", [1.0, 0.0])
+        frames = [
+            FrameRecord(frame_index=3, t=0.0, embedding_ref="present"),
+            FrameRecord(frame_index=4, t=1.0, embedding_ref="missing"),
+        ]
+        with pytest.raises(DataError, match="frame 4: embedding 'missing' is not in"):
+            frame_rows(frames, index)
+
+    def test_rows_of_a_loaded_index(self, tmp_path):
+        index = FlatVectorIndex(2)
+        for i, ref in enumerate(["f-10", "f-2", "f-1"]):
+            index.add(ref, [1.0, float(i)])
+        save_index(index, str(tmp_path / "frames.vec"))
+        loaded = load_index(str(tmp_path / "frames.vec"))
+        frames = [
+            FrameRecord(frame_index=i, t=float(i), embedding_ref=ref)
+            for i, ref in enumerate(["f-2", None, "f-10", "f-1"])
+        ]
+        rows = frame_rows(frames, loaded)
+        np.testing.assert_array_equal(rows, frame_rows(frames, index))
+        np.testing.assert_array_equal(rows, [2, -1, 1, 0])
+        q = normalize([1.0, 1.0])
+        assert self.sims(frames, loaded, q) == self.sims(frames, index, q)
 
 
 class TestWeightFrames:
@@ -172,6 +215,19 @@ class TestSelectKeyframes:
             got = select_keyframes(frames, sims, cfg, duration_s=duration)
             want = oracle_select(frames, sims, cfg, duration)
             assert got == want
+
+    def test_matches_oracle_with_ties_and_uneven_times(self):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            times = np.sort(rng.choice([0.0, 3.0, 7.5, 12.0, 40.0, 41.0, 99.0], size=n))
+            frames = [FrameRecord(frame_index=int(i), t=float(t)) for i, t in
+                      zip(rng.permutation(n), times)]
+            sims = rng.choice([-0.5, 0.0, 0.3, 0.5, 0.9], size=n).tolist()
+            cfg = SelectorConfig(max_frames=int(rng.integers(3, 9)), sim_threshold=0.3, n_bins=3)
+            assert select_keyframes(frames, sims, cfg, duration_s=100.0) == oracle_select(
+                frames, sims, cfg, 100.0
+            )
 
     def test_output_strictly_increasing_in_time(self):
         rng = np.random.default_rng(12)

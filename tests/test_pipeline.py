@@ -260,6 +260,21 @@ class TestRetrieveChannel:
         ).hits
         assert out == []
 
+    def test_channel_shares_lookups_only_over_equal_ids(self):
+        embedder = HashEmbedder(32, seed=5)
+        snippets = [make_snippet(sid, f"word {sid}", 1.0, 2.0) for sid in ("c", "a", "b")]
+        chan = build_channel(snippets, embedder)
+        textindex.search(chan.bm25, "word", 3)  # records every doc's position
+        assert chan.dense.rows(["a", "b", "c", "z"]).tolist() == [0, 1, 2, -1]
+        assert chan.bm25.doc_row == {"a": 0, "b": 1, "c": 2, "z": -1}
+        # Adding to the dense index shifts its rows: it stops sharing.
+        chan.dense.add("0", embedder.embed(["zero"])[0])
+        assert chan.dense.rows(["a"]).tolist() == [1]
+        assert chan.bm25.position("a") == 0
+        other = ChannelIndex(Channel.ASR, build_index(snippets[:2]), chan.dense)
+        assert other.dense.rows(["c"]).tolist() == [3]
+        assert "c" not in other.bm25.doc_row
+
 
 class TestAugmentQuery:
     def test_stub_golden(self):

@@ -9,7 +9,7 @@ from temporag.errors import (
     EmptyFrameListError,
     LengthMismatchError,
 )
-from temporag.frames import frame_similarities
+from temporag.frames import frame_rows, frame_similarities
 from temporag.rescore import (
     AnchorSet,
     DecayParams,
@@ -53,13 +53,13 @@ class TestComputeAnchors:
         frames = frames_at([0.0, 5.0, 10.0])
         index = self.build_index([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
         q = normalize([0.0, 1.0, 0.0, 0.0])
-        anchors = compute_anchors(frames, frame_similarities(frames, index, q))
+        anchors = compute_anchors(frames, frame_similarities(frame_rows(frames, index), index, q))
         assert (anchors.t_last, anchors.t_first, anchors.t_semantic) == (10.0, 0.0, 5.0)
 
     def test_single_frame(self):
         frames = frames_at([3.0])
         index = self.build_index([[1, 0, 0, 0]])
-        sims = frame_similarities(frames, index, normalize([1.0, 1.0, 0.0, 0.0]))
+        sims = frame_similarities(frame_rows(frames, index), index, normalize([1.0, 1.0, 0.0, 0.0]))
         anchors = compute_anchors(frames, sims)
         assert anchors == AnchorSet(t_last=3.0, t_first=3.0, t_semantic=3.0)
 
@@ -72,13 +72,18 @@ class TestComputeAnchors:
         q = normalize(rng.standard_normal(4))
         sims = [float(np.dot(index.get(f"f{i}").astype(np.float64), q)) for i in range(10)]
         expected_t = frames[int(np.argmax(sims))].t
-        assert frame_similarities(frames, index, q) == sims
+        got = frame_similarities(frame_rows(frames, index), index, q)
+        # One matrix-vector product may sum in another order than per-row dots.
+        # The terms of a dot of two unit 4-vectors sum to at most 1 in
+        # magnitude, so two orders differ by at most 4 ulps of 1.0.
+        assert np.all(np.abs(got - sims) <= 4 * np.finfo(np.float64).eps)
         assert compute_anchors(frames, sims).t_semantic == expected_t
+        assert compute_anchors(frames, got).t_semantic == expected_t
 
     def test_tie_breaks_to_earliest(self):
         frames = frames_at([1.0, 2.0])
         index = self.build_index([[1, 0, 0, 0], [1, 0, 0, 0]])
-        sims = frame_similarities(frames, index, normalize([1.0, 0.0, 0.0, 0.0]))
+        sims = frame_similarities(frame_rows(frames, index), index, normalize([1.0, 0.0, 0.0, 0.0]))
         anchors = compute_anchors(frames, sims)
         assert anchors.t_semantic == 1.0
 
@@ -88,8 +93,9 @@ class TestComputeAnchors:
 
     def test_no_embeddings_falls_back_to_first(self):
         frames = [FrameRecord(frame_index=0, t=2.0), FrameRecord(frame_index=1, t=9.0)]
-        sims = frame_similarities(frames, FlatVectorIndex(4), normalize([1.0, 0.0, 0.0, 0.0]))
-        assert sims == [-1.0, -1.0]
+        index = FlatVectorIndex(4)
+        sims = frame_similarities(frame_rows(frames, index), index, normalize([1.0, 0.0, 0.0, 0.0]))
+        assert sims.tolist() == [-1.0, -1.0]
         anchors = compute_anchors(frames, sims)
         assert anchors.t_semantic == 2.0
 
@@ -106,6 +112,27 @@ class TestComputeAnchors:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             compute_anchors(frames_at([1.0, 2.0]), [0.5])
+
+    def test_semantic_anchor_matches_frame_loop(self):
+        # Reference: the first embedded frame whose similarity beats every
+        # earlier one, starting from -inf, so NaN and -inf never win.
+        def loop_anchor(frames, sims):
+            best, t = -math.inf, frames[0].t
+            for frame, sim in zip(frames, sims):
+                if frame.embedding_ref is not None and sim > best:
+                    best, t = sim, frame.t
+            return t
+
+        rng = np.random.default_rng(23)
+        values = [-math.inf, math.nan, -1.0, 0.0, 0.5, 1.0, 5.0]
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            frames = [
+                FrameRecord(frame_index=i, t=float(i), embedding_ref=f"f{i}" if e else None)
+                for i, e in enumerate(rng.random(n) < 0.6)
+            ]
+            sims = [values[j] for j in rng.integers(0, len(values), size=n)]
+            assert compute_anchors(frames, sims).t_semantic == loop_anchor(frames, sims)
 
 
 class TestDecayMultiplier:

@@ -1,9 +1,11 @@
 import math
 import struct
+from itertools import pairwise
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temporag.errors import (
     DataError,
@@ -15,6 +17,7 @@ from temporag.errors import (
 )
 from temporag.textindex import (
     Bm25Params,
+    StringTable,
     build_index,
     load_index,
     pack_strings,
@@ -188,6 +191,32 @@ class TestSearch:
         index = build_index(docs)
         assert [i for i, _ in search(index, "cat", 3)] == ["a", "b", "c"]
 
+    def test_ties_at_the_pool_cut_keep_ascending_doc_id(self):
+        # One best document, then five tied ones of which the pool keeps two.
+        docs = [make_snippet(sid, "cat dog", 0.0, 1.0) for sid in ("e", "c", "a", "d", "b")]
+        docs.append(make_snippet("z", "cat cat dog", 0.0, 1.0))
+        index = build_index(docs)
+        assert [i for i, _ in search(index, "cat", 3)] == ["z", "a", "b"]
+
+    def test_loaded_search_decodes_only_the_pool(self, tmp_path, monkeypatch):
+        docs = [make_snippet(f"d{i:03d}", f"cat w{i}", 0.0, 1.0) for i in range(200)]
+        path = tmp_path / "asr.bm25"
+        save_index(build_index(docs), str(path))
+        loaded = load_index(str(path))
+        decoded = []
+        table_get = StringTable.__getitem__
+
+        def counting_get(table, i):
+            if table is loaded.doc_ids:
+                decoded.append(i)
+            return table_get(table, i)
+
+        monkeypatch.setattr(StringTable, "__getitem__", counting_get)
+        hits = search(loaded, "cat w7", 5)
+        assert [i for i, _ in hits][:1] == ["d007"]
+        assert len(decoded) == 5
+        assert loaded.position("d007") == 7  # found by search, no bisection
+
 
 def test_disjoint_doc_changes_scores_only_through_idf():
     # Adding an avg-length document with disjoint vocabulary keeps df and
@@ -219,9 +248,9 @@ class TestPersistence:
         loaded = load_index(str(path))
         assert loaded.n_docs == index.n_docs
         assert loaded.avg_dl == pytest.approx(index.avg_dl, abs=1e-9)
-        assert loaded.doc_ids == index.doc_ids
+        assert list(loaded.doc_ids) == index.doc_ids
         assert list(loaded.texts) == index.texts
-        assert loaded.token_row == index.token_row
+        assert list(loaded.tokens) == index.tokens
         for name in ("t_start", "t_end", "doc_len", "offsets", "doc_pos", "tf"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(index, name))
         assert loaded.params == index.params
@@ -294,6 +323,24 @@ class TestPersistence:
             load_index(str(path))
 
 
+    @pytest.mark.parametrize(
+        "column, problem",
+        [("tokens", "token table not strictly sorted"), ("doc_ids", "doc ids not unique and sorted")],
+    )
+    @pytest.mark.parametrize("damage", ["swap", "duplicate"])
+    def test_unsorted_table_rejected(self, tmp_path, column, problem, damage):
+        index = build_index(random_corpus(np.random.default_rng(4), 6))
+        table = list(getattr(index, column))
+        if damage == "swap":
+            table[1], table[2] = table[2], table[1]
+        else:
+            table[2] = table[1]
+        setattr(index, column, table)
+        path = tmp_path / "bad.bm25"
+        save_index(index, str(path))
+        with pytest.raises(DataError, match=f"{path}: .*{problem}"):
+            load_index(str(path))
+
     def test_text_offset_inside_utf8_character_rejected(self, tmp_path):
         index = build_index([make_snippet("a", "é", 0.0, 1.0), make_snippet("b", "x", 1.0, 2.0)])
         path = tmp_path / "split.bm25"
@@ -305,6 +352,44 @@ class TestPersistence:
         path.write_bytes(data.replace(table, split))
         with pytest.raises(DataError, match=f"{path}: .*offset inside a UTF-8 character"):
             load_index(str(path))
+
+
+def string_table(strings):
+    data = pack_strings(strings)
+    n = len(strings)
+    return StringTable(data, 4 * (n + 1), np.frombuffer(data, dtype="<u4", count=n + 1))
+
+
+# Pieces that build shared prefixes, "" and "a" against "a\x00", strings
+# longer than one eight-byte word, and non-ASCII text of 2-4 UTF-8 bytes.
+STRING_PIECES = st.sampled_from(
+    ["", "a", "\x00", "b", "é", "ÿ", "日本", "\U0001f600", "aaaaaaa", "aaaaaaaa", "\x7f"]
+)
+STRINGS = st.one_of(st.lists(STRING_PIECES, max_size=4).map("".join), st.text(max_size=10))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(strings=st.lists(STRINGS, max_size=12), presort=st.booleans())
+def test_sort_check_agrees_with_pairwise(strings, presort):
+    if presort:
+        strings = sorted(strings)
+    table = string_table(strings)
+    assert table.is_strictly_sorted() == all(x < y for x, y in pairwise(strings))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(strings=st.lists(STRINGS, max_size=12), keys=st.lists(STRINGS, max_size=6))
+def test_find_agrees_with_list_index(strings, keys):
+    entries = sorted(set(strings))
+    keys = keys + entries[:2]
+    want = [entries.index(k) if k in entries else -1 for k in keys]
+    assert string_table(entries).find(keys).tolist() == want
+
+
+def test_tables_compare_by_bytes():
+    assert string_table(["a", "bc"]) == string_table(["a", "bc"])
+    assert string_table(["a", "bc"]) != string_table(["ab", "c"])
+    assert string_table(["a", "bc"]) != string_table(["a"])
 
 
 @pytest.fixture(scope="module")

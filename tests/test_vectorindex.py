@@ -12,6 +12,7 @@ from temporag.errors import (
     VersionMismatchError,
     ZeroVectorError,
 )
+from temporag.textindex import pack_strings, write_index_file
 from temporag.vectorindex import (
     FlatVectorIndex,
     HashEmbedder,
@@ -113,6 +114,25 @@ class TestFlatVectorIndex:
         with pytest.raises(DataError):
             index.search(np.array([1.0, 0.0]), 0, threshold=0.3)
 
+    def test_rows_kept_in_id_order(self):
+        index = FlatVectorIndex(2)
+        for vec_id, v in [("c", [1.0, 0.0]), ("a", [0.0, 1.0]), ("b", [1.0, 1.0])]:
+            index.add(vec_id, v)
+        assert index.ids == ["a", "b", "c"]
+        np.testing.assert_array_equal(index.get("c"), np.array([1.0, 0.0], dtype=np.float32))
+        np.testing.assert_array_equal(index.rows(["b", "zz", "a"]), [1, -1, 0])
+        assert "b" in index and "zz" not in index
+        with pytest.raises(KeyError):
+            index.get("zz")
+
+    def test_tied_scores_keep_ascending_id_at_the_cut(self):
+        index = FlatVectorIndex(2)
+        for vec_id in ["d", "b", "a", "c"]:
+            index.add(vec_id, [1.0, 0.0])
+        index.add("e", [1.0, 1.0])
+        q = np.array([1.0, 0.0])
+        assert [h[0] for h in index.search(q, 3, threshold=0.0)] == ["a", "b", "c"]
+
 
 class TestHashEmbedder:
     def test_deterministic(self):
@@ -194,6 +214,39 @@ class TestPersistence:
             load_index(str(path))
         with pytest.raises(VersionMismatchError):
             PrecomputedEmbeddings(str(path))
+
+    def test_rows_written_sorted_by_id(self, tmp_path):
+        ids = ["m", "ça", "a", "b-2"]
+        vectors = [np.full(4, float(i), dtype=np.float32) for i in range(len(ids))]
+        path = tmp_path / "store.vec"
+        save_vectors(str(path), ids, vectors, 4)
+        loaded = load_index(str(path))
+        assert loaded.ids == sorted(ids)
+        for vid, want in zip(ids, vectors):
+            np.testing.assert_array_equal(loaded.get(vid), want)
+        np.testing.assert_array_equal(loaded.rows(["ça", "m", "x"]), [3, 2, -1])
+
+    def test_version_2_file_rejected(self, tmp_path):
+        # Version 2 kept the writer's row order; the layout is version 3's.
+        path = tmp_path / "v2.vec"
+        save_vectors(str(path), ["a"], [np.ones(4, dtype=np.float32)], 4)
+        data = bytearray(path.read_bytes())
+        data[4:8] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(VersionMismatchError, match="version 2, expected 3"):
+            load_index(str(path))
+
+    @pytest.mark.parametrize(
+        "ids", [["b", "a"], ["a", "a"], ["a", "c", "b"]], ids=["swapped", "duplicate", "tail"]
+    )
+    def test_unsorted_or_duplicate_ids_rejected(self, tmp_path, ids):
+        path = tmp_path / "bad.vec"
+        write_index_file(
+            str(path), 3, struct.pack("<II", 2, len(ids)), pack_strings(ids),
+            np.ones((len(ids), 2), dtype="<f4").tobytes(),
+        )
+        with pytest.raises(DataError, match=f"{path}: .*duplicate ids or ids out of order"):
+            load_index(str(path))
 
     def test_precomputed_missing_ids_named(self, tmp_path):
         path = tmp_path / "pre.vec"
