@@ -8,6 +8,7 @@ and keep stdout for their primary output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -30,7 +31,7 @@ from .evalharness import (
     render_table,
     run_eval,
 )
-from .frames import load_frame_table, save_frame_table
+from .frames import FrameTable, load_frame_table, save_frame_table
 from .ingest import (
     detection_to_json,
     parse_detections_jsonl,
@@ -54,14 +55,12 @@ from .textindex import load_index as load_bm25
 from .textindex import save_index as save_bm25
 from .types import (
     Channel,
-    FrameRecord,
     Snippet,
     VideoRecord,
     is_finite_number,
     validate_snippet,
 )
 from .vectorindex import (
-    FlatVectorIndex,
     HashEmbedder,
     PrecomputedEmbeddings,
     normalize,
@@ -71,12 +70,12 @@ from .vectorindex import load_index as load_vec_index
 
 CHANNEL_FILES = {Channel.ASR: "asr.jsonl", Channel.OCR: "ocr.jsonl"}
 FRAME_TABLE = "frames.tbl"
-FRAME_VECTORS = "frames.vec"
 DETECTION_TABLE = "detections.tbl"
-# Every file build may write. It removes them all first, so a rebuild
-# leaves none of an earlier build's files behind.
+# Every file build may write, and frames.vec, which builds wrote before the
+# frame table held the frame embeddings. Build removes them all first, so a
+# rebuild leaves none of an earlier build's files behind.
 INDEX_FILES = frozenset(
-    {"video.json", FRAME_TABLE, FRAME_VECTORS, DETECTION_TABLE}
+    {"video.json", FRAME_TABLE, "frames.vec", DETECTION_TABLE}
     | {f"{c.value}.{ext}" for c in Channel for ext in ("bm25", "vec")}
 )
 
@@ -91,6 +90,7 @@ def _write_jsonl(path: Path, lines) -> None:
 
 
 def _frame_ref(frame_index: int) -> str:
+    """A frame's id in a ``providers.embed = "file"`` embedding store."""
     return f"frame-{frame_index:05d}"
 
 
@@ -345,14 +345,18 @@ def cmd_build(args) -> int:
     frames = sorted(
         _read_store_frames(store, video.duration_s), key=lambda f: (f["t"], f["frame_index"])
     )
-    save_frame_table(
-        str(out / FRAME_TABLE), [f["frame_index"] for f in frames], [f["t"] for f in frames]
-    )
     with_text = [f for f in frames if f.get("text")]
+    vectors = []
     if with_text:
         ids = [_frame_ref(f["frame_index"]) for f in with_text]
         vectors = _embed_or_lookup(cfg, ids, [f["text"] for f in with_text])
-        save_vectors(str(out / FRAME_VECTORS), ids, vectors, len(vectors[0]))
+    save_frame_table(
+        str(out / FRAME_TABLE),
+        [f["frame_index"] for f in frames],
+        [f["t"] for f in frames],
+        [bool(f.get("text")) for f in frames],
+        vectors,
+    )
     print(f"frames: {len(frames)} records, {len(with_text)} embedded")
 
     detections_path = store / "detections.jsonl"
@@ -402,27 +406,12 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
     frame_table_path = index_dir / FRAME_TABLE
     if not frame_table_path.exists():
         raise DataError(f"{frame_table_path} not found; re-run build")
-    frame_ids, frame_times = load_frame_table(str(frame_table_path), video.duration_s)
-    frames_vec_path = index_dir / FRAME_VECTORS
-    if frames_vec_path.exists():
-        frame_index = load_vec_index(str(frames_vec_path))
-    else:
-        frame_index = FlatVectorIndex(cfg.providers.embed_dim)
-    if len(frame_ids):
-        refs = [_frame_ref(i) for i in frame_ids.tolist()]
-        frames = [
-            FrameRecord(i, t, ref if row >= 0 else None)
-            for i, t, ref, row in zip(
-                frame_ids.tolist(), frame_times.tolist(), refs, frame_index.rows(refs).tolist()
-            )
-        ]
-    else:
+    frames = load_frame_table(str(frame_table_path), video.duration_s)
+    if not len(frames):
         # No frame metadata: synthesize a uniform grid without embeddings,
         # one frame at t=0 when n_frames is 1.
         n = cfg.n_frames
-        frames = [
-            FrameRecord(frame_index=i, t=i * video.duration_s / max(n - 1, 1)) for i in range(n)
-        ]
+        frames = FrameTable(np.arange(n), np.arange(n) * video.duration_s / max(n - 1, 1))
 
     if cfg.providers.lvlm == "stub":
         lvlm = StubLvlm()
@@ -447,7 +436,6 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
     return VideoRuntime(
         video=video,
         frames=frames,
-        frame_index=frame_index,
         channels=channels,
         lvlm=lvlm,
         embedder=embedder,
@@ -469,9 +457,10 @@ def cmd_answer(args) -> int:
         budget_tokens=cfg.budget_tokens,
         flags=_ablation_flags(args),
     )
-    trace_json = json.dumps(result.trace, indent=2, ensure_ascii=False) + "\n"
     if args.trace:
-        Path(args.trace).write_text(trace_json, encoding="utf-8")
+        Path(args.trace).write_text(
+            json.dumps(result.trace, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+        )
     if args.json:
         print(json.dumps({"answer": result.answer, "trace": result.trace}, ensure_ascii=False))
     else:
@@ -619,13 +608,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--fps", type=float)
     p_ingest.add_argument("--frames", help="frames JSONL (frame_index, t, optional text)")
     p_ingest.add_argument("--out", required=True)
-    p_ingest.set_defaults(func=cmd_ingest)
 
     p_build = sub.add_parser("build", help="build lexical and dense indices")
     p_build.add_argument("--store", required=True, help="ingest output directory")
     p_build.add_argument("--out", required=True, help="index output directory")
     _add_common_flags(p_build, ablation=False)
-    p_build.set_defaults(func=cmd_build)
 
     p_answer = sub.add_parser("answer", help="answer a question over a built index")
     p_answer.add_argument("--index", required=True)
@@ -633,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_answer.add_argument("--trace", help="write the JSON trace to this path")
     p_answer.add_argument("--json", action="store_true", help="print answer+trace as JSON")
     _add_common_flags(p_answer)
-    p_answer.set_defaults(func=cmd_answer)
 
     p_eval = sub.add_parser("eval", help="run the synthetic-corpus evaluation")
     p_eval.add_argument("--spec", help="SyntheticSpec JSON (defaults to the bundled spec)")
@@ -641,15 +627,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--sweep-tau", help="comma-separated thresholds to sweep")
     p_eval.add_argument("--out", help="directory for report files")
     _add_common_flags(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # Looked up per call, so a command replaced on the module is the one run.
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

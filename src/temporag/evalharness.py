@@ -18,11 +18,12 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DataError, InfeasibleSpecError
+from .frames import FrameTable
 from .pipeline import AblationFlags, ChannelIndex, VideoRuntime, run_query
 from .providers import StubDetector, StubLvlm
 from .textindex import build_index
 from .types import Channel, FrameRecord, Snippet, VideoRecord
-from .vectorindex import FlatVectorIndex, HashEmbedder
+from .vectorindex import F4, FlatVectorIndex, HashEmbedder, normalize
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,12 @@ class GroundTruth:
 
 @dataclass
 class Corpus:
+    """The generated snippets and frames; ``frame_texts[i]`` describes ``frames[i]``."""
+
     spec: SyntheticSpec
     snippets: list[Snippet]
     frames: list[FrameRecord]
-    frame_texts: dict[str, str]
+    frame_texts: list[str]
     ground_truth: GroundTruth
 
 
@@ -172,17 +175,16 @@ def gen_corpus(spec: SyntheticSpec) -> Corpus:
         )
 
     frames = []
-    frame_texts = {}
+    frame_texts = []
     step = duration / (spec.n_frames - 1)
     needle_frame = min(range(spec.n_frames), key=lambda i: abs(i * step - needle_mid))
     for i in range(spec.n_frames):
-        ref = f"frame-{i:04d}"
-        frames.append(FrameRecord(frame_index=i, t=i * step, embedding_ref=ref))
+        frames.append(FrameRecord(frame_index=i, t=i * step))
         if i == needle_frame:
-            frame_texts[ref] = " ".join(spec.query_terms)
+            frame_texts.append(" ".join(spec.query_terms))
         else:
             words = [vocab[int(w)] for w in rng.integers(0, spec.vocab_size, size=3)]
-            frame_texts[ref] = " ".join(words)
+            frame_texts.append(" ".join(words))
 
     return Corpus(
         spec=spec,
@@ -212,8 +214,8 @@ def _vector_index(embedder: HashEmbedder, texts: dict[str, str]) -> FlatVectorIn
 def build_runtime(corpus: Corpus, config: RunConfig) -> VideoRuntime:
     """An in-memory runtime over the corpus with the stub LVLM and detector.
 
-    The ASR channel holds every snippet; frames are embedded from
-    ``corpus.frame_texts``. Both use the configured hash embedder, whatever
+    The ASR channel holds every snippet; every frame is embedded from its
+    ``corpus.frame_texts`` entry. Both use the configured hash embedder, whatever
     ``config.providers`` names, so an eval needs no external service.
     """
     embedder = HashEmbedder(config.providers.embed_dim, config.providers.embed_seed)
@@ -222,10 +224,15 @@ def build_runtime(corpus: Corpus, config: RunConfig) -> VideoRuntime:
         bm25=build_index(corpus.snippets),
         dense=_vector_index(embedder, {s.id: s.text for s in corpus.snippets}),
     )
+    frames = FrameTable(
+        [f.frame_index for f in corpus.frames],
+        [f.t for f in corpus.frames],
+        np.ones(len(corpus.frames), dtype=bool),
+        np.array([normalize(v) for v in embedder.embed(corpus.frame_texts)], dtype=F4),
+    )
     return VideoRuntime(
         video=VideoRecord(video_id="eval", duration_s=corpus.spec.duration_s),
-        frames=corpus.frames,
-        frame_index=_vector_index(embedder, corpus.frame_texts),
+        frames=frames,
         channels={Channel.ASR: asr},
         lvlm=StubLvlm(),
         embedder=embedder,

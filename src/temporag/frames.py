@@ -14,12 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, LengthMismatchError
+from .errors import DataError, DimMismatchError, LengthMismatchError
 from .ingest import DetectionRecord
 from .providers import DetectorProvider
-from .textindex import F8, U4, IndexFileReader, write_index_file
+from .textindex import F8, U1, U4, IndexFileReader, write_index_file
 from .types import FrameRecord
-from .vectorindex import FlatVectorIndex
+from .vectorindex import F4, f4_matrix
 
 
 @dataclass(frozen=True)
@@ -55,39 +55,75 @@ class SelectorConfig:
             raise DataError(f"n_bins ({self.n_bins}) must not exceed max_frames ({self.max_frames})")
 
 
-def frame_rows(frames: Sequence[FrameRecord], frame_index: FlatVectorIndex) -> np.ndarray:
-    """Each frame's row in ``frame_index`` (``intp``), -1 for a frame without an embedding.
+class FrameTable:
+    """The sampled frames of one video, held as columns.
 
-    An ``embedding_ref`` missing from ``frame_index`` is a ``DataError``
-    naming the frame.
+    ``frame_index`` and ``t`` hold one entry per frame. ``embedded`` marks
+    the frames with a stored embedding, and ``matrix`` holds those
+    embeddings as ``<f4`` rows, one per embedded frame in table order, so
+    the i-th embedded frame's vector is row i. ``record(i)`` builds frame
+    i's ``FrameRecord`` on first use and keeps it, so a runtime that answers
+    many questions builds each keyframe's record once.
     """
-    embedded = [i for i, frame in enumerate(frames) if frame.embedding_ref is not None]
-    found = frame_index.rows([frames[i].embedding_ref for i in embedded])
-    if np.any(found < 0):
-        frame = frames[embedded[int(np.argmax(found < 0))]]
-        raise DataError(
-            f"frame {frame.frame_index}: embedding {frame.embedding_ref!r} "
-            "is not in the frame index"
-        )
-    rows = np.full(len(frames), -1, dtype=np.intp)
-    rows[embedded] = found
-    return rows
+
+    def __init__(
+        self,
+        frame_index: Sequence[int] | np.ndarray,
+        t: Sequence[float] | np.ndarray,
+        embedded: Sequence[bool] | np.ndarray | None = None,
+        matrix: np.ndarray | None = None,
+    ):
+        self.frame_index = np.asarray(frame_index, dtype=np.int64)
+        self.t = np.asarray(t, dtype=np.float64)
+        if len(self.frame_index) != len(self.t):
+            raise LengthMismatchError(len(self.frame_index), len(self.t))
+        if embedded is None:
+            embedded = np.zeros(len(self.t), dtype=bool)
+        self.embedded = np.asarray(embedded, dtype=bool)
+        if len(self.embedded) != len(self.t):
+            raise LengthMismatchError(len(self.t), len(self.embedded))
+        self.matrix = np.zeros((0, 0), dtype=F4) if matrix is None else matrix
+        if len(self.matrix) != np.count_nonzero(self.embedded):
+            raise DataError(
+                f"{len(self.matrix)} embeddings for {np.count_nonzero(self.embedded)} "
+                "embedded frames"
+            )
+        self._f8: np.ndarray | None = None
+        self._records: dict[int, FrameRecord] = {}
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def record(self, i: int) -> FrameRecord:
+        rec = self._records.get(i)
+        if rec is None:
+            rec = self._records[i] = FrameRecord(self.frame_index.item(i), self.t.item(i))
+        return rec
+
+    def similarities(self, q: np.ndarray) -> np.ndarray:
+        """Inner products of the query with every embedding, in row order.
+
+        One ``f8`` matrix-vector product over a float64 copy made on first use.
+        """
+        q = np.asarray(q, dtype=np.float64)
+        dim = self.matrix.shape[1]
+        if q.shape != (dim,):
+            raise DimMismatchError(dim, q.shape[0] if q.ndim == 1 else -1)
+        if self._f8 is None:
+            self._f8 = self.matrix.astype(np.float64)
+        return self._f8 @ q
 
 
-def frame_similarities(
-    rows: np.ndarray, frame_index: FlatVectorIndex, query_vec: np.ndarray
-) -> np.ndarray:
+def frame_similarities(frames: FrameTable, query_vec: np.ndarray) -> np.ndarray:
     """Inner product of each frame's stored embedding with a unit query vector.
 
-    ``rows`` is ``frame_rows`` of the frames. This is the one per-query
-    similarity pass, one ``f8`` matrix-vector product: it feeds both
-    keyframe gating and the semantic anchor. A frame without a stored
-    embedding gets -1.0, the lowest cosine, so it passes no gate above -1.
+    This is the one per-query similarity pass: it feeds both keyframe
+    gating and the semantic anchor. A frame without a stored embedding
+    gets -1.0, the lowest cosine, so it passes no gate above -1.
     """
-    sims = np.full(len(rows), -1.0)
-    embedded = rows >= 0
-    if embedded.any():
-        sims[embedded] = frame_index.similarities(query_vec)[rows[embedded]]
+    sims = np.full(len(frames), -1.0)
+    if len(frames.matrix):
+        sims[frames.embedded] = frames.similarities(query_vec)
     return sims
 
 
@@ -113,7 +149,7 @@ def weight_frames(sims: Sequence[float]) -> FrameWeighting:
 
 
 def select_keyframes(
-    frames: Sequence[FrameRecord],
+    frames: FrameTable,
     sims: Sequence[float],
     cfg: SelectorConfig,
     duration_s: float | None = None,
@@ -142,10 +178,10 @@ def select_keyframes(
     candidates = np.flatnonzero(sims >= cfg.sim_threshold)
     if not len(candidates):
         return []
-    t = np.array([frames[i].t for i in candidates.tolist()], dtype=np.float64)
-    index = np.array([frames[i].frame_index for i in candidates.tolist()], dtype=np.int64)
+    t = frames.t[candidates]
+    index = frames.frame_index[candidates]
 
-    duration = duration_s if duration_s is not None else max(f.t for f in frames)
+    duration = duration_s if duration_s is not None else frames.t.max().item()
     width = duration / cfg.n_bins if duration > 0 else 0.0
     bins = np.zeros(len(candidates), dtype=np.intp)
     if width > 0:
@@ -157,7 +193,7 @@ def select_keyframes(
     # Round-robin: every bin's best, then every bin's second best, and so on.
     picked = order[np.lexsort((bins[order], in_bin))][: cfg.max_frames]
     picked = picked[np.lexsort((index[picked], t[picked]))]
-    return [frames[i] for i in candidates[picked].tolist()]
+    return [frames.record(i) for i in candidates[picked].tolist()]
 
 
 def detect_on_keyframes(
@@ -177,17 +213,30 @@ def detect_on_keyframes(
     ]
 
 
-# --- frame table, format version 1 ----------------------------------------------
+# --- frame table, format version 2 ----------------------------------------------
 #
 # magic "TVRG" | u32 version | u32 n | <u4 frame_index[n] | <f8 t[n]
-# ``build`` writes the rows sorted by (t, frame_index). Zero rows means the
-# store had no frame metadata.
+# | u8 embedded[n] | u32 dim | <f4 matrix[n_embedded][dim]
+# ``build`` writes the rows sorted by (t, frame_index). The matrix holds
+# one row per frame whose ``embedded`` byte is 1, in table order; ``dim``
+# is 0 exactly when no frame is embedded. Zero rows means the store had no
+# frame metadata.
 
-FRAME_TABLE_VERSION = 1
+FRAME_TABLE_VERSION = 2
 
 
-def save_frame_table(path: str, frame_index: Sequence[int], t: Sequence[float]) -> None:
-    """Write the two frame columns in the order given."""
+def save_frame_table(
+    path: str,
+    frame_index: Sequence[int],
+    t: Sequence[float],
+    embedded: Sequence[bool],
+    vectors: Sequence[np.ndarray],
+) -> None:
+    """Write the frame columns in the order given, with one vector per embedded frame."""
+    embedded = np.asarray(embedded, dtype=bool)
+    if len(vectors) != np.count_nonzero(embedded):
+        raise DataError(f"{len(vectors)} vectors for {np.count_nonzero(embedded)} embedded frames")
+    dim = len(vectors[0]) if len(vectors) else 0
     frame_index = np.asarray(frame_index, dtype=U4)
     write_index_file(
         path,
@@ -195,20 +244,32 @@ def save_frame_table(path: str, frame_index: Sequence[int], t: Sequence[float]) 
         struct.pack("<I", len(frame_index)),
         frame_index.tobytes(),
         np.asarray(t, dtype=F8).tobytes(),
+        embedded.astype(U1).tobytes(),
+        struct.pack("<I", dim),
+        f4_matrix(vectors, dim).tobytes(),
     )
 
 
-def load_frame_table(path: str, duration_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(frame_index, t)`` columns of a frame table, as views of the file.
+def load_frame_table(path: str, duration_s: float) -> FrameTable:
+    """A frame table whose columns and matrix are views of the file.
 
     Besides the errors of ``textindex.IndexFileReader``, the loader requires
-    ``0 <= t <= duration_s``, unique frame indices and rows sorted by
-    ``(t, frame_index)``; each failure is a ``DataError`` naming the path.
+    ``0 <= t <= duration_s``, unique frame indices, rows sorted by
+    ``(t, frame_index)``, flags of 0 or 1, and finite embeddings; each
+    failure is a ``DataError`` naming the path.
     """
     reader = IndexFileReader(path, FRAME_TABLE_VERSION)
     (n,) = reader.unpack("<I")
     frame_index = reader.array(n)
     t = reader.array(n, F8)
+    embedded = reader.array(n, U1)
+    (dim,) = reader.unpack("<I")
+    if np.any(embedded > 1):
+        raise reader.corrupt("embedded flags other than 0 and 1")
+    n_embedded = int(np.count_nonzero(embedded))
+    if (dim == 0) != (n_embedded == 0):
+        raise reader.corrupt(f"dim {dim} for {n_embedded} embedded frames")
+    matrix = reader.array(n_embedded * dim, F4).reshape(n_embedded, dim)
     reader.end()
     if not np.all((0.0 <= t) & (t <= duration_s)):  # NaN fails too
         raise reader.corrupt(f"frame times outside [0, {duration_s}]")
@@ -218,4 +279,6 @@ def load_frame_table(path: str, duration_s: float) -> tuple[np.ndarray, np.ndarr
     dt = np.diff(t)
     if np.any((dt < 0.0) | ((dt == 0.0) & (frame_index[1:] <= frame_index[:-1]))):
         raise reader.corrupt("rows not sorted by (t, frame_index)")
-    return frame_index, t
+    if not np.all(np.isfinite(matrix)):
+        raise reader.corrupt("non-finite embedding values")
+    return FrameTable(frame_index, t, embedded.view(bool), matrix)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -22,9 +22,9 @@ import numpy as np
 from . import prompts, rescore as rescore_mod, textindex
 from .errors import BudgetTooSmallError, DataError, EmptyIndexError, ProviderUnavailableError
 from .frames import (
+    FrameTable,
     SelectorConfig,
     detect_on_keyframes,
-    frame_rows,
     frame_similarities,
     select_keyframes,
 )
@@ -440,23 +440,14 @@ def answer(lvlm: LvlmProvider, bundle: PromptBundle) -> str:
 
 @dataclass
 class VideoRuntime:
-    """Everything needed to answer questions about one indexed video.
-
-    ``frame_rows`` is each frame's row in ``frame_index`` (-1 without an
-    embedding), found once here for every question's similarity pass.
-    """
+    """Everything needed to answer questions about one indexed video."""
 
     video: VideoRecord
-    frames: list[FrameRecord]
-    frame_index: FlatVectorIndex
+    frames: FrameTable
     channels: dict[Channel, ChannelIndex]
     lvlm: LvlmProvider
     embedder: EmbeddingProvider
     detector: DetectorProvider
-    frame_rows: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.frame_rows = frame_rows(self.frames, self.frame_index)
 
 
 @dataclass(frozen=True)
@@ -527,7 +518,7 @@ def run_query(
         [request.det or question, *(req_text for _, req_text in wanted)]
     )
     frame_query_vec = normalize(frame_vec)
-    sims = frame_similarities(runtime.frame_rows, runtime.frame_index, frame_query_vec)
+    sims = frame_similarities(runtime.frames, frame_query_vec)
     keyframes = select_keyframes(
         runtime.frames,
         sims,

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllZeroMassError, DataError, EmptyFrameListError, LengthMismatchError
-from .types import FrameRecord, ScoredSnippet, Snippet
+from .frames import FrameTable
+from .types import ScoredSnippet, Snippet
 
 
 class TimeNorm(str, Enum):
@@ -76,8 +77,8 @@ class RescoreConfig:
         return self.pool_multiplier * self.top_k
 
 
-def compute_anchors(frames: Sequence[FrameRecord], sims: Sequence[float]) -> AnchorSet:
-    """Derive the three anchors from a time-sorted frame list.
+def compute_anchors(frames: FrameTable, sims: Sequence[float]) -> AnchorSet:
+    """Derive the three anchors from a time-sorted frame table.
 
     ``sims`` holds each frame's query similarity (see
     ``frames.frame_similarities``). The semantic anchor is the time of the
@@ -86,23 +87,15 @@ def compute_anchors(frames: Sequence[FrameRecord], sims: Sequence[float]) -> Anc
     their similarity holds; if no frame has one, the semantic anchor falls
     back to the first frame time.
     """
-    if not frames:
+    if not len(frames):
         raise EmptyFrameListError("at least one frame required")
     if len(frames) != len(sims):
         raise LengthMismatchError(len(frames), len(sims))
     sims = np.asarray(sims, dtype=np.float64)
-    # NaN and -inf never win; with no winner, argmax picks the first frame.
-    ranked = np.where(sims > -np.inf, sims, -np.inf)
-    best = int(np.argmax(ranked))
-    if frames[best].embedding_ref is None:
-        # The first maximum over all frames, when embedded, is the first over
-        # the embedded ones; only otherwise are the others masked out.
-        embedded = np.fromiter(
-            (frame.embedding_ref is not None for frame in frames), dtype=bool, count=len(frames)
-        )
-        best = int(np.argmax(np.where(embedded, ranked, -np.inf)))
-    t_semantic = frames[best].t
-    return AnchorSet(t_last=frames[-1].t, t_first=frames[0].t, t_semantic=t_semantic)
+    # NaN, -inf and unembedded frames never win; with no winner, argmax picks the first frame.
+    best = int(np.argmax(np.where(frames.embedded & (sims > -np.inf), sims, -np.inf)))
+    t = frames.t
+    return AnchorSet(t_last=t[-1].item(), t_first=t[0].item(), t_semantic=t[best].item())
 
 
 def rescore(

@@ -65,11 +65,10 @@ class VideoRecord:
 
 @dataclass(frozen=True)
 class FrameRecord:
-    """A sampled frame: index, timestamp, and optional stored-embedding id."""
+    """A sampled frame: index and timestamp."""
 
     frame_index: int
     t: float
-    embedding_ref: str | None = None
 
     def __post_init__(self):
         if self.frame_index < 0:

@@ -200,20 +200,25 @@ class HashEmbedder:
 # persistence and for precomputed embedding stores.
 
 
-def save_vectors(path: str, ids: Sequence[str], vectors: Sequence[np.ndarray], dim: int) -> None:
-    """Write ``vectors`` under ``ids``, rows sorted by id."""
-    ordered = sorted(zip(ids, vectors, strict=True), key=lambda row: row[0])
-    matrix = np.empty((len(ordered), dim), dtype=F4)
-    for row, (_, vec) in zip(matrix, ordered):
+def f4_matrix(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """The vectors as the rows of one ``<f4`` matrix; a vector of another length is an error."""
+    matrix = np.empty((len(vectors), dim), dtype=F4)
+    for row, vec in zip(matrix, vectors):
         if np.shape(vec) != (dim,):
             raise DimMismatchError(dim, np.size(vec))
         row[:] = vec
+    return matrix
+
+
+def save_vectors(path: str, ids: Sequence[str], vectors: Sequence[np.ndarray], dim: int) -> None:
+    """Write ``vectors`` under ``ids``, rows sorted by id."""
+    ordered = sorted(zip(ids, vectors, strict=True), key=lambda row: row[0])
     write_index_file(
         path,
         FORMAT_VERSION,
         struct.pack("<II", dim, len(ordered)),
         pack_strings([vec_id for vec_id, _ in ordered]),
-        matrix.tobytes(),
+        f4_matrix([vec for _, vec in ordered], dim).tobytes(),
     )
 
 
@@ -224,7 +229,8 @@ def save_index(index: FlatVectorIndex, path: str) -> None:
 def load_index(path: str) -> FlatVectorIndex:
     """Read a vector file; rows keep their stored bits, with no re-normalization.
 
-    Errors are those of ``textindex.IndexFileReader``.
+    Errors are those of ``textindex.IndexFileReader``, and a ``DataError``
+    naming the path for a NaN or infinite matrix entry.
     """
     reader = IndexFileReader(path, FORMAT_VERSION)
     dim, n = reader.unpack("<II")
@@ -235,6 +241,8 @@ def load_index(path: str) -> FlatVectorIndex:
     reader.end()
     if not ids.is_strictly_sorted():
         raise reader.corrupt("duplicate ids or ids out of order")
+    if not np.all(np.isfinite(matrix)):
+        raise reader.corrupt("non-finite vector values")
     index = FlatVectorIndex(dim)
     index._ids, index._f4 = ids, matrix
     return index

@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import shutil
 import struct
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temporag import cli, evalharness
+from temporag import frames as frames_mod
 from temporag.cli import main
 from temporag.frames import load_frame_table, save_frame_table
 from temporag.textindex import (
@@ -23,6 +29,8 @@ from temporag.textindex import (
 from temporag.vectorindex import load_index as load_vec_index
 from temporag.vectorindex import save_vectors
 
+from conftest import MUTATIONS, mutate_bytes
+
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
@@ -30,10 +38,10 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
-@pytest.fixture()
-def built_index(tmp_path):
-    store = tmp_path / "store"
-    index = tmp_path / "index"
+def build_demo(root: Path, frames: Path = DEMO / "frames.jsonl") -> Path:
+    """Ingest and build the demo under ``root``; returns the index directory."""
+    store = root / "store"
+    index = root / "index"
     rc = run_cli(
         [
             "ingest",
@@ -41,7 +49,7 @@ def built_index(tmp_path):
             DEMO / "screen_text.jsonl",
             DEMO / "detections.jsonl",
             "--frames",
-            DEMO / "frames.jsonl",
+            frames,
             "--video-id",
             "harbor",
             "--duration-s",
@@ -54,6 +62,22 @@ def built_index(tmp_path):
     rc = run_cli(["build", "--store", store, "--out", index, "--config", DEMO / "config.json"])
     assert rc == 0
     return index
+
+
+@pytest.fixture()
+def built_index(tmp_path):
+    return build_demo(tmp_path)
+
+
+def test_main_runs_the_command_bound_at_call_time(monkeypatch):
+    # main builds its parser once, and looks the command up on the module on
+    # every call, so a command replaced after the first call is the one run.
+    run_cli(["answer", "--nonsense"])
+    for argv in (["build", "--store", "s", "--out", "o"], ["answer", "--index", "i", "--query", "q"]):
+        calls = []
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: calls.append(args.command) or 7)
+        assert run_cli(argv) == 7
+        assert calls == [argv[0]]
 
 
 class TestIngest:
@@ -221,9 +245,10 @@ class TestIngest:
 
 class TestBuild:
     def test_outputs_exist(self, built_index):
-        for name in ("asr.bm25", "asr.vec", "ocr.bm25", "ocr.vec", "frames.vec", "frames.tbl",
+        for name in ("asr.bm25", "asr.vec", "ocr.bm25", "ocr.vec", "frames.tbl",
                      "detections.tbl", "video.json"):
             assert (built_index / name).exists(), name
+        assert not (built_index / "frames.vec").exists()
         assert not list(built_index.glob("det.*"))
         assert not list(built_index.glob("*.jsonl"))
 
@@ -241,7 +266,7 @@ class TestBuild:
             ]
         )
         assert rc == 0
-        for name in ("asr.bm25", "asr.vec", "ocr.bm25", "ocr.vec", "frames.vec", "frames.tbl",
+        for name in ("asr.bm25", "asr.vec", "ocr.bm25", "ocr.vec", "frames.tbl",
                      "detections.tbl"):
             a = hashlib.sha256((built_index / name).read_bytes()).hexdigest()
             b = hashlib.sha256((second / name).read_bytes()).hexdigest()
@@ -481,7 +506,6 @@ class TestAnswer:
         trace = json.loads(trace_path.read_text(encoding="utf-8"))
         pool = trace["top_k"] * trace["pool_multiplier"]
         sizes = {names[id(t)]: len(t) for t in tables}
-        assert decoded[("frames.vec", 0)] == 0
         for channel in ("asr", "ocr"):
             request = trace["request"][channel] or ""
             n_docs = sizes[(f"{channel}.bm25", 1)]
@@ -573,11 +597,14 @@ class TestAnswer:
             ("ocr.bm25", 0.99),
             ("asr.vec", 0.5),
             ("ocr.vec", 0.02),
-            ("frames.vec", 0.5),
-            ("frames.vec", 0.75),
+            ("asr.vec", "nan"),
+            ("ocr.vec", "inf"),
             ("video.json", b"{not json\n"),
             ("video.json", b'{"video_id": "harbor"}\n'),
             ("frames.tbl", 0.5),
+            ("frames.tbl", 0.75),
+            ("frames.tbl", "nan"),
+            ("frames.tbl", "-inf"),
             pytest.param("frames.tbl", {"t": float("nan")}, id="frames.tbl-t_nan"),
             pytest.param("frames.tbl", {"t": 120.5}, id="frames.tbl-t_past_duration"),
             pytest.param("frames.tbl", {"frame_index": 1}, id="frames.tbl-duplicate_frame_index"),
@@ -593,11 +620,13 @@ class TestAnswer:
         path = built_index / name
         data = path.read_bytes()
         if isinstance(damage, dict) and name == "frames.tbl":  # rewrite the first row
-            columns = dict(zip(("frame_index", "t"), load_frame_table(str(path), math.inf)))
+            table = load_frame_table(str(path), math.inf)
+            columns = {"frame_index": table.frame_index.copy(), "t": table.t.copy()}
             for column, value in damage.items():
-                columns[column] = columns[column].copy()
                 columns[column][0] = value
-            save_frame_table(str(path), columns["frame_index"], columns["t"])
+            save_frame_table(
+                str(path), columns["frame_index"], columns["t"], table.embedded, table.matrix
+            )
         elif isinstance(damage, dict):  # rewrite the first document's times
             index = load_index(str(path))
             for column, value in damage.items():
@@ -607,6 +636,8 @@ class TestAnswer:
             save_index(index, str(path))
         elif isinstance(damage, float):  # truncate at this fraction of the file
             path.write_bytes(data[: int(len(data) * damage)])
+        elif isinstance(damage, str):  # the last f32 of the file's vector matrix
+            path.write_bytes(data[:-4] + struct.pack("<f", float(damage)))
         else:
             path.write_bytes(damage)
         rc = run_cli(
@@ -662,6 +693,58 @@ class TestAnswer:
         )
         assert rc == 2
         assert "format version 1, expected 3" in capsys.readouterr().err
+
+    def test_version_1_frame_table_is_data_error(self, built_index, capsys):
+        # Version 1 frame tables kept their embeddings in frames.vec.
+        path = built_index / "frames.tbl"
+        data = bytearray(path.read_bytes())
+        data[4:8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 2
+        assert f"data error: {path}: format version 1, expected 2" in capsys.readouterr().err
+
+    def test_builds_keyframe_records_only(self, tmp_path, monkeypatch):
+        # 300 frames, most with text; an answer builds a record for each
+        # keyframe and no frame id.
+        frames = tmp_path / "frames.jsonl"
+        words = ["harbor", "marina", "office", "sign", "gull", "pier", "boat", "market"]
+        frames.write_text(
+            "".join(
+                json.dumps({"frame_index": i, "t": i * 0.4}
+                           | ({"text": f"{words[i % 8]} {words[i * 3 % 8]}"} if i % 5 else {}))
+                + "\n"
+                for i in range(300)
+            ),
+            encoding="utf-8",
+        )
+        index = build_demo(tmp_path, frames)
+        assert not (index / "frames.vec").exists()
+        built = []
+        real_record = frames_mod.FrameRecord
+
+        def record(*args, **kwargs):
+            built.append(args)
+            return real_record(*args, **kwargs)
+
+        def no_frame_ref(frame_index):
+            raise AssertionError("answer made a frame id")
+
+        monkeypatch.setattr(frames_mod, "FrameRecord", record)
+        monkeypatch.setattr(cli, "_frame_ref", no_frame_ref)
+        trace_path = tmp_path / "trace.json"
+        rc = run_cli(
+            ["answer", "--index", index, "--query", self.QUERY, "--config", DEMO / "config.json",
+             "--trace", trace_path]
+        )
+        assert rc == 0
+        keyframes = json.loads(trace_path.read_text(encoding="utf-8"))["keyframes"]
+        max_frames = json.loads((DEMO / "config.json").read_text(encoding="utf-8"))["max_frames"]
+        assert 0 < len(keyframes) <= max_frames
+        assert len(built) == len(keyframes)
 
     def test_version_2_vec_is_data_error(self, built_index, capsys):
         # Version 2 .vec files kept their rows in the writer's order, not by id.
@@ -719,8 +802,7 @@ class TestAnswer:
              "--video-id", "v", "--duration-s", "120", "--out", store]
         ) == 0
         assert run_cli(["build", "--store", store, "--out", index]) == 0
-        frame_index, _ = load_frame_table(str(index / "frames.tbl"), 120.0)
-        assert len(frame_index) == 0
+        assert len(load_frame_table(str(index / "frames.tbl"), 120.0)) == 0
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n_frames": 1, "n_bins": 1, "max_frames": 1}))
         capsys.readouterr()
@@ -839,6 +921,46 @@ class TestEval:
         spec.write_text(json.dumps({"seed": 1, "wat": 2}), encoding="utf-8")
         rc = run_cli(["eval", "--spec", spec])
         assert rc == 1
+
+
+@pytest.fixture(scope="module")
+def demo_index(tmp_path_factory):
+    return build_demo(tmp_path_factory.mktemp("demo"))
+
+
+def _finite_scores(trace: dict) -> bool:
+    values = list(trace["anchors"].values())
+    for hits in trace["channels"].values():
+        values += [hit[key] for hit in hits for key in ("t_mid", "raw", "decay", "score")]
+    return all(math.isfinite(v) for v in values)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    name=st.sampled_from(
+        ["video.json", "asr.bm25", "asr.vec", "ocr.bm25", "ocr.vec", "frames.tbl",
+         "detections.tbl"]
+    ),
+    mutations=MUTATIONS,
+    fusion=st.sampled_from(["lexical", "dense", "max_fuse"]),
+)
+def test_answer_over_a_mutated_index_file_exits_0_or_2(demo_index, name, mutations, fusion):
+    with tempfile.TemporaryDirectory() as tmp:
+        index = Path(tmp) / "index"
+        shutil.copytree(demo_index, index)
+        path = index / name
+        path.write_bytes(mutate_bytes(path.read_bytes(), mutations))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run_cli(
+                ["answer", "--index", index, "--query", TestAnswer.QUERY,
+                 "--config", DEMO / "config.json", "--fusion", fusion, "--json"]
+            )
+    assert rc in (0, 2), err.getvalue()
+    if rc == 0:
+        assert _finite_scores(json.loads(out.getvalue())["trace"])
+    else:
+        assert f"data error: {path}" in err.getvalue()
 
 
 class TestExitCodes:

@@ -1,15 +1,16 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from temporag.errors import DataError, LengthMismatchError, TemporagError
+from temporag.errors import DataError, DimMismatchError, LengthMismatchError, TemporagError
 from temporag.frames import (
+    FrameTable,
     SelectorConfig,
     detect_on_keyframes,
-    frame_rows,
     frame_similarities,
     load_frame_table,
     save_frame_table,
@@ -18,9 +19,10 @@ from temporag.frames import (
 )
 from temporag.ingest import DetectedObject
 from temporag.providers import FixtureDetector, StubDetector
+from temporag.textindex import write_index_file
 from temporag.ingest import DetectionRecord
 from temporag.types import FrameRecord
-from temporag.vectorindex import FlatVectorIndex, load_index, normalize, save_index
+from temporag.vectorindex import F4, normalize
 
 from conftest import MUTATIONS, mutate_bytes
 
@@ -43,69 +45,70 @@ def frames_uniform(n, duration):
     return [FrameRecord(frame_index=i, t=i * step) for i in range(n)]
 
 
-class TestFrameSimilarities:
-    @staticmethod
-    def sims(frames, index, q):
-        return frame_similarities(frame_rows(frames, index), index, q).tolist()
+def table(frames):
+    """A frame table of the records, none embedded."""
+    return FrameTable([f.frame_index for f in frames], [f.t for f in frames])
 
+
+def unit_rows(*rows):
+    return np.array([normalize(r) for r in rows], dtype=F4)
+
+
+class TestFrameSimilarities:
     def test_dot_per_embedded_frame_and_placeholder(self):
-        index = FlatVectorIndex(2)
-        index.add("a", [1.0, 0.0])
-        index.add("b", [0.0, 1.0])
-        frames = [
-            FrameRecord(frame_index=0, t=0.0, embedding_ref="b"),
-            FrameRecord(frame_index=1, t=1.0),
-            FrameRecord(frame_index=2, t=2.0, embedding_ref="a"),
-        ]
+        matrix = unit_rows([0.0, 1.0], [1.0, 0.0])
+        frames = FrameTable([0, 1, 2], [0.0, 1.0, 2.0], [True, False, True], matrix)
         q = normalize([3.0, 4.0])
-        np.testing.assert_array_equal(frame_rows(frames, index), [1, -1, 0])
-        assert self.sims(frames, index, q) == [
-            float(np.dot(index.get("b").astype(np.float64), q)),
+        assert frame_similarities(frames, q).tolist() == [
+            float(np.dot(matrix[0].astype(np.float64), q)),
             -1.0,
-            float(np.dot(index.get("a").astype(np.float64), q)),
+            float(np.dot(matrix[1].astype(np.float64), q)),
         ]
 
     def test_no_frame_embedded(self):
-        # The index's dimension differs from the query's: no product is taken.
-        frames = [FrameRecord(frame_index=i, t=float(i)) for i in range(3)]
-        index = FlatVectorIndex(8)
-        assert self.sims(frames, index, normalize([1.0, 0.0])) == [-1.0, -1.0, -1.0]
+        # No embedding, so no dimension to check the query against: no product is taken.
+        frames = FrameTable([0, 1, 2], [0.0, 1.0, 2.0])
+        assert frame_similarities(frames, normalize([1.0, 0.0])).tolist() == [-1.0, -1.0, -1.0]
 
     def test_single_frame(self):
-        index = FlatVectorIndex(2)
-        index.add("only", [0.0, 2.0])
-        frames = [FrameRecord(frame_index=7, t=0.0, embedding_ref="only")]
-        assert self.sims(frames, index, normalize([0.0, 1.0])) == [1.0]
+        frames = FrameTable([7], [0.0], [True], unit_rows([0.0, 2.0]))
+        assert frame_similarities(frames, normalize([0.0, 1.0])).tolist() == [1.0]
 
     def test_no_frames(self):
-        index = FlatVectorIndex(2)
-        assert self.sims([], index, normalize([0.0, 1.0])) == []
+        assert frame_similarities(FrameTable([], []), normalize([0.0, 1.0])).tolist() == []
 
-    def test_dangling_embedding_ref_is_data_error(self):
-        index = FlatVectorIndex(2)
-        index.add("present", [1.0, 0.0])
-        frames = [
-            FrameRecord(frame_index=3, t=0.0, embedding_ref="present"),
-            FrameRecord(frame_index=4, t=1.0, embedding_ref="missing"),
-        ]
-        with pytest.raises(DataError, match="frame 4: embedding 'missing' is not in"):
-            frame_rows(frames, index)
+    def test_query_dim_differs_is_data_error(self):
+        frames = FrameTable([0], [0.0], [True], unit_rows([0.0, 1.0]))
+        with pytest.raises(DimMismatchError):
+            frame_similarities(frames, normalize([1.0, 0.0, 0.0]))
 
-    def test_rows_of_a_loaded_index(self, tmp_path):
-        index = FlatVectorIndex(2)
-        for i, ref in enumerate(["f-10", "f-2", "f-1"]):
-            index.add(ref, [1.0, float(i)])
-        save_index(index, str(tmp_path / "frames.vec"))
-        loaded = load_index(str(tmp_path / "frames.vec"))
-        frames = [
-            FrameRecord(frame_index=i, t=float(i), embedding_ref=ref)
-            for i, ref in enumerate(["f-2", None, "f-10", "f-1"])
-        ]
-        rows = frame_rows(frames, loaded)
-        np.testing.assert_array_equal(rows, frame_rows(frames, index))
-        np.testing.assert_array_equal(rows, [2, -1, 1, 0])
+    def test_matrix_rows_match_embedded_frames(self):
+        with pytest.raises(DataError, match="1 embeddings for 2 embedded frames"):
+            FrameTable([3, 4], [0.0, 1.0], [True, True], unit_rows([1.0, 0.0]))
+        with pytest.raises(LengthMismatchError):
+            FrameTable([3, 4], [0.0])
+
+    def test_similarities_of_a_loaded_table(self, tmp_path):
+        rows = [normalize([1.0, float(i)]) for i in range(3)]
+        save_frame_table(
+            str(tmp_path / "frames.tbl"), [5, 1, 9, 2], [0.0, 1.0, 2.0, 3.0],
+            [True, False, True, True], rows,
+        )
+        loaded = load_frame_table(str(tmp_path / "frames.tbl"), 10.0)
+        in_memory = FrameTable(
+            [5, 1, 9, 2], [0.0, 1.0, 2.0, 3.0], [True, False, True, True],
+            np.array(rows, dtype=F4),
+        )
         q = normalize([1.0, 1.0])
-        assert self.sims(frames, loaded, q) == self.sims(frames, index, q)
+        sims = frame_similarities(loaded, q)
+        np.testing.assert_array_equal(sims, frame_similarities(in_memory, q))
+        assert sims[1] == -1.0
+
+    def test_records_built_once(self):
+        frames = FrameTable([4, 2], [0.5, 1.5])
+        assert frames.record(1) == FrameRecord(frame_index=2, t=1.5)
+        assert frames.record(1) is frames.record(1)
+
 
 
 class TestWeightFrames:
@@ -193,12 +196,12 @@ class TestSelectKeyframes:
     def test_all_below_threshold_empty(self):
         frames = frames_uniform(8, 70.0)
         cfg = SelectorConfig(max_frames=4, sim_threshold=0.3, n_bins=4)
-        assert select_keyframes(frames, [0.1] * 8, cfg) == []
+        assert select_keyframes(table(frames), [0.1] * 8, cfg) == []
 
     def test_symmetric_case_one_per_bin(self):
         frames = frames_uniform(8, 70.0)
         cfg = SelectorConfig(max_frames=4, sim_threshold=0.3, n_bins=4)
-        selected = select_keyframes(frames, [0.5] * 8, cfg, duration_s=70.0)
+        selected = select_keyframes(table(frames), [0.5] * 8, cfg, duration_s=70.0)
         assert len(selected) == 4
         width = 70.0 / 4
         bins = {min(int(f.t / width), 3) for f in selected}
@@ -212,7 +215,7 @@ class TestSelectKeyframes:
             frames = frames_uniform(n, duration)
             sims = rng.uniform(-0.2, 1.0, size=n).tolist()
             cfg = SelectorConfig(max_frames=16, sim_threshold=0.3, n_bins=8)
-            got = select_keyframes(frames, sims, cfg, duration_s=duration)
+            got = select_keyframes(table(frames), sims, cfg, duration_s=duration)
             want = oracle_select(frames, sims, cfg, duration)
             assert got == want
 
@@ -225,7 +228,7 @@ class TestSelectKeyframes:
                       zip(rng.permutation(n), times)]
             sims = rng.choice([-0.5, 0.0, 0.3, 0.5, 0.9], size=n).tolist()
             cfg = SelectorConfig(max_frames=int(rng.integers(3, 9)), sim_threshold=0.3, n_bins=3)
-            assert select_keyframes(frames, sims, cfg, duration_s=100.0) == oracle_select(
+            assert select_keyframes(table(frames), sims, cfg, duration_s=100.0) == oracle_select(
                 frames, sims, cfg, 100.0
             )
 
@@ -234,7 +237,7 @@ class TestSelectKeyframes:
         frames = frames_uniform(40, 200.0)
         sims = rng.uniform(0, 1, size=40).tolist()
         cfg = SelectorConfig(max_frames=10, sim_threshold=0.2, n_bins=5)
-        selected = select_keyframes(frames, sims, cfg, duration_s=200.0)
+        selected = select_keyframes(table(frames), sims, cfg, duration_s=200.0)
         times = [f.t for f in selected]
         assert all(a < b for a, b in zip(times, times[1:]))
 
@@ -245,7 +248,7 @@ class TestSelectKeyframes:
         frames = frames_uniform(64, 320.0)
         sims = rng.uniform(0.4, 1.0, size=64).tolist()  # all pass the gate
         cfg = SelectorConfig(max_frames=12, sim_threshold=0.3, n_bins=4)
-        selected = select_keyframes(frames, sims, cfg, duration_s=320.0)
+        selected = select_keyframes(table(frames), sims, cfg, duration_s=320.0)
         width = 320.0 / 4
         counts = [0] * 4
         for f in selected:
@@ -258,23 +261,23 @@ class TestSelectKeyframes:
         frames = frames_uniform(30, 150.0)
         sims = rng.uniform(0, 1, size=30).tolist()
         cfg = SelectorConfig(max_frames=8, sim_threshold=0.2, n_bins=4)
-        base = select_keyframes(frames, sims, cfg, duration_s=150.0)
+        base = select_keyframes(table(frames), sims, cfg, duration_s=150.0)
         perm = rng.permutation(30)
         shuffled = select_keyframes(
-            [frames[i] for i in perm], [sims[i] for i in perm], cfg, duration_s=150.0
+            table([frames[i] for i in perm]), [sims[i] for i in perm], cfg, duration_s=150.0
         )
         assert base == shuffled
 
     def test_length_mismatch(self):
         cfg = SelectorConfig(max_frames=2, n_bins=2)
         with pytest.raises(LengthMismatchError):
-            select_keyframes(frames_uniform(3, 10.0), [0.5, 0.5], cfg)
+            select_keyframes(table(frames_uniform(3, 10.0)), [0.5, 0.5], cfg)
 
     def test_uniform_alpha_mode_ranks_by_similarity(self):
         frames = frames_uniform(4, 10.0)
         sims = [0.9, 0.8, 0.5, 0.4]
         cfg = SelectorConfig(max_frames=1, sim_threshold=0.3, n_bins=1)
-        top = select_keyframes(frames, sims, cfg, duration_s=10.0, entropy_weighted=False)
+        top = select_keyframes(table(frames), sims, cfg, duration_s=10.0, entropy_weighted=False)
         assert top[0].frame_index == 0
 
     def test_config_validation(self):
@@ -308,16 +311,19 @@ class TestDetectOnKeyframes:
 class TestFrameTable:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "frames.tbl"
-        save_frame_table(str(path), [3, 1, 2], [0.0, 5.0, 5.0])
-        frame_index, t = load_frame_table(str(path), 10.0)
-        assert frame_index.tolist() == [3, 1, 2]
-        assert t.tolist() == [0.0, 5.0, 5.0]
+        rows = [normalize([1.0, 2.0, 2.0]), normalize([0.0, 0.0, 1.0])]
+        save_frame_table(str(path), [3, 1, 2], [0.0, 5.0, 5.0], [True, False, True], rows)
+        frames = load_frame_table(str(path), 10.0)
+        assert frames.frame_index.tolist() == [3, 1, 2]
+        assert frames.t.tolist() == [0.0, 5.0, 5.0]
+        assert frames.embedded.tolist() == [True, False, True]
+        np.testing.assert_array_equal(frames.matrix, np.array(rows, dtype=F4))
 
     def test_zero_rows(self, tmp_path):
         path = tmp_path / "frames.tbl"
-        save_frame_table(str(path), [], [])
-        frame_index, t = load_frame_table(str(path), 10.0)
-        assert len(frame_index) == len(t) == 0
+        save_frame_table(str(path), [], [], [], [])
+        frames = load_frame_table(str(path), 10.0)
+        assert len(frames) == len(frames.matrix) == 0
 
     @pytest.mark.parametrize(
         "frame_index, t, problem",
@@ -333,15 +339,55 @@ class TestFrameTable:
     )
     def test_bad_rows_rejected(self, tmp_path, frame_index, t, problem):
         path = tmp_path / "frames.tbl"
-        save_frame_table(str(path), frame_index, t)
+        save_frame_table(str(path), frame_index, t, [False, False], [])
         with pytest.raises(DataError, match=f"{re.escape(str(path))}: .*{problem}"):
+            load_frame_table(str(path), 10.0)
+
+    @pytest.mark.parametrize(
+        "embedded, rows, problem",
+        [
+            ([2, 0], [[1.0, 0.0]], "embedded flags other than 0 and 1"),
+            ([1, 1], [[1.0, math.nan], [0.0, 1.0]], "non-finite embedding values"),
+            ([0, 1], [[math.inf, 0.0]], "non-finite embedding values"),
+        ],
+        ids=["flag_2", "nan", "inf"],
+    )
+    def test_bad_embeddings_rejected(self, tmp_path, embedded, rows, problem):
+        path = tmp_path / "frames.tbl"
+        save_frame_table(str(path), [0, 1], [0.0, 1.0], [bool(e) for e in embedded], rows)
+        data = bytearray(path.read_bytes())
+        flags = 12 + 2 * (4 + 8)  # header, n, frame_index and t
+        data[flags : flags + 2] = bytes(embedded)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}: .*{problem}"):
+            load_frame_table(str(path), 10.0)
+
+    @pytest.mark.parametrize("dim, n_rows", [(0, 1), (2, 0)], ids=["zero_dim", "dim_no_rows"])
+    def test_dim_zero_exactly_when_nothing_embedded(self, tmp_path, dim, n_rows):
+        path = tmp_path / "frames.tbl"
+        write_index_file(
+            str(path), 2, struct.pack("<I", 1), struct.pack("<I", 0), struct.pack("<d", 0.0),
+            bytes([n_rows]), struct.pack("<I", dim),
+        )
+        with pytest.raises(DataError, match=f"dim {dim} for {n_rows} embedded frames"):
+            load_frame_table(str(path), 10.0)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "frames.tbl"
+        write_index_file(str(path), 1, struct.pack("<I", 1), struct.pack("<I", 0),
+                         struct.pack("<d", 0.0))
+        with pytest.raises(TemporagError, match="format version 1, expected 2"):
             load_frame_table(str(path), 10.0)
 
 
 @pytest.fixture(scope="module")
 def frame_table_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("frame_table_fuzz")
-    save_frame_table(str(path / "clean.tbl"), [4, 0, 2, 7], [0.0, 1.5, 1.5, 9.0])
+    rows = [normalize([1.0, 2.0, 0.5]), normalize([0.0, 1.0, 1.0]), normalize([3.0, 0.0, 1.0])]
+    save_frame_table(
+        str(path / "clean.tbl"), [4, 0, 2, 7], [0.0, 1.5, 1.5, 9.0],
+        [True, False, True, True], rows,
+    )
     return path
 
 
@@ -351,10 +397,15 @@ def test_mutated_file_loads_or_raises_temporag_error(frame_table_dir, mutations)
     path = frame_table_dir / "mutated.tbl"
     path.write_bytes(mutate_bytes((frame_table_dir / "clean.tbl").read_bytes(), mutations))
     try:
-        frame_index, t = load_frame_table(str(path), 10.0)
+        frames = load_frame_table(str(path), 10.0)
     except TemporagError:
         return
-    frames = [FrameRecord(i, ti) for i, ti in zip(frame_index.tolist(), t.tolist())]
-    assert len({f.frame_index for f in frames}) == len(frames)
-    assert all(0.0 <= f.t <= 10.0 for f in frames)
-    assert frames == sorted(frames, key=lambda f: (f.t, f.frame_index))
+    records = [frames.record(i) for i in range(len(frames))]
+    assert len({f.frame_index for f in records}) == len(records)
+    assert all(0.0 <= f.t <= 10.0 for f in records)
+    assert records == sorted(records, key=lambda f: (f.t, f.frame_index))
+    assert frames.matrix.shape == (int(frames.embedded.sum()), frames.matrix.shape[1])
+    assert np.all(np.isfinite(frames.matrix))
+    if len(frames.matrix):
+        q = normalize(np.ones(frames.matrix.shape[1]))
+        assert np.all(np.isfinite(frame_similarities(frames, q)))

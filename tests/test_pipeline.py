@@ -11,7 +11,7 @@ from temporag.errors import (
     EmptyIndexError,
     ProviderUnavailableError,
 )
-from temporag.frames import SelectorConfig
+from temporag.frames import FrameTable, SelectorConfig
 from temporag.ingest import SceneGraphText
 from temporag.pipeline import (
     SECTION_HEADER_PREFIX,
@@ -33,7 +33,7 @@ from temporag.providers import StubDetector, StubLvlm
 from temporag.rescore import AnchorSet, DecayParams, RescoreConfig, rescore, top_k
 from temporag.textindex import build_index
 from temporag.types import Channel, FrameRecord, QueryRequest, ScoredSnippet, VideoRecord
-from temporag.vectorindex import FlatVectorIndex, HashEmbedder, normalize
+from temporag.vectorindex import F4, FlatVectorIndex, HashEmbedder, normalize
 
 from conftest import make_snippet
 
@@ -456,17 +456,16 @@ def build_runtime(seed=7):
         make_snippet("o1", "HARBOR SIGN no anchoring", 58.0, 58.0, channel=Channel.OCR),
         make_snippet("o2", "EXIT this way", 90.0, 90.0, channel=Channel.OCR),
     ]
-    frames = []
-    frame_index = FlatVectorIndex(32)
     frame_texts = ["open sea deck", "storm clouds captain", "harbor sign dock", "crowd waving"]
-    for i, text in enumerate(frame_texts):
-        ref = f"f{i}"
-        frames.append(FrameRecord(frame_index=i, t=25.0 * i, embedding_ref=ref))
-        frame_index.add(ref, embedder.embed([text])[0])
+    frames = FrameTable(
+        range(4),
+        [25.0 * i for i in range(4)],
+        [True] * 4,
+        np.array([normalize(v) for v in embedder.embed(frame_texts)], dtype=F4),
+    )
     return VideoRuntime(
         video=video,
         frames=frames,
-        frame_index=frame_index,
         channels={
             Channel.ASR: build_channel(asr, embedder),
             Channel.OCR: build_channel(ocr, embedder),

@@ -9,7 +9,7 @@ from temporag.errors import (
     EmptyFrameListError,
     LengthMismatchError,
 )
-from temporag.frames import frame_rows, frame_similarities
+from temporag.frames import FrameTable, frame_similarities
 from temporag.rescore import (
     AnchorSet,
     DecayParams,
@@ -19,8 +19,7 @@ from temporag.rescore import (
     rescore,
     top_k,
 )
-from temporag.types import FrameRecord
-from temporag.vectorindex import FlatVectorIndex, normalize
+from temporag.vectorindex import F4, normalize
 
 from conftest import decay_multiplier, make_snippet
 
@@ -38,41 +37,35 @@ def oracle_rescore(raws, times, anchors, lambdas, duration):
     return [m / total for m in masses]
 
 
-def frames_at(times):
-    return [FrameRecord(frame_index=i, t=t, embedding_ref=f"f{i}") for i, t in enumerate(times)]
+def frames_at(times, vectors=None, embedded=None):
+    """A frame table at these times; ``vectors`` are the embedded frames' rows."""
+    if embedded is None:
+        embedded = [vectors is not None] * len(times)
+    matrix = None if vectors is None else np.array([normalize(v) for v in vectors], dtype=F4)
+    return FrameTable(range(len(times)), times, embedded, matrix)
 
 
 class TestComputeAnchors:
-    def build_index(self, vectors):
-        index = FlatVectorIndex(4)
-        for i, v in enumerate(vectors):
-            index.add(f"f{i}", v)
-        return index
-
     def test_first_last_and_given_argmax(self):
-        frames = frames_at([0.0, 5.0, 10.0])
-        index = self.build_index([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+        frames = frames_at([0.0, 5.0, 10.0], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
         q = normalize([0.0, 1.0, 0.0, 0.0])
-        anchors = compute_anchors(frames, frame_similarities(frame_rows(frames, index), index, q))
+        anchors = compute_anchors(frames, frame_similarities(frames, q))
         assert (anchors.t_last, anchors.t_first, anchors.t_semantic) == (10.0, 0.0, 5.0)
 
     def test_single_frame(self):
-        frames = frames_at([3.0])
-        index = self.build_index([[1, 0, 0, 0]])
-        sims = frame_similarities(frame_rows(frames, index), index, normalize([1.0, 1.0, 0.0, 0.0]))
+        frames = frames_at([3.0], [[1, 0, 0, 0]])
+        sims = frame_similarities(frames, normalize([1.0, 1.0, 0.0, 0.0]))
         anchors = compute_anchors(frames, sims)
         assert anchors == AnchorSet(t_last=3.0, t_first=3.0, t_semantic=3.0)
 
     def test_argmax_matches_exhaustive_scan(self):
         rng = np.random.default_rng(17)
         times = sorted(rng.uniform(0, 100, size=10))
-        frames = frames_at(times)
-        vectors = [rng.standard_normal(4) for _ in frames]
-        index = self.build_index(vectors)
+        frames = frames_at(times, [rng.standard_normal(4) for _ in times])
         q = normalize(rng.standard_normal(4))
-        sims = [float(np.dot(index.get(f"f{i}").astype(np.float64), q)) for i in range(10)]
-        expected_t = frames[int(np.argmax(sims))].t
-        got = frame_similarities(frame_rows(frames, index), index, q)
+        sims = [float(np.dot(row.astype(np.float64), q)) for row in frames.matrix]
+        expected_t = times[int(np.argmax(sims))]
+        got = frame_similarities(frames, q)
         # One matrix-vector product may sum in another order than per-row dots.
         # The terms of a dot of two unit 4-vectors sum to at most 1 in
         # magnitude, so two orders differ by at most 4 ulps of 1.0.
@@ -81,20 +74,18 @@ class TestComputeAnchors:
         assert compute_anchors(frames, got).t_semantic == expected_t
 
     def test_tie_breaks_to_earliest(self):
-        frames = frames_at([1.0, 2.0])
-        index = self.build_index([[1, 0, 0, 0], [1, 0, 0, 0]])
-        sims = frame_similarities(frame_rows(frames, index), index, normalize([1.0, 0.0, 0.0, 0.0]))
+        frames = frames_at([1.0, 2.0], [[1, 0, 0, 0], [1, 0, 0, 0]])
+        sims = frame_similarities(frames, normalize([1.0, 0.0, 0.0, 0.0]))
         anchors = compute_anchors(frames, sims)
         assert anchors.t_semantic == 1.0
 
     def test_empty_frames(self):
         with pytest.raises(EmptyFrameListError):
-            compute_anchors([], [])
+            compute_anchors(frames_at([]), [])
 
     def test_no_embeddings_falls_back_to_first(self):
-        frames = [FrameRecord(frame_index=0, t=2.0), FrameRecord(frame_index=1, t=9.0)]
-        index = FlatVectorIndex(4)
-        sims = frame_similarities(frame_rows(frames, index), index, normalize([1.0, 0.0, 0.0, 0.0]))
+        frames = frames_at([2.0, 9.0])
+        sims = frame_similarities(frames, normalize([1.0, 0.0, 0.0, 0.0]))
         assert sims.tolist() == [-1.0, -1.0]
         anchors = compute_anchors(frames, sims)
         assert anchors.t_semantic == 2.0
@@ -102,11 +93,7 @@ class TestComputeAnchors:
     def test_unembedded_frame_never_wins(self):
         # An antipodal embedded frame still beats an earlier -1.0 placeholder,
         # and any value at an unembedded frame is ignored.
-        frames = [
-            FrameRecord(frame_index=0, t=1.0),
-            FrameRecord(frame_index=1, t=2.0, embedding_ref="f1"),
-            FrameRecord(frame_index=2, t=3.0),
-        ]
+        frames = frames_at([1.0, 2.0, 3.0], [[1, 0, 0, 0]], [False, True, False])
         assert compute_anchors(frames, [-1.0, -1.0, 5.0]).t_semantic == 2.0
 
     def test_length_mismatch(self):
@@ -116,23 +103,22 @@ class TestComputeAnchors:
     def test_semantic_anchor_matches_frame_loop(self):
         # Reference: the first embedded frame whose similarity beats every
         # earlier one, starting from -inf, so NaN and -inf never win.
-        def loop_anchor(frames, sims):
-            best, t = -math.inf, frames[0].t
-            for frame, sim in zip(frames, sims):
-                if frame.embedding_ref is not None and sim > best:
-                    best, t = sim, frame.t
+        def loop_anchor(times, embedded, sims):
+            best, t = -math.inf, times[0]
+            for ti, e, sim in zip(times, embedded, sims):
+                if e and sim > best:
+                    best, t = sim, ti
             return t
 
         rng = np.random.default_rng(23)
         values = [-math.inf, math.nan, -1.0, 0.0, 0.5, 1.0, 5.0]
         for _ in range(300):
             n = int(rng.integers(1, 7))
-            frames = [
-                FrameRecord(frame_index=i, t=float(i), embedding_ref=f"f{i}" if e else None)
-                for i, e in enumerate(rng.random(n) < 0.6)
-            ]
+            times = [float(i) for i in range(n)]
+            embedded = (rng.random(n) < 0.6).tolist()
+            frames = frames_at(times, [[1, 0]] * sum(embedded) or None, embedded)
             sims = [values[j] for j in rng.integers(0, len(values), size=n)]
-            assert compute_anchors(frames, sims).t_semantic == loop_anchor(frames, sims)
+            assert compute_anchors(frames, sims).t_semantic == loop_anchor(times, embedded, sims)
 
 
 class TestDecayMultiplier:
