@@ -63,6 +63,7 @@ from .types import (
 from .vectorindex import (
     HashEmbedder,
     PrecomputedEmbeddings,
+    match_ids,
     normalize,
     save_vectors,
 )
@@ -390,12 +391,10 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
         bm25_path = index_dir / f"{channel.value}.bm25"
         if not bm25_path.exists():
             continue
-        vec_path = index_dir / f"{channel.value}.vec"
-        dense = load_vec_index(str(vec_path))
+        vec_path = str(index_dir / f"{channel.value}.vec")
+        dense = load_vec_index(vec_path, check_order=False)
         bm25 = load_bm25(str(bm25_path))
-        # Both tables are strictly sorted, so the same ids are the same bytes.
-        if dense.id_table != bm25.doc_ids:
-            raise DataError(f"{vec_path}: ids differ from the doc ids in {bm25_path}; re-run build")
+        match_ids(dense, vec_path, bm25.doc_ids)
         if np.any(bm25.t_end > video.duration_s):
             raise DataError(
                 f"{bm25_path}: a document ends at {float(bm25.t_end.max())}s, "

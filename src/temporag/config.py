@@ -128,6 +128,10 @@ def _validate(cfg: RunConfig) -> None:
         value = getattr(cfg, name)
         if not isinstance(value, int) or value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    for name, least, kind in (("embed_dim", 1, "positive"), ("embed_seed", 0, "non-negative")):
+        value = getattr(cfg.providers, name)
+        if not isinstance(value, int) or value < least:
+            raise ConfigError(f"providers.{name} must be a {kind} integer, got {value!r}")
     for name in ("tau", "lambda0", "lambda1", "lambda2"):
         value = getattr(cfg, name)
         if not is_finite_number(value):

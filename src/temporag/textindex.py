@@ -393,6 +393,10 @@ def _sort_keys(blob: np.ndarray, starts: np.ndarray, lens: np.ndarray, width: in
     return units.view(f"S{2 * width}").ravel()
 
 
+def corrupt_index(path: str, problem: str) -> DataError:
+    return DataError(f"{path}: truncated or corrupt index ({problem})")
+
+
 class IndexFileReader:
     """Bounds-checked reads over one index file, read whole at open.
 
@@ -416,7 +420,7 @@ class IndexFileReader:
             raise VersionMismatchError(f"{path}: format version {found}, expected {version}")
 
     def corrupt(self, problem: str) -> DataError:
-        return DataError(f"{self.path}: truncated or corrupt index ({problem})")
+        return corrupt_index(self.path, problem)
 
     def _take(self, n_bytes: int) -> int:
         start = self.pos

@@ -13,6 +13,7 @@ Rows are kept sorted by id. A loaded index keeps its ids as the file's
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from bisect import bisect_left
 from typing import Protocol, Sequence
@@ -24,6 +25,7 @@ from .textindex import (
     IndexFileReader,
     StringTable,
     cached_rank,
+    corrupt_index,
     pack_strings,
     tokenize,
     top_hits,
@@ -35,13 +37,18 @@ F4 = np.dtype("<f4")
 FORMAT_VERSION = 3
 
 
+def _norm(arr: np.ndarray) -> float:
+    """The L2 norm of a 1-D float64 array, as ``np.linalg.norm`` computes it."""
+    norm = math.sqrt(arr.dot(arr))
+    if not 0.0 < norm < math.inf:
+        raise ZeroVectorError("cannot normalize a zero vector")
+    return norm
+
+
 def normalize(v: Sequence[float] | np.ndarray) -> np.ndarray:
     """Scale a vector to unit L2 norm, preserving direction."""
     arr = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(arr))
-    if norm <= 0.0 or not np.isfinite(norm):
-        raise ZeroVectorError("cannot normalize a zero vector")
-    return arr / norm
+    return arr / _norm(arr)
 
 
 class EmbeddingProvider(Protocol):
@@ -153,41 +160,140 @@ class FlatVectorIndex:
 # --- deterministic hash embedder ----------------------------------------------
 
 
+# numpy's ``SeedSequence`` hash constants, from ``numpy/random/bit_generator.pyx``.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+# The multiplier of PCG64's 128-bit linear congruential step.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of ``n`` successive hash steps, as ``uint32`` columns."""
+    seq = [init]
+    for _ in range(n):
+        seq.append(seq[-1] * mult & _MASK32)
+    column = np.array(seq, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    out = words ^ xor
+    out *= mult
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L
+    out -= y * _MIX_MULT_R
+    out ^= out >> _XSHIFT
+    return out
+
+
+def seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for every column ``e`` of ``entropy``.
+
+    ``entropy`` is a ``uint32`` array of at least ``_POOL_SIZE`` words by
+    one column per seed. The steps are numpy's, each applied to a whole row
+    of words, so the 32-bit wrap-around happens in array arithmetic, which
+    never warns.
+    """
+    n_extra = len(entropy) - _POOL_SIZE
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + n_extra))
+    # Hash the first words into the pool, then mix every pool word into
+    # each other one, then each remaining word into every pool word.
+    pool = _hash(entropy[:_POOL_SIZE], xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        steps = slice(k, k + len(dst))
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[steps], mult[steps]))
+        k += len(dst)
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hash(word, xor[k : k + _POOL_SIZE], mult[k : k + _POOL_SIZE]))
+        k += _POOL_SIZE
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = _hash(np.concatenate([pool, pool]), xor, mult)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+
+
 class HashEmbedder:
     """Seeded pseudo-random token embeddings, for tests and desk-scale runs.
 
-    Each token maps to a fixed unit vector drawn from a PRNG keyed on
-    (seed, token digest); a text embeds to the normalized mean of its token
-    vectors. Identical texts embed identically on every platform; texts
-    sharing tokens are more similar than disjoint ones in expectation.
+    A token's vector is
+    ``normalize(default_rng((seed, w0, w1, w2, w3)).standard_normal(dim))``,
+    where ``w0..w3`` are the little-endian 32-bit words of the token's
+    16-byte blake2b digest of its UTF-8 bytes. A text embeds to the
+    normalized mean of its token vectors, summed in token order (an empty
+    text is the one token ``""``). Identical texts embed identically on
+    every platform; texts sharing tokens are more similar than disjoint
+    ones in expectation.
+
+    ``embed`` draws every token an instance has not seen in one batch: it
+    seeds them all with ``seed_states`` and sets one ``PCG64`` to each
+    token's state in turn, which is the generator ``default_rng`` would
+    have built. The vectors are cached per instance, as rows of the batch.
     """
 
     def __init__(self, dim: int, seed: int = 0):
         if dim < 8:
             raise DataError(f"hash embedder dim must be >= 8, got {dim}")
+        if not isinstance(seed, int) or seed < 0:
+            raise DataError(f"hash embedder seed must be a non-negative integer, got {seed!r}")
         self.dim = dim
         self.seed = seed
+        # The seed's little-endian 32-bit words, as ``SeedSequence`` splits it.
+        self._seed_words = [
+            seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)
+        ]
+        self._bits = np.random.PCG64()
+        self._normal = np.random.Generator(self._bits)
         self._token_cache: dict[str, np.ndarray] = {}
 
-    def _token_vector(self, token: str) -> np.ndarray:
-        cached = self._token_cache.get(token)
-        if cached is not None:
-            return cached
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=16).digest()
-        words = struct.unpack("<4I", digest)
-        rng = np.random.default_rng((self.seed,) + words)
-        vec = normalize(rng.standard_normal(self.dim))
-        self._token_cache[token] = vec
-        return vec
+    def _draw(self, tokens: list[str]) -> np.ndarray:
+        """The unit vectors of ``tokens``, one row each."""
+        digests = b"".join(
+            hashlib.blake2b(token.encode("utf-8"), digest_size=16).digest() for token in tokens
+        )
+        n_seed = len(self._seed_words)
+        entropy = np.empty((n_seed + 4, len(tokens)), dtype=np.uint32)
+        entropy[:n_seed] = np.array(self._seed_words, dtype=np.uint32)[:, None]
+        entropy[n_seed:] = np.frombuffer(digests, dtype="<u4").reshape(-1, 4).T
+        matrix = np.empty((len(tokens), self.dim))
+        for (s0, s1, s2, s3), row in zip(seed_states(entropy).tolist(), matrix):
+            # PCG64's seeding: state and increment from the four state words.
+            inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+            state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+            self._bits.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            self._normal.standard_normal(out=row)
+            row /= _norm(row)
+        return matrix
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+        token_lists = [tokenize(text) or [""] for text in texts]
+        cache = self._token_cache
+        missing = list(
+            dict.fromkeys(token for tokens in token_lists for token in tokens if token not in cache)
+        )
+        if missing:
+            cache.update(zip(missing, self._draw(missing)))
         out = []
-        for text in texts:
-            tokens = tokenize(text) or [""]
-            mean = np.zeros(self.dim, dtype=np.float64)
+        for tokens in token_lists:
+            mean = np.zeros(self.dim)
             for token in tokens:
-                mean += self._token_vector(token)
-            out.append(normalize(mean / len(tokens)))
+                mean += cache[token]
+            mean /= len(tokens)
+            out.append(normalize(mean))
         return out
 
 
@@ -226,11 +332,16 @@ def save_index(index: FlatVectorIndex, path: str) -> None:
     save_vectors(path, index._ids, index._f4, index.dim)
 
 
-def load_index(path: str) -> FlatVectorIndex:
+_UNSORTED = "duplicate ids or ids out of order"
+
+
+def load_index(path: str, check_order: bool = True) -> FlatVectorIndex:
     """Read a vector file; rows keep their stored bits, with no re-normalization.
 
     Errors are those of ``textindex.IndexFileReader``, and a ``DataError``
-    naming the path for a NaN or infinite matrix entry.
+    naming the path for a NaN or infinite matrix entry. With
+    ``check_order`` false the ids are not checked for order here:
+    ``match_ids`` must check them next.
     """
     reader = IndexFileReader(path, FORMAT_VERSION)
     dim, n = reader.unpack("<II")
@@ -239,13 +350,28 @@ def load_index(path: str) -> FlatVectorIndex:
     ids = reader.string_table(n)
     matrix = reader.array(n * dim, F4).reshape(n, dim)
     reader.end()
-    if not ids.is_strictly_sorted():
-        raise reader.corrupt("duplicate ids or ids out of order")
+    if check_order and not ids.is_strictly_sorted():
+        raise reader.corrupt(_UNSORTED)
     if not np.all(np.isfinite(matrix)):
         raise reader.corrupt("non-finite vector values")
     index = FlatVectorIndex(dim)
     index._ids, index._f4 = ids, matrix
     return index
+
+
+def match_ids(index: FlatVectorIndex, path: str, doc_ids: StringTable) -> None:
+    """Require the ids of a vector file loaded without its order check to equal ``doc_ids``.
+
+    ``doc_ids`` is a table already checked to be strictly sorted, a loaded
+    ``.bm25`` file's, so ids equal to it need no order check of their own.
+    Other ids are a ``DataError`` naming the path: out of order, or else
+    different.
+    """
+    if index.id_table == doc_ids:
+        return
+    if not index.id_table.is_strictly_sorted():
+        raise corrupt_index(path, _UNSORTED)
+    raise DataError(f"{path}: ids differ from the doc ids of its .bm25 file; re-run build")
 
 
 class PrecomputedEmbeddings:

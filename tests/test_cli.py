@@ -32,6 +32,7 @@ from temporag.vectorindex import save_vectors
 from conftest import MUTATIONS, mutate_bytes
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def run_cli(args):
@@ -271,6 +272,18 @@ class TestBuild:
             a = hashlib.sha256((built_index / name).read_bytes()).hexdigest()
             b = hashlib.sha256((second / name).read_bytes()).hexdigest()
             assert a == b, name
+
+    def test_index_bytes_match_golden(self, built_index):
+        # The sha256 of every file a build of the demo writes, pinned across
+        # changes to the code: two builds of one tree cannot see their bits drift.
+        golden = {}
+        for line in (GOLDEN / "demo_index.sha256").read_text(encoding="utf-8").splitlines():
+            digest, name = line.split()
+            golden[name] = digest
+        built = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in built_index.iterdir()
+        }
+        assert built == golden
 
     def test_rebuild_removes_files_it_does_not_write(self, tmp_path, built_index, capsys):
         store = tmp_path / "asr_only"
@@ -746,6 +759,24 @@ class TestAnswer:
         assert 0 < len(keyframes) <= max_frames
         assert len(built) == len(keyframes)
 
+    def test_scans_each_id_table_order_once(self, built_index, monkeypatch):
+        # The .bm25 loader scans its doc ids and tokens; a .vec whose ids must
+        # equal those doc ids needs no scan of its own: 2 channels x 2, not x 3.
+        scanned = []
+        real = StringTable.is_strictly_sorted
+
+        def spy(table):
+            scanned.append(len(table))
+            return real(table)
+
+        monkeypatch.setattr(StringTable, "is_strictly_sorted", spy)
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 0
+        assert len(scanned) == 4
+
     def test_version_2_vec_is_data_error(self, built_index, capsys):
         # Version 2 .vec files kept their rows in the writer's order, not by id.
         path = built_index / "asr.vec"
@@ -996,6 +1027,26 @@ class TestExitCodes:
         rc = run_cli(["answer", "--index", built_index, "--query", "q", "--config", cfg, *flags])
         assert rc == 1
         assert "must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["build", "answer"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("embed_seed", -1), ("embed_seed", "x"), ("embed_seed", 1.5), ("embed_dim", "64")],
+        ids=["seed_negative", "seed_str", "seed_float", "dim_str"],
+    )
+    def test_bad_embed_setting_is_usage_error(self, tmp_path, built_index, capsys, command,
+                                              key, value):
+        config = json.loads((DEMO / "config.json").read_text(encoding="utf-8"))
+        config["providers"][key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        if command == "build":
+            args = ["--store", built_index.parent / "store", "--out", tmp_path / "index2"]
+        else:
+            args = ["--index", built_index, "--query", "q"]
+        rc = run_cli([command, *args, "--config", cfg])
+        assert rc == 1
+        assert f"error: providers.{key} must be a " in capsys.readouterr().err
 
 
 def test_effective_config_echoed_to_stderr(built_index, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -12,7 +13,7 @@ from temporag.errors import (
     VersionMismatchError,
     ZeroVectorError,
 )
-from temporag.textindex import pack_strings, write_index_file
+from temporag.textindex import pack_strings, tokenize, write_index_file
 from temporag.vectorindex import (
     FlatVectorIndex,
     HashEmbedder,
@@ -21,6 +22,7 @@ from temporag.vectorindex import (
     normalize,
     save_index,
     save_vectors,
+    seed_states,
 )
 
 from conftest import MUTATIONS, mutate_bytes
@@ -134,7 +136,87 @@ class TestFlatVectorIndex:
         assert [h[0] for h in index.search(q, 3, threshold=0.0)] == ["a", "b", "c"]
 
 
+def oracle_token_vector(token: str, dim: int, seed: int) -> np.ndarray:
+    """One ``default_rng`` per token, keyed on the seed and the token's blake2b words."""
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=16).digest()
+    v = np.random.default_rng((seed,) + struct.unpack("<4I", digest)).standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def oracle_embed(texts, dim: int, seed: int) -> list[np.ndarray]:
+    out = []
+    for text in texts:
+        tokens = tokenize(text) or [""]
+        mean = np.zeros(dim)
+        for token in tokens:
+            mean += oracle_token_vector(token, dim, seed)
+        mean = mean / len(tokens)
+        out.append(mean / np.linalg.norm(mean))
+    return out
+
+
+def random_tokens(seed: int, n: int) -> list[str]:
+    """``n`` distinct tokens: the edge cases, then ASCII and non-ASCII words."""
+    rng = np.random.default_rng(seed)
+    code_points = np.r_[0x30:0x7B, 0xC0:0x250, 0x4E00:0x4F00]
+    tokens = dict.fromkeys(["", "é", "日本語", "x" * 300])
+    while len(tokens) < n:
+        word = rng.choice(code_points, size=rng.integers(1, 24))
+        tokens["".join(map(chr, word.tolist()))] = None
+    return list(tokens)
+
+
+TOKENS = random_tokens(0, 5000)
+
+
+class TestSeedStates:
+    @pytest.mark.parametrize("n_words", [4, 5, 7])
+    def test_matches_seed_sequence(self, n_words):
+        rng = np.random.default_rng(n_words)
+        entropy = rng.integers(0, 2**32, size=(n_words, 300), dtype=np.uint32)
+        entropy[:, 0] = 0
+        entropy[:, 1] = 2**32 - 1
+        states = seed_states(entropy)
+        assert states.shape == (300, 4)
+        for column, state in zip(entropy.T, states):
+            expected = np.random.SeedSequence(column).generate_state(4, np.uint64)
+            assert state.tolist() == expected.tolist()
+
+
 class TestHashEmbedder:
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("dim", [8, 33, 64])
+    def test_token_vectors_match_default_rng_bitwise(self, dim, seed):
+        drawn = HashEmbedder(dim, seed)._draw(TOKENS)
+        for token, row in zip(TOKENS, drawn):
+            expected = oracle_token_vector(token, dim, seed)
+            assert row.tobytes() == expected.tobytes(), token
+
+    @pytest.mark.parametrize("seed", [0, 2**32])
+    def test_embed_matches_per_token_path_bitwise(self, seed):
+        rng = np.random.default_rng(seed % 97)
+        vocab = TOKENS[:400]
+        texts = ["", "É 日本語 é", "x" * 300, "a a a", "!!"] + [
+            " ".join(rng.choice(vocab, size=rng.integers(1, 30))) for _ in range(300)
+        ]
+        expected = [v.tobytes() for v in oracle_embed(texts, 33, seed)]
+        assert [v.tobytes() for v in HashEmbedder(33, seed).embed(texts)] == expected
+        one_by_one = HashEmbedder(33, seed)
+        assert [one_by_one.embed([t])[0].tobytes() for t in texts] == expected
+        # Warm: every token cached, then again with half the texts new.
+        assert [v.tobytes() for v in one_by_one.embed(texts)] == expected
+        half = HashEmbedder(33, seed)
+        half.embed(texts[::2])
+        assert [v.tobytes() for v in half.embed(texts)] == expected
+
+    def test_empty_batch(self):
+        assert HashEmbedder(8).embed([]) == []
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DataError, match="seed must be a non-negative integer"):
+            HashEmbedder(8, seed)
+
     def test_deterministic(self):
         e = HashEmbedder(16, seed=3)
         a = e.embed(["a b"])[0]
