@@ -41,7 +41,7 @@ from .ingest import (
     parse_vtt,
     write_snippet_jsonl,
 )
-from .pipeline import AblationFlags, ChannelIndex, VideoRuntime, run_query
+from .pipeline import AblationFlags, VideoRuntime, run_query
 from .providers import (
     FixtureDetector,
     HttpDetector,
@@ -50,7 +50,7 @@ from .providers import (
     StubDetector,
     StubLvlm,
 )
-from .textindex import build_index
+from .textindex import Bm25Index, build_index
 from .textindex import load_index as load_bm25
 from .textindex import save_index as save_bm25
 from .types import (
@@ -60,21 +60,14 @@ from .types import (
     is_finite_number,
     validate_snippet,
 )
-from .vectorindex import (
-    HashEmbedder,
-    PrecomputedEmbeddings,
-    match_ids,
-    normalize,
-    save_vectors,
-)
-from .vectorindex import load_index as load_vec_index
+from .vectorindex import HashEmbedder, PrecomputedEmbeddings, normalize
 
 CHANNEL_FILES = {Channel.ASR: "asr.jsonl", Channel.OCR: "ocr.jsonl"}
 FRAME_TABLE = "frames.tbl"
 DETECTION_TABLE = "detections.tbl"
-# Every file build may write, and frames.vec, which builds wrote before the
-# frame table held the frame embeddings. Build removes them all first, so a
-# rebuild leaves none of an earlier build's files behind.
+# Every file build may write, and the .vec files that builds wrote before
+# the frame table and the .bm25 files held the embeddings. Build removes
+# them all first, so a rebuild leaves none of an earlier build's files behind.
 INDEX_FILES = frozenset(
     {"video.json", FRAME_TABLE, "frames.vec", DETECTION_TABLE}
     | {f"{c.value}.{ext}" for c in Channel for ext in ("bm25", "vec")}
@@ -335,12 +328,8 @@ def cmd_build(args) -> int:
         snippets = _read_store_snippets(store, channel, video)
         if not snippets:
             continue
-        index = build_index(snippets)
-        save_bm25(index, str(out / f"{channel.value}.bm25"))
         vectors = _embed_or_lookup(cfg, [s.id for s in snippets], [s.text for s in snippets])
-        save_vectors(
-            str(out / f"{channel.value}.vec"), [s.id for s in snippets], vectors, len(vectors[0])
-        )
+        save_bm25(build_index(snippets, vectors=vectors), str(out / f"{channel.value}.bm25"))
         print(f"{channel.value}: indexed {len(snippets)} snippets")
 
     frames = sorted(
@@ -386,21 +375,18 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
         raise DataError(f"{meta_path} not found; run build first")
     video = _read_video(meta_path)
 
-    channels: dict[Channel, ChannelIndex] = {}
+    channels: dict[Channel, Bm25Index] = {}
     for channel in Channel:
         bm25_path = index_dir / f"{channel.value}.bm25"
         if not bm25_path.exists():
             continue
-        vec_path = str(index_dir / f"{channel.value}.vec")
-        dense = load_vec_index(vec_path, check_order=False)
         bm25 = load_bm25(str(bm25_path))
-        match_ids(dense, vec_path, bm25.doc_ids)
         if np.any(bm25.t_end > video.duration_s):
             raise DataError(
                 f"{bm25_path}: a document ends at {float(bm25.t_end.max())}s, "
                 f"after duration_s {video.duration_s} in {meta_path}"
             )
-        channels[channel] = ChannelIndex(channel=channel, bm25=bm25, dense=dense)
+        channels[channel] = bm25
 
     frame_table_path = index_dir / FRAME_TABLE
     if not frame_table_path.exists():

@@ -93,6 +93,10 @@ _RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 _PROVIDER_FIELDS = {f.name for f in dataclasses.fields(ProviderConfig)}
 _VALID_FUSIONS = {m.value for m in FusionMode}
 _VALID_TIME_NORMS = {m.value for m in TimeNorm}
+# The widest text embeddings in common use. The hash embedder holds dim
+# float64s per distinct token, so a larger value is a typo that would end
+# in an allocation failure, not a usable index.
+MAX_EMBED_DIM = 4096
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -132,6 +136,11 @@ def _validate(cfg: RunConfig) -> None:
         value = getattr(cfg.providers, name)
         if not isinstance(value, int) or value < least:
             raise ConfigError(f"providers.{name} must be a {kind} integer, got {value!r}")
+    if cfg.providers.embed_dim > MAX_EMBED_DIM:
+        raise ConfigError(
+            f"providers.embed_dim must be a positive integer of at most {MAX_EMBED_DIM}, "
+            f"got {cfg.providers.embed_dim!r}"
+        )
     for name in ("tau", "lambda0", "lambda1", "lambda2"):
         value = getattr(cfg, name)
         if not is_finite_number(value):

@@ -58,17 +58,11 @@ class DuplicateDocIdError(DataError):
         self.doc_id = doc_id
 
 
-class UnknownDocIdError(DataError):
-    def __init__(self, doc_id: str):
-        super().__init__(f"unknown doc id {doc_id!r}")
-        self.doc_id = doc_id
-
-
 class VersionMismatchError(DataError):
     """Persisted index file has an unsupported magic or format version."""
 
 
-# --- vector index ----------------------------------------------------------
+# --- vectors --------------------------------------------------------------
 
 
 class ZeroVectorError(DataError):
@@ -80,12 +74,6 @@ class DimMismatchError(DataError):
         super().__init__(f"expected dim {expected}, got {got}")
         self.expected = expected
         self.got = got
-
-
-class DuplicateIdError(DataError):
-    def __init__(self, vec_id: str):
-        super().__init__(f"duplicate vector id {vec_id!r}")
-        self.vec_id = vec_id
 
 
 # --- temporal rescorer ------------------------------------------------------

@@ -19,11 +19,11 @@ import numpy as np
 from .config import RunConfig
 from .errors import DataError, InfeasibleSpecError
 from .frames import FrameTable
-from .pipeline import AblationFlags, ChannelIndex, VideoRuntime, run_query
+from .pipeline import AblationFlags, VideoRuntime, run_query
 from .providers import StubDetector, StubLvlm
-from .textindex import build_index
+from .textindex import F4, build_index
 from .types import Channel, FrameRecord, Snippet, VideoRecord
-from .vectorindex import F4, FlatVectorIndex, HashEmbedder, normalize
+from .vectorindex import HashEmbedder, normalize
 
 
 @dataclass(frozen=True)
@@ -204,13 +204,6 @@ def eval_question(spec: SyntheticSpec) -> str:
     return f"What is mentioned about {' '.join(spec.query_terms)}?"
 
 
-def _vector_index(embedder: HashEmbedder, texts: dict[str, str]) -> FlatVectorIndex:
-    index = FlatVectorIndex(embedder.dim)
-    for vec_id, vec in zip(texts, embedder.embed(list(texts.values()))):
-        index.add(vec_id, vec)
-    return index
-
-
 def build_runtime(corpus: Corpus, config: RunConfig) -> VideoRuntime:
     """An in-memory runtime over the corpus with the stub LVLM and detector.
 
@@ -219,11 +212,8 @@ def build_runtime(corpus: Corpus, config: RunConfig) -> VideoRuntime:
     ``config.providers`` names, so an eval needs no external service.
     """
     embedder = HashEmbedder(config.providers.embed_dim, config.providers.embed_seed)
-    asr = ChannelIndex(
-        channel=Channel.ASR,
-        bm25=build_index(corpus.snippets),
-        dense=_vector_index(embedder, {s.id: s.text for s in corpus.snippets}),
-    )
+    texts = [s.text for s in corpus.snippets]
+    asr = build_index(corpus.snippets, vectors=[normalize(v) for v in embedder.embed(texts)])
     frames = FrameTable(
         [f.frame_index for f in corpus.frames],
         [f.t for f in corpus.frames],

@@ -17,9 +17,8 @@ import numpy as np
 from .errors import DataError, DimMismatchError, LengthMismatchError
 from .ingest import DetectionRecord
 from .providers import DetectorProvider
-from .textindex import F8, U1, U4, IndexFileReader, write_index_file
+from .textindex import F4, F8, U1, U4, IndexFileReader, f4_matrix, write_index_file
 from .types import FrameRecord
-from .vectorindex import F4, f4_matrix
 
 
 @dataclass(frozen=True)

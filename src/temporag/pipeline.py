@@ -40,7 +40,7 @@ from .types import (
     ScoredSnippet,
     VideoRecord,
 )
-from .vectorindex import EmbeddingProvider, FlatVectorIndex, normalize
+from .vectorindex import EmbeddingProvider, normalize
 
 log = logging.getLogger(__name__)
 
@@ -124,25 +124,6 @@ class Retrieval:
     pool: list[ScoredSnippet]
 
 
-@dataclass
-class ChannelIndex:
-    """One channel's indices; ``bm25`` also holds its document table.
-
-    When the dense ids are the doc ids in the same order, as a loaded index
-    requires, a doc's position is its dense row: the two indices share one
-    lookup cache, so an id ``search`` returns costs ``dense_accept`` no
-    second lookup.
-    """
-
-    channel: Channel
-    bm25: Bm25Index
-    dense: FlatVectorIndex
-
-    def __post_init__(self):
-        if self.dense.id_table == self.bm25.doc_ids:
-            self.dense.share_lookups(self.bm25.doc_row)
-
-
 # --- stage 1: query decoupling -------------------------------------------------
 
 
@@ -185,44 +166,36 @@ def decouple_query(lvlm: LvlmProvider, q: QueryRequest) -> RetrievalRequest:
 
 
 def dense_accept(
-    dense: FlatVectorIndex,
+    bm25: Bm25Index,
     query_vec: np.ndarray | None,
-    ids: Sequence[str],
+    ids: Sequence[int],
     tau: float,
-) -> list[str]:
-    """Filter ids by dense similarity >= tau, preserving order.
+) -> list[int]:
+    """Filter document positions by dense similarity >= tau, preserving order.
 
-    Ids without a stored vector are kept: there is no dense evidence
-    against them. With no query vector or an empty index the filter is a
-    no-op.
+    Each row's similarity is its own float64 dot product with the query,
+    the same bits whatever else is filtered with it. With no query vector
+    the filter is a no-op.
     """
-    if query_vec is None or len(dense) == 0:
+    if query_vec is None:
         return list(ids)
-    kept = []
-    for snippet_id in ids:
-        if snippet_id not in dense:
-            kept.append(snippet_id)
-            continue
-        sim = float(np.dot(dense.get(snippet_id).astype(np.float64), query_vec))
-        if sim >= tau:
-            kept.append(snippet_id)
-    return kept
+    rows = bm25.vectors
+    return [pos for pos in ids if float(np.dot(rows[pos].astype(np.float64), query_vec)) >= tau]
 
 
-def _min_max_rescale(hits: Sequence[tuple[str, float]]) -> dict[str, float]:
+def _min_max_rescale(hits: Sequence[tuple[int, float]]) -> dict[int, float]:
     if not hits:
         return {}
     values = [score for _, score in hits]
     low, high = min(values), max(values)
     if high <= low:
-        return {doc_id: 1.0 for doc_id, _ in hits}
-    return {doc_id: (score - low) / (high - low) for doc_id, score in hits}
+        return {pos: 1.0 for pos, _ in hits}
+    return {pos: (score - low) / (high - low) for pos, score in hits}
 
 
 def retrieve_channel(
     req_text: str,
     bm25: Bm25Index,
-    dense: FlatVectorIndex,
     anchors: AnchorSet,
     decay: DecayParams,
     cfg: RescoreConfig,
@@ -236,45 +209,41 @@ def retrieve_channel(
 
     LEXICAL pools BM25 hits and applies the dense acceptance filter;
     DENSE pools vector hits with similarity >= ``tau``; MAX_FUSE unions both
-    pools with each signal min-max rescaled and fused by max. The pool is
-    then temporally rescored and cut to ``cfg.top_k``. Only pooled ids
-    become ``Snippet``s, looked up in ``bm25``'s document table. Both lists
-    are empty when nothing survives pooling or filtering.
+    pools with each signal min-max rescaled and fused by max. Candidates
+    are document positions throughout. The pool is then temporally
+    rescored and cut to ``cfg.top_k``; only pooled positions become
+    ``Snippet``s. Both lists are empty when nothing survives pooling or
+    filtering.
     """
     if not req_text.strip():
         raise DataError("request text must be non-empty; NULL channels are skipped by the caller")
     pool_size = cfg.pool_size
 
+    if bm25.n_docs == 0:
+        raise EmptyIndexError(f"channel {bm25.channel.value}: empty index")
     if fusion is FusionMode.LEXICAL:
-        if bm25.n_docs == 0:
-            raise EmptyIndexError(f"channel {bm25.channel.value}: empty lexical index")
         pool = textindex.search(bm25, req_text, pool_size)
-        kept = set(dense_accept(dense, query_vec, [doc_id for doc_id, _ in pool], tau))
-        candidates = [(doc_id, raw) for doc_id, raw in pool if doc_id in kept]
+        kept = set(dense_accept(bm25, query_vec, [pos for pos, _ in pool], tau))
+        candidates = [(pos, raw) for pos, raw in pool if pos in kept]
     elif fusion is FusionMode.DENSE:
-        if len(dense) == 0:
-            raise EmptyIndexError("empty dense index")
         if query_vec is None:
             raise DataError("dense fusion requires a query vector")
         candidates = [
-            (doc_id, max(score, 0.0)) for doc_id, score in dense.search(query_vec, pool_size, tau)
+            (pos, max(score, 0.0))
+            for pos, score in textindex.dense_search(bm25, query_vec, pool_size, tau)
         ]
     elif fusion is FusionMode.MAX_FUSE:
-        if bm25.n_docs == 0 or len(dense) == 0:
-            raise EmptyIndexError("max fusion requires both indices to be non-empty")
         if query_vec is None:
             raise DataError("max fusion requires a query vector")
-        lex = textindex.search(bm25, req_text, pool_size)
-        den = dense.search(query_vec, pool_size, tau)
-        lex_scaled = _min_max_rescale(lex)
-        den_scaled = _min_max_rescale(den)
+        lex_scaled = _min_max_rescale(textindex.search(bm25, req_text, pool_size))
+        den_scaled = _min_max_rescale(textindex.dense_search(bm25, query_vec, pool_size, tau))
+        # Position order is doc-id order, so ties keep ascending ids.
         union = sorted(set(lex_scaled) | set(den_scaled))
         fused = [
-            (doc_id, max(lex_scaled.get(doc_id, 0.0), den_scaled.get(doc_id, 0.0)))
-            for doc_id in union
+            (pos, max(lex_scaled.get(pos, 0.0), den_scaled.get(pos, 0.0))) for pos in union
         ]
-        kept = set(dense_accept(dense, query_vec, [doc_id for doc_id, _ in fused], tau))
-        fused = [(doc_id, raw) for doc_id, raw in fused if doc_id in kept]
+        kept = set(dense_accept(bm25, query_vec, [pos for pos, _ in fused], tau))
+        fused = [(pos, raw) for pos, raw in fused if pos in kept]
         fused.sort(key=lambda h: (-h[1], h[0]))
         candidates = fused[:pool_size]
     else:  # pragma: no cover - exhaustive enum
@@ -282,7 +251,7 @@ def retrieve_channel(
 
     if not candidates:
         return Retrieval(hits=[], pool=[])
-    pool_snippets = [(bm25.snippet(doc_id), raw) for doc_id, raw in candidates]
+    pool_snippets = [(bm25.snippet(pos), raw) for pos, raw in candidates]
     scored = rescore_mod.rescore(pool_snippets, anchors, decay, duration_s)
     return Retrieval(hits=rescore_mod.top_k(scored, cfg.top_k), pool=scored)
 
@@ -444,7 +413,7 @@ class VideoRuntime:
 
     video: VideoRecord
     frames: FrameTable
-    channels: dict[Channel, ChannelIndex]
+    channels: dict[Channel, Bm25Index]
     lvlm: LvlmProvider
     embedder: EmbeddingProvider
     detector: DetectorProvider
@@ -532,11 +501,9 @@ def run_query(
 
     retrieval = {channel: Retrieval(hits=[], pool=[]) for channel in (Channel.ASR, Channel.OCR)}
     for (channel, req_text), vec in zip(wanted, channel_vecs, strict=True):
-        chan = runtime.channels[channel]
         retrieval[channel] = retrieve_channel(
             req_text,
-            chan.bm25,
-            chan.dense,
+            runtime.channels[channel],
             anchors,
             decay,
             cfg,

@@ -1,12 +1,14 @@
-"""Tokenization, inverted index construction, and Okapi BM25 scoring.
+"""One channel's index: tokenization, Okapi BM25 and exact dense search.
 
-One index per channel. Indices are write-once/read-many: ``build_index``
-is the single writer, after which concurrent searches need no locking.
+One index per channel, one file per index. Indices are write-once/read-many:
+``build_index`` is the single writer, after which concurrent searches need
+no locking.
 
-A loaded index decodes no id table whole: its doc ids and tokens stay
-sorted ``StringTable``s, a lookup bisects one (decoding one entry per
-probe, once per distinct key), and ``search`` decodes only the ids it
-returns.
+Both searches return document positions, not ids: a position indexes the
+doc table, the postings and the dense rows alike. A loaded index decodes
+no id table whole: its doc ids and tokens stay sorted ``StringTable``s, a
+token lookup bisects (decoding one entry per probe, once per distinct
+token), and only the documents turned into ``Snippet``s decode their id.
 """
 
 from __future__ import annotations
@@ -24,17 +26,19 @@ import numpy as np
 
 from .errors import (
     DataError,
+    DimMismatchError,
     DuplicateDocIdError,
+    LengthMismatchError,
     MixedChannelsError,
-    UnknownDocIdError,
     VersionMismatchError,
 )
 from .types import Channel, Snippet
 
 MAGIC = b"TVRG"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 U1 = np.dtype("u1")
 U4 = np.dtype("<u4")
+F4 = np.dtype("<f4")
 F8 = np.dtype("<f8")
 
 # Alphanumeric runs; underscore is a boundary like any other punctuation.
@@ -62,20 +66,22 @@ class Bm25Params:
 
 @dataclass(eq=False)
 class Bm25Index:
-    """One channel's document table and its inverted index, in CSR form.
+    """One channel's document table, its inverted index in CSR form, and its dense rows.
 
     ``doc_ids`` is strictly sorted, so a document's position is its rank by
     id; ``texts``, ``t_start`` and ``t_end`` (``<f8``) are the documents'
-    columns in that order. ``tokens`` is the strictly sorted vocabulary;
-    the postings of token row ``r`` are ``doc_pos[offsets[r]:offsets[r + 1]]``
-    (doc positions, ascending) and the matching ``tf`` term frequencies.
-    These and ``doc_len`` are ``<u4``. After a load, ``doc_ids``, ``texts``
-    and ``tokens`` are ``StringTable``s that decode one entry per lookup,
-    and every array is a read-only view of the file.
+    columns in that order, and row ``p`` of ``vectors`` (``<f4``, one unit
+    embedding per document, ``dim`` columns) is document ``p``'s. ``tokens``
+    is the strictly sorted vocabulary; the postings of token row ``r`` are
+    ``doc_pos[offsets[r]:offsets[r + 1]]`` (doc positions, ascending) and
+    the matching ``tf`` term frequencies. These and ``doc_len`` are
+    ``<u4``. After a load, ``doc_ids``, ``texts`` and ``tokens`` are
+    ``StringTable``s that decode one entry per lookup, and every array is a
+    read-only view of the file. An index built without vectors has
+    ``dim`` 0: it can rank lexically, not densely.
 
-    ``token_row`` and ``doc_row`` are lookup caches, filled as tokens and
-    doc ids are asked for or returned by ``search``: key to row or
-    position, -1 for a key the index does not hold.
+    ``token_row`` is a lookup cache, filled as tokens are asked for: token
+    to row, -1 for a token the index does not hold.
     """
 
     channel: Channel
@@ -89,11 +95,12 @@ class Bm25Index:
     offsets: np.ndarray
     doc_pos: np.ndarray
     tf: np.ndarray
+    vectors: np.ndarray
     avg_dl: float = field(init=False)
     dl_norm: np.ndarray = field(init=False, repr=False)
     token_row: dict[str, int] = field(init=False, repr=False, default_factory=dict)
-    doc_row: dict[str, int] = field(init=False, repr=False, default_factory=dict)
-    _snippets: dict[str, Snippet] = field(init=False, repr=False, default_factory=dict)
+    _snippets: dict[int, Snippet] = field(init=False, repr=False, default_factory=dict)
+    _f8: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         n_docs = len(self.doc_ids)
@@ -106,31 +113,39 @@ class Bm25Index:
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
-    def position(self, doc_id: str) -> int:
-        """Rank of ``doc_id`` in the sorted doc table; ``UnknownDocIdError`` if absent."""
-        pos = cached_rank(self.doc_row, self.doc_ids, doc_id)
-        if pos < 0:
-            raise UnknownDocIdError(doc_id)
-        return pos
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
-    def snippet(self, doc_id: str) -> Snippet:
-        """The stored document ``doc_id``, built at its first lookup and then kept.
+    def snippet(self, pos: int) -> Snippet:
+        """The document at position ``pos``, built at its first lookup and then kept.
 
         A load builds no ``Snippet``; an index asked many questions builds
         each pooled document once. Concurrent lookups need no lock: a race
         at worst builds an equal snippet twice.
         """
-        snippet = self._snippets.get(doc_id)
+        snippet = self._snippets.get(pos)
         if snippet is None:
-            pos = self.position(doc_id)
-            snippet = self._snippets[doc_id] = Snippet(
-                id=doc_id,
+            snippet = self._snippets[pos] = Snippet(
+                id=self.doc_ids[pos],
                 channel=self.channel,
                 text=self.texts[pos],
                 t_start=self.t_start.item(pos),
                 t_end=self.t_end.item(pos),
             )
         return snippet
+
+    def similarities(self, q: np.ndarray) -> np.ndarray:
+        """Inner products of the query with every document's row, in position order.
+
+        One ``f8`` matrix-vector product over a float64 copy made on first use.
+        """
+        q = np.asarray(q, dtype=np.float64)
+        if q.shape != (self.dim,):
+            raise DimMismatchError(self.dim, q.shape[0] if q.ndim == 1 else -1)
+        if self._f8 is None:
+            self._f8 = self.vectors.astype(np.float64)
+        return self._f8 @ q
 
     def _span(self, token: str) -> tuple[int, int]:
         row = cached_rank(self.token_row, self.tokens, token)
@@ -188,15 +203,37 @@ def top_hits(scores: np.ndarray, keep: np.ndarray, k: int) -> tuple[list[int], l
     return hits[best].tolist(), hit_scores[best].tolist()
 
 
-def build_index(docs: Sequence[Snippet], params: Bm25Params | None = None) -> Bm25Index:
-    """Build a BM25 index over snippets that all share one channel."""
+def f4_matrix(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """The vectors as the rows of one ``<f4`` matrix; a vector of another length is an error."""
+    matrix = np.empty((len(vectors), dim), dtype=F4)
+    for row, vec in zip(matrix, vectors):
+        if np.shape(vec) != (dim,):
+            raise DimMismatchError(dim, np.size(vec))
+        row[:] = vec
+    return matrix
+
+
+def build_index(
+    docs: Sequence[Snippet],
+    params: Bm25Params | None = None,
+    vectors: Sequence[np.ndarray] | None = None,
+) -> Bm25Index:
+    """Build a BM25 index over snippets that all share one channel.
+
+    ``vectors`` holds one unit embedding per document, in ``docs`` order;
+    they become the dense rows, reordered with the documents. Without
+    them the index has ``dim`` 0.
+    """
     params = params or Bm25Params()
     channels = {d.channel for d in docs}
     if len(channels) > 1:
         raise MixedChannelsError(f"documents span channels {sorted(c.value for c in channels)}")
     channel = channels.pop() if channels else Channel.ASR
+    if vectors is not None and len(vectors) != len(docs):
+        raise LengthMismatchError(len(docs), len(vectors))
 
-    ordered = sorted(docs, key=lambda d: d.id)
+    order = sorted(range(len(docs)), key=lambda i: docs[i].id)
+    ordered = [docs[i] for i in order]
     for prev, doc in pairwise(ordered):
         if prev.id == doc.id:
             raise DuplicateDocIdError(doc.id)
@@ -210,6 +247,10 @@ def build_index(docs: Sequence[Snippet], params: Bm25Params | None = None) -> Bm
 
     vocab = sorted(rows)
     postings = [p for token in vocab for p in rows[token]]
+    if vectors is None or not len(vectors):
+        matrix = np.zeros((len(docs), 0), dtype=F4)
+    else:
+        matrix = f4_matrix([vectors[i] for i in order], len(vectors[0]))
     return Bm25Index(
         channel=channel,
         params=params,
@@ -222,14 +263,15 @@ def build_index(docs: Sequence[Snippet], params: Bm25Params | None = None) -> Bm
         offsets=np.array(list(accumulate((len(rows[t]) for t in vocab), initial=0)), dtype=U4),
         doc_pos=np.array([p for p, _ in postings], dtype=U4),
         tf=np.array([f for _, f in postings], dtype=U4),
+        vectors=matrix,
     )
 
 
-def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[str, float]]:
-    """Top ``pool_size`` documents with positive score, best first.
+def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[int, float]]:
+    """Positions and scores of the top ``pool_size`` documents with positive score, best first.
 
-    Ties break by ascending doc_id. Fewer results are returned when fewer
-    documents match any query token.
+    Ties break by ascending position, which is doc-id order. Fewer results
+    are returned when fewer documents match any query token.
     """
     if pool_size < 1:
         raise DataError(f"pool_size must be >= 1, got {pool_size}")
@@ -249,27 +291,40 @@ def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[str,
     scores = np.zeros(index.n_docs, dtype=np.float64)
     # Okapi term contributions, accumulated per document in query-token order.
     np.add.at(scores, positions, idfs * tfs * (k1 + 1.0) / (tfs + index.dl_norm[positions]))
-    # Only the returned ids are decoded; their positions are kept for ``snippet``.
     best, best_scores = top_hits(scores, scores > 0.0, pool_size)
-    doc_ids = [index.doc_ids[i] for i in best]
-    index.doc_row.update(zip(doc_ids, best))
-    return list(zip(doc_ids, best_scores))
+    return list(zip(best, best_scores))
 
 
-# --- binary persistence, format version 4 ---------------------------------------
+def dense_search(
+    index: Bm25Index, q: np.ndarray, k: int, threshold: float
+) -> list[tuple[int, float]]:
+    """Positions and scores of up to ``k`` rows with inner product >= ``threshold``, best first.
+
+    Exact full scan; ties break by ascending position, which is doc-id order.
+    """
+    if k < 1:
+        raise DataError(f"k must be >= 1, got {k}")
+    scores = index.similarities(q)
+    best, best_scores = top_hits(scores, scores >= threshold, k)
+    return list(zip(best, best_scores))
+
+
+# --- binary persistence, format version 5 ---------------------------------------
 #
-# All integers little-endian u32, floats f64:
+# All integers little-endian u32, floats f64 unless marked:
 #   magic "TVRG" | version | channel (a one-string table) | k1 | b
 #   | n_docs | n_tokens | doc-id table (sorted) | text table
 #   | t_start[n_docs] | t_end[n_docs] | token table (sorted)
 #   | doc_len[n_docs] | offsets[n_tokens + 1] | doc_pos[n_postings] | tf[n_postings]
+#   | dim | <f4 vectors[n_docs][dim]
 # A string table is offsets[n + 1] into one UTF-8 blob that follows them.
-# n_postings is offsets[n_tokens]. The arrays load as views of the file's
-# bytes, so the loader checks every invariant that search and the document
-# lookup rely on. Version 4 has the layout of version 3; its text table is
-# decoded per document, and the index directory around it holds the frame
-# and detection tables that version 3 directories lack. No table is decoded
-# whole: the loader checks each one's order on its bytes, and lookups bisect.
+# n_postings is offsets[n_tokens]. The vector rows are in doc-position
+# order, so they carry no ids of their own; dim is 0 only when n_docs is.
+# The arrays load as views of the file's bytes, so the loader checks every
+# invariant that both searches and the document lookup rely on. Version 5
+# is version 4 plus the vector rows, which version 4 directories kept in a
+# separate id-keyed ``.vec`` file. No table is decoded whole: the loader
+# checks each one's order on its bytes, and lookups bisect.
 
 
 def pack_strings(strings: Sequence[str]) -> bytes:
@@ -284,8 +339,7 @@ class StringTable(Sequence):
 
     ``IndexFileReader.string_table`` checks the blob once, so no lookup
     raises on its bytes: the whole blob is valid UTF-8 and every entry
-    starts on a character boundary. Two tables are equal when their offsets
-    and bytes are, which compares them without decoding either.
+    starts on a character boundary.
     """
 
     def __init__(self, data: bytes, base: int, offsets: np.ndarray):
@@ -304,15 +358,6 @@ class StringTable(Sequence):
 
     def _blob(self) -> np.ndarray:
         return np.frombuffer(self._data, dtype=U1, count=self.offsets.item(-1), offset=self._base)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StringTable):
-            return NotImplemented
-        return np.array_equal(self.offsets, other.offsets) and np.array_equal(
-            self._blob(), other._blob()
-        )
-
-    __hash__ = None
 
     def is_strictly_sorted(self) -> bool:
         """Whether every entry is less than the next, compared as UTF-8 bytes.
@@ -482,6 +527,8 @@ def save_index(index: Bm25Index, path: str) -> None:
         index.t_end.tobytes(),
         pack_strings(index.tokens),
         *(a.tobytes() for a in (index.doc_len, index.offsets, index.doc_pos, index.tf)),
+        struct.pack("<I", index.dim),
+        index.vectors.tobytes(),
     )
 
 
@@ -504,6 +551,10 @@ def load_index(path: str) -> Bm25Index:
     offsets = reader.offsets(n_tokens)
     doc_pos = reader.array(int(offsets[-1]))
     tf = reader.array(int(offsets[-1]))
+    (dim,) = reader.unpack("<I")
+    if dim == 0 and n_docs:
+        raise reader.corrupt(f"dim 0 for {n_docs} documents")
+    vectors = reader.array(n_docs * dim, F4).reshape(n_docs, dim)
     reader.end()
     if not doc_ids.is_strictly_sorted():
         raise reader.corrupt("doc ids not unique and sorted")
@@ -514,6 +565,8 @@ def load_index(path: str) -> Bm25Index:
         raise reader.corrupt("token table not strictly sorted")
     if len(doc_pos) and (doc_pos.max() >= n_docs or tf.min() < 1):
         raise reader.corrupt("posting out of range")
+    if not np.all(np.isfinite(vectors)):
+        raise reader.corrupt("non-finite vector values")
     return Bm25Index(
         channel=channel,
         params=params,
@@ -526,4 +579,5 @@ def load_index(path: str) -> Bm25Index:
         offsets=offsets,
         doc_pos=doc_pos,
         tf=tf,
+        vectors=vectors,
     )

@@ -76,7 +76,7 @@ def bm25_score(index: Bm25Index, query_tokens: Sequence[str], doc_id: str) -> fl
     Repeated query tokens contribute once per occurrence. Terms absent
     from the document contribute zero.
     """
-    pos = index.position(doc_id)
+    pos = list(index.doc_ids).index(doc_id)
     k1, b = index.params.k1, index.params.b
     dl = int(index.doc_len[pos])
     score = 0.0

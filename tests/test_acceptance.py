@@ -20,8 +20,8 @@ from temporag.evalharness import SyntheticSpec, gen_corpus, run_eval, sweep_thre
 from temporag.frames import weight_frames
 from temporag.pipeline import AblationFlags
 from temporag.rescore import AnchorSet, DecayParams, rescore, top_k
-from temporag.textindex import build_index, search, tokenize
-from temporag.vectorindex import FlatVectorIndex, normalize
+from temporag.textindex import build_index, dense_search, search, tokenize
+from temporag.vectorindex import normalize
 
 from conftest import bm25_score, decay_multiplier, make_snippet
 
@@ -113,7 +113,7 @@ def test_c3_bm25_oracle_equivalence():
             exhaustive = [(d.id, bm25_score(index, tokens, d.id)) for d in docs]
             exhaustive = [(i, s) for i, s in exhaustive if s > 0]
             exhaustive.sort(key=lambda h: (-h[1], h[0]))
-            got = search(index, query, n_docs)
+            got = [(index.doc_ids[pos], score) for pos, score in search(index, query, n_docs)]
             assert [i for i, _ in got] == [i for i, _ in exhaustive]
             for (_, a), (_, b) in zip(got, exhaustive):
                 assert abs(a - b) <= 1e-9
@@ -123,17 +123,16 @@ def test_c4_vector_index_exactness():
     with criterion("C4 vector index exactness", budget_s=5.0):
         rng = np.random.default_rng(103)
         dim = 32
-        index = FlatVectorIndex(dim)
-        for i in range(1000):
-            index.add(f"v{i:05d}", rng.standard_normal(dim))
-        rows = [index.get(f"v{i:05d}").astype(np.float64) for i in range(1000)]
+        docs = [make_snippet(f"v{i:05d}", "x", 0.0, 1.0) for i in range(1000)]
+        index = build_index(docs, vectors=[normalize(rng.standard_normal(dim)) for _ in docs])
+        rows = [row.astype(np.float64) for row in index.vectors]  # ids sort in i order
         for _ in range(100):
             q = normalize(rng.standard_normal(dim))
             scores = [float(np.dot(r, q)) for r in rows]
             expected = [(f"v{i:05d}", scores[i]) for i in range(1000) if scores[i] >= 0.3]
             expected.sort(key=lambda h: (-h[1], h[0]))
-            got = index.search(q, 10, threshold=0.3)
-            assert [i for i, _ in got] == [i for i, _ in expected[:10]]
+            got = dense_search(index, q, 10, threshold=0.3)
+            assert [index.doc_ids[i] for i, _ in got] == [i for i, _ in expected[:10]]
             np.testing.assert_allclose(
                 [s for _, s in got], [s for _, s in expected[:10]], atol=1e-12
             )
@@ -191,7 +190,7 @@ def test_c7_invariance_suite():
         ]
         index = build_index(tie_free)
         by_id = {d.id: d for d in tie_free}
-        pool = search(index, "q", len(tie_free))
+        pool = [(index.doc_ids[pos], r) for pos, r in search(index, "q", len(tie_free))]
         scores = [r for _, r in pool]
         assert len(set(scores)) == len(scores), "corpus must be tie-free"
         scored = rescore(
@@ -208,7 +207,7 @@ def test_c7_invariance_suite():
             docs.append(make_snippet(f"d{i:03d}", words, t, t + 2.0))
         index = build_index(docs)
         by_id = {d.id: d for d in docs}
-        pool = search(index, "w0 w4 w8", 80)
+        pool = [(index.doc_ids[pos], r) for pos, r in search(index, "w0 w4 w8", 80)]
         scored = rescore(
             [(by_id[i], r) for i, r in pool], anchors, DecayParams(lambdas=(0, 0, 0)), 500.0
         )

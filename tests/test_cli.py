@@ -7,8 +7,10 @@ import shutil
 import struct
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,17 +19,9 @@ from temporag import cli, evalharness
 from temporag import frames as frames_mod
 from temporag.cli import main
 from temporag.frames import load_frame_table, save_frame_table
-from temporag.textindex import (
-    IndexFileReader,
-    StringTable,
-    load_index,
-    pack_strings,
-    save_index,
-    tokenize,
-    write_index_file,
-)
-from temporag.vectorindex import load_index as load_vec_index
-from temporag.vectorindex import save_vectors
+from temporag.pipeline import dense_accept
+from temporag.textindex import F4, IndexFileReader, StringTable, load_index, save_index, tokenize
+from temporag.vectorindex import HashEmbedder, normalize, save_vectors
 
 from conftest import MUTATIONS, mutate_bytes
 
@@ -246,10 +240,9 @@ class TestIngest:
 
 class TestBuild:
     def test_outputs_exist(self, built_index):
-        for name in ("asr.bm25", "asr.vec", "ocr.bm25", "ocr.vec", "frames.tbl",
-                     "detections.tbl", "video.json"):
+        for name in ("asr.bm25", "ocr.bm25", "frames.tbl", "detections.tbl", "video.json"):
             assert (built_index / name).exists(), name
-        assert not (built_index / "frames.vec").exists()
+        assert not list(built_index.glob("*.vec"))
         assert not list(built_index.glob("det.*"))
         assert not list(built_index.glob("*.jsonl"))
 
@@ -267,8 +260,7 @@ class TestBuild:
             ]
         )
         assert rc == 0
-        for name in ("asr.bm25", "asr.vec", "ocr.bm25", "ocr.vec", "frames.tbl",
-                     "detections.tbl"):
+        for name in ("asr.bm25", "ocr.bm25", "frames.tbl", "detections.tbl"):
             a = hashlib.sha256((built_index / name).read_bytes()).hexdigest()
             b = hashlib.sha256((second / name).read_bytes()).hexdigest()
             assert a == b, name
@@ -295,12 +287,21 @@ class TestBuild:
                       DEMO / "config.json"])
         assert rc == 0
         names = {p.name for p in built_index.iterdir()}
-        assert names == {"video.json", "asr.bm25", "asr.vec", "frames.tbl", "notes.txt"}
+        assert names == {"video.json", "asr.bm25", "frames.tbl", "notes.txt"}
         capsys.readouterr()
         rc = run_cli(["answer", "--index", built_index, "--query", "What is said?",
                       "--config", DEMO / "config.json"])
         assert rc == 2
         assert f"data error: {built_index / 'detections.tbl'} not found" in capsys.readouterr().err
+
+    def test_build_removes_stale_vec(self, built_index):
+        # Builds before format version 5 wrote each channel's vectors to a .vec file.
+        stale = built_index / "asr.vec"
+        save_vectors(str(stale), ["asr-000001"], [np.ones(64, dtype=np.float32)], 64)
+        rc = run_cli(["build", "--store", built_index.parent / "store", "--out", built_index,
+                      "--config", DEMO / "config.json"])
+        assert rc == 0
+        assert not stale.exists()
 
     def test_bad_store_frame_is_data_error_at_its_line(self, tmp_path, built_index, capsys):
         path = built_index.parent / "store" / "frames.jsonl"
@@ -530,41 +531,23 @@ class TestAnswer:
             for table, bound in bounds.items():
                 assert bound < sizes[table], table
                 assert decoded[table] <= bound, table
-            # .vec ids: the pooled ids' rows are their doc positions, found by search.
-            assert decoded[(f"{channel}.vec", 0)] == 0
 
-    @pytest.mark.parametrize(
-        "damage",
-        ["token_order", "duplicate_doc_id", "vec_order", "vec_reordered_doc_ids"],
-    )
+    @pytest.mark.parametrize("damage", ["token_order", "duplicate_doc_id", "doc_id_order"])
     def test_unsorted_id_table_is_data_error(self, built_index, capsys, damage):
-        if damage.startswith("vec"):
-            path = built_index / "asr.vec"
-            dense = load_vec_index(str(path))
-            ids = list(dense.ids)
-            ids[0], ids[1] = ids[1], ids[0]
-            if damage == "vec_order":
-                ids[1] = "zz-" + ids[1]
-            rows = [dense.get(i) if i in dense else dense.get(i[3:]) for i in ids]
-            # Written by hand: save_vectors would sort the rows.
-            write_index_file(
-                str(path), 3, struct.pack("<II", dense.dim, len(ids)), pack_strings(ids),
-                b"".join(r.tobytes() for r in rows),
-            )
-            problem = "duplicate ids or ids out of order"
+        path = built_index / "ocr.bm25"
+        index = load_index(str(path))
+        column = "tokens" if damage == "token_order" else "doc_ids"
+        table = list(getattr(index, column))
+        if damage == "duplicate_doc_id":
+            table[4] = table[3]
         else:
-            path = built_index / "ocr.bm25"
-            index = load_index(str(path))
-            column = "tokens" if damage == "token_order" else "doc_ids"
-            table = list(getattr(index, column))
-            if damage == "token_order":
-                table[3], table[4] = table[4], table[3]
-                problem = "token table not strictly sorted"
-            else:
-                table[4] = table[3]
-                problem = "doc ids not unique and sorted"
-            setattr(index, column, table)
-            save_index(index, str(path))
+            table[3], table[4] = table[4], table[3]
+        if column == "tokens":
+            problem = "token table not strictly sorted"
+        else:
+            problem = "doc ids not unique and sorted"
+        setattr(index, column, table)
+        save_index(index, str(path))
         rc = run_cli(
             ["answer", "--index", built_index, "--query", self.QUERY,
              "--config", DEMO / "config.json"]
@@ -586,17 +569,20 @@ class TestAnswer:
         assert f"data error: {path} not found" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fusion", ["lexical", "dense", "max_fuse"])
-    def test_vec_ids_differ_from_bm25_is_data_error(self, built_index, capsys, fusion):
-        path = built_index / "ocr.vec"
-        dense = load_vec_index(str(path))
-        ids = dense.ids
-        save_vectors(str(path), [f"x-{i}" for i in ids], [dense.get(i) for i in ids], dense.dim)
+    def test_dim_0_with_documents_is_data_error(self, built_index, capsys, fusion):
+        # Documents without dense rows: no fusion mode can filter or rank them.
+        path = built_index / "ocr.bm25"
+        index = load_index(str(path))
+        save_index(replace(index, vectors=np.zeros((index.n_docs, 0), dtype=F4)), str(path))
         rc = run_cli(
             ["answer", "--index", built_index, "--query", self.QUERY,
              "--config", DEMO / "config.json", "--fusion", fusion]
         )
         assert rc == 2
-        assert f"data error: {path}: ids differ" in capsys.readouterr().err
+        assert (
+            f"data error: {path}: truncated or corrupt index (dim 0 for {index.n_docs} documents)"
+            in capsys.readouterr().err
+        )
 
     def test_missing_index_is_data_error(self, tmp_path):
         rc = run_cli(["answer", "--index", tmp_path / "nope", "--query", "q"])
@@ -608,10 +594,10 @@ class TestAnswer:
             ("asr.bm25", 0.5),
             ("asr.bm25", 0.1),
             ("ocr.bm25", 0.99),
-            ("asr.vec", 0.5),
-            ("ocr.vec", 0.02),
-            ("asr.vec", "nan"),
-            ("ocr.vec", "inf"),
+            ("asr.bm25", "matrix_truncated"),
+            ("ocr.bm25", "trailing_bytes"),
+            ("asr.bm25", "nan"),
+            ("ocr.bm25", "inf"),
             ("video.json", b"{not json\n"),
             ("video.json", b'{"video_id": "harbor"}\n'),
             ("frames.tbl", 0.5),
@@ -649,6 +635,10 @@ class TestAnswer:
             save_index(index, str(path))
         elif isinstance(damage, float):  # truncate at this fraction of the file
             path.write_bytes(data[: int(len(data) * damage)])
+        elif damage == "matrix_truncated":  # the vector matrix ends one f32 short
+            path.write_bytes(data[:-4])
+        elif damage == "trailing_bytes":
+            path.write_bytes(data + bytes(4))
         elif isinstance(damage, str):  # the last f32 of the file's vector matrix
             path.write_bytes(data[:-4] + struct.pack("<f", float(damage)))
         else:
@@ -696,7 +686,7 @@ class TestAnswer:
     def test_version_1_index_is_data_error(self, built_index, capsys):
         # A version-1 directory, as the loader sees it: each binary file's
         # header carries format version 1.
-        for path in [*built_index.glob("*.bm25"), *built_index.glob("*.vec")]:
+        for path in built_index.glob("*.bm25"):
             data = bytearray(path.read_bytes())
             data[4:8] = (1).to_bytes(4, "little")
             path.write_bytes(bytes(data))
@@ -705,7 +695,7 @@ class TestAnswer:
              "--config", DEMO / "config.json"]
         )
         assert rc == 2
-        assert "format version 1, expected 3" in capsys.readouterr().err
+        assert "format version 1, expected 5" in capsys.readouterr().err
 
     def test_version_1_frame_table_is_data_error(self, built_index, capsys):
         # Version 1 frame tables kept their embeddings in frames.vec.
@@ -760,8 +750,8 @@ class TestAnswer:
         assert len(built) == len(keyframes)
 
     def test_scans_each_id_table_order_once(self, built_index, monkeypatch):
-        # The .bm25 loader scans its doc ids and tokens; a .vec whose ids must
-        # equal those doc ids needs no scan of its own: 2 channels x 2, not x 3.
+        # The .bm25 loader scans its doc ids and tokens, and no other id table
+        # is read: 2 channels x 2.
         scanned = []
         real = StringTable.is_strictly_sorted
 
@@ -777,18 +767,18 @@ class TestAnswer:
         assert rc == 0
         assert len(scanned) == 4
 
-    def test_version_2_vec_is_data_error(self, built_index, capsys):
-        # Version 2 .vec files kept their rows in the writer's order, not by id.
-        path = built_index / "asr.vec"
+    def test_version_4_bm25_is_data_error(self, built_index, capsys):
+        # Version 4 directories kept each channel's vectors in a .vec file beside it.
+        path = built_index / "asr.bm25"
         data = bytearray(path.read_bytes())
-        data[4:8] = (2).to_bytes(4, "little")
+        data[4:8] = (4).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         rc = run_cli(
             ["answer", "--index", built_index, "--query", self.QUERY,
              "--config", DEMO / "config.json"]
         )
         assert rc == 2
-        assert f"data error: {path}: format version 2, expected 3" in capsys.readouterr().err
+        assert f"data error: {path}: format version 4, expected 5" in capsys.readouterr().err
 
     def test_version_2_bm25_is_data_error(self, built_index, capsys):
         # Version 2 had no text table or time columns; only .bm25 files moved on.
@@ -801,7 +791,7 @@ class TestAnswer:
              "--config", DEMO / "config.json"]
         )
         assert rc == 2
-        assert f"data error: {path}: format version 2, expected 4" in capsys.readouterr().err
+        assert f"data error: {path}: format version 2, expected 5" in capsys.readouterr().err
 
     def test_version_3_bm25_is_data_error(self, built_index, capsys):
         # Version 3 directories have frames.jsonl and detections.jsonl, not tables.
@@ -814,16 +804,7 @@ class TestAnswer:
              "--config", DEMO / "config.json"]
         )
         assert rc == 2
-        assert f"data error: {path}: format version 3, expected 4" in capsys.readouterr().err
-
-    def test_missing_vector_file_is_data_error(self, built_index, capsys):
-        (built_index / "asr.vec").unlink()
-        rc = run_cli(
-            ["answer", "--index", built_index, "--query", self.QUERY,
-             "--config", DEMO / "config.json"]
-        )
-        assert rc == 2
-        assert f"data error: {built_index / 'asr.vec'}: cannot read" in capsys.readouterr().err
+        assert f"data error: {path}: format version 3, expected 5" in capsys.readouterr().err
 
     def test_single_synthesized_frame(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -966,11 +947,34 @@ def _finite_scores(trace: dict) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
+def test_dense_accept_matches_per_id_oracle(demo_index):
+    # The acceptance rule before dense rows moved into the .bm25 file: look
+    # up the document's own unit vector by id, one float64 dot product each.
+    config = json.loads((DEMO / "config.json").read_text(encoding="utf-8"))["providers"]
+    embedder = HashEmbedder(config["embed_dim"], config["embed_seed"])
+    rng = np.random.default_rng(0)
+    for channel in ("asr", "ocr"):
+        index = load_index(str(demo_index / f"{channel}.bm25"))
+        ids = list(index.doc_ids)
+        by_id = {
+            doc_id: normalize(vec).astype(np.float32)
+            for doc_id, vec in zip(ids, embedder.embed(list(index.texts)))
+        }
+        positions = rng.permutation(index.n_docs).tolist()
+        queries = [normalize(v) for v in embedder.embed([TestAnswer.QUERY, "harbor sign"])]
+        queries += [normalize(rng.standard_normal(index.dim)) for _ in range(3)]
+        for q in queries:
+            sims = {i: float(np.dot(by_id[i].astype(np.float64), q)) for i in ids}
+            # Every threshold a document sits on exactly, so one stray bit flips a decision.
+            for tau in [-1.0, 0.0, 0.3, *sims.values()]:
+                want = [p for p in positions if sims[ids[p]] >= tau]
+                assert dense_accept(index, q, positions, tau) == want
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(
     name=st.sampled_from(
-        ["video.json", "asr.bm25", "asr.vec", "ocr.bm25", "ocr.vec", "frames.tbl",
-         "detections.tbl"]
+        ["video.json", "asr.bm25", "ocr.bm25", "frames.tbl", "detections.tbl"]
     ),
     mutations=MUTATIONS,
     fusion=st.sampled_from(["lexical", "dense", "max_fuse"]),
@@ -1031,8 +1035,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["build", "answer"])
     @pytest.mark.parametrize(
         "key, value",
-        [("embed_seed", -1), ("embed_seed", "x"), ("embed_seed", 1.5), ("embed_dim", "64")],
-        ids=["seed_negative", "seed_str", "seed_float", "dim_str"],
+        [
+            ("embed_seed", -1),
+            ("embed_seed", "x"),
+            ("embed_seed", 1.5),
+            ("embed_dim", "64"),
+            ("embed_dim", 10**12),
+        ],
+        ids=["seed_negative", "seed_str", "seed_float", "dim_str", "dim_huge"],
     )
     def test_bad_embed_setting_is_usage_error(self, tmp_path, built_index, capsys, command,
                                               key, value):

@@ -17,7 +17,6 @@ from temporag.pipeline import (
     SECTION_HEADER_PREFIX,
     AblationFlags,
     AugmentedQuery,
-    ChannelIndex,
     Evidence,
     FusionMode,
     PipelineResult,
@@ -31,9 +30,9 @@ from temporag.pipeline import (
 )
 from temporag.providers import StubDetector, StubLvlm
 from temporag.rescore import AnchorSet, DecayParams, RescoreConfig, rescore, top_k
-from temporag.textindex import build_index
+from temporag.textindex import F4, build_index
 from temporag.types import Channel, FrameRecord, QueryRequest, ScoredSnippet, VideoRecord
-from temporag.vectorindex import F4, FlatVectorIndex, HashEmbedder, normalize
+from temporag.vectorindex import HashEmbedder, normalize
 
 from conftest import make_snippet
 
@@ -74,11 +73,8 @@ class TestDecoupleQuery:
 
 
 def build_channel(snippets, embedder):
-    bm25 = build_index(snippets)
-    dense = FlatVectorIndex(embedder.dim)
-    for s, v in zip(snippets, embedder.embed([s.text for s in snippets])):
-        dense.add(s.id, v)
-    return ChannelIndex(channel=snippets[0].channel, bm25=bm25, dense=dense)
+    vectors = [normalize(v) for v in embedder.embed([s.text for s in snippets])]
+    return build_index(snippets, vectors=vectors)
 
 
 def seeded_corpus(rng, n, duration=600.0, channel=Channel.ASR):
@@ -104,8 +100,7 @@ class TestRetrieveChannel:
         qv = normalize(embedder.embed(["needle phrase"])[0])
         hits = retrieve_channel(
             "needle phrase",
-            chan.bm25,
-            chan.dense,
+            chan,
             self.ANCHORS,
             DecayParams(),
             RescoreConfig(top_k=5),
@@ -129,8 +124,7 @@ class TestRetrieveChannel:
         decay = DecayParams()
         got = retrieve_channel(
             req,
-            chan.bm25,
-            chan.dense,
+            chan,
             self.ANCHORS,
             decay,
             cfg,
@@ -138,10 +132,10 @@ class TestRetrieveChannel:
             query_vec=qv,
             tau=0.0,
         )
-        pool = textindex.search(chan.bm25, req, cfg.pool_size)
-        kept = set(dense_accept(chan.dense, qv, [d for d, _ in pool], 0.0))
+        pool = textindex.search(chan, req, cfg.pool_size)
+        kept = set(dense_accept(chan, qv, [pos for pos, _ in pool], 0.0))
         by_id = {s.id: s for s in snippets}
-        pool = [(by_id[d], r) for d, r in pool if d in kept]
+        pool = [(by_id[chan.doc_ids[pos]], r) for pos, r in pool if pos in kept]
         scored = rescore(pool, self.ANCHORS, decay, 600.0)
         assert got.hits == top_k(scored, cfg.top_k)
         assert got.pool == scored
@@ -152,8 +146,7 @@ class TestRetrieveChannel:
         with pytest.raises(DataError):
             retrieve_channel(
                 "  ",
-                chan.bm25,
-                chan.dense,
+                chan,
                     self.ANCHORS,
                 DecayParams(),
                 RescoreConfig(top_k=1),
@@ -162,17 +155,11 @@ class TestRetrieveChannel:
             )
 
     def test_empty_index_error(self):
-        embedder = HashEmbedder(32)
-        chan = ChannelIndex(
-            channel=Channel.ASR,
-            bm25=build_index([]),
-            dense=FlatVectorIndex(32),
-        )
+        chan = build_index([])
         with pytest.raises(EmptyIndexError):
             retrieve_channel(
                 "x",
-                chan.bm25,
-                chan.dense,
+                chan,
                     self.ANCHORS,
                 DecayParams(),
                 RescoreConfig(top_k=1),
@@ -185,8 +172,7 @@ class TestRetrieveChannel:
         chan = build_channel([make_snippet("a", "cat", 0.0, 1.0)], embedder)
         out = retrieve_channel(
             "zebra",
-            chan.bm25,
-            chan.dense,
+            chan,
             self.ANCHORS,
             DecayParams(),
             RescoreConfig(top_k=3),
@@ -205,8 +191,7 @@ class TestRetrieveChannel:
         qv = normalize(embedder.embed(["ferry dock harbor"])[0])
         hits = retrieve_channel(
             "ferry dock harbor",
-            chan.bm25,
-            chan.dense,
+            chan,
             self.ANCHORS,
             DecayParams(),
             RescoreConfig(top_k=2),
@@ -229,8 +214,7 @@ class TestRetrieveChannel:
         qv = normalize(embedder.embed([req])[0])
         hits = retrieve_channel(
             req,
-            chan.bm25,
-            chan.dense,
+            chan,
             self.ANCHORS,
             DecayParams(),
             RescoreConfig(top_k=3),
@@ -249,8 +233,7 @@ class TestRetrieveChannel:
         qv = normalize(embedder.embed(["sign hello"])[0])
         out = retrieve_channel(
             "sign hello",
-            chan.bm25,
-            chan.dense,
+            chan,
             self.ANCHORS,
             DecayParams(),
             RescoreConfig(top_k=3),
@@ -259,21 +242,6 @@ class TestRetrieveChannel:
             tau=1.0,
         ).hits
         assert out == []
-
-    def test_channel_shares_lookups_only_over_equal_ids(self):
-        embedder = HashEmbedder(32, seed=5)
-        snippets = [make_snippet(sid, f"word {sid}", 1.0, 2.0) for sid in ("c", "a", "b")]
-        chan = build_channel(snippets, embedder)
-        textindex.search(chan.bm25, "word", 3)  # records every doc's position
-        assert chan.dense.rows(["a", "b", "c", "z"]).tolist() == [0, 1, 2, -1]
-        assert chan.bm25.doc_row == {"a": 0, "b": 1, "c": 2, "z": -1}
-        # Adding to the dense index shifts its rows: it stops sharing.
-        chan.dense.add("0", embedder.embed(["zero"])[0])
-        assert chan.dense.rows(["a"]).tolist() == [1]
-        assert chan.bm25.position("a") == 0
-        other = ChannelIndex(Channel.ASR, build_index(snippets[:2]), chan.dense)
-        assert other.dense.rows(["c"]).tolist() == [3]
-        assert "c" not in other.bm25.doc_row
 
 
 class TestAugmentQuery:

@@ -12,13 +12,13 @@ from temporag.errors import (
     DuplicateDocIdError,
     MixedChannelsError,
     TemporagError,
-    UnknownDocIdError,
     VersionMismatchError,
 )
 from temporag.textindex import (
     Bm25Params,
     StringTable,
     build_index,
+    dense_search,
     load_index,
     pack_strings,
     save_index,
@@ -26,6 +26,7 @@ from temporag.textindex import (
     tokenize,
 )
 from temporag.types import Channel
+from temporag.vectorindex import HashEmbedder, normalize
 
 from conftest import MUTATIONS, bm25_score, make_snippet, mutate_bytes
 
@@ -55,6 +56,16 @@ def random_corpus(rng, n_docs, vocab_size=30):
         words = " ".join(vocab[int(w)] for w in rng.integers(0, vocab_size, size=n_words))
         docs.append(make_snippet(f"d{i:03d}", words, float(i), float(i) + 1.0))
     return docs
+
+
+def embedded_index(docs, params=None):
+    """``build_index`` with a dense row per document, as ``build`` writes them."""
+    vectors = [normalize(v) for v in HashEmbedder(8).embed([d.text for d in docs])]
+    return build_index(docs, params, vectors=vectors)
+
+
+def hit_ids(index, hits):
+    return [index.doc_ids[pos] for pos, _ in hits]
 
 
 class TestTokenize:
@@ -129,10 +140,9 @@ class TestBm25Score:
 
     def test_unknown_doc(self):
         index = build_index([make_snippet("a", "cat", 0.0, 1.0)])
-        with pytest.raises(UnknownDocIdError):
-            bm25_score(index, ["cat"], "nope")
-        with pytest.raises(UnknownDocIdError):
-            index.snippet("b")
+        assert bm25_score(index, ["cat"], "a") > 0.0
+        with pytest.raises(IndexError):
+            index.snippet(1)
 
     def test_three_doc_brute_force(self):
         docs = [
@@ -182,26 +192,26 @@ class TestSearch:
         expected = [(i, s) for i, s in expected if s > 0]
         expected.sort(key=lambda h: (-h[1], h[0]))
         got = search(index, query, len(docs))
-        assert [i for i, _ in got] == [i for i, _ in expected]
+        assert hit_ids(index, got) == [i for i, _ in expected]
         for (_, a), (_, b) in zip(got, expected):
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_tie_break_ascending_doc_id(self):
         docs = [make_snippet(sid, "cat", 0.0, 1.0) for sid in ("b", "a", "c")]
         index = build_index(docs)
-        assert [i for i, _ in search(index, "cat", 3)] == ["a", "b", "c"]
+        assert hit_ids(index, search(index, "cat", 3)) == ["a", "b", "c"]
 
     def test_ties_at_the_pool_cut_keep_ascending_doc_id(self):
         # One best document, then five tied ones of which the pool keeps two.
         docs = [make_snippet(sid, "cat dog", 0.0, 1.0) for sid in ("e", "c", "a", "d", "b")]
         docs.append(make_snippet("z", "cat cat dog", 0.0, 1.0))
         index = build_index(docs)
-        assert [i for i, _ in search(index, "cat", 3)] == ["z", "a", "b"]
+        assert hit_ids(index, search(index, "cat", 3)) == ["z", "a", "b"]
 
     def test_loaded_search_decodes_only_the_pool(self, tmp_path, monkeypatch):
         docs = [make_snippet(f"d{i:03d}", f"cat w{i}", 0.0, 1.0) for i in range(200)]
         path = tmp_path / "asr.bm25"
-        save_index(build_index(docs), str(path))
+        save_index(embedded_index(docs), str(path))
         loaded = load_index(str(path))
         decoded = []
         table_get = StringTable.__getitem__
@@ -213,9 +223,9 @@ class TestSearch:
 
         monkeypatch.setattr(StringTable, "__getitem__", counting_get)
         hits = search(loaded, "cat w7", 5)
-        assert [i for i, _ in hits][:1] == ["d007"]
+        assert hits[0][0] == 7 and not decoded  # positions: search decodes no id
+        assert [loaded.snippet(pos).id for pos, _ in hits][:1] == ["d007"]
         assert len(decoded) == 5
-        assert loaded.position("d007") == 7  # found by search, no bisection
 
 
 def test_disjoint_doc_changes_scores_only_through_idf():
@@ -242,7 +252,7 @@ class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         docs = random_corpus(rng, 15)
-        index = build_index(docs, Bm25Params(k1=1.4, b=0.6))
+        index = embedded_index(docs, Bm25Params(k1=1.4, b=0.6))
         path = tmp_path / "asr.bm25"
         save_index(index, str(path))
         loaded = load_index(str(path))
@@ -253,11 +263,15 @@ class TestPersistence:
         assert list(loaded.tokens) == index.tokens
         for name in ("t_start", "t_end", "doc_len", "offsets", "doc_pos", "tf"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(index, name))
+        assert loaded.vectors.tobytes() == index.vectors.tobytes()
         assert loaded.params == index.params
         assert loaded.channel is index.channel
         query = "w1 w2 w9"
         assert search(loaded, query, 10) == search(index, query, 10)
-        assert [loaded.snippet(d.id) for d in docs] == docs
+        q = normalize(np.arange(8.0))
+        assert dense_search(loaded, q, 10, 0.0) == dense_search(index, q, 10, 0.0)
+        by_id = sorted(docs, key=lambda d: d.id)
+        assert [loaded.snippet(pos) for pos in range(len(docs))] == by_id
 
     @pytest.mark.parametrize(
         "column, value",
@@ -265,7 +279,7 @@ class TestPersistence:
         ids=["t_start_nan", "t_end_inf", "t_start_negative", "t_start_after_t_end"],
     )
     def test_bad_times_rejected(self, tmp_path, column, value):
-        index = build_index(random_corpus(np.random.default_rng(4), 5))
+        index = embedded_index(random_corpus(np.random.default_rng(4), 5))
         times = getattr(index, column).copy()
         times[2] = value
         setattr(index, column, times)
@@ -277,8 +291,8 @@ class TestPersistence:
     def test_save_is_deterministic(self, tmp_path):
         docs = random_corpus(np.random.default_rng(3), 15)
         p1, p2 = tmp_path / "i1", tmp_path / "i2"
-        save_index(build_index(docs), str(p1))
-        save_index(build_index(docs), str(p2))
+        save_index(embedded_index(docs), str(p1))
+        save_index(embedded_index(docs), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -319,7 +333,7 @@ class TestPersistence:
             + struct.pack("<ddII", 1.2, 0.75, 1, 1) + pack_strings(["a"]) + pack_strings(["cat"])
             + struct.pack("<IIIII", 1, 0, 1, 0, 1)
         )
-        with pytest.raises(VersionMismatchError, match="version 2, expected 4"):
+        with pytest.raises(VersionMismatchError, match="version 2, expected 5"):
             load_index(str(path))
 
 
@@ -329,7 +343,7 @@ class TestPersistence:
     )
     @pytest.mark.parametrize("damage", ["swap", "duplicate"])
     def test_unsorted_table_rejected(self, tmp_path, column, problem, damage):
-        index = build_index(random_corpus(np.random.default_rng(4), 6))
+        index = embedded_index(random_corpus(np.random.default_rng(4), 6))
         table = list(getattr(index, column))
         if damage == "swap":
             table[1], table[2] = table[2], table[1]
@@ -386,19 +400,13 @@ def test_find_agrees_with_list_index(strings, keys):
     assert string_table(entries).find(keys).tolist() == want
 
 
-def test_tables_compare_by_bytes():
-    assert string_table(["a", "bc"]) == string_table(["a", "bc"])
-    assert string_table(["a", "bc"]) != string_table(["ab", "c"])
-    assert string_table(["a", "bc"]) != string_table(["a"])
-
-
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("bm25_fuzz")
     docs = random_corpus(np.random.default_rng(5), 6) + [
         make_snippet("é-doc", "café w1 münchen w2", 9.0, 10.0)
     ]
-    save_index(build_index(docs), str(path / "clean.bm25"))
+    save_index(embedded_index(docs), str(path / "clean.bm25"))
     return path
 
 
@@ -412,8 +420,10 @@ def test_mutated_file_loads_or_raises_temporag_error(fuzz_dir, mutations):
     except TemporagError:
         return
     search(loaded, "w1 w2 café w3", 5)
-    for doc_id, text in zip(loaded.doc_ids, loaded.texts):
-        snippet = loaded.snippet(doc_id)
+    if loaded.n_docs:  # then dim is at most the file's size
+        dense_search(loaded, normalize(np.ones(loaded.dim)), 5, 0.3)
+    for pos, text in enumerate(loaded.texts):
+        snippet = loaded.snippet(pos)
         assert snippet.text == text
         assert 0.0 <= snippet.t_start <= snippet.t_end < math.inf
 

@@ -8,24 +8,21 @@ from hypothesis import given, settings
 from temporag.errors import (
     DataError,
     DimMismatchError,
-    DuplicateIdError,
+    DuplicateDocIdError,
     TemporagError,
     VersionMismatchError,
     ZeroVectorError,
 )
-from temporag.textindex import pack_strings, tokenize, write_index_file
+from temporag.textindex import build_index, dense_search, pack_strings, tokenize, write_index_file
 from temporag.vectorindex import (
-    FlatVectorIndex,
     HashEmbedder,
     PrecomputedEmbeddings,
-    load_index,
     normalize,
-    save_index,
     save_vectors,
     seed_states,
 )
 
-from conftest import MUTATIONS, mutate_bytes
+from conftest import MUTATIONS, make_snippet, mutate_bytes
 
 
 class TestNormalize:
@@ -47,58 +44,57 @@ class TestNormalize:
             assert abs(np.linalg.norm(normalize(v)) - 1.0) <= 1e-9
 
 
+def dense_index(vectors: dict[str, list[float] | np.ndarray]):
+    """A channel index whose dense rows are the given vectors, normalized, by id."""
+    docs = [make_snippet(doc_id, "x", 0.0, 1.0) for doc_id in vectors]
+    return build_index(docs, vectors=[normalize(v) for v in vectors.values()])
+
+
 def filled_index(rng, n, dim=16):
-    index = FlatVectorIndex(dim)
-    for i in range(n):
-        index.add(f"v{i:04d}", rng.standard_normal(dim))
-    return index
+    return dense_index({f"v{i:04d}": rng.standard_normal(dim) for i in range(n)})
 
 
 class TestFlatVectorIndex:
+    """Exact flat (full-scan) inner-product search over a channel's dense rows."""
+
     def test_self_similarity(self):
-        index = FlatVectorIndex(4)
-        index.add("a", [1.0, 2.0, 3.0, 4.0])
+        index = dense_index({"a": [1.0, 2.0, 3.0, 4.0]})
         q = normalize([1.0, 2.0, 3.0, 4.0])
-        hits = index.search(q, 1, threshold=0.3)
-        assert hits[0][0] == "a"
+        hits = dense_search(index, q, 1, threshold=0.3)
+        assert hits[0][0] == 0
         assert hits[0][1] == pytest.approx(1.0, abs=1e-6)
 
     def test_dim_mismatch(self):
-        index = FlatVectorIndex(4)
+        docs = [make_snippet("a", "x", 0.0, 1.0), make_snippet("b", "y", 0.0, 1.0)]
         with pytest.raises(DimMismatchError):
-            index.add("a", [1.0, 2.0])
-        index.add("a", [1.0, 0.0, 0.0, 0.0])
+            build_index(docs, vectors=[[1.0, 0.0, 0.0, 0.0], [1.0, 2.0]])
+        index = dense_index({"a": [1.0, 0.0, 0.0, 0.0]})
         with pytest.raises(DimMismatchError):
-            index.search(np.array([1.0, 0.0]), 1, threshold=0.3)
+            dense_search(index, np.array([1.0, 0.0]), 1, threshold=0.3)
 
     def test_duplicate_id(self):
-        index = FlatVectorIndex(2)
-        index.add("a", [1.0, 0.0])
-        with pytest.raises(DuplicateIdError):
-            index.add("a", [0.0, 1.0])
+        docs = [make_snippet("a", "x", 0.0, 1.0), make_snippet("a", "y", 0.0, 1.0)]
+        with pytest.raises(DuplicateDocIdError):
+            build_index(docs, vectors=[[1.0, 0.0], [0.0, 1.0]])
 
     def test_orthogonal_below_threshold_excluded(self):
-        index = FlatVectorIndex(2)
-        index.add("x", [0.0, 1.0])
-        assert index.search(np.array([1.0, 0.0]), 5, threshold=0.3) == []
+        index = dense_index({"x": [0.0, 1.0]})
+        assert dense_search(index, np.array([1.0, 0.0]), 5, threshold=0.3) == []
 
     def test_threshold_boundary_is_inclusive(self):
-        index = FlatVectorIndex(2)
-        index.add("x", [1.0, 0.0])
-        hits = index.search(np.array([1.0, 0.0]), 1, threshold=1.0)
-        assert [h[0] for h in hits] == ["x"]
+        index = dense_index({"x": [1.0, 0.0]})
+        hits = dense_search(index, np.array([1.0, 0.0]), 1, threshold=1.0)
+        assert [h[0] for h in hits] == [0]
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
         index = filled_index(rng, 50)
         for _ in range(20):
             q = normalize(rng.standard_normal(16))
-            scores = np.array([float(np.dot(index.get(i).astype(np.float64), q)) for i in index.ids])
-            expected = [
-                (index.ids[j], scores[j]) for j in range(len(index)) if scores[j] >= 0.3
-            ]
+            scores = np.array([float(np.dot(row.astype(np.float64), q)) for row in index.vectors])
+            expected = [(j, scores[j]) for j in range(index.n_docs) if scores[j] >= 0.3]
             expected.sort(key=lambda h: (-h[1], h[0]))
-            got = index.search(q, 10, threshold=0.3)
+            got = dense_search(index, q, 10, threshold=0.3)
             assert [i for i, _ in got] == [i for i, _ in expected[:10]]
             np.testing.assert_allclose(
                 [s for _, s in got], [s for _, s in expected[:10]], atol=1e-12
@@ -108,32 +104,27 @@ class TestFlatVectorIndex:
         rng = np.random.default_rng(6)
         index = filled_index(rng, 100)
         q = normalize(rng.standard_normal(16))
-        for _, score in index.search(q, 100, threshold=-1.0):
+        for _, score in dense_search(index, q, 100, threshold=-1.0):
             assert -1.0 - 1e-9 <= score <= 1.0 + 1e-9
 
     def test_k_must_be_positive(self):
-        index = FlatVectorIndex(2)
+        index = dense_index({"a": [1.0, 0.0]})
         with pytest.raises(DataError):
-            index.search(np.array([1.0, 0.0]), 0, threshold=0.3)
+            dense_search(index, np.array([1.0, 0.0]), 0, threshold=0.3)
 
     def test_rows_kept_in_id_order(self):
-        index = FlatVectorIndex(2)
-        for vec_id, v in [("c", [1.0, 0.0]), ("a", [0.0, 1.0]), ("b", [1.0, 1.0])]:
-            index.add(vec_id, v)
-        assert index.ids == ["a", "b", "c"]
-        np.testing.assert_array_equal(index.get("c"), np.array([1.0, 0.0], dtype=np.float32))
-        np.testing.assert_array_equal(index.rows(["b", "zz", "a"]), [1, -1, 0])
-        assert "b" in index and "zz" not in index
-        with pytest.raises(KeyError):
-            index.get("zz")
+        index = dense_index({"c": [1.0, 0.0], "a": [0.0, 1.0], "b": [1.0, 1.0]})
+        assert index.doc_ids == ["a", "b", "c"]
+        np.testing.assert_array_equal(index.vectors[2], np.array([1.0, 0.0], dtype=np.float32))
+        np.testing.assert_array_equal(index.vectors[0], np.array([0.0, 1.0], dtype=np.float32))
 
     def test_tied_scores_keep_ascending_id_at_the_cut(self):
-        index = FlatVectorIndex(2)
-        for vec_id in ["d", "b", "a", "c"]:
-            index.add(vec_id, [1.0, 0.0])
-        index.add("e", [1.0, 1.0])
+        index = dense_index(
+            {"d": [1.0, 0.0], "b": [1.0, 0.0], "a": [1.0, 0.0], "c": [1.0, 0.0], "e": [1.0, 1.0]}
+        )
         q = np.array([1.0, 0.0])
-        assert [h[0] for h in index.search(q, 3, threshold=0.0)] == ["a", "b", "c"]
+        hits = dense_search(index, q, 3, threshold=0.0)
+        assert [index.doc_ids[pos] for pos, _ in hits] == ["a", "b", "c"]
 
 
 def oracle_token_vector(token: str, dim: int, seed: int) -> np.ndarray:
@@ -258,34 +249,36 @@ class TestHashEmbedder:
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
 
+def saved_store(path, ids, vectors, dim):
+    save_vectors(str(path), ids, vectors, dim)
+    return PrecomputedEmbeddings(str(path))
+
+
 class TestPersistence:
+    """The id-keyed vector file that ``providers.embed = "file"`` reads."""
+
     def test_bit_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
-        index = filled_index(rng, 20, dim=12)
-        path = tmp_path / "v.vec"
-        save_index(index, str(path))
-        loaded = load_index(str(path))
-        assert loaded.ids == index.ids
-        for vid in index.ids:
-            np.testing.assert_array_equal(loaded.get(vid), index.get(vid))
+        ids = [f"v{i:04d}" for i in range(20)]
+        vectors = [normalize(rng.standard_normal(12)).astype(np.float32) for _ in ids]
+        loaded = saved_store(tmp_path / "v.vec", ids, vectors, 12)
+        for got, want in zip(loaded.lookup(ids), vectors):
+            assert got.tobytes() == want.tobytes()
 
     def test_save_load_vectors_bit_exact(self, tmp_path):
         rng = np.random.default_rng(9)
         ids = [f"id{i}" for i in range(5)]
         vectors = [rng.standard_normal(8).astype(np.float32) for _ in ids]
-        path = tmp_path / "store.vec"
-        save_vectors(str(path), ids, vectors, 8)
-        loaded = load_index(str(path))
-        assert loaded.dim == 8
-        assert loaded.ids == ids
-        for vid, want in zip(ids, vectors):
-            np.testing.assert_array_equal(loaded.get(vid), want)
+        loaded = saved_store(tmp_path / "store.vec", ids, vectors, 8)
+        for got, want in zip(loaded.lookup(ids[::-1]), vectors[::-1]):
+            assert got.shape == (8,)
+            np.testing.assert_array_equal(got, want)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.vec"
         path.write_bytes(b"WHAT" + b"\x00" * 16)
         with pytest.raises(VersionMismatchError):
-            load_index(str(path))
+            PrecomputedEmbeddings(str(path))
 
     def test_version_1_file_rejected(self, tmp_path):
         # Version 1: header, then (u32 id length, id, dim x f32) records.
@@ -293,20 +286,18 @@ class TestPersistence:
         record = struct.pack("<I", 1) + b"a" + np.ones(4, dtype="<f4").tobytes()
         path.write_bytes(b"TVRG" + struct.pack("<II", 1, 4) + record)
         with pytest.raises(VersionMismatchError, match="version 1"):
-            load_index(str(path))
-        with pytest.raises(VersionMismatchError):
             PrecomputedEmbeddings(str(path))
 
     def test_rows_written_sorted_by_id(self, tmp_path):
         ids = ["m", "ça", "a", "b-2"]
         vectors = [np.full(4, float(i), dtype=np.float32) for i in range(len(ids))]
         path = tmp_path / "store.vec"
-        save_vectors(str(path), ids, vectors, 4)
-        loaded = load_index(str(path))
-        assert loaded.ids == sorted(ids)
-        for vid, want in zip(ids, vectors):
-            np.testing.assert_array_equal(loaded.get(vid), want)
-        np.testing.assert_array_equal(loaded.rows(["ça", "m", "x"]), [3, 2, -1])
+        loaded = saved_store(path, ids, vectors, 4)
+        order = sorted(range(len(ids)), key=lambda i: ids[i])
+        want = pack_strings(sorted(ids)) + b"".join(vectors[i].tobytes() for i in order)
+        assert path.read_bytes().endswith(want)
+        for got, vec in zip(loaded.lookup(ids), vectors):
+            np.testing.assert_array_equal(got, vec)
 
     def test_version_2_file_rejected(self, tmp_path):
         # Version 2 kept the writer's row order; the layout is version 3's.
@@ -316,7 +307,7 @@ class TestPersistence:
         data[4:8] = (2).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(VersionMismatchError, match="version 2, expected 3"):
-            load_index(str(path))
+            PrecomputedEmbeddings(str(path))
 
     @pytest.mark.parametrize(
         "ids", [["b", "a"], ["a", "a"], ["a", "c", "b"]], ids=["swapped", "duplicate", "tail"]
@@ -328,23 +319,22 @@ class TestPersistence:
             np.ones((len(ids), 2), dtype="<f4").tobytes(),
         )
         with pytest.raises(DataError, match=f"{path}: .*duplicate ids or ids out of order"):
-            load_index(str(path))
+            PrecomputedEmbeddings(str(path))
 
     def test_precomputed_missing_ids_named(self, tmp_path):
-        path = tmp_path / "pre.vec"
-        save_vectors(str(path), ["a"], [np.ones(8, dtype=np.float32)], 8)
-        store = PrecomputedEmbeddings(str(path))
+        store = saved_store(tmp_path / "pre.vec", ["a"], [np.ones(8, dtype=np.float32)], 8)
         with pytest.raises(DataError, match="b"):
             store.lookup(["a", "b"])
+
+
+FUZZ_IDS = ["a", "b", "ça", "d-03"]
 
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("vec_fuzz")
-    index = FlatVectorIndex(8)
-    for i, vid in enumerate(["a", "b", "ça", "d-03"]):
-        index.add(vid, np.arange(8.0) - i)
-    save_index(index, str(path / "clean.vec"))
+    vectors = [normalize(np.arange(8.0) - i) for i in range(len(FUZZ_IDS))]
+    save_vectors(str(path / "clean.vec"), FUZZ_IDS, vectors, 8)
     return path
 
 
@@ -354,33 +344,25 @@ def test_mutated_file_loads_or_raises_temporag_error(fuzz_dir, mutations):
     path = fuzz_dir / "mutated.vec"
     path.write_bytes(mutate_bytes((fuzz_dir / "clean.vec").read_bytes(), mutations))
     try:
-        loaded = load_index(str(path))
+        rows = PrecomputedEmbeddings(str(path)).lookup(FUZZ_IDS)
     except TemporagError:
         return
-    q = normalize(np.ones(8))
-    if loaded.dim != 8:  # a query of the wrong dimension is a defined error
-        with pytest.raises(DimMismatchError):
-            loaded.similarities(q)
-        return
-    loaded.similarities(q)
-    loaded.search(q, 3, threshold=0.3)
+    for row in rows:
+        assert np.all(np.isfinite(row))
 
 
 def test_search_equals_brute_force_at_scale():
     # Property: exact equivalence with a full scan on a 1000-vector index.
     rng = np.random.default_rng(10)
     dim = 24
-    index = FlatVectorIndex(dim)
-    vectors = rng.standard_normal((1000, dim))
-    for i, v in enumerate(vectors):
-        index.add(f"n{i:05d}", v)
-    rows = [index.get(f"n{i:05d}").astype(np.float64) for i in range(1000)]
+    index = dense_index({f"n{i:05d}": v for i, v in enumerate(rng.standard_normal((1000, dim)))})
+    rows = [row.astype(np.float64) for row in index.vectors]
     for _ in range(10):
         q = normalize(rng.standard_normal(dim))
         scores = [float(np.dot(r, q)) for r in rows]
-        expected = [(f"n{i:05d}", scores[i]) for i in range(1000) if scores[i] >= 0.0]
+        expected = [(i, scores[i]) for i in range(1000) if scores[i] >= 0.0]
         expected.sort(key=lambda h: (-h[1], h[0]))
-        got = index.search(q, 25, threshold=0.0)
+        got = dense_search(index, q, 25, threshold=0.0)
         assert [i for i, _ in got] == [i for i, _ in expected[:25]]
         np.testing.assert_allclose(
             [s for _, s in got], [s for _, s in expected[:25]], atol=1e-12
