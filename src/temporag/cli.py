@@ -60,7 +60,7 @@ from .types import (
     is_finite_number,
     validate_snippet,
 )
-from .vectorindex import HashEmbedder, PrecomputedEmbeddings, normalize
+from .vectorindex import HashEmbedder, PrecomputedEmbeddings, unit_rows
 
 CHANNEL_FILES = {Channel.ASR: "asr.jsonl", Channel.OCR: "ocr.jsonl"}
 FRAME_TABLE = "frames.tbl"
@@ -250,14 +250,32 @@ def _make_embedder(cfg: RunConfig):
     raise ConfigError("providers.embed=file cannot embed new text; use hash or http")
 
 
-def _embed_or_lookup(cfg: RunConfig, ids: list[str], texts: list[str]) -> list[np.ndarray]:
-    if cfg.providers.embed == "file":
-        if not cfg.providers.embeddings_file:
-            raise ConfigError("providers.embed=file requires providers.embeddings_file")
-        store = PrecomputedEmbeddings(cfg.providers.embeddings_file)
-        return [normalize(v) for v in store.lookup(ids)]
-    embedder = _make_embedder(cfg)
-    return [normalize(v) for v in embedder.embed(texts)]
+class _BuildEmbeddings:
+    """The one embedding source of a build: document ids and texts to unit rows.
+
+    It opens at its first call, so a store with nothing to embed needs
+    none. ``file`` reads and checks ``providers.embeddings_file`` once and
+    looks ids up in it; ``hash`` and ``http`` embed texts with one
+    embedder, so a hash build draws each distinct token once across its
+    channels and frames.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self._cfg = cfg
+        self._store: PrecomputedEmbeddings | None = None
+        self._embedder = None
+
+    def __call__(self, ids: list[str], texts: list[str]) -> np.ndarray:
+        providers = self._cfg.providers
+        if providers.embed == "file":
+            if self._store is None:
+                if not providers.embeddings_file:
+                    raise ConfigError("providers.embed=file requires providers.embeddings_file")
+                self._store = PrecomputedEmbeddings(providers.embeddings_file)
+            return unit_rows(self._store.lookup(ids))
+        if self._embedder is None:
+            self._embedder = _make_embedder(self._cfg)
+        return unit_rows(self._embedder.embed(texts))
 
 
 def _read_store_jsonl(path: Path, parse) -> list:
@@ -311,6 +329,18 @@ def _read_store_frames(store: Path, duration_s: float) -> list[dict]:
     return _read_store_jsonl(path, lambda data: parse_frames_jsonl(data, duration_s))
 
 
+def _build_channel(
+    store: Path, out: Path, channel: Channel, video: VideoRecord, embed: _BuildEmbeddings
+) -> None:
+    """Index one channel's store snippets, if it has any; its snippets and rows die on return."""
+    snippets = _read_store_snippets(store, channel, video)
+    if not snippets:
+        return
+    vectors = embed([s.id for s in snippets], [s.text for s in snippets])
+    save_bm25(build_index(snippets, vectors=vectors), str(out / f"{channel.value}.bm25"))
+    print(f"{channel.value}: indexed {len(snippets)} snippets")
+
+
 def cmd_build(args) -> int:
     cfg = _load_effective_config(args)
     store = Path(args.store)
@@ -324,13 +354,9 @@ def cmd_build(args) -> int:
         (out / name).unlink(missing_ok=True)
     _write_jsonl(out / "video.json", [json.dumps(asdict(video))])
 
+    embed = _BuildEmbeddings(cfg)
     for channel in Channel:
-        snippets = _read_store_snippets(store, channel, video)
-        if not snippets:
-            continue
-        vectors = _embed_or_lookup(cfg, [s.id for s in snippets], [s.text for s in snippets])
-        save_bm25(build_index(snippets, vectors=vectors), str(out / f"{channel.value}.bm25"))
-        print(f"{channel.value}: indexed {len(snippets)} snippets")
+        _build_channel(store, out, channel, video, embed)
 
     frames = sorted(
         _read_store_frames(store, video.duration_s), key=lambda f: (f["t"], f["frame_index"])
@@ -339,7 +365,7 @@ def cmd_build(args) -> int:
     vectors = []
     if with_text:
         ids = [_frame_ref(f["frame_index"]) for f in with_text]
-        vectors = _embed_or_lookup(cfg, ids, [f["text"] for f in with_text])
+        vectors = embed(ids, [f["text"] for f in with_text])
     save_frame_table(
         str(out / FRAME_TABLE),
         [f["frame_index"] for f in frames],
@@ -367,6 +393,34 @@ def _ablation_flags(args) -> AblationFlags:
         asr=not args.no_asr,
         context=not args.no_context,
     )
+
+
+def _check_dims(dims: dict[Path, int], dim: int) -> None:
+    """A ``DataError`` naming the first index file whose rows are not ``dim`` wide."""
+    for path, file_dim in dims.items():
+        if file_dim != dim:
+            raise DataError(
+                f"{path}: built with embedding dim {file_dim}, but the configured embedder "
+                f"gives dim {dim}; rebuild the index with this config"
+            )
+
+
+class _DimCheckedEmbedder:
+    """An embedder whose vectors must be as wide as the index files' rows.
+
+    Only a hash embedder's dim is known before it embeds; this one's is
+    checked on the first vector of every call, before any similarity.
+    """
+
+    def __init__(self, embedder, dims: dict[Path, int]):
+        self._embedder = embedder
+        self._dims = dims
+
+    def embed(self, texts):
+        vectors = self._embedder.embed(texts)
+        if len(vectors):
+            _check_dims(self._dims, np.size(vectors[0]))
+        return vectors
 
 
 def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
@@ -403,6 +457,13 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
     else:
         lvlm = HttpLvlmClient(base_url=cfg.providers.lvlm_url)
     embedder = _make_embedder(cfg)
+    dims = {index_dir / f"{c.value}.bm25": bm25.dim for c, bm25 in channels.items() if bm25.dim}
+    if len(frames.matrix):
+        dims[frame_table_path] = frames.matrix.shape[1]
+    if cfg.providers.embed == "hash":
+        _check_dims(dims, cfg.providers.embed_dim)
+    elif dims:
+        embedder = _DimCheckedEmbedder(embedder, dims)
     if cfg.providers.detector == "stub":
         detector = StubDetector()
     elif cfg.providers.detector == "http":

@@ -23,7 +23,7 @@ from .pipeline import AblationFlags, VideoRuntime, run_query
 from .providers import StubDetector, StubLvlm
 from .textindex import F4, build_index
 from .types import Channel, FrameRecord, Snippet, VideoRecord
-from .vectorindex import HashEmbedder, normalize
+from .vectorindex import HashEmbedder, unit_rows
 
 
 @dataclass(frozen=True)
@@ -213,12 +213,12 @@ def build_runtime(corpus: Corpus, config: RunConfig) -> VideoRuntime:
     """
     embedder = HashEmbedder(config.providers.embed_dim, config.providers.embed_seed)
     texts = [s.text for s in corpus.snippets]
-    asr = build_index(corpus.snippets, vectors=[normalize(v) for v in embedder.embed(texts)])
+    asr = build_index(corpus.snippets, vectors=unit_rows(embedder.embed(texts)))
     frames = FrameTable(
         [f.frame_index for f in corpus.frames],
         [f.t for f in corpus.frames],
         np.ones(len(corpus.frames), dtype=bool),
-        np.array([normalize(v) for v in embedder.embed(corpus.frame_texts)], dtype=F4),
+        unit_rows(embedder.embed(corpus.frame_texts)).astype(F4),
     )
     return VideoRuntime(
         video=VideoRecord(video_id="eval", duration_s=corpus.spec.duration_s),

@@ -22,7 +22,14 @@ from .errors import (
     NoValidLinesError,
     TimeOutOfRangeError,
 )
-from .types import Channel, Snippet, is_finite_number, snippet_from_obj, snippet_to_json
+from .types import (
+    Channel,
+    Snippet,
+    encode_json,
+    is_finite_number,
+    snippet_from_obj,
+    snippet_to_json,
+)
 
 # Frame indices are stored as u32 in the index's frame and detection tables.
 FRAME_INDEX_LIMIT = 1 << 32
@@ -270,7 +277,7 @@ def detection_from_obj(obj: object) -> DetectionRecord:
 
 
 def detection_to_json(record: DetectionRecord) -> str:
-    return json.dumps(
+    return encode_json(
         {
             "frame_index": record.frame_index,
             "t": record.t,
@@ -278,8 +285,7 @@ def detection_to_json(record: DetectionRecord) -> str:
                 {"label": o.label, "box": list(o.box), "confidence": o.confidence}
                 for o in record.objects
             ],
-        },
-        ensure_ascii=False,
+        }
     )
 
 

@@ -40,7 +40,7 @@ from .types import (
     ScoredSnippet,
     VideoRecord,
 )
-from .vectorindex import EmbeddingProvider, normalize
+from .vectorindex import EmbeddingProvider, unit_rows
 
 log = logging.getLogger(__name__)
 
@@ -483,10 +483,9 @@ def run_query(
     # One embed call: the frame query first, then each wanted channel's
     # request. The detector request drives frame similarity; fall back to
     # the raw question when decoupling marked detection NULL.
-    frame_vec, *channel_vecs = runtime.embedder.embed(
-        [request.det or question, *(req_text for _, req_text in wanted)]
+    frame_query_vec, *channel_vecs = unit_rows(
+        runtime.embedder.embed([request.det or question, *(req_text for _, req_text in wanted)])
     )
-    frame_query_vec = normalize(frame_vec)
     sims = frame_similarities(runtime.frames, frame_query_vec)
     keyframes = select_keyframes(
         runtime.frames,
@@ -509,7 +508,7 @@ def run_query(
             cfg,
             fusion,
             duration_s=runtime.video.duration_s,
-            query_vec=normalize(vec),
+            query_vec=vec,
             tau=tau,
         )
 

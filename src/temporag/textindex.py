@@ -17,10 +17,9 @@ import math
 import re
 import struct
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, pairwise
+from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
@@ -204,7 +203,14 @@ def top_hits(scores: np.ndarray, keep: np.ndarray, k: int) -> tuple[list[int], l
 
 
 def f4_matrix(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """The vectors as the rows of one ``<f4`` matrix; a vector of another length is an error."""
+    """The vectors as the rows of one ``<f4`` matrix; a vector of another length is an error.
+
+    A 2-D array of ``dim`` columns is cast in one step.
+    """
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        if vectors.shape[1] != dim:
+            raise DimMismatchError(dim, vectors.shape[1])
+        return vectors.astype(F4)
     matrix = np.empty((len(vectors), dim), dtype=F4)
     for row, vec in zip(matrix, vectors):
         if np.shape(vec) != (dim,):
@@ -216,13 +222,24 @@ def f4_matrix(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
 def build_index(
     docs: Sequence[Snippet],
     params: Bm25Params | None = None,
-    vectors: Sequence[np.ndarray] | None = None,
+    vectors: Sequence[np.ndarray] | np.ndarray | None = None,
 ) -> Bm25Index:
     """Build a BM25 index over snippets that all share one channel.
 
-    ``vectors`` holds one unit embedding per document, in ``docs`` order;
-    they become the dense rows, reordered with the documents. Without
-    them the index has ``dim`` 0.
+    The documents are ordered by id, and a document's position is its
+    rank. The vocabulary is every token they hold, sorted, and a token's
+    row is its rank in it, found through a dict. Each token occurrence
+    becomes one integer key ``row * n_docs + position``, and one sort of
+    the keys groups them by row, then by position: each run of equal keys
+    is one posting, and the run's length is its term frequency. So each
+    row's postings come out in ascending position order, and a row's
+    offset is the number of postings of the rows before it. Tokens are
+    never held in a fixed-width string array, which would pad every
+    entry to the longest token.
+
+    ``vectors`` holds one unit embedding per document, in ``docs`` order
+    (a sequence of vectors or one 2-D array); they become the dense rows,
+    reordered with the documents. Without them the index has ``dim`` 0.
     """
     params = params or Bm25Params()
     channels = {d.channel for d in docs}
@@ -237,20 +254,25 @@ def build_index(
     for prev, doc in pairwise(ordered):
         if prev.id == doc.id:
             raise DuplicateDocIdError(doc.id)
-    doc_len = []
-    rows: dict[str, list[tuple[int, int]]] = {}  # token -> [(doc position, tf)]
-    for pos, doc in enumerate(ordered):
-        tokens = tokenize(doc.text)
-        doc_len.append(len(tokens))
-        for token, tf in Counter(tokens).items():
-            rows.setdefault(token, []).append((pos, tf))
-
-    vocab = sorted(rows)
-    postings = [p for token in vocab for p in rows[token]]
+    n_docs = len(ordered)
+    token_lists = [tokenize(doc.text) for doc in ordered]
+    doc_len = np.fromiter(map(len, token_lists), dtype=np.int64, count=n_docs)
+    vocab = sorted(set(chain.from_iterable(token_lists)))
+    rank = {token: row for row, token in enumerate(vocab)}
+    keys = np.fromiter(
+        map(rank.__getitem__, chain.from_iterable(token_lists)),
+        dtype=np.int64,
+        count=int(doc_len.sum()),
+    )
+    keys *= n_docs
+    keys += np.repeat(np.arange(n_docs), doc_len)
+    keys.sort()
+    firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # the first key of each run
+    token_row, doc_pos = np.divmod(keys[firsts], n_docs)
     if vectors is None or not len(vectors):
         matrix = np.zeros((len(docs), 0), dtype=F4)
     else:
-        matrix = f4_matrix([vectors[i] for i in order], len(vectors[0]))
+        matrix = f4_matrix(vectors, len(vectors[0]))[order]
     return Bm25Index(
         channel=channel,
         params=params,
@@ -259,10 +281,10 @@ def build_index(
         t_start=np.array([d.t_start for d in ordered], dtype=F8),
         t_end=np.array([d.t_end for d in ordered], dtype=F8),
         tokens=vocab,
-        doc_len=np.array(doc_len, dtype=U4),
-        offsets=np.array(list(accumulate((len(rows[t]) for t in vocab), initial=0)), dtype=U4),
-        doc_pos=np.array([p for p, _ in postings], dtype=U4),
-        tf=np.array([f for _, f in postings], dtype=U4),
+        doc_len=doc_len.astype(U4),
+        offsets=np.searchsorted(token_row, np.arange(len(vocab) + 1)).astype(U4),
+        doc_pos=doc_pos.astype(U4),
+        tf=np.diff(firsts, append=len(keys)).astype(U4),
         vectors=matrix,
     )
 

@@ -171,17 +171,21 @@ def frame_time(frame_index: int, video: VideoRecord) -> float:
 _REQUIRED_KEYS = ("id", "channel", "text", "t_start", "t_end")
 
 
+# ``json.dumps(obj, ensure_ascii=False)`` with one encoder for every store line:
+# ``json.dumps`` builds a new encoder per call for any non-default option.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def snippet_to_json(s: Snippet) -> str:
     """Render one snippet as its canonical JSONL line (no newline)."""
-    return json.dumps(
+    return encode_json(
         {
             "id": s.id,
             "channel": s.channel.value,
             "text": s.text,
             "t_start": s.t_start,
             "t_end": s.t_end,
-        },
-        ensure_ascii=False,
+        }
     )
 
 

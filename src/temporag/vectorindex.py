@@ -17,25 +17,49 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import DataError, ZeroVectorError
+from .errors import DataError, DimMismatchError, ZeroVectorError
 from .textindex import F4, IndexFileReader, f4_matrix, pack_strings, tokenize, write_index_file
 
 # The vector file layout is independent of the ``.bm25`` one and versioned apart.
 FORMAT_VERSION = 3
 
 
-def _norm(arr: np.ndarray) -> float:
-    """The L2 norm of a 1-D float64 array, as ``np.linalg.norm`` computes it."""
-    norm = math.sqrt(arr.dot(arr))
-    if not 0.0 < norm < math.inf:
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of a 2-D float64 array, each as ``math.sqrt(row.dot(row))``.
+
+    The squared norms are one stacked matmul of every row with itself, which
+    gives the bits of the 1-D ``dot`` (``np.einsum("ij,ij->i")`` does not).
+    """
+    squares = (matrix[:, None, :] @ matrix[:, :, None]).ravel()
+    # NaN fails the comparison; the square root keeps 0 and inf.
+    if not all(0.0 < square < math.inf for square in squares.tolist()):
         raise ZeroVectorError("cannot normalize a zero vector")
-    return norm
+    return np.sqrt(squares)
+
+
+def unit_rows(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """The vectors as the rows of a new float64 matrix, each scaled to unit L2 norm.
+
+    Every vector must have the first one's length: another is a
+    ``DimMismatchError``. No vectors give a ``(0, 0)`` matrix.
+    """
+    if not len(vectors):
+        return np.zeros((0, 0))
+    try:
+        matrix = np.array(vectors, dtype=np.float64)
+    except ValueError:  # ragged
+        matrix = None
+    if matrix is None or matrix.ndim != 2:
+        dim = np.size(vectors[0])
+        bad = next((v for v in vectors if np.shape(v) != (dim,)), vectors[0])
+        raise DimMismatchError(dim, np.size(bad))
+    matrix /= _row_norms(matrix)[:, None]
+    return matrix
 
 
 def normalize(v: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Scale a vector to unit L2 norm, preserving direction."""
-    arr = np.asarray(v, dtype=np.float64)
-    return arr / _norm(arr)
+    """Scale a vector to unit L2 norm, preserving direction: the one row of ``unit_rows``."""
+    return unit_rows([v])[0]
 
 
 class EmbeddingProvider(Protocol):
@@ -109,6 +133,13 @@ def seed_states(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
 
 
+# ``embed`` sums the token rows of up to this many texts in one padded gather.
+_CHUNK_TEXTS = 256
+# The most floats one gather holds (4 MB): 256 texts of 32 tokens at dim 64.
+# Token positions past it are added one position at a time.
+_GATHER_FLOATS = 256 * 32 * 64
+
+
 class HashEmbedder:
     """Seeded pseudo-random token embeddings, for tests and desk-scale runs.
 
@@ -121,10 +152,26 @@ class HashEmbedder:
     every platform; texts sharing tokens are more similar than disjoint
     ones in expectation.
 
-    ``embed`` draws every token an instance has not seen in one batch: it
-    seeds them all with ``seed_states`` and sets one ``PCG64`` to each
-    token's state in turn, which is the generator ``default_rng`` would
-    have built. The vectors are cached per instance, as rows of the batch.
+    The token vectors are cached per instance as the rows of one float64
+    matrix with spare capacity, found through a token-to-row dict. Row 0
+    is all zeros. ``embed`` draws every token the instance has not seen in
+    one batch, into the next free rows: it seeds them all with
+    ``seed_states`` and sets one ``PCG64`` to each token's state in turn,
+    which is the generator ``default_rng`` would have built. The matrix
+    grows by doubling, so a call that meets new tokens copies no rows
+    unless the spare capacity runs out.
+
+    A call then sums each text's token rows in chunks of up to
+    ``_CHUNK_TEXTS`` texts of similar token counts: one gather of the
+    chunk's row ids, padded with row 0 to the longest text, and one
+    ``np.add.reduce`` over the token axis. That reduce adds the rows one
+    after another into an accumulator that starts at 0.0, which is the
+    order and the bits of the per-token loop ``mean = zeros(dim); mean +=
+    row``: numpy sums pairwise only along the innermost, contiguous axis,
+    and the token axis is not that one. A padded zero row leaves every sum
+    as it was. Positions past ``_GATHER_FLOATS`` are added one position
+    at a time, in the same order. Each chunk's sums are divided by the
+    token counts and normalized as one batch (see ``unit_rows``).
     """
 
     def __init__(self, dim: int, seed: int = 0):
@@ -140,10 +187,13 @@ class HashEmbedder:
         ]
         self._bits = np.random.PCG64()
         self._normal = np.random.Generator(self._bits)
-        self._token_cache: dict[str, np.ndarray] = {}
+        self._rows = np.zeros((64, dim))
+        self._row_of: dict[str, int] = {}
 
-    def _draw(self, tokens: list[str]) -> np.ndarray:
-        """The unit vectors of ``tokens``, one row each."""
+    def _draw(self, tokens: list[str], out: np.ndarray | None = None) -> np.ndarray:
+        """The unit vectors of ``tokens``, one row each, written into ``out`` if given."""
+        if out is None:
+            out = np.empty((len(tokens), self.dim))
         digests = b"".join(
             hashlib.blake2b(token.encode("utf-8"), digest_size=16).digest() for token in tokens
         )
@@ -151,8 +201,7 @@ class HashEmbedder:
         entropy = np.empty((n_seed + 4, len(tokens)), dtype=np.uint32)
         entropy[:n_seed] = np.array(self._seed_words, dtype=np.uint32)[:, None]
         entropy[n_seed:] = np.frombuffer(digests, dtype="<u4").reshape(-1, 4).T
-        matrix = np.empty((len(tokens), self.dim))
-        for (s0, s1, s2, s3), row in zip(seed_states(entropy).tolist(), matrix):
+        for (s0, s1, s2, s3), row in zip(seed_states(entropy).tolist(), out):
             # PCG64's seeding: state and increment from the four state words.
             inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
             state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
@@ -163,24 +212,45 @@ class HashEmbedder:
                 "uinteger": 0,
             }
             self._normal.standard_normal(out=row)
-            row /= _norm(row)
-        return matrix
+        out /= _row_norms(out)[:, None]
+        return out
+
+    def _add(self, tokens: list[str]) -> None:
+        """Draw ``tokens`` into the next free rows of the cache."""
+        start = len(self._row_of) + 1
+        end = start + len(tokens)
+        if end > len(self._rows):
+            grown = np.zeros((max(end, 2 * len(self._rows)), self.dim))
+            grown[:start] = self._rows[:start]
+            self._rows = grown
+        self._draw(tokens, self._rows[start:end])
+        self._row_of.update(zip(tokens, range(start, end)))
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         token_lists = [tokenize(text) or [""] for text in texts]
-        cache = self._token_cache
+        row_of = self._row_of
         missing = list(
-            dict.fromkeys(token for tokens in token_lists for token in tokens if token not in cache)
+            dict.fromkeys(t for tokens in token_lists for t in tokens if t not in row_of)
         )
         if missing:
-            cache.update(zip(missing, self._draw(missing)))
-        out = []
-        for tokens in token_lists:
-            mean = np.zeros(self.dim)
-            for token in tokens:
-                mean += cache[token]
-            mean /= len(tokens)
-            out.append(normalize(mean))
+            self._add(missing)
+        lengths = list(map(len, token_lists))
+        order = sorted(range(len(token_lists)), key=lengths.__getitem__)
+        out: list[np.ndarray] = [None] * len(token_lists)
+        for start in range(0, len(order), _CHUNK_TEXTS):
+            chunk = order[start : start + _CHUNK_TEXTS]
+            width = lengths[chunk[-1]]  # the longest: the chunk is sorted by length
+            ids = np.array(
+                [[row_of[t] for t in token_lists[i]] + [0] * (width - lengths[i]) for i in chunk]
+            )
+            gathered = min(width, max(1, _GATHER_FLOATS // (len(chunk) * self.dim)))
+            sums = np.add.reduce(self._rows[ids[:, :gathered]], axis=1, initial=0.0)
+            for column in ids[:, gathered:].T if gathered < width else ():
+                sums += self._rows[column]
+            sums /= np.array([lengths[i] for i in chunk], dtype=np.float64)[:, None]
+            sums /= _row_norms(sums)[:, None]
+            for i, row in zip(chunk, sums):
+                out[i] = row
         return out
 
 
@@ -227,10 +297,10 @@ class PrecomputedEmbeddings:
         if not np.all(np.isfinite(self._matrix)):
             raise reader.corrupt("non-finite vector values")
 
-    def lookup(self, ids: Sequence[str]) -> list[np.ndarray]:
-        """The stored row of each id; a ``DataError`` names every id the file lacks."""
-        rows = self._ids.find(ids).tolist()
-        missing = [i for i, row in zip(ids, rows) if row < 0]
-        if missing:
+    def lookup(self, ids: Sequence[str]) -> np.ndarray:
+        """The stored rows of ``ids``, in order; a ``DataError`` names every id the file lacks."""
+        rows = self._ids.find(ids)
+        if np.any(rows < 0):
+            missing = [i for i, row in zip(ids, rows.tolist()) if row < 0]
             raise DataError(f"embeddings missing for ids: {', '.join(sorted(missing))}")
-        return [self._matrix[row] for row in rows]
+        return self._matrix[rows]

@@ -1073,3 +1073,156 @@ def test_effective_config_echoed_to_stderr(built_index, capsys):
     )
     assert rc == 0
     assert "effective config:" in capsys.readouterr().err
+
+
+def _ingest(store: Path, *inputs, frames: bool = True) -> None:
+    args = [*inputs, "--video-id", "harbor", "--duration-s", "120", "--out", store]
+    if frames:
+        args += ["--frames", DEMO / "frames.jsonl"]
+    assert run_cli(["ingest", *args]) == 0
+
+
+class TestEmbedDimMismatch:
+    """An index built at one embedding dim and answered at another exits 2 naming the file."""
+
+    QUERY = "what did the narrator mention about the fish market"
+
+    def _build(self, tmp_path, *inputs, frames, providers):
+        store, index = tmp_path / "store", tmp_path / "index"
+        _ingest(store, *inputs, frames=frames)
+        cfg = tmp_path / "build.json"
+        cfg.write_text(json.dumps({"providers": providers}), encoding="utf-8")
+        assert run_cli(["build", "--store", store, "--out", index, "--config", cfg]) == 0
+        return index
+
+    @pytest.mark.parametrize("frames", [False, True], ids=["no_frames", "frames"])
+    @pytest.mark.parametrize("fusion", ["lexical", "dense", "max_fuse"])
+    def test_hash_dim_checked_at_load(self, tmp_path, capsys, fusion, frames):
+        index = self._build(
+            tmp_path, DEMO / "audio.srt", frames=frames, providers={"embed_dim": 32}
+        )
+        rc = run_cli(["answer", "--index", index, "--query", self.QUERY, "--fusion", fusion])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"data error: {index / 'asr.bm25'}: built with embedding dim 32" in err
+        assert "gives dim 64" in err
+
+    def test_frame_table_named(self, tmp_path, capsys):
+        # No snippet channel: the frame table is the only embedded file.
+        index = self._build(
+            tmp_path, DEMO / "detections.jsonl", frames=True, providers={"embed_dim": 32}
+        )
+        assert not (index / "asr.bm25").exists()
+        rc = run_cli(["answer", "--index", index, "--query", self.QUERY])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"data error: {index / 'frames.tbl'}: built with embedding dim 32" in err
+        assert "gives dim 64" in err
+
+    @pytest.mark.parametrize("frames", [False, True], ids=["no_frames", "frames"])
+    @pytest.mark.parametrize("fusion", ["lexical", "dense", "max_fuse"])
+    def test_http_dim_checked_on_the_first_query_vector(
+        self, tmp_path, capsys, provider_server, fusion, frames
+    ):
+        _, url = provider_server  # its vectors have dim 8
+        index = self._build(
+            tmp_path, DEMO / "audio.srt", frames=frames, providers={"embed_dim": 32}
+        )
+        cfg = tmp_path / "http.json"
+        cfg.write_text(
+            json.dumps({"providers": {"embed": "http", "embed_url": url, "detector": "stub"}}),
+            encoding="utf-8",
+        )
+        rc = run_cli(
+            ["answer", "--index", index, "--query", self.QUERY, "--config", cfg,
+             "--fusion", fusion]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"data error: {index / 'asr.bm25'}: built with embedding dim 32" in err
+        assert "gives dim 8" in err
+
+
+class TestOneEmbeddingSourcePerBuild:
+    def test_file_build_reads_the_embeddings_file_once(self, tmp_path, monkeypatch):
+        store = tmp_path / "store"
+        _ingest(store, DEMO / "audio.srt", DEMO / "screen_text.jsonl")
+        ids = [
+            json.loads(line)["id"]
+            for name in ("asr.jsonl", "ocr.jsonl")
+            for line in (store / name).read_text(encoding="utf-8").splitlines()
+        ]
+        ids += [
+            f"frame-{json.loads(line)['frame_index']:05d}"
+            for line in (store / "frames.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        rng = np.random.default_rng(0)
+        pre = tmp_path / "pre.vec"
+        save_vectors(str(pre), ids, list(rng.standard_normal((len(ids), 16))), 16)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"providers": {"embed": "file", "embeddings_file": str(pre)}}),
+            encoding="utf-8",
+        )
+        opened = []
+
+        class Spy(cli.PrecomputedEmbeddings):
+            def __init__(self, path):
+                opened.append(path)
+                super().__init__(path)
+
+        monkeypatch.setattr(cli, "PrecomputedEmbeddings", Spy)
+        rc = run_cli(["build", "--store", store, "--out", tmp_path / "index", "--config", cfg])
+        assert rc == 0
+        assert opened == [str(pre)]
+        index = tmp_path / "index"
+        assert load_index(str(index / "asr.bm25")).dim == 16
+        assert load_frame_table(str(index / "frames.tbl"), 120.0).matrix.shape == (15, 16)
+
+    def test_hash_build_draws_each_distinct_token_once(self, tmp_path, monkeypatch):
+        drawn = []
+        draw = HashEmbedder._draw
+
+        def spy(self, tokens, out=None):
+            drawn.extend(tokens)
+            return draw(self, tokens, out)
+
+        monkeypatch.setattr(HashEmbedder, "_draw", spy)
+        index = build_demo(tmp_path)
+        store = index.parent / "store"
+        texts = [
+            json.loads(line)["text"]
+            for name in ("asr.jsonl", "ocr.jsonl", "frames.jsonl")
+            for line in (store / name).read_text(encoding="utf-8").splitlines()
+        ]
+        assert len(drawn) == len(set(drawn))
+        assert set(drawn) == {token for text in texts for token in tokenize(text) or [""]}
+
+
+@pytest.fixture(scope="module")
+def demo_store(tmp_path_factory):
+    store = tmp_path_factory.mktemp("demo_store") / "store"
+    _ingest(store, DEMO / "audio.srt", DEMO / "screen_text.jsonl", DEMO / "detections.jsonl")
+    return store
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    name=st.sampled_from(
+        ["asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl", "video.json"]
+    ),
+    mutations=MUTATIONS,
+)
+def test_build_over_a_mutated_store_file_exits_0_1_or_2(demo_store, name, mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Path(tmp) / "store"
+        shutil.copytree(demo_store, store)
+        path = store / name
+        path.write_bytes(mutate_bytes(path.read_bytes(), mutations))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run_cli(
+                ["build", "--store", store, "--out", Path(tmp) / "index",
+                 "--config", DEMO / "config.json"]
+            )
+    assert rc in (0, 1, 2), err.getvalue()

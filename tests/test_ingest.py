@@ -14,13 +14,14 @@ from temporag.errors import (
 from temporag.ingest import (
     DetectedObject,
     DetectionRecord,
+    detection_to_json,
     parse_detections_jsonl,
     parse_snippet_jsonl,
     parse_srt,
     parse_vtt,
     serialize_scene_graph,
 )
-from temporag.types import Channel, VideoRecord, validate_snippet
+from temporag.types import Channel, Snippet, VideoRecord, snippet_to_json, validate_snippet
 
 SRT_ONE_CUE = b"""1
 00:00:01,500 --> 00:00:03,000
@@ -298,3 +299,29 @@ def test_parsed_snippets_revalidate(starts):
     for snippet in parse_srt("\n".join(blocks).encode()):
         validated = validate_snippet(snippet, video)
         assert validated.t_start <= validated.t_end
+
+
+@given(
+    text=st.text(min_size=1, max_size=12),
+    t=st.floats(min_value=0, max_value=1e6, allow_nan=False),
+    confidence=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_store_lines_equal_json_dumps(text, t, confidence):
+    # The store writer's one shared encoder writes the bytes json.dumps writes.
+    box = (0.1, 0.2, 0.3, 0.4)
+    record = DetectionRecord(
+        frame_index=3, t=t, objects=(DetectedObject(label=text, box=box, confidence=confidence),)
+    )
+    assert detection_to_json(record) == json.dumps(
+        {
+            "frame_index": 3,
+            "t": t,
+            "objects": [{"label": text, "box": list(box), "confidence": confidence}],
+        },
+        ensure_ascii=False,
+    )
+    snippet = Snippet(id="é-1", channel=Channel.OCR, text=text + " 日本語", t_start=t, t_end=t)
+    assert snippet_to_json(snippet) == json.dumps(
+        {"id": "é-1", "channel": "ocr", "text": snippet.text, "t_start": t, "t_end": t},
+        ensure_ascii=False,
+    )

@@ -1,6 +1,7 @@
 import math
 import struct
-from itertools import pairwise
+from collections import Counter
+from itertools import accumulate, pairwise
 
 import numpy as np
 import pytest
@@ -64,6 +65,26 @@ def embedded_index(docs, params=None):
     return build_index(docs, params, vectors=vectors)
 
 
+def oracle_postings(docs):
+    """The CSR postings built with one ``Counter`` per document, as ``build_index`` once did.
+
+    Documents in id order; each token's postings appended in that order.
+    Returns (vocab, doc_len, offsets, doc_pos, tf) as lists.
+    """
+    ordered = sorted(docs, key=lambda d: d.id)
+    doc_len = []
+    rows: dict[str, list[tuple[int, int]]] = {}  # token -> [(doc position, tf)]
+    for pos, doc in enumerate(ordered):
+        tokens = tokenize(doc.text)
+        doc_len.append(len(tokens))
+        for token, tf in Counter(tokens).items():
+            rows.setdefault(token, []).append((pos, tf))
+    vocab = sorted(rows)
+    postings = [p for token in vocab for p in rows[token]]
+    offsets = list(accumulate((len(rows[t]) for t in vocab), initial=0))
+    return vocab, doc_len, offsets, [p for p, _ in postings], [f for _, f in postings]
+
+
 def hit_ids(index, hits):
     return [index.doc_ids[pos] for pos, _ in hits]
 
@@ -114,6 +135,39 @@ class TestBuildIndex:
         docs = [make_snippet(sid, "shared word", 0.0, 1.0) for sid in ("z", "a", "m")]
         index = build_index(docs)
         assert [d for d, _ in index.postings("shared")] == ["a", "m", "z"]
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ["a a a b", "b a", "c c", "a"],  # repeated tokens in one document
+            ["!!", "x y", "", "...", "y"],  # token-less documents, first and between
+            ["!!", "--"],  # no token at all
+            ["É 日本語 é", "日本語 x", "ÉÉ é É"],  # non-ASCII, case-folded
+            ["z" * 10_000 + " a", "a " + "z" * 10_000, "b"],  # one 10,000-character token
+            [],
+        ],
+    )
+    def test_postings_match_per_document_counter(self, texts):
+        docs = [make_snippet(f"d{i:02d}", text, 0.0) for i, text in enumerate(texts)]
+        self._assert_matches_oracle(docs)
+
+    def test_postings_match_per_document_counter_random(self):
+        rng = np.random.default_rng(5)
+        docs = random_corpus(rng, 300, vocab_size=80)
+        rng.shuffle(docs)  # the builder orders documents by id itself
+        self._assert_matches_oracle(docs)
+
+    @staticmethod
+    def _assert_matches_oracle(docs):
+        index = build_index(docs)
+        vocab, doc_len, offsets, doc_pos, tf = oracle_postings(docs)
+        assert list(index.tokens) == vocab
+        for got, want in zip(
+            (index.doc_len, index.offsets, index.doc_pos, index.tf),
+            (doc_len, offsets, doc_pos, tf),
+        ):
+            assert got.dtype == np.dtype("<u4")
+            assert got.tolist() == want
 
     def test_bad_params(self):
         with pytest.raises(DataError):

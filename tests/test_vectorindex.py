@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -15,11 +16,14 @@ from temporag.errors import (
 )
 from temporag.textindex import build_index, dense_search, pack_strings, tokenize, write_index_file
 from temporag.vectorindex import (
+    _CHUNK_TEXTS,
+    _GATHER_FLOATS,
     HashEmbedder,
     PrecomputedEmbeddings,
     normalize,
     save_vectors,
     seed_states,
+    unit_rows,
 )
 
 from conftest import MUTATIONS, make_snippet, mutate_bytes
@@ -36,6 +40,26 @@ class TestNormalize:
     def test_zero_vector(self):
         with pytest.raises(ZeroVectorError):
             normalize([0.0, 0.0])
+
+    @pytest.mark.parametrize("dim", [1, 8, 33, 64, 384])
+    def test_rows_match_the_per_row_dot_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        rows = rng.standard_normal((2000, dim)) * rng.uniform(1e-3, 1e3, size=(2000, 1))
+        expected = [(row / math.sqrt(row.dot(row))).tobytes() for row in rows]
+        assert [row.tobytes() for row in unit_rows(rows)] == expected
+        assert [normalize(row).tobytes() for row in rows[:50]] == expected[:50]
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_zero_or_non_finite_row_rejected(self, bad):
+        rows = np.ones((3, 4))
+        rows[1] = bad
+        with pytest.raises(ZeroVectorError):
+            unit_rows(rows)
+
+    def test_unit_rows_of_unequal_lengths(self):
+        with pytest.raises(DimMismatchError, match="expected dim 3, got 2"):
+            unit_rows([np.ones(3), np.ones(2)])
+        assert unit_rows([]).shape == (0, 0)
 
     def test_norm_is_one(self):
         rng = np.random.default_rng(0)
@@ -187,18 +211,56 @@ class TestHashEmbedder:
     def test_embed_matches_per_token_path_bitwise(self, seed):
         rng = np.random.default_rng(seed % 97)
         vocab = TOKENS[:400]
-        texts = ["", "É 日本語 é", "x" * 300, "a a a", "!!"] + [
-            " ".join(rng.choice(vocab, size=rng.integers(1, 30))) for _ in range(300)
+        # The edge cases, 1-token texts, and enough texts for three chunks.
+        texts = ["", "É 日本語 é", "x" * 300, "a a a", "!!", "é", "", "日本語"] + [
+            " ".join(rng.choice(vocab, size=rng.integers(1, 30))) for _ in range(550)
         ]
-        expected = [v.tobytes() for v in oracle_embed(texts, 33, seed)]
-        assert [v.tobytes() for v in HashEmbedder(33, seed).embed(texts)] == expected
-        one_by_one = HashEmbedder(33, seed)
-        assert [one_by_one.embed([t])[0].tobytes() for t in texts] == expected
-        # Warm: every token cached, then again with half the texts new.
-        assert [v.tobytes() for v in one_by_one.embed(texts)] == expected
-        half = HashEmbedder(33, seed)
-        half.embed(texts[::2])
-        assert [v.tobytes() for v in half.embed(texts)] == expected
+        assert len(texts) > 2 * _CHUNK_TEXTS
+        # At dim 384 a chunk gathers 5 token positions and adds the rest
+        # one position at a time.
+        for dim in (33, 384):
+            expected = [v.tobytes() for v in oracle_embed(texts, dim, seed)]
+            assert [v.tobytes() for v in HashEmbedder(dim, seed).embed(texts)] == expected
+            one_by_one = HashEmbedder(dim, seed)
+            assert [one_by_one.embed([t])[0].tobytes() for t in texts] == expected
+            # Warm: every token cached, then again with half the texts new.
+            assert [v.tobytes() for v in one_by_one.embed(texts)] == expected
+            half = HashEmbedder(dim, seed)
+            half.embed(texts[::2])
+            assert [v.tobytes() for v in half.embed(texts)] == expected
+
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_one_embedder_for_three_batches_matches_three_fresh(self, dim):
+        rng = np.random.default_rng(dim)
+        batches = [
+            [" ".join(rng.choice(TOKENS[:300], size=rng.integers(1, 12))) for _ in range(n)]
+            for n in (300, 1, 40)
+        ]
+        shared = HashEmbedder(dim, 7)
+        for batch in batches:
+            got = [v.tobytes() for v in shared.embed(batch)]
+            assert got == [v.tobytes() for v in HashEmbedder(dim, 7).embed(batch)]
+
+    def test_each_token_drawn_once_as_the_cache_grows(self, monkeypatch):
+        drawn = []
+        draw = HashEmbedder._draw
+
+        def spy(self, tokens, out=None):
+            drawn.extend(tokens)
+            return draw(self, tokens, out)
+
+        monkeypatch.setattr(HashEmbedder, "_draw", spy)
+        e = HashEmbedder(16, 3)
+        first = e.embed(TOKENS[:100])
+        e.embed([" ".join(TOKENS[:1000])])  # grows the row matrix past 1,000 rows
+        assert sorted(drawn) == sorted(set(tokenize(" ".join(TOKENS[:1000]))) | {""})
+        assert [v.tobytes() for v in e.embed(TOKENS[:100])] == [v.tobytes() for v in first]
+
+    def test_one_text_longer_than_the_gather_budget(self):
+        dim = 4096
+        text = " ".join(TOKENS[i % 50] for i in range(_GATHER_FLOATS // dim + 30))
+        got = HashEmbedder(dim, 1).embed([text])[0]
+        assert got.tobytes() == oracle_embed([text], dim, 1)[0].tobytes()
 
     def test_empty_batch(self):
         assert HashEmbedder(8).embed([]) == []
