@@ -39,7 +39,6 @@ from .ingest import (
     parse_snippet_jsonl,
     parse_srt,
     parse_vtt,
-    write_snippet_jsonl,
 )
 from .pipeline import AblationFlags, VideoRuntime, run_query
 from .providers import (
@@ -58,6 +57,7 @@ from .types import (
     Snippet,
     VideoRecord,
     is_finite_number,
+    snippet_to_json,
     validate_snippet,
 )
 from .vectorindex import HashEmbedder, PrecomputedEmbeddings, unit_rows
@@ -221,9 +221,7 @@ def cmd_ingest(args) -> int:
     _write_jsonl(out / "video.json", [json.dumps(asdict(video))])
     for channel, snippets in by_channel.items():
         if snippets:
-            (out / CHANNEL_FILES[channel]).write_text(
-                write_snippet_jsonl(snippets), encoding="utf-8"
-            )
+            _write_jsonl(out / CHANNEL_FILES[channel], map(snippet_to_json, snippets))
     if detections:
         _write_jsonl(out / "detections.jsonl", map(detection_to_json, detections))
     if frames:
@@ -468,9 +466,6 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
         detector = StubDetector()
     elif cfg.providers.detector == "http":
         detector = HttpDetector(base_url=cfg.providers.detector_url)
-    elif cfg.providers.fixtures_file:
-        records = _read_store_jsonl(Path(cfg.providers.fixtures_file), parse_detections_jsonl)
-        detector = FixtureDetector.from_records(records)
     else:
         table_path = index_dir / DETECTION_TABLE
         if not table_path.exists():

@@ -14,6 +14,7 @@ from .errors import ConfigError
 from .pipeline import FusionMode
 from .rescore import DecayParams, RescoreConfig, TimeNorm
 from .frames import SelectorConfig
+from .ingest import FRAME_INDEX_LIMIT
 from .types import is_finite_number
 
 
@@ -34,7 +35,6 @@ class ProviderConfig:
     embed_url: str | None = None
     detector_url: str | None = None
     embeddings_file: str | None = None
-    fixtures_file: str | None = None
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,9 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.fusion not in _VALID_FUSIONS:
+    if not isinstance(cfg.fusion, str) or cfg.fusion not in _VALID_FUSIONS:
         raise ConfigError(f"fusion must be one of {sorted(_VALID_FUSIONS)}, got {cfg.fusion!r}")
-    if cfg.time_norm not in _VALID_TIME_NORMS:
+    if not isinstance(cfg.time_norm, str) or cfg.time_norm not in _VALID_TIME_NORMS:
         raise ConfigError(
             f"time_norm must be one of {sorted(_VALID_TIME_NORMS)}, got {cfg.time_norm!r}"
         )
@@ -132,6 +132,8 @@ def _validate(cfg: RunConfig) -> None:
         value = getattr(cfg, name)
         if not isinstance(value, int) or value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if name in ("n_bins", "max_frames", "n_frames") and value > FRAME_INDEX_LIMIT:
+            raise ConfigError(f"{name} must be at most 2**32, the frame index range, got {value}")
     for name, least, kind in (("embed_dim", 1, "positive"), ("embed_seed", 0, "non-negative")):
         value = getattr(cfg.providers, name)
         if not isinstance(value, int) or value < least:
@@ -155,6 +157,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(
             f"providers.detector must be stub, http or fixture, got {cfg.providers.detector!r}"
         )
+    for name in ("lvlm_url", "embed_url", "detector_url", "embeddings_file"):
+        value = getattr(cfg.providers, name)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"providers.{name} must be a string or null, got {value!r}")
     if cfg.n_bins > cfg.max_frames:
         raise ConfigError(f"n_bins ({cfg.n_bins}) must not exceed max_frames ({cfg.max_frames})")
 
@@ -168,6 +174,6 @@ def load_config(path: str | None) -> RunConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also UnicodeDecodeError
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return config_from_dict(data)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DataError,
@@ -28,7 +28,6 @@ from .types import (
     encode_json,
     is_finite_number,
     snippet_from_obj,
-    snippet_to_json,
 )
 
 # Frame indices are stored as u32 in the index's frame and detection tables.
@@ -44,8 +43,8 @@ class DetectedObject:
     confidence: float
 
     def __post_init__(self):
-        if not self.label:
-            raise DataError("detection label must be non-empty")
+        if not isinstance(self.label, str) or not self.label:
+            raise DataError(f"detection label must be a non-empty string, got {self.label!r}")
         x1, y1, x2, y2 = self.box
         if not (0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0):
             raise InvalidBoxError(f"box {self.box} violates 0 <= x1 < x2 <= 1, 0 <= y1 < y2 <= 1")
@@ -77,14 +76,12 @@ class SceneGraphText:
 class JsonlReport:
     """Result of tolerant JSONL parsing: records plus located line errors."""
 
-    snippets: list[Snippet] = field(default_factory=list)
-    errors: list[tuple[int, str]] = field(default_factory=list)
-    dropped_empty: int = 0
+    snippets: list[Snippet]
+    errors: list[tuple[int, str]]
+    dropped_empty: int
 
 
 def _decode(data: bytes) -> str:
-    if isinstance(data, str):
-        return data
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -203,35 +200,20 @@ def parse_snippet_jsonl(data: bytes, expect_channel: Channel | None = None) -> J
     Empty-text lines are dropped and counted. The file is rejected (with
     ``NoValidLinesError``) only when lines exist and every one fails.
     """
-    report = JsonlReport()
-    lines = _decode(data).splitlines()
-    n_attempted = 0
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        n_attempted += 1
-        try:
-            obj = json.loads(line)
-            snippet = snippet_from_obj(obj)
-        except (json.JSONDecodeError, DataError) as exc:
-            report.errors.append((line_no, str(exc)))
-            continue
+
+    def from_obj(obj: object) -> Snippet | None:
+        snippet = snippet_from_obj(obj)
         if expect_channel is not None and snippet.channel is not expect_channel:
-            report.errors.append(
-                (line_no, f"channel mismatch: expected {expect_channel.value}, got {snippet.channel.value}")
+            raise DataError(
+                f"channel mismatch: expected {expect_channel.value}, got {snippet.channel.value}"
             )
-            continue
-        if not snippet.text.strip():
-            report.dropped_empty += 1
-            continue
-        report.snippets.append(snippet)
-    if n_attempted and not report.snippets and not report.dropped_empty:
-        raise NoValidLinesError(f"all {n_attempted} lines failed to parse")
-    return report
+        return snippet if snippet.text.strip() else None
 
-
-def write_snippet_jsonl(snippets: list[Snippet]) -> str:
-    return "".join(snippet_to_json(s) + "\n" for s in snippets)
+    records, errors = _parse_jsonl_lines(data, from_obj)
+    if errors and not records:
+        raise NoValidLinesError(f"all {len(errors)} lines failed to parse")
+    snippets = [s for s in records if s is not None]
+    return JsonlReport(snippets, errors, len(records) - len(snippets))
 
 
 # --- detections ---------------------------------------------------------------
@@ -256,13 +238,16 @@ def _frame_key(obj: object, duration_s: float = math.inf) -> tuple[int, float]:
     return frame_index, float(t)
 
 
-def detection_from_obj(obj: object) -> DetectionRecord:
-    frame_index, t = _frame_key(obj)
-    raw_objects = obj.get("objects")
-    if not isinstance(raw_objects, list):
+def detected_objects(entries: object) -> list[DetectedObject]:
+    """Check a list of {"label", "box", "confidence"} objects, as stored or as detected.
+
+    The box's four coordinates and the confidence are numbers; any other
+    shape, or a ``DetectedObject`` rule broken, is a ``DataError``.
+    """
+    if not isinstance(entries, list):
         raise DataError("objects must be a list")
     objects = []
-    for entry in raw_objects:
+    for entry in entries:
         try:
             objects.append(
                 DetectedObject(
@@ -273,7 +258,13 @@ def detection_from_obj(obj: object) -> DetectionRecord:
             )
         except (KeyError, TypeError, ValueError):
             raise DataError(f"bad detection object: {entry!r}") from None
-    return DetectionRecord(frame_index=frame_index, t=t, objects=tuple(objects))
+    return objects
+
+
+def detection_from_obj(obj: object) -> DetectionRecord:
+    frame_index, t = _frame_key(obj)
+    objects = tuple(detected_objects(obj.get("objects")))
+    return DetectionRecord(frame_index=frame_index, t=t, objects=objects)
 
 
 def detection_to_json(record: DetectionRecord) -> str:

@@ -18,8 +18,8 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import prompts
-from .errors import ProviderUnavailableError
-from .ingest import DetectedObject, DetectionRecord
+from .errors import DataError, ProviderUnavailableError
+from .ingest import DetectedObject, DetectionRecord, detected_objects
 from .textindex import F8, U4, IndexFileReader, pack_strings, tokenize, write_index_file
 from .types import FrameRecord
 
@@ -364,9 +364,14 @@ class HttpLvlmClient:
             self.timeout,
         )
         try:
-            return body["choices"][0]["message"]["content"]
+            content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderUnavailableError("malformed chat completion response") from exc
+        if not isinstance(content, str):
+            raise ProviderUnavailableError(
+                f"malformed chat completion response: content is {type(content).__name__}"
+            )
+        return content
 
 
 class HttpEmbeddingClient:
@@ -396,12 +401,14 @@ class HttpEmbeddingClient:
         )
         try:
             vectors = [np.asarray(v, dtype=np.float64) for v in body["vectors"]]
-        except (KeyError, TypeError) as exc:
-            raise ProviderUnavailableError("malformed embed response") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProviderUnavailableError(f"malformed embed response ({exc})") from exc
         if len(vectors) != len(texts):
             raise ProviderUnavailableError(
                 f"embed returned {len(vectors)} vectors for {len(texts)} texts"
             )
+        if any(v.ndim != 1 for v in vectors):
+            raise ProviderUnavailableError("malformed embed response (a vector is not 1-D)")
         return vectors
 
 
@@ -422,17 +429,11 @@ class HttpDetector:
             self.timeout,
         )
         try:
-            raw = body["detections"]
-            return [
-                [
-                    DetectedObject(
-                        label=o["label"],
-                        box=tuple(float(c) for c in o["box"]),
-                        confidence=float(o["confidence"]),
-                    )
-                    for o in per_frame
-                ]
-                for per_frame in raw
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProviderUnavailableError("malformed detect response") from exc
+            detections = [detected_objects(objects) for objects in body["detections"]]
+        except (KeyError, TypeError, DataError) as exc:
+            raise ProviderUnavailableError(f"malformed detect response ({exc})") from exc
+        if len(detections) != len(keyframes):
+            raise ProviderUnavailableError(
+                f"detect returned {len(detections)} results for {len(keyframes)} keyframes"
+            )
+        return detections

@@ -416,48 +416,11 @@ class StringTable(Sequence):
             done += 8
         return True
 
-    def find(self, keys: Sequence[str]) -> np.ndarray:
-        """The position of each key in this strictly sorted table, -1 where absent.
-
-        One vectorized search for every key at once, decoding no entry; it
-        holds the table's entries padded to the longest key's length.
-        """
-        encoded = [key.encode("utf-8") for key in keys]
-        key_lens = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
-        width = max(1, int(key_lens.max(initial=0)))
-        lens = np.diff(self.offsets).astype(np.intp)
-        fits = np.flatnonzero(lens <= width)  # a longer entry equals no key
-        if not len(fits) or not len(keys):
-            return np.full(len(keys), -1, dtype=np.intp)
-        entries = _sort_keys(self._blob(), self.offsets[fits], lens[fits], width)
-        wanted = _sort_keys(
-            np.frombuffer(b"".join(encoded), dtype=U1),
-            np.cumsum(key_lens) - key_lens,
-            key_lens,
-            width,
-        )
-        pos = np.minimum(np.searchsorted(entries, wanted), len(fits) - 1)
-        return np.where(entries[pos] == wanted, fits[pos], -1)
-
 
 # _HEAD_MASKS[k] keeps the first k bytes of a big-endian u8 word.
 _HEAD_MASKS = np.array(
     [(2**64 - 1) ^ (2 ** (64 - 8 * k) - 1) for k in range(9)], dtype=np.uint64
 )
-
-
-def _sort_keys(blob: np.ndarray, starts: np.ndarray, lens: np.ndarray, width: int) -> np.ndarray:
-    """Strings of at most ``width`` bytes as fixed-width keys in the strings' order.
-
-    Byte ``b`` becomes the big-endian u2 ``b + 1`` and the tail stays zero,
-    so a prefix sorts first and no two strings share a key; plain ``S``
-    keys pad with NUL bytes, which would make "a" equal "a\\x00".
-    """
-    inside = np.arange(width) < lens[:, None]
-    units = np.zeros((len(lens), width), dtype=">u2")
-    units[inside] = blob[(starts[:, None] + np.arange(width))[inside]]
-    units += inside
-    return units.view(f"S{2 * width}").ravel()
 
 
 def corrupt_index(path: str, problem: str) -> DataError:

@@ -278,7 +278,8 @@ def save_vectors(path: str, ids: Sequence[str], vectors: Sequence[np.ndarray], d
 class PrecomputedEmbeddings:
     """Embeddings keyed by id, read from a vector file.
 
-    Rows keep their stored bits, with no re-normalization. Errors are those
+    Rows keep their stored bits, with no re-normalization. The checked id
+    table is decoded once, into an id-to-row dict. Errors are those
     of ``textindex.IndexFileReader``, and a ``DataError`` naming the path
     for a zero ``dim``, ids out of order or repeated, or a NaN or infinite
     matrix entry.
@@ -289,18 +290,18 @@ class PrecomputedEmbeddings:
         dim, n = reader.unpack("<II")
         if dim < 1:
             raise reader.corrupt(f"dim {dim}")
-        self._ids = reader.string_table(n)
+        ids = reader.string_table(n)
         self._matrix = reader.array(n * dim, F4).reshape(n, dim)
         reader.end()
-        if not self._ids.is_strictly_sorted():
+        if not ids.is_strictly_sorted():
             raise reader.corrupt("duplicate ids or ids out of order")
         if not np.all(np.isfinite(self._matrix)):
             raise reader.corrupt("non-finite vector values")
+        self._row_of = {vec_id: row for row, vec_id in enumerate(ids)}
 
     def lookup(self, ids: Sequence[str]) -> np.ndarray:
         """The stored rows of ``ids``, in order; a ``DataError`` names every id the file lacks."""
-        rows = self._ids.find(ids)
-        if np.any(rows < 0):
-            missing = [i for i, row in zip(ids, rows.tolist()) if row < 0]
+        missing = [i for i in ids if i not in self._row_of]
+        if missing:
             raise DataError(f"embeddings missing for ids: {', '.join(sorted(missing))}")
-        return self._matrix[rows]
+        return self._matrix[[self._row_of[i] for i in ids]]

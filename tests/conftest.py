@@ -117,8 +117,31 @@ def mutate_bytes(data: bytes, mutations) -> bytes:
     return bytes(buf)
 
 
+# Pieces that build shared prefixes, "" and "a" against "a\x00", strings
+# longer than one eight-byte word, and non-ASCII text of 2-4 UTF-8 bytes.
+STRING_PIECES = st.sampled_from(
+    ["", "a", "\x00", "b", "é", "ÿ", "日本", "\U0001f600", "aaaaaaa", "aaaaaaaa", "\x7f"]
+)
+STRINGS = st.one_of(st.lists(STRING_PIECES, max_size=4).map("".join), st.text(max_size=10))
+
+
+# Valid JSON with a malformed provider payload, one per endpoint: a null
+# completion, a non-numeric vector entry, and a box with x1 > x2.
+MALFORMED_BODIES = {
+    "/malformed/chat/completions": lambda payload: {"choices": [{"message": {"content": None}}]},
+    "/malformed/embed": lambda payload: {"vectors": [["x", 1.0] for _ in payload["texts"]]},
+    "/malformed/detect": lambda payload: {
+        "detections": [
+            [{"label": "obj", "box": [0.5, 0.1, 0.2, 0.9], "confidence": 0.9}]
+            for _ in payload["frame_ids"]
+        ]
+    },
+}
+
+
 class _ProviderHandler(BaseHTTPRequestHandler):
-    """Fake provider endpoints: /embed, /detect, /chat/completions, /fail500."""
+    """Fake provider endpoints: /embed, /detect, /chat/completions, /fail500, and
+    the same three under /malformed (``MALFORMED_BODIES``)."""
 
     def log_message(self, *args):  # keep test output clean
         pass
@@ -150,6 +173,9 @@ class _ProviderHandler(BaseHTTPRequestHandler):
         elif self.path == "/chat/completions":
             user = payload["messages"][-1]["content"]
             body = {"choices": [{"message": {"content": f"echo:{len(user)}"}}]}
+            status = 200
+        elif self.path in MALFORMED_BODIES:
+            body = MALFORMED_BODIES[self.path](payload)
             status = 200
         elif self.path == "/fail500":
             body = {"error": "boom"}

@@ -1,14 +1,17 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import os
 import shutil
 import struct
 import tempfile
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from temporag import cli, evalharness
 from temporag import frames as frames_mod
 from temporag.cli import main
+from temporag.config import ProviderConfig, RunConfig
 from temporag.frames import load_frame_table, save_frame_table
 from temporag.pipeline import dense_accept
 from temporag.textindex import F4, IndexFileReader, StringTable, load_index, save_index, tokenize
@@ -237,6 +241,19 @@ class TestIngest:
         assert (out / "detections.jsonl").exists()
         assert not (out / "det.jsonl").exists()
 
+    def test_detection_label_not_a_string_is_line_error(self, tmp_path, capsys):
+        detections = tmp_path / "detections.jsonl"
+        good = {"frame_index": 1, "t": 1.0, "objects": []}
+        bad = {"frame_index": 2, "t": 2.0,
+               "objects": [{"label": 5, "box": [0.1, 0.1, 0.5, 0.5], "confidence": 0.5}]}
+        detections.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        rc = run_cli(["ingest", detections, "--video-id", "v", "--duration-s", "10",
+                      "--out", tmp_path / "store"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert f"{detections}:2: detection label must be a non-empty string, got 5" in captured.err
+        assert "detections: 1 records" in captured.out
+
 
 class TestBuild:
     def test_outputs_exist(self, built_index):
@@ -345,6 +362,19 @@ class TestBuild:
         rc = run_cli(["build", "--store", path.parent, "--out", tmp_path / "o"])
         assert rc == 2
         assert f"data error: {path}: not valid UTF-8" in capsys.readouterr().err
+
+    def test_store_detection_label_not_a_string_is_data_error(self, tmp_path, built_index,
+                                                                capsys):
+        path = built_index.parent / "store" / "detections.jsonl"
+        n_lines = len(path.read_text(encoding="utf-8").splitlines())
+        bad = {"frame_index": 99, "t": 2.0,
+               "objects": [{"label": 5, "box": [0.1, 0.1, 0.5, 0.5], "confidence": 0.5}]}
+        path.write_text(path.read_text(encoding="utf-8") + json.dumps(bad) + "\n",
+                        encoding="utf-8")
+        rc = run_cli(["build", "--store", path.parent, "--out", tmp_path / "o"])
+        assert rc == 2
+        assert (f"data error: {path}:{n_lines + 1}: detection label must be a non-empty string"
+                in capsys.readouterr().err)
 
     def test_missing_store_is_data_error(self, tmp_path):
         rc = run_cli(["build", "--store", tmp_path / "nope", "--out", tmp_path / "o"])
@@ -675,6 +705,32 @@ class TestAnswer:
         assert channel_texts
         assert server.last_request["path"] == "/embed"
         assert server.last_request["payload"]["texts"] == [request["det"], *channel_texts]
+
+    @pytest.mark.parametrize(
+        "providers, message",
+        [
+            ({"lvlm": "http", "lvlm_url": "@server/malformed"},
+             "malformed chat completion response: content is NoneType"),
+            ({"embed": "http", "embed_url": "@server/malformed"},
+             "malformed embed response (could not convert string to float"),
+            ({"detector": "http", "detector_url": "@server/malformed"},
+             "malformed detect response (box (0.5, 0.1, 0.2, 0.9) violates"),
+        ],
+        ids=["lvlm_null_content", "embed_non_numeric", "detect_bad_box"],
+    )
+    def test_malformed_provider_response_is_provider_error(
+        self, tmp_path, demo_index, provider_server, capsys, providers, message
+    ):
+        _, url = provider_server
+        config = json.loads((DEMO / "config.json").read_text(encoding="utf-8"))
+        config["providers"].update(
+            {key: value.replace("@server", url) for key, value in providers.items()}
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        rc = run_cli(["answer", "--index", demo_index, "--query", self.QUERY, "--config", cfg])
+        assert rc == 3
+        assert f"provider error: {message}" in capsys.readouterr().err
 
     def test_file_embed_cannot_answer(self, tmp_path, built_index, capsys):
         config = tmp_path / "file.json"
@@ -1059,6 +1115,47 @@ class TestExitCodes:
         assert f"error: providers.{key} must be a " in capsys.readouterr().err
 
 
+    # The cases the mutated-config property below found, and the frame counts
+    # past numpy's integers, which it rarely draws.
+    @pytest.mark.parametrize("command", ["build", "answer"])
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"fusion": []}, "fusion must be one of"),
+            ({"time_norm": []}, "time_norm must be one of"),
+            ({"providers": {"lvlm_url": True}}, "providers.lvlm_url must be a string or null"),
+            ({"providers": {"embed_url": 5}}, "providers.embed_url must be a string or null"),
+            ({"providers": {"detector_url": []}}, "providers.detector_url must be a string"),
+            ({"providers": {"embeddings_file": 1.5}}, "providers.embeddings_file must be a"),
+            ({"providers": {"fixtures_file": "d.jsonl"}}, "unknown provider keys: fixtures_file"),
+            ({"n_bins": 2**70, "max_frames": 2**70}, "n_bins must be at most 2**32"),
+            ({"max_frames": 10**400}, "max_frames must be at most 2**32"),
+            ({"n_frames": 2**32 + 1}, "n_frames must be at most 2**32"),
+        ],
+        ids=["fusion_list", "time_norm_list", "lvlm_url_bool", "embed_url_int",
+             "detector_url_list", "embeddings_file_float", "fixtures_file_gone",
+             "n_bins_past_int64", "max_frames_past_float", "n_frames_past_u32"],
+    )
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, demo_index, capsys, command,
+                                                  config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        if command == "build":
+            args = ["--store", demo_index.parent / "store", "--out", tmp_path / "index"]
+        else:
+            args = ["--index", demo_index, "--query", "q"]
+        rc = run_cli([command, *args, "--config", cfg])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, demo_index, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xfb{}")
+        rc = run_cli(["answer", "--index", demo_index, "--query", "q", "--config", cfg])
+        assert rc == 1
+        assert f"error: config {cfg} is not valid JSON" in capsys.readouterr().err
+
+
 def test_effective_config_echoed_to_stderr(built_index, capsys):
     rc = run_cli(
         [
@@ -1226,3 +1323,75 @@ def test_build_over_a_mutated_store_file_exits_0_1_or_2(demo_store, name, mutati
                  "--config", DEMO / "config.json"]
             )
     assert rc in (0, 1, 2), err.getvalue()
+
+
+# A config edit sets one key, top-level or under "providers", to any JSON
+# value, or deletes it (None), or replaces the whole file (the empty path).
+# Strings come from a fixed list: the names the config knows, and two
+# placeholders for URLs on this host only, "@server" (the provider_server
+# fixture) and "@refused" (a closed port).
+CONFIG_STRINGS = st.sampled_from(
+    ["", "x", "stub", "http", "hash", "file", "fixture", "lexical", "dense", "max_fuse",
+     "raw_seconds", "normalized_by_duration", "@server", "@server/malformed", "@refused"]
+)
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | CONFIG_STRINGS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(CONFIG_STRINGS, children, max_size=3),
+    max_leaves=4,
+)
+CONFIG_KEYS = st.sampled_from(
+    [()]
+    + [(f.name,) for f in dataclasses.fields(RunConfig)]
+    + [("providers", f.name) for f in dataclasses.fields(ProviderConfig)]
+    + [("mystery",), ("providers", "mystery")]
+)
+CONFIG_EDITS = st.lists(
+    st.tuples(CONFIG_KEYS, st.none() | st.tuples(CONFIG_VALUES)), min_size=1, max_size=3
+)
+
+
+def edit_config(config, edits):
+    for path, value in edits:
+        if not path:
+            config = value[0] if value else {}
+            continue
+        owner = config
+        for key in path[:-1]:
+            owner = owner.get(key) if isinstance(owner, dict) else None
+        if not isinstance(owner, dict):
+            continue
+        if value is None:
+            owner.pop(path[-1], None)
+        else:
+            owner[path[-1]] = value[0]
+    return config
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    command=st.sampled_from(["answer", "build"]),
+    edits=CONFIG_EDITS,
+    mutations=st.none() | MUTATIONS,
+)
+def test_any_mutated_config_exits_0_1_2_or_3(demo_index, provider_server, command, edits,
+                                             mutations):
+    _, url = provider_server
+    config = edit_config(json.loads((DEMO / "config.json").read_text(encoding="utf-8")), edits)
+    data = json.dumps(config).encode()
+    if mutations is not None:
+        data = mutate_bytes(data, mutations)
+    # After the mutations, so that none can turn a URL into one off this host.
+    data = data.replace(b"@server", url.encode()).replace(b"@refused", b"http://127.0.0.1:9")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("TEMPORAG_")}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env, clear=True):
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_bytes(data)
+        if command == "build":
+            args = ["--store", demo_index.parent / "store", "--out", Path(tmp) / "index"]
+        else:
+            args = ["--index", demo_index, "--query", TestAnswer.QUERY]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run_cli([command, *args, "--config", cfg])
+    assert rc in (0, 1, 2, 3), err.getvalue()

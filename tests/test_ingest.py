@@ -188,8 +188,27 @@ class TestParseOcrJsonl:
         assert [s.id for s in report.snippets] == ["b"]
 
     def test_all_lines_failing_rejects_file(self):
-        with pytest.raises(NoValidLinesError):
-            parse_snippet_jsonl(b"junk\nmore junk\n", expect_channel=Channel.OCR)
+        with pytest.raises(NoValidLinesError, match="all 2 lines failed to parse"):
+            parse_snippet_jsonl(b"junk\n\nmore junk\n", expect_channel=Channel.OCR)
+
+    def test_errors_and_drops_in_line_order(self):
+        data = (
+            b"\n"
+            b'{"id": "a", "channel": "asr", "text": "x", "t_start": 1, "t_end": 1}\n'
+            b"{bad\n"
+            b'{"id": "b", "channel": "ocr", "text": " ", "t_start": 1, "t_end": 1}\n'
+            b'{"id": "c", "channel": "ocr", "text": "y", "t_start": 1, "t_end": 1}\n'
+        )
+        report = parse_snippet_jsonl(data, expect_channel=Channel.OCR)
+        assert [s.id for s in report.snippets] == ["c"]
+        assert report.dropped_empty == 1
+        assert [line_no for line_no, _ in report.errors] == [2, 3]
+        assert report.errors[0][1] == "channel mismatch: expected ocr, got asr"
+
+    def test_failures_beside_empty_text_keep_the_file(self):
+        data = b'junk\n{"id": "a", "channel": "ocr", "text": "", "t_start": 1, "t_end": 1}\n'
+        report = parse_snippet_jsonl(data, expect_channel=Channel.OCR)
+        assert (report.snippets, report.dropped_empty, len(report.errors)) == ([], 1, 1)
 
 
 class TestDetections:
@@ -238,6 +257,18 @@ class TestDetections:
         assert [r.frame_index for r in records] == [3]
         assert len(errors) == 1 and errors[0][0] == 2
         assert errors[0][1].endswith(message)
+
+    @pytest.mark.parametrize("label", [5, "", None, ["a"], True],
+                             ids=["int", "empty", "null", "list", "bool"])
+    def test_label_not_a_non_empty_string_is_line_error(self, label):
+        obj = {"label": label, "box": [0.1, 0.1, 0.5, 0.5], "confidence": 0.5}
+        data = (
+            b'{"frame_index": 3, "t": 12.0, "objects": []}\n'
+            + json.dumps({"frame_index": 4, "t": 1.0, "objects": [obj]}).encode()
+        )
+        records, errors = parse_detections_jsonl(data)
+        assert [r.frame_index for r in records] == [3]
+        assert errors == [(2, f"detection label must be a non-empty string, got {label!r}")]
 
     def test_invalid_box(self):
         with pytest.raises(InvalidBoxError):

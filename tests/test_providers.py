@@ -140,6 +140,65 @@ class TestHttpClients:
             providers_mod._post_json(f"{url}/nope", {}, {}, 5.0)
 
 
+class TestMalformedResponses:
+    """A provider body that parses as JSON but breaks the wire format is a provider error."""
+
+    @pytest.fixture(autouse=True)
+    def body(self, monkeypatch, request):
+        monkeypatch.setattr(providers, "_post_json", lambda *args: request.param)
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"choices": [{"message": {"content": None}}]},
+         {"choices": [{"message": {"content": 5}}]},
+         {"choices": [{"message": {"content": ["a"]}}]},
+         {"choices": []},
+         "text"],
+        ids=["null", "int", "list", "no_choice", "string_body"],
+        indirect=True,
+    )
+    def test_lvlm_content_not_a_string(self, body):
+        with pytest.raises(ProviderUnavailableError, match="malformed chat completion"):
+            HttpLvlmClient(base_url="http://unused").complete("sys", "user")
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"vectors": [["x", 1.0]]},
+         {"vectors": [[[1.0, 2.0]]]},
+         {"vectors": [1.0]},
+         {"vectors": [None]},
+         {"vectors": 5},
+         {}],
+        ids=["non_numeric", "2d", "scalar", "null", "not_a_list", "no_vectors"],
+        indirect=True,
+    )
+    def test_embed_vector_not_1d_numbers(self, body):
+        with pytest.raises(ProviderUnavailableError, match="malformed embed response"):
+            HttpEmbeddingClient(base_url="http://unused").embed(["a"])
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"detections": [[{"label": "a", "box": [0.5, 0.1, 0.2, 0.9], "confidence": 0.9}]]},
+         {"detections": [[{"label": 5, "box": [0.1, 0.1, 0.5, 0.5], "confidence": 0.5}]]},
+         {"detections": [[{"label": "a", "box": [0.1, 0.1, 0.5], "confidence": 0.5}]]},
+         {"detections": [[{"label": "a", "box": [0.1, 0.1, 0.5, 0.5], "confidence": "x"}]]},
+         {"detections": [5]},
+         {"detections": "a"},
+         {}],
+        ids=["inverted_box", "int_label", "three_coords", "str_confidence", "int_frame",
+             "string", "no_detections"],
+        indirect=True,
+    )
+    def test_detect_bad_object(self, body):
+        with pytest.raises(ProviderUnavailableError, match="malformed detect response"):
+            HttpDetector(base_url="http://unused").detect(_frames(1))
+
+    @pytest.mark.parametrize("body", [{"detections": [[]]}], ids=["one_result"], indirect=True)
+    def test_detect_result_count_differs(self, body):
+        with pytest.raises(ProviderUnavailableError, match="detect returned 1 results for 2"):
+            HttpDetector(base_url="http://unused").detect(_frames(1, 2))
+
+
 def test_stub_detector_examples():
     frames = [FrameRecord(frame_index=i, t=float(i)) for i in range(4)]
     out = StubDetector().detect(frames)

@@ -29,7 +29,7 @@ from temporag.textindex import (
 from temporag.types import Channel
 from temporag.vectorindex import HashEmbedder, normalize
 
-from conftest import MUTATIONS, bm25_score, make_snippet, mutate_bytes
+from conftest import MUTATIONS, STRINGS, bm25_score, make_snippet, mutate_bytes
 
 
 # Independent scalar oracle: a literal transliteration of the okapi formula
@@ -428,14 +428,6 @@ def string_table(strings):
     return StringTable(data, 4 * (n + 1), np.frombuffer(data, dtype="<u4", count=n + 1))
 
 
-# Pieces that build shared prefixes, "" and "a" against "a\x00", strings
-# longer than one eight-byte word, and non-ASCII text of 2-4 UTF-8 bytes.
-STRING_PIECES = st.sampled_from(
-    ["", "a", "\x00", "b", "é", "ÿ", "日本", "\U0001f600", "aaaaaaa", "aaaaaaaa", "\x7f"]
-)
-STRINGS = st.one_of(st.lists(STRING_PIECES, max_size=4).map("".join), st.text(max_size=10))
-
-
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(strings=st.lists(STRINGS, max_size=12), presort=st.booleans())
 def test_sort_check_agrees_with_pairwise(strings, presort):
@@ -443,15 +435,6 @@ def test_sort_check_agrees_with_pairwise(strings, presort):
         strings = sorted(strings)
     table = string_table(strings)
     assert table.is_strictly_sorted() == all(x < y for x, y in pairwise(strings))
-
-
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(strings=st.lists(STRINGS, max_size=12), keys=st.lists(STRINGS, max_size=6))
-def test_find_agrees_with_list_index(strings, keys):
-    entries = sorted(set(strings))
-    keys = keys + entries[:2]
-    want = [entries.index(k) if k in entries else -1 for k in keys]
-    assert string_table(entries).find(keys).tolist() == want
 
 
 @pytest.fixture(scope="module")

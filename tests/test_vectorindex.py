@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temporag.errors import (
     DataError,
@@ -26,7 +27,7 @@ from temporag.vectorindex import (
     unit_rows,
 )
 
-from conftest import MUTATIONS, make_snippet, mutate_bytes
+from conftest import MUTATIONS, STRINGS, make_snippet, mutate_bytes
 
 
 class TestNormalize:
@@ -411,6 +412,23 @@ def test_mutated_file_loads_or_raises_temporag_error(fuzz_dir, mutations):
         return
     for row in rows:
         assert np.all(np.isfinite(row))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(ids=st.lists(STRINGS, max_size=12, unique=True), keys=st.lists(STRINGS, max_size=6))
+def test_lookup_agrees_with_list_index(fuzz_dir, ids, keys):
+    # Ids that share prefixes, "a" against "a\x00", and multi-byte UTF-8.
+    path = fuzz_dir / "lookup.vec"
+    save_vectors(str(path), ids, [np.full(2, i + 1.0) for i in range(len(ids))], 2)
+    store = PrecomputedEmbeddings(str(path))
+    keys = keys + ids[:2]
+    missing = [k for k in keys if k not in ids]
+    if missing:
+        with pytest.raises(DataError) as exc_info:
+            store.lookup(keys)
+        assert str(exc_info.value) == f"embeddings missing for ids: {', '.join(sorted(missing))}"
+    else:
+        assert store.lookup(keys)[:, 0].tolist() == [ids.index(k) + 1.0 for k in keys]
 
 
 def test_search_equals_brute_force_at_scale():
