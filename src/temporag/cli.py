@@ -26,10 +26,10 @@ from .errors import (
 from .evalharness import (
     SyntheticSpec,
     aggregate_reports,
-    build_runtime,
     gen_corpus,
     render_table,
     run_eval,
+    sweep_threshold,
 )
 from .frames import FrameTable, load_frame_table, save_frame_table
 from .ingest import (
@@ -273,7 +273,7 @@ class _BuildEmbeddings:
             return unit_rows(self._store.lookup(ids))
         if self._embedder is None:
             self._embedder = _make_embedder(self._cfg)
-        return unit_rows(self._embedder.embed(texts))
+        return self._embedder.embed(texts)
 
 
 def _read_store_jsonl(path: Path, parse) -> list:
@@ -360,7 +360,7 @@ def cmd_build(args) -> int:
         _read_store_frames(store, video.duration_s), key=lambda f: (f["t"], f["frame_index"])
     )
     with_text = [f for f in frames if f.get("text")]
-    vectors = []
+    vectors = np.zeros((0, 0))
     if with_text:
         ids = [_frame_ref(f["frame_index"]) for f in with_text]
         vectors = embed(ids, [f["text"] for f in with_text])
@@ -407,7 +407,7 @@ class _DimCheckedEmbedder:
     """An embedder whose vectors must be as wide as the index files' rows.
 
     Only a hash embedder's dim is known before it embeds; this one's is
-    checked on the first vector of every call, before any similarity.
+    checked on the width of every call's rows, before any similarity.
     """
 
     def __init__(self, embedder, dims: dict[Path, int]):
@@ -417,7 +417,7 @@ class _DimCheckedEmbedder:
     def embed(self, texts):
         vectors = self._embedder.embed(texts)
         if len(vectors):
-            _check_dims(self._dims, np.size(vectors[0]))
+            _check_dims(self._dims, vectors.shape[1])
         return vectors
 
 
@@ -445,10 +445,9 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
         raise DataError(f"{frame_table_path} not found; re-run build")
     frames = load_frame_table(str(frame_table_path), video.duration_s)
     if not len(frames):
-        # No frame metadata: synthesize a uniform grid without embeddings,
-        # one frame at t=0 when n_frames is 1.
-        n = cfg.n_frames
-        frames = FrameTable(np.arange(n), np.arange(n) * video.duration_s / max(n - 1, 1))
+        # No frame metadata: two frames without embeddings, at the video's
+        # ends, give the anchors (0, duration_s, 0).
+        frames = FrameTable([0, 1], [0.0, video.duration_s])
 
     if cfg.providers.lvlm == "stub":
         lvlm = StubLvlm()
@@ -564,28 +563,19 @@ def cmd_eval(args) -> int:
             taus = [float(t) for t in args.sweep_tau.split(",")]
         except ValueError:
             raise ConfigError("--sweep-tau expects comma-separated numbers") from None
-        configs = [cfg.replace(tau=tau) for tau in taus]  # checked as --tau is
         # One corpus and runtime per seed, shared by every tau, in the order given.
-        reports_by_tau = [[] for _ in taus]
-        for seed in seeds:
-            corpus = gen_corpus(replace(base_spec, seed=seed))
-            runtime = build_runtime(corpus, cfg)
-            for reports, tau_cfg in zip(reports_by_tau, configs):
-                reports.append(run_eval(corpus, tau_cfg, flags, runtime))
-        rows = []
-        payload = []
-        for tau, reports in zip(taus, reports_by_tau):
-            agg = aggregate_reports(reports)
-            rows.append(
-                {
-                    "tau": tau,
-                    "recall_at_1": agg["recall_at_1"]["mean"],
-                    "tokens_retained": agg["tokens_retained"]["mean"],
-                    "wall_time_ms": agg["wall_time_ms"]["mean"],
-                }
-            )
-            payload.append({"tau": tau, "aggregate": agg})
-        table = render_table(rows)
+        sweeps = [
+            sweep_threshold(gen_corpus(replace(base_spec, seed=seed)), taus, cfg, flags)
+            for seed in seeds
+        ]
+        payload = [
+            {"tau": tau, "aggregate": aggregate_reports([report for _, report in results])}
+            for tau, results in zip(taus, zip(*sweeps))
+        ]
+        means = ("recall_at_1", "tokens_retained", "wall_time_ms")
+        table = render_table(
+            [{"tau": p["tau"], **{m: p["aggregate"][m]["mean"] for m in means}} for p in payload]
+        )
         print(table, end="")
         if out_dir:
             (out_dir / "sweep.json").write_text(

@@ -42,8 +42,8 @@ class RunConfig:
     """Union of all module settings. Defaults follow the reference setup:
 
     acceptance threshold 0.3 for both dense retrieval and keyframe gating,
-    unit decay strengths, top 10 snippets from a 3x candidate pool, a
-    2048-token prompt budget, and 64 uniformly sampled frames.
+    unit decay strengths, top 10 snippets from a 3x candidate pool, and a
+    2048-token prompt budget.
     """
 
     tau: float = 0.3
@@ -57,7 +57,6 @@ class RunConfig:
     budget_tokens: int = 2048
     n_bins: int = 8
     max_frames: int = 16
-    n_frames: int = 64
     providers: ProviderConfig = field(default_factory=ProviderConfig)
 
     @property
@@ -128,11 +127,11 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(
             f"time_norm must be one of {sorted(_VALID_TIME_NORMS)}, got {cfg.time_norm!r}"
         )
-    for name in ("top_k", "pool_multiplier", "budget_tokens", "n_bins", "max_frames", "n_frames"):
+    for name in ("top_k", "pool_multiplier", "budget_tokens", "n_bins", "max_frames"):
         value = getattr(cfg, name)
         if not isinstance(value, int) or value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if name in ("n_bins", "max_frames", "n_frames") and value > FRAME_INDEX_LIMIT:
+        if name in ("n_bins", "max_frames") and value > FRAME_INDEX_LIMIT:
             raise ConfigError(f"{name} must be at most 2**32, the frame index range, got {value}")
     for name, least, kind in (("embed_dim", 1, "positive"), ("embed_seed", 0, "non-negative")):
         value = getattr(cfg.providers, name)

@@ -23,7 +23,10 @@ from .pipeline import AblationFlags, VideoRuntime, run_query
 from .providers import StubDetector, StubLvlm
 from .textindex import F4, build_index
 from .types import Channel, FrameRecord, Snippet, VideoRecord
-from .vectorindex import HashEmbedder, unit_rows
+from .vectorindex import HashEmbedder
+
+# Upper bounds of the spec sizes that ``gen_corpus`` loops over, checked before it runs.
+SPEC_LIMITS = dict(n_snippets=100_000, n_duplicates=100_000, vocab_size=100_000, n_frames=10_000)
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.needle_time is None:
             object.__setattr__(self, "needle_time", self.duration_s / 2.0)
+        for name, limit in SPEC_LIMITS.items():
+            if getattr(self, name) > limit:
+                raise DataError(f"{name} must be at most {limit}")
         if self.n_duplicates < 1:
             raise DataError("n_duplicates must be >= 1")
         if self.duration_s <= 0:
@@ -212,13 +218,12 @@ def build_runtime(corpus: Corpus, config: RunConfig) -> VideoRuntime:
     ``config.providers`` names, so an eval needs no external service.
     """
     embedder = HashEmbedder(config.providers.embed_dim, config.providers.embed_seed)
-    texts = [s.text for s in corpus.snippets]
-    asr = build_index(corpus.snippets, vectors=unit_rows(embedder.embed(texts)))
+    asr = build_index(corpus.snippets, vectors=embedder.embed([s.text for s in corpus.snippets]))
     frames = FrameTable(
         [f.frame_index for f in corpus.frames],
         [f.t for f in corpus.frames],
         np.ones(len(corpus.frames), dtype=bool),
-        unit_rows(embedder.embed(corpus.frame_texts)).astype(F4),
+        embedder.embed(corpus.frame_texts).astype(F4),
     )
     return VideoRuntime(
         video=VideoRecord(video_id="eval", duration_s=corpus.spec.duration_s),
@@ -290,11 +295,14 @@ def sweep_threshold(
     config: RunConfig,
     flags: AblationFlags = AblationFlags(),
 ) -> list[tuple[float, EvalReport]]:
-    """One report per acceptance threshold, ascending, all over one runtime."""
-    if any(b < a for a, b in zip(taus, taus[1:])):
-        raise DataError("thresholds must be sorted ascending")
+    """One report per acceptance threshold, in the order given, all over one runtime.
+
+    Every threshold is checked as a configured ``tau`` is before the
+    runtime is built.
+    """
+    configs = [config.replace(tau=tau) for tau in taus]
     runtime = build_runtime(corpus, config)
-    return [(tau, run_eval(corpus, config.replace(tau=tau), flags, runtime)) for tau in taus]
+    return [(cfg.tau, run_eval(corpus, cfg, flags, runtime)) for cfg in configs]
 
 
 def aggregate_reports(reports: list[EvalReport]) -> dict[str, dict[str, float]]:

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, DimMismatchError, LengthMismatchError
+from .errors import DataError, LengthMismatchError
 from .ingest import DetectionRecord
 from .providers import DetectorProvider
 from .textindex import F4, F8, U1, U4, IndexFileReader, f4_matrix, write_index_file
+from .textindex import row_similarities
 from .types import FrameRecord
 
 
@@ -87,7 +89,6 @@ class FrameTable:
                 f"{len(self.matrix)} embeddings for {np.count_nonzero(self.embedded)} "
                 "embedded frames"
             )
-        self._f8: np.ndarray | None = None
         self._records: dict[int, FrameRecord] = {}
 
     def __len__(self) -> int:
@@ -99,18 +100,13 @@ class FrameTable:
             rec = self._records[i] = FrameRecord(self.frame_index.item(i), self.t.item(i))
         return rec
 
-    def similarities(self, q: np.ndarray) -> np.ndarray:
-        """Inner products of the query with every embedding, in row order.
+    @cached_property
+    def _f8(self) -> np.ndarray:
+        return self.matrix.astype(np.float64)
 
-        One ``f8`` matrix-vector product over a float64 copy made on first use.
-        """
-        q = np.asarray(q, dtype=np.float64)
-        dim = self.matrix.shape[1]
-        if q.shape != (dim,):
-            raise DimMismatchError(dim, q.shape[0] if q.ndim == 1 else -1)
-        if self._f8 is None:
-            self._f8 = self.matrix.astype(np.float64)
-        return self._f8 @ q
+    def similarities(self, q: np.ndarray) -> np.ndarray:
+        """Inner products of the query with every embedding, in row order."""
+        return row_similarities(self._f8, q)
 
 
 def frame_similarities(frames: FrameTable, query_vec: np.ndarray) -> np.ndarray:

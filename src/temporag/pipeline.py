@@ -40,7 +40,7 @@ from .types import (
     ScoredSnippet,
     VideoRecord,
 )
-from .vectorindex import EmbeddingProvider, unit_rows
+from .vectorindex import EmbeddingProvider
 
 log = logging.getLogger(__name__)
 
@@ -173,14 +173,15 @@ def dense_accept(
 ) -> list[int]:
     """Filter document positions by dense similarity >= tau, preserving order.
 
-    Each row's similarity is its own float64 dot product with the query,
-    the same bits whatever else is filtered with it. With no query vector
-    the filter is a no-op.
+    Each row's similarity is its own float64 dot product with the query (a
+    stacked matmul, with the bits of ``np.dot``), whatever else is filtered
+    with it. With no query vector the filter is a no-op.
     """
     if query_vec is None:
         return list(ids)
-    rows = bm25.vectors
-    return [pos for pos in ids if float(np.dot(rows[pos].astype(np.float64), query_vec)) >= tau]
+    pos = np.asarray(ids, dtype=np.intp)
+    sims = (bm25.vectors[pos].astype(np.float64)[:, None, :] @ query_vec[:, None]).ravel()
+    return pos[sims >= tau].tolist()
 
 
 def _min_max_rescale(hits: Sequence[tuple[int, float]]) -> dict[int, float]:
@@ -483,8 +484,8 @@ def run_query(
     # One embed call: the frame query first, then each wanted channel's
     # request. The detector request drives frame similarity; fall back to
     # the raw question when decoupling marked detection NULL.
-    frame_query_vec, *channel_vecs = unit_rows(
-        runtime.embedder.embed([request.det or question, *(req_text for _, req_text in wanted)])
+    frame_query_vec, *channel_vecs = runtime.embedder.embed(
+        [request.det or question, *(req_text for _, req_text in wanted)]
     )
     sims = frame_similarities(runtime.frames, frame_query_vec)
     keyframes = select_keyframes(

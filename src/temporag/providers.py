@@ -18,10 +18,11 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import prompts
-from .errors import DataError, ProviderUnavailableError
+from .errors import DataError, ProviderUnavailableError, ZeroVectorError
 from .ingest import DetectedObject, DetectionRecord, detected_objects
 from .textindex import F8, U4, IndexFileReader, pack_strings, tokenize, write_index_file
 from .types import FrameRecord
+from .vectorindex import unit_rows
 
 ENV_LVLM_URL = "TEMPORAG_LVLM_URL"
 ENV_LVLM_KEY = "TEMPORAG_LVLM_KEY"
@@ -377,7 +378,9 @@ class HttpLvlmClient:
 class HttpEmbeddingClient:
     """POST {base_url}/embed with {"texts": [...]}; response {"vectors": [...]}.
 
-    Vectors come back unnormalized; callers normalize before indexing.
+    The response must hold one vector per text, all of one non-zero length
+    and each with a finite, non-zero norm, or ``embed`` raises
+    ``ProviderUnavailableError``; it returns them as unit rows.
     """
 
     def __init__(
@@ -392,24 +395,28 @@ class HttpEmbeddingClient:
         self.token = token or os.environ.get(ENV_EMBED_TOKEN, "")
         self.timeout = timeout
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
-            return []
+            return np.zeros((0, 0))
         headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
         body = _post_json(
             f"{self.base_url}/embed", {"texts": list(texts)}, headers, self.timeout
         )
         try:
-            vectors = [np.asarray(v, dtype=np.float64) for v in body["vectors"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            matrix = np.array(body["vectors"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ValueError: ragged
             raise ProviderUnavailableError(f"malformed embed response ({exc})") from exc
-        if len(vectors) != len(texts):
+        if matrix.ndim != 2 or len(matrix) != len(texts) or not matrix.shape[1]:
             raise ProviderUnavailableError(
-                f"embed returned {len(vectors)} vectors for {len(texts)} texts"
+                f"malformed embed response (vectors of shape {matrix.shape} for {len(texts)} texts)"
             )
-        if any(v.ndim != 1 for v in vectors):
-            raise ProviderUnavailableError("malformed embed response (a vector is not 1-D)")
-        return vectors
+        try:
+            with np.errstate(over="ignore"):  # a norm past float64 is a ZeroVectorError
+                return unit_rows(matrix)
+        except ZeroVectorError:
+            raise ProviderUnavailableError(
+                "malformed embed response (a vector has a zero, NaN or infinite norm)"
+            ) from None
 
 
 class HttpDetector:

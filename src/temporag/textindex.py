@@ -19,6 +19,7 @@ import struct
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain, pairwise
 
 import numpy as np
@@ -99,7 +100,6 @@ class Bm25Index:
     dl_norm: np.ndarray = field(init=False, repr=False)
     token_row: dict[str, int] = field(init=False, repr=False, default_factory=dict)
     _snippets: dict[int, Snippet] = field(init=False, repr=False, default_factory=dict)
-    _f8: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         n_docs = len(self.doc_ids)
@@ -134,17 +134,13 @@ class Bm25Index:
             )
         return snippet
 
-    def similarities(self, q: np.ndarray) -> np.ndarray:
-        """Inner products of the query with every document's row, in position order.
+    @cached_property
+    def _f8(self) -> np.ndarray:
+        return self.vectors.astype(np.float64)
 
-        One ``f8`` matrix-vector product over a float64 copy made on first use.
-        """
-        q = np.asarray(q, dtype=np.float64)
-        if q.shape != (self.dim,):
-            raise DimMismatchError(self.dim, q.shape[0] if q.ndim == 1 else -1)
-        if self._f8 is None:
-            self._f8 = self.vectors.astype(np.float64)
-        return self._f8 @ q
+    def similarities(self, q: np.ndarray) -> np.ndarray:
+        """Inner products of the query with every document's row, in position order."""
+        return row_similarities(self._f8, q)
 
     def _span(self, token: str) -> tuple[int, int]:
         row = cached_rank(self.token_row, self.tokens, token)
@@ -168,6 +164,18 @@ class Bm25Index:
 
 def _idf(n_docs: int, df: int) -> float:
     return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+
+
+def row_similarities(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Inner products of ``q`` with every row of the float64 matrix ``rows``, in row order.
+
+    One matrix-vector product; a ``q`` not as wide as the rows is a ``DimMismatchError``.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    dim = rows.shape[1]
+    if q.shape != (dim,):
+        raise DimMismatchError(dim, q.shape[0] if q.ndim == 1 else -1)
+    return rows @ q
 
 
 def cached_rank(cache: dict[str, int], table: Sequence[str], key: str) -> int:
@@ -202,20 +210,19 @@ def top_hits(scores: np.ndarray, keep: np.ndarray, k: int) -> tuple[list[int], l
     return hits[best].tolist(), hit_scores[best].tolist()
 
 
-def f4_matrix(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """The vectors as the rows of one ``<f4`` matrix; a vector of another length is an error.
+def f4_matrix(vectors: Sequence[np.ndarray] | np.ndarray, dim: int) -> np.ndarray:
+    """The vectors as the rows of one ``<f4`` matrix, stacked and cast in one numpy step.
 
-    A 2-D array of ``dim`` columns is cast in one step.
+    A vector of another length is a ``DimMismatchError``; no vectors give no rows.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        if vectors.shape[1] != dim:
-            raise DimMismatchError(dim, vectors.shape[1])
-        return vectors.astype(F4)
-    matrix = np.empty((len(vectors), dim), dtype=F4)
-    for row, vec in zip(matrix, vectors):
-        if np.shape(vec) != (dim,):
-            raise DimMismatchError(dim, np.size(vec))
-        row[:] = vec
+    try:
+        matrix = np.asarray(vectors, dtype=F4)
+    except ValueError:  # rows of unequal lengths
+        raise DimMismatchError(dim, -1) from None
+    if matrix.shape == (0,):
+        matrix = matrix.reshape(0, dim)
+    if matrix.ndim != 2 or matrix.shape[1] != dim:
+        raise DimMismatchError(dim, matrix.shape[-1] if matrix.ndim else 0)
     return matrix
 
 

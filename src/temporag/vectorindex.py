@@ -17,7 +17,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import DataError, DimMismatchError, ZeroVectorError
+from .errors import DataError, ZeroVectorError
 from .textindex import F4, IndexFileReader, f4_matrix, pack_strings, tokenize, write_index_file
 
 # The vector file layout is independent of the ``.bm25`` one and versioned apart.
@@ -37,24 +37,11 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     return np.sqrt(squares)
 
 
-def unit_rows(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """The vectors as the rows of a new float64 matrix, each scaled to unit L2 norm.
-
-    Every vector must have the first one's length: another is a
-    ``DimMismatchError``. No vectors give a ``(0, 0)`` matrix.
-    """
-    if not len(vectors):
-        return np.zeros((0, 0))
-    try:
-        matrix = np.array(vectors, dtype=np.float64)
-    except ValueError:  # ragged
-        matrix = None
-    if matrix is None or matrix.ndim != 2:
-        dim = np.size(vectors[0])
-        bad = next((v for v in vectors if np.shape(v) != (dim,)), vectors[0])
-        raise DimMismatchError(dim, np.size(bad))
-    matrix /= _row_norms(matrix)[:, None]
-    return matrix
+def unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """A float64 copy of a 2-D array with each row scaled to unit L2 norm."""
+    out = np.array(matrix, dtype=np.float64)
+    out /= _row_norms(out)[:, None]
+    return out
 
 
 def normalize(v: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -63,9 +50,12 @@ def normalize(v: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 class EmbeddingProvider(Protocol):
-    """Maps texts to fixed-dimension vectors, deterministically."""
+    """Maps texts to fixed-dimension vectors, deterministically.
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]: ...
+    ``embed`` returns one ``(len(texts), dim)`` float64 matrix of unit rows.
+    """
+
+    def embed(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
 # --- deterministic hash embedder ----------------------------------------------
@@ -171,7 +161,7 @@ class HashEmbedder:
     and the token axis is not that one. A padded zero row leaves every sum
     as it was. Positions past ``_GATHER_FLOATS`` are added one position
     at a time, in the same order. Each chunk's sums are divided by the
-    token counts and normalized as one batch (see ``unit_rows``).
+    token counts and normalized as one batch, into the returned matrix.
     """
 
     def __init__(self, dim: int, seed: int = 0):
@@ -226,7 +216,7 @@ class HashEmbedder:
         self._draw(tokens, self._rows[start:end])
         self._row_of.update(zip(tokens, range(start, end)))
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         token_lists = [tokenize(text) or [""] for text in texts]
         row_of = self._row_of
         missing = list(
@@ -236,7 +226,7 @@ class HashEmbedder:
             self._add(missing)
         lengths = list(map(len, token_lists))
         order = sorted(range(len(token_lists)), key=lengths.__getitem__)
-        out: list[np.ndarray] = [None] * len(token_lists)
+        out = np.empty((len(token_lists), self.dim))
         for start in range(0, len(order), _CHUNK_TEXTS):
             chunk = order[start : start + _CHUNK_TEXTS]
             width = lengths[chunk[-1]]  # the longest: the chunk is sorted by length
@@ -249,8 +239,7 @@ class HashEmbedder:
                 sums += self._rows[column]
             sums /= np.array([lengths[i] for i in chunk], dtype=np.float64)[:, None]
             sums /= _row_norms(sums)[:, None]
-            for i, row in zip(chunk, sums):
-                out[i] = row
+            out[chunk] = sums
         return out
 
 

@@ -126,7 +126,9 @@ STRINGS = st.one_of(st.lists(STRING_PIECES, max_size=4).map("".join), st.text(ma
 
 
 # Valid JSON with a malformed provider payload, one per endpoint: a null
-# completion, a non-numeric vector entry, and a box with x1 > x2.
+# completion, a non-numeric vector entry, and a box with x1 > x2. The
+# /malformed-<kind>/embed routes answer vectors that are no unit rows: all
+# zeros, a NaN or infinite entry, empty, or of a length that grows per text.
 MALFORMED_BODIES = {
     "/malformed/chat/completions": lambda payload: {"choices": [{"message": {"content": None}}]},
     "/malformed/embed": lambda payload: {"vectors": [["x", 1.0] for _ in payload["texts"]]},
@@ -136,6 +138,26 @@ MALFORMED_BODIES = {
             for _ in payload["frame_ids"]
         ]
     },
+    "/malformed-zero/embed": lambda payload: {"vectors": [[0.0] * 8 for _ in payload["texts"]]},
+    "/malformed-nan/embed": lambda payload: {
+        "vectors": [[math.nan] + [1.0] * 7 for _ in payload["texts"]]
+    },
+    "/malformed-inf/embed": lambda payload: {
+        "vectors": [[1.0] * 7 + [-math.inf] for _ in payload["texts"]]
+    },
+    "/malformed-empty/embed": lambda payload: {"vectors": [[] for _ in payload["texts"]]},
+    "/malformed-ragged/embed": lambda payload: {
+        "vectors": [[1.0] * (8 + i) for i in range(len(payload["texts"]))]
+    },
+}
+# Each malformed embed route under /<route>/embed, and the problem the error names.
+MALFORMED_EMBEDS = {
+    "malformed": "could not convert string to float",
+    "malformed-zero": "a vector has a zero, NaN or infinite norm",
+    "malformed-nan": "a vector has a zero, NaN or infinite norm",
+    "malformed-inf": "a vector has a zero, NaN or infinite norm",
+    "malformed-empty": "vectors of shape (",
+    "malformed-ragged": "setting an array element with a sequence",
 }
 
 

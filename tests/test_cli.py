@@ -22,12 +22,13 @@ from temporag import cli, evalharness
 from temporag import frames as frames_mod
 from temporag.cli import main
 from temporag.config import ProviderConfig, RunConfig
+from temporag.errors import ConfigError
 from temporag.frames import load_frame_table, save_frame_table
 from temporag.pipeline import dense_accept
 from temporag.textindex import F4, IndexFileReader, StringTable, load_index, save_index, tokenize
 from temporag.vectorindex import HashEmbedder, normalize, save_vectors
 
-from conftest import MUTATIONS, mutate_bytes
+from conftest import MALFORMED_EMBEDS, MUTATIONS, mutate_bytes
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -715,8 +716,12 @@ class TestAnswer:
              "malformed embed response (could not convert string to float"),
             ({"detector": "http", "detector_url": "@server/malformed"},
              "malformed detect response (box (0.5, 0.1, 0.2, 0.9) violates"),
+            *(({"embed": "http", "embed_url": f"@server/{route}"},
+               f"malformed embed response ({problem}")
+              for route, problem in MALFORMED_EMBEDS.items() if route != "malformed"),
         ],
-        ids=["lvlm_null_content", "embed_non_numeric", "detect_bad_box"],
+        ids=["lvlm_null_content", "embed_non_numeric", "detect_bad_box", "embed_zero",
+             "embed_nan", "embed_inf", "embed_empty", "embed_ragged"],
     )
     def test_malformed_provider_response_is_provider_error(
         self, tmp_path, demo_index, provider_server, capsys, providers, message
@@ -862,7 +867,9 @@ class TestAnswer:
         assert rc == 2
         assert f"data error: {path}: format version 3, expected 5" in capsys.readouterr().err
 
-    def test_single_synthesized_frame(self, tmp_path, capsys):
+    @pytest.mark.parametrize("tau", [0.3, -1.0])
+    def test_frameless_index_answers_over_the_video_ends(self, tmp_path, capsys, tau):
+        # No frame rows: two frames without embeddings, at 0 and duration_s.
         store = tmp_path / "store"
         index = tmp_path / "index"
         assert run_cli(
@@ -871,15 +878,17 @@ class TestAnswer:
         ) == 0
         assert run_cli(["build", "--store", store, "--out", index]) == 0
         assert len(load_frame_table(str(index / "frames.tbl"), 120.0)) == 0
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"n_frames": 1, "n_bins": 1, "max_frames": 1}))
         capsys.readouterr()
         rc = run_cli(
-            ["answer", "--index", index, "--query", self.QUERY, "--config", config, "--json"]
+            ["answer", "--index", index, "--query", self.QUERY, f"--tau={tau}", "--json"]
         )
         assert rc == 0
         trace = json.loads(capsys.readouterr().out)["trace"]
-        assert trace["anchors"] == {"t_first": 0.0, "t_last": 0.0, "t_semantic": 0.0}
+        assert trace["anchors"] == {"t_first": 0.0, "t_last": 120.0, "t_semantic": 0.0}
+        # Their similarity is -1, so only a gate at -1 passes them.
+        keyframes = [] if tau > -1.0 else [{"frame_index": 0, "t": 0.0},
+                                            {"frame_index": 1, "t": 120.0}]
+        assert trace["keyframes"] == keyframes
 
     def test_json_output_mode(self, built_index, capsys):
         rc = run_cli(
@@ -939,7 +948,6 @@ class TestEval:
             built.append(corpus.spec.seed)
             return real(corpus, config)
 
-        monkeypatch.setattr(cli, "build_runtime", spy)
         monkeypatch.setattr(evalharness, "build_runtime", spy)
         rc = run_cli(["eval", "--seeds", "3", "--sweep-tau", "0.5,0,0.3"])
         assert rc == 0
@@ -989,6 +997,16 @@ class TestEval:
         spec.write_text(json.dumps({"seed": 1, "wat": 2}), encoding="utf-8")
         rc = run_cli(["eval", "--spec", spec])
         assert rc == 1
+
+    @pytest.mark.parametrize("key", sorted(evalharness.SPEC_LIMITS))
+    def test_spec_size_past_its_limit_is_usage_error(self, tmp_path, capsys, key):
+        # Checked before gen_corpus loops over the size: 10**9 returns at once.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({key: 10**9}), encoding="utf-8")
+        rc = run_cli(["eval", "--spec", spec])
+        assert rc == 1
+        limit = evalharness.SPEC_LIMITS[key]
+        assert f"error: spec {spec}: {key} must be at most {limit}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -1130,7 +1148,7 @@ class TestExitCodes:
             ({"providers": {"fixtures_file": "d.jsonl"}}, "unknown provider keys: fixtures_file"),
             ({"n_bins": 2**70, "max_frames": 2**70}, "n_bins must be at most 2**32"),
             ({"max_frames": 10**400}, "max_frames must be at most 2**32"),
-            ({"n_frames": 2**32 + 1}, "n_frames must be at most 2**32"),
+            ({"n_frames": 2**32 + 1}, "unknown config keys: n_frames"),
         ],
         ids=["fusion_list", "time_norm_list", "lvlm_url_bool", "embed_url_int",
              "detector_url_list", "embeddings_file_float", "fixtures_file_gone",
@@ -1147,6 +1165,21 @@ class TestExitCodes:
         rc = run_cli([command, *args, "--config", cfg])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("route", sorted(MALFORMED_EMBEDS))
+    def test_malformed_embed_response_fails_build(self, tmp_path, demo_index, provider_server,
+                                                  capsys, route):
+        _, url = provider_server
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"providers": {"embed": "http", "embed_url": f"{url}/{route}"}}),
+            encoding="utf-8",
+        )
+        rc = run_cli(["build", "--store", demo_index.parent / "store", "--out",
+                      tmp_path / "index", "--config", cfg])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"provider error: malformed embed response ({MALFORMED_EMBEDS[route]}" in err
 
     def test_non_utf8_config_is_usage_error(self, tmp_path, demo_index, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1395,3 +1428,41 @@ def test_any_mutated_config_exits_0_1_2_or_3(demo_index, provider_server, comman
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = run_cli([command, *args, "--config", cfg])
     assert rc in (0, 1, 2, 3), err.getvalue()
+
+
+# A spec edit sets one key to any JSON value, deletes it (None) or replaces
+# the whole object (the empty path); the keys are the spec's and one unknown.
+SPEC_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["", "x", "crimson", "term001"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["seed", "x"]), children, max_size=2),
+    max_leaves=4,
+)
+SPEC_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from([()] + [(f.name,) for f in dataclasses.fields(evalharness.SyntheticSpec)]
+                        + [("mystery",)]),
+        st.none() | st.tuples(SPEC_VALUES),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(edits=SPEC_EDITS, mutations=st.none() | MUTATIONS)
+def test_any_mutated_spec_loads_or_is_usage_error(edits, mutations):
+    spec = edit_config({"seed": 3, "duration_s": 200.0, "n_snippets": 80, "n_duplicates": 10},
+                       edits)
+    data = json.dumps(spec).encode()
+    if mutations is not None:
+        data = mutate_bytes(data, mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_bytes(data)
+        try:
+            loaded = cli._load_spec(str(path))
+        except ConfigError:
+            return
+    assert isinstance(loaded, evalharness.SyntheticSpec)

@@ -169,10 +169,14 @@ class TestSweep:
         reports = dict(sweep_threshold(corpus, [0.0, 1.0], CFG))
         assert reports[0.0].tokens_retained >= reports[1.0].tokens_retained
 
-    def test_unsorted_taus_rejected(self):
+    def test_taus_kept_in_given_order(self):
         corpus = gen_corpus(SyntheticSpec(seed=0))
-        with pytest.raises(DataError):
-            sweep_threshold(corpus, [0.5, 0.1], CFG)
+        given = sweep_threshold(corpus, [0.5, 0.1, 0.3], CFG)
+        ascending = dict(sweep_threshold(corpus, [0.1, 0.3, 0.5], CFG))
+        assert [tau for tau, _ in given] == [0.5, 0.1, 0.3]
+        assert [key_fields(r) for _, r in given] == [
+            key_fields(ascending[tau]) for tau in (0.5, 0.1, 0.3)
+        ]
 
 
 def test_aggregate_reports():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from temporag import prompts, textindex
+from temporag import prompts, textindex, vectorindex
 from temporag.errors import (
     BudgetTooSmallError,
     DataError,
@@ -553,3 +553,20 @@ class TestSinglePass:
         assert runtime.embedder.calls == [["dock", "captain storm"]]
         assert result.trace["request"] == self.REQUEST
         assert result.trace["channels"]["ocr"] == []
+
+    def test_query_vectors_normalized_once(self, monkeypatch):
+        # The embedder's rows are used as they come: with every token already
+        # drawn, a question's vectors take one row-norm pass, in ``embed``.
+        runtime = build_runtime()
+        runtime.lvlm = FixedDecoupleLvlm(self.REQUEST)
+        runtime.embedder.embed(list(self.REQUEST.values()))
+        calls = []
+        real = vectorindex._row_norms
+
+        def spy(matrix):
+            calls.append(matrix.shape)
+            return real(matrix)
+
+        monkeypatch.setattr(vectorindex, "_row_norms", spy)
+        run(runtime)
+        assert calls == [(3, 32)]

@@ -81,8 +81,11 @@ class TestHttpClients:
         server, url = provider_server
         client = HttpEmbeddingClient(base_url=url, token="tok")
         vectors = client.embed(["ab", "xyz"])
-        assert len(vectors) == 2
-        assert isinstance(vectors[0], np.ndarray)
+        assert isinstance(vectors, np.ndarray)
+        assert vectors.shape == (2, 8)
+        # The server's vectors are [len(text) + 1, 1, ..., 1]; the client scales each to unit norm.
+        raw = np.array([[3.0] + [1.0] * 7, [4.0] + [1.0] * 7])
+        np.testing.assert_array_equal(vectors, raw / np.sqrt((raw * raw).sum(axis=1))[:, None])
         assert server.last_request["path"] == "/embed"
         assert server.last_request["payload"] == {"texts": ["ab", "xyz"]}
         assert server.last_request["auth"] == "Bearer tok"
@@ -94,9 +97,10 @@ class TestHttpClients:
         assert client.base_url == url
         assert len(client.embed(["x"])) == 1
 
-    def test_embed_empty_input_no_call(self, provider_server):
+    def test_embed_empty_input_no_call(self, provider_server, monkeypatch):
         _, url = provider_server
-        assert HttpEmbeddingClient(base_url=url).embed([]) == []
+        monkeypatch.setattr(providers, "_post_json", None)  # a call would fail
+        assert HttpEmbeddingClient(base_url=url).embed([]).shape == (0, 0)
 
     def test_detector_wire_format(self, provider_server):
         server, url = provider_server
@@ -175,6 +179,25 @@ class TestMalformedResponses:
     def test_embed_vector_not_1d_numbers(self, body):
         with pytest.raises(ProviderUnavailableError, match="malformed embed response"):
             HttpEmbeddingClient(base_url="http://unused").embed(["a"])
+
+    @pytest.mark.parametrize(
+        "body, problem",
+        [({"vectors": [[0.0, 0.0], [1.0, 2.0]]}, "a vector has a zero, NaN or infinite norm"),
+         ({"vectors": [[math.nan, 1.0], [1.0, 2.0]]}, "a vector has a zero, NaN or infinite norm"),
+         ({"vectors": [[1.0, 2.0], [-math.inf, 1.0]]}, "a vector has a zero, NaN or infinite norm"),
+         ({"vectors": [[1e200, 1.0], [1.0, 2.0]]}, "a vector has a zero, NaN or infinite norm"),
+         ({"vectors": [[], []]}, "vectors of shape (2, 0) for 2 texts"),
+         ({"vectors": [[1.0, 2.0], [1.0, 2.0, 3.0]]}, "setting an array element with a sequence"),
+         ({"vectors": [[1.0, 2.0], 3.0]}, "setting an array element with a sequence"),
+         ({"vectors": [[10**400, 1.0], [1.0, 2.0]]}, "int too large to convert to float")],
+        ids=["zero", "nan", "inf", "norm_overflows", "empty", "ragged", "ragged_scalar",
+             "int_past_float"],
+        indirect=["body"],
+    )
+    def test_embed_vectors_not_unit_normalizable(self, body, problem):
+        with pytest.raises(ProviderUnavailableError) as info:
+            HttpEmbeddingClient(base_url="http://unused").embed(["a", "b"])
+        assert str(info.value).startswith(f"malformed embed response ({problem}")
 
     @pytest.mark.parametrize(
         "body",

@@ -57,10 +57,8 @@ class TestNormalize:
         with pytest.raises(ZeroVectorError):
             unit_rows(rows)
 
-    def test_unit_rows_of_unequal_lengths(self):
-        with pytest.raises(DimMismatchError, match="expected dim 3, got 2"):
-            unit_rows([np.ones(3), np.ones(2)])
-        assert unit_rows([]).shape == (0, 0)
+    def test_unit_rows_of_no_rows(self):
+        assert unit_rows(np.zeros((0, 5))).shape == (0, 5)
 
     def test_norm_is_one(self):
         rng = np.random.default_rng(0)
@@ -264,7 +262,16 @@ class TestHashEmbedder:
         assert got.tobytes() == oracle_embed([text], dim, 1)[0].tobytes()
 
     def test_empty_batch(self):
-        assert HashEmbedder(8).embed([]) == []
+        vectors = HashEmbedder(8).embed([])
+        assert isinstance(vectors, np.ndarray)
+        assert vectors.shape == (0, 8)
+
+    def test_one_matrix_of_unit_rows(self):
+        vectors = HashEmbedder(16, seed=2).embed(["a b", "c", "", "a b c d"])
+        assert isinstance(vectors, np.ndarray)
+        assert vectors.shape == (4, 16)
+        assert vectors.dtype == np.float64
+        np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
     def test_bad_seed_rejected(self, seed):
