@@ -31,9 +31,9 @@ from .evalharness import (
     run_eval,
     sweep_threshold,
 )
-from .frames import FrameTable, load_frame_table, save_frame_table
+from .frames import FrameTable, load_frame_table, load_frame_texts, save_frame_table
+from .frames import save_frame_texts
 from .ingest import (
-    detection_to_json,
     parse_detections_jsonl,
     parse_frames_jsonl,
     parse_snippet_jsonl,
@@ -49,22 +49,19 @@ from .providers import (
     StubDetector,
     StubLvlm,
 )
-from .textindex import Bm25Index, build_index
+from .textindex import Bm25Index, build_index, id_order, load_docs, save_docs
 from .textindex import load_index as load_bm25
 from .textindex import save_index as save_bm25
-from .types import (
-    Channel,
-    Snippet,
-    VideoRecord,
-    is_finite_number,
-    snippet_to_json,
-    validate_snippet,
-)
+from .types import Channel, Snippet, VideoRecord, is_finite_number, validate_snippet
 from .vectorindex import HashEmbedder, PrecomputedEmbeddings, unit_rows
 
-CHANNEL_FILES = {Channel.ASR: "asr.jsonl", Channel.OCR: "ocr.jsonl"}
 FRAME_TABLE = "frames.tbl"
 DETECTION_TABLE = "detections.tbl"
+FRAME_TEXTS = "frames.docs"
+# Every file ingest may write. Ingest removes them all first, and the JSONL
+# files of stores written before the binary tables, which build refuses.
+STORE_FILES = frozenset({"video.json", "asr.docs", "ocr.docs", FRAME_TEXTS, DETECTION_TABLE})
+JSONL_STORE_FILES = ("asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl")
 # Every file build may write, and the .vec files that builds wrote before
 # the frame table and the .bm25 files held the embeddings. Build removes
 # them all first, so a rebuild leaves none of an earlier build's files behind.
@@ -79,8 +76,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _write_jsonl(path: Path, lines) -> None:
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+def _write_video(path: Path, video: VideoRecord) -> None:
+    path.write_text(json.dumps(asdict(video)) + "\n", encoding="utf-8")
 
 
 def _frame_ref(frame_index: int) -> str:
@@ -215,17 +212,22 @@ def cmd_ingest(args) -> int:
     if total == 0:
         print("error: no data survived ingestion", file=sys.stderr)
         return 2
+    for channel, snippets in by_channel.items():
+        by_channel[channel] = [snippets[i] for i in id_order(snippets)]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_jsonl(out / "video.json", [json.dumps(asdict(video))])
+    for name in STORE_FILES.union(JSONL_STORE_FILES):
+        (out / name).unlink(missing_ok=True)
+    _write_video(out / "video.json", video)
     for channel, snippets in by_channel.items():
         if snippets:
-            _write_jsonl(out / CHANNEL_FILES[channel], map(snippet_to_json, snippets))
+            save_docs(str(out / f"{channel.value}.docs"), channel, snippets)
     if detections:
-        _write_jsonl(out / "detections.jsonl", map(detection_to_json, detections))
+        FixtureDetector.from_records(detections).save(str(out / DETECTION_TABLE))
     if frames:
-        _write_jsonl(out / "frames.jsonl", map(json.dumps, frames))
+        t, frame_index, texts = zip(*sorted(frames))  # by (t, frame_index), which is unique
+        save_frame_texts(str(out / FRAME_TEXTS), frame_index, t, texts)
 
     for channel in Channel:
         print(f"{channel.value}: {len(by_channel[channel])} snippets")
@@ -276,40 +278,6 @@ class _BuildEmbeddings:
         return self._embedder.embed(texts)
 
 
-def _read_store_jsonl(path: Path, parse) -> list:
-    """Parse one store file strictly: any failure is a DataError naming the path."""
-    try:
-        records, errors = parse(path.read_bytes())
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror})") from None
-    except TemporagError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    if errors:
-        line_no, msg = errors[0]
-        raise DataError(f"{path}:{line_no}: {msg} ({len(errors)} bad lines; re-run ingest)")
-    return records
-
-
-def _read_store_snippets(store: Path, channel: Channel, video: VideoRecord) -> list[Snippet]:
-    """A channel's store snippets, with finite times inside the video."""
-    path = store / CHANNEL_FILES[channel]
-    if not path.exists():
-        return []
-
-    def parse(data: bytes):
-        report = parse_snippet_jsonl(data, expect_channel=channel)
-        return report.snippets, report.errors
-
-    snippets = _read_store_jsonl(path, parse)
-    for s in snippets:
-        if not 0.0 <= s.t_start <= s.t_end <= video.duration_s:  # NaN fails too
-            raise DataError(
-                f"{path}: snippet {s.id!r}: times [{s.t_start}, {s.t_end}] outside "
-                f"0 <= t_start <= t_end <= {video.duration_s} (re-run ingest)"
-            )
-    return snippets
-
-
 def _read_video(path: Path) -> VideoRecord:
     try:
         meta = json.loads(path.read_bytes())
@@ -320,20 +288,14 @@ def _read_video(path: Path) -> VideoRecord:
         raise DataError(f"{path}: bad video record ({exc})") from None
 
 
-def _read_store_frames(store: Path, duration_s: float) -> list[dict]:
-    path = store / "frames.jsonl"
-    if not path.exists():
-        return []
-    return _read_store_jsonl(path, lambda data: parse_frames_jsonl(data, duration_s))
-
-
 def _build_channel(
     store: Path, out: Path, channel: Channel, video: VideoRecord, embed: _BuildEmbeddings
 ) -> None:
     """Index one channel's store snippets, if it has any; its snippets and rows die on return."""
-    snippets = _read_store_snippets(store, channel, video)
-    if not snippets:
+    path = store / f"{channel.value}.docs"
+    if not path.exists():
         return
+    snippets = load_docs(str(path), channel, video.duration_s)
     vectors = embed([s.id for s in snippets], [s.text for s in snippets])
     save_bm25(build_index(snippets, vectors=vectors), str(out / f"{channel.value}.bm25"))
     print(f"{channel.value}: indexed {len(snippets)} snippets")
@@ -344,39 +306,35 @@ def cmd_build(args) -> int:
     store = Path(args.store)
     if not (store / "video.json").exists():
         raise DataError(f"{store}/video.json not found; run ingest first")
+    old = [name for name in JSONL_STORE_FILES if (store / name).exists()]
+    if old:
+        raise DataError(f"{store / old[0]}: a JSONL store of an older ingest; run ingest again")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     video = _read_video(store / "video.json")
     for name in INDEX_FILES:
         (out / name).unlink(missing_ok=True)
-    _write_jsonl(out / "video.json", [json.dumps(asdict(video))])
+    _write_video(out / "video.json", video)
 
     embed = _BuildEmbeddings(cfg)
     for channel in Channel:
         _build_channel(store, out, channel, video, embed)
 
-    frames = sorted(
-        _read_store_frames(store, video.duration_s), key=lambda f: (f["t"], f["frame_index"])
-    )
-    with_text = [f for f in frames if f.get("text")]
+    frame_index, t, texts = [], [], []
+    if (store / FRAME_TEXTS).exists():
+        frame_index, t, texts = load_frame_texts(str(store / FRAME_TEXTS), video.duration_s)
+    embedded = [text != "" for text in texts]
+    with_text = [text for text in texts if text]
     vectors = np.zeros((0, 0))
     if with_text:
-        ids = [_frame_ref(f["frame_index"]) for f in with_text]
-        vectors = embed(ids, [f["text"] for f in with_text])
-    save_frame_table(
-        str(out / FRAME_TABLE),
-        [f["frame_index"] for f in frames],
-        [f["t"] for f in frames],
-        [bool(f.get("text")) for f in frames],
-        vectors,
-    )
-    print(f"frames: {len(frames)} records, {len(with_text)} embedded")
+        ids = [_frame_ref(i) for i, e in zip(frame_index.tolist(), embedded) if e]
+        vectors = embed(ids, with_text)
+    save_frame_table(str(out / FRAME_TABLE), frame_index, t, embedded, vectors)
+    print(f"frames: {len(texts)} records, {len(with_text)} embedded")
 
-    detections_path = store / "detections.jsonl"
-    if detections_path.exists():
-        records = _read_store_jsonl(detections_path, parse_detections_jsonl)
-        FixtureDetector.from_records(records).save(str(out / DETECTION_TABLE))
+    if (store / DETECTION_TABLE).exists():
+        FixtureDetector.load(str(store / DETECTION_TABLE)).save(str(out / DETECTION_TABLE))
     return 0
 
 
@@ -469,7 +427,7 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
         table_path = index_dir / DETECTION_TABLE
         if not table_path.exists():
             raise DataError(
-                f"{table_path} not found; build writes it from the store's detections.jsonl"
+                f"{table_path} not found; build copies it from the store's detections.tbl"
             )
         detector = FixtureDetector.load(str(table_path))
 

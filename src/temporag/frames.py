@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DataError, LengthMismatchError
 from .ingest import DetectionRecord
 from .providers import DetectorProvider
-from .textindex import F4, F8, U1, U4, IndexFileReader, f4_matrix, write_index_file
-from .textindex import row_similarities
+from .textindex import F4, F8, U1, U4, IndexFileReader, f4_matrix, pack_strings
+from .textindex import row_similarities, write_index_file
 from .types import FrameRecord
 
 
@@ -208,16 +208,44 @@ def detect_on_keyframes(
     ]
 
 
-# --- frame table, format version 2 ----------------------------------------------
+# --- frame tables ----------------------------------------------------------------
 #
-# magic "TVRG" | u32 version | u32 n | <u4 frame_index[n] | <f8 t[n]
-# | u8 embedded[n] | u32 dim | <f4 matrix[n_embedded][dim]
-# ``build`` writes the rows sorted by (t, frame_index). The matrix holds
-# one row per frame whose ``embedded`` byte is 1, in table order; ``dim``
-# is 0 exactly when no frame is embedded. Zero rows means the store had no
-# frame metadata.
+# Both begin with the frame columns, sorted by (t, frame_index):
+# u32 n | <u4 frame_index[n] | <f8 t[n]. The index's, format version 2:
+# magic "TVRG" | u32 version | frame columns | u8 embedded[n] | u32 dim
+# | <f4 matrix[n_embedded][dim]. The matrix holds one row per frame whose
+# ``embedded`` byte is 1, in table order; ``dim`` is 0 exactly when no
+# frame is embedded. Zero rows means the store had no frame metadata. The
+# store's, format version 1: magic "TVRG" | u32 version | frame columns
+# | text table, where an empty text means the frame has none.
 
 FRAME_TABLE_VERSION = 2
+FRAME_TEXTS_VERSION = 1
+
+
+def pack_frame_columns(frame_index: Sequence[int], t: Sequence[float]) -> bytes:
+    head = struct.pack("<I", len(t)) + np.asarray(frame_index, dtype=U4).tobytes()
+    return head + np.asarray(t, dtype=F8).tobytes()
+
+
+def read_frame_columns(reader: IndexFileReader, duration_s: float) -> tuple:
+    """The frame columns at hand, checked; each failure is a ``DataError`` naming the path.
+
+    The times must be within ``[0, duration_s]``, the frame indices unique,
+    and the rows sorted by ``(t, frame_index)``.
+    """
+    (n,) = reader.unpack("<I")
+    frame_index = reader.array(n)
+    t = reader.array(n, F8)
+    if not np.all((0.0 <= t) & (t <= duration_s)):  # NaN fails too
+        raise reader.corrupt(f"frame times outside [0, {duration_s}]")
+    ranked = np.sort(frame_index)  # not np.unique, which imports numpy.ma
+    if np.any(ranked[1:] == ranked[:-1]):
+        raise reader.corrupt("duplicate frame_index")
+    dt = np.diff(t)
+    if np.any((dt < 0.0) | ((dt == 0.0) & (frame_index[1:] <= frame_index[:-1]))):
+        raise reader.corrupt("rows not sorted by (t, frame_index)")
+    return frame_index, t
 
 
 def save_frame_table(
@@ -232,13 +260,10 @@ def save_frame_table(
     if len(vectors) != np.count_nonzero(embedded):
         raise DataError(f"{len(vectors)} vectors for {np.count_nonzero(embedded)} embedded frames")
     dim = len(vectors[0]) if len(vectors) else 0
-    frame_index = np.asarray(frame_index, dtype=U4)
     write_index_file(
         path,
         FRAME_TABLE_VERSION,
-        struct.pack("<I", len(frame_index)),
-        frame_index.tobytes(),
-        np.asarray(t, dtype=F8).tobytes(),
+        pack_frame_columns(frame_index, t),
         embedded.astype(U1).tobytes(),
         struct.pack("<I", dim),
         f4_matrix(vectors, dim).tobytes(),
@@ -248,16 +273,13 @@ def save_frame_table(
 def load_frame_table(path: str, duration_s: float) -> FrameTable:
     """A frame table whose columns and matrix are views of the file.
 
-    Besides the errors of ``textindex.IndexFileReader``, the loader requires
-    ``0 <= t <= duration_s``, unique frame indices, rows sorted by
-    ``(t, frame_index)``, flags of 0 or 1, and finite embeddings; each
-    failure is a ``DataError`` naming the path.
+    Besides the errors of ``textindex.IndexFileReader`` and
+    ``read_frame_columns``, the loader requires flags of 0 or 1 and finite
+    embeddings; each failure is a ``DataError`` naming the path.
     """
     reader = IndexFileReader(path, FRAME_TABLE_VERSION)
-    (n,) = reader.unpack("<I")
-    frame_index = reader.array(n)
-    t = reader.array(n, F8)
-    embedded = reader.array(n, U1)
+    frame_index, t = read_frame_columns(reader, duration_s)
+    embedded = reader.array(len(t), U1)
     (dim,) = reader.unpack("<I")
     if np.any(embedded > 1):
         raise reader.corrupt("embedded flags other than 0 and 1")
@@ -266,14 +288,21 @@ def load_frame_table(path: str, duration_s: float) -> FrameTable:
         raise reader.corrupt(f"dim {dim} for {n_embedded} embedded frames")
     matrix = reader.array(n_embedded * dim, F4).reshape(n_embedded, dim)
     reader.end()
-    if not np.all((0.0 <= t) & (t <= duration_s)):  # NaN fails too
-        raise reader.corrupt(f"frame times outside [0, {duration_s}]")
-    ranked = np.sort(frame_index)  # not np.unique, which imports numpy.ma
-    if np.any(ranked[1:] == ranked[:-1]):
-        raise reader.corrupt("duplicate frame_index")
-    dt = np.diff(t)
-    if np.any((dt < 0.0) | ((dt == 0.0) & (frame_index[1:] <= frame_index[:-1]))):
-        raise reader.corrupt("rows not sorted by (t, frame_index)")
     if not np.all(np.isfinite(matrix)):
         raise reader.corrupt("non-finite embedding values")
     return FrameTable(frame_index, t, embedded.view(bool), matrix)
+
+
+def save_frame_texts(path: str, frame_index: Sequence[int], t: Sequence[float], texts) -> None:
+    """Write the store's frame table; the rows must be sorted by (t, frame_index)."""
+    columns = pack_frame_columns(frame_index, t)
+    write_index_file(path, FRAME_TEXTS_VERSION, columns, pack_strings(texts))
+
+
+def load_frame_texts(path: str, duration_s: float) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The ``frame_index``, ``t`` and text columns of the store's frame table."""
+    reader = IndexFileReader(path, FRAME_TEXTS_VERSION)
+    frame_index, t = read_frame_columns(reader, duration_s)
+    texts = reader.string_table(len(t)).decode_all()
+    reader.end()
+    return frame_index, t, texts

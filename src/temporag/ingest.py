@@ -22,13 +22,7 @@ from .errors import (
     NoValidLinesError,
     TimeOutOfRangeError,
 )
-from .types import (
-    Channel,
-    Snippet,
-    encode_json,
-    is_finite_number,
-    snippet_from_obj,
-)
+from .types import Channel, Snippet, is_finite_number, snippet_from_obj
 
 # Frame indices are stored as u32 in the index's frame and detection tables.
 FRAME_INDEX_LIMIT = 1 << 32
@@ -194,7 +188,7 @@ def parse_vtt(data: bytes) -> list[Snippet]:
 # --- snippet JSONL ----------------------------------------------------------
 
 
-def parse_snippet_jsonl(data: bytes, expect_channel: Channel | None = None) -> JsonlReport:
+def parse_snippet_jsonl(data: bytes) -> JsonlReport:
     """Tolerantly parse snippet JSONL, collecting per-line errors.
 
     Empty-text lines are dropped and counted. The file is rejected (with
@@ -203,10 +197,6 @@ def parse_snippet_jsonl(data: bytes, expect_channel: Channel | None = None) -> J
 
     def from_obj(obj: object) -> Snippet | None:
         snippet = snippet_from_obj(obj)
-        if expect_channel is not None and snippet.channel is not expect_channel:
-            raise DataError(
-                f"channel mismatch: expected {expect_channel.value}, got {snippet.channel.value}"
-            )
         return snippet if snippet.text.strip() else None
 
     records, errors = _parse_jsonl_lines(data, from_obj)
@@ -241,19 +231,23 @@ def _frame_key(obj: object, duration_s: float = math.inf) -> tuple[int, float]:
 def detected_objects(entries: object) -> list[DetectedObject]:
     """Check a list of {"label", "box", "confidence"} objects, as stored or as detected.
 
-    The box's four coordinates and the confidence are numbers; any other
-    shape, or a ``DetectedObject`` rule broken, is a ``DataError``.
+    The box's four coordinates and the confidence are finite numbers, not
+    bools or strings; any other shape, or a ``DetectedObject`` rule broken,
+    is a ``DataError``.
     """
     if not isinstance(entries, list):
         raise DataError("objects must be a list")
     objects = []
     for entry in entries:
         try:
+            box, confidence = entry["box"], entry["confidence"]
+            if not (isinstance(box, list) and all(map(is_finite_number, [*box, confidence]))):
+                raise ValueError
             objects.append(
                 DetectedObject(
                     label=entry["label"],
-                    box=tuple(float(c) for c in entry["box"]),
-                    confidence=float(entry["confidence"]),
+                    box=tuple(map(float, box)),
+                    confidence=float(confidence),
                 )
             )
         except (KeyError, TypeError, ValueError):
@@ -265,19 +259,6 @@ def detection_from_obj(obj: object) -> DetectionRecord:
     frame_index, t = _frame_key(obj)
     objects = tuple(detected_objects(obj.get("objects")))
     return DetectionRecord(frame_index=frame_index, t=t, objects=objects)
-
-
-def detection_to_json(record: DetectionRecord) -> str:
-    return encode_json(
-        {
-            "frame_index": record.frame_index,
-            "t": record.t,
-            "objects": [
-                {"label": o.label, "box": list(o.box), "confidence": o.confidence}
-                for o in record.objects
-            ],
-        }
-    )
 
 
 def _parse_jsonl_lines(data: bytes, from_obj) -> tuple[list, list[tuple[int, str]]]:
@@ -305,35 +286,25 @@ def parse_detections_jsonl(data: bytes) -> tuple[list[DetectionRecord], list[tup
 # --- frames -------------------------------------------------------------------
 
 
-def frame_from_obj(obj: object, duration_s: float) -> dict:
-    """Check one frames JSONL record: {"frame_index", "t", optional "text"}.
+def parse_frames_jsonl(data: bytes, duration_s: float) -> tuple[list[tuple], list[tuple[int, str]]]:
+    """Parse frames JSONL into ``(t, frame_index, text)`` records plus located line errors.
 
-    ``frame_index`` and ``t`` are checked as ``_frame_key`` says, and
-    ``text``, when present, must be a string. Returns the record with ``t``
-    as a float and unknown keys dropped.
-    """
-    frame_index, t = _frame_key(obj, duration_s)
-    frame = {"frame_index": frame_index, "t": t}
-    if "text" in obj:
-        if not isinstance(obj["text"], str):
-            raise DataError(f"text must be a string, got {type(obj['text']).__name__}")
-        frame["text"] = obj["text"]
-    return frame
-
-
-def parse_frames_jsonl(data: bytes, duration_s: float) -> tuple[list[dict], list[tuple[int, str]]]:
-    """Parse frames JSONL into ``frame_from_obj`` records plus located line errors.
-
-    A record that repeats an earlier record's ``frame_index`` is a line error.
+    A line is {"frame_index", "t", optional "text"}: ``frame_index`` and
+    ``t`` are checked as ``_frame_key`` says, ``text`` must be a string
+    ("" when absent), and unknown keys are dropped. A record that repeats an
+    earlier record's ``frame_index`` is a line error.
     """
     seen: set[int] = set()
 
-    def from_obj(obj: object) -> dict:
-        frame = frame_from_obj(obj, duration_s)
-        if frame["frame_index"] in seen:
-            raise DataError(f"duplicate frame_index {frame['frame_index']}")
-        seen.add(frame["frame_index"])
-        return frame
+    def from_obj(obj: object) -> tuple[float, int, str]:
+        frame_index, t = _frame_key(obj, duration_s)
+        text = obj.get("text", "")
+        if not isinstance(text, str):
+            raise DataError(f"text must be a string, got {type(text).__name__}")
+        if frame_index in seen:
+            raise DataError(f"duplicate frame_index {frame_index}")
+        seen.add(frame_index)
+        return t, frame_index, text
 
     return _parse_jsonl_lines(data, from_obj)
 

@@ -378,9 +378,10 @@ class HttpLvlmClient:
 class HttpEmbeddingClient:
     """POST {base_url}/embed with {"texts": [...]}; response {"vectors": [...]}.
 
-    The response must hold one vector per text, all of one non-zero length
-    and each with a finite, non-zero norm, or ``embed`` raises
-    ``ProviderUnavailableError``; it returns them as unit rows.
+    The response must hold one vector per text, all of one non-zero length,
+    with JSON numbers (not bools or strings) for entries and each with a
+    finite, non-zero norm, or ``embed`` raises ``ProviderUnavailableError``;
+    it returns them as unit rows.
     """
 
     def __init__(
@@ -409,6 +410,11 @@ class HttpEmbeddingClient:
         if matrix.ndim != 2 or len(matrix) != len(texts) or not matrix.shape[1]:
             raise ProviderUnavailableError(
                 f"malformed embed response (vectors of shape {matrix.shape} for {len(texts)} texts)"
+            )
+        # numpy converts bools and numeric strings too; the wire format has numbers only.
+        if any(type(x) not in (int, float) for row in body["vectors"] for x in row):
+            raise ProviderUnavailableError(
+                "malformed embed response (a vector entry is not a number)"
             )
         try:
             with np.errstate(over="ignore"):  # a norm past float64 is a ZeroVectorError

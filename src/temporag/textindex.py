@@ -226,6 +226,15 @@ def f4_matrix(vectors: Sequence[np.ndarray] | np.ndarray, dim: int) -> np.ndarra
     return matrix
 
 
+def id_order(docs: Sequence[Snippet]) -> list[int]:
+    """Positions of ``docs`` in ascending id order; a repeated id is a ``DuplicateDocIdError``."""
+    order = sorted(range(len(docs)), key=lambda i: docs[i].id)
+    for prev, pos in pairwise(order):
+        if docs[prev].id == docs[pos].id:
+            raise DuplicateDocIdError(docs[pos].id)
+    return order
+
+
 def build_index(
     docs: Sequence[Snippet],
     params: Bm25Params | None = None,
@@ -256,11 +265,8 @@ def build_index(
     if vectors is not None and len(vectors) != len(docs):
         raise LengthMismatchError(len(docs), len(vectors))
 
-    order = sorted(range(len(docs)), key=lambda i: docs[i].id)
+    order = id_order(docs)
     ordered = [docs[i] for i in order]
-    for prev, doc in pairwise(ordered):
-        if prev.id == doc.id:
-            raise DuplicateDocIdError(doc.id)
     n_docs = len(ordered)
     token_lists = [tokenize(doc.text) for doc in ordered]
     doc_len = np.fromiter(map(len, token_lists), dtype=np.int64, count=n_docs)
@@ -385,6 +391,11 @@ class StringTable(Sequence):
         lo = self._base + self.offsets.item(i)
         return self._data[lo : self._base + self.offsets.item(i + 1)].decode("utf-8")
 
+    def decode_all(self) -> list[str]:
+        """Every entry, decoded: for a reader of the whole table, not for lookups."""
+        blob = self._data[self._base : self._base + self.offsets.item(-1)]
+        return [blob[lo:hi].decode("utf-8") for lo, hi in pairwise(self.offsets.tolist())]
+
     def _blob(self) -> np.ndarray:
         return np.frombuffer(self._data, dtype=U1, count=self.offsets.item(-1), offset=self._base)
 
@@ -506,6 +517,26 @@ def write_index_file(path: str, version: int, *parts: bytes) -> None:
         fh.writelines((MAGIC, struct.pack("<I", version), *parts))
 
 
+def pack_doc_table(doc_ids: Sequence[str], texts: Sequence[str], t_start, t_end) -> bytes:
+    """A document table: doc-id table | text table | <f8 t_start[n] | <f8 t_end[n]."""
+    times = np.array([t_start, t_end], dtype=F8)  # row 0, t_start, is written first
+    return pack_strings(doc_ids) + pack_strings(texts) + times.tobytes()
+
+
+def read_doc_table(reader: IndexFileReader, n_docs: int) -> tuple:
+    """The doc ids, texts, ``t_start`` and ``t_end`` of the ``pack_doc_table`` section at hand."""
+    doc_ids = reader.string_table(n_docs)
+    texts = reader.string_table(n_docs)
+    t_start = reader.array(n_docs, F8)
+    t_end = reader.array(n_docs, F8)
+    if not doc_ids.is_strictly_sorted():
+        raise reader.corrupt("doc ids not unique and sorted")
+    # NaN fails every comparison, and t_end < inf bounds both columns.
+    if not np.all((0.0 <= t_start) & (t_start <= t_end) & (t_end < np.inf)):
+        raise reader.corrupt("times not finite with 0 <= t_start <= t_end")
+    return doc_ids, texts, t_start, t_end
+
+
 def save_index(index: Bm25Index, path: str) -> None:
     k1, b = index.params.k1, index.params.b
     write_index_file(
@@ -513,10 +544,7 @@ def save_index(index: Bm25Index, path: str) -> None:
         FORMAT_VERSION,
         pack_strings([index.channel.value]),
         struct.pack("<ddII", k1, b, index.n_docs, len(index.tokens)),
-        pack_strings(index.doc_ids),
-        pack_strings(index.texts),
-        index.t_start.tobytes(),
-        index.t_end.tobytes(),
+        pack_doc_table(index.doc_ids, index.texts, index.t_start, index.t_end),
         pack_strings(index.tokens),
         *(a.tobytes() for a in (index.doc_len, index.offsets, index.doc_pos, index.tf)),
         struct.pack("<I", index.dim),
@@ -534,10 +562,7 @@ def load_index(path: str) -> Bm25Index:
         params = Bm25Params(k1=k1, b=b)
     except DataError as exc:
         raise reader.corrupt(str(exc)) from None
-    doc_ids = reader.string_table(n_docs)
-    texts = reader.string_table(n_docs)
-    t_start = reader.array(n_docs, F8)
-    t_end = reader.array(n_docs, F8)
+    doc_ids, texts, t_start, t_end = read_doc_table(reader, n_docs)
     tokens = reader.string_table(n_tokens)
     doc_len = reader.array(n_docs)
     offsets = reader.offsets(n_tokens)
@@ -548,11 +573,6 @@ def load_index(path: str) -> Bm25Index:
         raise reader.corrupt(f"dim 0 for {n_docs} documents")
     vectors = reader.array(n_docs * dim, F4).reshape(n_docs, dim)
     reader.end()
-    if not doc_ids.is_strictly_sorted():
-        raise reader.corrupt("doc ids not unique and sorted")
-    # NaN fails every comparison, and t_end < inf bounds both columns.
-    if not np.all((0.0 <= t_start) & (t_start <= t_end) & (t_end < np.inf)):
-        raise reader.corrupt("times not finite with 0 <= t_start <= t_end")
     if not tokens.is_strictly_sorted():
         raise reader.corrupt("token table not strictly sorted")
     if len(doc_pos) and (doc_pos.max() >= n_docs or tf.min() < 1):
@@ -573,3 +593,34 @@ def load_index(path: str) -> Bm25Index:
         tf=tf,
         vectors=vectors,
     )
+
+
+# --- store snippet table, format version 1 --------------------------------------
+#
+#   magic "TVRG" | version | channel (a one-string table) | n_docs | document table
+# ``ingest`` writes one per channel, sorted by id, and ``build`` reads it.
+
+DOCS_VERSION = 1
+
+
+def save_docs(path: str, channel: Channel, docs: Sequence[Snippet]) -> None:
+    """Write one channel's snippets, in ascending id order, as a store table."""
+    ids, texts = [d.id for d in docs], [d.text for d in docs]
+    t_start, t_end = [d.t_start for d in docs], [d.t_end for d in docs]
+    header = pack_strings([channel.value]) + struct.pack("<I", len(docs))
+    write_index_file(path, DOCS_VERSION, header, pack_doc_table(ids, texts, t_start, t_end))
+
+
+def load_docs(path: str, channel: Channel, duration_s: float) -> list[Snippet]:
+    """The snippets of a ``save_docs`` table of ``channel``, none ending after ``duration_s``."""
+    reader = IndexFileReader(path, DOCS_VERSION)
+    (tag,) = reader.string_table(1)
+    if tag != channel.value:
+        raise reader.corrupt(f"channel tag {tag!r}, expected {channel.value!r}")
+    (n_docs,) = reader.unpack("<I")
+    doc_ids, texts, t_start, t_end = read_doc_table(reader, n_docs)
+    reader.end()
+    if np.any(t_end > duration_s):
+        raise reader.corrupt(f"a document ends after duration_s {duration_s}")
+    columns = doc_ids.decode_all(), texts.decode_all(), t_start.tolist(), t_end.tolist()
+    return [Snippet(doc_id, channel, text, t0, t1) for doc_id, text, t0, t1 in zip(*columns)]

@@ -7,7 +7,6 @@ immutable after validation and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -165,28 +164,11 @@ def frame_time(frame_index: int, video: VideoRecord) -> float:
 
 # --- snippet JSONL line format ---------------------------------------------
 #
-# One object per line: {"id", "channel", "text", "t_start", "t_end"}.
-# Unknown keys are ignored; anything else is a per-line error.
+# One object per line: {"id", "channel", "text", "t_start", "t_end"}, with
+# the times numbers (not bools or strings). Unknown keys are ignored;
+# anything else is a per-line error.
 
 _REQUIRED_KEYS = ("id", "channel", "text", "t_start", "t_end")
-
-
-# ``json.dumps(obj, ensure_ascii=False)`` with one encoder for every store line:
-# ``json.dumps`` builds a new encoder per call for any non-default option.
-encode_json = json.JSONEncoder(ensure_ascii=False).encode
-
-
-def snippet_to_json(s: Snippet) -> str:
-    """Render one snippet as its canonical JSONL line (no newline)."""
-    return encode_json(
-        {
-            "id": s.id,
-            "channel": s.channel.value,
-            "text": s.text,
-            "t_start": s.t_start,
-            "t_end": s.t_end,
-        }
-    )
 
 
 def snippet_from_obj(obj: object) -> Snippet:
@@ -201,9 +183,7 @@ def snippet_from_obj(obj: object) -> Snippet:
     if not isinstance(obj["channel"], str):
         raise DataError("channel must be a string")
     channel = Channel.parse(obj["channel"])
-    try:
-        t_start = float(obj["t_start"])
-        t_end = float(obj["t_end"])
-    except (TypeError, ValueError):
-        raise DataError("t_start and t_end must be numbers") from None
-    return Snippet(id=obj["id"], channel=channel, text=obj["text"], t_start=t_start, t_end=t_end)
+    t_start, t_end = obj["t_start"], obj["t_end"]
+    if not (is_finite_number(t_start) and is_finite_number(t_end)):
+        raise DataError("t_start and t_end must be finite numbers")
+    return Snippet(obj["id"], channel, obj["text"], float(t_start), float(t_end))

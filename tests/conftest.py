@@ -128,7 +128,8 @@ STRINGS = st.one_of(st.lists(STRING_PIECES, max_size=4).map("".join), st.text(ma
 # Valid JSON with a malformed provider payload, one per endpoint: a null
 # completion, a non-numeric vector entry, and a box with x1 > x2. The
 # /malformed-<kind>/embed routes answer vectors that are no unit rows: all
-# zeros, a NaN or infinite entry, empty, or of a length that grows per text.
+# zeros, a NaN or infinite entry, empty, of a length that grows per text, or
+# with JSON booleans for entries.
 MALFORMED_BODIES = {
     "/malformed/chat/completions": lambda payload: {"choices": [{"message": {"content": None}}]},
     "/malformed/embed": lambda payload: {"vectors": [["x", 1.0] for _ in payload["texts"]]},
@@ -149,6 +150,9 @@ MALFORMED_BODIES = {
     "/malformed-ragged/embed": lambda payload: {
         "vectors": [[1.0] * (8 + i) for i in range(len(payload["texts"]))]
     },
+    "/malformed-bool/embed": lambda payload: {
+        "vectors": [[True, False, 2.0] for _ in payload["texts"]]
+    },
 }
 # Each malformed embed route under /<route>/embed, and the problem the error names.
 MALFORMED_EMBEDS = {
@@ -158,6 +162,7 @@ MALFORMED_EMBEDS = {
     "malformed-inf": "a vector has a zero, NaN or infinite norm",
     "malformed-empty": "vectors of shape (",
     "malformed-ragged": "setting an array element with a sequence",
+    "malformed-bool": "a vector entry is not a number",
 }
 
 

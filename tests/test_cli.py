@@ -23,9 +23,20 @@ from temporag import frames as frames_mod
 from temporag.cli import main
 from temporag.config import ProviderConfig, RunConfig
 from temporag.errors import ConfigError
-from temporag.frames import load_frame_table, save_frame_table
+from temporag.frames import load_frame_table, load_frame_texts, save_frame_table, save_frame_texts
 from temporag.pipeline import dense_accept
-from temporag.textindex import F4, IndexFileReader, StringTable, load_index, save_index, tokenize
+from temporag.providers import FixtureDetector
+from temporag.textindex import (
+    F4,
+    IndexFileReader,
+    StringTable,
+    load_docs,
+    load_index,
+    save_docs,
+    save_index,
+    tokenize,
+)
+from temporag.types import Channel, Snippet
 from temporag.vectorindex import HashEmbedder, normalize, save_vectors
 
 from conftest import MALFORMED_EMBEDS, MUTATIONS, mutate_bytes
@@ -36,6 +47,11 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def store_ids(store: Path, channel: str, duration_s: float = 120.0) -> list[str]:
+    """The snippet ids of one channel's store table, in table order."""
+    return [s.id for s in load_docs(str(store / f"{channel}.docs"), Channel(channel), duration_s)]
 
 
 def build_demo(root: Path, frames: Path = DEMO / "frames.jsonl") -> Path:
@@ -97,8 +113,8 @@ class TestIngest:
             ]
         )
         assert rc == 0
-        assert (out / "asr.jsonl").exists()
-        assert (out / "ocr.jsonl").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["asr.docs", "ocr.docs", "video.json"]
+        assert len(store_ids(out, "asr")) == 13
         stdout = capsys.readouterr().out
         assert "asr: 13 snippets" in stdout
         assert "ocr: 10 snippets" in stdout
@@ -141,7 +157,7 @@ class TestIngest:
         assert "ocr: 2 snippets" in captured.out
         assert "line errors: 1," in captured.out
         assert f"{mixed}:2: unknown channel tag 'det'" in captured.err
-        assert [json.loads(line)["id"] for line in (out / "ocr.jsonl").read_text().splitlines()] == ["a", "b"]
+        assert store_ids(out, "ocr", 10.0) == ["a", "b"]
 
     def test_all_bad_input_is_data_error(self, tmp_path):
         bad = tmp_path / "junk.srt"
@@ -160,7 +176,7 @@ class TestIngest:
         )
         assert rc == 0
         assert f"{missing}: cannot read" in capsys.readouterr().err
-        assert (out / "asr.jsonl").exists()
+        assert (out / "asr.docs").exists()
         rc = run_cli(["ingest", missing, "--video-id", "v", "--duration-s", "120", "--out", out])
         assert rc == 2
 
@@ -220,9 +236,8 @@ class TestIngest:
         assert f"{frames}:2: " in captured.err
         assert "frames: 1 records" in captured.out
         assert "line errors: 1," in captured.out
-        assert (out / "frames.jsonl").read_text().splitlines() == [
-            '{"frame_index": 0, "t": 0.0, "text": "dock"}'
-        ]
+        frame_index, t, texts = load_frame_texts(str(out / "frames.docs"), 120.0)
+        assert (frame_index.tolist(), t.tolist(), texts) == ([0], [0.0], ["dock"])
 
     def test_detections_derive_det_channel(self, tmp_path):
         out = tmp_path / "store"
@@ -239,8 +254,47 @@ class TestIngest:
             ]
         )
         assert rc == 0
-        assert (out / "detections.jsonl").exists()
-        assert not (out / "det.jsonl").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["detections.tbl", "video.json"]
+        assert len(FixtureDetector.load(str(out / "detections.tbl")).frame_index) == 15
+
+    def test_reingest_removes_jsonl_and_stale_tables(self, tmp_path):
+        out = tmp_path / "store"
+        out.mkdir()
+        for name in ("asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl", "ocr.docs",
+                     "frames.docs", "detections.tbl", "notes.txt"):
+            (out / name).write_text("{}\n", encoding="utf-8")
+        rc = run_cli(["ingest", DEMO / "audio.srt", "--video-id", "v", "--duration-s", "120",
+                      "--out", out])
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == ["asr.docs", "notes.txt", "video.json"]
+
+    def test_duplicate_snippet_id_is_data_error(self, tmp_path, capsys):
+        # Two subtitle files both number their cues from asr-000001.
+        out, copy = tmp_path / "store", tmp_path / "copy.srt"
+        shutil.copyfile(DEMO / "audio.srt", copy)
+        rc = run_cli(["ingest", DEMO / "audio.srt", copy, "--video-id", "v", "--duration-s",
+                      "120", "--out", out])
+        assert rc == 2
+        assert "data error: duplicate doc id 'asr-000001'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "times",
+        [{"t_start": True, "t_end": 2.5}, {"t_start": 1.0, "t_end": "2.5"},
+         {"t_start": float("nan"), "t_end": 2.5}, {"t_start": 1.0, "t_end": 10**400}],
+        ids=["t_start_bool", "t_end_str", "t_start_nan", "t_end_past_float"],
+    )
+    def test_snippet_time_not_a_number_is_line_error(self, tmp_path, capsys, times):
+        snippets = tmp_path / "ocr.jsonl"
+        good = {"id": "a", "channel": "ocr", "text": "x", "t_start": 1.0, "t_end": 1.0}
+        snippets.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **times})
+                            + "\n", encoding="utf-8")
+        out = tmp_path / "store"
+        rc = run_cli(["ingest", snippets, "--video-id", "v", "--duration-s", "10", "--out", out])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert f"{snippets}:2: t_start and t_end must be finite numbers" in captured.err
+        assert store_ids(out, "ocr", 10.0) == ["a"]
 
     def test_detection_label_not_a_string_is_line_error(self, tmp_path, capsys):
         detections = tmp_path / "detections.jsonl"
@@ -321,61 +375,111 @@ class TestBuild:
         assert rc == 0
         assert not stale.exists()
 
-    def test_bad_store_frame_is_data_error_at_its_line(self, tmp_path, built_index, capsys):
-        path = built_index.parent / "store" / "frames.jsonl"
-        data = path.read_bytes()
-        path.write_bytes(data + b'{"frame_index": 99, "t": NaN}\n')
+    @pytest.mark.parametrize(
+        "column, row, value, problem",
+        [
+            ("t", 3, float("nan"), "frame times outside [0, 120.0]"),
+            ("t", 14, 120.5, "frame times outside [0, 120.0]"),
+            ("frame_index", 3, 0, "duplicate frame_index"),
+            ("t", 3, 0.0, "rows not sorted by (t, frame_index)"),
+        ],
+        ids=["t_nan", "t_past_duration", "duplicate_frame_index", "unsorted"],
+    )
+    def test_bad_store_frame_table_is_data_error(self, tmp_path, built_index, capsys, column,
+                                                 row, value, problem):
+        path = built_index.parent / "store" / "frames.docs"
+        frame_index, t, texts = load_frame_texts(str(path), 120.0)
+        columns = {"frame_index": frame_index.copy(), "t": t.copy()}
+        columns[column][row] = value
+        save_frame_texts(str(path), columns["frame_index"], columns["t"], texts)
         rc = run_cli(["build", "--store", path.parent, "--out", tmp_path / "o"])
         assert rc == 2
-        line_no = len(data.splitlines()) + 1
-        assert f"data error: {path}:{line_no}: time nan outside" in capsys.readouterr().err
-
-    def test_duplicate_store_frame_is_data_error_at_its_line(self, tmp_path, built_index, capsys):
-        path = built_index.parent / "store" / "frames.jsonl"
-        data = path.read_bytes()
-        path.write_bytes(data + b'{"frame_index": 0, "t": 5.0, "text": "harbor"}\n')
-        rc = run_cli(["build", "--store", path.parent, "--out", tmp_path / "o"])
-        assert rc == 2
-        line_no = len(data.splitlines()) + 1
-        assert f"data error: {path}:{line_no}: duplicate frame_index 0" in capsys.readouterr().err
+        assert f"data error: {path}: truncated or corrupt index ({problem})" in (
+            capsys.readouterr().err
+        )
 
     def test_index_holds_no_snippet_jsonl(self, built_index):
         assert not (built_index / "asr.jsonl").exists()
         assert not (built_index / "ocr.jsonl").exists()
 
     @pytest.mark.parametrize(
-        "t_start, t_end",
-        [(float("nan"), 1.0), (5.0, 4.0), (1.0, 120.5)],
+        "t_start, t_end, problem",
+        [
+            (float("nan"), 1.0, "times not finite with 0 <= t_start <= t_end"),
+            (5.0, 4.0, "times not finite with 0 <= t_start <= t_end"),
+            (1.0, 120.5, "a document ends after duration_s 120.0"),
+        ],
         ids=["t_start_nan", "inverted", "t_end_past_duration"],
     )
-    def test_bad_store_snippet_time_is_data_error(self, tmp_path, built_index, capsys, t_start, t_end):
-        path = built_index.parent / "store" / "ocr.jsonl"
-        first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        record = {**json.loads(first), "t_start": t_start, "t_end": t_end}
-        path.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+    def test_bad_store_snippet_time_is_data_error(self, tmp_path, built_index, capsys, t_start,
+                                                  t_end, problem):
+        path = built_index.parent / "store" / "ocr.docs"
+        first, *rest = load_docs(str(path), Channel.OCR, 120.0)
+        save_docs(str(path), Channel.OCR, [replace(first, t_start=t_start, t_end=t_end), *rest])
         rc = run_cli(["build", "--store", path.parent, "--out", tmp_path / "o"])
         assert rc == 2
-        assert f"data error: {path}: snippet {record['id']!r}: " in capsys.readouterr().err
+        assert f"data error: {path}: truncated or corrupt index ({problem})" in (
+            capsys.readouterr().err
+        )
+
+    def test_store_table_of_the_other_channel_is_data_error(self, tmp_path, built_index, capsys):
+        store = built_index.parent / "store"
+        shutil.copyfile(store / "asr.docs", store / "ocr.docs")
+        rc = run_cli(["build", "--store", store, "--out", tmp_path / "o"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (f"data error: {store / 'ocr.docs'}: truncated or corrupt index "
+                "(channel tag 'asr', expected 'ocr')") in err
 
     def test_non_utf8_detections_is_data_error(self, tmp_path, built_index, capsys):
-        path = built_index.parent / "store" / "detections.jsonl"
-        path.write_bytes(path.read_bytes() + b"\xff\n")
+        path = built_index.parent / "store" / "detections.tbl"
+        table = FixtureDetector.load(str(path))
+        labels = ["\u00e9" * 2] + list(table.labels)[1:]
+        FixtureDetector(table.frame_index, table.object_offsets, labels, table.box,
+                        table.confidence).save(str(path))
+        # Swap the UTF-8 of the first label for as many bytes that are no UTF-8.
+        data = path.read_bytes().replace("\u00e9\u00e9".encode(), b"\xff\xfe\xfd\xfc", 1)
+        path.write_bytes(data)
         rc = run_cli(["build", "--store", path.parent, "--out", tmp_path / "o"])
         assert rc == 2
-        assert f"data error: {path}: not valid UTF-8" in capsys.readouterr().err
+        assert f"data error: {path}: truncated or corrupt index (invalid UTF-8" in (
+            capsys.readouterr().err
+        )
 
-    def test_store_detection_label_not_a_string_is_data_error(self, tmp_path, built_index,
-                                                                capsys):
-        path = built_index.parent / "store" / "detections.jsonl"
-        n_lines = len(path.read_text(encoding="utf-8").splitlines())
-        bad = {"frame_index": 99, "t": 2.0,
-               "objects": [{"label": 5, "box": [0.1, 0.1, 0.5, 0.5], "confidence": 0.5}]}
-        path.write_text(path.read_text(encoding="utf-8") + json.dumps(bad) + "\n",
-                        encoding="utf-8")
+    def test_store_detection_empty_label_is_data_error(self, tmp_path, built_index, capsys):
+        path = built_index.parent / "store" / "detections.tbl"
+        table = FixtureDetector.load(str(path))
+        labels = [""] + list(table.labels)[1:]
+        FixtureDetector(table.frame_index, table.object_offsets, labels, table.box,
+                        table.confidence).save(str(path))
         rc = run_cli(["build", "--store", path.parent, "--out", tmp_path / "o"])
         assert rc == 2
-        assert (f"data error: {path}:{n_lines + 1}: detection label must be a non-empty string"
-                in capsys.readouterr().err)
+        assert f"data error: {path}: truncated or corrupt index (empty label)" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl"]
+    )
+    def test_jsonl_store_is_data_error(self, tmp_path, built_index, capsys, name):
+        # A store of an older ingest: without this check it would build an empty index.
+        store = built_index.parent / "store"
+        (store / name).write_text("{}\n", encoding="utf-8")
+        rc = run_cli(["build", "--store", store, "--out", tmp_path / "o"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"data error: {store / name}: a JSONL store of an older ingest; run ingest again" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_build_parses_no_jsonl(self, tmp_path, built_index, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("build parsed JSONL")
+
+        for name in ("parse_snippet_jsonl", "parse_frames_jsonl", "parse_detections_jsonl"):
+            monkeypatch.setattr(cli, name, fail)
+        rc = run_cli(["build", "--store", built_index.parent / "store", "--out", tmp_path / "o",
+                      "--config", DEMO / "config.json"])
+        assert rc == 0
 
     def test_missing_store_is_data_error(self, tmp_path):
         rc = run_cli(["build", "--store", tmp_path / "nope", "--out", tmp_path / "o"])
@@ -514,12 +618,12 @@ class TestAnswer:
              "--frames", DEMO / "frames.jsonl", "--video-id", "harbor", "--duration-s", "120",
              "--out", store]
         ) == 0
-        for channel in ("asr", "ocr"):
-            with open(store / f"{channel}.jsonl", "a", encoding="utf-8") as fh:
-                for i in range(300):
-                    doc = {"id": f"{channel}-filler-{i:04d}", "channel": channel,
-                           "text": f"filler{i} quay{i % 7}", "t_start": 1.0, "t_end": 2.0}
-                    fh.write(json.dumps(doc) + "\n")
+        for channel in Channel:
+            path = str(store / f"{channel.value}.docs")
+            filler = [Snippet(f"{channel.value}-filler-{i:04d}", channel, f"filler{i} quay{i % 7}",
+                              1.0, 2.0) for i in range(300)]
+            docs = load_docs(path, channel, 120.0) + filler
+            save_docs(path, channel, sorted(docs, key=lambda d: d.id))
         assert run_cli(["build", "--store", store, "--out", index,
                         "--config", DEMO / "config.json"]) == 0
 
@@ -721,7 +825,7 @@ class TestAnswer:
               for route, problem in MALFORMED_EMBEDS.items() if route != "malformed"),
         ],
         ids=["lvlm_null_content", "embed_non_numeric", "detect_bad_box", "embed_zero",
-             "embed_nan", "embed_inf", "embed_empty", "embed_ragged"],
+             "embed_nan", "embed_inf", "embed_empty", "embed_ragged", "embed_bool"],
     )
     def test_malformed_provider_response_is_provider_error(
         self, tmp_path, demo_index, provider_server, capsys, providers, message
@@ -1277,15 +1381,9 @@ class TestOneEmbeddingSourcePerBuild:
     def test_file_build_reads_the_embeddings_file_once(self, tmp_path, monkeypatch):
         store = tmp_path / "store"
         _ingest(store, DEMO / "audio.srt", DEMO / "screen_text.jsonl")
-        ids = [
-            json.loads(line)["id"]
-            for name in ("asr.jsonl", "ocr.jsonl")
-            for line in (store / name).read_text(encoding="utf-8").splitlines()
-        ]
-        ids += [
-            f"frame-{json.loads(line)['frame_index']:05d}"
-            for line in (store / "frames.jsonl").read_text(encoding="utf-8").splitlines()
-        ]
+        ids = store_ids(store, "asr") + store_ids(store, "ocr")
+        frame_index, _, _ = load_frame_texts(str(store / "frames.docs"), 120.0)
+        ids += [f"frame-{i:05d}" for i in frame_index.tolist()]
         rng = np.random.default_rng(0)
         pre = tmp_path / "pre.vec"
         save_vectors(str(pre), ids, list(rng.standard_normal((len(ids), 16))), 16)
@@ -1320,11 +1418,8 @@ class TestOneEmbeddingSourcePerBuild:
         monkeypatch.setattr(HashEmbedder, "_draw", spy)
         index = build_demo(tmp_path)
         store = index.parent / "store"
-        texts = [
-            json.loads(line)["text"]
-            for name in ("asr.jsonl", "ocr.jsonl", "frames.jsonl")
-            for line in (store / name).read_text(encoding="utf-8").splitlines()
-        ]
+        texts = [s.text for c in Channel for s in load_docs(str(store / f"{c.value}.docs"), c, 120.0)]
+        texts += load_frame_texts(str(store / "frames.docs"), 120.0)[2]
         assert len(drawn) == len(set(drawn))
         assert set(drawn) == {token for text in texts for token in tokenize(text) or [""]}
 
@@ -1338,9 +1433,7 @@ def demo_store(tmp_path_factory):
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(
-    name=st.sampled_from(
-        ["asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl", "video.json"]
-    ),
+    name=st.sampled_from(["asr.docs", "ocr.docs", "frames.docs", "detections.tbl", "video.json"]),
     mutations=MUTATIONS,
 )
 def test_build_over_a_mutated_store_file_exits_0_1_or_2(demo_store, name, mutations):

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temporag.errors import DataError, DimMismatchError, LengthMismatchError, TemporagError
 from temporag.frames import (
@@ -283,6 +284,34 @@ class TestSelectKeyframes:
     def test_config_validation(self):
         with pytest.raises(DataError):
             SelectorConfig(max_frames=2, n_bins=4)
+
+
+# A gate at tau >= 0, with the budget and bins any valid config may hold.
+NON_NEGATIVE_TAU_CONFIGS = st.integers(1, 12).flatmap(
+    lambda m: st.builds(SelectorConfig, st.just(m), st.floats(0.0, 1.0), st.integers(1, m))
+)
+
+
+# Similarities on a 2**-20 grid in [-1, 1]. Two similarities a few ulps
+# apart can round to equal alpha * sim in one mode and not in the other,
+# and then the (t, frame_index) tie-break picks differently; the property
+# is about the order of the weights, not that rounding.
+GRID_SIMS = st.integers(-(2**20), 2**20).map(lambda k: k / 2**20)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    rows=st.lists(st.tuples(GRID_SIMS, st.floats(0.0, 100.0)), min_size=1, max_size=40),
+    cfg=NON_NEGATIVE_TAU_CONFIGS,
+)
+def test_entropy_weight_changes_no_keyframe_at_non_negative_tau(rows, cfg):
+    # Gated frames have sim >= tau >= 0, so p is proportional to sim and
+    # alpha * sim to -p**2 ln p, which keeps the order of sim: at most one
+    # frame has p past the peak at e**-0.5, and it stays first.
+    sims = [s for s, _ in rows]
+    frames = FrameTable(range(len(rows)), [t for _, t in rows])
+    weighted = select_keyframes(frames, sims, cfg, duration_s=100.0, entropy_weighted=True)
+    assert weighted == select_keyframes(frames, sims, cfg, duration_s=100.0, entropy_weighted=False)
 
 
 class TestDetectOnKeyframes:

@@ -14,14 +14,13 @@ from temporag.errors import (
 from temporag.ingest import (
     DetectedObject,
     DetectionRecord,
-    detection_to_json,
     parse_detections_jsonl,
     parse_snippet_jsonl,
     parse_srt,
     parse_vtt,
     serialize_scene_graph,
 )
-from temporag.types import Channel, Snippet, VideoRecord, snippet_to_json, validate_snippet
+from temporag.types import Channel, VideoRecord, validate_snippet
 
 SRT_ONE_CUE = b"""1
 00:00:01,500 --> 00:00:03,000
@@ -159,7 +158,7 @@ class TestParseOcrJsonl:
             b'{"id": "o%d", "channel": "ocr", "text": "t%d", "t_start": 1, "t_end": 1}' % (i, i)
             for i in range(3)
         )
-        report = parse_snippet_jsonl(data, expect_channel=Channel.OCR)
+        report = parse_snippet_jsonl(data)
         assert len(report.snippets) == 3 and not report.errors
 
     def test_partial_tolerance(self):
@@ -168,46 +167,39 @@ class TestParseOcrJsonl:
             b"{not json}\n"
             b'{"id": "b", "channel": "ocr", "text": "y", "t_start": 2, "t_end": 2}\n'
         )
-        report = parse_snippet_jsonl(data, expect_channel=Channel.OCR)
+        report = parse_snippet_jsonl(data)
         assert len(report.snippets) == 2
         assert len(report.errors) == 1
         assert report.errors[0][0] == 2
 
-    def test_channel_mismatch_is_line_error(self):
-        data = b'{"id": "a", "channel": "asr", "text": "x", "t_start": 1, "t_end": 1}\n' \
-               b'{"id": "b", "channel": "ocr", "text": "y", "t_start": 1, "t_end": 1}\n'
-        report = parse_snippet_jsonl(data, expect_channel=Channel.OCR)
-        assert len(report.snippets) == 1
-        assert "mismatch" in report.errors[0][1]
-
     def test_empty_text_dropped_with_count(self):
         data = b'{"id": "a", "channel": "ocr", "text": "  ", "t_start": 1, "t_end": 1}\n' \
                b'{"id": "b", "channel": "ocr", "text": "y", "t_start": 1, "t_end": 1}\n'
-        report = parse_snippet_jsonl(data, expect_channel=Channel.OCR)
+        report = parse_snippet_jsonl(data)
         assert report.dropped_empty == 1
         assert [s.id for s in report.snippets] == ["b"]
 
     def test_all_lines_failing_rejects_file(self):
         with pytest.raises(NoValidLinesError, match="all 2 lines failed to parse"):
-            parse_snippet_jsonl(b"junk\n\nmore junk\n", expect_channel=Channel.OCR)
+            parse_snippet_jsonl(b"junk\n\nmore junk\n")
 
     def test_errors_and_drops_in_line_order(self):
         data = (
             b"\n"
-            b'{"id": "a", "channel": "asr", "text": "x", "t_start": 1, "t_end": 1}\n'
+            b'{"id": "a", "channel": "det", "text": "x", "t_start": 1, "t_end": 1}\n'
             b"{bad\n"
             b'{"id": "b", "channel": "ocr", "text": " ", "t_start": 1, "t_end": 1}\n'
-            b'{"id": "c", "channel": "ocr", "text": "y", "t_start": 1, "t_end": 1}\n'
+            b'{"id": "c", "channel": "asr", "text": "y", "t_start": 1, "t_end": 1}\n'
         )
-        report = parse_snippet_jsonl(data, expect_channel=Channel.OCR)
-        assert [s.id for s in report.snippets] == ["c"]
+        report = parse_snippet_jsonl(data)
+        assert [(s.id, s.channel) for s in report.snippets] == [("c", Channel.ASR)]
         assert report.dropped_empty == 1
         assert [line_no for line_no, _ in report.errors] == [2, 3]
-        assert report.errors[0][1] == "channel mismatch: expected ocr, got asr"
+        assert report.errors[0][1] == "unknown channel tag 'det'"
 
     def test_failures_beside_empty_text_keep_the_file(self):
         data = b'junk\n{"id": "a", "channel": "ocr", "text": "", "t_start": 1, "t_end": 1}\n'
-        report = parse_snippet_jsonl(data, expect_channel=Channel.OCR)
+        report = parse_snippet_jsonl(data)
         assert (report.snippets, report.dropped_empty, len(report.errors)) == ([], 1, 1)
 
 
@@ -270,6 +262,29 @@ class TestDetections:
         assert [r.frame_index for r in records] == [3]
         assert errors == [(2, f"detection label must be a non-empty string, got {label!r}")]
 
+    @pytest.mark.parametrize(
+        "box, confidence",
+        [
+            (["0.1", False, True, "0.5"], "0.9"),
+            ([0.1, 0.1, 0.5, 0.5], "0.9"),
+            ([0.1, 0.1, True, 0.5], 0.9),
+            ([0.1, 0.1, 0.5, 0.5], True),
+            ([0.1, 0.1, 0.5, float("nan")], 0.5),
+            ("0.1 0.1 0.5 0.5", 0.5),
+        ],
+        ids=["strs_and_bools", "str_confidence", "bool_coord", "bool_confidence", "nan_coord",
+             "str_box"],
+    )
+    def test_box_or_confidence_not_numbers_is_line_error(self, box, confidence):
+        obj = {"label": "a", "box": box, "confidence": confidence}
+        data = (
+            b'{"frame_index": 3, "t": 12.0, "objects": []}\n'
+            + json.dumps({"frame_index": 4, "t": 1.0, "objects": [obj]}).encode()
+        )
+        records, errors = parse_detections_jsonl(data)
+        assert [r.frame_index for r in records] == [3]
+        assert errors == [(2, f"bad detection object: {obj!r}")]
+
     def test_invalid_box(self):
         with pytest.raises(InvalidBoxError):
             DetectedObject(label="x", box=(0.5, 0.1, 0.2, 0.9), confidence=0.5)
@@ -330,29 +345,3 @@ def test_parsed_snippets_revalidate(starts):
     for snippet in parse_srt("\n".join(blocks).encode()):
         validated = validate_snippet(snippet, video)
         assert validated.t_start <= validated.t_end
-
-
-@given(
-    text=st.text(min_size=1, max_size=12),
-    t=st.floats(min_value=0, max_value=1e6, allow_nan=False),
-    confidence=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_store_lines_equal_json_dumps(text, t, confidence):
-    # The store writer's one shared encoder writes the bytes json.dumps writes.
-    box = (0.1, 0.2, 0.3, 0.4)
-    record = DetectionRecord(
-        frame_index=3, t=t, objects=(DetectedObject(label=text, box=box, confidence=confidence),)
-    )
-    assert detection_to_json(record) == json.dumps(
-        {
-            "frame_index": 3,
-            "t": t,
-            "objects": [{"label": text, "box": list(box), "confidence": confidence}],
-        },
-        ensure_ascii=False,
-    )
-    snippet = Snippet(id="é-1", channel=Channel.OCR, text=text + " 日本語", t_start=t, t_end=t)
-    assert snippet_to_json(snippet) == json.dumps(
-        {"id": "é-1", "channel": "ocr", "text": snippet.text, "t_start": t, "t_end": t},
-        ensure_ascii=False,
-    )

@@ -189,9 +189,11 @@ class TestMalformedResponses:
          ({"vectors": [[], []]}, "vectors of shape (2, 0) for 2 texts"),
          ({"vectors": [[1.0, 2.0], [1.0, 2.0, 3.0]]}, "setting an array element with a sequence"),
          ({"vectors": [[1.0, 2.0], 3.0]}, "setting an array element with a sequence"),
-         ({"vectors": [[10**400, 1.0], [1.0, 2.0]]}, "int too large to convert to float")],
+         ({"vectors": [[10**400, 1.0], [1.0, 2.0]]}, "int too large to convert to float"),
+         ({"vectors": [[True, False, 2.0], [1.0, 2.0, 3.0]]}, "a vector entry is not a number"),
+         ({"vectors": [[1.0, 2.0], ["1.5", 2.0]]}, "a vector entry is not a number")],
         ids=["zero", "nan", "inf", "norm_overflows", "empty", "ragged", "ragged_scalar",
-             "int_past_float"],
+             "int_past_float", "bool_entries", "numeric_string_entry"],
         indirect=["body"],
     )
     def test_embed_vectors_not_unit_normalizable(self, body, problem):
@@ -205,11 +207,14 @@ class TestMalformedResponses:
          {"detections": [[{"label": 5, "box": [0.1, 0.1, 0.5, 0.5], "confidence": 0.5}]]},
          {"detections": [[{"label": "a", "box": [0.1, 0.1, 0.5], "confidence": 0.5}]]},
          {"detections": [[{"label": "a", "box": [0.1, 0.1, 0.5, 0.5], "confidence": "x"}]]},
+         {"detections": [[{"label": "a", "box": ["0.1", False, True, "0.5"],
+                           "confidence": "0.9"}]]},
+         {"detections": [[{"label": "a", "box": [0.1, 0.1, 0.5, 0.5], "confidence": True}]]},
          {"detections": [5]},
          {"detections": "a"},
          {}],
-        ids=["inverted_box", "int_label", "three_coords", "str_confidence", "int_frame",
-             "string", "no_detections"],
+        ids=["inverted_box", "int_label", "three_coords", "str_confidence", "strs_and_bools",
+             "bool_confidence", "int_frame", "string", "no_detections"],
         indirect=True,
     )
     def test_detect_bad_object(self, body):

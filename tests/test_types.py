@@ -1,8 +1,9 @@
-import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from temporag.errors import (
     DataError,
@@ -11,13 +12,13 @@ from temporag.errors import (
     MissingFpsError,
     TimeOutOfRangeError,
 )
+from temporag.textindex import id_order, load_docs, save_docs
 from temporag.types import (
     Channel,
     Snippet,
     VideoRecord,
     frame_time,
     snippet_from_obj,
-    snippet_to_json,
     validate_snippet,
 )
 
@@ -91,17 +92,27 @@ class TestChannel:
 finite_time = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
+@settings(deadline=None)
 @given(
-    sid=st.text(min_size=1, max_size=20),
     channel=st.sampled_from(list(Channel)),
-    text=st.text(min_size=1, max_size=80).filter(lambda s: s.strip()),
-    t_start=finite_time,
-    delta=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    rows=st.dictionaries(
+        st.text(max_size=20),
+        st.tuples(
+            st.text(min_size=1, max_size=80).filter(lambda s: s.strip()),
+            finite_time,
+            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+        ),
+        max_size=8,
+    ),
 )
-def test_jsonl_round_trip_is_identity(sid, channel, text, t_start, delta):
-    original = Snippet(id=sid, channel=channel, text=text, t_start=t_start, t_end=t_start + delta)
-    recovered = snippet_from_obj(json.loads(snippet_to_json(original)))
-    assert recovered == original
+def test_store_table_round_trip_is_identity(channel, rows):
+    # Snippets in ingest's order, through its store table and build's loader.
+    docs = [Snippet(i, channel, text, t0, t0 + delta) for i, (text, t0, delta) in rows.items()]
+    ordered = [docs[i] for i in id_order(docs)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / f"{channel.value}.docs")
+        save_docs(path, channel, ordered)
+        assert load_docs(path, channel, 1e6 + 100.0) == ordered
 
 
 @given(t_start=finite_time, delta=st.floats(min_value=0.0, max_value=1e3, allow_nan=False))
@@ -125,6 +136,11 @@ def test_unknown_keys_ignored():
         {"id": 1, "channel": "asr", "text": "x", "t_start": 1, "t_end": 2},
         {"id": "a", "channel": "asr", "text": "x", "t_start": "one", "t_end": 2},
         ["not", "an", "object"],
+        {"id": "a", "channel": "asr", "text": "x", "t_start": True, "t_end": "2.5"},
+        {"id": "a", "channel": "asr", "text": "x", "t_start": 1, "t_end": "2.5"},
+        {"id": "a", "channel": "asr", "text": "x", "t_start": False, "t_end": 2},
+        {"id": "a", "channel": "asr", "text": "x", "t_start": 1, "t_end": math.nan},
+        {"id": "a", "channel": "asr", "text": "x", "t_start": 1, "t_end": 10**400},
     ],
 )
 def test_malformed_objects_rejected(obj):
