@@ -16,7 +16,6 @@ from .types import (
     ScoredSnippet,
     Snippet,
     VideoRecord,
-    frame_time,
     validate_snippet,
 )
 
@@ -32,6 +31,5 @@ __all__ = [
     "TemporagError",
     "VideoRecord",
     "__version__",
-    "frame_time",
     "validate_snippet",
 ]

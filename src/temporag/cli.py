@@ -136,9 +136,7 @@ def _classify_jsonl(data: bytes) -> str:
 
 
 def cmd_ingest(args) -> int:
-    video = VideoRecord(
-        video_id=args.video_id, duration_s=args.duration_s, fps=args.fps
-    )
+    video = VideoRecord(video_id=args.video_id, duration_s=args.duration_s)
     inputs: list[Path] = []
     for raw in args.inputs:
         p = Path(raw)
@@ -281,9 +279,7 @@ class _BuildEmbeddings:
 def _read_video(path: Path) -> VideoRecord:
     try:
         meta = json.loads(path.read_bytes())
-        return VideoRecord(
-            video_id=meta["video_id"], duration_s=meta["duration_s"], fps=meta.get("fps")
-        )
+        return VideoRecord(video_id=meta["video_id"], duration_s=meta["duration_s"])
     except (ValueError, KeyError, TypeError, AttributeError, DataError) as exc:
         raise DataError(f"{path}: bad video record ({exc})") from None
 
@@ -388,15 +384,8 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
     channels: dict[Channel, Bm25Index] = {}
     for channel in Channel:
         bm25_path = index_dir / f"{channel.value}.bm25"
-        if not bm25_path.exists():
-            continue
-        bm25 = load_bm25(str(bm25_path))
-        if np.any(bm25.t_end > video.duration_s):
-            raise DataError(
-                f"{bm25_path}: a document ends at {float(bm25.t_end.max())}s, "
-                f"after duration_s {video.duration_s} in {meta_path}"
-            )
-        channels[channel] = bm25
+        if bm25_path.exists():
+            channels[channel] = load_bm25(str(bm25_path), video.duration_s)
 
     frame_table_path = index_dir / FRAME_TABLE
     if not frame_table_path.exists():
@@ -594,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("inputs", nargs="+", help="SRT/VTT/JSONL files or directories")
     p_ingest.add_argument("--video-id", required=True)
     p_ingest.add_argument("--duration-s", type=float, required=True)
-    p_ingest.add_argument("--fps", type=float)
     p_ingest.add_argument("--frames", help="frames JSONL (frame_index, t, optional text)")
     p_ingest.add_argument("--out", required=True)
 
@@ -637,6 +625,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except TemporagError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a path the command cannot read or write
+        print(f"data error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

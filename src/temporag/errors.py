@@ -41,10 +41,6 @@ class InvertedIntervalError(DataError):
     """t_start exceeds t_end."""
 
 
-class MissingFpsError(DataError):
-    """Frame-to-time conversion requested but the video has no fps."""
-
-
 # --- text index ------------------------------------------------------------
 
 

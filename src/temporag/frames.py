@@ -147,7 +147,7 @@ def select_keyframes(
     frames: FrameTable,
     sims: Sequence[float],
     cfg: SelectorConfig,
-    duration_s: float | None = None,
+    duration_s: float,
     entropy_weighted: bool = True,
 ) -> list[FrameRecord]:
     """Pick an information-dense, temporally stratified keyframe subset.
@@ -158,9 +158,8 @@ def select_keyframes(
     bin's best remaining candidate until ``max_frames`` are picked or
     candidates run out. Output is time-sorted.
 
-    ``duration_s`` defaults to the latest frame time. With
-    ``entropy_weighted`` off, ranking uses raw similarity alone (uniform
-    alpha), which is the ablation behavior.
+    With ``entropy_weighted`` off, ranking uses raw similarity alone
+    (uniform alpha), which is the ablation behavior.
     """
     if len(frames) != len(sims):
         raise LengthMismatchError(len(frames), len(sims))
@@ -176,8 +175,7 @@ def select_keyframes(
     t = frames.t[candidates]
     index = frames.frame_index[candidates]
 
-    duration = duration_s if duration_s is not None else frames.t.max().item()
-    width = duration / cfg.n_bins if duration > 0 else 0.0
+    width = duration_s / cfg.n_bins if duration_s > 0 else 0.0
     bins = np.zeros(len(candidates), dtype=np.intp)
     if width > 0:
         bins = np.minimum((t / width).astype(np.intp), cfg.n_bins - 1)

@@ -61,10 +61,6 @@ class SceneGraphText:
 
     lines: tuple[str, ...]
 
-    @property
-    def text(self) -> str:
-        return "\n".join(self.lines)
-
 
 @dataclass
 class JsonlReport:

@@ -29,7 +29,7 @@ from .frames import (
     select_keyframes,
 )
 from .ingest import SceneGraphText, serialize_scene_graph
-from .providers import DecodeParams, DetectorProvider, LvlmProvider
+from .providers import DetectorProvider, LvlmProvider
 from .rescore import AnchorSet, DecayParams, RescoreConfig, compute_anchors
 from .textindex import Bm25Index
 from .types import (
@@ -145,9 +145,7 @@ def decouple_query(lvlm: LvlmProvider, q: QueryRequest) -> RetrievalRequest:
     logged warning. Empty strings count as null so downstream never
     searches with an empty query.
     """
-    response = lvlm.complete(
-        prompts.SYSTEM_PROMPT, prompts.decouple_prompt(q.query_text), DecodeParams()
-    )
+    response = lvlm.complete(prompts.SYSTEM_PROMPT, prompts.decouple_prompt(q.query_text))
     try:
         obj = json.loads(response)
         if not isinstance(obj, dict) or not set(obj) <= {"asr", "ocr", "det"}:
@@ -167,7 +165,7 @@ def decouple_query(lvlm: LvlmProvider, q: QueryRequest) -> RetrievalRequest:
 
 def dense_accept(
     bm25: Bm25Index,
-    query_vec: np.ndarray | None,
+    query_vec: np.ndarray,
     ids: Sequence[int],
     tau: float,
 ) -> list[int]:
@@ -175,10 +173,8 @@ def dense_accept(
 
     Each row's similarity is its own float64 dot product with the query (a
     stacked matmul, with the bits of ``np.dot``), whatever else is filtered
-    with it. With no query vector the filter is a no-op.
+    with it.
     """
-    if query_vec is None:
-        return list(ids)
     pos = np.asarray(ids, dtype=np.intp)
     sims = (bm25.vectors[pos].astype(np.float64)[:, None, :] @ query_vec[:, None]).ravel()
     return pos[sims >= tau].tolist()
@@ -203,7 +199,7 @@ def retrieve_channel(
     fusion: FusionMode = FusionMode.LEXICAL,
     *,
     duration_s: float,
-    query_vec: np.ndarray | None = None,
+    query_vec: np.ndarray,
     tau: float,
 ) -> Retrieval:
     """Pool, rescore, and cut one channel's candidates.
@@ -227,15 +223,11 @@ def retrieve_channel(
         kept = set(dense_accept(bm25, query_vec, [pos for pos, _ in pool], tau))
         candidates = [(pos, raw) for pos, raw in pool if pos in kept]
     elif fusion is FusionMode.DENSE:
-        if query_vec is None:
-            raise DataError("dense fusion requires a query vector")
         candidates = [
             (pos, max(score, 0.0))
             for pos, score in textindex.dense_search(bm25, query_vec, pool_size, tau)
         ]
     elif fusion is FusionMode.MAX_FUSE:
-        if query_vec is None:
-            raise DataError("max fusion requires a query vector")
         lex_scaled = _min_max_rescale(textindex.search(bm25, req_text, pool_size))
         den_scaled = _min_max_rescale(textindex.dense_search(bm25, query_vec, pool_size, tau))
         # Position order is doc-id order, so ties keep ascending ids.
@@ -270,9 +262,7 @@ def augment_query(lvlm: LvlmProvider, q: QueryRequest) -> AugmentedQuery:
     never a hard dependency.
     """
     try:
-        response = lvlm.complete(
-            prompts.SYSTEM_PROMPT, prompts.augment_prompt(q.query_text), DecodeParams()
-        )
+        response = lvlm.complete(prompts.SYSTEM_PROMPT, prompts.augment_prompt(q.query_text))
     except ProviderUnavailableError as exc:
         log.warning("augmentation provider unavailable (%s); continuing without it", exc)
         return AugmentedQuery(original=q.query_text, reformulations=(), generated_context="")
@@ -400,9 +390,7 @@ def compose(
 def answer(lvlm: LvlmProvider, bundle: PromptBundle) -> str:
     """Final provider call; returns the completion verbatim."""
     log.info("answering bundle sha256=%s tokens=%d", bundle.sha256, bundle.token_count)
-    return lvlm.complete(
-        prompts.SYSTEM_PROMPT, prompts.answer_prompt(bundle.rendered), DecodeParams()
-    )
+    return lvlm.complete(prompts.SYSTEM_PROMPT, prompts.answer_prompt(bundle.rendered))
 
 
 # --- end-to-end orchestration ---------------------------------------------------

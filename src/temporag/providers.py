@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Protocol, Sequence
 
@@ -34,18 +33,8 @@ ENV_DETECT_URL = "TEMPORAG_DETECT_URL"
 DEFAULT_TIMEOUT_S = 30.0
 
 
-@dataclass(frozen=True)
-class DecodeParams:
-    """Decode settings requested from the LVLM; temperature-zero semantics."""
-
-    temperature: float = 0.0
-    max_tokens: int = 512
-
-
 class LvlmProvider(Protocol):
-    def complete(
-        self, system_prompt: str, user_prompt: str, params: DecodeParams | None = None
-    ) -> str: ...
+    def complete(self, system_prompt: str, user_prompt: str) -> str: ...
 
 
 class DetectorProvider(Protocol):
@@ -102,9 +91,7 @@ class StubLvlm:
       bundles yield identical answers.
     """
 
-    def complete(
-        self, system_prompt: str, user_prompt: str, params: DecodeParams | None = None
-    ) -> str:
+    def complete(self, system_prompt: str, user_prompt: str) -> str:
         first_line = user_prompt.split("\n", 1)[0]
         if first_line == prompts.DECOUPLE_MARKER:
             return self._decouple(prompts.extract_question(user_prompt))
@@ -329,7 +316,10 @@ def _post_json(url: str, payload: dict, headers: dict[str, str], timeout: float)
 
 
 class HttpLvlmClient:
-    """Chat-completions-style client; base URL and key come from the environment."""
+    """Chat-completions-style client; base URL and key come from the environment.
+
+    Every request asks for greedy decoding (temperature 0) and at most 512 tokens.
+    """
 
     def __init__(
         self,
@@ -345,10 +335,7 @@ class HttpLvlmClient:
         self.model = model or os.environ.get(ENV_LVLM_MODEL, "default")
         self.timeout = timeout
 
-    def complete(
-        self, system_prompt: str, user_prompt: str, params: DecodeParams | None = None
-    ) -> str:
-        params = params or DecodeParams()
+    def complete(self, system_prompt: str, user_prompt: str) -> str:
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         body = _post_json(
             f"{self.base_url}/chat/completions",
@@ -358,8 +345,8 @@ class HttpLvlmClient:
                     {"role": "system", "content": system_prompt},
                     {"role": "user", "content": user_prompt},
                 ],
-                "temperature": params.temperature,
-                "max_tokens": params.max_tokens,
+                "temperature": 0.0,
+                "max_tokens": 512,
             },
             headers,
             self.timeout,

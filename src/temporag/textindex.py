@@ -35,7 +35,7 @@ from .errors import (
 from .types import Channel, Snippet
 
 MAGIC = b"TVRG"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 U1 = np.dtype("u1")
 U4 = np.dtype("<u4")
 F4 = np.dtype("<f4")
@@ -50,18 +50,9 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class Bm25Params:
-    """Okapi parameters, serialized with the index for reproducibility."""
-
-    k1: float = 1.2
-    b: float = 0.75
-
-    def __post_init__(self):
-        if not 0.0 < self.k1 < math.inf:
-            raise DataError(f"k1 must be positive and finite, got {self.k1}")
-        if not 0.0 <= self.b <= 1.0:
-            raise DataError(f"b must be within [0, 1], got {self.b}")
+# Okapi BM25 term-frequency saturation and length normalization.
+K1 = 1.2
+B = 0.75
 
 
 @dataclass(eq=False)
@@ -85,7 +76,6 @@ class Bm25Index:
     """
 
     channel: Channel
-    params: Bm25Params
     doc_ids: Sequence[str]
     texts: Sequence[str]
     t_start: np.ndarray
@@ -104,9 +94,8 @@ class Bm25Index:
     def __post_init__(self):
         n_docs = len(self.doc_ids)
         self.avg_dl = int(self.doc_len.sum(dtype=np.int64)) / n_docs if n_docs else 0.0
-        k1, b = self.params.k1, self.params.b
         dl = self.doc_len.astype(np.float64)
-        self.dl_norm = k1 * (1.0 - b + b * dl / self.avg_dl) if self.avg_dl else dl
+        self.dl_norm = K1 * (1.0 - B + B * dl / self.avg_dl) if self.avg_dl else dl
 
     @property
     def n_docs(self) -> int:
@@ -237,7 +226,6 @@ def id_order(docs: Sequence[Snippet]) -> list[int]:
 
 def build_index(
     docs: Sequence[Snippet],
-    params: Bm25Params | None = None,
     vectors: Sequence[np.ndarray] | np.ndarray | None = None,
 ) -> Bm25Index:
     """Build a BM25 index over snippets that all share one channel.
@@ -257,7 +245,6 @@ def build_index(
     (a sequence of vectors or one 2-D array); they become the dense rows,
     reordered with the documents. Without them the index has ``dim`` 0.
     """
-    params = params or Bm25Params()
     channels = {d.channel for d in docs}
     if len(channels) > 1:
         raise MixedChannelsError(f"documents span channels {sorted(c.value for c in channels)}")
@@ -288,7 +275,6 @@ def build_index(
         matrix = f4_matrix(vectors, len(vectors[0]))[order]
     return Bm25Index(
         channel=channel,
-        params=params,
         doc_ids=[d.id for d in ordered],
         texts=[d.text for d in ordered],
         t_start=np.array([d.t_start for d in ordered], dtype=F8),
@@ -322,10 +308,9 @@ def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[int,
     tfs = np.concatenate([index.tf[lo:hi] for lo, hi in spans], dtype=np.float64)
     dfs = [hi - lo for lo, hi in spans]
     idfs = np.repeat([_idf(index.n_docs, df) for df in dfs], dfs)
-    k1 = index.params.k1
     scores = np.zeros(index.n_docs, dtype=np.float64)
     # Okapi term contributions, accumulated per document in query-token order.
-    np.add.at(scores, positions, idfs * tfs * (k1 + 1.0) / (tfs + index.dl_norm[positions]))
+    np.add.at(scores, positions, idfs * tfs * (K1 + 1.0) / (tfs + index.dl_norm[positions]))
     best, best_scores = top_hits(scores, scores > 0.0, pool_size)
     return list(zip(best, best_scores))
 
@@ -344,10 +329,10 @@ def dense_search(
     return list(zip(best, best_scores))
 
 
-# --- binary persistence, format version 5 ---------------------------------------
+# --- binary persistence, format version 6 ---------------------------------------
 #
 # All integers little-endian u32, floats f64 unless marked:
-#   magic "TVRG" | version | channel (a one-string table) | k1 | b
+#   magic "TVRG" | version | channel (a one-string table)
 #   | n_docs | n_tokens | doc-id table (sorted) | text table
 #   | t_start[n_docs] | t_end[n_docs] | token table (sorted)
 #   | doc_len[n_docs] | offsets[n_tokens + 1] | doc_pos[n_postings] | tf[n_postings]
@@ -356,10 +341,9 @@ def dense_search(
 # n_postings is offsets[n_tokens]. The vector rows are in doc-position
 # order, so they carry no ids of their own; dim is 0 only when n_docs is.
 # The arrays load as views of the file's bytes, so the loader checks every
-# invariant that both searches and the document lookup rely on. Version 5
-# is version 4 plus the vector rows, which version 4 directories kept in a
-# separate id-keyed ``.vec`` file. No table is decoded whole: the loader
-# checks each one's order on its bytes, and lookups bisect.
+# invariant that both searches and the document lookup rely on. No table
+# is decoded whole: the loader checks each one's order on its bytes, and
+# lookups bisect.
 
 
 def pack_strings(strings: Sequence[str]) -> bytes:
@@ -523,8 +507,12 @@ def pack_doc_table(doc_ids: Sequence[str], texts: Sequence[str], t_start, t_end)
     return pack_strings(doc_ids) + pack_strings(texts) + times.tobytes()
 
 
-def read_doc_table(reader: IndexFileReader, n_docs: int) -> tuple:
-    """The doc ids, texts, ``t_start`` and ``t_end`` of the ``pack_doc_table`` section at hand."""
+def read_doc_table(reader: IndexFileReader, n_docs: int, duration_s: float) -> tuple:
+    """The doc ids, texts, ``t_start`` and ``t_end`` of the ``pack_doc_table`` section at hand.
+
+    The ids must be unique and sorted, and the times finite with
+    ``0 <= t_start <= t_end <= duration_s``.
+    """
     doc_ids = reader.string_table(n_docs)
     texts = reader.string_table(n_docs)
     t_start = reader.array(n_docs, F8)
@@ -534,16 +522,17 @@ def read_doc_table(reader: IndexFileReader, n_docs: int) -> tuple:
     # NaN fails every comparison, and t_end < inf bounds both columns.
     if not np.all((0.0 <= t_start) & (t_start <= t_end) & (t_end < np.inf)):
         raise reader.corrupt("times not finite with 0 <= t_start <= t_end")
+    if np.any(t_end > duration_s):
+        raise reader.corrupt(f"a document ends after duration_s {duration_s}")
     return doc_ids, texts, t_start, t_end
 
 
 def save_index(index: Bm25Index, path: str) -> None:
-    k1, b = index.params.k1, index.params.b
     write_index_file(
         path,
         FORMAT_VERSION,
         pack_strings([index.channel.value]),
-        struct.pack("<ddII", k1, b, index.n_docs, len(index.tokens)),
+        struct.pack("<II", index.n_docs, len(index.tokens)),
         pack_doc_table(index.doc_ids, index.texts, index.t_start, index.t_end),
         pack_strings(index.tokens),
         *(a.tobytes() for a in (index.doc_len, index.offsets, index.doc_pos, index.tf)),
@@ -552,17 +541,19 @@ def save_index(index: Bm25Index, path: str) -> None:
     )
 
 
-def load_index(path: str) -> Bm25Index:
-    """Read an index written by ``save_index``; see ``IndexFileReader`` for errors."""
+def load_index(path: str, duration_s: float) -> Bm25Index:
+    """Read an index written by ``save_index``, no document ending after ``duration_s``.
+
+    See ``IndexFileReader`` and ``read_doc_table`` for the errors.
+    """
     reader = IndexFileReader(path, FORMAT_VERSION)
     (channel_tag,) = reader.string_table(1)
-    k1, b, n_docs, n_tokens = reader.unpack("<ddII")
+    n_docs, n_tokens = reader.unpack("<II")
     try:
         channel = Channel.parse(channel_tag)
-        params = Bm25Params(k1=k1, b=b)
     except DataError as exc:
         raise reader.corrupt(str(exc)) from None
-    doc_ids, texts, t_start, t_end = read_doc_table(reader, n_docs)
+    doc_ids, texts, t_start, t_end = read_doc_table(reader, n_docs, duration_s)
     tokens = reader.string_table(n_tokens)
     doc_len = reader.array(n_docs)
     offsets = reader.offsets(n_tokens)
@@ -581,7 +572,6 @@ def load_index(path: str) -> Bm25Index:
         raise reader.corrupt("non-finite vector values")
     return Bm25Index(
         channel=channel,
-        params=params,
         doc_ids=doc_ids,
         texts=texts,
         t_start=t_start,
@@ -618,9 +608,7 @@ def load_docs(path: str, channel: Channel, duration_s: float) -> list[Snippet]:
     if tag != channel.value:
         raise reader.corrupt(f"channel tag {tag!r}, expected {channel.value!r}")
     (n_docs,) = reader.unpack("<I")
-    doc_ids, texts, t_start, t_end = read_doc_table(reader, n_docs)
+    doc_ids, texts, t_start, t_end = read_doc_table(reader, n_docs, duration_s)
     reader.end()
-    if np.any(t_end > duration_s):
-        raise reader.corrupt(f"a document ends after duration_s {duration_s}")
     columns = doc_ids.decode_all(), texts.decode_all(), t_start.tolist(), t_end.tolist()
     return [Snippet(doc_id, channel, text, t0, t1) for doc_id, text, t0, t1 in zip(*columns)]

@@ -1,7 +1,7 @@
 """Core domain types: videos, frames, time-stamped snippets, and requests.
 
-All timestamps are seconds (float). Frame indices are converted to seconds
-at ingestion and never used in downstream math. Every type here is
+All timestamps are seconds (float). Frames arrive with their time in
+seconds; frame indices are never used in downstream math. Every type here is
 immutable after validation and safe to share across threads.
 """
 
@@ -15,7 +15,6 @@ from .errors import (
     DataError,
     EmptyTextError,
     InvertedIntervalError,
-    MissingFpsError,
     TimeOutOfRangeError,
 )
 
@@ -47,19 +46,16 @@ class Channel(str, Enum):
 
 @dataclass(frozen=True)
 class VideoRecord:
-    """One indexed video: an opaque id plus its duration and optional fps."""
+    """One indexed video: an opaque id plus its duration."""
 
     video_id: str
     duration_s: float
-    fps: float | None = None
 
     def __post_init__(self):
         if not self.video_id:
             raise DataError("video_id must be non-empty")
         if not math.isfinite(self.duration_s) or self.duration_s <= 0:
             raise DataError(f"duration_s must be finite and positive, got {self.duration_s!r}")
-        if self.fps is not None and self.fps <= 0:
-            raise DataError(f"fps must be positive, got {self.fps!r}")
 
 
 @dataclass(frozen=True)
@@ -115,10 +111,6 @@ class RetrievalRequest:
     ocr: str | None = None
     det: str | None = None
 
-    @property
-    def is_empty(self) -> bool:
-        return self.asr is None and self.ocr is None and self.det is None
-
 
 @dataclass(frozen=True)
 class ScoredSnippet:
@@ -152,14 +144,6 @@ def validate_snippet(s: Snippet, video: VideoRecord) -> Snippet:
     if text == s.text:
         return s
     return Snippet(id=s.id, channel=s.channel, text=text, t_start=s.t_start, t_end=s.t_end)
-
-
-def frame_time(frame_index: int, video: VideoRecord) -> float:
-    """Convert a frame index to seconds, clamped to [0, duration]."""
-    if video.fps is None:
-        raise MissingFpsError(f"video {video.video_id!r} has no fps")
-    t = frame_index / video.fps
-    return min(max(t, 0.0), video.duration_s)
 
 
 # --- snippet JSONL line format ---------------------------------------------

@@ -77,7 +77,7 @@ def bm25_score(index: Bm25Index, query_tokens: Sequence[str], doc_id: str) -> fl
     from the document contribute zero.
     """
     pos = list(index.doc_ids).index(doc_id)
-    k1, b = index.params.k1, index.params.b
+    k1, b = 1.2, 0.75  # Okapi's usual constants, not read from the code under test
     dl = int(index.doc_len[pos])
     score = 0.0
     for token in query_tokens:

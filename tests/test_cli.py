@@ -296,6 +296,33 @@ class TestIngest:
         assert f"{snippets}:2: t_start and t_end must be finite numbers" in captured.err
         assert store_ids(out, "ocr", 10.0) == ["a"]
 
+    def test_snippet_past_duration_is_line_error(self, tmp_path, capsys):
+        snippets = tmp_path / "ocr.jsonl"
+        good = {"id": "a", "channel": "ocr", "text": "x", "t_start": 1.0, "t_end": 2.0}
+        late = {**good, "id": "b", "t_end": 10.5}
+        snippets.write_text(json.dumps(good) + "\n" + json.dumps(late) + "\n", encoding="utf-8")
+        out = tmp_path / "store"
+        rc = run_cli(["ingest", snippets, "--video-id", "v", "--duration-s", "10", "--out", out])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert f"{snippets}: snippet b: time 10.5 outside [0, 10.0]" in captured.err
+        assert "line errors: 1," in captured.out
+        assert store_ids(out, "ocr", 10.0) == ["a"]
+
+    def test_vtt_input_and_unsupported_suffix(self, tmp_path, capsys):
+        vtt = tmp_path / "talk.vtt"
+        vtt.write_text("WEBVTT\n\n00:01.000 --> 00:03.000\nharbor talk\n", encoding="utf-8")
+        notes = tmp_path / "notes.txt"
+        notes.write_text("harbor notes\n", encoding="utf-8")
+        out = tmp_path / "store"
+        rc = run_cli(["ingest", vtt, notes, "--video-id", "v", "--duration-s", "10", "--out", out])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "asr: 1 snippets" in captured.out
+        assert f"{notes}: unsupported input type" in captured.err
+        (snippet,) = load_docs(str(out / "asr.docs"), Channel.ASR, 10.0)
+        assert (snippet.text, snippet.t_start, snippet.t_end) == ("harbor talk", 1.0, 3.0)
+
     def test_detection_label_not_a_string_is_line_error(self, tmp_path, capsys):
         detections = tmp_path / "detections.jsonl"
         good = {"frame_index": 1, "t": 1.0, "objects": []}
@@ -586,6 +613,18 @@ class TestAnswer:
         assert rc == 0
         assert "MARINA OFFICE" in capsys.readouterr().out
 
+    def test_video_json_with_old_fps_key_loads(self, built_index, capsys):
+        # Ingests that took --fps wrote it into video.json; nothing read it.
+        meta = built_index / "video.json"
+        meta.write_text(json.dumps({**json.loads(meta.read_bytes()), "fps": 25.0}) + "\n",
+                        encoding="utf-8")
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 0
+        assert "MARINA OFFICE" in capsys.readouterr().out
+
     def test_reads_no_snippet_jsonl(self, built_index, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("answer parsed snippet JSONL")
@@ -670,7 +709,7 @@ class TestAnswer:
     @pytest.mark.parametrize("damage", ["token_order", "duplicate_doc_id", "doc_id_order"])
     def test_unsorted_id_table_is_data_error(self, built_index, capsys, damage):
         path = built_index / "ocr.bm25"
-        index = load_index(str(path))
+        index = load_index(str(path), 120.0)
         column = "tokens" if damage == "token_order" else "doc_ids"
         table = list(getattr(index, column))
         if damage == "duplicate_doc_id":
@@ -707,7 +746,7 @@ class TestAnswer:
     def test_dim_0_with_documents_is_data_error(self, built_index, capsys, fusion):
         # Documents without dense rows: no fusion mode can filter or rank them.
         path = built_index / "ocr.bm25"
-        index = load_index(str(path))
+        index = load_index(str(path), 120.0)
         save_index(replace(index, vectors=np.zeros((index.n_docs, 0), dtype=F4)), str(path))
         rc = run_cli(
             ["answer", "--index", built_index, "--query", self.QUERY,
@@ -762,7 +801,7 @@ class TestAnswer:
                 str(path), columns["frame_index"], columns["t"], table.embedded, table.matrix
             )
         elif isinstance(damage, dict):  # rewrite the first document's times
-            index = load_index(str(path))
+            index = load_index(str(path), math.inf)
             for column, value in damage.items():
                 times = getattr(index, column).copy()
                 times[0] = value
@@ -860,7 +899,7 @@ class TestAnswer:
              "--config", DEMO / "config.json"]
         )
         assert rc == 2
-        assert "format version 1, expected 5" in capsys.readouterr().err
+        assert "format version 1, expected 6" in capsys.readouterr().err
 
     def test_version_1_frame_table_is_data_error(self, built_index, capsys):
         # Version 1 frame tables kept their embeddings in frames.vec.
@@ -943,7 +982,20 @@ class TestAnswer:
              "--config", DEMO / "config.json"]
         )
         assert rc == 2
-        assert f"data error: {path}: format version 4, expected 5" in capsys.readouterr().err
+        assert f"data error: {path}: format version 4, expected 6" in capsys.readouterr().err
+
+    def test_version_5_bm25_is_data_error(self, built_index, capsys):
+        # Version 5 stored the Okapi k1 and b after the channel tag.
+        path = built_index / "ocr.bm25"
+        data = bytearray(path.read_bytes())
+        data[4:8] = (5).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 2
+        assert f"data error: {path}: format version 5, expected 6" in capsys.readouterr().err
 
     def test_version_2_bm25_is_data_error(self, built_index, capsys):
         # Version 2 had no text table or time columns; only .bm25 files moved on.
@@ -956,7 +1008,7 @@ class TestAnswer:
              "--config", DEMO / "config.json"]
         )
         assert rc == 2
-        assert f"data error: {path}: format version 2, expected 5" in capsys.readouterr().err
+        assert f"data error: {path}: format version 2, expected 6" in capsys.readouterr().err
 
     def test_version_3_bm25_is_data_error(self, built_index, capsys):
         # Version 3 directories have frames.jsonl and detections.jsonl, not tables.
@@ -969,7 +1021,7 @@ class TestAnswer:
              "--config", DEMO / "config.json"]
         )
         assert rc == 2
-        assert f"data error: {path}: format version 3, expected 5" in capsys.readouterr().err
+        assert f"data error: {path}: format version 3, expected 6" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tau", [0.3, -1.0])
     def test_frameless_index_answers_over_the_video_ends(self, tmp_path, capsys, tau):
@@ -1132,7 +1184,7 @@ def test_dense_accept_matches_per_id_oracle(demo_index):
     embedder = HashEmbedder(config["embed_dim"], config["embed_seed"])
     rng = np.random.default_rng(0)
     for channel in ("asr", "ocr"):
-        index = load_index(str(demo_index / f"{channel}.bm25"))
+        index = load_index(str(demo_index / f"{channel}.bm25"), 120.0)
         ids = list(index.doc_ids)
         by_id = {
             doc_id: normalize(vec).astype(np.float32)
@@ -1189,6 +1241,66 @@ class TestExitCodes:
     def test_bad_lambda_flag(self, built_index):
         rc = run_cli(["answer", "--index", built_index, "--query", "q", "--lambda", "1,2"])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["answer", "--index", "i", "--query", "q", "--lambda", "1,x,1"],
+             "--lambda values must be numbers"),
+            (["eval", "--sweep-tau", "0.3,x"], "--sweep-tau expects comma-separated numbers"),
+        ],
+        ids=["lambda", "sweep_tau"],
+    )
+    def test_non_numeric_list_flag_is_usage_error(self, capsys, argv, message):
+        assert run_cli(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, key",
+        [("--topk", "top_k"), ("--pool-mult", "pool_multiplier"), ("--budget", "budget_tokens")],
+    )
+    def test_int_flag_overrides_config(self, demo_index, capsys, flag, key):
+        argv = ["answer", "--index", demo_index, "--query", "q", "--config", DEMO / "config.json"]
+        assert run_cli([*argv, flag, "300"]) == 0
+        echo = capsys.readouterr().err.split("effective config: ", 1)[1].splitlines()[0]
+        assert json.loads(echo)[key] == 300
+        assert run_cli([*argv, flag, "0"]) == 1
+        assert f"error: {key} must be a positive integer, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, reason",
+        [
+            ("ingest_out_is_file", "File exists"),
+            ("build_out_is_file", "File exists"),
+            ("eval_out_is_file", "File exists"),
+            ("trace_dir_missing", "No such file or directory"),
+            ("video_json_is_dir", "Is a directory"),
+        ],
+    )
+    def test_unusable_path_is_data_error(self, tmp_path, demo_index, capsys, case, reason):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        answer = ["answer", "--query", "q", "--config", DEMO / "config.json", "--index"]
+        if case == "ingest_out_is_file":
+            path = taken
+            argv = ["ingest", DEMO / "audio.srt", "--video-id", "v", "--duration-s", "120",
+                    "--out", taken]
+        elif case == "build_out_is_file":
+            path, argv = taken, ["build", "--store", demo_index.parent / "store", "--out", taken]
+        elif case == "eval_out_is_file":
+            path, argv = taken, ["eval", "--out", taken]
+        elif case == "trace_dir_missing":
+            path = tmp_path / "missing" / "trace.json"
+            argv = [*answer, demo_index, "--trace", path]
+        else:
+            index = tmp_path / "index"
+            shutil.copytree(demo_index, index)
+            path = index / "video.json"
+            path.unlink()
+            path.mkdir()
+            argv = [*answer, index]
+        assert run_cli(argv) == 2
+        assert f"data error: {path}: {reason}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "config, flags",
@@ -1404,7 +1516,7 @@ class TestOneEmbeddingSourcePerBuild:
         assert rc == 0
         assert opened == [str(pre)]
         index = tmp_path / "index"
-        assert load_index(str(index / "asr.bm25")).dim == 16
+        assert load_index(str(index / "asr.bm25"), 120.0).dim == 16
         assert load_frame_table(str(index / "frames.tbl"), 120.0).matrix.shape == (15, 16)
 
     def test_hash_build_draws_each_distinct_token_once(self, tmp_path, monkeypatch):

@@ -197,7 +197,7 @@ class TestSelectKeyframes:
     def test_all_below_threshold_empty(self):
         frames = frames_uniform(8, 70.0)
         cfg = SelectorConfig(max_frames=4, sim_threshold=0.3, n_bins=4)
-        assert select_keyframes(table(frames), [0.1] * 8, cfg) == []
+        assert select_keyframes(table(frames), [0.1] * 8, cfg, duration_s=70.0) == []
 
     def test_symmetric_case_one_per_bin(self):
         frames = frames_uniform(8, 70.0)
@@ -272,7 +272,7 @@ class TestSelectKeyframes:
     def test_length_mismatch(self):
         cfg = SelectorConfig(max_frames=2, n_bins=2)
         with pytest.raises(LengthMismatchError):
-            select_keyframes(table(frames_uniform(3, 10.0)), [0.5, 0.5], cfg)
+            select_keyframes(table(frames_uniform(3, 10.0)), [0.5, 0.5], cfg, duration_s=10.0)
 
     def test_uniform_alpha_mode_ranks_by_similarity(self):
         frames = frames_uniform(4, 10.0)

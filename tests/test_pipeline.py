@@ -41,7 +41,7 @@ class CannedLvlm:
     def __init__(self, response):
         self.response = response
 
-    def complete(self, system_prompt, user_prompt, params=None):
+    def complete(self, system_prompt, user_prompt):
         if isinstance(self.response, Exception):
             raise self.response
         return self.response
@@ -65,7 +65,7 @@ class TestDecoupleQuery:
 
     def test_all_nulls_gives_empty_request(self):
         req = decouple_query(CannedLvlm('{"asr": null, "ocr": null, "det": null}'), QUERY)
-        assert req.is_empty
+        assert (req.asr, req.ocr, req.det) == (None, None, None)
 
     def test_empty_strings_count_as_null(self):
         req = decouple_query(CannedLvlm('{"asr": " ", "ocr": null, "det": "dog"}'), QUERY)
@@ -147,10 +147,11 @@ class TestRetrieveChannel:
             retrieve_channel(
                 "  ",
                 chan,
-                    self.ANCHORS,
+                self.ANCHORS,
                 DecayParams(),
                 RescoreConfig(top_k=1),
                 duration_s=600.0,
+                query_vec=embedder.embed(["x"])[0],
                 tau=0.3,
             )
 
@@ -160,10 +161,11 @@ class TestRetrieveChannel:
             retrieve_channel(
                 "x",
                 chan,
-                    self.ANCHORS,
+                self.ANCHORS,
                 DecayParams(),
                 RescoreConfig(top_k=1),
                 duration_s=600.0,
+                query_vec=HashEmbedder(32).embed(["x"])[0],
                 tau=0.3,
             )
 
@@ -177,6 +179,7 @@ class TestRetrieveChannel:
             DecayParams(),
             RescoreConfig(top_k=3),
             duration_s=600.0,
+            query_vec=embedder.embed(["zebra"])[0],
             tau=0.3,
         ).hits
         assert out == []
@@ -508,10 +511,10 @@ class FixedDecoupleLvlm(StubLvlm):
     def __init__(self, request):
         self.request = request
 
-    def complete(self, system_prompt, user_prompt, params=None):
+    def complete(self, system_prompt, user_prompt):
         if user_prompt.split("\n", 1)[0] == prompts.DECOUPLE_MARKER:
             return json.dumps(self.request)
-        return super().complete(system_prompt, user_prompt, params)
+        return super().complete(system_prompt, user_prompt)
 
 
 class CountingEmbedder:

@@ -10,7 +10,6 @@ from temporag import prompts, providers
 from temporag.errors import DataError, ProviderUnavailableError, TemporagError
 from temporag.ingest import DetectedObject, DetectionRecord
 from temporag.providers import (
-    DecodeParams,
     FixtureDetector,
     HttpDetector,
     HttpEmbeddingClient,
@@ -112,12 +111,17 @@ class TestHttpClients:
     def test_lvlm_wire_format(self, provider_server):
         server, url = provider_server
         client = HttpLvlmClient(base_url=url, api_key="k", model="m")
-        out = client.complete("sys", "user text", DecodeParams(temperature=0.0, max_tokens=64))
+        out = client.complete("sys", "user text")
         assert out == f"echo:{len('user text')}"
-        payload = server.last_request["payload"]
-        assert payload["model"] == "m"
-        assert payload["messages"][0] == {"role": "system", "content": "sys"}
-        assert payload["temperature"] == 0.0
+        assert server.last_request["payload"] == {
+            "model": "m",
+            "messages": [
+                {"role": "system", "content": "sys"},
+                {"role": "user", "content": "user text"},
+            ],
+            "temperature": 0.0,
+            "max_tokens": 512,
+        }
 
     def test_missing_env_is_permanent_error(self, monkeypatch):
         monkeypatch.delenv("TEMPORAG_LVLM_URL", raising=False)

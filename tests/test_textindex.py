@@ -16,7 +16,6 @@ from temporag.errors import (
     VersionMismatchError,
 )
 from temporag.textindex import (
-    Bm25Params,
     StringTable,
     build_index,
     dense_search,
@@ -59,10 +58,14 @@ def random_corpus(rng, n_docs, vocab_size=30):
     return docs
 
 
-def embedded_index(docs, params=None):
+# The duration every saved index here is loaded with: past every document's t_end.
+DURATION_S = 100.0
+
+
+def embedded_index(docs):
     """``build_index`` with a dense row per document, as ``build`` writes them."""
     vectors = [normalize(v) for v in HashEmbedder(8).embed([d.text for d in docs])]
-    return build_index(docs, params, vectors=vectors)
+    return build_index(docs, vectors=vectors)
 
 
 def oracle_postings(docs):
@@ -169,12 +172,6 @@ class TestBuildIndex:
             assert got.dtype == np.dtype("<u4")
             assert got.tolist() == want
 
-    def test_bad_params(self):
-        with pytest.raises(DataError):
-            Bm25Params(k1=0.0)
-        with pytest.raises(DataError):
-            Bm25Params(b=1.5)
-
 
 class TestBm25Score:
     def test_absent_term_scores_zero(self):
@@ -266,7 +263,7 @@ class TestSearch:
         docs = [make_snippet(f"d{i:03d}", f"cat w{i}", 0.0, 1.0) for i in range(200)]
         path = tmp_path / "asr.bm25"
         save_index(embedded_index(docs), str(path))
-        loaded = load_index(str(path))
+        loaded = load_index(str(path), DURATION_S)
         decoded = []
         table_get = StringTable.__getitem__
 
@@ -306,10 +303,10 @@ class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         docs = random_corpus(rng, 15)
-        index = embedded_index(docs, Bm25Params(k1=1.4, b=0.6))
+        index = embedded_index(docs)
         path = tmp_path / "asr.bm25"
         save_index(index, str(path))
-        loaded = load_index(str(path))
+        loaded = load_index(str(path), DURATION_S)
         assert loaded.n_docs == index.n_docs
         assert loaded.avg_dl == pytest.approx(index.avg_dl, abs=1e-9)
         assert list(loaded.doc_ids) == index.doc_ids
@@ -318,7 +315,6 @@ class TestPersistence:
         for name in ("t_start", "t_end", "doc_len", "offsets", "doc_pos", "tf"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(index, name))
         assert loaded.vectors.tobytes() == index.vectors.tobytes()
-        assert loaded.params == index.params
         assert loaded.channel is index.channel
         query = "w1 w2 w9"
         assert search(loaded, query, 10) == search(index, query, 10)
@@ -340,7 +336,7 @@ class TestPersistence:
         path = tmp_path / "bad.bm25"
         save_index(index, str(path))
         with pytest.raises(DataError, match=f"{path}: .*times not finite"):
-            load_index(str(path))
+            load_index(str(path), DURATION_S)
 
     def test_save_is_deterministic(self, tmp_path):
         docs = random_corpus(np.random.default_rng(3), 15)
@@ -353,7 +349,7 @@ class TestPersistence:
         path = tmp_path / "junk.bm25"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(VersionMismatchError):
-            load_index(str(path))
+            load_index(str(path), DURATION_S)
 
     def test_version_mismatch(self, tmp_path):
         docs = [make_snippet("a", "cat", 0.0, 1.0)]
@@ -363,7 +359,7 @@ class TestPersistence:
         data[4:8] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(VersionMismatchError):
-            load_index(str(path))
+            load_index(str(path), DURATION_S)
 
     def test_version_1_file_rejected(self, tmp_path):
         # Version 1: per-doc (id, length) and per-token (token, postings) records.
@@ -377,7 +373,7 @@ class TestPersistence:
             + struct.pack("<I", 1) + s("cat") + struct.pack("<III", 1, 0, 1)
         )
         with pytest.raises(VersionMismatchError, match="version 1"):
-            load_index(str(path))
+            load_index(str(path), DURATION_S)
 
     def test_version_2_file_rejected(self, tmp_path):
         # Version 2: no text table or time columns after the doc-id table.
@@ -387,8 +383,8 @@ class TestPersistence:
             + struct.pack("<ddII", 1.2, 0.75, 1, 1) + pack_strings(["a"]) + pack_strings(["cat"])
             + struct.pack("<IIIII", 1, 0, 1, 0, 1)
         )
-        with pytest.raises(VersionMismatchError, match="version 2, expected 5"):
-            load_index(str(path))
+        with pytest.raises(VersionMismatchError, match="version 2, expected 6"):
+            load_index(str(path), DURATION_S)
 
 
     @pytest.mark.parametrize(
@@ -407,7 +403,7 @@ class TestPersistence:
         path = tmp_path / "bad.bm25"
         save_index(index, str(path))
         with pytest.raises(DataError, match=f"{path}: .*{problem}"):
-            load_index(str(path))
+            load_index(str(path), DURATION_S)
 
     def test_text_offset_inside_utf8_character_rejected(self, tmp_path):
         index = build_index([make_snippet("a", "é", 0.0, 1.0), make_snippet("b", "x", 1.0, 2.0)])
@@ -419,7 +415,7 @@ class TestPersistence:
         assert data.count(table) == 1
         path.write_bytes(data.replace(table, split))
         with pytest.raises(DataError, match=f"{path}: .*offset inside a UTF-8 character"):
-            load_index(str(path))
+            load_index(str(path), DURATION_S)
 
 
 def string_table(strings):
@@ -453,7 +449,7 @@ def test_mutated_file_loads_or_raises_temporag_error(fuzz_dir, mutations):
     path = fuzz_dir / "mutated.bm25"
     path.write_bytes(mutate_bytes((fuzz_dir / "clean.bm25").read_bytes(), mutations))
     try:
-        loaded = load_index(str(path))
+        loaded = load_index(str(path), DURATION_S)
     except TemporagError:
         return
     search(loaded, "w1 w2 café w3", 5)
@@ -462,7 +458,7 @@ def test_mutated_file_loads_or_raises_temporag_error(fuzz_dir, mutations):
     for pos, text in enumerate(loaded.texts):
         snippet = loaded.snippet(pos)
         assert snippet.text == text
-        assert 0.0 <= snippet.t_start <= snippet.t_end < math.inf
+        assert 0.0 <= snippet.t_start <= snippet.t_end <= DURATION_S
 
 
 def test_avg_dl_invariant_random():

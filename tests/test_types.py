@@ -9,7 +9,6 @@ from temporag.errors import (
     DataError,
     EmptyTextError,
     InvertedIntervalError,
-    MissingFpsError,
     TimeOutOfRangeError,
 )
 from temporag.textindex import id_order, load_docs, save_docs
@@ -17,12 +16,11 @@ from temporag.types import (
     Channel,
     Snippet,
     VideoRecord,
-    frame_time,
     snippet_from_obj,
     validate_snippet,
 )
 
-VIDEO = VideoRecord(video_id="v", duration_s=10.0, fps=2.0)
+VIDEO = VideoRecord(video_id="v", duration_s=10.0)
 
 
 def snip(text="hello", t_start=1.0, t_end=3.0, channel=Channel.ASR):
@@ -51,21 +49,6 @@ class TestValidateSnippet:
     def test_text_is_trimmed(self):
         s = validate_snippet(snip(text="  hi  "), VIDEO)
         assert s.text == "hi"
-
-
-class TestFrameTime:
-    def test_zero(self):
-        assert frame_time(0, VIDEO) == 0.0
-
-    def test_direct_division(self):
-        assert frame_time(4, VIDEO) == 2.0
-
-    def test_clamped_to_duration(self):
-        assert frame_time(100, VIDEO) == 10.0
-
-    def test_missing_fps(self):
-        with pytest.raises(MissingFpsError):
-            frame_time(1, VideoRecord(video_id="v", duration_s=5.0))
 
 
 class TestVideoRecord:
