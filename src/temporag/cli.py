@@ -627,7 +627,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a path the command cannot read or write
-        print(f"data error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        # A write that fails after its open (a full disk) names no path.
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"data error: {where}{exc.strerror}", file=sys.stderr)
         return 2
 
 

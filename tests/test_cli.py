@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -1301,6 +1302,17 @@ class TestExitCodes:
             argv = [*answer, index]
         assert run_cli(argv) == 2
         assert f"data error: {path}: {reason}" in capsys.readouterr().err
+
+    def test_failed_write_is_data_error(self, tmp_path, demo_index, capsys, monkeypatch):
+        # A write that fails after the open, such as on a full disk, names no path.
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(Path, "write_text", full)
+        rc = run_cli(["answer", "--index", demo_index, "--query", "q", "--config",
+                      DEMO / "config.json", "--trace", tmp_path / "trace.json"])
+        assert rc == 2
+        assert capsys.readouterr().err.endswith(f"data error: {os.strerror(errno.ENOSPC)}\n")
 
     @pytest.mark.parametrize(
         "config, flags",
