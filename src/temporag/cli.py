@@ -488,7 +488,6 @@ def _load_spec(path: str | None) -> SyntheticSpec:
         data["query_terms"] = tuple(data["query_terms"])
     try:
         spec = SyntheticSpec(**data)
-        gen_corpus(spec)  # duplicate placement and the vocabulary do not depend on the seed
     except DataError as exc:
         raise ConfigError(f"spec {path}: {exc}") from None
     return spec

@@ -11,11 +11,12 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .pipeline import FusionMode
+from .pipeline import MIN_BUDGET_TOKENS, FusionMode
 from .rescore import DecayParams, RescoreConfig, TimeNorm
 from .frames import SelectorConfig
 from .ingest import FRAME_INDEX_LIMIT
 from .types import is_finite_number
+from .vectorindex import MIN_HASH_DIM
 
 
 @dataclass(frozen=True)
@@ -133,10 +134,20 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if name in ("n_bins", "max_frames") and value > FRAME_INDEX_LIMIT:
             raise ConfigError(f"{name} must be at most 2**32, the frame index range, got {value}")
+    if cfg.budget_tokens < MIN_BUDGET_TOKENS:
+        raise ConfigError(
+            f"budget_tokens must be at least {MIN_BUDGET_TOKENS}, got {cfg.budget_tokens}"
+        )
     for name, least, kind in (("embed_dim", 1, "positive"), ("embed_seed", 0, "non-negative")):
         value = getattr(cfg.providers, name)
         if not isinstance(value, int) or value < least:
             raise ConfigError(f"providers.{name} must be a {kind} integer, got {value!r}")
+    # ``eval`` embeds with the hash embedder whatever ``providers.embed`` names.
+    if cfg.providers.embed_dim < MIN_HASH_DIM:
+        raise ConfigError(
+            f"providers.embed_dim must be a positive integer of at least {MIN_HASH_DIM}, "
+            f"got {cfg.providers.embed_dim!r}"
+        )
     if cfg.providers.embed_dim > MAX_EMBED_DIM:
         raise ConfigError(
             f"providers.embed_dim must be a positive integer of at most {MAX_EMBED_DIM}, "

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .config import RunConfig
-from .errors import DataError, InfeasibleSpecError
+from .errors import DataError
 from .frames import FrameTable
 from .pipeline import AblationFlags, VideoRuntime, run_query
 from .providers import StubDetector, StubLvlm
@@ -25,8 +25,10 @@ from .textindex import F4, build_index
 from .types import Channel, FrameRecord, Snippet, VideoRecord
 from .vectorindex import HashEmbedder
 
-# Upper bounds of the spec sizes that ``gen_corpus`` loops over, checked before it runs.
+# Upper bounds of the spec sizes that the checks and ``gen_corpus`` loop over, checked first.
 SPEC_LIMITS = dict(n_snippets=100_000, n_duplicates=100_000, vocab_size=100_000, n_frames=10_000)
+
+_NEEDLE_DUR = 4.0
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,32 @@ class SyntheticSpec:
             raise DataError("vocab_size must be >= 8")
         if self.n_frames < 2:
             raise DataError("n_frames must be >= 2")
+        if not set(self.query_terms).isdisjoint(map(_vocab_word, range(self.vocab_size))):
+            raise DataError("query_terms must not collide with the generated vocabulary")
+        _, segments = _needle_layout(self)
+        if not segments:
+            raise DataError(
+                f"cannot place duplicates at least {self.duration_s / 4.0:.1f}s from the needle"
+            )
+
+
+def _vocab_word(i: int) -> str:
+    return f"term{i:03d}"
+
+
+def _needle_layout(spec: SyntheticSpec) -> tuple[float, list[tuple[float, float]]]:
+    """The needle's start time, and the intervals left for duplicate midpoints.
+
+    The intervals are those at least duration/4 from the needle's midpoint.
+    """
+    duration = spec.duration_s
+    half = _NEEDLE_DUR / 2
+    needle_start = min(max(spec.needle_time - half, 0.0), duration - _NEEDLE_DUR)
+    needle_mid = (needle_start + (needle_start + _NEEDLE_DUR)) / 2.0  # as ``Snippet.t_mid``
+    gap = duration / 4.0
+    left = (half, max(half, needle_mid - gap))
+    right = (min(duration - half, needle_mid + gap), duration - half)
+    return needle_start, [(lo, hi) for lo, hi in (left, right) if hi - lo > 1e-9]
 
 
 @dataclass(frozen=True)
@@ -104,9 +132,6 @@ class EvalReport:
         return asdict(self)
 
 
-_NEEDLE_DUR = 4.0
-
-
 def gen_corpus(spec: SyntheticSpec) -> Corpus:
     """Generate a seeded needle corpus.
 
@@ -118,12 +143,9 @@ def gen_corpus(spec: SyntheticSpec) -> Corpus:
     """
     rng = np.random.default_rng(spec.seed)
     duration = spec.duration_s
-    vocab = [f"term{i:03d}" for i in range(spec.vocab_size)]
-    if set(spec.query_terms) & set(vocab):
-        raise DataError("query_terms must not collide with the generated vocabulary")
-
+    vocab = [_vocab_word(i) for i in range(spec.vocab_size)]
     half = _NEEDLE_DUR / 2
-    needle_start = min(max(spec.needle_time - half, 0.0), duration - _NEEDLE_DUR)
+    needle_start, segments = _needle_layout(spec)
     fillers = [vocab[int(i)] for i in rng.integers(0, spec.vocab_size, size=2)]
     needle_text = " ".join(list(spec.query_terms) + fillers)
     needle = Snippet(
@@ -135,16 +157,7 @@ def gen_corpus(spec: SyntheticSpec) -> Corpus:
     )
     needle_mid = needle.t_mid
 
-    # Duplicates go anywhere at least duration/4 from the needle midpoint.
-    gap = duration / 4.0
-    left = (half, max(half, needle_mid - gap))
-    right = (min(duration - half, needle_mid + gap), duration - half)
-    segments = [(lo, hi) for lo, hi in (left, right) if hi - lo > 1e-9]
     total = sum(hi - lo for lo, hi in segments)
-    if total <= 0:
-        raise InfeasibleSpecError(
-            f"cannot place duplicates at least {gap:.1f}s from the needle"
-        )
     duplicates = []
     for i in range(spec.n_duplicates):
         u = float(rng.uniform(0.0, total))

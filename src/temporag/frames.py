@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, LengthMismatchError
+from .errors import DataError
 from .ingest import DetectionRecord
 from .providers import DetectorProvider
 from .textindex import F4, F8, U1, U4, IndexFileReader, f4_matrix, pack_strings
@@ -77,12 +77,12 @@ class FrameTable:
         self.frame_index = np.asarray(frame_index, dtype=np.int64)
         self.t = np.asarray(t, dtype=np.float64)
         if len(self.frame_index) != len(self.t):
-            raise LengthMismatchError(len(self.frame_index), len(self.t))
+            raise DataError(f"{len(self.frame_index)} frame indices but {len(self.t)} times")
         if embedded is None:
             embedded = np.zeros(len(self.t), dtype=bool)
         self.embedded = np.asarray(embedded, dtype=bool)
         if len(self.embedded) != len(self.t):
-            raise LengthMismatchError(len(self.t), len(self.embedded))
+            raise DataError(f"{len(self.t)} frame times but {len(self.embedded)} embedded flags")
         self.matrix = np.zeros((0, 0), dtype=F4) if matrix is None else matrix
         if len(self.matrix) != np.count_nonzero(self.embedded):
             raise DataError(
@@ -162,7 +162,7 @@ def select_keyframes(
     (uniform alpha), which is the ablation behavior.
     """
     if len(frames) != len(sims):
-        raise LengthMismatchError(len(frames), len(sims))
+        raise DataError(f"{len(frames)} frames but {len(sims)} similarities")
     if not len(frames):
         return []
     weighting = weight_frames(sims)

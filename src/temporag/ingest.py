@@ -13,15 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import (
-    DataError,
-    EmptyFileError,
-    InvalidBoxError,
-    MalformedTimestampError,
-    MissingHeaderError,
-    NoValidLinesError,
-    TimeOutOfRangeError,
-)
+from .errors import DataError
 from .types import Channel, Snippet, is_finite_number, snippet_from_obj
 
 # Frame indices are stored as u32 in the index's frame and detection tables.
@@ -41,7 +33,7 @@ class DetectedObject:
             raise DataError(f"detection label must be a non-empty string, got {self.label!r}")
         x1, y1, x2, y2 = self.box
         if not (0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0):
-            raise InvalidBoxError(f"box {self.box} violates 0 <= x1 < x2 <= 1, 0 <= y1 < y2 <= 1")
+            raise DataError(f"box {self.box} violates 0 <= x1 < x2 <= 1, 0 <= y1 < y2 <= 1")
         if not 0.0 <= self.confidence <= 1.0:
             raise DataError(f"confidence must be within [0, 1], got {self.confidence}")
 
@@ -87,11 +79,11 @@ _VTT_TS = re.compile(r"^(?:(\d{2,}):)?(\d{2}):(\d{2})\.(\d{3})$")
 def _parse_ts(raw: str, pattern: re.Pattern, line_no: int) -> float:
     m = pattern.match(raw.strip())
     if not m:
-        raise MalformedTimestampError(line_no, f"bad timestamp {raw.strip()!r}")
+        raise DataError(f"line {line_no}: bad timestamp {raw.strip()!r}")
     hours = int(m.group(1)) if m.group(1) else 0
     minutes, seconds, millis = int(m.group(2)), int(m.group(3)), int(m.group(4))
     if minutes >= 60 or seconds >= 60:
-        raise MalformedTimestampError(line_no, f"bad timestamp {raw.strip()!r}")
+        raise DataError(f"line {line_no}: bad timestamp {raw.strip()!r}")
     return hours * 3600.0 + minutes * 60.0 + seconds + millis / 1000.0
 
 
@@ -122,7 +114,7 @@ def _parse_cue_block(
             timing_offset = offset
             break
     if timing_offset is None:
-        raise MalformedTimestampError(start_line, "cue block has no timing line")
+        raise DataError(f"line {start_line}: cue block has no timing line")
     timing_line = block[timing_offset]
     line_no = start_line + timing_offset
     left, _, right = timing_line.partition("-->")
@@ -131,7 +123,7 @@ def _parse_cue_block(
     t_start = _parse_ts(left, pattern, line_no)
     t_end = _parse_ts(right, pattern, line_no)
     if t_end < t_start:
-        raise MalformedTimestampError(line_no, f"cue ends before it starts: {timing_line.strip()!r}")
+        raise DataError(f"line {line_no}: cue ends before it starts: {timing_line.strip()!r}")
     text = " ".join(part.strip() for part in block[timing_offset + 1 :] if part.strip())
     return line_no, t_start, t_end, text
 
@@ -140,13 +132,13 @@ def parse_srt(data: bytes) -> list[Snippet]:
     """Parse SubRip subtitles into ASR snippets.
 
     Cue counters are ignored, multi-line text joins with single spaces, and
-    a UTF-8 BOM is tolerated. Raises ``EmptyFileError`` when no cue is found
-    and ``MalformedTimestampError`` with the offending line number.
+    a UTF-8 BOM is tolerated. Raises ``DataError`` when no cue is found,
+    or naming the line of a malformed cue.
     """
     blocks = _cue_blocks(_decode(data).splitlines())
     cues = [_parse_cue_block(start, block, _SRT_TS) for start, block in blocks]
     if not cues:
-        raise EmptyFileError("no SRT cues found")
+        raise DataError("no SRT cues found")
     return [
         Snippet(id=f"asr-{i:06d}", channel=Channel.ASR, text=text, t_start=t0, t_end=t1)
         for i, (_, t0, t1, text) in enumerate(cues, start=1)
@@ -163,7 +155,7 @@ def parse_vtt(data: bytes) -> list[Snippet]:
     """
     lines = _decode(data).splitlines()
     if not lines or not lines[0].strip().startswith("WEBVTT"):
-        raise MissingHeaderError("file does not start with WEBVTT")
+        raise DataError("file does not start with WEBVTT")
     blocks = _cue_blocks(lines)
     cues = []
     for i, (start, block) in enumerate(blocks):
@@ -173,7 +165,7 @@ def parse_vtt(data: bytes) -> list[Snippet]:
             continue
         cues.append(_parse_cue_block(start, block, _VTT_TS))
     if not cues:
-        raise EmptyFileError("no WebVTT cues found")
+        raise DataError("no WebVTT cues found")
     return [
         Snippet(id=f"asr-{i:06d}", channel=Channel.ASR, text=cue_text, t_start=t0, t_end=t1)
         for i, (_, t0, t1, cue_text) in enumerate(cues, start=1)
@@ -187,8 +179,8 @@ def parse_vtt(data: bytes) -> list[Snippet]:
 def parse_snippet_jsonl(data: bytes) -> JsonlReport:
     """Tolerantly parse snippet JSONL, collecting per-line errors.
 
-    Empty-text lines are dropped and counted. The file is rejected (with
-    ``NoValidLinesError``) only when lines exist and every one fails.
+    Empty-text lines are dropped and counted. The file is rejected (with a
+    ``DataError``) only when lines exist and every one fails.
     """
 
     def from_obj(obj: object) -> Snippet | None:
@@ -197,7 +189,7 @@ def parse_snippet_jsonl(data: bytes) -> JsonlReport:
 
     records, errors = _parse_jsonl_lines(data, from_obj)
     if errors and not records:
-        raise NoValidLinesError(f"all {len(errors)} lines failed to parse")
+        raise DataError(f"all {len(errors)} lines failed to parse")
     snippets = [s for s in records if s is not None]
     return JsonlReport(snippets, errors, len(records) - len(snippets))
 
@@ -220,7 +212,7 @@ def _frame_key(obj: object, duration_s: float = math.inf) -> tuple[int, float]:
     if type(t) not in (int, float):
         raise DataError(f"t must be a number, got {t!r}")
     if not (0.0 <= t <= duration_s and is_finite_number(t)):  # NaN fails too
-        raise TimeOutOfRangeError(t, duration_s)
+        raise DataError(f"time {t!r} outside [0, {duration_s!r}]")
     return frame_index, float(t)
 
 
@@ -275,7 +267,7 @@ def parse_detections_jsonl(data: bytes) -> tuple[list[DetectionRecord], list[tup
     """Tolerantly parse detection JSONL with the same rules as snippet JSONL."""
     records, errors = _parse_jsonl_lines(data, detection_from_obj)
     if errors and not records:
-        raise NoValidLinesError(f"all {len(errors)} lines failed to parse")
+        raise DataError(f"all {len(errors)} lines failed to parse")
     return records, errors
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import prompts, rescore as rescore_mod, textindex
-from .errors import BudgetTooSmallError, DataError, EmptyIndexError, ProviderUnavailableError
+from .errors import ConfigError, DataError, ProviderUnavailableError
 from .frames import (
     FrameTable,
     SelectorConfig,
@@ -217,7 +217,7 @@ def retrieve_channel(
     pool_size = cfg.pool_size
 
     if bm25.n_docs == 0:
-        raise EmptyIndexError(f"channel {bm25.channel.value}: empty index")
+        raise DataError(f"channel {bm25.channel.value}: empty index")
     if fusion is FusionMode.LEXICAL:
         pool = textindex.search(bm25, req_text, pool_size)
         kept = set(dense_accept(bm25, query_vec, [pos for pos, _ in pool], tau))
@@ -346,7 +346,7 @@ def compose(
     dropped. Budgets below 256 tokens are rejected.
     """
     if budget_tokens < MIN_BUDGET_TOKENS:
-        raise BudgetTooSmallError(budget_tokens, MIN_BUDGET_TOKENS)
+        raise ConfigError(f"budget {budget_tokens} below minimum {MIN_BUDGET_TOKENS}")
 
     asr_hits = list(evidence.asr_hits)
     ocr_hits = list(evidence.ocr_hits)

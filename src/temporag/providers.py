@@ -17,7 +17,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import prompts
-from .errors import DataError, ProviderUnavailableError, ZeroVectorError
+from .errors import DataError, ProviderUnavailableError
 from .ingest import DetectedObject, DetectionRecord, detected_objects
 from .textindex import F8, U4, IndexFileReader, pack_strings, tokenize, write_index_file
 from .types import FrameRecord
@@ -404,9 +404,9 @@ class HttpEmbeddingClient:
                 "malformed embed response (a vector entry is not a number)"
             )
         try:
-            with np.errstate(over="ignore"):  # a norm past float64 is a ZeroVectorError
+            with np.errstate(over="ignore"):  # a norm past float64 is a DataError
                 return unit_rows(matrix)
-        except ZeroVectorError:
+        except DataError:
             raise ProviderUnavailableError(
                 "malformed embed response (a vector has a zero, NaN or infinite norm)"
             ) from None

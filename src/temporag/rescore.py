@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AllZeroMassError, DataError, EmptyFrameListError, LengthMismatchError
+from .errors import DataError
 from .frames import FrameTable
 from .types import ScoredSnippet, Snippet
 
@@ -88,9 +88,9 @@ def compute_anchors(frames: FrameTable, sims: Sequence[float]) -> AnchorSet:
     back to the first frame time.
     """
     if not len(frames):
-        raise EmptyFrameListError("at least one frame required")
+        raise DataError("at least one frame required")
     if len(frames) != len(sims):
-        raise LengthMismatchError(len(frames), len(sims))
+        raise DataError(f"{len(frames)} frames but {len(sims)} similarities")
     sims = np.asarray(sims, dtype=np.float64)
     # NaN, -inf and unembedded frames never win; with no winner, argmax picks the first frame.
     best = int(np.argmax(np.where(frames.embedded & (sims > -np.inf), sims, -np.inf)))
@@ -109,8 +109,8 @@ def rescore(
     Every candidate's raw score must be non-negative; the normalized scores
     sum to one. When every decay underflows (long videos in raw seconds),
     the exponents are shifted by their minimum over positive-raw candidates,
-    a common factor that cancels in the normalization. Raises
-    ``AllZeroMassError`` when every raw score is zero.
+    a common factor that cancels in the normalization. Raises a
+    ``DataError`` when every raw score is zero.
     """
     if not candidates:
         raise DataError("candidate pool must be non-empty")
@@ -134,7 +134,7 @@ def rescore(
     if total <= 0.0:
         positive = raws > 0.0
         if not np.any(positive):
-            raise AllZeroMassError("every raw score is zero")
+            raise DataError("every raw score is zero")
         mass = raws * np.exp(-(exponents - exponents[positive].min()))
         total = float(np.sum(mass))
     scores = mass / total

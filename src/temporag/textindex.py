@@ -24,14 +24,7 @@ from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DimMismatchError,
-    DuplicateDocIdError,
-    LengthMismatchError,
-    MixedChannelsError,
-    VersionMismatchError,
-)
+from .errors import DataError
 from .types import Channel, Snippet
 
 MAGIC = b"TVRG"
@@ -158,12 +151,15 @@ def _idf(n_docs: int, df: int) -> float:
 def row_similarities(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Inner products of ``q`` with every row of the float64 matrix ``rows``, in row order.
 
-    One matrix-vector product; a ``q`` not as wide as the rows is a ``DimMismatchError``.
+    One matrix-vector product; a ``q`` that is not one vector as wide as the rows is a
+    ``DataError``.
     """
     q = np.asarray(q, dtype=np.float64)
     dim = rows.shape[1]
-    if q.shape != (dim,):
-        raise DimMismatchError(dim, q.shape[0] if q.ndim == 1 else -1)
+    if q.ndim != 1:
+        raise DataError(f"query of shape {q.shape}, expected one vector of dim {dim}")
+    if q.shape[0] != dim:
+        raise DataError(f"expected dim {dim}, got {q.shape[0]}")
     return rows @ q
 
 
@@ -202,25 +198,25 @@ def top_hits(scores: np.ndarray, keep: np.ndarray, k: int) -> tuple[list[int], l
 def f4_matrix(vectors: Sequence[np.ndarray] | np.ndarray, dim: int) -> np.ndarray:
     """The vectors as the rows of one ``<f4`` matrix, stacked and cast in one numpy step.
 
-    A vector of another length is a ``DimMismatchError``; no vectors give no rows.
+    A vector of another length is a ``DataError``; no vectors give no rows.
     """
     try:
         matrix = np.asarray(vectors, dtype=F4)
-    except ValueError:  # rows of unequal lengths
-        raise DimMismatchError(dim, -1) from None
+    except ValueError:
+        raise DataError(f"rows of unequal lengths, expected dim {dim}") from None
     if matrix.shape == (0,):
         matrix = matrix.reshape(0, dim)
     if matrix.ndim != 2 or matrix.shape[1] != dim:
-        raise DimMismatchError(dim, matrix.shape[-1] if matrix.ndim else 0)
+        raise DataError(f"expected dim {dim}, got {matrix.shape[-1] if matrix.ndim else 0}")
     return matrix
 
 
 def id_order(docs: Sequence[Snippet]) -> list[int]:
-    """Positions of ``docs`` in ascending id order; a repeated id is a ``DuplicateDocIdError``."""
+    """Positions of ``docs`` in ascending id order; a repeated id is a ``DataError``."""
     order = sorted(range(len(docs)), key=lambda i: docs[i].id)
     for prev, pos in pairwise(order):
         if docs[prev].id == docs[pos].id:
-            raise DuplicateDocIdError(docs[pos].id)
+            raise DataError(f"duplicate doc id {docs[pos].id!r}")
     return order
 
 
@@ -247,10 +243,10 @@ def build_index(
     """
     channels = {d.channel for d in docs}
     if len(channels) > 1:
-        raise MixedChannelsError(f"documents span channels {sorted(c.value for c in channels)}")
+        raise DataError(f"documents span channels {sorted(c.value for c in channels)}")
     channel = channels.pop() if channels else Channel.ASR
     if vectors is not None and len(vectors) != len(docs):
-        raise LengthMismatchError(len(docs), len(vectors))
+        raise DataError(f"{len(docs)} documents but {len(vectors)} vectors")
 
     order = id_order(docs)
     ordered = [docs[i] for i in order]
@@ -425,16 +421,12 @@ _HEAD_MASKS = np.array(
 )
 
 
-def corrupt_index(path: str, problem: str) -> DataError:
-    return DataError(f"{path}: truncated or corrupt index ({problem})")
-
-
 class IndexFileReader:
     """Bounds-checked reads over one index file, read whole at open.
 
-    Arrays are ``np.frombuffer`` views of the file's bytes. A bad magic or
-    a format version other than ``version`` raises ``VersionMismatchError``;
-    every other failure is a ``DataError`` naming the path.
+    Arrays are ``np.frombuffer`` views of the file's bytes. Every failure,
+    a bad magic or a format version other than ``version`` included, is a
+    ``DataError`` naming the path.
     """
 
     def __init__(self, path: str, version: int):
@@ -445,14 +437,14 @@ class IndexFileReader:
         except OSError as exc:
             raise DataError(f"{path}: cannot read index ({exc.strerror})") from None
         if self.data[:4] != MAGIC:
-            raise VersionMismatchError(f"{path}: bad magic, not a temporag index")
+            raise DataError(f"{path}: bad magic, not a temporag index")
         self.pos = 4
         (found,) = self.unpack("<I")
         if found != version:
-            raise VersionMismatchError(f"{path}: format version {found}, expected {version}")
+            raise DataError(f"{path}: format version {found}, expected {version}")
 
     def corrupt(self, problem: str) -> DataError:
-        return corrupt_index(self.path, problem)
+        return DataError(f"{self.path}: truncated or corrupt index ({problem})")
 
     def _take(self, n_bytes: int) -> int:
         start = self.pos

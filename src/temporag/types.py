@@ -11,12 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    DataError,
-    EmptyTextError,
-    InvertedIntervalError,
-    TimeOutOfRangeError,
-)
+from .errors import DataError
 
 
 def is_finite_number(value: object) -> bool:
@@ -95,7 +90,7 @@ class QueryRequest:
 
     def __post_init__(self):
         if not self.query_text.strip():
-            raise EmptyTextError("query_text must be non-empty")
+            raise DataError("query_text must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -129,18 +124,18 @@ class ScoredSnippet:
 def validate_snippet(s: Snippet, video: VideoRecord) -> Snippet:
     """Check a snippet against its video and return it with trimmed text.
 
-    Raises ``EmptyTextError``, ``InvertedIntervalError`` or
-    ``TimeOutOfRangeError``. The returned snippet's text is whitespace
+    Raises ``DataError`` for empty text, ``t_start > t_end`` or a time
+    outside ``[0, duration_s]``. The returned snippet's text is whitespace
     trimmed; timestamps are kept as given.
     """
     text = s.text.strip()
     if not text:
-        raise EmptyTextError(f"snippet {s.id!r} has empty text")
+        raise DataError(f"snippet {s.id!r} has empty text")
     if s.t_start > s.t_end:
-        raise InvertedIntervalError(f"snippet {s.id!r}: t_start {s.t_start} > t_end {s.t_end}")
+        raise DataError(f"snippet {s.id!r}: t_start {s.t_start} > t_end {s.t_end}")
     for t in (s.t_start, s.t_end):
         if not math.isfinite(t) or t < 0 or t > video.duration_s:
-            raise TimeOutOfRangeError(t, video.duration_s)
+            raise DataError(f"time {t!r} outside [0, {video.duration_s!r}]")
     if text == s.text:
         return s
     return Snippet(id=s.id, channel=s.channel, text=text, t_start=s.t_start, t_end=s.t_end)

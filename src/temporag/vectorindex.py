@@ -17,11 +17,13 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import DataError, ZeroVectorError
+from .errors import DataError
 from .textindex import F4, IndexFileReader, f4_matrix, pack_strings, tokenize, write_index_file
 
 # The vector file layout is independent of the ``.bm25`` one and versioned apart.
 FORMAT_VERSION = 3
+# The narrowest hash embedding; ``config`` rejects a smaller ``embed_dim`` at load.
+MIN_HASH_DIM = 8
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
@@ -33,7 +35,7 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     squares = (matrix[:, None, :] @ matrix[:, :, None]).ravel()
     # NaN fails the comparison; the square root keeps 0 and inf.
     if not all(0.0 < square < math.inf for square in squares.tolist()):
-        raise ZeroVectorError("cannot normalize a zero vector")
+        raise DataError("cannot normalize a zero vector")
     return np.sqrt(squares)
 
 
@@ -165,8 +167,8 @@ class HashEmbedder:
     """
 
     def __init__(self, dim: int, seed: int = 0):
-        if dim < 8:
-            raise DataError(f"hash embedder dim must be >= 8, got {dim}")
+        if dim < MIN_HASH_DIM:
+            raise DataError(f"hash embedder dim must be >= {MIN_HASH_DIM}, got {dim}")
         if not isinstance(seed, int) or seed < 0:
             raise DataError(f"hash embedder seed must be a non-negative integer, got {seed!r}")
         self.dim = dim

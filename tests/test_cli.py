@@ -1343,8 +1343,9 @@ class TestExitCodes:
             ("embed_seed", 1.5),
             ("embed_dim", "64"),
             ("embed_dim", 10**12),
+            ("embed_dim", 4),
         ],
-        ids=["seed_negative", "seed_str", "seed_float", "dim_str", "dim_huge"],
+        ids=["seed_negative", "seed_str", "seed_float", "dim_str", "dim_huge", "dim_small"],
     )
     def test_bad_embed_setting_is_usage_error(self, tmp_path, built_index, capsys, command,
                                               key, value):
@@ -1377,10 +1378,12 @@ class TestExitCodes:
             ({"n_bins": 2**70, "max_frames": 2**70}, "n_bins must be at most 2**32"),
             ({"max_frames": 10**400}, "max_frames must be at most 2**32"),
             ({"n_frames": 2**32 + 1}, "unknown config keys: n_frames"),
+            ({"budget_tokens": 100}, "budget_tokens must be at least 256, got 100"),
         ],
         ids=["fusion_list", "time_norm_list", "lvlm_url_bool", "embed_url_int",
              "detector_url_list", "embeddings_file_float", "fixtures_file_gone",
-             "n_bins_past_int64", "max_frames_past_float", "n_frames_past_u32"],
+             "n_bins_past_int64", "max_frames_past_float", "n_frames_past_u32",
+             "budget_below_compose_minimum"],
     )
     def test_mistyped_config_value_is_usage_error(self, tmp_path, demo_index, capsys, command,
                                                   config, message):
@@ -1618,9 +1621,13 @@ def edit_config(config, edits):
     return config
 
 
+# A few milliseconds per eval, where the default spec takes about twice that.
+SMALL_SPEC = {"n_snippets": 80, "n_duplicates": 10, "n_frames": 16}
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(
-    command=st.sampled_from(["answer", "build"]),
+    command=st.sampled_from(["answer", "build", "eval"]),
     edits=CONFIG_EDITS,
     mutations=st.none() | MUTATIONS,
 )
@@ -1639,6 +1646,10 @@ def test_any_mutated_config_exits_0_1_2_or_3(demo_index, provider_server, comman
         cfg.write_bytes(data)
         if command == "build":
             args = ["--store", demo_index.parent / "store", "--out", Path(tmp) / "index"]
+        elif command == "eval":
+            spec = Path(tmp) / "spec.json"
+            spec.write_text(json.dumps(SMALL_SPEC), encoding="utf-8")
+            args = ["--spec", spec]
         else:
             args = ["--index", demo_index, "--query", TestAnswer.QUERY]
         out, err = io.StringIO(), io.StringIO()
@@ -1683,3 +1694,4 @@ def test_any_mutated_spec_loads_or_is_usage_error(edits, mutations):
         except ConfigError:
             return
     assert isinstance(loaded, evalharness.SyntheticSpec)
+    evalharness.gen_corpus(loaded)  # a spec that loads is one the generator can realize

@@ -43,6 +43,16 @@ class TestSpecValidation:
         with pytest.raises(DataError):
             SyntheticSpec(seed=0, n_snippets=10, n_duplicates=20)
 
+    def test_query_term_in_vocabulary_rejected(self):
+        with pytest.raises(DataError, match="^query_terms must not collide with the generated"):
+            SyntheticSpec(seed=0, vocab_size=50, query_terms=("crimson", "term049"))
+        SyntheticSpec(seed=0, vocab_size=50, query_terms=("term050", "term0049", "term49"))
+
+    def test_no_room_for_duplicates_rejected(self):
+        # In an 8 s video only the points 2 s and 6 s are 2 s from the needle and the ends.
+        with pytest.raises(DataError, match=r"^cannot place duplicates at least 2\.0s from the"):
+            SyntheticSpec(seed=0, duration_s=8.0)
+
 
 class TestGenCorpus:
     def test_same_seed_identical(self):

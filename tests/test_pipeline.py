@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from temporag import prompts, textindex, vectorindex
-from temporag.errors import (
-    BudgetTooSmallError,
-    DataError,
-    EmptyIndexError,
-    ProviderUnavailableError,
-)
+from temporag.errors import ConfigError, DataError, ProviderUnavailableError
 from temporag.frames import FrameTable, SelectorConfig
 from temporag.ingest import SceneGraphText
 from temporag.pipeline import (
@@ -157,7 +152,7 @@ class TestRetrieveChannel:
 
     def test_empty_index_error(self):
         chan = build_index([])
-        with pytest.raises(EmptyIndexError):
+        with pytest.raises(DataError, match="^channel asr: empty index$"):
             retrieve_channel(
                 "x",
                 chan,
@@ -351,7 +346,7 @@ class TestCompose:
         assert len(bundle.evidence.ocr_hits) < 10
 
     def test_budget_too_small(self):
-        with pytest.raises(BudgetTooSmallError):
+        with pytest.raises(ConfigError, match="^budget 255 below minimum 256$"):
             compose([], evidence_with(), self.AQ, 255)
 
     def test_context_truncated_at_sentence_boundary(self):

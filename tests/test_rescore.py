@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from temporag.errors import (
-    AllZeroMassError,
-    DataError,
-    EmptyFrameListError,
-    LengthMismatchError,
-)
+from temporag.errors import DataError
 from temporag.frames import FrameTable, frame_similarities
 from temporag.rescore import (
     AnchorSet,
@@ -80,7 +75,7 @@ class TestComputeAnchors:
         assert anchors.t_semantic == 1.0
 
     def test_empty_frames(self):
-        with pytest.raises(EmptyFrameListError):
+        with pytest.raises(DataError, match="^at least one frame required$"):
             compute_anchors(frames_at([]), [])
 
     def test_no_embeddings_falls_back_to_first(self):
@@ -97,7 +92,7 @@ class TestComputeAnchors:
         assert compute_anchors(frames, [-1.0, -1.0, 5.0]).t_semantic == 2.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(DataError, match="^2 frames but 1 similarities$"):
             compute_anchors(frames_at([1.0, 2.0]), [0.5])
 
     def test_semantic_anchor_matches_frame_loop(self):
@@ -201,7 +196,7 @@ class TestRescore:
                 assert s.score == pytest.approx(w, abs=1e-9)
 
     def test_all_zero_mass(self):
-        with pytest.raises(AllZeroMassError):
+        with pytest.raises(DataError, match="^every raw score is zero$"):
             rescore([(make_snippet("a", "x", 1.0, 2.0), 0.0)], self.ANCHORS, DecayParams(), 100.0)
 
     def test_raw_seconds_underflow_matches_log_space_oracle(self):

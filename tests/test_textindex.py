@@ -8,19 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temporag.errors import (
-    DataError,
-    DuplicateDocIdError,
-    MixedChannelsError,
-    TemporagError,
-    VersionMismatchError,
-)
+from temporag.errors import DataError, TemporagError
+from temporag.frames import FrameTable
 from temporag.textindex import (
     StringTable,
     build_index,
     dense_search,
+    f4_matrix,
     load_index,
     pack_strings,
+    row_similarities,
     save_index,
     search,
     tokenize,
@@ -123,7 +120,7 @@ class TestBuildIndex:
 
     def test_duplicate_id(self):
         docs = [make_snippet("a", "x", 0.0, 1.0), make_snippet("a", "y", 1.0, 2.0)]
-        with pytest.raises(DuplicateDocIdError):
+        with pytest.raises(DataError, match="^duplicate doc id 'a'$"):
             build_index(docs)
 
     def test_mixed_channels(self):
@@ -131,8 +128,25 @@ class TestBuildIndex:
             make_snippet("a", "x", 0.0, 1.0, channel=Channel.ASR),
             make_snippet("b", "y", 1.0, 2.0, channel=Channel.OCR),
         ]
-        with pytest.raises(MixedChannelsError):
+        with pytest.raises(DataError, match=r"^documents span channels \['asr', 'ocr'\]$"):
             build_index(docs)
+
+    # Each mismatch message names the two things it compares.
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: build_index([make_snippet("a", "x", 0.0, 1.0)], [[1.0, 0.0], [0.0, 1.0]]),
+             "1 documents but 2 vectors"),
+            (lambda: FrameTable([0, 1], [0.0, 1.0], [True]), "2 frame times but 1 embedded flags"),
+            (lambda: f4_matrix([[1.0, 0.0], [1.0]], 2), "rows of unequal lengths, expected dim 2"),
+            (lambda: row_similarities(np.eye(2), np.eye(2)),
+             r"query of shape \(2, 2\), expected one vector of dim 2"),
+        ],
+        ids=["documents_vectors", "frames_flags", "ragged_rows", "query_not_1d"],
+    )
+    def test_mismatch_message_names_both_sides(self, call, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            call()
 
     def test_postings_sorted_by_doc_id(self):
         docs = [make_snippet(sid, "shared word", 0.0, 1.0) for sid in ("z", "a", "m")]
@@ -348,7 +362,7 @@ class TestPersistence:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bm25"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(DataError, match="junk.bm25: bad magic, not a temporag index$"):
             load_index(str(path), DURATION_S)
 
     def test_version_mismatch(self, tmp_path):
@@ -358,7 +372,7 @@ class TestPersistence:
         data = bytearray(path.read_bytes())
         data[4:8] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(data))
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(DataError, match="format version 99, expected 6$"):
             load_index(str(path), DURATION_S)
 
     def test_version_1_file_rejected(self, tmp_path):
@@ -372,7 +386,7 @@ class TestPersistence:
             + struct.pack("<I", 1) + s("a") + struct.pack("<I", 1)
             + struct.pack("<I", 1) + s("cat") + struct.pack("<III", 1, 0, 1)
         )
-        with pytest.raises(VersionMismatchError, match="version 1"):
+        with pytest.raises(DataError, match="version 1"):
             load_index(str(path), DURATION_S)
 
     def test_version_2_file_rejected(self, tmp_path):
@@ -383,7 +397,7 @@ class TestPersistence:
             + struct.pack("<ddII", 1.2, 0.75, 1, 1) + pack_strings(["a"]) + pack_strings(["cat"])
             + struct.pack("<IIIII", 1, 0, 1, 0, 1)
         )
-        with pytest.raises(VersionMismatchError, match="version 2, expected 6"):
+        with pytest.raises(DataError, match="version 2, expected 6"):
             load_index(str(path), DURATION_S)
 
 

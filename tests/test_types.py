@@ -5,12 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from temporag.errors import (
-    DataError,
-    EmptyTextError,
-    InvertedIntervalError,
-    TimeOutOfRangeError,
-)
+from temporag.errors import DataError
 from temporag.textindex import id_order, load_docs, save_docs
 from temporag.types import (
     Channel,
@@ -33,17 +28,17 @@ class TestValidateSnippet:
         assert s.t_mid == 2.0
 
     def test_empty_text(self):
-        with pytest.raises(EmptyTextError):
+        with pytest.raises(DataError, match="^snippet 's1' has empty text$"):
             validate_snippet(snip(text="  "), VIDEO)
 
     def test_inverted_interval(self):
-        with pytest.raises(InvertedIntervalError):
+        with pytest.raises(DataError, match="^snippet 's1': t_start 5.0 > t_end 2.0$"):
             validate_snippet(snip(t_start=5.0, t_end=2.0), VIDEO)
 
     def test_time_out_of_range(self):
-        with pytest.raises(TimeOutOfRangeError):
+        with pytest.raises(DataError, match=r"^time 11.0 outside \[0, 10.0\]$"):
             validate_snippet(snip(t_start=5.0, t_end=11.0), VIDEO)
-        with pytest.raises(TimeOutOfRangeError):
+        with pytest.raises(DataError, match=r"^time -0.1 outside \[0, 10.0\]$"):
             validate_snippet(snip(t_start=-0.1, t_end=1.0), VIDEO)
 
     def test_text_is_trimmed(self):
