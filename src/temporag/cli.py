@@ -49,7 +49,7 @@ from .providers import (
     StubDetector,
     StubLvlm,
 )
-from .textindex import Bm25Index, build_index, id_order, load_docs, save_docs
+from .textindex import F4, Bm25Index, build_index
 from .textindex import load_index as load_bm25
 from .textindex import save_index as save_bm25
 from .types import Channel, Snippet, VideoRecord, is_finite_number, validate_snippet
@@ -58,10 +58,12 @@ from .vectorindex import HashEmbedder, PrecomputedEmbeddings, unit_rows
 FRAME_TABLE = "frames.tbl"
 DETECTION_TABLE = "detections.tbl"
 FRAME_TEXTS = "frames.docs"
-# Every file ingest may write. Ingest removes them all first, and the JSONL
-# files of stores written before the binary tables, which build refuses.
-STORE_FILES = frozenset({"video.json", "asr.docs", "ocr.docs", FRAME_TEXTS, DETECTION_TABLE})
-JSONL_STORE_FILES = ("asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl")
+# Every file ingest may write. Ingest removes them all first, and the files
+# of older stores, which build refuses: JSONL, then one snippet table per channel.
+STORE_FILES = frozenset({"video.json", "asr.bm25", "ocr.bm25", FRAME_TEXTS, DETECTION_TABLE})
+OLD_STORE_FILES = (
+    "asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl", "asr.docs", "ocr.docs"
+)
 # Every file build may write, and the .vec files that builds wrote before
 # the frame table and the .bm25 files held the embeddings. Build removes
 # them all first, so a rebuild leaves none of an earlier build's files behind.
@@ -210,17 +212,17 @@ def cmd_ingest(args) -> int:
     if total == 0:
         print("error: no data survived ingestion", file=sys.stderr)
         return 2
-    for channel, snippets in by_channel.items():
-        by_channel[channel] = [snippets[i] for i in id_order(snippets)]
+    # The lexical index needs no config, so the store holds it. Both channels
+    # are built before anything is written, so a duplicate id leaves no store.
+    indices = [build_index(snippets) for snippets in by_channel.values() if snippets]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name in STORE_FILES.union(JSONL_STORE_FILES):
+    for name in STORE_FILES.union(OLD_STORE_FILES):
         (out / name).unlink(missing_ok=True)
     _write_video(out / "video.json", video)
-    for channel, snippets in by_channel.items():
-        if snippets:
-            save_docs(str(out / f"{channel.value}.docs"), channel, snippets)
+    for index in indices:
+        save_bm25(index, str(out / f"{index.channel.value}.bm25"))
     if detections:
         FixtureDetector.from_records(detections).save(str(out / DETECTION_TABLE))
     if frames:
@@ -284,17 +286,29 @@ def _read_video(path: Path) -> VideoRecord:
         raise DataError(f"{path}: bad video record ({exc})") from None
 
 
+def _load_channel(path: Path, channel: Channel, duration_s: float) -> Bm25Index:
+    """The ``.bm25`` file of ``channel``; one that holds another channel is a ``DataError``."""
+    index = load_bm25(str(path), duration_s)
+    if index.channel != channel:
+        raise DataError(
+            f"{path}: truncated or corrupt index "
+            f"(channel tag {index.channel.value!r}, expected {channel.value!r})"
+        )
+    return index
+
+
 def _build_channel(
     store: Path, out: Path, channel: Channel, video: VideoRecord, embed: _BuildEmbeddings
 ) -> None:
-    """Index one channel's store snippets, if it has any; its snippets and rows die on return."""
-    path = store / f"{channel.value}.docs"
+    """Add the dense rows to one channel's store index, if it has one; they die on return."""
+    path = store / f"{channel.value}.bm25"
     if not path.exists():
         return
-    snippets = load_docs(str(path), channel, video.duration_s)
-    vectors = embed([s.id for s in snippets], [s.text for s in snippets])
-    save_bm25(build_index(snippets, vectors=vectors), str(out / f"{channel.value}.bm25"))
-    print(f"{channel.value}: indexed {len(snippets)} snippets")
+    index = _load_channel(path, channel, video.duration_s)
+    # Position order is id order, so the rows need no reordering.
+    index.vectors = embed(index.doc_ids.decode_all(), index.texts.decode_all()).astype(F4)
+    save_bm25(index, str(out / f"{channel.value}.bm25"))
+    print(f"{channel.value}: indexed {index.n_docs} snippets")
 
 
 def cmd_build(args) -> int:
@@ -302,10 +316,12 @@ def cmd_build(args) -> int:
     store = Path(args.store)
     if not (store / "video.json").exists():
         raise DataError(f"{store}/video.json not found; run ingest first")
-    old = [name for name in JSONL_STORE_FILES if (store / name).exists()]
+    old = [name for name in OLD_STORE_FILES if (store / name).exists()]
     if old:
-        raise DataError(f"{store / old[0]}: a JSONL store of an older ingest; run ingest again")
+        raise DataError(f"{store / old[0]}: a store file of an older ingest; run ingest again")
     out = Path(args.out)
+    if out.resolve() == store.resolve():
+        raise ConfigError("--out must not be the --store directory: build replaces its files")
     out.mkdir(parents=True, exist_ok=True)
 
     video = _read_video(store / "video.json")
@@ -385,7 +401,10 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
     for channel in Channel:
         bm25_path = index_dir / f"{channel.value}.bm25"
         if bm25_path.exists():
-            channels[channel] = load_bm25(str(bm25_path), video.duration_s)
+            index = _load_channel(bm25_path, channel, video.duration_s)
+            if index.n_docs and not index.dim:  # a store file: no fusion mode can use it
+                raise DataError(f"{bm25_path}: no dense rows; run build on this store")
+            channels[channel] = index
 
     frame_table_path = index_dir / FRAME_TABLE
     if not frame_table_path.exists():
@@ -558,7 +577,7 @@ def cmd_eval(args) -> int:
 # --- entry point ------------------------------------------------------------------
 
 
-def _add_common_flags(p: argparse.ArgumentParser, ablation: bool = True) -> None:
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--tau", type=float, help="acceptance threshold override")
     p.add_argument("--lambda", dest="lambdas", help="decay strengths, e.g. 1,1,1")
@@ -566,29 +585,30 @@ def _add_common_flags(p: argparse.ArgumentParser, ablation: bool = True) -> None
     p.add_argument("--pool-mult", type=int, help="candidate pool multiplier")
     p.add_argument("--fusion", choices=["lexical", "dense", "max_fuse"])
     p.add_argument("--budget", type=int, help="prompt token budget")
-    if ablation:
-        p.add_argument("--no-se", action="store_true", help="disable entropy weighting")
-        p.add_argument("--no-tw", action="store_true", help="disable temporal decay")
-        p.add_argument("--no-ocr", action="store_true", help="drop the OCR channel")
-        p.add_argument("--no-asr", action="store_true", help="drop the ASR channel")
-        p.add_argument("--no-context", action="store_true", help="skip query augmentation")
+    p.add_argument("--no-se", action="store_true", help="disable entropy weighting")
+    p.add_argument("--no-tw", action="store_true", help="disable temporal decay")
+    p.add_argument("--no-ocr", action="store_true", help="drop the OCR channel")
+    p.add_argument("--no-asr", action="store_true", help="drop the ASR channel")
+    p.add_argument("--no-context", action="store_true", help="skip query augmentation")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="temporag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_ingest = sub.add_parser("ingest", help="parse raw inputs into channel stores")
+    p_ingest = sub.add_parser(
+        "ingest", help="parse raw inputs into a store: lexical indices, frame and detection tables"
+    )
     p_ingest.add_argument("inputs", nargs="+", help="SRT/VTT/JSONL files or directories")
     p_ingest.add_argument("--video-id", required=True)
     p_ingest.add_argument("--duration-s", type=float, required=True)
     p_ingest.add_argument("--frames", help="frames JSONL (frame_index, t, optional text)")
     p_ingest.add_argument("--out", required=True)
 
-    p_build = sub.add_parser("build", help="build lexical and dense indices")
+    p_build = sub.add_parser("build", help="embed a store's snippets and frames into an index")
     p_build.add_argument("--store", required=True, help="ingest output directory")
     p_build.add_argument("--out", required=True, help="index output directory")
-    _add_common_flags(p_build, ablation=False)
+    p_build.add_argument("--config", help="JSON config file; only its providers are read")
 
     p_answer = sub.add_parser("answer", help="answer a question over a built index")
     p_answer.add_argument("--index", required=True)

@@ -61,8 +61,9 @@ class Bm25Index:
     the matching ``tf`` term frequencies. These and ``doc_len`` are
     ``<u4``. After a load, ``doc_ids``, ``texts`` and ``tokens`` are
     ``StringTable``s that decode one entry per lookup, and every array is a
-    read-only view of the file. An index built without vectors has
-    ``dim`` 0: it can rank lexically, not densely.
+    read-only view of the file. An index built without vectors, such as
+    the store file ``ingest`` writes, has ``dim`` 0: it can rank lexically,
+    not densely.
 
     ``token_row`` is a lookup cache, filled as tokens are asked for: token
     to row, -1 for a token the index does not hold.
@@ -211,15 +212,6 @@ def f4_matrix(vectors: Sequence[np.ndarray] | np.ndarray, dim: int) -> np.ndarra
     return matrix
 
 
-def id_order(docs: Sequence[Snippet]) -> list[int]:
-    """Positions of ``docs`` in ascending id order; a repeated id is a ``DataError``."""
-    order = sorted(range(len(docs)), key=lambda i: docs[i].id)
-    for prev, pos in pairwise(order):
-        if docs[prev].id == docs[pos].id:
-            raise DataError(f"duplicate doc id {docs[pos].id!r}")
-    return order
-
-
 def build_index(
     docs: Sequence[Snippet],
     vectors: Sequence[np.ndarray] | np.ndarray | None = None,
@@ -227,15 +219,15 @@ def build_index(
     """Build a BM25 index over snippets that all share one channel.
 
     The documents are ordered by id, and a document's position is its
-    rank. The vocabulary is every token they hold, sorted, and a token's
-    row is its rank in it, found through a dict. Each token occurrence
-    becomes one integer key ``row * n_docs + position``, and one sort of
-    the keys groups them by row, then by position: each run of equal keys
-    is one posting, and the run's length is its term frequency. So each
-    row's postings come out in ascending position order, and a row's
-    offset is the number of postings of the rows before it. Tokens are
-    never held in a fixed-width string array, which would pad every
-    entry to the longest token.
+    rank; a repeated id is a ``DataError``. The vocabulary is every token
+    they hold, sorted, and a token's row is its rank in it, found through
+    a dict. Each token occurrence becomes one integer key
+    ``row * n_docs + position``, and one sort of the keys groups them by
+    row, then by position: each run of equal keys is one posting, and the
+    run's length is its term frequency. So each row's postings come out in
+    ascending position order, and a row's offset is the number of postings
+    of the rows before it. Tokens are never held in a fixed-width string
+    array, which would pad every entry to the longest token.
 
     ``vectors`` holds one unit embedding per document, in ``docs`` order
     (a sequence of vectors or one 2-D array); they become the dense rows,
@@ -248,8 +240,11 @@ def build_index(
     if vectors is not None and len(vectors) != len(docs):
         raise DataError(f"{len(docs)} documents but {len(vectors)} vectors")
 
-    order = id_order(docs)
+    order = sorted(range(len(docs)), key=lambda i: docs[i].id)
     ordered = [docs[i] for i in order]
+    for prev, doc in pairwise(ordered):
+        if prev.id == doc.id:
+            raise DataError(f"duplicate doc id {doc.id!r}")
     n_docs = len(ordered)
     token_lists = [tokenize(doc.text) for doc in ordered]
     doc_len = np.fromiter(map(len, token_lists), dtype=np.int64, count=n_docs)
@@ -335,7 +330,8 @@ def dense_search(
 #   | dim | <f4 vectors[n_docs][dim]
 # A string table is offsets[n + 1] into one UTF-8 blob that follows them.
 # n_postings is offsets[n_tokens]. The vector rows are in doc-position
-# order, so they carry no ids of their own; dim is 0 only when n_docs is.
+# order, so they carry no ids of their own. A store file, which ``ingest``
+# writes, has dim 0; ``build`` adds the rows.
 # The arrays load as views of the file's bytes, so the loader checks every
 # invariant that both searches and the document lookup rely on. No table
 # is decoded whole: the loader checks each one's order on its bytes, and
@@ -343,7 +339,12 @@ def dense_search(
 
 
 def pack_strings(strings: Sequence[str]) -> bytes:
-    """A string table: u32 offsets[n + 1], then the concatenated UTF-8."""
+    """A string table: u32 offsets[n + 1], then the concatenated UTF-8.
+
+    A loaded ``StringTable`` is written as the bytes it was read from.
+    """
+    if isinstance(strings, StringTable):
+        return strings.offsets.tobytes() + strings._blob().tobytes()
     blobs = [s.encode("utf-8") for s in strings]
     offsets = np.array(list(accumulate(map(len, blobs), initial=0)), dtype=U4)
     return offsets.tobytes() + b"".join(blobs)
@@ -493,39 +494,15 @@ def write_index_file(path: str, version: int, *parts: bytes) -> None:
         fh.writelines((MAGIC, struct.pack("<I", version), *parts))
 
 
-def pack_doc_table(doc_ids: Sequence[str], texts: Sequence[str], t_start, t_end) -> bytes:
-    """A document table: doc-id table | text table | <f8 t_start[n] | <f8 t_end[n]."""
-    times = np.array([t_start, t_end], dtype=F8)  # row 0, t_start, is written first
-    return pack_strings(doc_ids) + pack_strings(texts) + times.tobytes()
-
-
-def read_doc_table(reader: IndexFileReader, n_docs: int, duration_s: float) -> tuple:
-    """The doc ids, texts, ``t_start`` and ``t_end`` of the ``pack_doc_table`` section at hand.
-
-    The ids must be unique and sorted, and the times finite with
-    ``0 <= t_start <= t_end <= duration_s``.
-    """
-    doc_ids = reader.string_table(n_docs)
-    texts = reader.string_table(n_docs)
-    t_start = reader.array(n_docs, F8)
-    t_end = reader.array(n_docs, F8)
-    if not doc_ids.is_strictly_sorted():
-        raise reader.corrupt("doc ids not unique and sorted")
-    # NaN fails every comparison, and t_end < inf bounds both columns.
-    if not np.all((0.0 <= t_start) & (t_start <= t_end) & (t_end < np.inf)):
-        raise reader.corrupt("times not finite with 0 <= t_start <= t_end")
-    if np.any(t_end > duration_s):
-        raise reader.corrupt(f"a document ends after duration_s {duration_s}")
-    return doc_ids, texts, t_start, t_end
-
-
 def save_index(index: Bm25Index, path: str) -> None:
     write_index_file(
         path,
         FORMAT_VERSION,
         pack_strings([index.channel.value]),
         struct.pack("<II", index.n_docs, len(index.tokens)),
-        pack_doc_table(index.doc_ids, index.texts, index.t_start, index.t_end),
+        pack_strings(index.doc_ids),
+        pack_strings(index.texts),
+        *(a.tobytes() for a in (index.t_start, index.t_end)),
         pack_strings(index.tokens),
         *(a.tobytes() for a in (index.doc_len, index.offsets, index.doc_pos, index.tf)),
         struct.pack("<I", index.dim),
@@ -536,7 +513,9 @@ def save_index(index: Bm25Index, path: str) -> None:
 def load_index(path: str, duration_s: float) -> Bm25Index:
     """Read an index written by ``save_index``, no document ending after ``duration_s``.
 
-    See ``IndexFileReader`` and ``read_doc_table`` for the errors.
+    The ids must be unique and sorted, and the times finite with
+    ``0 <= t_start <= t_end <= duration_s``; see ``IndexFileReader`` for
+    the other errors.
     """
     reader = IndexFileReader(path, FORMAT_VERSION)
     (channel_tag,) = reader.string_table(1)
@@ -545,17 +524,25 @@ def load_index(path: str, duration_s: float) -> Bm25Index:
         channel = Channel.parse(channel_tag)
     except DataError as exc:
         raise reader.corrupt(str(exc)) from None
-    doc_ids, texts, t_start, t_end = read_doc_table(reader, n_docs, duration_s)
+    doc_ids = reader.string_table(n_docs)
+    texts = reader.string_table(n_docs)
+    t_start = reader.array(n_docs, F8)
+    t_end = reader.array(n_docs, F8)
     tokens = reader.string_table(n_tokens)
     doc_len = reader.array(n_docs)
     offsets = reader.offsets(n_tokens)
     doc_pos = reader.array(int(offsets[-1]))
     tf = reader.array(int(offsets[-1]))
     (dim,) = reader.unpack("<I")
-    if dim == 0 and n_docs:
-        raise reader.corrupt(f"dim 0 for {n_docs} documents")
     vectors = reader.array(n_docs * dim, F4).reshape(n_docs, dim)
     reader.end()
+    if not doc_ids.is_strictly_sorted():
+        raise reader.corrupt("doc ids not unique and sorted")
+    # NaN fails every comparison, and t_end < inf bounds both columns.
+    if not np.all((0.0 <= t_start) & (t_start <= t_end) & (t_end < np.inf)):
+        raise reader.corrupt("times not finite with 0 <= t_start <= t_end")
+    if np.any(t_end > duration_s):
+        raise reader.corrupt(f"a document ends after duration_s {duration_s}")
     if not tokens.is_strictly_sorted():
         raise reader.corrupt("token table not strictly sorted")
     if len(doc_pos) and (doc_pos.max() >= n_docs or tf.min() < 1):
@@ -575,32 +562,3 @@ def load_index(path: str, duration_s: float) -> Bm25Index:
         tf=tf,
         vectors=vectors,
     )
-
-
-# --- store snippet table, format version 1 --------------------------------------
-#
-#   magic "TVRG" | version | channel (a one-string table) | n_docs | document table
-# ``ingest`` writes one per channel, sorted by id, and ``build`` reads it.
-
-DOCS_VERSION = 1
-
-
-def save_docs(path: str, channel: Channel, docs: Sequence[Snippet]) -> None:
-    """Write one channel's snippets, in ascending id order, as a store table."""
-    ids, texts = [d.id for d in docs], [d.text for d in docs]
-    t_start, t_end = [d.t_start for d in docs], [d.t_end for d in docs]
-    header = pack_strings([channel.value]) + struct.pack("<I", len(docs))
-    write_index_file(path, DOCS_VERSION, header, pack_doc_table(ids, texts, t_start, t_end))
-
-
-def load_docs(path: str, channel: Channel, duration_s: float) -> list[Snippet]:
-    """The snippets of a ``save_docs`` table of ``channel``, none ending after ``duration_s``."""
-    reader = IndexFileReader(path, DOCS_VERSION)
-    (tag,) = reader.string_table(1)
-    if tag != channel.value:
-        raise reader.corrupt(f"channel tag {tag!r}, expected {channel.value!r}")
-    (n_docs,) = reader.unpack("<I")
-    doc_ids, texts, t_start, t_end = read_doc_table(reader, n_docs, duration_s)
-    reader.end()
-    columns = doc_ids.decode_all(), texts.decode_all(), t_start.tolist(), t_end.tolist()
-    return [Snippet(doc_id, channel, text, t0, t1) for doc_id, text, t0, t1 in zip(*columns)]

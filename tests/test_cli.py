@@ -10,7 +10,6 @@ import shutil
 import struct
 import tempfile
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temporag import cli, evalharness
+from temporag import cli, evalharness, textindex, vectorindex
 from temporag import frames as frames_mod
 from temporag.cli import main
 from temporag.config import ProviderConfig, RunConfig
@@ -28,12 +27,10 @@ from temporag.frames import load_frame_table, load_frame_texts, save_frame_table
 from temporag.pipeline import dense_accept
 from temporag.providers import FixtureDetector
 from temporag.textindex import (
-    F4,
     IndexFileReader,
     StringTable,
-    load_docs,
+    build_index,
     load_index,
-    save_docs,
     save_index,
     tokenize,
 )
@@ -50,9 +47,15 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def store_snippets(store: Path, channel: str, duration_s: float = 120.0) -> list[Snippet]:
+    """The snippets of one channel's store index, in position order, which is id order."""
+    index = load_index(str(store / f"{channel}.bm25"), duration_s)
+    assert index.channel == Channel(channel) and index.dim == 0
+    return [index.snippet(pos) for pos in range(index.n_docs)]
+
+
 def store_ids(store: Path, channel: str, duration_s: float = 120.0) -> list[str]:
-    """The snippet ids of one channel's store table, in table order."""
-    return [s.id for s in load_docs(str(store / f"{channel}.docs"), Channel(channel), duration_s)]
+    return [s.id for s in store_snippets(store, channel, duration_s)]
 
 
 def build_demo(root: Path, frames: Path = DEMO / "frames.jsonl") -> Path:
@@ -114,7 +117,7 @@ class TestIngest:
             ]
         )
         assert rc == 0
-        assert sorted(p.name for p in out.iterdir()) == ["asr.docs", "ocr.docs", "video.json"]
+        assert sorted(p.name for p in out.iterdir()) == ["asr.bm25", "ocr.bm25", "video.json"]
         assert len(store_ids(out, "asr")) == 13
         stdout = capsys.readouterr().out
         assert "asr: 13 snippets" in stdout
@@ -177,7 +180,7 @@ class TestIngest:
         )
         assert rc == 0
         assert f"{missing}: cannot read" in capsys.readouterr().err
-        assert (out / "asr.docs").exists()
+        assert (out / "asr.bm25").exists()
         rc = run_cli(["ingest", missing, "--video-id", "v", "--duration-s", "120", "--out", out])
         assert rc == 2
 
@@ -261,13 +264,13 @@ class TestIngest:
     def test_reingest_removes_jsonl_and_stale_tables(self, tmp_path):
         out = tmp_path / "store"
         out.mkdir()
-        for name in ("asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl", "ocr.docs",
-                     "frames.docs", "detections.tbl", "notes.txt"):
+        for name in ("asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl", "asr.docs",
+                     "ocr.docs", "ocr.bm25", "frames.docs", "detections.tbl", "notes.txt"):
             (out / name).write_text("{}\n", encoding="utf-8")
         rc = run_cli(["ingest", DEMO / "audio.srt", "--video-id", "v", "--duration-s", "120",
                       "--out", out])
         assert rc == 0
-        assert sorted(p.name for p in out.iterdir()) == ["asr.docs", "notes.txt", "video.json"]
+        assert sorted(p.name for p in out.iterdir()) == ["asr.bm25", "notes.txt", "video.json"]
 
     def test_duplicate_snippet_id_is_data_error(self, tmp_path, capsys):
         # Two subtitle files both number their cues from asr-000001.
@@ -321,7 +324,7 @@ class TestIngest:
         captured = capsys.readouterr()
         assert "asr: 1 snippets" in captured.out
         assert f"{notes}: unsupported input type" in captured.err
-        (snippet,) = load_docs(str(out / "asr.docs"), Channel.ASR, 10.0)
+        (snippet,) = store_snippets(out, "asr", 10.0)
         assert (snippet.text, snippet.t_start, snippet.t_end) == ("harbor talk", 1.0, 3.0)
 
     def test_detection_label_not_a_string_is_line_error(self, tmp_path, capsys):
@@ -441,9 +444,11 @@ class TestBuild:
     )
     def test_bad_store_snippet_time_is_data_error(self, tmp_path, built_index, capsys, t_start,
                                                   t_end, problem):
-        path = built_index.parent / "store" / "ocr.docs"
-        first, *rest = load_docs(str(path), Channel.OCR, 120.0)
-        save_docs(str(path), Channel.OCR, [replace(first, t_start=t_start, t_end=t_end), *rest])
+        path = built_index.parent / "store" / "ocr.bm25"
+        index = load_index(str(path), 120.0)
+        index.t_start, index.t_end = index.t_start.copy(), index.t_end.copy()
+        index.t_start[0], index.t_end[0] = t_start, t_end
+        save_index(index, str(path))
         rc = run_cli(["build", "--store", path.parent, "--out", tmp_path / "o"])
         assert rc == 2
         assert f"data error: {path}: truncated or corrupt index ({problem})" in (
@@ -452,11 +457,11 @@ class TestBuild:
 
     def test_store_table_of_the_other_channel_is_data_error(self, tmp_path, built_index, capsys):
         store = built_index.parent / "store"
-        shutil.copyfile(store / "asr.docs", store / "ocr.docs")
+        shutil.copyfile(store / "asr.bm25", store / "ocr.bm25")
         rc = run_cli(["build", "--store", store, "--out", tmp_path / "o"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert (f"data error: {store / 'ocr.docs'}: truncated or corrupt index "
+        assert (f"data error: {store / 'ocr.bm25'}: truncated or corrupt index "
                 "(channel tag 'asr', expected 'ocr')") in err
 
     def test_non_utf8_detections_is_data_error(self, tmp_path, built_index, capsys):
@@ -487,7 +492,8 @@ class TestBuild:
         )
 
     @pytest.mark.parametrize(
-        "name", ["asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl"]
+        "name",
+        ["asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl", "asr.docs", "ocr.docs"],
     )
     def test_jsonl_store_is_data_error(self, tmp_path, built_index, capsys, name):
         # A store of an older ingest: without this check it would build an empty index.
@@ -496,7 +502,7 @@ class TestBuild:
         rc = run_cli(["build", "--store", store, "--out", tmp_path / "o"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"data error: {store / name}: a JSONL store of an older ingest; run ingest again" in err
+        assert f"data error: {store / name}: a store file of an older ingest; run ingest again" in err
         assert not (tmp_path / "o").exists()
 
     def test_build_parses_no_jsonl(self, tmp_path, built_index, monkeypatch):
@@ -508,6 +514,51 @@ class TestBuild:
         rc = run_cli(["build", "--store", built_index.parent / "store", "--out", tmp_path / "o",
                       "--config", DEMO / "config.json"])
         assert rc == 0
+
+    def test_build_tokenizes_each_text_once(self, tmp_path, built_index, monkeypatch):
+        # Ingest built the lexical index; build only embeds, and the embedder
+        # tokenizes each snippet and frame text once.
+        def fail(*args, **kwargs):
+            raise AssertionError("build built a lexical index")
+
+        calls = Counter()
+
+        def counting(module):
+            real = module.tokenize
+
+            def tokenize(text):
+                calls[module.__name__] += 1
+                return real(text)
+
+            return tokenize
+
+        for module in (textindex, vectorindex):
+            monkeypatch.setattr(module, "tokenize", counting(module))
+        monkeypatch.setattr(cli, "build_index", fail)
+        rc = run_cli(["build", "--store", built_index.parent / "store", "--out", tmp_path / "o",
+                      "--config", DEMO / "config.json"])
+        assert rc == 0
+        assert calls == {"temporag.vectorindex": 13 + 10 + 15}
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--tau", "0.5"), ("--lambda", "1,1,1"), ("--topk", "3"),
+                        ("--pool-mult", "2"), ("--fusion", "dense"), ("--budget", "4096")]
+    )
+    def test_query_flag_is_usage_error(self, tmp_path, built_index, capsys, flag, value):
+        # build reads only the config's providers; a query setting would do nothing.
+        rc = run_cli(["build", "--store", built_index.parent / "store", "--out", tmp_path / "o",
+                      flag, value])
+        assert rc == 1
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_out_at_the_store_is_usage_error(self, built_index, capsys):
+        # Store and index share file names, so building into the store would remove it.
+        store = built_index.parent / "store"
+        before = sorted(p.name for p in store.iterdir())
+        rc = run_cli(["build", "--store", store, "--out", store / ".." / "store"])
+        assert rc == 1
+        assert "error: --out must not be the --store directory" in capsys.readouterr().err
+        assert sorted(p.name for p in store.iterdir()) == before
 
     def test_missing_store_is_data_error(self, tmp_path):
         rc = run_cli(["build", "--store", tmp_path / "nope", "--out", tmp_path / "o"])
@@ -659,11 +710,10 @@ class TestAnswer:
              "--out", store]
         ) == 0
         for channel in Channel:
-            path = str(store / f"{channel.value}.docs")
             filler = [Snippet(f"{channel.value}-filler-{i:04d}", channel, f"filler{i} quay{i % 7}",
                               1.0, 2.0) for i in range(300)]
-            docs = load_docs(path, channel, 120.0) + filler
-            save_docs(path, channel, sorted(docs, key=lambda d: d.id))
+            docs = store_snippets(store, channel.value) + filler
+            save_index(build_index(docs), str(store / f"{channel.value}.bm25"))
         assert run_cli(["build", "--store", store, "--out", index,
                         "--config", DEMO / "config.json"]) == 0
 
@@ -745,19 +795,29 @@ class TestAnswer:
 
     @pytest.mark.parametrize("fusion", ["lexical", "dense", "max_fuse"])
     def test_dim_0_with_documents_is_data_error(self, built_index, capsys, fusion):
-        # Documents without dense rows: no fusion mode can filter or rank them.
+        # Documents without dense rows, as in a store: no fusion mode can filter or rank them.
         path = built_index / "ocr.bm25"
-        index = load_index(str(path), 120.0)
-        save_index(replace(index, vectors=np.zeros((index.n_docs, 0), dtype=F4)), str(path))
+        shutil.copyfile(built_index.parent / "store" / "ocr.bm25", path)
+        assert load_index(str(path), 120.0).dim == 0
         rc = run_cli(
             ["answer", "--index", built_index, "--query", self.QUERY,
              "--config", DEMO / "config.json", "--fusion", fusion]
         )
         assert rc == 2
-        assert (
-            f"data error: {path}: truncated or corrupt index (dim 0 for {index.n_docs} documents)"
-            in capsys.readouterr().err
+        assert f"data error: {path}: no dense rows; run build on this store" in (
+            capsys.readouterr().err
         )
+
+    def test_index_of_the_other_channel_is_data_error(self, built_index, capsys):
+        # An OCR file that holds the ASR channel would quote speech as OCR evidence.
+        shutil.copyfile(built_index / "asr.bm25", built_index / "ocr.bm25")
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 2
+        assert (f"data error: {built_index / 'ocr.bm25'}: truncated or corrupt index "
+                "(channel tag 'asr', expected 'ocr')") in capsys.readouterr().err
 
     def test_missing_index_is_data_error(self, tmp_path):
         rc = run_cli(["answer", "--index", tmp_path / "nope", "--query", "q"])
@@ -1276,6 +1336,7 @@ class TestExitCodes:
             ("eval_out_is_file", "File exists"),
             ("trace_dir_missing", "No such file or directory"),
             ("video_json_is_dir", "Is a directory"),
+            ("bm25_is_dir", "cannot read index (Is a directory)"),
         ],
     )
     def test_unusable_path_is_data_error(self, tmp_path, demo_index, capsys, case, reason):
@@ -1296,7 +1357,7 @@ class TestExitCodes:
         else:
             index = tmp_path / "index"
             shutil.copytree(demo_index, index)
-            path = index / "video.json"
+            path = index / ("video.json" if case == "video_json_is_dir" else "asr.bm25")
             path.unlink()
             path.mkdir()
             argv = [*answer, index]
@@ -1379,11 +1440,18 @@ class TestExitCodes:
             ({"max_frames": 10**400}, "max_frames must be at most 2**32"),
             ({"n_frames": 2**32 + 1}, "unknown config keys: n_frames"),
             ({"budget_tokens": 100}, "budget_tokens must be at least 256, got 100"),
+            ({"n_bins": 17}, "n_bins (17) must not exceed max_frames (16)"),
+            ({"lambda1": -0.5}, "lambda1 must be non-negative"),
+            ({"providers": []}, "providers must be an object"),
+            ({"providers": {"lvlm": "gpt"}}, "providers.lvlm must be stub or http, got 'gpt'"),
+            ({"providers": {"detector": "yolo"}},
+             "providers.detector must be stub, http or fixture, got 'yolo'"),
         ],
         ids=["fusion_list", "time_norm_list", "lvlm_url_bool", "embed_url_int",
              "detector_url_list", "embeddings_file_float", "fixtures_file_gone",
              "n_bins_past_int64", "max_frames_past_float", "n_frames_past_u32",
-             "budget_below_compose_minimum"],
+             "budget_below_compose_minimum", "n_bins_over_max_frames", "lambda1_negative",
+             "providers_list", "lvlm_kind_unknown", "detector_kind_unknown"],
     )
     def test_mistyped_config_value_is_usage_error(self, tmp_path, demo_index, capsys, command,
                                                   config, message):
@@ -1411,6 +1479,11 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert f"provider error: malformed embed response ({MALFORMED_EMBEDS[route]}" in err
+
+    def test_config_directory_is_usage_error(self, tmp_path, demo_index, capsys):
+        rc = run_cli(["answer", "--index", demo_index, "--query", "q", "--config", tmp_path])
+        assert rc == 1
+        assert f"error: cannot read config {tmp_path}: " in capsys.readouterr().err
 
     def test_non_utf8_config_is_usage_error(self, tmp_path, demo_index, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1545,7 +1618,7 @@ class TestOneEmbeddingSourcePerBuild:
         monkeypatch.setattr(HashEmbedder, "_draw", spy)
         index = build_demo(tmp_path)
         store = index.parent / "store"
-        texts = [s.text for c in Channel for s in load_docs(str(store / f"{c.value}.docs"), c, 120.0)]
+        texts = [s.text for c in ("asr", "ocr") for s in store_snippets(store, c)]
         texts += load_frame_texts(str(store / "frames.docs"), 120.0)[2]
         assert len(drawn) == len(set(drawn))
         assert set(drawn) == {token for text in texts for token in tokenize(text) or [""]}
@@ -1560,7 +1633,7 @@ def demo_store(tmp_path_factory):
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(
-    name=st.sampled_from(["asr.docs", "ocr.docs", "frames.docs", "detections.tbl", "video.json"]),
+    name=st.sampled_from(["asr.bm25", "ocr.bm25", "frames.docs", "detections.tbl", "video.json"]),
     mutations=MUTATIONS,
 )
 def test_build_over_a_mutated_store_file_exits_0_1_or_2(demo_store, name, mutations):

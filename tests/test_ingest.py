@@ -77,6 +77,10 @@ class TestParseVtt:
         with pytest.raises(DataError, match="^file does not start with WEBVTT$"):
             parse_vtt(b"00:00:01.000 --> 00:00:02.000\nx\n")
 
+    def test_header_only(self):
+        with pytest.raises(DataError, match="^no WebVTT cues found$"):
+            parse_vtt(b"WEBVTT\n")
+
     def test_note_and_style_blocks_skipped(self):
         data = b"WEBVTT\n\nNOTE a comment\nspanning lines\n\nSTYLE\n::cue { color: red }\n\n00:00:01.000 --> 00:00:02.000\nx\n"
         (s,) = parse_vtt(data)

@@ -224,6 +224,32 @@ class TestRetrieveChannel:
         ids = {h.snippet.id for h in hits}
         assert {"lex", "sem"} <= ids
 
+    @pytest.mark.parametrize(
+        "n_docs, req, tau",
+        [(1, "harbor ferry dock", 0.0), (2, "harbor ferry dock", 0.0), (1, "quantum", -1.0)],
+        ids=["one_hit", "equal_scores", "no_lexical_hit"],
+    )
+    def test_max_fuse_rescales_a_flat_pool_to_one(self, n_docs, req, tau):
+        # One hit, or hits of one score: min-max has no range, so each hit scales
+        # to 1. With no lexical hit, the dense hit alone sets the fused score.
+        embedder = HashEmbedder(32, seed=6)
+        snippets = [make_snippet(f"s{i}", "harbor ferry dock", 100.0 * i, 100.0 * i + 2)
+                    for i in range(n_docs)]
+        got = retrieve_channel(
+            req,
+            build_channel(snippets, embedder),
+            self.ANCHORS,
+            DecayParams(),
+            RescoreConfig(top_k=3),
+            FusionMode.MAX_FUSE,
+            duration_s=600.0,
+            query_vec=normalize(embedder.embed([req])[0]),
+            tau=tau,
+        )
+        assert [(h.snippet.id, h.raw_score) for h in got.pool] == [
+            (s.id, 1.0) for s in snippets
+        ]
+
     def test_tau_one_filters_everything(self):
         embedder = HashEmbedder(32, seed=5)
         snippets = [make_snippet("a", "sign says hello", 10.0, 12.0)]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from temporag.errors import DataError, TemporagError
 from temporag.frames import FrameTable
 from temporag.textindex import (
+    F4,
     StringTable,
     build_index,
     dense_search,
@@ -358,6 +359,20 @@ class TestPersistence:
         save_index(embedded_index(docs), str(p1))
         save_index(embedded_index(docs), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_store_file_plus_rows_equals_an_embedded_build(self, tmp_path):
+        # ingest saves the lexical index with dim 0; build loads it, adds the rows
+        # in position order and saves it again: the bytes of a build from snippets.
+        docs = random_corpus(np.random.default_rng(5), 15)
+        store, built, want = (tmp_path / f"{name}.bm25" for name in ("store", "built", "want"))
+        save_index(build_index(docs), str(store))
+        index = load_index(str(store), DURATION_S)
+        assert index.dim == 0
+        texts = list(index.texts)
+        index.vectors = np.array([normalize(v) for v in HashEmbedder(8).embed(texts)], dtype=F4)
+        save_index(index, str(built))
+        save_index(embedded_index(docs), str(want))
+        assert built.read_bytes() == want.read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bm25"

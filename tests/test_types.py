@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from temporag.errors import DataError
-from temporag.textindex import id_order, load_docs, save_docs
+from temporag.textindex import build_index, load_index, save_index
 from temporag.types import (
     Channel,
     Snippet,
@@ -84,13 +84,14 @@ finite_time = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_inf
     ),
 )
 def test_store_table_round_trip_is_identity(channel, rows):
-    # Snippets in ingest's order, through its store table and build's loader.
+    # Snippets through ingest's store index (no dense rows) and build's loader, in id order.
     docs = [Snippet(i, channel, text, t0, t0 + delta) for i, (text, t0, delta) in rows.items()]
-    ordered = [docs[i] for i in id_order(docs)]
     with tempfile.TemporaryDirectory() as tmp:
-        path = str(Path(tmp) / f"{channel.value}.docs")
-        save_docs(path, channel, ordered)
-        assert load_docs(path, channel, 1e6 + 100.0) == ordered
+        path = str(Path(tmp) / f"{channel.value}.bm25")
+        save_index(build_index(docs), path)
+        index = load_index(path, 1e6 + 100.0)
+    assert index.dim == 0
+    assert [index.snippet(p) for p in range(index.n_docs)] == sorted(docs, key=lambda d: d.id)
 
 
 @given(t_start=finite_time, delta=st.floats(min_value=0.0, max_value=1e3, allow_nan=False))
