@@ -15,6 +15,7 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -91,11 +92,11 @@ class PromptBundle:
     query: AugmentedQuery
     rendered: str
 
-    @property
+    @cached_property
     def sha256(self) -> str:
         return hashlib.sha256(self.rendered.encode("utf-8")).hexdigest()
 
-    @property
+    @cached_property
     def token_count(self) -> int:
         return len(self.rendered.split())
 
@@ -359,7 +360,8 @@ def compose(
         )
 
     drop_ocr_next = True
-    while len(rendered_now().split()) > budget_tokens:
+    rendered = rendered_now()
+    while len(rendered.split()) > budget_tokens:
         if ocr_hits or asr_hits:
             primary, secondary = (ocr_hits, asr_hits) if drop_ocr_next else (asr_hits, ocr_hits)
             target = primary if primary else secondary
@@ -370,6 +372,7 @@ def compose(
             context = " ".join(sentences[:-1]).strip() if len(sentences) > 1 else ""
         else:
             break  # nothing droppable left; scene graph and question stay
+        rendered = rendered_now()
 
     final_evidence = Evidence(
         asr_hits=tuple(asr_hits),
@@ -383,13 +386,14 @@ def compose(
         keyframe_refs=tuple((f.frame_index, f.t) for f in keyframes),
         evidence=final_evidence,
         query=final_aq,
-        rendered=rendered_now(),
+        rendered=rendered,
     )
 
 
 def answer(lvlm: LvlmProvider, bundle: PromptBundle) -> str:
     """Final provider call; returns the completion verbatim."""
-    log.info("answering bundle sha256=%s tokens=%d", bundle.sha256, bundle.token_count)
+    if log.isEnabledFor(logging.INFO):
+        log.info("answering bundle sha256=%s tokens=%d", bundle.sha256, bundle.token_count)
     return lvlm.complete(prompts.SYSTEM_PROMPT, prompts.answer_prompt(bundle.rendered))
 
 

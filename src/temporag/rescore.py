@@ -107,9 +107,12 @@ def rescore(
     """Apply temporal decay and normalize scores over the candidate pool.
 
     Every candidate's raw score must be non-negative; the normalized scores
-    sum to one. When every decay underflows (long videos in raw seconds),
-    the exponents are shifted by their minimum over positive-raw candidates,
-    a common factor that cancels in the normalization. Raises a
+    sum to one. The masses ``raw * exp(-exponent)`` are normalized in log
+    space: every exponent is first shifted by the smallest one over the
+    positive-raw candidates, a common factor that cancels in the
+    normalization. So no leading mass underflows, to 0.0 or to a subnormal
+    of a few significant bits, whatever the video's length in raw seconds.
+    A candidate's ``decay`` is its unshifted ``exp(-exponent)``. Raises a
     ``DataError`` when every raw score is zero.
     """
     if not candidates:
@@ -123,24 +126,19 @@ def rescore(
         if duration_s <= 0:
             raise DataError(f"duration_s must be positive, got {duration_s}")
         scale = duration_s
+    positive = raws > 0.0
+    if not np.any(positive):
+        raise DataError("every raw score is zero")
     times = np.array([snippet.t_mid / scale for snippet, _ in candidates], dtype=np.float64)
     a0, a1, a2 = (a / scale for a in anchors.as_tuple())
     l0, l1, l2 = params.lambdas
     exponents = l0 * np.abs(a0 - times) + l1 * np.abs(a1 - times) + l2 * np.abs(a2 - times)
-    decays = np.exp(-exponents)
-
-    mass = raws * decays
-    total = float(np.sum(mass))
-    if total <= 0.0:
-        positive = raws > 0.0
-        if not np.any(positive):
-            raise DataError("every raw score is zero")
-        mass = raws * np.exp(-(exponents - exponents[positive].min()))
-        total = float(np.sum(mass))
-    scores = mass / total
+    # A zero-raw candidate's shifted exponent may be negative; clipping it keeps its mass 0.
+    mass = raws * np.exp(-np.maximum(exponents - exponents[positive].min(), 0.0))
+    scores = mass / float(np.sum(mass))
     return [
         ScoredSnippet(snippet=snippet, raw_score=float(raw), decay=float(d), score=float(s))
-        for (snippet, raw), d, s in zip(candidates, decays, scores)
+        for (snippet, raw), d, s in zip(candidates, np.exp(-exponents), scores)
     ]
 
 

@@ -16,11 +16,13 @@ from __future__ import annotations
 import math
 import re
 import struct
+from array import array
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections import defaultdict
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -41,6 +43,33 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric boundaries, keeping order."""
     return _TOKEN_RE.findall(text.lower())
+
+
+def first_seen_ids() -> defaultdict[str, int]:
+    """A token-to-id dict that gives a token it lacks the next id, 0 first, at its lookup.
+
+    Its keys stay in first-seen order, which is id order.
+    """
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__
+    return ids
+
+
+def stream_token_ids(
+    texts: Iterable[str], ids: defaultdict[str, int], split: Callable[[str], list[str]] = tokenize
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ids in ``ids`` (see ``first_seen_ids``) of every token of ``texts``, and their counts.
+
+    The ids are one int64 array in text order, then token order: no token
+    string outlives its text's ``split``, which is ``tokenize`` by default.
+    """
+    streamed = array("q")
+    counts = []
+    for text in texts:
+        start = len(streamed)
+        streamed.extend(map(ids.__getitem__, split(text)))
+        counts.append(len(streamed) - start)
+    return np.frombuffer(streamed, dtype=np.int64), np.array(counts, dtype=np.int64)
 
 
 # Okapi BM25 term-frequency saturation and length normalization.
@@ -220,14 +249,15 @@ def build_index(
 
     The documents are ordered by id, and a document's position is its
     rank; a repeated id is a ``DataError``. The vocabulary is every token
-    they hold, sorted, and a token's row is its rank in it, found through
-    a dict. Each token occurrence becomes one integer key
-    ``row * n_docs + position``, and one sort of the keys groups them by
-    row, then by position: each run of equal keys is one posting, and the
-    run's length is its term frequency. So each row's postings come out in
-    ascending position order, and a row's offset is the number of postings
-    of the rows before it. Tokens are never held in a fixed-width string
-    array, which would pad every entry to the longest token.
+    they hold, sorted, and a token's row is its rank in it. Tokenizing
+    keeps no token string past its document: each occurrence becomes its
+    token's first-seen id, streamed into one integer array, and one lookup
+    array then maps those ids to rows. Each token occurrence becomes one
+    integer key ``row * n_docs + position``, and one sort of the keys
+    groups them by row, then by position: each run of equal keys is one
+    posting, and the run's length is its term frequency. So each row's
+    postings come out in ascending position order, and a row's offset is
+    the number of postings of the rows before it.
 
     ``vectors`` holds one unit embedding per document, in ``docs`` order
     (a sequence of vectors or one 2-D array); they become the dense rows,
@@ -246,15 +276,13 @@ def build_index(
         if prev.id == doc.id:
             raise DataError(f"duplicate doc id {doc.id!r}")
     n_docs = len(ordered)
-    token_lists = [tokenize(doc.text) for doc in ordered]
-    doc_len = np.fromiter(map(len, token_lists), dtype=np.int64, count=n_docs)
-    vocab = sorted(set(chain.from_iterable(token_lists)))
-    rank = {token: row for row, token in enumerate(vocab)}
-    keys = np.fromiter(
-        map(rank.__getitem__, chain.from_iterable(token_lists)),
-        dtype=np.int64,
-        count=int(doc_len.sum()),
-    )
+    first_seen = first_seen_ids()
+    ids, doc_len = stream_token_ids((doc.text for doc in ordered), first_seen)
+    vocab = sorted(first_seen)
+    rank = np.empty(len(vocab), dtype=np.int64)  # first-seen id to row
+    rank[[first_seen[token] for token in vocab]] = np.arange(len(vocab))
+    keys = rank[ids]
+    del ids  # the stream goes before the keys' temporaries come
     keys *= n_docs
     keys += np.repeat(np.arange(n_docs), doc_len)
     keys.sort()

@@ -13,12 +13,22 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from itertools import islice
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .textindex import F4, IndexFileReader, f4_matrix, pack_strings, tokenize, write_index_file
+from .textindex import (
+    F4,
+    IndexFileReader,
+    f4_matrix,
+    first_seen_ids,
+    pack_strings,
+    stream_token_ids,
+    tokenize,
+    write_index_file,
+)
 
 # The vector file layout is independent of the ``.bm25`` one and versioned apart.
 FORMAT_VERSION = 3
@@ -125,11 +135,8 @@ def seed_states(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
 
 
-# ``embed`` sums the token rows of up to this many texts in one padded gather.
+# ``embed`` sums the token rows of up to this many texts of similar token counts at a time.
 _CHUNK_TEXTS = 256
-# The most floats one gather holds (4 MB): 256 texts of 32 tokens at dim 64.
-# Token positions past it are added one position at a time.
-_GATHER_FLOATS = 256 * 32 * 64
 
 
 class HashEmbedder:
@@ -145,25 +152,24 @@ class HashEmbedder:
     ones in expectation.
 
     The token vectors are cached per instance as the rows of one float64
-    matrix with spare capacity, found through a token-to-row dict. Row 0
-    is all zeros. ``embed`` draws every token the instance has not seen in
-    one batch, into the next free rows: it seeds them all with
-    ``seed_states`` and sets one ``PCG64`` to each token's state in turn,
-    which is the generator ``default_rng`` would have built. The matrix
-    grows by doubling, so a call that meets new tokens copies no rows
-    unless the spare capacity runs out.
+    matrix with spare capacity, found through a token-to-row dict. ``embed``
+    tokenizes its texts into one integer array of cache rows and keeps no
+    token string: a token the instance has not seen takes the next free
+    row at its first occurrence. It then draws every such token in one
+    batch, into its row: it seeds them all with ``seed_states`` and sets
+    one ``PCG64`` to each token's state in turn, which is the generator
+    ``default_rng`` would have built. The matrix grows by doubling, so a
+    call that meets new tokens copies no rows unless the spare capacity
+    runs out.
 
     A call then sums each text's token rows in chunks of up to
-    ``_CHUNK_TEXTS`` texts of similar token counts: one gather of the
-    chunk's row ids, padded with row 0 to the longest text, and one
-    ``np.add.reduce`` over the token axis. That reduce adds the rows one
-    after another into an accumulator that starts at 0.0, which is the
-    order and the bits of the per-token loop ``mean = zeros(dim); mean +=
-    row``: numpy sums pairwise only along the innermost, contiguous axis,
-    and the token axis is not that one. A padded zero row leaves every sum
-    as it was. Positions past ``_GATHER_FLOATS`` are added one position
-    at a time, in the same order. Each chunk's sums are divided by the
-    token counts and normalized as one batch, into the returned matrix.
+    ``_CHUNK_TEXTS`` texts of similar token counts, one token position at
+    a time: position ``j`` gathers the ``j``-th row of each text that long
+    and adds it to that text's sum. Each sum starts at 0.0 and takes its
+    rows in token order, which is the order and the bits of the per-token
+    loop ``mean = zeros(dim); mean += row``. Each chunk's sums are divided
+    by the token counts and normalized as one batch, into the returned
+    matrix.
     """
 
     def __init__(self, dim: int, seed: int = 0):
@@ -180,7 +186,8 @@ class HashEmbedder:
         self._bits = np.random.PCG64()
         self._normal = np.random.Generator(self._bits)
         self._rows = np.zeros((64, dim))
-        self._row_of: dict[str, int] = {}
+        self._row_of = first_seen_ids()
+        self._n_drawn = 0  # the tokens of ``_row_of`` past this many have no row drawn yet
 
     def _draw(self, tokens: list[str], out: np.ndarray | None = None) -> np.ndarray:
         """The unit vectors of ``tokens``, one row each, written into ``out`` if given."""
@@ -207,39 +214,34 @@ class HashEmbedder:
         out /= _row_norms(out)[:, None]
         return out
 
-    def _add(self, tokens: list[str]) -> None:
-        """Draw ``tokens`` into the next free rows of the cache."""
-        start = len(self._row_of) + 1
-        end = start + len(tokens)
+    def _add(self) -> None:
+        """Draw every token given a row since the last draw, into the rows of the cache."""
+        start, end = self._n_drawn, len(self._row_of)
         if end > len(self._rows):
             grown = np.zeros((max(end, 2 * len(self._rows)), self.dim))
             grown[:start] = self._rows[:start]
             self._rows = grown
-        self._draw(tokens, self._rows[start:end])
-        self._row_of.update(zip(tokens, range(start, end)))
+        newest = list(islice(reversed(self._row_of), end - start))  # the last keys, last first
+        self._draw(newest[::-1], self._rows[start:end])
+        self._n_drawn = end
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        token_lists = [tokenize(text) or [""] for text in texts]
-        row_of = self._row_of
-        missing = list(
-            dict.fromkeys(t for tokens in token_lists for t in tokens if t not in row_of)
-        )
-        if missing:
-            self._add(missing)
-        lengths = list(map(len, token_lists))
-        order = sorted(range(len(token_lists)), key=lengths.__getitem__)
-        out = np.empty((len(token_lists), self.dim))
-        for start in range(0, len(order), _CHUNK_TEXTS):
-            chunk = order[start : start + _CHUNK_TEXTS]
-            width = lengths[chunk[-1]]  # the longest: the chunk is sorted by length
-            ids = np.array(
-                [[row_of[t] for t in token_lists[i]] + [0] * (width - lengths[i]) for i in chunk]
-            )
-            gathered = min(width, max(1, _GATHER_FLOATS // (len(chunk) * self.dim)))
-            sums = np.add.reduce(self._rows[ids[:, :gathered]], axis=1, initial=0.0)
-            for column in ids[:, gathered:].T if gathered < width else ():
-                sums += self._rows[column]
-            sums /= np.array([lengths[i] for i in chunk], dtype=np.float64)[:, None]
+        # A text with no tokens embeds as the one token "".
+        token_rows, lengths = stream_token_ids(texts, self._row_of, lambda t: tokenize(t) or [""])
+        if len(self._row_of) > self._n_drawn:
+            self._add()
+        starts = np.cumsum(lengths) - lengths
+        order = np.argsort(lengths, kind="stable")
+        out = np.empty((len(texts), self.dim))
+        for lo in range(0, len(order), _CHUNK_TEXTS):
+            chunk = order[lo : lo + _CHUNK_TEXTS]
+            counts, firsts = lengths[chunk], starts[chunk]
+            # Texts [live[j]:] of the chunk, which is sorted by length, have a j-th token.
+            live = np.searchsorted(counts, np.arange(counts[-1]), side="right")
+            sums = np.zeros((len(chunk), self.dim))
+            for j, first in enumerate(live.tolist()):
+                sums[first:] += self._rows.take(token_rows.take(firsts[first:] + j), axis=0)
+            sums /= counts[:, None]
             sums /= _row_norms(sums)[:, None]
             out[chunk] = sums
         return out

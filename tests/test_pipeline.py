@@ -1,10 +1,12 @@
+import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from temporag import prompts, textindex, vectorindex
+from temporag import pipeline, prompts, textindex, vectorindex
 from temporag.errors import ConfigError, DataError, ProviderUnavailableError
 from temporag.frames import FrameTable, SelectorConfig
 from temporag.ingest import SceneGraphText
@@ -577,6 +579,28 @@ class TestSinglePass:
         assert runtime.embedder.calls == [["dock", "captain storm"]]
         assert result.trace["request"] == self.REQUEST
         assert result.trace["channels"]["ocr"] == []
+
+    def test_prompt_rendered_and_hashed_once(self, monkeypatch, caplog):
+        # The last budget check's render is the bundle's, and one digest
+        # serves the INFO log line and the trace.
+        renders, hashed = [], []
+        render, sha256 = pipeline._render_sections, hashlib.sha256
+
+        def render_spy(*args):
+            renders.append(render(*args))
+            return renders[-1]
+
+        def sha256_spy(data=b""):
+            hashed.append(data)
+            return sha256(data)
+
+        monkeypatch.setattr(pipeline, "_render_sections", render_spy)
+        monkeypatch.setattr(hashlib, "sha256", sha256_spy)
+        with caplog.at_level(logging.INFO, logger=pipeline.log.name):
+            result = run(self.runtime())
+        assert renders == [result.bundle.rendered]
+        assert hashed.count(result.bundle.rendered.encode("utf-8")) == 1
+        assert f"sha256={result.trace['bundle']['sha256']}" in caplog.text
 
     def test_query_vectors_normalized_once(self, monkeypatch):
         # The embedder's rows are used as they come: with every token already

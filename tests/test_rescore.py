@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
 
 from temporag.errors import DataError
 from temporag.frames import FrameTable, frame_similarities
@@ -17,6 +19,25 @@ from temporag.rescore import (
 from temporag.vectorindex import F4, normalize
 
 from conftest import decay_multiplier, make_snippet
+
+
+def log_space_oracle(raws, times, anchors, lambdas, scale):
+    """exp(x_i - logsumexp(x)) with x_i = log raw_i - E_i: no mass is formed, so none underflows.
+
+    E_i is summed term by term in the code's operation order, so both see its
+    same bits, and x is taken relative to the smallest E_i of a positive raw
+    score, so no x_i rounds at the magnitude of the exponents.
+    """
+    exponents = [
+        sum(lam * abs(a / scale - t / scale) for lam, a in zip(lambdas, anchors)) for t in times
+    ]
+    least = min(e for e, raw in zip(exponents, raws) if raw > 0)
+    logs = [
+        math.log(raw) - (e - least) if raw > 0 else -math.inf for e, raw in zip(exponents, raws)
+    ]
+    peak = max(logs)
+    log_total = peak + math.log(math.fsum(math.exp(x - peak) for x in logs))
+    return [math.exp(x - log_total) for x in logs]
 
 
 # Term-by-term oracle for the rescoring formula, independent of the vectorized code:
@@ -210,18 +231,91 @@ class TestRescore:
         ]
         got = rescore(candidates, anchors, params, 7200.0)
         assert [s.decay for s in got] == [0.0] * 4
-        logs = [
-            math.log(r) - sum(abs(a - t) for a in anchors.as_tuple()) if r > 0 else -math.inf
-            for t, r in zip(times, raws)
-        ]
-        peak = max(logs)
-        log_total = peak + math.log(math.fsum(math.exp(x - peak) for x in logs))
-        for s, x in zip(got, logs):
-            assert s.score == pytest.approx(math.exp(x - log_total), abs=1e-12)
+        want = log_space_oracle(raws, times, anchors.as_tuple(), params.lambdas, 1.0)
+        for s, w in zip(got, want):
+            assert s.score == pytest.approx(w, abs=1e-12)
         assert got[1].score > got[2].score > 0.0 == got[0].score == got[3].score
 
         two = rescore(candidates[:2], anchors, params, 7200.0)
         assert [s.score for s in two] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("duration", [700.0, 730.0, 738.0, 742.0, 744.0])
+    def test_subnormal_decay_window_matches_log_space_oracle(self, duration):
+        # Anchors (0, D, D/2) at unit strengths in raw seconds: every exponent
+        # is about D, so near D = 742 the leading masses exp(-E) are subnormal
+        # floats of a few significant bits, yet no score may lose precision.
+        anchors = AnchorSet(t_last=duration, t_first=0.0, t_semantic=duration / 2)
+        params = DecayParams(lambdas=(1.0, 1.0, 1.0), time_norm=TimeNorm.RAW_SECONDS)
+        worst = 0.0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            times = (duration / 2 + rng.uniform(-60.0, 60.0, size=30)).tolist()
+            raws = rng.uniform(0.1, 5.0, size=30).tolist()
+            candidates = [
+                (make_snippet(f"c{i}", "x", t, t), r) for i, (t, r) in enumerate(zip(times, raws))
+            ]
+            got = rescore(candidates, anchors, params, duration)
+            want = log_space_oracle(raws, times, anchors.as_tuple(), params.lambdas, 1.0)
+            worst = max(worst, max(abs(s.score - w) for s, w in zip(got, want)))
+        assert worst <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        time_norm=st.sampled_from(TimeNorm),
+        duration=st.floats(1.0, 20_000.0),
+        lambdas=st.tuples(*[st.floats(0.0, 1_000.0)] * 3),
+        fractions=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        pool=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.one_of(st.just(0.0), st.floats(1e-3, 100.0))),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_matches_log_space_oracle(self, time_norm, duration, lambdas, fractions, pool):
+        times = [f * duration for f, _ in pool]
+        raws = [1.0] + [r for _, r in pool[1:]]  # one positive raw score
+        anchors = AnchorSet(*(f * duration for f in fractions))
+        params = DecayParams(lambdas=lambdas, time_norm=time_norm)
+        scale = duration if time_norm is TimeNorm.NORMALIZED_BY_DURATION else 1.0
+        exponents = [
+            sum(lam * abs(a / scale - t / scale) for lam, a in zip(lambdas, anchors.as_tuple()))
+            for t, r in zip(times, raws)
+            if r > 0
+        ]
+        # Steer toward the pools whose leading mass exp(-E) is subnormal.
+        target(-abs(min(exponents) - 726.0), label="distance to the subnormal window")
+        candidates = [
+            (make_snippet(f"c{i}", "x", t, t), r) for i, (t, r) in enumerate(zip(times, raws))
+        ]
+        got = rescore(candidates, anchors, params, duration)
+        want = log_space_oracle(raws, times, anchors.as_tuple(), lambdas, scale)
+        for s, w in zip(got, want):
+            assert s.score == pytest.approx(w, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lam=st.floats(0.0, 20.0),
+        lam2=st.floats(0.0, 20.0),
+        ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        semantic=st.floats(0.0, 1.0),
+        pool=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-3, 100.0)), min_size=1,
+                      max_size=30),
+    )
+    def test_equal_first_and_last_strengths_cancel(self, lam, lam2, ends, semantic, pool):
+        # Between t_first and t_last, lam|t_last - t| + lam|t_first - t| is the
+        # constant lam (t_last - t_first), which the pool normalization removes.
+        duration = 600.0
+        t_first, t_last = sorted(e * duration for e in ends)
+        anchors = AnchorSet(t_last=t_last, t_first=t_first, t_semantic=semantic * duration)
+        candidates = [
+            (make_snippet(f"c{i}", "x", t, t), r)
+            for i, (f, r) in enumerate(pool)
+            for t in [t_first + f * (t_last - t_first)]
+        ]
+        both = rescore(candidates, anchors, DecayParams(lambdas=(lam, lam, lam2)), duration)
+        semantic_only = rescore(candidates, anchors, DecayParams(lambdas=(0, 0, lam2)), duration)
+        for a, b in zip(both, semantic_only):
+            assert abs(a.score - b.score) <= 1e-12
 
     def test_negative_raw_rejected(self):
         with pytest.raises(DataError):

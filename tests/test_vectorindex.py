@@ -11,7 +11,6 @@ from temporag.errors import DataError, TemporagError
 from temporag.textindex import build_index, dense_search, pack_strings, tokenize, write_index_file
 from temporag.vectorindex import (
     _CHUNK_TEXTS,
-    _GATHER_FLOATS,
     HashEmbedder,
     PrecomputedEmbeddings,
     normalize,
@@ -208,8 +207,6 @@ class TestHashEmbedder:
             " ".join(rng.choice(vocab, size=rng.integers(1, 30))) for _ in range(550)
         ]
         assert len(texts) > 2 * _CHUNK_TEXTS
-        # At dim 384 a chunk gathers 5 token positions and adds the rest
-        # one position at a time.
         for dim in (33, 384):
             expected = [v.tobytes() for v in oracle_embed(texts, dim, seed)]
             assert [v.tobytes() for v in HashEmbedder(dim, seed).embed(texts)] == expected
@@ -248,11 +245,24 @@ class TestHashEmbedder:
         assert sorted(drawn) == sorted(set(tokenize(" ".join(TOKENS[:1000]))) | {""})
         assert [v.tobytes() for v in e.embed(TOKENS[:100])] == [v.tobytes() for v in first]
 
-    def test_one_text_longer_than_the_gather_budget(self):
+    def test_a_call_that_fails_while_tokenizing_leaves_no_undrawn_row(self):
+        # The tokens before the bad text have rows but no vectors yet; the
+        # next call draws them with its own new tokens.
+        e = HashEmbedder(16, 5)
+        with pytest.raises(AttributeError):
+            e.embed(["harbor sign", None])
+        texts = ["harbor sign", "sign of the harbor"]
+        expected = [v.tobytes() for v in oracle_embed(texts, 16, 5)]
+        assert [v.tobytes() for v in e.embed(texts)] == expected
+
+    def test_one_text_wider_than_the_rest_of_its_chunk(self):
+        # One chunk: 255 texts of one to three tokens and one of 158, which
+        # alone has a token at most positions.
         dim = 4096
-        text = " ".join(TOKENS[i % 50] for i in range(_GATHER_FLOATS // dim + 30))
-        got = HashEmbedder(dim, 1).embed([text])[0]
-        assert got.tobytes() == oracle_embed([text], dim, 1)[0].tobytes()
+        texts = [" ".join(TOKENS[i : i + 1 + i % 3]) for i in range(_CHUNK_TEXTS - 1)]
+        texts.insert(100, " ".join(TOKENS[i % 50] for i in range(158)))
+        got = [v.tobytes() for v in HashEmbedder(dim, 1).embed(texts)]
+        assert got == [v.tobytes() for v in oracle_embed(texts, dim, 1)]
 
     def test_empty_batch(self):
         vectors = HashEmbedder(8).embed([])
