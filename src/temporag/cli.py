@@ -31,8 +31,7 @@ from .evalharness import (
     run_eval,
     sweep_threshold,
 )
-from .frames import FrameTable, load_frame_table, load_frame_texts, save_frame_table
-from .frames import save_frame_texts
+from .frames import FrameTable, load_frame_table, save_frame_table
 from .ingest import (
     parse_detections_jsonl,
     parse_frames_jsonl,
@@ -57,12 +56,13 @@ from .vectorindex import HashEmbedder, PrecomputedEmbeddings, unit_rows
 
 FRAME_TABLE = "frames.tbl"
 DETECTION_TABLE = "detections.tbl"
-FRAME_TEXTS = "frames.docs"
 # Every file ingest may write. Ingest removes them all first, and the files
-# of older stores, which build refuses: JSONL, then one snippet table per channel.
-STORE_FILES = frozenset({"video.json", "asr.bm25", "ocr.bm25", FRAME_TEXTS, DETECTION_TABLE})
+# of older stores, which build refuses: JSONL, then one snippet table per
+# channel and the frame text table, which the .bm25 files and frames.tbl replaced.
+STORE_FILES = frozenset({"video.json", "asr.bm25", "ocr.bm25", FRAME_TABLE, DETECTION_TABLE})
 OLD_STORE_FILES = (
-    "asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl", "asr.docs", "ocr.docs"
+    "asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl", "asr.docs", "ocr.docs",
+    "frames.docs",
 )
 # Every file build may write, and the .vec files that builds wrote before
 # the frame table and the .bm25 files held the embeddings. Build removes
@@ -227,7 +227,7 @@ def cmd_ingest(args) -> int:
         FixtureDetector.from_records(detections).save(str(out / DETECTION_TABLE))
     if frames:
         t, frame_index, texts = zip(*sorted(frames))  # by (t, frame_index), which is unique
-        save_frame_texts(str(out / FRAME_TEXTS), frame_index, t, texts)
+        save_frame_table(str(out / FRAME_TABLE), frame_index, t, texts)
 
     for channel in Channel:
         print(f"{channel.value}: {len(by_channel[channel])} snippets")
@@ -333,17 +333,17 @@ def cmd_build(args) -> int:
     for channel in Channel:
         _build_channel(store, out, channel, video, embed)
 
-    frame_index, t, texts = [], [], []
-    if (store / FRAME_TEXTS).exists():
-        frame_index, t, texts = load_frame_texts(str(store / FRAME_TEXTS), video.duration_s)
-    embedded = [text != "" for text in texts]
-    with_text = [text for text in texts if text]
-    vectors = np.zeros((0, 0))
+    # Like a channel's .bm25: the store's frame table, with the rows attached.
+    frames = FrameTable([], [])
+    if (store / FRAME_TABLE).exists():
+        frames = load_frame_table(str(store / FRAME_TABLE), video.duration_s)
+    with_text = [text for text in frames.texts if text]
+    vectors = ()
     if with_text:
-        ids = [_frame_ref(i) for i, e in zip(frame_index.tolist(), embedded) if e]
+        ids = [_frame_ref(i) for i in frames.frame_index[frames.embedded].tolist()]
         vectors = embed(ids, with_text)
-    save_frame_table(str(out / FRAME_TABLE), frame_index, t, embedded, vectors)
-    print(f"frames: {len(texts)} records, {len(with_text)} embedded")
+    save_frame_table(str(out / FRAME_TABLE), frames.frame_index, frames.t, frames.texts, vectors)
+    print(f"frames: {len(frames)} records, {len(with_text)} embedded")
 
     if (store / DETECTION_TABLE).exists():
         FixtureDetector.load(str(store / DETECTION_TABLE)).save(str(out / DETECTION_TABLE))
@@ -410,6 +410,8 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
     if not frame_table_path.exists():
         raise DataError(f"{frame_table_path} not found; re-run build")
     frames = load_frame_table(str(frame_table_path), video.duration_s)
+    if len(frames.matrix) and not frames.matrix.shape[1]:  # a store file
+        raise DataError(f"{frame_table_path}: no dense rows; run build on this store")
     if not len(frames):
         # No frame metadata: two frames without embeddings, at the video's
         # ends, give the anchors (0, duration_s, 0).

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataError
 from .ingest import DetectionRecord
 from .providers import DetectorProvider
-from .textindex import F4, F8, U1, U4, IndexFileReader, f4_matrix, pack_strings
+from .textindex import F4, F8, U4, IndexFileReader, f4_matrix, pack_strings
 from .textindex import row_similarities, write_index_file
 from .types import FrameRecord
 
@@ -62,9 +62,12 @@ class FrameTable:
     ``frame_index`` and ``t`` hold one entry per frame. ``embedded`` marks
     the frames with a stored embedding, and ``matrix`` holds those
     embeddings as ``<f4`` rows, one per embedded frame in table order, so
-    the i-th embedded frame's vector is row i. ``record(i)`` builds frame
-    i's ``FrameRecord`` on first use and keeps it, so a runtime that answers
-    many questions builds each keyframe's record once.
+    the i-th embedded frame's vector is row i. In a loaded table,
+    ``texts`` holds each frame's text, and the frames with text are the
+    embedded ones; a table built in memory may leave it empty.
+    ``record(i)`` builds frame i's ``FrameRecord`` on first use and keeps
+    it, so a runtime that answers many questions builds each keyframe's
+    record once.
     """
 
     def __init__(
@@ -73,6 +76,7 @@ class FrameTable:
         t: Sequence[float] | np.ndarray,
         embedded: Sequence[bool] | np.ndarray | None = None,
         matrix: np.ndarray | None = None,
+        texts: Sequence[str] = (),
     ):
         self.frame_index = np.asarray(frame_index, dtype=np.int64)
         self.t = np.asarray(t, dtype=np.float64)
@@ -89,6 +93,7 @@ class FrameTable:
                 f"{len(self.matrix)} embeddings for {np.count_nonzero(self.embedded)} "
                 "embedded frames"
             )
+        self.texts = texts
         self._records: dict[int, FrameRecord] = {}
 
     def __len__(self) -> int:
@@ -206,32 +211,56 @@ def detect_on_keyframes(
     ]
 
 
-# --- frame tables ----------------------------------------------------------------
+# --- the frame table -------------------------------------------------------------
 #
-# Both begin with the frame columns, sorted by (t, frame_index):
-# u32 n | <u4 frame_index[n] | <f8 t[n]. The index's, format version 2:
-# magic "TVRG" | u32 version | frame columns | u8 embedded[n] | u32 dim
-# | <f4 matrix[n_embedded][dim]. The matrix holds one row per frame whose
-# ``embedded`` byte is 1, in table order; ``dim`` is 0 exactly when no
-# frame is embedded. Zero rows means the store had no frame metadata. The
-# store's, format version 1: magic "TVRG" | u32 version | frame columns
-# | text table, where an empty text means the frame has none.
+# One file, frames.tbl, for the store and the index; format version 3:
+# magic "TVRG" | u32 version | u32 n | <u4 frame_index[n] | <f8 t[n]
+# | text table | u32 dim | <f4 matrix[n_rows][dim]. The frames are sorted
+# by (t, frame_index), and an empty text means the frame has none. A frame
+# is embedded exactly when its text is not empty. The matrix holds one row
+# per embedded frame, in table order; the store's file, which ingest
+# writes, holds none and has ``dim`` 0. Zero frames means the store had no
+# frame metadata.
 
-FRAME_TABLE_VERSION = 2
-FRAME_TEXTS_VERSION = 1
-
-
-def pack_frame_columns(frame_index: Sequence[int], t: Sequence[float]) -> bytes:
-    head = struct.pack("<I", len(t)) + np.asarray(frame_index, dtype=U4).tobytes()
-    return head + np.asarray(t, dtype=F8).tobytes()
+FRAME_TABLE_VERSION = 3
 
 
-def read_frame_columns(reader: IndexFileReader, duration_s: float) -> tuple:
-    """The frame columns at hand, checked; each failure is a ``DataError`` naming the path.
+def save_frame_table(
+    path: str,
+    frame_index: Sequence[int],
+    t: Sequence[float],
+    texts: Sequence[str],
+    vectors: Sequence[np.ndarray] = (),
+) -> None:
+    """Write the frame columns in the order given, with no vectors or one per frame with text."""
+    n_with_text = sum(1 for text in texts if text)
+    if len(vectors) not in (0, n_with_text):
+        raise DataError(f"{len(vectors)} vectors for {n_with_text} frames with text")
+    dim = len(vectors[0]) if len(vectors) else 0
+    write_index_file(
+        path,
+        FRAME_TABLE_VERSION,
+        struct.pack("<I", len(t)),
+        np.asarray(frame_index, dtype=U4).tobytes(),
+        np.asarray(t, dtype=F8).tobytes(),
+        pack_strings(texts),
+        struct.pack("<I", dim),
+        f4_matrix(vectors, dim).tobytes(),
+    )
+
+
+def load_frame_table(path: str, duration_s: float) -> FrameTable:
+    """A frame table whose columns, texts and matrix are views of the file.
 
     The times must be within ``[0, duration_s]``, the frame indices unique,
-    and the rows sorted by ``(t, frame_index)``.
+    the frames sorted by ``(t, frame_index)`` and the embeddings finite. A
+    frame is embedded when its text table entry is not empty, which the
+    offsets tell without decoding a text; in a store's file, ``dim`` 0
+    gives its row zero width. Besides the errors of
+    ``textindex.IndexFileReader``, each failure is a ``DataError`` naming
+    the path.
     """
+    reader = IndexFileReader(path, FRAME_TABLE_VERSION)
     (n,) = reader.unpack("<I")
     frame_index = reader.array(n)
     t = reader.array(n, F8)
@@ -243,64 +272,14 @@ def read_frame_columns(reader: IndexFileReader, duration_s: float) -> tuple:
     dt = np.diff(t)
     if np.any((dt < 0.0) | ((dt == 0.0) & (frame_index[1:] <= frame_index[:-1]))):
         raise reader.corrupt("rows not sorted by (t, frame_index)")
-    return frame_index, t
-
-
-def save_frame_table(
-    path: str,
-    frame_index: Sequence[int],
-    t: Sequence[float],
-    embedded: Sequence[bool],
-    vectors: Sequence[np.ndarray],
-) -> None:
-    """Write the frame columns in the order given, with one vector per embedded frame."""
-    embedded = np.asarray(embedded, dtype=bool)
-    if len(vectors) != np.count_nonzero(embedded):
-        raise DataError(f"{len(vectors)} vectors for {np.count_nonzero(embedded)} embedded frames")
-    dim = len(vectors[0]) if len(vectors) else 0
-    write_index_file(
-        path,
-        FRAME_TABLE_VERSION,
-        pack_frame_columns(frame_index, t),
-        embedded.astype(U1).tobytes(),
-        struct.pack("<I", dim),
-        f4_matrix(vectors, dim).tobytes(),
-    )
-
-
-def load_frame_table(path: str, duration_s: float) -> FrameTable:
-    """A frame table whose columns and matrix are views of the file.
-
-    Besides the errors of ``textindex.IndexFileReader`` and
-    ``read_frame_columns``, the loader requires flags of 0 or 1 and finite
-    embeddings; each failure is a ``DataError`` naming the path.
-    """
-    reader = IndexFileReader(path, FRAME_TABLE_VERSION)
-    frame_index, t = read_frame_columns(reader, duration_s)
-    embedded = reader.array(len(t), U1)
-    (dim,) = reader.unpack("<I")
-    if np.any(embedded > 1):
-        raise reader.corrupt("embedded flags other than 0 and 1")
+    texts = reader.string_table(n)
+    embedded = texts.offsets[1:] > texts.offsets[:-1]
     n_embedded = int(np.count_nonzero(embedded))
-    if (dim == 0) != (n_embedded == 0):
-        raise reader.corrupt(f"dim {dim} for {n_embedded} embedded frames")
+    (dim,) = reader.unpack("<I")
+    if dim and not n_embedded:
+        raise reader.corrupt(f"dim {dim} for 0 embedded frames")
     matrix = reader.array(n_embedded * dim, F4).reshape(n_embedded, dim)
     reader.end()
     if not np.all(np.isfinite(matrix)):
         raise reader.corrupt("non-finite embedding values")
-    return FrameTable(frame_index, t, embedded.view(bool), matrix)
-
-
-def save_frame_texts(path: str, frame_index: Sequence[int], t: Sequence[float], texts) -> None:
-    """Write the store's frame table; the rows must be sorted by (t, frame_index)."""
-    columns = pack_frame_columns(frame_index, t)
-    write_index_file(path, FRAME_TEXTS_VERSION, columns, pack_strings(texts))
-
-
-def load_frame_texts(path: str, duration_s: float) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """The ``frame_index``, ``t`` and text columns of the store's frame table."""
-    reader = IndexFileReader(path, FRAME_TEXTS_VERSION)
-    frame_index, t = read_frame_columns(reader, duration_s)
-    texts = reader.string_table(len(t)).decode_all()
-    reader.end()
-    return frame_index, t, texts
+    return FrameTable(frame_index, t, embedded, matrix, texts)

@@ -128,6 +128,18 @@ def _parse_cue_block(
     return line_no, t_start, t_end, text
 
 
+def _asr_snippets(cues: list[tuple[int, float, float, str]]) -> list[Snippet]:
+    """The i-th cue, counted from 1, as snippet ``asr-{i:06d}``; cues without text are dropped.
+
+    Every parsed cue takes a number, so dropping one renames no other.
+    """
+    return [
+        Snippet(id=f"asr-{i:06d}", channel=Channel.ASR, text=text, t_start=t0, t_end=t1)
+        for i, (_, t0, t1, text) in enumerate(cues, start=1)
+        if text
+    ]
+
+
 def parse_srt(data: bytes) -> list[Snippet]:
     """Parse SubRip subtitles into ASR snippets.
 
@@ -139,11 +151,7 @@ def parse_srt(data: bytes) -> list[Snippet]:
     cues = [_parse_cue_block(start, block, _SRT_TS) for start, block in blocks]
     if not cues:
         raise DataError("no SRT cues found")
-    return [
-        Snippet(id=f"asr-{i:06d}", channel=Channel.ASR, text=text, t_start=t0, t_end=t1)
-        for i, (_, t0, t1, text) in enumerate(cues, start=1)
-        if text
-    ]
+    return _asr_snippets(cues)
 
 
 def parse_vtt(data: bytes) -> list[Snippet]:
@@ -166,11 +174,7 @@ def parse_vtt(data: bytes) -> list[Snippet]:
         cues.append(_parse_cue_block(start, block, _VTT_TS))
     if not cues:
         raise DataError("no WebVTT cues found")
-    return [
-        Snippet(id=f"asr-{i:06d}", channel=Channel.ASR, text=cue_text, t_start=t0, t_end=t1)
-        for i, (_, t0, t1, cue_text) in enumerate(cues, start=1)
-        if cue_text
-    ]
+    return _asr_snippets(cues)
 
 
 # --- snippet JSONL ----------------------------------------------------------

@@ -226,3 +226,4 @@ def provider_server():
     thread.start()
     yield server, f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()

@@ -21,11 +21,19 @@ from hypothesis import strategies as st
 from temporag import cli, evalharness, textindex, vectorindex
 from temporag import frames as frames_mod
 from temporag.cli import main
-from temporag.config import ProviderConfig, RunConfig
+from temporag.config import ProviderConfig, RunConfig, load_config
 from temporag.errors import ConfigError
-from temporag.frames import load_frame_table, load_frame_texts, save_frame_table, save_frame_texts
+from temporag.frames import (
+    FrameTable,
+    SelectorConfig,
+    frame_similarities,
+    load_frame_table,
+    save_frame_table,
+    select_keyframes,
+)
 from temporag.pipeline import dense_accept
 from temporag.providers import FixtureDetector
+from temporag.rescore import compute_anchors
 from temporag.textindex import (
     IndexFileReader,
     StringTable,
@@ -37,7 +45,7 @@ from temporag.textindex import (
 from temporag.types import Channel, Snippet
 from temporag.vectorindex import HashEmbedder, normalize, save_vectors
 
-from conftest import MALFORMED_EMBEDS, MUTATIONS, mutate_bytes
+from conftest import MALFORMED_EMBEDS, MUTATIONS, STRINGS, mutate_bytes
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -240,8 +248,11 @@ class TestIngest:
         assert f"{frames}:2: " in captured.err
         assert "frames: 1 records" in captured.out
         assert "line errors: 1," in captured.out
-        frame_index, t, texts = load_frame_texts(str(out / "frames.docs"), 120.0)
-        assert (frame_index.tolist(), t.tolist(), texts) == ([0], [0.0], ["dock"])
+        table = load_frame_table(str(out / "frames.tbl"), 120.0)
+        assert (table.frame_index.tolist(), table.t.tolist(), list(table.texts)) == (
+            [0], [0.0], ["dock"]
+        )
+        assert table.matrix.shape == (1, 0)  # the store's file holds no rows
 
     def test_detections_derive_det_channel(self, tmp_path):
         out = tmp_path / "store"
@@ -265,7 +276,8 @@ class TestIngest:
         out = tmp_path / "store"
         out.mkdir()
         for name in ("asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl", "asr.docs",
-                     "ocr.docs", "ocr.bm25", "frames.docs", "detections.tbl", "notes.txt"):
+                     "ocr.docs", "ocr.bm25", "frames.docs", "frames.tbl", "detections.tbl",
+                     "notes.txt"):
             (out / name).write_text("{}\n", encoding="utf-8")
         rc = run_cli(["ingest", DEMO / "audio.srt", "--video-id", "v", "--duration-s", "120",
                       "--out", out])
@@ -418,11 +430,11 @@ class TestBuild:
     )
     def test_bad_store_frame_table_is_data_error(self, tmp_path, built_index, capsys, column,
                                                  row, value, problem):
-        path = built_index.parent / "store" / "frames.docs"
-        frame_index, t, texts = load_frame_texts(str(path), 120.0)
-        columns = {"frame_index": frame_index.copy(), "t": t.copy()}
+        path = built_index.parent / "store" / "frames.tbl"
+        table = load_frame_table(str(path), 120.0)
+        columns = {"frame_index": table.frame_index.copy(), "t": table.t.copy()}
         columns[column][row] = value
-        save_frame_texts(str(path), columns["frame_index"], columns["t"], texts)
+        save_frame_table(str(path), columns["frame_index"], columns["t"], table.texts)
         rc = run_cli(["build", "--store", path.parent, "--out", tmp_path / "o"])
         assert rc == 2
         assert f"data error: {path}: truncated or corrupt index ({problem})" in (
@@ -493,7 +505,8 @@ class TestBuild:
 
     @pytest.mark.parametrize(
         "name",
-        ["asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl", "asr.docs", "ocr.docs"],
+        ["asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl", "asr.docs", "ocr.docs",
+         "frames.docs"],
     )
     def test_jsonl_store_is_data_error(self, tmp_path, built_index, capsys, name):
         # A store of an older ingest: without this check it would build an empty index.
@@ -808,6 +821,19 @@ class TestAnswer:
             capsys.readouterr().err
         )
 
+    def test_store_frame_table_is_data_error(self, built_index, capsys):
+        # The store's frame table holds the frame texts but no dense rows.
+        path = built_index / "frames.tbl"
+        shutil.copyfile(built_index.parent / "store" / "frames.tbl", path)
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 2
+        assert f"data error: {path}: no dense rows; run build on this store" in (
+            capsys.readouterr().err
+        )
+
     def test_index_of_the_other_channel_is_data_error(self, built_index, capsys):
         # An OCR file that holds the ASR channel would quote speech as OCR evidence.
         shutil.copyfile(built_index / "asr.bm25", built_index / "ocr.bm25")
@@ -859,7 +885,7 @@ class TestAnswer:
             for column, value in damage.items():
                 columns[column][0] = value
             save_frame_table(
-                str(path), columns["frame_index"], columns["t"], table.embedded, table.matrix
+                str(path), columns["frame_index"], columns["t"], table.texts, table.matrix
             )
         elif isinstance(damage, dict):  # rewrite the first document's times
             index = load_index(str(path), math.inf)
@@ -973,7 +999,20 @@ class TestAnswer:
              "--config", DEMO / "config.json"]
         )
         assert rc == 2
-        assert f"data error: {path}: format version 1, expected 2" in capsys.readouterr().err
+        assert f"data error: {path}: format version 1, expected 3" in capsys.readouterr().err
+
+    def test_version_2_frame_table_is_data_error(self, built_index, capsys):
+        # Version 2 frame tables kept a u8 embedded column in place of the frame texts.
+        path = built_index / "frames.tbl"
+        data = bytearray(path.read_bytes())
+        data[4:8] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        rc = run_cli(
+            ["answer", "--index", built_index, "--query", self.QUERY,
+             "--config", DEMO / "config.json"]
+        )
+        assert rc == 2
+        assert f"data error: {path}: format version 2, expected 3" in capsys.readouterr().err
 
     def test_builds_keyframe_records_only(self, tmp_path, monkeypatch):
         # 300 frames, most with text; an answer builds a record for each
@@ -1582,7 +1621,7 @@ class TestOneEmbeddingSourcePerBuild:
         store = tmp_path / "store"
         _ingest(store, DEMO / "audio.srt", DEMO / "screen_text.jsonl")
         ids = store_ids(store, "asr") + store_ids(store, "ocr")
-        frame_index, _, _ = load_frame_texts(str(store / "frames.docs"), 120.0)
+        frame_index = load_frame_table(str(store / "frames.tbl"), 120.0).frame_index
         ids += [f"frame-{i:05d}" for i in frame_index.tolist()]
         rng = np.random.default_rng(0)
         pre = tmp_path / "pre.vec"
@@ -1619,7 +1658,7 @@ class TestOneEmbeddingSourcePerBuild:
         index = build_demo(tmp_path)
         store = index.parent / "store"
         texts = [s.text for c in ("asr", "ocr") for s in store_snippets(store, c)]
-        texts += load_frame_texts(str(store / "frames.docs"), 120.0)[2]
+        texts += load_frame_table(str(store / "frames.tbl"), 120.0).texts
         assert len(drawn) == len(set(drawn))
         assert set(drawn) == {token for text in texts for token in tokenize(text) or [""]}
 
@@ -1633,7 +1672,7 @@ def demo_store(tmp_path_factory):
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(
-    name=st.sampled_from(["asr.bm25", "ocr.bm25", "frames.docs", "detections.tbl", "video.json"]),
+    name=st.sampled_from(["asr.bm25", "ocr.bm25", "frames.tbl", "detections.tbl", "video.json"]),
     mutations=MUTATIONS,
 )
 def test_build_over_a_mutated_store_file_exits_0_1_or_2(demo_store, name, mutations):
@@ -1649,6 +1688,59 @@ def test_build_over_a_mutated_store_file_exits_0_1_or_2(demo_store, name, mutati
                  "--config", DEMO / "config.json"]
             )
     assert rc in (0, 1, 2), err.getvalue()
+
+
+# Frames with unique indices, times from a small set so that equal times
+# occur, and texts that may be empty or non-ASCII; possibly no frame at all.
+ROUND_TRIP_FRAMES = st.lists(
+    st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 2.5, 2.5, 61.25, 120.0]), STRINGS),
+    max_size=12,
+    unique_by=lambda frame: frame[0],
+)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(frames=ROUND_TRIP_FRAMES, query=STRINGS)
+def test_frame_table_round_trips_from_ingest_to_runtime(frames, query):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        frames_path, cfg_path = root / "frames.jsonl", root / "cfg.json"
+        frames_path.write_text(
+            "".join(json.dumps({"frame_index": i, "t": t, "text": text}) + "\n"
+                    for i, t, text in frames),
+            encoding="utf-8",
+        )
+        cfg_path.write_text(json.dumps({"providers": {"embed_dim": 16}}), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert run_cli(["ingest", DEMO / "audio.srt", "--frames", frames_path,
+                            "--video-id", "v", "--duration-s", "120", "--out", root / "s"]) == 0
+            assert run_cli(["build", "--store", root / "s", "--out", root / "i",
+                            "--config", cfg_path]) == 0
+            cfg = load_config(str(cfg_path))
+            runtime = cli._load_runtime(root / "i", cfg)
+    rows = sorted((t, i, text) for i, t, text in frames)
+    texts = [text for _, _, text in rows]
+    embedder = HashEmbedder(16, cfg.providers.embed_seed)
+    with_text = [text for text in texts if text]
+    matrix = embedder.embed(with_text).astype(np.float32) if with_text else np.zeros((0, 0))
+    expected = FrameTable([i for _, i, _ in rows], [t for t, _, _ in rows],
+                          [text != "" for text in texts], matrix)
+    if not rows:  # no frame metadata: the runtime's frames are the video's ends
+        expected = FrameTable([0, 1], [0.0, 120.0])
+    loaded = runtime.frames
+    assert loaded.frame_index.tolist() == expected.frame_index.tolist()
+    assert loaded.t.tobytes() == expected.t.tobytes()
+    assert loaded.embedded.tolist() == expected.embedded.tolist()
+    assert loaded.matrix.shape == expected.matrix.shape
+    assert loaded.matrix.tobytes() == expected.matrix.tobytes()
+    q = embedder.embed([query])[0]
+    sims = frame_similarities(loaded, q)
+    assert sims.tobytes() == frame_similarities(expected, q).tobytes()
+    selector = SelectorConfig(max_frames=4, sim_threshold=0.0, n_bins=2)
+    assert select_keyframes(loaded, sims, selector, 120.0) == select_keyframes(
+        expected, sims, selector, 120.0
+    )
+    assert compute_anchors(loaded, sims) == compute_anchors(expected, sims)
 
 
 # A config edit sets one key, top-level or under "providers", to any JSON

@@ -93,7 +93,7 @@ class TestFrameSimilarities:
         rows = [normalize([1.0, float(i)]) for i in range(3)]
         save_frame_table(
             str(tmp_path / "frames.tbl"), [5, 1, 9, 2], [0.0, 1.0, 2.0, 3.0],
-            [True, False, True, True], rows,
+            ["gull", "", "pier", "boat"], rows,
         )
         loaded = load_frame_table(str(tmp_path / "frames.tbl"), 10.0)
         in_memory = FrameTable(
@@ -341,12 +341,27 @@ class TestFrameTable:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "frames.tbl"
         rows = [normalize([1.0, 2.0, 2.0]), normalize([0.0, 0.0, 1.0])]
-        save_frame_table(str(path), [3, 1, 2], [0.0, 5.0, 5.0], [True, False, True], rows)
+        save_frame_table(str(path), [3, 1, 2], [0.0, 5.0, 5.0], ["quai", "", "日本"], rows)
         frames = load_frame_table(str(path), 10.0)
         assert frames.frame_index.tolist() == [3, 1, 2]
         assert frames.t.tolist() == [0.0, 5.0, 5.0]
+        assert list(frames.texts) == ["quai", "", "日本"]
         assert frames.embedded.tolist() == [True, False, True]
         np.testing.assert_array_equal(frames.matrix, np.array(rows, dtype=F4))
+
+    def test_store_table_has_no_rows(self, tmp_path):
+        # As ingest writes it: the texts, dim 0 and no rows.
+        path = tmp_path / "frames.tbl"
+        save_frame_table(str(path), [3, 1, 2], [0.0, 5.0, 5.0], ["quai", "", "日本"])
+        frames = load_frame_table(str(path), 10.0)
+        assert list(frames.texts) == ["quai", "", "日本"]
+        assert frames.embedded.tolist() == [True, False, True]
+        assert frames.matrix.shape == (2, 0)
+
+    def test_vectors_for_each_frame_with_text(self, tmp_path):
+        with pytest.raises(DataError, match="^1 vectors for 2 frames with text$"):
+            save_frame_table(str(tmp_path / "frames.tbl"), [0, 1], [0.0, 1.0], ["a", "b"],
+                             unit_rows([1.0, 0.0]))
 
     def test_zero_rows(self, tmp_path):
         path = tmp_path / "frames.tbl"
@@ -368,44 +383,39 @@ class TestFrameTable:
     )
     def test_bad_rows_rejected(self, tmp_path, frame_index, t, problem):
         path = tmp_path / "frames.tbl"
-        save_frame_table(str(path), frame_index, t, [False, False], [])
+        save_frame_table(str(path), frame_index, t, ["", ""])
         with pytest.raises(DataError, match=f"{re.escape(str(path))}: .*{problem}"):
             load_frame_table(str(path), 10.0)
 
     @pytest.mark.parametrize(
-        "embedded, rows, problem",
+        "texts, rows, problem",
         [
-            ([2, 0], [[1.0, 0.0]], "embedded flags other than 0 and 1"),
-            ([1, 1], [[1.0, math.nan], [0.0, 1.0]], "non-finite embedding values"),
-            ([0, 1], [[math.inf, 0.0]], "non-finite embedding values"),
+            (["a", "b"], [[1.0, math.nan], [0.0, 1.0]], "non-finite embedding values"),
+            (["", "b"], [[math.inf, 0.0]], "non-finite embedding values"),
         ],
-        ids=["flag_2", "nan", "inf"],
+        ids=["nan", "inf"],
     )
-    def test_bad_embeddings_rejected(self, tmp_path, embedded, rows, problem):
+    def test_bad_embeddings_rejected(self, tmp_path, texts, rows, problem):
         path = tmp_path / "frames.tbl"
-        save_frame_table(str(path), [0, 1], [0.0, 1.0], [bool(e) for e in embedded], rows)
-        data = bytearray(path.read_bytes())
-        flags = 12 + 2 * (4 + 8)  # header, n, frame_index and t
-        data[flags : flags + 2] = bytes(embedded)
-        path.write_bytes(bytes(data))
+        save_frame_table(str(path), [0, 1], [0.0, 1.0], texts, rows)
         with pytest.raises(DataError, match=f"{re.escape(str(path))}: .*{problem}"):
             load_frame_table(str(path), 10.0)
 
-    @pytest.mark.parametrize("dim, n_rows", [(0, 1), (2, 0)], ids=["zero_dim", "dim_no_rows"])
-    def test_dim_zero_exactly_when_nothing_embedded(self, tmp_path, dim, n_rows):
+    def test_dim_without_frame_text_rejected(self, tmp_path):
+        # One frame, its text empty, and dim 2: rows of a width but none to hold.
         path = tmp_path / "frames.tbl"
         write_index_file(
-            str(path), 2, struct.pack("<I", 1), struct.pack("<I", 0), struct.pack("<d", 0.0),
-            bytes([n_rows]), struct.pack("<I", dim),
+            str(path), 3, struct.pack("<I", 1), struct.pack("<I", 0), struct.pack("<d", 0.0),
+            struct.pack("<II", 0, 0), struct.pack("<I", 2),
         )
-        with pytest.raises(DataError, match=f"dim {dim} for {n_rows} embedded frames"):
+        with pytest.raises(DataError, match="dim 2 for 0 embedded frames"):
             load_frame_table(str(path), 10.0)
 
     def test_version_1_rejected(self, tmp_path):
         path = tmp_path / "frames.tbl"
         write_index_file(str(path), 1, struct.pack("<I", 1), struct.pack("<I", 0),
                          struct.pack("<d", 0.0))
-        with pytest.raises(TemporagError, match="format version 1, expected 2"):
+        with pytest.raises(TemporagError, match="format version 1, expected 3"):
             load_frame_table(str(path), 10.0)
 
 
@@ -415,16 +425,20 @@ def frame_table_dir(tmp_path_factory):
     rows = [normalize([1.0, 2.0, 0.5]), normalize([0.0, 1.0, 1.0]), normalize([3.0, 0.0, 1.0])]
     save_frame_table(
         str(path / "clean.tbl"), [4, 0, 2, 7], [0.0, 1.5, 1.5, 9.0],
-        [True, False, True, True], rows,
+        ["gull", "", "quai é", "日本"], rows,
+    )
+    # As ingest writes it, with no rows.
+    save_frame_table(
+        str(path / "store.tbl"), [4, 0, 2, 7], [0.0, 1.5, 1.5, 9.0], ["gull", "", "quai é", "日本"]
     )
     return path
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
-@given(mutations=MUTATIONS)
-def test_mutated_file_loads_or_raises_temporag_error(frame_table_dir, mutations):
+@settings(max_examples=800, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(["clean.tbl", "store.tbl"]), mutations=MUTATIONS)
+def test_mutated_file_loads_or_raises_temporag_error(frame_table_dir, name, mutations):
     path = frame_table_dir / "mutated.tbl"
-    path.write_bytes(mutate_bytes((frame_table_dir / "clean.tbl").read_bytes(), mutations))
+    path.write_bytes(mutate_bytes((frame_table_dir / name).read_bytes(), mutations))
     try:
         frames = load_frame_table(str(path), 10.0)
     except TemporagError:
@@ -433,8 +447,9 @@ def test_mutated_file_loads_or_raises_temporag_error(frame_table_dir, mutations)
     assert len({f.frame_index for f in records}) == len(records)
     assert all(0.0 <= f.t <= 10.0 for f in records)
     assert records == sorted(records, key=lambda f: (f.t, f.frame_index))
+    assert frames.embedded.tolist() == [text != "" for text in frames.texts]
     assert frames.matrix.shape == (int(frames.embedded.sum()), frames.matrix.shape[1])
     assert np.all(np.isfinite(frames.matrix))
-    if len(frames.matrix):
+    if frames.matrix.size:
         q = normalize(np.ones(frames.matrix.shape[1]))
         assert np.all(np.isfinite(frame_similarities(frames, q)))

@@ -341,3 +341,16 @@ def test_parsed_snippets_revalidate(starts):
     for snippet in parse_srt("\n".join(blocks).encode()):
         validated = validate_snippet(snippet, video)
         assert validated.t_start <= validated.t_end
+
+
+def test_a_cue_without_text_keeps_its_number_in_srt_and_vtt():
+    # The second cue has a timing line and no text: it is dropped, and the
+    # third cue is still asr-000003 in both formats.
+    srt = b"1\n00:00:01,000 --> 00:00:02,000\nfirst\n\n2\n00:00:03,000 --> 00:00:04,000\n\n" \
+          b"3\n00:00:05,000 --> 00:00:06,000\nthird\n"
+    vtt = b"WEBVTT\n\n00:01.000 --> 00:02.000\nfirst\n\n00:03.000 --> 00:04.000\n\n" \
+          b"00:05.000 --> 00:06.000\nthird\n"
+    for snippets in (parse_srt(srt), parse_vtt(vtt)):
+        assert [(s.id, s.text, s.t_start) for s in snippets] == [
+            ("asr-000001", "first", 1.0), ("asr-000003", "third", 5.0)
+        ]
