@@ -93,9 +93,12 @@ def _echo_config(cfg: RunConfig) -> None:
 
 def _load_effective_config(args) -> RunConfig:
     cfg = load_config(getattr(args, "config", None))
-    overrides = {}
-    if getattr(args, "tau", None) is not None:
-        overrides["tau"] = args.tau
+    # Each query flag but --lambda stores under the config key it overrides.
+    overrides = {
+        key: value
+        for key in ("tau", "top_k", "pool_multiplier", "fusion", "budget_tokens")
+        if (value := getattr(args, key, None)) is not None
+    }
     if getattr(args, "lambdas", None) is not None:
         parts = args.lambdas.split(",")
         if len(parts) != 3:
@@ -105,14 +108,6 @@ def _load_effective_config(args) -> RunConfig:
         except ValueError:
             raise ConfigError("--lambda values must be numbers") from None
         overrides.update({"lambda0": l0, "lambda1": l1, "lambda2": l2})
-    if getattr(args, "topk", None) is not None:
-        overrides["top_k"] = args.topk
-    if getattr(args, "pool_mult", None) is not None:
-        overrides["pool_multiplier"] = args.pool_mult
-    if getattr(args, "fusion", None) is not None:
-        overrides["fusion"] = args.fusion
-    if getattr(args, "budget", None) is not None:
-        overrides["budget_tokens"] = args.budget
     if overrides:
         cfg = config_from_dict({**cfg.to_dict(), **overrides})
     _echo_config(cfg)
@@ -355,11 +350,7 @@ def cmd_build(args) -> int:
 
 def _ablation_flags(args) -> AblationFlags:
     return AblationFlags(
-        se=not args.no_se,
-        tw=not args.no_tw,
-        ocr=not args.no_ocr,
-        asr=not args.no_asr,
-        context=not args.no_context,
+        **{name: not getattr(args, f"no_{name}") for name in ("se", "tw", "ocr", "asr", "context")}
     )
 
 
@@ -583,10 +574,13 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--tau", type=float, help="acceptance threshold override")
     p.add_argument("--lambda", dest="lambdas", help="decay strengths, e.g. 1,1,1")
-    p.add_argument("--topk", type=int, help="snippets kept per channel")
-    p.add_argument("--pool-mult", type=int, help="candidate pool multiplier")
+    p.add_argument("--topk", dest="top_k", metavar="TOPK", type=int,
+                   help="snippets kept per channel")
+    p.add_argument("--pool-mult", dest="pool_multiplier", metavar="POOL_MULT", type=int,
+                   help="candidate pool multiplier")
     p.add_argument("--fusion", choices=["lexical", "dense", "max_fuse"])
-    p.add_argument("--budget", type=int, help="prompt token budget")
+    p.add_argument("--budget", dest="budget_tokens", metavar="BUDGET", type=int,
+                   help="prompt token budget")
     p.add_argument("--no-se", action="store_true", help="disable entropy weighting")
     p.add_argument("--no-tw", action="store_true", help="disable temporal decay")
     p.add_argument("--no-ocr", action="store_true", help="drop the OCR channel")

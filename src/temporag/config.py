@@ -79,8 +79,7 @@ class RunConfig:
         return FusionMode(self.fusion)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        return d
+        return dataclasses.asdict(self)
 
     def replace(self, **overrides) -> "RunConfig":
         """A copy with ``overrides``, checked as a loaded config is."""

@@ -172,13 +172,11 @@ def dense_accept(
 ) -> list[int]:
     """Filter document positions by dense similarity >= tau, preserving order.
 
-    Each row's similarity is its own float64 dot product with the query (a
-    stacked matmul, with the bits of ``np.dot``), whatever else is filtered
-    with it.
+    Each row's similarity is its own dot product with the query, whatever
+    else is filtered with it (``textindex.row_similarities``).
     """
     pos = np.asarray(ids, dtype=np.intp)
-    sims = (bm25.vectors[pos].astype(np.float64)[:, None, :] @ query_vec[:, None]).ravel()
-    return pos[sims >= tau].tolist()
+    return pos[textindex.row_similarities(bm25.vectors, query_vec, pos) >= tau].tolist()
 
 
 def _min_max_rescale(hits: Sequence[tuple[int, float]]) -> dict[int, float]:
@@ -229,15 +227,18 @@ def retrieve_channel(
             for pos, score in textindex.dense_search(bm25, query_vec, pool_size, tau)
         ]
     elif fusion is FusionMode.MAX_FUSE:
+        # One dense pass gives the dense pool and filters the union.
+        sims = bm25.similarities(query_vec)
         lex_scaled = _min_max_rescale(textindex.search(bm25, req_text, pool_size))
-        den_scaled = _min_max_rescale(textindex.dense_search(bm25, query_vec, pool_size, tau))
+        den_best, den_scores = textindex.top_hits(sims, sims >= tau, pool_size)
+        den_scaled = _min_max_rescale(list(zip(den_best, den_scores)))
         # Position order is doc-id order, so ties keep ascending ids.
         union = sorted(set(lex_scaled) | set(den_scaled))
         fused = [
-            (pos, max(lex_scaled.get(pos, 0.0), den_scaled.get(pos, 0.0))) for pos in union
+            (pos, max(lex_scaled.get(pos, 0.0), den_scaled.get(pos, 0.0)))
+            for pos in union
+            if sims[pos] >= tau
         ]
-        kept = set(dense_accept(bm25, query_vec, [pos for pos, _ in fused], tau))
-        fused = [(pos, raw) for pos, raw in fused if pos in kept]
         fused.sort(key=lambda h: (-h[1], h[0]))
         candidates = fused[:pool_size]
     else:  # pragma: no cover - exhaustive enum

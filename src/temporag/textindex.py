@@ -155,34 +155,34 @@ class Bm25Index:
         return row_similarities(self._f8, q)
 
     def _span(self, token: str) -> tuple[int, int]:
-        row = cached_rank(self.token_row, self.tokens, token)
+        """The postings span of ``token``'s row; empty for a token the index lacks.
+
+        ``token_row`` keeps every row found, so a token costs one bisection
+        (one decode per probe of a ``StringTable``) and then dict hits. A
+        race at worst bisects for the same token twice.
+        """
+        row = self.token_row.get(token)
+        if row is None:
+            row = bisect_left(self.tokens, token)
+            if row == len(self.tokens) or self.tokens[row] != token:
+                row = -1
+            self.token_row[token] = row
         if row < 0:
             return 0, 0
         return self.offsets.item(row), self.offsets.item(row + 1)
 
-    def postings(self, token: str) -> list[tuple[str, int]]:
-        """``[(doc_id, tf)]`` of one token, ascending by doc_id; empty if unseen."""
-        lo, hi = self._span(token)
-        return [
-            (self.doc_ids[p], f)
-            for p, f in zip(self.doc_pos[lo:hi].tolist(), self.tf[lo:hi].tolist())
-        ]
 
-    def idf(self, token: str) -> float:
-        """ln(1 + (N - df + 0.5) / (df + 0.5)); 0 for unseen tokens."""
-        lo, hi = self._span(token)
-        return _idf(self.n_docs, hi - lo) if hi > lo else 0.0
+def row_similarities(
+    rows: np.ndarray, q: np.ndarray, positions: Sequence[int] | None = None
+) -> np.ndarray:
+    """Inner products of ``q`` with rows of the matrix ``rows``, as float64.
 
-
-def _idf(n_docs: int, df: int) -> float:
-    return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-
-
-def row_similarities(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Inner products of ``q`` with every row of the float64 matrix ``rows``, in row order.
-
-    One matrix-vector product; a ``q`` that is not one vector as wide as the rows is a
-    ``DataError``.
+    Without ``positions``: every row of the float64 ``rows``, in row order,
+    by one matrix-vector product. With ``positions``: those rows, in that
+    order, each by its own float64 dot product (a stacked matmul, with the
+    bits of ``np.dot``), so a row's value does not depend on which other
+    rows are asked for. A ``q`` that is not one vector as wide as the rows
+    is a ``DataError``.
     """
     q = np.asarray(q, dtype=np.float64)
     dim = rows.shape[1]
@@ -190,23 +190,10 @@ def row_similarities(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise DataError(f"query of shape {q.shape}, expected one vector of dim {dim}")
     if q.shape[0] != dim:
         raise DataError(f"expected dim {dim}, got {q.shape[0]}")
-    return rows @ q
-
-
-def cached_rank(cache: dict[str, int], table: Sequence[str], key: str) -> int:
-    """Position of ``key`` in the strictly sorted ``table``, or -1 if absent.
-
-    ``cache`` keeps every answer, so a key costs one bisection (one decode
-    per probe of a ``StringTable``) and then dict hits. A race at worst
-    bisects for the same key twice.
-    """
-    pos = cache.get(key)
-    if pos is None:
-        pos = bisect_left(table, key)
-        if pos == len(table) or table[pos] != key:
-            pos = -1
-        cache[key] = pos
-    return pos
+    if positions is None:
+        return rows @ q
+    picked = rows[positions].astype(np.float64, copy=False)
+    return (picked[:, None, :] @ q[:, None]).ravel()
 
 
 def top_hits(scores: np.ndarray, keep: np.ndarray, k: int) -> tuple[list[int], list[float]]:
@@ -326,8 +313,9 @@ def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[int,
     positions = np.concatenate([index.doc_pos[lo:hi] for lo, hi in spans], dtype=np.intp)
     tfs = np.concatenate([index.tf[lo:hi] for lo, hi in spans], dtype=np.float64)
     dfs = [hi - lo for lo, hi in spans]
-    idfs = np.repeat([_idf(index.n_docs, df) for df in dfs], dfs)
-    scores = np.zeros(index.n_docs, dtype=np.float64)
+    n_docs = index.n_docs
+    idfs = np.repeat([math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5)) for df in dfs], dfs)
+    scores = np.zeros(n_docs, dtype=np.float64)
     # Okapi term contributions, accumulated per document in query-token order.
     np.add.at(scores, positions, idfs * tfs * (K1 + 1.0) / (tfs + index.dl_norm[positions]))
     best, best_scores = top_hits(scores, scores > 0.0, pool_size)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from temporag.errors import DataError
 from temporag.rescore import AnchorSet, DecayParams, TimeNorm
-from temporag.textindex import Bm25Index
+from temporag.textindex import Bm25Index, tokenize
 from temporag.types import Channel, Snippet
 
 _SESSION_START = time.perf_counter()
@@ -73,20 +73,25 @@ def decay_multiplier(
 def bm25_score(index: Bm25Index, query_tokens: Sequence[str], doc_id: str) -> float:
     """Okapi score of one document for a query token list.
 
-    Repeated query tokens contribute once per occurrence. Terms absent
-    from the document contribute zero.
+    Reads only the index's doc ids and texts: tf, df, document lengths and
+    avg_dl are counted here from the tokenized texts, so a wrong count the
+    index stores cannot agree with itself. Repeated query tokens contribute
+    once per occurrence. Terms absent from the document contribute zero.
     """
-    pos = list(index.doc_ids).index(doc_id)
+    docs = [tokenize(text) for text in index.texts]
+    doc = docs[list(index.doc_ids).index(doc_id)]
+    n = len(docs)
+    avg_dl = sum(map(len, docs)) / n
     k1, b = 1.2, 0.75  # Okapi's usual constants, not read from the code under test
-    dl = int(index.doc_len[pos])
     score = 0.0
     for token in query_tokens:
-        tf = dict(index.postings(token)).get(doc_id, 0)
+        tf = doc.count(token)
         if tf == 0:
             continue
         # tf > 0 means some document has a token, so avg_dl > 0 here.
-        norm = k1 * (1.0 - b + b * dl / index.avg_dl)
-        score += index.idf(token) * tf * (k1 + 1.0) / (tf + norm)
+        df = sum(1 for toks in docs if token in toks)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        score += idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * len(doc) / avg_dl))
     return score
 
 

@@ -269,6 +269,11 @@ class TestRetrieveChannel:
         ).hits
         assert out == []
 
+    def test_dense_accept_wrong_width_query_is_data_error(self):
+        chan = build_channel([make_snippet("a", "x", 0.0, 1.0)], HashEmbedder(8))
+        with pytest.raises(DataError, match="^expected dim 8, got 16$"):
+            dense_accept(chan, normalize(np.ones(16)), [0], 0.0)
+
 
 class TestAugmentQuery:
     def test_stub_golden(self):
@@ -618,3 +623,24 @@ class TestSinglePass:
         monkeypatch.setattr(vectorindex, "_row_norms", spy)
         run(runtime)
         assert calls == [(3, 32)]
+
+    def test_max_fuse_takes_one_dense_pass_per_channel(self, monkeypatch):
+        # One full-row pass per channel gives the dense pool and filters the
+        # fused union; no per-row filter runs after it.
+        passes, accepts = [], []
+        similarities, accept = textindex.row_similarities, pipeline.dense_accept
+
+        def similarities_spy(rows, q, *positions):
+            passes.append((len(rows), *positions))
+            return similarities(rows, q, *positions)
+
+        def accept_spy(*args):
+            accepts.append(args)
+            return accept(*args)
+
+        monkeypatch.setattr(textindex, "row_similarities", similarities_spy)
+        monkeypatch.setattr(pipeline, "dense_accept", accept_spy)
+        result = run(self.runtime(), fusion=FusionMode.MAX_FUSE, tau=0.0)
+        assert sorted(passes) == [(2,), (3,)]  # every row of ocr, of asr
+        assert accepts == []
+        assert result.trace["channels"]["asr"] and result.trace["channels"]["ocr"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 from collections import Counter
@@ -27,23 +28,6 @@ from temporag.types import Channel
 from temporag.vectorindex import HashEmbedder, normalize
 
 from conftest import MUTATIONS, STRINGS, bm25_score, make_snippet, mutate_bytes
-
-
-# Independent scalar oracle: a literal transliteration of the okapi formula
-# over tokenized documents, sharing no code with the implementation.
-def oracle_score(doc_tokens, query_tokens, doc_id, k1=1.2, b=0.75):
-    n = len(doc_tokens)
-    avg_dl = sum(len(t) for t in doc_tokens.values()) / n
-    dl = len(doc_tokens[doc_id])
-    total = 0.0
-    for term in query_tokens:
-        tf = doc_tokens[doc_id].count(term)
-        if tf == 0:
-            continue
-        df = sum(1 for toks in doc_tokens.values() if term in toks)
-        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        total += idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avg_dl))
-    return total
 
 
 def random_corpus(rng, n_docs, vocab_size=30):
@@ -152,7 +136,9 @@ class TestBuildIndex:
     def test_postings_sorted_by_doc_id(self):
         docs = [make_snippet(sid, "shared word", 0.0, 1.0) for sid in ("z", "a", "m")]
         index = build_index(docs)
-        assert [d for d, _ in index.postings("shared")] == ["a", "m", "z"]
+        row = list(index.tokens).index("shared")
+        span = index.doc_pos[index.offsets[row] : index.offsets[row + 1]]
+        assert [index.doc_ids[p] for p in span.tolist()] == ["a", "m", "z"]
 
     @pytest.mark.parametrize(
         "texts",
@@ -217,12 +203,24 @@ class TestBm25Score:
             make_snippet("c", "cat cat dog", 2.0, 3.0),
         ]
         index = build_index(docs)
-        doc_tokens = {d.id: tokenize(d.text) for d in docs}
         for query in (["cat"], ["the", "dog"], ["cat", "sat", "mat"], ["missing"]):
-            for doc in docs:
+            want = dict(search(index, " ".join(query), len(docs)))
+            for pos, doc in enumerate(docs):  # ids a < b < c: position order
                 assert bm25_score(index, query, doc.id) == pytest.approx(
-                    oracle_score(doc_tokens, query, doc.id), abs=1e-9
+                    want.get(pos, 0.0), abs=1e-9
                 )
+
+    def test_oracle_counts_lengths_from_the_texts(self):
+        # Every stored doc_len one too high moves each length's ratio to
+        # avg_dl here, so search must disagree with an oracle that counts.
+        docs = [make_snippet("a", "cat", 0.0, 1.0), make_snippet("b", "cat dog", 1.0, 2.0)]
+        index = build_index(docs)
+        wrong = dataclasses.replace(index, doc_len=index.doc_len + 1)
+        assert len(search(wrong, "cat", 2)) == 2
+        for pos, score in search(index, "cat", 2):
+            assert score == pytest.approx(bm25_score(index, ["cat"], docs[pos].id), abs=1e-9)
+        for pos, score in search(wrong, "cat", 2):
+            assert score != pytest.approx(bm25_score(wrong, ["cat"], docs[pos].id), abs=1e-9)
 
     def test_monotone_in_term_frequency(self):
         # Same doc length, increasing tf of the query term.
@@ -250,11 +248,8 @@ class TestSearch:
         rng = np.random.default_rng(7)
         docs = random_corpus(rng, 20)
         index = build_index(docs)
-        doc_tokens = {d.id: tokenize(d.text) for d in docs}
         query = "w0 w3 w7"
-        expected = [
-            (d.id, oracle_score(doc_tokens, tokenize(query), d.id)) for d in docs
-        ]
+        expected = [(d.id, bm25_score(index, tokenize(query), d.id)) for d in docs]
         expected = [(i, s) for i, s in expected if s > 0]
         expected.sort(key=lambda h: (-h[1], h[0]))
         got = search(index, query, len(docs))
@@ -307,11 +302,16 @@ def test_disjoint_doc_changes_scores_only_through_idf():
     extra = make_snippet("z", "qqq www eee", 3.0, 4.0)  # disjoint, length 3 = avg
     index_after = build_index(base + [extra])
     assert index_after.avg_dl == index_before.avg_dl
-    for doc_id in ("a", "c"):
-        before = bm25_score(index_before, ["cat"], doc_id)
-        after = bm25_score(index_after, ["cat"], doc_id)
-        ratio = index_after.idf("cat") / index_before.idf("cat")
-        assert after == pytest.approx(before * ratio, abs=1e-9)
+    before = dict(search(index_before, "cat", 10))
+    after = dict(search(index_after, "cat", 10))
+    assert sorted(before) == sorted(after) == [0, 2]  # a and c, at the same positions
+
+    def idf(n, df):
+        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+
+    ratio = idf(4, 2) / idf(3, 2)  # "cat" is in 2 of 3 documents, then 2 of 4
+    for pos in before:
+        assert after[pos] == pytest.approx(before[pos] * ratio, abs=1e-9)
 
 
 class TestPersistence:
