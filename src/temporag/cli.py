@@ -124,7 +124,7 @@ def _classify_jsonl(data: bytes) -> str:
             continue
         try:
             obj = json.loads(line)
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
             return "snippets"  # let the tolerant parser report it
         if isinstance(obj, dict) and "objects" in obj:
             return "detections"
@@ -277,7 +277,7 @@ def _read_video(path: Path) -> VideoRecord:
     try:
         meta = json.loads(path.read_bytes())
         return VideoRecord(video_id=meta["video_id"], duration_s=meta["duration_s"])
-    except (ValueError, KeyError, TypeError, AttributeError, DataError) as exc:
+    except (ValueError, RecursionError, KeyError, TypeError, AttributeError, DataError) as exc:
         raise DataError(f"{path}: bad video record ({exc})") from None
 
 
@@ -480,7 +480,7 @@ def _load_spec(path: str | None) -> SyntheticSpec:
         data = json.loads(Path(path).read_bytes())
     except OSError as exc:
         raise ConfigError(f"spec {path}: cannot read ({exc.strerror})") from None
-    except ValueError as exc:  # also UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
         raise ConfigError(f"spec {path}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"spec {path}: not a JSON object")

@@ -23,8 +23,9 @@ from .vectorindex import MIN_HASH_DIM
 class ProviderConfig:
     """Which provider backs each external call, plus endpoint overrides.
 
-    URLs and keys default to the TEMPORAG_* environment variables; values
-    here override them.
+    A URL set here overrides its TEMPORAG_*_URL environment variable. Keys,
+    tokens and the LVLM model come only from the environment
+    (``providers.HttpClient``).
     """
 
     lvlm: str = "stub"  # stub | http
@@ -183,6 +184,6 @@ def load_config(path: str | None) -> RunConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except ValueError as exc:  # also UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return config_from_dict(data)

@@ -47,13 +47,6 @@ class DetectionRecord:
     objects: tuple[DetectedObject, ...]
 
 
-@dataclass(frozen=True)
-class SceneGraphText:
-    """Deterministic per-keyframe textual rendering of detections."""
-
-    lines: tuple[str, ...]
-
-
 @dataclass
 class JsonlReport:
     """Result of tolerant JSONL parsing: records plus located line errors."""
@@ -119,7 +112,7 @@ def _parse_cue_block(
     line_no = start_line + timing_offset
     left, _, right = timing_line.partition("-->")
     # WebVTT allows cue settings after the end timestamp.
-    right = right.strip().split(" ", 1)[0]
+    right = re.split(r"\s", right.strip(), maxsplit=1)[0]
     t_start = _parse_ts(left, pattern, line_no)
     t_end = _parse_ts(right, pattern, line_no)
     if t_end < t_start:
@@ -262,7 +255,7 @@ def _parse_jsonl_lines(data: bytes, from_obj) -> tuple[list, list[tuple[int, str
             continue
         try:
             records.append(from_obj(json.loads(line)))
-        except (json.JSONDecodeError, DataError) as exc:
+        except (json.JSONDecodeError, RecursionError, DataError) as exc:
             errors.append((line_no, str(exc)))
     return records, errors
 
@@ -305,7 +298,7 @@ def _sorted_objects(record: DetectionRecord) -> list[DetectedObject]:
     return sorted(record.objects, key=lambda o: (-o.confidence, o.label))
 
 
-def serialize_scene_graph(dets: list[DetectionRecord]) -> SceneGraphText:
+def serialize_scene_graph(dets: list[DetectionRecord]) -> tuple[str, ...]:
     """Render detections as one deterministic line per keyframe.
 
     Format: ``t=<1 decimal>s: label(x1,y1,x2,y2)[c=conf], ...`` with
@@ -323,4 +316,4 @@ def serialize_scene_graph(dets: list[DetectionRecord]) -> SceneGraphText:
         else:
             rendered = "(none)"
         lines.append(f"t={record.t:.1f}s: {rendered}")
-    return SceneGraphText(lines=tuple(lines))
+    return tuple(lines)

@@ -29,13 +29,12 @@ from .frames import (
     frame_similarities,
     select_keyframes,
 )
-from .ingest import SceneGraphText, serialize_scene_graph
+from .ingest import serialize_scene_graph
 from .providers import DetectorProvider, LvlmProvider
 from .rescore import AnchorSet, DecayParams, RescoreConfig, compute_anchors
 from .textindex import Bm25Index
 from .types import (
     Channel,
-    FrameRecord,
     QueryRequest,
     RetrievalRequest,
     ScoredSnippet,
@@ -61,16 +60,16 @@ class FusionMode(str, Enum):
 
 @dataclass(frozen=True)
 class Evidence:
-    """Retrieved per-channel hits plus the rendered scene graph."""
+    """Retrieved per-channel hits plus the scene graph's lines (``serialize_scene_graph``)."""
 
     asr_hits: tuple[ScoredSnippet, ...]
     ocr_hits: tuple[ScoredSnippet, ...]
-    scene_graph: SceneGraphText
+    scene_graph: tuple[str, ...]
 
     @property
     def token_estimate(self) -> int:
         """Whitespace tokens of the scene lines and the rendered hit lines."""
-        n = sum(len(line.split()) for line in self.scene_graph.lines)
+        n = sum(len(line.split()) for line in self.scene_graph)
         return n + sum(len(_hit_line(h).split()) for h in (*self.asr_hits, *self.ocr_hits))
 
 
@@ -87,7 +86,6 @@ class AugmentedQuery:
 class PromptBundle:
     """The composed prompt and the evidence that produced it."""
 
-    keyframe_refs: tuple[tuple[int, float], ...]
     evidence: Evidence
     query: AugmentedQuery
     rendered: str
@@ -156,7 +154,7 @@ def decouple_query(lvlm: LvlmProvider, q: QueryRequest) -> RetrievalRequest:
             ocr=_clean_request_value(obj.get("ocr")),
             det=_clean_request_value(obj.get("det")),
         )
-    except (json.JSONDecodeError, DataError) as exc:
+    except (json.JSONDecodeError, RecursionError, DataError) as exc:
         log.warning("decouple response unparseable (%s); falling back to raw query", exc)
         return RetrievalRequest(asr=q.query_text, ocr=q.query_text, det=q.query_text)
 
@@ -335,7 +333,6 @@ _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
 
 def compose(
-    keyframes: Sequence[FrameRecord],
     evidence: Evidence,
     aq: AugmentedQuery,
     budget_tokens: int = DEFAULT_BUDGET_TOKENS,
@@ -353,11 +350,10 @@ def compose(
     asr_hits = list(evidence.asr_hits)
     ocr_hits = list(evidence.ocr_hits)
     context = aq.generated_context
-    scene_lines = evidence.scene_graph.lines
 
     def rendered_now() -> str:
         return _render_sections(
-            scene_lines, asr_hits, ocr_hits, context, aq.original, aq.reformulations
+            evidence.scene_graph, asr_hits, ocr_hits, context, aq.original, aq.reformulations
         )
 
     drop_ocr_next = True
@@ -384,7 +380,6 @@ def compose(
         original=aq.original, reformulations=aq.reformulations, generated_context=context
     )
     return PromptBundle(
-        keyframe_refs=tuple((f.frame_index, f.t) for f in keyframes),
         evidence=final_evidence,
         query=final_aq,
         rendered=rendered,
@@ -519,7 +514,7 @@ def run_query(
         ocr_hits=tuple(retrieval[Channel.OCR].hits),
         scene_graph=scene_graph,
     )
-    bundle = compose(keyframes, evidence, aq, budget_tokens)
+    bundle = compose(evidence, aq, budget_tokens)
     out = answer(runtime.lvlm, bundle)
 
     trace = {

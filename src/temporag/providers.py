@@ -298,47 +298,63 @@ class FixtureDetector:
 # --- HTTP clients -----------------------------------------------------------------
 
 
-def _post_json(url: str, payload: dict, headers: dict[str, str], timeout: float) -> dict:
-    import requests
+class HttpClient:
+    """One provider endpoint: a base URL, an optional bearer token and a JSON POST.
 
-    try:
-        resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-    except requests.exceptions.Timeout as exc:
-        raise ProviderUnavailableError(f"timeout calling {url}") from exc
-    except requests.exceptions.RequestException as exc:
-        raise ProviderUnavailableError(f"cannot reach {url}: {exc}") from exc
-    if resp.status_code >= 400:
-        raise ProviderUnavailableError(f"{url} returned {resp.status_code}")
-    try:
-        return resp.json()
-    except ValueError as exc:
-        raise ProviderUnavailableError(f"{url} returned non-JSON body") from exc
+    The URL is ``base_url`` (the config's value), else the ``url_env``
+    environment variable; the token is the ``token_env`` variable, sent as
+    ``Authorization: Bearer ...`` when set. Both are read once, here. A
+    subclass names its variables and speaks its wire format through ``post``,
+    which turns every transport, status or JSON failure into a
+    ``ProviderUnavailableError``.
+    """
+
+    url_env: str
+    token_env: str | None = None
+
+    def __init__(self, base_url: str | None = None):
+        self.base_url = (base_url or os.environ.get(self.url_env, "")).rstrip("/")
+        if not self.base_url:
+            raise ProviderUnavailableError(f"{self.url_env} not set")
+        token = os.environ.get(self.token_env, "") if self.token_env else ""
+        self.headers = {"Authorization": f"Bearer {token}"} if token else {}
+
+    def post(self, route: str, payload: dict):
+        """The decoded JSON body of ``POST {base_url}/{route}`` with ``payload``."""
+        import requests
+
+        url = f"{self.base_url}/{route}"
+        try:
+            resp = requests.post(
+                url, json=payload, headers=self.headers, timeout=DEFAULT_TIMEOUT_S
+            )
+        except requests.exceptions.Timeout as exc:
+            raise ProviderUnavailableError(f"timeout calling {url}") from exc
+        except requests.exceptions.RequestException as exc:
+            raise ProviderUnavailableError(f"cannot reach {url}: {exc}") from exc
+        if resp.status_code >= 400:
+            raise ProviderUnavailableError(f"{url} returned {resp.status_code}")
+        try:
+            return resp.json()
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+            raise ProviderUnavailableError(f"{url} returned non-JSON body") from exc
 
 
-class HttpLvlmClient:
-    """Chat-completions-style client; base URL and key come from the environment.
+class HttpLvlmClient(HttpClient):
+    """Chat-completions-style client; the model is ``TEMPORAG_LVLM_MODEL``, else "default".
 
     Every request asks for greedy decoding (temperature 0) and at most 512 tokens.
     """
 
-    def __init__(
-        self,
-        base_url: str | None = None,
-        api_key: str | None = None,
-        model: str | None = None,
-        timeout: float = DEFAULT_TIMEOUT_S,
-    ):
-        self.base_url = (base_url or os.environ.get(ENV_LVLM_URL, "")).rstrip("/")
-        if not self.base_url:
-            raise ProviderUnavailableError(f"{ENV_LVLM_URL} not set")
-        self.api_key = api_key or os.environ.get(ENV_LVLM_KEY, "")
-        self.model = model or os.environ.get(ENV_LVLM_MODEL, "default")
-        self.timeout = timeout
+    url_env, token_env = ENV_LVLM_URL, ENV_LVLM_KEY
+
+    def __init__(self, base_url: str | None = None):
+        super().__init__(base_url)
+        self.model = os.environ.get(ENV_LVLM_MODEL, "default")
 
     def complete(self, system_prompt: str, user_prompt: str) -> str:
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
-        body = _post_json(
-            f"{self.base_url}/chat/completions",
+        body = self.post(
+            "chat/completions",
             {
                 "model": self.model,
                 "messages": [
@@ -348,8 +364,6 @@ class HttpLvlmClient:
                 "temperature": 0.0,
                 "max_tokens": 512,
             },
-            headers,
-            self.timeout,
         )
         try:
             content = body["choices"][0]["message"]["content"]
@@ -362,7 +376,7 @@ class HttpLvlmClient:
         return content
 
 
-class HttpEmbeddingClient:
+class HttpEmbeddingClient(HttpClient):
     """POST {base_url}/embed with {"texts": [...]}; response {"vectors": [...]}.
 
     The response must hold one vector per text, all of one non-zero length,
@@ -371,25 +385,12 @@ class HttpEmbeddingClient:
     it returns them as unit rows.
     """
 
-    def __init__(
-        self,
-        base_url: str | None = None,
-        token: str | None = None,
-        timeout: float = DEFAULT_TIMEOUT_S,
-    ):
-        self.base_url = (base_url or os.environ.get(ENV_EMBED_URL, "")).rstrip("/")
-        if not self.base_url:
-            raise ProviderUnavailableError(f"{ENV_EMBED_URL} not set")
-        self.token = token or os.environ.get(ENV_EMBED_TOKEN, "")
-        self.timeout = timeout
+    url_env, token_env = ENV_EMBED_URL, ENV_EMBED_TOKEN
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
             return np.zeros((0, 0))
-        headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
-        body = _post_json(
-            f"{self.base_url}/embed", {"texts": list(texts)}, headers, self.timeout
-        )
+        body = self.post("embed", {"texts": list(texts)})
         try:
             matrix = np.array(body["vectors"], dtype=np.float64)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ValueError: ragged
@@ -412,22 +413,13 @@ class HttpEmbeddingClient:
             ) from None
 
 
-class HttpDetector:
+class HttpDetector(HttpClient):
     """POST {base_url}/detect with {"frame_ids": [...]}; per-frame object lists back."""
 
-    def __init__(self, base_url: str | None = None, timeout: float = DEFAULT_TIMEOUT_S):
-        self.base_url = (base_url or os.environ.get(ENV_DETECT_URL, "")).rstrip("/")
-        if not self.base_url:
-            raise ProviderUnavailableError(f"{ENV_DETECT_URL} not set")
-        self.timeout = timeout
+    url_env = ENV_DETECT_URL
 
     def detect(self, keyframes: Sequence[FrameRecord]) -> list[list[DetectedObject]]:
-        body = _post_json(
-            f"{self.base_url}/detect",
-            {"frame_ids": [f.frame_index for f in keyframes]},
-            {},
-            self.timeout,
-        )
+        body = self.post("detect", {"frame_ids": [f.frame_index for f in keyframes]})
         try:
             detections = [detected_objects(objects) for objects in body["detections"]]
         except (KeyError, TypeError, DataError) as exc:

@@ -152,15 +152,14 @@ class HashEmbedder:
     ones in expectation.
 
     The token vectors are cached per instance as the rows of one float64
-    matrix with spare capacity, found through a token-to-row dict. ``embed``
-    tokenizes its texts into one integer array of cache rows and keeps no
-    token string: a token the instance has not seen takes the next free
+    matrix, one row per token drawn, found through a token-to-row dict.
+    ``embed`` tokenizes its texts into one integer array of cache rows and
+    keeps no token string: a token the instance has not seen takes the next
     row at its first occurrence. It then draws every such token in one
-    batch, into its row: it seeds them all with ``seed_states`` and sets
-    one ``PCG64`` to each token's state in turn, which is the generator
-    ``default_rng`` would have built. The matrix grows by doubling, so a
-    call that meets new tokens copies no rows unless the spare capacity
-    runs out.
+    batch: it seeds them all with ``seed_states`` and sets one ``PCG64`` to
+    each token's state in turn, which is the generator ``default_rng``
+    would have built, and appends their rows to the matrix, which it
+    resizes in place.
 
     A call then sums each text's token rows in chunks of up to
     ``_CHUNK_TEXTS`` texts of similar token counts, one token position at
@@ -185,14 +184,12 @@ class HashEmbedder:
         ]
         self._bits = np.random.PCG64()
         self._normal = np.random.Generator(self._bits)
-        self._rows = np.zeros((64, dim))
+        self._rows = np.zeros((0, dim))
         self._row_of = first_seen_ids()
-        self._n_drawn = 0  # the tokens of ``_row_of`` past this many have no row drawn yet
 
-    def _draw(self, tokens: list[str], out: np.ndarray | None = None) -> np.ndarray:
-        """The unit vectors of ``tokens``, one row each, written into ``out`` if given."""
-        if out is None:
-            out = np.empty((len(tokens), self.dim))
+    def _draw(self, tokens: list[str]) -> np.ndarray:
+        """The unit vectors of ``tokens``, one row each."""
+        out = np.empty((len(tokens), self.dim))
         digests = b"".join(
             hashlib.blake2b(token.encode("utf-8"), digest_size=16).digest() for token in tokens
         )
@@ -214,22 +211,16 @@ class HashEmbedder:
         out /= _row_norms(out)[:, None]
         return out
 
-    def _add(self) -> None:
-        """Draw every token given a row since the last draw, into the rows of the cache."""
-        start, end = self._n_drawn, len(self._row_of)
-        if end > len(self._rows):
-            grown = np.zeros((max(end, 2 * len(self._rows)), self.dim))
-            grown[:start] = self._rows[:start]
-            self._rows = grown
-        newest = list(islice(reversed(self._row_of), end - start))  # the last keys, last first
-        self._draw(newest[::-1], self._rows[start:end])
-        self._n_drawn = end
-
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         # A text with no tokens embeds as the one token "".
         token_rows, lengths = stream_token_ids(texts, self._row_of, lambda t: tokenize(t) or [""])
-        if len(self._row_of) > self._n_drawn:
-            self._add()
+        n_new = len(self._row_of) - len(self._rows)
+        if n_new:
+            newest = list(islice(reversed(self._row_of), n_new))  # the last keys, last first
+            drawn = self._draw(newest[::-1])
+            # In place (a realloc): a concatenate would hold the old rows and their copy at once.
+            self._rows.resize((len(self._row_of), self.dim))
+            self._rows[-n_new:] = drawn
         starts = np.cumsum(lengths) - lengths
         order = np.argsort(lengths, kind="stable")
         out = np.empty((len(texts), self.dim))

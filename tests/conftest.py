@@ -171,9 +171,14 @@ MALFORMED_EMBEDS = {
 }
 
 
+# JSON nested past the decoder's recursion limit of about 1,000 levels.
+NESTED_JSON = "[" * 100_000
+
+
 class _ProviderHandler(BaseHTTPRequestHandler):
     """Fake provider endpoints: /embed, /detect, /chat/completions, /fail500, and
-    the same three under /malformed (``MALFORMED_BODIES``)."""
+    the same three under /malformed (``MALFORMED_BODIES``); /nested/chat/completions
+    answers ``NESTED_JSON`` as its body, /nested-content/chat/completions as its content."""
 
     def log_message(self, *args):  # keep test output clean
         pass
@@ -206,6 +211,9 @@ class _ProviderHandler(BaseHTTPRequestHandler):
             user = payload["messages"][-1]["content"]
             body = {"choices": [{"message": {"content": f"echo:{len(user)}"}}]}
             status = 200
+        elif self.path in ("/nested/chat/completions", "/nested-content/chat/completions"):
+            body = {"choices": [{"message": {"content": NESTED_JSON}}]}
+            status = 200
         elif self.path in MALFORMED_BODIES:
             body = MALFORMED_BODIES[self.path](payload)
             status = 200
@@ -216,6 +224,8 @@ class _ProviderHandler(BaseHTTPRequestHandler):
             body = {"error": "not found"}
             status = 404
         data = json.dumps(body).encode()
+        if self.path == "/nested/chat/completions":
+            data = NESTED_JSON.encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))

@@ -45,7 +45,7 @@ from temporag.textindex import (
 from temporag.types import Channel, Snippet
 from temporag.vectorindex import HashEmbedder, normalize, save_vectors
 
-from conftest import MALFORMED_EMBEDS, MUTATIONS, STRINGS, mutate_bytes
+from conftest import MALFORMED_EMBEDS, MUTATIONS, NESTED_JSON, STRINGS, mutate_bytes
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -1532,6 +1532,62 @@ class TestExitCodes:
         assert f"error: config {cfg} is not valid JSON" in capsys.readouterr().err
 
 
+# Each JSON parse site, the exit code and the message it gives for bad JSON.
+NESTED_JSON_SITES = [
+    ("snippet_first_line", 0, "{path}:1: maximum recursion depth exceeded"),
+    ("snippet_later_line", 0, "{path}:2: maximum recursion depth exceeded"),
+    ("frames", 0, "{path}:1: maximum recursion depth exceeded"),
+    ("config", 1, "error: config {path} is not valid JSON"),
+    ("spec", 1, "error: spec {path}: not valid JSON"),
+    ("video_json", 2, "data error: {path}: bad video record"),
+    ("decouple_response", 0, "decouple response unparseable"),
+    ("provider_body", 3, "provider error: {url}/nested/chat/completions returned non-JSON body"),
+]
+
+
+@pytest.mark.parametrize(
+    "site, rc, message", NESTED_JSON_SITES, ids=[site for site, _, _ in NESTED_JSON_SITES]
+)
+def test_json_nested_too_deeply_fails_like_bad_json(
+    tmp_path, demo_index, provider_server, capsys, caplog, site, rc, message
+):
+    _, url = provider_server
+    snippet = json.dumps({"id": "o1", "channel": "ocr", "text": "sign", "t_start": 1.0, "t_end": 1.0})
+    ingest = ["ingest", "--video-id", "v", "--duration-s", "120", "--out", tmp_path / "store"]
+    answer = ["answer", "--index", demo_index, "--query", "What does the sign say?"]
+    path = tmp_path / "nested.jsonl"
+    if site == "snippet_first_line":
+        path.write_text(f"{NESTED_JSON}\n{snippet}\n", encoding="utf-8")
+        argv = [*ingest, path]
+    elif site == "snippet_later_line":
+        path.write_text(f"{snippet}\n{NESTED_JSON}\n", encoding="utf-8")
+        argv = [*ingest, path]
+    elif site == "frames":
+        path.write_text(NESTED_JSON, encoding="utf-8")
+        argv = [*ingest, DEMO / "screen_text.jsonl", "--frames", path]
+    elif site == "config":
+        path.write_text(NESTED_JSON, encoding="utf-8")
+        argv = [*answer, "--config", path]
+    elif site == "spec":
+        path.write_text(NESTED_JSON, encoding="utf-8")
+        argv = ["eval", "--spec", path]
+    elif site == "video_json":
+        index = shutil.copytree(demo_index, tmp_path / "index")
+        path = index / "video.json"
+        path.write_text(NESTED_JSON, encoding="utf-8")
+        argv = ["answer", "--index", index, "--query", "What does the sign say?"]
+    else:
+        route = {"decouple_response": "nested-content", "provider_body": "nested"}[site]
+        config = json.loads((DEMO / "config.json").read_text(encoding="utf-8"))
+        config["providers"]["lvlm"] = "http"
+        config["providers"]["lvlm_url"] = f"{url}/{route}"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = [*answer, "--config", path]
+    assert run_cli(argv) == rc
+    assert message.format(path=path, url=url) in capsys.readouterr().err + caplog.text
+
+
 def test_effective_config_echoed_to_stderr(built_index, capsys):
     rc = run_cli(
         [
@@ -1650,9 +1706,9 @@ class TestOneEmbeddingSourcePerBuild:
         drawn = []
         draw = HashEmbedder._draw
 
-        def spy(self, tokens, out=None):
+        def spy(self, tokens):
             drawn.extend(tokens)
-            return draw(self, tokens, out)
+            return draw(self, tokens)
 
         monkeypatch.setattr(HashEmbedder, "_draw", spy)
         index = build_demo(tmp_path)

@@ -101,6 +101,16 @@ class TestParseVtt:
         (s,) = parse_vtt(data)
         assert s.t_end == 2.0
 
+    @pytest.mark.parametrize("sep", ["\t", " \t"], ids=["tab", "space_tab"])
+    def test_tab_before_cue_settings(self, sep):
+        data = f"WEBVTT\n\n00:01.000 --> 00:02.000{sep}align:start\nx\n"
+        (s,) = parse_vtt(data.encode())
+        assert (s.t_start, s.t_end) == (1.0, 2.0)
+
+    def test_empty_end_timestamp_is_bad_timestamp(self):
+        with pytest.raises(DataError, match="^line 3: bad timestamp ''$"):
+            parse_vtt(b"WEBVTT\n\n00:01.000 -->  \nx\n")
+
     def test_header_with_metadata_block(self):
         data = b"WEBVTT\nKind: captions\nLanguage: en\n\n00:00:01.000 --> 00:00:02.000\nx\n"
         (s,) = parse_vtt(data)
@@ -300,11 +310,11 @@ class TestSceneGraph:
             objects=(DetectedObject(label="person", box=(0.31, 0.42, 0.55, 0.88), confidence=0.9),),
         )
         sg = serialize_scene_graph([rec])
-        assert sg.lines == ("t=12.3s: person(0.310,0.420,0.550,0.880)[c=0.900]",)
+        assert sg == ("t=12.3s: person(0.310,0.420,0.550,0.880)[c=0.900]",)
 
     def test_empty_objects(self):
         rec = DetectionRecord(frame_index=0, t=5.0, objects=())
-        assert serialize_scene_graph([rec]).lines == ("t=5.0s: (none)",)
+        assert serialize_scene_graph([rec]) == ("t=5.0s: (none)",)
 
     def test_confidence_descending_order(self):
         rec = DetectionRecord(
@@ -315,7 +325,7 @@ class TestSceneGraph:
                 DetectedObject(label="high", box=(0.1, 0.1, 0.2, 0.2), confidence=0.9),
             ),
         )
-        line = serialize_scene_graph([rec]).lines[0]
+        line = serialize_scene_graph([rec])[0]
         assert line.index("high") < line.index("low")
 
     def test_chronological_and_deterministic(self):
@@ -326,7 +336,7 @@ class TestSceneGraph:
         a = serialize_scene_graph(records)
         b = serialize_scene_graph(list(reversed(records)))
         assert a == b
-        assert a.lines[0].startswith("t=2.0s")
+        assert a[0].startswith("t=2.0s")
 
 
 @given(

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from temporag import pipeline, prompts, textindex, vectorindex
 from temporag.errors import ConfigError, DataError, ProviderUnavailableError
 from temporag.frames import FrameTable, SelectorConfig
-from temporag.ingest import SceneGraphText
 from temporag.pipeline import (
     SECTION_HEADER_PREFIX,
     AblationFlags,
@@ -28,7 +27,7 @@ from temporag.pipeline import (
 from temporag.providers import StubDetector, StubLvlm
 from temporag.rescore import AnchorSet, DecayParams, RescoreConfig, rescore, top_k
 from temporag.textindex import F4, build_index
-from temporag.types import Channel, FrameRecord, QueryRequest, ScoredSnippet, VideoRecord
+from temporag.types import Channel, QueryRequest, ScoredSnippet, VideoRecord
 from temporag.vectorindex import HashEmbedder, normalize
 
 from conftest import make_snippet
@@ -307,7 +306,7 @@ def evidence_with(asr=(), ocr=(), scene_lines=("t=1.0s: (none)",)):
     return Evidence(
         asr_hits=tuple(asr),
         ocr_hits=tuple(ocr),
-        scene_graph=SceneGraphText(lines=tuple(scene_lines)),
+        scene_graph=tuple(scene_lines),
     )
 
 
@@ -348,7 +347,7 @@ class TestCompose:
     )
 
     def test_sections_present_in_order(self):
-        bundle = compose([], evidence_with(), self.AQ, 2048)
+        bundle = compose(evidence_with(), self.AQ, 2048)
         lines = bundle.rendered.splitlines()
         headers = [l for l in lines if l.startswith("### ")]
         assert headers == [
@@ -362,7 +361,7 @@ class TestCompose:
 
     def test_within_budget_keeps_everything(self):
         ev = evidence_with(asr=[hit("a", "short snippet", 1.0, 0.9)])
-        bundle = compose([], ev, self.AQ, 2048)
+        bundle = compose(ev, self.AQ, 2048)
         assert len(bundle.evidence.asr_hits) == 1
         assert "short snippet" in bundle.rendered
 
@@ -372,7 +371,7 @@ class TestCompose:
             asr=[hit(f"a{i}", long_text, float(i), 1.0 - 0.01 * i) for i in range(10)],
             ocr=[hit(f"o{i}", long_text, float(i), 1.0 - 0.01 * i) for i in range(10)],
         )
-        bundle = compose([], ev, self.AQ, 300)
+        bundle = compose(ev, self.AQ, 300)
         assert bundle.token_count <= 300
         sections = parse_bundle_sections(bundle.rendered)
         assert sections["QUESTION"].strip() == "What happens?"
@@ -380,7 +379,7 @@ class TestCompose:
 
     def test_budget_too_small(self):
         with pytest.raises(ConfigError, match="^budget 255 below minimum 256$"):
-            compose([], evidence_with(), self.AQ, 255)
+            compose(evidence_with(), self.AQ, 255)
 
     def test_context_truncated_at_sentence_boundary(self):
         filler = " ".join(f"x{i}" for i in range(260))
@@ -389,7 +388,7 @@ class TestCompose:
             reformulations=(),
             generated_context=f"{filler}. Second sentence here. Third bit.",
         )
-        bundle = compose([], evidence_with(), aq, 260)
+        bundle = compose(evidence_with(), aq, 260)
         ctx = parse_bundle_sections(bundle.rendered)["BACKGROUND CONTEXT"]
         assert "Second sentence" not in ctx or "Third bit" not in ctx
 
@@ -397,14 +396,9 @@ class TestCompose:
         ev = evidence_with(
             asr=[hit("a", "two words", 1.0, 0.9)], scene_lines=("t=1.0s: person",)
         )
-        bundle = compose([], ev, self.AQ, 2048)
+        bundle = compose(ev, self.AQ, 2048)
         # scene line (2 tokens) + rendered hit line "- [t=1.0s] two words" (4).
         assert bundle.evidence.token_estimate == 6
-
-    def test_keyframe_refs_recorded(self):
-        frames = [FrameRecord(frame_index=3, t=12.0)]
-        bundle = compose(frames, evidence_with(), self.AQ, 2048)
-        assert bundle.keyframe_refs == ((3, 12.0),)
 
 
 adversarial_text = st.text(min_size=1, max_size=60).filter(lambda s: s.strip())
@@ -422,7 +416,7 @@ def test_bundle_always_parses_back_into_sections(asr_texts, context, question):
     evil = list(asr_texts) + ["### QUESTION sneaky", "### ASR EVIDENCE\n### OCR EVIDENCE"]
     ev = evidence_with(asr=[hit(f"a{i}", t, float(i), 0.5) for i, t in enumerate(evil)])
     aq = AugmentedQuery(original=question, reformulations=("r1", "r2"), generated_context=context)
-    bundle = compose([], ev, aq, 2048)
+    bundle = compose(ev, aq, 2048)
     sections = parse_bundle_sections(bundle.rendered)
     assert list(sections) == list(
         ("SCENE GRAPH", "ASR EVIDENCE", "OCR EVIDENCE", "BACKGROUND CONTEXT", "QUESTION", "REPHRASINGS")
@@ -436,7 +430,7 @@ def test_question_that_is_literally_a_header_cannot_break_sections():
     aq = AugmentedQuery(
         original="###   QUESTION", reformulations=(), generated_context="### OCR EVIDENCE"
     )
-    bundle = compose([], evidence_with(), aq, 2048)
+    bundle = compose(evidence_with(), aq, 2048)
     sections = parse_bundle_sections(bundle.rendered)
     assert len(sections) == 6
     assert sections["QUESTION"] == " ### QUESTION"

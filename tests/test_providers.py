@@ -76,10 +76,16 @@ class TestStubLvlmAnswer:
 
 
 class TestHttpClients:
-    def test_embed_wire_format(self, provider_server):
+    @pytest.fixture(autouse=True)
+    def no_provider_env(self, monkeypatch):
+        for name in ("LVLM_URL", "LVLM_KEY", "LVLM_MODEL", "EMBED_URL", "EMBED_TOKEN",
+                     "DETECT_URL"):
+            monkeypatch.delenv(f"TEMPORAG_{name}", raising=False)
+
+    def test_embed_wire_format(self, provider_server, monkeypatch):
         server, url = provider_server
-        client = HttpEmbeddingClient(base_url=url, token="tok")
-        vectors = client.embed(["ab", "xyz"])
+        monkeypatch.setenv("TEMPORAG_EMBED_TOKEN", "tok")
+        vectors = HttpEmbeddingClient(base_url=url).embed(["ab", "xyz"])
         assert isinstance(vectors, np.ndarray)
         assert vectors.shape == (2, 8)
         # The server's vectors are [len(text) + 1, 1, ..., 1]; the client scales each to unit norm.
@@ -98,21 +104,28 @@ class TestHttpClients:
 
     def test_embed_empty_input_no_call(self, provider_server, monkeypatch):
         _, url = provider_server
-        monkeypatch.setattr(providers, "_post_json", None)  # a call would fail
+        monkeypatch.setattr(providers.HttpClient, "post", None)  # a call would fail
         assert HttpEmbeddingClient(base_url=url).embed([]).shape == (0, 0)
 
-    def test_detector_wire_format(self, provider_server):
+    def test_detector_wire_format(self, provider_server, monkeypatch):
         server, url = provider_server
+        monkeypatch.setenv("TEMPORAG_LVLM_KEY", "k")  # another client's token is not sent
+        monkeypatch.setenv("TEMPORAG_EMBED_TOKEN", "tok")
         frames = [FrameRecord(frame_index=4, t=1.0), FrameRecord(frame_index=9, t=2.0)]
         out = HttpDetector(base_url=url).detect(frames)
+        assert server.last_request["path"] == "/detect"
         assert server.last_request["payload"] == {"frame_ids": [4, 9]}
+        assert server.last_request["auth"] is None
         assert [o.label for per in out for o in per] == ["obj4", "obj9"]
 
-    def test_lvlm_wire_format(self, provider_server):
+    def test_lvlm_wire_format(self, provider_server, monkeypatch):
         server, url = provider_server
-        client = HttpLvlmClient(base_url=url, api_key="k", model="m")
-        out = client.complete("sys", "user text")
+        monkeypatch.setenv("TEMPORAG_LVLM_KEY", "k")
+        monkeypatch.setenv("TEMPORAG_LVLM_MODEL", "m")
+        out = HttpLvlmClient(base_url=url).complete("sys", "user text")
         assert out == f"echo:{len('user text')}"
+        assert server.last_request["path"] == "/chat/completions"
+        assert server.last_request["auth"] == "Bearer k"
         assert server.last_request["payload"] == {
             "model": "m",
             "messages": [
@@ -123,29 +136,57 @@ class TestHttpClients:
             "max_tokens": 512,
         }
 
-    def test_missing_env_is_permanent_error(self, monkeypatch):
-        monkeypatch.delenv("TEMPORAG_LVLM_URL", raising=False)
+    @pytest.mark.parametrize(
+        "call",
+        [lambda url: HttpLvlmClient(base_url=url).complete("sys", "user"),
+         lambda url: HttpEmbeddingClient(base_url=url).embed(["x"])],
+        ids=["lvlm", "embed"],
+    )
+    def test_no_token_variable_sends_no_authorization(self, provider_server, call):
+        server, url = provider_server
+        call(url)
+        assert server.last_request["auth"] is None
+
+    def test_lvlm_model_defaults_to_default(self, provider_server):
+        server, url = provider_server
+        HttpLvlmClient(base_url=url).complete("sys", "user")
+        assert server.last_request["payload"]["model"] == "default"
+
+    def test_settings_read_once_at_construction(self, provider_server, monkeypatch):
+        server, url = provider_server
+        monkeypatch.setenv("TEMPORAG_LVLM_KEY", "k")
+        monkeypatch.setenv("TEMPORAG_LVLM_MODEL", "m")
+        client = HttpLvlmClient(base_url=url)
+        monkeypatch.setenv("TEMPORAG_LVLM_KEY", "k2")
+        monkeypatch.setenv("TEMPORAG_LVLM_MODEL", "m2")
+        client.complete("sys", "user")
+        assert server.last_request["auth"] == "Bearer k"
+        assert server.last_request["payload"]["model"] == "m"
+
+    def test_configured_url_wins_over_the_variable(self, provider_server, monkeypatch):
+        server, url = provider_server
+        monkeypatch.setenv("TEMPORAG_DETECT_URL", "http://127.0.0.1:9")
+        HttpDetector(base_url=f"{url}/").detect(_frames(1))
+        assert server.last_request["path"] == "/detect"
+
+    def test_missing_env_is_permanent_error(self):
         with pytest.raises(ProviderUnavailableError, match="TEMPORAG_LVLM_URL not set"):
             HttpLvlmClient()
 
     def test_connection_refused_is_retriable(self):
-        client = HttpEmbeddingClient(base_url="http://127.0.0.1:9", timeout=0.5)
+        client = HttpEmbeddingClient(base_url="http://127.0.0.1:9")
         with pytest.raises(ProviderUnavailableError, match="cannot reach"):
             client.embed(["x"])
 
     def test_server_error_is_retriable(self, provider_server):
         _, url = provider_server
-        import temporag.providers as providers_mod
-
         with pytest.raises(ProviderUnavailableError, match="returned 500"):
-            providers_mod._post_json(f"{url}/fail500", {}, {}, 5.0)
+            HttpDetector(base_url=url).post("fail500", {})
 
     def test_not_found_is_permanent(self, provider_server):
         _, url = provider_server
-        import temporag.providers as providers_mod
-
         with pytest.raises(ProviderUnavailableError, match="returned 404"):
-            providers_mod._post_json(f"{url}/nope", {}, {}, 5.0)
+            HttpDetector(base_url=url).post("nope", {})
 
 
 class TestMalformedResponses:
@@ -153,7 +194,7 @@ class TestMalformedResponses:
 
     @pytest.fixture(autouse=True)
     def body(self, monkeypatch, request):
-        monkeypatch.setattr(providers, "_post_json", lambda *args: request.param)
+        monkeypatch.setattr(providers.HttpClient, "post", lambda *args: request.param)
 
     @pytest.mark.parametrize(
         "body",

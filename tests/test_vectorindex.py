@@ -234,9 +234,9 @@ class TestHashEmbedder:
         drawn = []
         draw = HashEmbedder._draw
 
-        def spy(self, tokens, out=None):
+        def spy(self, tokens):
             drawn.extend(tokens)
-            return draw(self, tokens, out)
+            return draw(self, tokens)
 
         monkeypatch.setattr(HashEmbedder, "_draw", spy)
         e = HashEmbedder(16, 3)
