@@ -11,10 +11,9 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import RunConfig, config_from_dict, load_config
 from .errors import (
@@ -52,7 +51,7 @@ from .textindex import F4, Bm25Index, build_index
 from .textindex import load_index as load_bm25
 from .textindex import save_index as save_bm25
 from .types import Channel, Snippet, VideoRecord, is_finite_number, validate_snippet
-from .vectorindex import HashEmbedder, PrecomputedEmbeddings, unit_rows
+from .vectorindex import EmbeddingProvider, HashEmbedder
 
 FRAME_TABLE = "frames.tbl"
 DETECTION_TABLE = "detections.tbl"
@@ -80,11 +79,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_video(path: Path, video: VideoRecord) -> None:
     path.write_text(json.dumps(asdict(video)) + "\n", encoding="utf-8")
-
-
-def _frame_ref(frame_index: int) -> str:
-    """A frame's id in a ``providers.embed = "file"`` embedding store."""
-    return f"frame-{frame_index:05d}"
 
 
 def _echo_config(cfg: RunConfig) -> None:
@@ -236,41 +230,10 @@ def cmd_ingest(args) -> int:
 
 
 def _make_embedder(cfg: RunConfig):
-    """The live text embedder. ``file`` has none: it only looks up stored ids."""
-    kind = cfg.providers.embed
-    if kind == "hash":
+    """The text embedder ``providers.embed`` names."""
+    if cfg.providers.embed == "hash":
         return HashEmbedder(cfg.providers.embed_dim, cfg.providers.embed_seed)
-    if kind == "http":
-        return HttpEmbeddingClient(base_url=cfg.providers.embed_url)
-    raise ConfigError("providers.embed=file cannot embed new text; use hash or http")
-
-
-class _BuildEmbeddings:
-    """The one embedding source of a build: document ids and texts to unit rows.
-
-    It opens at its first call, so a store with nothing to embed needs
-    none. ``file`` reads and checks ``providers.embeddings_file`` once and
-    looks ids up in it; ``hash`` and ``http`` embed texts with one
-    embedder, so a hash build draws each distinct token once across its
-    channels and frames.
-    """
-
-    def __init__(self, cfg: RunConfig):
-        self._cfg = cfg
-        self._store: PrecomputedEmbeddings | None = None
-        self._embedder = None
-
-    def __call__(self, ids: list[str], texts: list[str]) -> np.ndarray:
-        providers = self._cfg.providers
-        if providers.embed == "file":
-            if self._store is None:
-                if not providers.embeddings_file:
-                    raise ConfigError("providers.embed=file requires providers.embeddings_file")
-                self._store = PrecomputedEmbeddings(providers.embeddings_file)
-            return unit_rows(self._store.lookup(ids))
-        if self._embedder is None:
-            self._embedder = _make_embedder(self._cfg)
-        return self._embedder.embed(texts)
+    return HttpEmbeddingClient(base_url=cfg.providers.embed_url)
 
 
 def _read_video(path: Path) -> VideoRecord:
@@ -293,15 +256,19 @@ def _load_channel(path: Path, channel: Channel, duration_s: float) -> Bm25Index:
 
 
 def _build_channel(
-    store: Path, out: Path, channel: Channel, video: VideoRecord, embed: _BuildEmbeddings
+    store: Path,
+    out: Path,
+    channel: Channel,
+    video: VideoRecord,
+    embedder: Callable[[], EmbeddingProvider],
 ) -> None:
     """Add the dense rows to one channel's store index, if it has one; they die on return."""
     path = store / f"{channel.value}.bm25"
     if not path.exists():
         return
     index = _load_channel(path, channel, video.duration_s)
-    # Position order is id order, so the rows need no reordering.
-    index.vectors = embed(index.doc_ids.decode_all(), index.texts.decode_all()).astype(F4)
+    # The rows are in position order, the order of the texts.
+    index.vectors = embedder().embed(index.texts.decode_all()).astype(F4)
     save_bm25(index, str(out / f"{channel.value}.bm25"))
     print(f"{channel.value}: indexed {index.n_docs} snippets")
 
@@ -324,9 +291,12 @@ def cmd_build(args) -> int:
         (out / name).unlink(missing_ok=True)
     _write_video(out / "video.json", video)
 
-    embed = _BuildEmbeddings(cfg)
+    # One embedder serves the channels and the frames, so a hash build draws
+    # each distinct token once. It is made at the first text to embed: a
+    # store with nothing to embed needs none.
+    embedder = functools.cache(functools.partial(_make_embedder, cfg))
     for channel in Channel:
-        _build_channel(store, out, channel, video, embed)
+        _build_channel(store, out, channel, video, embedder)
 
     # Like a channel's .bm25: the store's frame table, with the rows attached.
     frames = FrameTable([], [])
@@ -335,8 +305,7 @@ def cmd_build(args) -> int:
     with_text = [text for text in frames.texts if text]
     vectors = ()
     if with_text:
-        ids = [_frame_ref(i) for i in frames.frame_index[frames.embedded].tolist()]
-        vectors = embed(ids, with_text)
+        vectors = embedder().embed(with_text)
     save_frame_table(str(out / FRAME_TABLE), frames.frame_index, frames.t, frames.texts, vectors)
     print(f"frames: {len(frames)} records, {len(with_text)} embedded")
 

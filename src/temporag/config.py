@@ -29,14 +29,13 @@ class ProviderConfig:
     """
 
     lvlm: str = "stub"  # stub | http
-    embed: str = "hash"  # hash | http | file
+    embed: str = "hash"  # hash | http
     detector: str = "stub"  # stub | http | fixture
     embed_dim: int = 64
     embed_seed: int = 7
     lvlm_url: str | None = None
     embed_url: str | None = None
     detector_url: str | None = None
-    embeddings_file: str | None = None
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ def _validate(cfg: RunConfig) -> None:
         )
     for name in ("top_k", "pool_multiplier", "budget_tokens", "n_bins", "max_frames"):
         value = getattr(cfg, name)
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if name in ("n_bins", "max_frames") and value > FRAME_INDEX_LIMIT:
             raise ConfigError(f"{name} must be at most 2**32, the frame index range, got {value}")
@@ -140,7 +139,7 @@ def _validate(cfg: RunConfig) -> None:
         )
     for name, least, kind in (("embed_dim", 1, "positive"), ("embed_seed", 0, "non-negative")):
         value = getattr(cfg.providers, name)
-        if not isinstance(value, int) or value < least:
+        if type(value) is not int or value < least:
             raise ConfigError(f"providers.{name} must be a {kind} integer, got {value!r}")
     # ``eval`` embeds with the hash embedder whatever ``providers.embed`` names.
     if cfg.providers.embed_dim < MIN_HASH_DIM:
@@ -161,13 +160,13 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{name} must be non-negative")
     if cfg.providers.lvlm not in ("stub", "http"):
         raise ConfigError(f"providers.lvlm must be stub or http, got {cfg.providers.lvlm!r}")
-    if cfg.providers.embed not in ("hash", "http", "file"):
-        raise ConfigError(f"providers.embed must be hash, http or file, got {cfg.providers.embed!r}")
+    if cfg.providers.embed not in ("hash", "http"):
+        raise ConfigError(f"providers.embed must be hash or http, got {cfg.providers.embed!r}")
     if cfg.providers.detector not in ("stub", "http", "fixture"):
         raise ConfigError(
             f"providers.detector must be stub, http or fixture, got {cfg.providers.detector!r}"
         )
-    for name in ("lvlm_url", "embed_url", "detector_url", "embeddings_file"):
+    for name in ("lvlm_url", "embed_url", "detector_url"):
         value = getattr(cfg.providers, name)
         if value is not None and not isinstance(value, str):
             raise ConfigError(f"providers.{name} must be a string or null, got {value!r}")

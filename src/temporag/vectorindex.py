@@ -1,37 +1,23 @@
-"""Embedding utilities: unit normalization, providers, and the precomputed-embedding store.
+"""Embedding utilities: unit normalization, the embedder contract and the hash embedder.
 
 Vectors are normalized before they are stored so inner product equals
 cosine similarity and one acceptance threshold is meaningful across
 providers. A channel's dense rows live in its ``.bm25`` file (see
-``textindex``), positional and searched there; this module's vector file
-is the id-keyed store that ``providers.embed = "file"`` reads embeddings
-from.
+``textindex``), positional and searched there.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from itertools import islice
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .textindex import (
-    F4,
-    IndexFileReader,
-    f4_matrix,
-    first_seen_ids,
-    pack_strings,
-    stream_token_ids,
-    tokenize,
-    write_index_file,
-)
+from .textindex import first_seen_ids, stream_token_ids, tokenize
 
-# The vector file layout is independent of the ``.bm25`` one and versioned apart.
-FORMAT_VERSION = 3
 # The narrowest hash embedding; ``config`` rejects a smaller ``embed_dim`` at load.
 MIN_HASH_DIM = 8
 
@@ -174,7 +160,7 @@ class HashEmbedder:
     def __init__(self, dim: int, seed: int = 0):
         if dim < MIN_HASH_DIM:
             raise DataError(f"hash embedder dim must be >= {MIN_HASH_DIM}, got {dim}")
-        if not isinstance(seed, int) or seed < 0:
+        if type(seed) is not int or seed < 0:
             raise DataError(f"hash embedder seed must be a non-negative integer, got {seed!r}")
         self.dim = dim
         self.seed = seed
@@ -219,7 +205,10 @@ class HashEmbedder:
             newest = list(islice(reversed(self._row_of), n_new))  # the last keys, last first
             drawn = self._draw(newest[::-1])
             # In place (a realloc): a concatenate would hold the old rows and their copy at once.
-            self._rows.resize((len(self._row_of), self.dim))
+            # No view of ``_rows`` outlives ``embed`` (``take`` copies, and the slice
+            # assignment's view is temporary), so the reference check is not needed;
+            # under a profiler or tracer it fails on the extra reference the call event holds.
+            self._rows.resize((len(self._row_of), self.dim), refcheck=False)
             self._rows[-n_new:] = drawn
         starts = np.cumsum(lengths) - lengths
         order = np.argsort(lengths, kind="stable")
@@ -237,55 +226,3 @@ class HashEmbedder:
             out[chunk] = sums
         return out
 
-
-# --- vector file, format version 3 ----------------------------------------------
-#
-# magic "TVRG" | u32 version | u32 dim | u32 n | id table | <f4 matrix n x dim
-# The id table is a string table (see ``textindex.pack_strings``), strictly
-# sorted, with the matrix rows in the same order. Version 3 has the layout
-# of version 2, whose rows were in the writer's order. The format of the
-# precomputed embedding stores that ``providers.embed = "file"`` reads.
-
-
-def save_vectors(path: str, ids: Sequence[str], vectors: Sequence[np.ndarray], dim: int) -> None:
-    """Write ``vectors`` under ``ids``, rows sorted by id."""
-    ordered = sorted(zip(ids, vectors, strict=True), key=lambda row: row[0])
-    write_index_file(
-        path,
-        FORMAT_VERSION,
-        struct.pack("<II", dim, len(ordered)),
-        pack_strings([vec_id for vec_id, _ in ordered]),
-        f4_matrix([vec for _, vec in ordered], dim).tobytes(),
-    )
-
-
-class PrecomputedEmbeddings:
-    """Embeddings keyed by id, read from a vector file.
-
-    Rows keep their stored bits, with no re-normalization. The checked id
-    table is decoded once, into an id-to-row dict. Errors are those
-    of ``textindex.IndexFileReader``, and a ``DataError`` naming the path
-    for a zero ``dim``, ids out of order or repeated, or a NaN or infinite
-    matrix entry.
-    """
-
-    def __init__(self, path: str):
-        reader = IndexFileReader(path, FORMAT_VERSION)
-        dim, n = reader.unpack("<II")
-        if dim < 1:
-            raise reader.corrupt(f"dim {dim}")
-        ids = reader.string_table(n)
-        self._matrix = reader.array(n * dim, F4).reshape(n, dim)
-        reader.end()
-        if not ids.is_strictly_sorted():
-            raise reader.corrupt("duplicate ids or ids out of order")
-        if not np.all(np.isfinite(self._matrix)):
-            raise reader.corrupt("non-finite vector values")
-        self._row_of = {vec_id: row for row, vec_id in enumerate(ids)}
-
-    def lookup(self, ids: Sequence[str]) -> np.ndarray:
-        """The stored rows of ``ids``, in order; a ``DataError`` names every id the file lacks."""
-        missing = [i for i in ids if i not in self._row_of]
-        if missing:
-            raise DataError(f"embeddings missing for ids: {', '.join(sorted(missing))}")
-        return self._matrix[[self._row_of[i] for i in ids]]

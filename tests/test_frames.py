@@ -20,10 +20,10 @@ from temporag.frames import (
 )
 from temporag.ingest import DetectedObject
 from temporag.providers import FixtureDetector, StubDetector
-from temporag.textindex import write_index_file
+from temporag.textindex import F4, write_index_file
 from temporag.ingest import DetectionRecord
 from temporag.types import FrameRecord
-from temporag.vectorindex import F4, normalize
+from temporag.vectorindex import normalize
 
 from conftest import MUTATIONS, mutate_bytes
 

@@ -16,7 +16,8 @@ from temporag.rescore import (
     rescore,
     top_k,
 )
-from temporag.vectorindex import F4, normalize
+from temporag.textindex import F4
+from temporag.vectorindex import normalize
 
 from conftest import decay_multiplier, make_snippet
 

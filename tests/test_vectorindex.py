@@ -1,25 +1,22 @@
 import hashlib
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from temporag.errors import DataError, TemporagError
-from temporag.textindex import build_index, dense_search, pack_strings, tokenize, write_index_file
+from temporag.errors import DataError
+from temporag.textindex import build_index, dense_search, tokenize
 from temporag.vectorindex import (
     _CHUNK_TEXTS,
     HashEmbedder,
-    PrecomputedEmbeddings,
     normalize,
-    save_vectors,
     seed_states,
     unit_rows,
 )
 
-from conftest import MUTATIONS, STRINGS, make_snippet, mutate_bytes
+from conftest import make_snippet
 
 
 class TestNormalize:
@@ -245,6 +242,18 @@ class TestHashEmbedder:
         assert sorted(drawn) == sorted(set(tokenize(" ".join(TOKENS[:1000]))) | {""})
         assert [v.tobytes() for v in e.embed(TOKENS[:100])] == [v.tobytes() for v in first]
 
+    def test_cache_grows_under_a_profiler(self):
+        # A profile function holds one more reference to the row matrix as it is resized.
+        e = HashEmbedder(64, 7)
+        texts = ["harbor sign", "sign of the marina office"]
+        previous = sys.getprofile()
+        sys.setprofile(lambda *args: None)
+        try:
+            got = [e.embed([text])[0].tobytes() for text in texts]
+        finally:
+            sys.setprofile(previous)
+        assert got == [v.tobytes() for v in oracle_embed(texts, 64, 7)]
+
     def test_a_call_that_fails_while_tokenizing_leaves_no_undrawn_row(self):
         # The tokens before the bad text have rows but no vectors yet; the
         # next call draws them with its own new tokens.
@@ -276,7 +285,7 @@ class TestHashEmbedder:
         assert vectors.dtype == np.float64
         np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(DataError, match="seed must be a non-negative integer"):
             HashEmbedder(8, seed)
@@ -320,125 +329,6 @@ class TestHashEmbedder:
         e = HashEmbedder(24, seed=4)
         for v in e.embed(["one", "two words", "three word text"]):
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
-
-
-def saved_store(path, ids, vectors, dim):
-    save_vectors(str(path), ids, vectors, dim)
-    return PrecomputedEmbeddings(str(path))
-
-
-class TestPersistence:
-    """The id-keyed vector file that ``providers.embed = "file"`` reads."""
-
-    def test_bit_exact_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        ids = [f"v{i:04d}" for i in range(20)]
-        vectors = [normalize(rng.standard_normal(12)).astype(np.float32) for _ in ids]
-        loaded = saved_store(tmp_path / "v.vec", ids, vectors, 12)
-        for got, want in zip(loaded.lookup(ids), vectors):
-            assert got.tobytes() == want.tobytes()
-
-    def test_save_load_vectors_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(9)
-        ids = [f"id{i}" for i in range(5)]
-        vectors = [rng.standard_normal(8).astype(np.float32) for _ in ids]
-        loaded = saved_store(tmp_path / "store.vec", ids, vectors, 8)
-        for got, want in zip(loaded.lookup(ids[::-1]), vectors[::-1]):
-            assert got.shape == (8,)
-            np.testing.assert_array_equal(got, want)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.vec"
-        path.write_bytes(b"WHAT" + b"\x00" * 16)
-        with pytest.raises(DataError, match="junk.vec: bad magic, not a temporag index$"):
-            PrecomputedEmbeddings(str(path))
-
-    def test_version_1_file_rejected(self, tmp_path):
-        # Version 1: header, then (u32 id length, id, dim x f32) records.
-        path = tmp_path / "v1.vec"
-        record = struct.pack("<I", 1) + b"a" + np.ones(4, dtype="<f4").tobytes()
-        path.write_bytes(b"TVRG" + struct.pack("<II", 1, 4) + record)
-        with pytest.raises(DataError, match="version 1"):
-            PrecomputedEmbeddings(str(path))
-
-    def test_rows_written_sorted_by_id(self, tmp_path):
-        ids = ["m", "ça", "a", "b-2"]
-        vectors = [np.full(4, float(i), dtype=np.float32) for i in range(len(ids))]
-        path = tmp_path / "store.vec"
-        loaded = saved_store(path, ids, vectors, 4)
-        order = sorted(range(len(ids)), key=lambda i: ids[i])
-        want = pack_strings(sorted(ids)) + b"".join(vectors[i].tobytes() for i in order)
-        assert path.read_bytes().endswith(want)
-        for got, vec in zip(loaded.lookup(ids), vectors):
-            np.testing.assert_array_equal(got, vec)
-
-    def test_version_2_file_rejected(self, tmp_path):
-        # Version 2 kept the writer's row order; the layout is version 3's.
-        path = tmp_path / "v2.vec"
-        save_vectors(str(path), ["a"], [np.ones(4, dtype=np.float32)], 4)
-        data = bytearray(path.read_bytes())
-        data[4:8] = (2).to_bytes(4, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(DataError, match="version 2, expected 3"):
-            PrecomputedEmbeddings(str(path))
-
-    @pytest.mark.parametrize(
-        "ids", [["b", "a"], ["a", "a"], ["a", "c", "b"]], ids=["swapped", "duplicate", "tail"]
-    )
-    def test_unsorted_or_duplicate_ids_rejected(self, tmp_path, ids):
-        path = tmp_path / "bad.vec"
-        write_index_file(
-            str(path), 3, struct.pack("<II", 2, len(ids)), pack_strings(ids),
-            np.ones((len(ids), 2), dtype="<f4").tobytes(),
-        )
-        with pytest.raises(DataError, match=f"{path}: .*duplicate ids or ids out of order"):
-            PrecomputedEmbeddings(str(path))
-
-    def test_precomputed_missing_ids_named(self, tmp_path):
-        store = saved_store(tmp_path / "pre.vec", ["a"], [np.ones(8, dtype=np.float32)], 8)
-        with pytest.raises(DataError, match="b"):
-            store.lookup(["a", "b"])
-
-
-FUZZ_IDS = ["a", "b", "ça", "d-03"]
-
-
-@pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("vec_fuzz")
-    vectors = [normalize(np.arange(8.0) - i) for i in range(len(FUZZ_IDS))]
-    save_vectors(str(path / "clean.vec"), FUZZ_IDS, vectors, 8)
-    return path
-
-
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
-@given(mutations=MUTATIONS)
-def test_mutated_file_loads_or_raises_temporag_error(fuzz_dir, mutations):
-    path = fuzz_dir / "mutated.vec"
-    path.write_bytes(mutate_bytes((fuzz_dir / "clean.vec").read_bytes(), mutations))
-    try:
-        rows = PrecomputedEmbeddings(str(path)).lookup(FUZZ_IDS)
-    except TemporagError:
-        return
-    for row in rows:
-        assert np.all(np.isfinite(row))
-
-
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(ids=st.lists(STRINGS, max_size=12, unique=True), keys=st.lists(STRINGS, max_size=6))
-def test_lookup_agrees_with_list_index(fuzz_dir, ids, keys):
-    # Ids that share prefixes, "a" against "a\x00", and multi-byte UTF-8.
-    path = fuzz_dir / "lookup.vec"
-    save_vectors(str(path), ids, [np.full(2, i + 1.0) for i in range(len(ids))], 2)
-    store = PrecomputedEmbeddings(str(path))
-    keys = keys + ids[:2]
-    missing = [k for k in keys if k not in ids]
-    if missing:
-        with pytest.raises(DataError) as exc_info:
-            store.lookup(keys)
-        assert str(exc_info.value) == f"embeddings missing for ids: {', '.join(sorted(missing))}"
-    else:
-        assert store.lookup(keys)[:, 0].tolist() == [ids.index(k) + 1.0 for k in keys]
 
 
 def test_search_equals_brute_force_at_scale():
