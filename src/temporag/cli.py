@@ -127,7 +127,10 @@ def _classify_jsonl(data: bytes) -> str:
 
 
 def cmd_ingest(args) -> int:
-    video = VideoRecord(video_id=args.video_id, duration_s=args.duration_s)
+    try:
+        video = VideoRecord(video_id=args.video_id, duration_s=args.duration_s)
+    except DataError as exc:  # both values come from flags
+        raise ConfigError(str(exc)) from None
     inputs: list[Path] = []
     for raw in args.inputs:
         p = Path(raw)
@@ -372,10 +375,6 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
     frames = load_frame_table(str(frame_table_path), video.duration_s)
     if len(frames.matrix) and not frames.matrix.shape[1]:  # a store file
         raise DataError(f"{frame_table_path}: no dense rows; run build on this store")
-    if not len(frames):
-        # No frame metadata: two frames without embeddings, at the video's
-        # ends, give the anchors (0, duration_s, 0).
-        frames = FrameTable([0, 1], [0.0, video.duration_s])
 
     if cfg.providers.lvlm == "stub":
         lvlm = StubLvlm()
@@ -413,6 +412,8 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
 
 def cmd_answer(args) -> int:
     cfg = _load_effective_config(args)
+    if not args.query.strip():
+        raise ConfigError("query_text must be non-empty")
     runtime = _load_runtime(Path(args.index), cfg)
     result = run_query(
         runtime,

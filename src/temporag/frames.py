@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -61,10 +60,11 @@ class FrameTable:
 
     ``frame_index`` and ``t`` hold one entry per frame. ``embedded`` marks
     the frames with a stored embedding, and ``matrix`` holds those
-    embeddings as ``<f4`` rows, one per embedded frame in table order, so
-    the i-th embedded frame's vector is row i. In a loaded table,
-    ``texts`` holds each frame's text, and the frames with text are the
-    embedded ones; a table built in memory may leave it empty.
+    embeddings as float64 rows, cast once when the table is made, one per
+    embedded frame in table order, so the i-th embedded frame's vector is
+    row i. A video without frame metadata has a table of zero frames. In
+    a loaded table, ``texts`` holds each frame's text, and the frames with
+    text are the embedded ones; a table built in memory may leave it empty.
     ``record(i)`` builds frame i's ``FrameRecord`` on first use and keeps
     it, so a runtime that answers many questions builds each keyframe's
     record once.
@@ -87,7 +87,7 @@ class FrameTable:
         self.embedded = np.asarray(embedded, dtype=bool)
         if len(self.embedded) != len(self.t):
             raise DataError(f"{len(self.t)} frame times but {len(self.embedded)} embedded flags")
-        self.matrix = np.zeros((0, 0), dtype=F4) if matrix is None else matrix
+        self.matrix = np.zeros((0, 0)) if matrix is None else np.asarray(matrix, dtype=np.float64)
         if len(self.matrix) != np.count_nonzero(self.embedded):
             raise DataError(
                 f"{len(self.matrix)} embeddings for {np.count_nonzero(self.embedded)} "
@@ -105,25 +105,18 @@ class FrameTable:
             rec = self._records[i] = FrameRecord(self.frame_index.item(i), self.t.item(i))
         return rec
 
-    @cached_property
-    def _f8(self) -> np.ndarray:
-        return self.matrix.astype(np.float64)
-
-    def similarities(self, q: np.ndarray) -> np.ndarray:
-        """Inner products of the query with every embedding, in row order."""
-        return row_similarities(self._f8, q)
-
 
 def frame_similarities(frames: FrameTable, query_vec: np.ndarray) -> np.ndarray:
     """Inner product of each frame's stored embedding with a unit query vector.
 
-    This is the one per-query similarity pass: it feeds both keyframe
-    gating and the semantic anchor. A frame without a stored embedding
-    gets -1.0, the lowest cosine, so it passes no gate above -1.
+    This is the one per-query similarity pass, over the table's float64
+    rows: it feeds both keyframe gating and the semantic anchor. A frame
+    without a stored embedding gets -1.0, the lowest cosine, so it passes
+    no gate above -1; a table without frames gives no similarities.
     """
     sims = np.full(len(frames), -1.0)
     if len(frames.matrix):
-        sims[frames.embedded] = frames.similarities(query_vec)
+        sims[frames.embedded] = row_similarities(frames.matrix, query_vec)
     return sims
 
 
@@ -250,7 +243,7 @@ def save_frame_table(
 
 
 def load_frame_table(path: str, duration_s: float) -> FrameTable:
-    """A frame table whose columns, texts and matrix are views of the file.
+    """A frame table whose columns and texts are views of the file, its matrix a float64 cast.
 
     The times must be within ``[0, duration_s]``, the frame indices unique,
     the frames sorted by ``(t, frame_index)`` and the embeddings finite. A

@@ -485,7 +485,7 @@ def run_query(
         duration_s=runtime.video.duration_s,
         entropy_weighted=flags.se,
     )
-    anchors = compute_anchors(runtime.frames, sims)
+    anchors = compute_anchors(runtime.frames, sims, runtime.video.duration_s)
 
     retrieval = {channel: Retrieval(hits=[], pool=[]) for channel in (Channel.ASR, Channel.OCR)}
     for (channel, req_text), vec in zip(wanted, channel_vecs, strict=True):

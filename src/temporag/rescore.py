@@ -77,7 +77,7 @@ class RescoreConfig:
         return self.pool_multiplier * self.top_k
 
 
-def compute_anchors(frames: FrameTable, sims: Sequence[float]) -> AnchorSet:
+def compute_anchors(frames: FrameTable, sims: Sequence[float], duration_s: float) -> AnchorSet:
     """Derive the three anchors from a time-sorted frame table.
 
     ``sims`` holds each frame's query similarity (see
@@ -85,12 +85,13 @@ def compute_anchors(frames: FrameTable, sims: Sequence[float]) -> AnchorSet:
     frame with maximal similarity; ties break toward the earliest time.
     Frames without a stored embedding are skipped, whatever placeholder
     their similarity holds; if no frame has one, the semantic anchor falls
-    back to the first frame time.
+    back to the first frame time. A table without frames gives the video's
+    ends: first and semantic anchor 0, last anchor ``duration_s``.
     """
-    if not len(frames):
-        raise DataError("at least one frame required")
     if len(frames) != len(sims):
         raise DataError(f"{len(frames)} frames but {len(sims)} similarities")
+    if not len(frames):
+        return AnchorSet(t_last=float(duration_s), t_first=0.0, t_semantic=0.0)
     sims = np.asarray(sims, dtype=np.float64)
     # NaN, -inf and unembedded frames never win; with no winner, argmax picks the first frame.
     best = int(np.argmax(np.where(frames.embedded & (sims > -np.inf), sims, -np.inf)))
@@ -112,7 +113,10 @@ def rescore(
     positive-raw candidates, a common factor that cancels in the
     normalization. So no leading mass underflows, to 0.0 or to a subnormal
     of a few significant bits, whatever the video's length in raw seconds.
-    A candidate's ``decay`` is its unshifted ``exp(-exponent)``. Raises a
+    An exponent past the float range is a decay of exactly 0; when every
+    positive-raw exponent is, the shift is taken in units of the largest
+    strength, which is the scores' limit as the strengths grow. A
+    candidate's ``decay`` is its unshifted ``exp(-exponent)``. Raises a
     ``DataError`` when every raw score is zero.
     """
     if not candidates:
@@ -130,11 +134,19 @@ def rescore(
     if not np.any(positive):
         raise DataError("every raw score is zero")
     times = np.array([snippet.t_mid / scale for snippet, _ in candidates], dtype=np.float64)
-    a0, a1, a2 = (a / scale for a in anchors.as_tuple())
-    l0, l1, l2 = params.lambdas
-    exponents = l0 * np.abs(a0 - times) + l1 * np.abs(a1 - times) + l2 * np.abs(a2 - times)
+    distances = [np.abs(a / scale - times) for a in anchors.as_tuple()]
+    with np.errstate(over="ignore"):  # an exponent past the float range is a decay of exactly 0
+        exponents = sum(l * d for l, d in zip(params.lambdas, distances))
+        lowest = exponents[positive].min()
+        if lowest < np.inf:
+            shifted = exponents - lowest
+        else:  # the large-strength limit: exponents in units of the largest strength
+            top = max(params.lambdas)
+            # A quarter of each distance keeps a sum of three finite, whatever the duration.
+            e = sum(l / top * (d / 4) for l, d in zip(params.lambdas, distances))
+            shifted = top * (4 * (e - e[positive].min()))
     # A zero-raw candidate's shifted exponent may be negative; clipping it keeps its mass 0.
-    mass = raws * np.exp(-np.maximum(exponents - exponents[positive].min(), 0.0))
+    mass = raws * np.exp(-np.maximum(shifted, 0.0))
     scores = mass / float(np.sum(mass))
     return [
         ScoredSnippet(snippet=snippet, raw_score=float(raw), decay=float(d), score=float(s))

@@ -47,9 +47,9 @@ class VideoRecord:
     duration_s: float
 
     def __post_init__(self):
-        if not self.video_id:
-            raise DataError("video_id must be non-empty")
-        if not math.isfinite(self.duration_s) or self.duration_s <= 0:
+        if not isinstance(self.video_id, str) or not self.video_id:
+            raise DataError(f"video_id must be a non-empty string, got {self.video_id!r}")
+        if not is_finite_number(self.duration_s) or self.duration_s <= 0:
             raise DataError(f"duration_s must be finite and positive, got {self.duration_s!r}")
 
 

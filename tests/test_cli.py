@@ -32,7 +32,7 @@ from temporag.frames import (
     save_frame_table,
     select_keyframes,
 )
-from temporag.pipeline import dense_accept
+from temporag.pipeline import dense_accept, run_query
 from temporag.providers import FixtureDetector
 from temporag.rescore import compute_anchors
 from temporag.textindex import (
@@ -850,6 +850,12 @@ class TestAnswer:
             ("ocr.bm25", "inf"),
             ("video.json", b"{not json\n"),
             ("video.json", b'{"video_id": "harbor"}\n'),
+            pytest.param("video.json", b'{"video_id": 5, "duration_s": 120.0}\n',
+                         id="video.json-id_int"),
+            pytest.param("video.json", b'{"video_id": ["a"], "duration_s": 120.0}\n',
+                         id="video.json-id_list"),
+            pytest.param("video.json", b'{"video_id": "harbor", "duration_s": true}\n',
+                         id="video.json-duration_bool"),
             ("frames.tbl", 0.5),
             ("frames.tbl", 0.75),
             ("frames.tbl", "nan"),
@@ -1101,27 +1107,35 @@ class TestAnswer:
         assert f"data error: {path}: format version 3, expected 6" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tau", [0.3, -1.0])
-    def test_frameless_index_answers_over_the_video_ends(self, tmp_path, capsys, tau):
-        # No frame rows: two frames without embeddings, at 0 and duration_s.
+    def test_frameless_index_answers_over_the_video_ends(self, tmp_path, capsys, monkeypatch, tau):
+        # No frames: anchors at the video's ends and no keyframes at any gate,
+        # so the fixture detector, with records for frames 0 and 1, gives no
+        # scene graph.
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(run_query(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_query", spy)
         store = tmp_path / "store"
         index = tmp_path / "index"
         assert run_cli(
-            ["ingest", DEMO / "audio.srt", DEMO / "screen_text.jsonl",
+            ["ingest", DEMO / "audio.srt", DEMO / "screen_text.jsonl", DEMO / "detections.jsonl",
              "--video-id", "v", "--duration-s", "120", "--out", store]
         ) == 0
         assert run_cli(["build", "--store", store, "--out", index]) == 0
         assert len(load_frame_table(str(index / "frames.tbl"), 120.0)) == 0
         capsys.readouterr()
         rc = run_cli(
-            ["answer", "--index", index, "--query", self.QUERY, f"--tau={tau}", "--json"]
+            ["answer", "--index", index, "--query", self.QUERY, f"--tau={tau}", "--json",
+             "--config", DEMO / "config.json"]
         )
         assert rc == 0
         trace = json.loads(capsys.readouterr().out)["trace"]
         assert trace["anchors"] == {"t_first": 0.0, "t_last": 120.0, "t_semantic": 0.0}
-        # Their similarity is -1, so only a gate at -1 passes them.
-        keyframes = [] if tau > -1.0 else [{"frame_index": 0, "t": 0.0},
-                                            {"frame_index": 1, "t": 120.0}]
-        assert trace["keyframes"] == keyframes
+        assert trace["keyframes"] == []
+        assert results[0].bundle.evidence.scene_graph == ()
 
     def test_json_output_mode(self, built_index, capsys):
         rc = run_cli(
@@ -1325,12 +1339,21 @@ class TestExitCodes:
             (["answer", "--index", "i", "--query", "q", "--lambda", "1,x,1"],
              "--lambda values must be numbers"),
             (["eval", "--sweep-tau", "0.3,x"], "--sweep-tau expects comma-separated numbers"),
+            *(
+                (["ingest", "a.srt", "--video-id", "v", f"--duration-s={value}", "--out", "o"],
+                 f"duration_s must be finite and positive, got {float(value)!r}")
+                for value in ("nan", "inf", "0", "-5")
+            ),
+            (["ingest", "a.srt", "--video-id", "", "--duration-s", "1", "--out", "o"],
+             "video_id must be a non-empty string, got ''"),
+            (["answer", "--index", "i", "--query", "  "], "query_text must be non-empty"),
         ],
-        ids=["lambda", "sweep_tau"],
+        ids=["lambda", "sweep_tau", "duration_nan", "duration_inf", "duration_zero",
+             "duration_negative", "video_id_empty", "query_blank"],
     )
-    def test_non_numeric_list_flag_is_usage_error(self, capsys, argv, message):
+    def test_bad_flag_value_is_usage_error(self, capsys, argv, message):
         assert run_cli(argv) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "flag, key",
@@ -1760,8 +1783,6 @@ def test_frame_table_round_trips_from_ingest_to_runtime(frames, query):
     matrix = embedder.embed(with_text).astype(np.float32) if with_text else np.zeros((0, 0))
     expected = FrameTable([i for _, i, _ in rows], [t for t, _, _ in rows],
                           [text != "" for text in texts], matrix)
-    if not rows:  # no frame metadata: the runtime's frames are the video's ends
-        expected = FrameTable([0, 1], [0.0, 120.0])
     loaded = runtime.frames
     assert loaded.frame_index.tolist() == expected.frame_index.tolist()
     assert loaded.t.tobytes() == expected.t.tobytes()
@@ -1775,7 +1796,7 @@ def test_frame_table_round_trips_from_ingest_to_runtime(frames, query):
     assert select_keyframes(loaded, sims, selector, 120.0) == select_keyframes(
         expected, sims, selector, 120.0
     )
-    assert compute_anchors(loaded, sims) == compute_anchors(expected, sims)
+    assert compute_anchors(loaded, sims, 120.0) == compute_anchors(expected, sims, 120.0)
 
 
 # A config edit sets one key, top-level or under "providers", to any JSON

@@ -66,13 +66,13 @@ class TestComputeAnchors:
     def test_first_last_and_given_argmax(self):
         frames = frames_at([0.0, 5.0, 10.0], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
         q = normalize([0.0, 1.0, 0.0, 0.0])
-        anchors = compute_anchors(frames, frame_similarities(frames, q))
+        anchors = compute_anchors(frames, frame_similarities(frames, q), 10.0)
         assert (anchors.t_last, anchors.t_first, anchors.t_semantic) == (10.0, 0.0, 5.0)
 
     def test_single_frame(self):
         frames = frames_at([3.0], [[1, 0, 0, 0]])
         sims = frame_similarities(frames, normalize([1.0, 1.0, 0.0, 0.0]))
-        anchors = compute_anchors(frames, sims)
+        anchors = compute_anchors(frames, sims, 100.0)
         assert anchors == AnchorSet(t_last=3.0, t_first=3.0, t_semantic=3.0)
 
     def test_argmax_matches_exhaustive_scan(self):
@@ -87,35 +87,36 @@ class TestComputeAnchors:
         # The terms of a dot of two unit 4-vectors sum to at most 1 in
         # magnitude, so two orders differ by at most 4 ulps of 1.0.
         assert np.all(np.abs(got - sims) <= 4 * np.finfo(np.float64).eps)
-        assert compute_anchors(frames, sims).t_semantic == expected_t
-        assert compute_anchors(frames, got).t_semantic == expected_t
+        assert compute_anchors(frames, sims, 100.0).t_semantic == expected_t
+        assert compute_anchors(frames, got, 100.0).t_semantic == expected_t
 
     def test_tie_breaks_to_earliest(self):
         frames = frames_at([1.0, 2.0], [[1, 0, 0, 0], [1, 0, 0, 0]])
         sims = frame_similarities(frames, normalize([1.0, 0.0, 0.0, 0.0]))
-        anchors = compute_anchors(frames, sims)
+        anchors = compute_anchors(frames, sims, 100.0)
         assert anchors.t_semantic == 1.0
 
     def test_empty_frames(self):
-        with pytest.raises(DataError, match="^at least one frame required$"):
-            compute_anchors(frames_at([]), [])
+        # A video without frames is anchored at its ends.
+        anchors = compute_anchors(frames_at([]), [], 120.0)
+        assert anchors == AnchorSet(t_last=120.0, t_first=0.0, t_semantic=0.0)
 
     def test_no_embeddings_falls_back_to_first(self):
         frames = frames_at([2.0, 9.0])
         sims = frame_similarities(frames, normalize([1.0, 0.0, 0.0, 0.0]))
         assert sims.tolist() == [-1.0, -1.0]
-        anchors = compute_anchors(frames, sims)
+        anchors = compute_anchors(frames, sims, 100.0)
         assert anchors.t_semantic == 2.0
 
     def test_unembedded_frame_never_wins(self):
         # An antipodal embedded frame still beats an earlier -1.0 placeholder,
         # and any value at an unembedded frame is ignored.
         frames = frames_at([1.0, 2.0, 3.0], [[1, 0, 0, 0]], [False, True, False])
-        assert compute_anchors(frames, [-1.0, -1.0, 5.0]).t_semantic == 2.0
+        assert compute_anchors(frames, [-1.0, -1.0, 5.0], 3.0).t_semantic == 2.0
 
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="^2 frames but 1 similarities$"):
-            compute_anchors(frames_at([1.0, 2.0]), [0.5])
+            compute_anchors(frames_at([1.0, 2.0]), [0.5], 2.0)
 
     def test_semantic_anchor_matches_frame_loop(self):
         # Reference: the first embedded frame whose similarity beats every
@@ -135,7 +136,8 @@ class TestComputeAnchors:
             embedded = (rng.random(n) < 0.6).tolist()
             frames = frames_at(times, [[1, 0]] * sum(embedded) or None, embedded)
             sims = [values[j] for j in rng.integers(0, len(values), size=n)]
-            assert compute_anchors(frames, sims).t_semantic == loop_anchor(times, embedded, sims)
+            anchor = compute_anchors(frames, sims, float(n)).t_semantic
+            assert anchor == loop_anchor(times, embedded, sims)
 
 
 class TestDecayMultiplier:
@@ -239,6 +241,49 @@ class TestRescore:
 
         two = rescore(candidates[:2], anchors, params, 7200.0)
         assert [s.score for s in two] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("lam", [1e300, 1e308])
+    def test_fully_overflowing_pool_takes_the_large_strength_limit(self, lam):
+        # At 1e308 every exponent passes the float range, at 1e300 none does;
+        # both give the limit: the pool's mass goes to its least exponents,
+        # here two candidates equally far from the anchors, shared by raw score.
+        # The suite turns a RuntimeWarning into an error.
+        anchors = AnchorSet(t_last=120.0, t_first=0.0, t_semantic=60.0)
+        params = DecayParams(lambdas=(lam, lam, lam), time_norm=TimeNorm.RAW_SECONDS)
+        times, raws = [55.0, 65.0, 10.0, 60.0], [1.0, 3.0, 2.0, 0.0]
+        candidates = [
+            (make_snippet(f"c{i}", "x", t, t), r) for i, (t, r) in enumerate(zip(times, raws))
+        ]
+        got = rescore(candidates, anchors, params, 120.0)
+        assert [s.score for s in got] == [0.25, 0.75, 0.0, 0.0]
+        assert sum(s.score for s in got) == 1.0
+        assert [s.decay for s in got] == [0.0] * 4
+
+    def test_large_strength_limit_near_the_float_range(self):
+        # Unit strengths over raw seconds, on a video nearly as long as a
+        # float can count: every positive-raw exponent D + t overflows.
+        duration = 1.7e308
+        anchors = AnchorSet(t_last=duration, t_first=0.0, t_semantic=0.0)
+        params = DecayParams(time_norm=TimeNorm.RAW_SECONDS)
+        times, raws = [3e307, 2e307, 1e307], [1.0, 2.0, 0.0]
+        candidates = [
+            (make_snippet(f"c{i}", "x", t, t), r) for i, (t, r) in enumerate(zip(times, raws))
+        ]
+        got = rescore(candidates, anchors, params, duration)
+        assert [s.score for s in got] == [0.0, 1.0, 0.0]
+
+    def test_partly_overflowing_pool_decays_the_overflow_to_zero(self):
+        # Only the nearest candidate's exponent is finite; the others decay to 0.
+        anchors = AnchorSet(t_last=1000.0, t_first=1000.0, t_semantic=1000.0)
+        params = DecayParams(lambdas=(1e306, 0.0, 0.0), time_norm=TimeNorm.RAW_SECONDS)
+        times, raws = [999.0, 0.0, 10.0], [1.0, 5.0, 0.0]
+        candidates = [
+            (make_snippet(f"c{i}", "x", t, t), r) for i, (t, r) in enumerate(zip(times, raws))
+        ]
+        got = rescore(candidates, anchors, params, 1000.0)
+        assert [s.score for s in got] == [1.0, 0.0, 0.0]
+        assert sum(s.score for s in got) == 1.0
+        assert [s.decay for s in got] == [0.0] * 3
 
     @pytest.mark.parametrize("duration", [700.0, 730.0, 738.0, 742.0, 744.0])
     def test_subnormal_decay_window_matches_log_space_oracle(self, duration):

@@ -47,14 +47,27 @@ class TestValidateSnippet:
 
 
 class TestVideoRecord:
-    @pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "duration",
+        [0.0, -1.0, math.inf, math.nan, True, "1", None, pytest.param(10**400, id="past_float")],
+    )
     def test_bad_duration(self, duration):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^duration_s must be finite and positive, got "):
             VideoRecord(video_id="v", duration_s=duration)
 
     def test_empty_id(self):
         with pytest.raises(DataError):
             VideoRecord(video_id="", duration_s=1.0)
+
+    @pytest.mark.parametrize(
+        "video_id", [5, ["a"], None, b"v"], ids=["int", "list", "none", "bytes"]
+    )
+    def test_id_not_a_string(self, video_id):
+        with pytest.raises(DataError, match="^video_id must be a non-empty string, got "):
+            VideoRecord(video_id=video_id, duration_s=1.0)
+
+    def test_integer_duration_accepted(self):
+        assert VideoRecord(video_id="v", duration_s=120).duration_s == 120
 
 
 class TestChannel:
