@@ -15,6 +15,8 @@ from collections.abc import Callable
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, config_from_dict, load_config
 from .errors import (
     ConfigError,
@@ -32,6 +34,8 @@ from .evalharness import (
 )
 from .frames import FrameTable, load_frame_table, save_frame_table
 from .ingest import (
+    DetectionColumns,
+    FrameColumns,
     parse_detections_jsonl,
     parse_frames_jsonl,
     parse_snippet_jsonl,
@@ -50,7 +54,7 @@ from .providers import (
 from .textindex import F4, Bm25Index, build_index
 from .textindex import load_index as load_bm25
 from .textindex import save_index as save_bm25
-from .types import Channel, Snippet, VideoRecord, is_finite_number, validate_snippet
+from .types import Channel, SnippetColumns, VideoRecord, is_finite_number, validate_snippets
 from .vectorindex import EmbeddingProvider, HashEmbedder
 
 FRAME_TABLE = "frames.tbl"
@@ -118,7 +122,7 @@ def _classify_jsonl(data: bytes) -> str:
             continue
         try:
             obj = json.loads(line)
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError too
             return "snippets"  # let the tolerant parser report it
         if isinstance(obj, dict) and "objects" in obj:
             return "detections"
@@ -142,8 +146,8 @@ def cmd_ingest(args) -> int:
         print("error: no inputs", file=sys.stderr)
         return 2
 
-    by_channel: dict[Channel, list[Snippet]] = {c: [] for c in Channel}
-    detections = []
+    parsed: list[SnippetColumns] = []
+    parsed_detections: list[DetectionColumns] = []
     file_errors: list[str] = []
     n_line_errors = 0
     n_dropped = 0
@@ -158,7 +162,7 @@ def cmd_ingest(args) -> int:
             elif suffix == ".jsonl":
                 if _classify_jsonl(data) == "detections":
                     records, errors = parse_detections_jsonl(data)
-                    detections.extend(records)
+                    parsed_detections.append(records)
                     n_line_errors += len(errors)
                     for line_no, msg in errors:
                         print(f"{path}:{line_no}: {msg}", file=sys.stderr)
@@ -178,14 +182,13 @@ def cmd_ingest(args) -> int:
         except OSError as exc:
             file_errors.append(f"{path}: cannot read ({exc.strerror})")
             continue
-        for snippet in snippets:
-            try:
-                by_channel[snippet.channel].append(validate_snippet(snippet, video))
-            except TemporagError as exc:
-                n_line_errors += 1
-                print(f"{path}: snippet {snippet.id}: {exc}", file=sys.stderr)
+        snippets, errors = validate_snippets(snippets, video)
+        n_line_errors += len(errors)
+        for snippet_id, msg in errors:
+            print(f"{path}: snippet {snippet_id}: {msg}", file=sys.stderr)
+        parsed.append(snippets)
 
-    frames = []
+    frames = FrameColumns(np.zeros(0, dtype=np.int64), np.zeros(0), [])
     if args.frames:
         try:
             frames, errors = parse_frames_jsonl(Path(args.frames).read_bytes(), video.duration_s)
@@ -200,13 +203,15 @@ def cmd_ingest(args) -> int:
     for msg in file_errors:
         print(msg, file=sys.stderr)
 
-    total = sum(len(v) for v in by_channel.values()) + len(detections)
-    if total == 0:
+    snippets = SnippetColumns.concat(parsed)
+    detections = DetectionColumns.concat(parsed_detections)
+    if not len(snippets) and not len(detections):
         print("error: no data survived ingestion", file=sys.stderr)
         return 2
+    by_channel = {channel: snippets.of_channel(channel) for channel in Channel}
     # The lexical index needs no config, so the store holds it. Both channels
     # are built before anything is written, so a duplicate id leaves no store.
-    indices = [build_index(snippets) for snippets in by_channel.values() if snippets]
+    indices = [build_index(docs) for docs in by_channel.values() if len(docs)]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -215,11 +220,12 @@ def cmd_ingest(args) -> int:
     _write_video(out / "video.json", video)
     for index in indices:
         save_bm25(index, str(out / f"{index.channel.value}.bm25"))
-    if detections:
-        FixtureDetector.from_records(detections).save(str(out / DETECTION_TABLE))
-    if frames:
-        t, frame_index, texts = zip(*sorted(frames))  # by (t, frame_index), which is unique
-        save_frame_table(str(out / FRAME_TABLE), frame_index, t, texts)
+    if len(detections):
+        FixtureDetector.from_columns(detections).save(str(out / DETECTION_TABLE))
+    if len(frames):
+        order = np.lexsort((frames.frame_index, frames.t))  # by (t, frame_index), which is unique
+        texts = [frames.texts[i] for i in order.tolist()]
+        save_frame_table(str(out / FRAME_TABLE), frames.frame_index[order], frames.t[order], texts)
 
     for channel in Channel:
         print(f"{channel.value}: {len(by_channel[channel])} snippets")

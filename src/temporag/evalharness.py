@@ -22,7 +22,7 @@ from .frames import FrameTable
 from .pipeline import AblationFlags, VideoRuntime, run_query
 from .providers import StubDetector, StubLvlm
 from .textindex import F4, build_index
-from .types import Channel, FrameRecord, Snippet, VideoRecord
+from .types import Channel, FrameRecord, Snippet, VideoRecord, snippet_columns
 from .vectorindex import HashEmbedder
 
 # Upper bounds of the spec sizes that the checks and ``gen_corpus`` loop over, checked first.
@@ -231,7 +231,10 @@ def build_runtime(corpus: Corpus, config: RunConfig) -> VideoRuntime:
     ``config.providers`` names, so an eval needs no external service.
     """
     embedder = HashEmbedder(config.providers.embed_dim, config.providers.embed_seed)
-    asr = build_index(corpus.snippets, vectors=embedder.embed([s.text for s in corpus.snippets]))
+    asr = build_index(
+        snippet_columns(corpus.snippets),
+        vectors=embedder.embed([s.text for s in corpus.snippets]),
+    )
     frames = FrameTable(
         [f.frame_index for f in corpus.frames],
         [f.t for f in corpus.frames],

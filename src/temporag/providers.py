@@ -11,14 +11,13 @@ import hashlib
 import json
 import os
 import struct
-from itertools import accumulate
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from . import prompts
 from .errors import DataError, ProviderUnavailableError
-from .ingest import DetectedObject, DetectionRecord, detected_objects
+from .ingest import DetectedObject, DetectionColumns, detected_objects
 from .textindex import F8, U4, IndexFileReader, pack_strings, tokenize, write_index_file
 from .types import FrameRecord
 from .vectorindex import unit_rows
@@ -193,7 +192,7 @@ DETECTION_TABLE_VERSION = 1
 class FixtureDetector:
     """Echoes stored detections, held as one table keyed by sorted frame index.
 
-    ``from_records`` builds the table from parsed records and ``load`` reads
+    ``from_columns`` builds the table from parsed records and ``load`` reads
     it from a file written by ``save``. ``detect`` finds each keyframe's row
     by binary search and builds ``DetectedObject``s for those rows only, at
     their first request; a detector asked many questions builds each row
@@ -216,19 +215,24 @@ class FixtureDetector:
         self._rows: dict[int, list[DetectedObject]] = {}
 
     @classmethod
-    def from_records(cls, records: Sequence[DetectionRecord]) -> "FixtureDetector":
+    def from_columns(cls, records: DetectionColumns) -> "FixtureDetector":
         """The table of parsed records; a repeated ``frame_index`` keeps the last one."""
-        by_frame = {r.frame_index: r.objects for r in records}
-        keys = sorted(by_frame)
-        objects = [o for k in keys for o in by_frame[k]]
+        # The last record of each frame, in frame order (not np.unique, which imports numpy.ma).
+        by_frame = np.argsort(records.frame_index, kind="stable")
+        keys = records.frame_index[by_frame]
+        last = np.diff(keys, append=-1) != 0
+        rows, keys = by_frame[last], keys[last]
+        counts = records.n_objects[rows]
+        starts = np.cumsum(records.n_objects) - records.n_objects
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        # Each kept row's objects, in key order: their positions in the record columns.
+        objects = np.repeat(starts[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
         return cls(
-            frame_index=np.array(keys, dtype=U4),
-            object_offsets=np.array(
-                list(accumulate((len(by_frame[k]) for k in keys), initial=0)), dtype=U4
-            ),
-            labels=[o.label for o in objects],
-            box=np.array([o.box for o in objects], dtype=F8).reshape(-1, 4),
-            confidence=np.array([o.confidence for o in objects], dtype=F8),
+            frame_index=keys.astype(U4),
+            object_offsets=offsets.astype(U4),
+            labels=[records.labels[j] for j in objects.tolist()],
+            box=records.box[objects].astype(F8),
+            confidence=records.confidence[objects].astype(F8),
         )
 
     @classmethod

@@ -27,7 +27,7 @@ from itertools import accumulate, pairwise
 import numpy as np
 
 from .errors import DataError
-from .types import Channel, Snippet
+from .types import CHANNELS, Channel, Snippet, SnippetColumns
 
 MAGIC = b"TVRG"
 FORMAT_VERSION = 6
@@ -229,10 +229,10 @@ def f4_matrix(vectors: Sequence[np.ndarray] | np.ndarray, dim: int) -> np.ndarra
 
 
 def build_index(
-    docs: Sequence[Snippet],
+    docs: SnippetColumns,
     vectors: Sequence[np.ndarray] | np.ndarray | None = None,
 ) -> Bm25Index:
-    """Build a BM25 index over snippets that all share one channel.
+    """Build a BM25 index over snippet columns whose rows all share one channel.
 
     The documents are ordered by id, and a document's position is its
     rank; a repeated id is a ``DataError``. The vocabulary is every token
@@ -246,25 +246,26 @@ def build_index(
     postings come out in ascending position order, and a row's offset is
     the number of postings of the rows before it.
 
-    ``vectors`` holds one unit embedding per document, in ``docs`` order
+    ``vectors`` holds one unit embedding per row of ``docs``, in row order
     (a sequence of vectors or one 2-D array); they become the dense rows,
     reordered with the documents. Without them the index has ``dim`` 0.
     """
-    channels = {d.channel for d in docs}
-    if len(channels) > 1:
-        raise DataError(f"documents span channels {sorted(c.value for c in channels)}")
-    channel = channels.pop() if channels else Channel.ASR
-    if vectors is not None and len(vectors) != len(docs):
-        raise DataError(f"{len(docs)} documents but {len(vectors)} vectors")
+    codes = sorted(set(docs.channels.tolist()))
+    if len(codes) > 1:
+        raise DataError(f"documents span channels {sorted(CHANNELS[c].value for c in codes)}")
+    channel = CHANNELS[codes[0]] if codes else Channel.ASR
+    n_docs = len(docs)
+    if vectors is not None and len(vectors) != n_docs:
+        raise DataError(f"{n_docs} documents but {len(vectors)} vectors")
 
-    order = sorted(range(len(docs)), key=lambda i: docs[i].id)
-    ordered = [docs[i] for i in order]
-    for prev, doc in pairwise(ordered):
-        if prev.id == doc.id:
-            raise DataError(f"duplicate doc id {doc.id!r}")
-    n_docs = len(ordered)
+    order = sorted(range(n_docs), key=docs.ids.__getitem__)
+    doc_ids = [docs.ids[i] for i in order]
+    for prev, doc_id in pairwise(doc_ids):
+        if prev == doc_id:
+            raise DataError(f"duplicate doc id {doc_id!r}")
+    texts = [docs.texts[i] for i in order]
     first_seen = first_seen_ids()
-    ids, doc_len = stream_token_ids((doc.text for doc in ordered), first_seen)
+    ids, doc_len = stream_token_ids(texts, first_seen)
     vocab = sorted(first_seen)
     rank = np.empty(len(vocab), dtype=np.int64)  # first-seen id to row
     rank[[first_seen[token] for token in vocab]] = np.arange(len(vocab))
@@ -276,15 +277,15 @@ def build_index(
     firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # the first key of each run
     token_row, doc_pos = np.divmod(keys[firsts], n_docs)
     if vectors is None or not len(vectors):
-        matrix = np.zeros((len(docs), 0), dtype=F4)
+        matrix = np.zeros((n_docs, 0), dtype=F4)
     else:
         matrix = f4_matrix(vectors, len(vectors[0]))[order]
     return Bm25Index(
         channel=channel,
-        doc_ids=[d.id for d in ordered],
-        texts=[d.text for d in ordered],
-        t_start=np.array([d.t_start for d in ordered], dtype=F8),
-        t_end=np.array([d.t_end for d in ordered], dtype=F8),
+        doc_ids=doc_ids,
+        texts=texts,
+        t_start=docs.t_start[order].astype(F8),
+        t_end=docs.t_end[order].astype(F8),
         tokens=vocab,
         doc_len=doc_len.astype(U4),
         offsets=np.searchsorted(token_row, np.arange(len(vocab) + 1)).astype(U4),

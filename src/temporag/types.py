@@ -8,8 +8,12 @@ immutable after validation and safe to share across threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+
+import numpy as np
 
 from .errors import DataError
 
@@ -77,8 +81,86 @@ class Snippet:
 
     @property
     def t_mid(self) -> float:
-        """Canonical single timestamp of the snippet (interval midpoint)."""
-        return (self.t_start + self.t_end) / 2.0
+        """Canonical single timestamp of the snippet (interval midpoint).
+
+        ``(t_start + t_end) / 2``, except where that sum overflows: there the
+        halves are added, which cannot. Halving is exact above the subnormal
+        range, so both give the same bits wherever the sum is finite; the
+        sum is kept there because halving a subnormal time rounds it.
+        """
+        mid = (self.t_start + self.t_end) / 2.0
+        return mid if math.isfinite(mid) else self.t_start / 2.0 + self.t_end / 2.0
+
+
+# A row's channel code in ``SnippetColumns.channels`` is the channel's position here.
+CHANNELS = tuple(Channel)
+
+
+@dataclass(frozen=True, eq=False)
+class SnippetColumns:
+    """Snippets as columns, one row per snippet.
+
+    ``channels`` holds each row's channel code (see ``CHANNELS``) as a u1
+    array; ``t_start`` and ``t_end`` are float64 arrays. The parsers in
+    ``ingest`` return these, ``validate_snippets`` checks them and
+    ``textindex.build_index`` indexes them. Indexing builds one row's
+    ``Snippet``, which set-up does only to word a row's error.
+    """
+
+    ids: list[str]
+    channels: np.ndarray
+    texts: list[str]
+    t_start: np.ndarray
+    t_end: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, row: int) -> Snippet:
+        return Snippet(
+            self.ids[row],
+            CHANNELS[self.channels.item(row)],
+            self.texts[row],
+            self.t_start.item(row),
+            self.t_end.item(row),
+        )
+
+    def take(self, rows: np.ndarray) -> "SnippetColumns":
+        """The rows at the positions ``rows``, in that order."""
+        return SnippetColumns(
+            [self.ids[r] for r in rows.tolist()],
+            self.channels[rows],
+            [self.texts[r] for r in rows.tolist()],
+            self.t_start[rows],
+            self.t_end[rows],
+        )
+
+    def of_channel(self, channel: Channel) -> "SnippetColumns":
+        """The rows of ``channel``, in row order."""
+        return self.take(np.flatnonzero(self.channels == CHANNELS.index(channel)))
+
+    @classmethod
+    def concat(cls, parts: Sequence["SnippetColumns"]) -> "SnippetColumns":
+        """The rows of every part, one part after another."""
+        parts = [snippet_columns(()), *parts]
+        return cls(
+            list(chain.from_iterable(p.ids for p in parts)),
+            np.concatenate([p.channels for p in parts]),
+            list(chain.from_iterable(p.texts for p in parts)),
+            np.concatenate([p.t_start for p in parts]),
+            np.concatenate([p.t_end for p in parts]),
+        )
+
+
+def snippet_columns(snippets: Sequence[Snippet]) -> SnippetColumns:
+    """The columns of ``snippets``, one row each in the order given."""
+    return SnippetColumns(
+        [s.id for s in snippets],
+        np.array([CHANNELS.index(s.channel) for s in snippets], dtype=np.uint8),
+        [s.text for s in snippets],
+        np.array([s.t_start for s in snippets], dtype=np.float64),
+        np.array([s.t_end for s in snippets], dtype=np.float64),
+    )
 
 
 @dataclass(frozen=True)
@@ -139,6 +221,32 @@ def validate_snippet(s: Snippet, video: VideoRecord) -> Snippet:
     if text == s.text:
         return s
     return Snippet(id=s.id, channel=s.channel, text=text, t_start=s.t_start, t_end=s.t_end)
+
+
+def validate_snippets(
+    snippets: SnippetColumns, video: VideoRecord
+) -> tuple[SnippetColumns, list[tuple[str, str]]]:
+    """The rows ``validate_snippet`` accepts, texts trimmed, and the id and error of each other.
+
+    The checks run over the columns: a row is kept when its trimmed text is
+    not empty and ``0 <= t_start <= t_end <= duration_s``, which a NaN
+    fails. Only a rejected row is built as a ``Snippet``, for
+    ``validate_snippet`` to word its error; errors are in row order.
+    """
+    texts = list(map(str.strip, snippets.texts))
+    t_start, t_end = snippets.t_start, snippets.t_end
+    ok = (0.0 <= t_start) & (t_start <= t_end) & (t_end <= video.duration_s)
+    ok &= np.fromiter(map(bool, texts), dtype=bool, count=len(texts))
+    errors = []
+    for row in np.flatnonzero(~ok).tolist():
+        try:
+            validate_snippet(snippets[row], video)
+        except DataError as exc:
+            errors.append((snippets.ids[row], str(exc)))
+        else:
+            raise AssertionError(f"validate_snippet accepts snippet {snippets.ids[row]!r}")
+    trimmed = SnippetColumns(snippets.ids, snippets.channels, texts, t_start, t_end)
+    return (trimmed if ok.all() else trimmed.take(np.flatnonzero(ok))), errors
 
 
 # --- snippet JSONL line format ---------------------------------------------

@@ -149,9 +149,10 @@ class HashEmbedder:
 
     A call then sums each text's token rows in chunks of up to
     ``_CHUNK_TEXTS`` texts of similar token counts, one token position at
-    a time: position ``j`` gathers the ``j``-th row of each text that long
-    and adds it to that text's sum. Each sum starts at 0.0 and takes its
-    rows in token order, which is the order and the bits of the per-token
+    a time. Each chunk lays its cache row ids out position-major, so
+    position ``j`` is one gather of the ``j``-th row of each text that
+    long and one add to those texts' sums. Each sum starts at 0.0 and
+    takes its rows in token order, which is the order and the bits of the per-token
     loop ``mean = zeros(dim); mean += row``. Each chunk's sums are divided
     by the token counts and normalized as one batch, into the returned
     matrix.
@@ -218,9 +219,18 @@ class HashEmbedder:
             counts, firsts = lengths[chunk], starts[chunk]
             # Texts [live[j]:] of the chunk, which is sorted by length, have a j-th token.
             live = np.searchsorted(counts, np.arange(counts[-1]), side="right")
+            # The chunk's cache row ids, position-major: those of token j of
+            # texts [live[j]:], in chunk order, are at_position[ends[j - 1]:ends[j]].
+            sizes = len(chunk) - live
+            ends = sizes.cumsum()
+            text = np.arange(ends[-1]) + np.repeat(live + sizes - ends, sizes)
+            position = np.repeat(np.arange(len(live)), sizes)
+            at_position = token_rows.take(firsts.take(text) + position)
             sums = np.zeros((len(chunk), self.dim))
-            for j, first in enumerate(live.tolist()):
-                sums[first:] += self._rows.take(token_rows.take(firsts[first:] + j), axis=0)
+            start = 0
+            for first, end in zip(live.tolist(), ends.tolist()):
+                sums[first:] += self._rows.take(at_position[start:end], axis=0)
+                start = end
             sums /= counts[:, None]
             sums /= _row_norms(sums)[:, None]
             out[chunk] = sums

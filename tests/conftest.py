@@ -10,10 +10,12 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from temporag.errors import DataError
+from temporag.ingest import DetectionColumns, DetectionRecord
 from temporag.rescore import AnchorSet, DecayParams, TimeNorm
 from temporag.textindex import Bm25Index, tokenize
 from temporag.types import Channel, Snippet
@@ -51,6 +53,18 @@ def make_snippet(
         text=text,
         t_start=t_start,
         t_end=t_end if t_end is not None else t_start,
+    )
+
+
+def detection_columns(records: Sequence[DetectionRecord]) -> DetectionColumns:
+    """Detection records as the columns ``parse_detections_jsonl`` returns."""
+    objects = [o for r in records for o in r.objects]
+    return DetectionColumns(
+        np.array([r.frame_index for r in records], dtype=np.int64),
+        np.array([len(r.objects) for r in records], dtype=np.int64),
+        [o.label for o in objects],
+        np.array([o.box for o in objects], dtype=np.float64).reshape(-1, 4),
+        np.array([o.confidence for o in objects], dtype=np.float64),
     )
 
 

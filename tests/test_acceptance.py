@@ -21,6 +21,7 @@ from temporag.frames import weight_frames
 from temporag.pipeline import AblationFlags
 from temporag.rescore import AnchorSet, DecayParams, rescore, top_k
 from temporag.textindex import build_index, dense_search, search, tokenize
+from temporag.types import snippet_columns
 from temporag.vectorindex import normalize
 
 from conftest import bm25_score, decay_multiplier, make_snippet
@@ -94,7 +95,7 @@ def test_c2_decay_formula_fidelity():
 
 def test_c3_bm25_oracle_equivalence():
     with criterion("C3 BM25 oracle equivalence", budget_s=5.0):
-        index = build_index([make_snippet("a", "cat", 0.0, 1.0)])
+        index = build_index(snippet_columns([make_snippet("a", "cat", 0.0, 1.0)]))
         assert abs(bm25_score(index, ["cat"], "a") - math.log(4.0 / 3.0)) <= 1e-9
 
         rng = np.random.default_rng(102)
@@ -107,7 +108,7 @@ def test_c3_bm25_oracle_equivalence():
                     vocab[int(w)] for w in rng.integers(0, 25, size=int(rng.integers(2, 10)))
                 )
                 docs.append(make_snippet(f"d{i:03d}", words, float(i), float(i) + 1.0))
-            index = build_index(docs)
+            index = build_index(snippet_columns(docs))
             query = " ".join(vocab[int(w)] for w in rng.integers(0, 25, size=3))
             tokens = tokenize(query)
             exhaustive = [(d.id, bm25_score(index, tokens, d.id)) for d in docs]
@@ -124,7 +125,8 @@ def test_c4_vector_index_exactness():
         rng = np.random.default_rng(103)
         dim = 32
         docs = [make_snippet(f"v{i:05d}", "x", 0.0, 1.0) for i in range(1000)]
-        index = build_index(docs, vectors=[normalize(rng.standard_normal(dim)) for _ in docs])
+        vectors = [normalize(rng.standard_normal(dim)) for _ in docs]
+        index = build_index(snippet_columns(docs), vectors=vectors)
         rows = [row.astype(np.float64) for row in index.vectors]  # ids sort in i order
         for _ in range(100):
             q = normalize(rng.standard_normal(dim))
@@ -188,7 +190,7 @@ def test_c7_invariance_suite():
             make_snippet(f"d{i:03d}", "q " + " ".join(f"f{i}x{j}" for j in range(i)), float(i), float(i) + 1.0)
             for i in range(1, 40)
         ]
-        index = build_index(tie_free)
+        index = build_index(snippet_columns(tie_free))
         by_id = {d.id: d for d in tie_free}
         pool = [(index.doc_ids[pos], r) for pos, r in search(index, "q", len(tie_free))]
         scores = [r for _, r in pool]
@@ -205,7 +207,7 @@ def test_c7_invariance_suite():
             words = " ".join(vocab[int(w)] for w in rng.integers(0, 20, size=int(rng.integers(3, 9))))
             t = float(rng.uniform(0, 500))
             docs.append(make_snippet(f"d{i:03d}", words, t, t + 2.0))
-        index = build_index(docs)
+        index = build_index(snippet_columns(docs))
         by_id = {d.id: d for d in docs}
         pool = [(index.doc_ids[pos], r) for pos, r in search(index, "w0 w4 w8", 80)]
         scored = rescore(

@@ -43,7 +43,7 @@ from temporag.textindex import (
     save_index,
     tokenize,
 )
-from temporag.types import Channel, Snippet
+from temporag.types import Channel, Snippet, snippet_columns
 from temporag.vectorindex import HashEmbedder, normalize
 
 from conftest import MALFORMED_EMBEDS, MUTATIONS, NESTED_JSON, STRINGS, mutate_bytes
@@ -679,6 +679,31 @@ class TestAnswer:
         assert rc == 0
         assert "MARINA OFFICE" in capsys.readouterr().out
 
+    def test_times_near_the_float_limit_answer_strict_json(self, tmp_path, capsys):
+        # The midpoint of 1.6e308 and 1.7e308 overflows as a half-sum; it must not
+        # reach the trace as Infinity, nor the score as NaN.
+        inputs = tmp_path / "screen_text.jsonl"
+        inputs.write_text(
+            json.dumps({"id": "o1", "channel": "ocr", "text": "marina office sign",
+                        "t_start": 1.6e308, "t_end": 1.7e308}) + "\n"
+            + json.dumps({"id": "o2", "channel": "ocr", "text": "harbor sign",
+                          "t_start": 1.0, "t_end": 2.0}) + "\n",
+            encoding="utf-8",
+        )
+        store, index = tmp_path / "store", tmp_path / "index"
+        assert run_cli(["ingest", inputs, "--video-id", "v", "--duration-s", "1.7e308",
+                        "--out", store]) == 0
+        assert run_cli(["build", "--store", store, "--out", index]) == 0
+        capsys.readouterr()
+        assert run_cli(["answer", "--index", index, "--query", self.QUERY, "--json"]) == 0
+
+        def reject(constant):
+            raise AssertionError(f"answer --json printed {constant}")
+
+        trace = json.loads(capsys.readouterr().out, parse_constant=reject)["trace"]
+        (hit,) = trace["channels"]["ocr"]
+        assert (hit["id"], hit["t_mid"], hit["score"]) == ("o1", 1.6e308 / 2 + 1.7e308 / 2, 1.0)
+
     def test_reads_no_snippet_jsonl(self, built_index, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("answer parsed snippet JSONL")
@@ -715,7 +740,7 @@ class TestAnswer:
             filler = [Snippet(f"{channel.value}-filler-{i:04d}", channel, f"filler{i} quay{i % 7}",
                               1.0, 2.0) for i in range(300)]
             docs = store_snippets(store, channel.value) + filler
-            save_index(build_index(docs), str(store / f"{channel.value}.bm25"))
+            save_index(build_index(snippet_columns(docs)), str(store / f"{channel.value}.bm25"))
         assert run_cli(["build", "--store", store, "--out", index,
                         "--config", DEMO / "config.json"]) == 0
 
@@ -1599,6 +1624,29 @@ def test_json_nested_too_deeply_fails_like_bad_json(
         argv = [*answer, "--config", path]
     assert run_cli(argv) == rc
     assert message.format(path=path, url=url) in capsys.readouterr().err + caplog.text
+
+
+@pytest.mark.parametrize("site", ["snippet_first_line", "snippet_later_line", "detections", "frames"])
+def test_json_integer_past_the_digit_limit_is_a_line_error(tmp_path, capsys, site):
+    # int() refuses more than 4,300 digits with a ValueError, which is no JSONDecodeError.
+    big = "1" * 5000
+    snippet = json.dumps({"id": "o1", "channel": "ocr", "text": "sign", "t_start": 1.0, "t_end": 1.0})
+    detection = json.dumps({"frame_index": 1, "t": 1.0, "objects": []})
+    lines = {
+        "snippet_first_line": [snippet.replace("1.0}", big + "}"), snippet.replace("o1", "o2")],
+        "snippet_later_line": [snippet, snippet.replace("o1", "o2").replace("1.0}", big + "}")],
+        "detections": [detection, detection.replace('"t": 1.0', f'"t": {big}')],
+        "frames": [json.dumps({"frame_index": 1, "t": 1.0}).replace("1.0", big)],
+    }[site]
+    path = tmp_path / "input.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    inputs = [DEMO / "screen_text.jsonl", "--frames", path] if site == "frames" else [path]
+    rc = run_cli(["ingest", *inputs, "--video-id", "v", "--duration-s", "120",
+                  "--out", tmp_path / "store"])
+    assert rc == 0
+    line_no = 2 if site in ("snippet_later_line", "detections") else 1
+    err = capsys.readouterr().err
+    assert f"{path}:{line_no}: Exceeds the limit (4300 digits) for integer string conversion" in err
 
 
 def test_effective_config_echoed_to_stderr(built_index, capsys):

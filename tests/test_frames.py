@@ -25,7 +25,7 @@ from temporag.ingest import DetectionRecord
 from temporag.types import FrameRecord
 from temporag.vectorindex import normalize
 
-from conftest import MUTATIONS, mutate_bytes
+from conftest import MUTATIONS, detection_columns, mutate_bytes
 
 
 # Independent scalar oracle for the entropy weighting, parameterized by log
@@ -322,7 +322,8 @@ class TestDetectOnKeyframes:
         obj = DetectedObject(label="cat", box=(0.1, 0.1, 0.4, 0.4), confidence=0.8)
         fixtures = [DetectionRecord(frame_index=2, t=99.0, objects=(obj,))]
         keyframes = [FrameRecord(frame_index=2, t=20.0), FrameRecord(frame_index=3, t=30.0)]
-        records = detect_on_keyframes(keyframes, FixtureDetector.from_records(fixtures))
+        detector = FixtureDetector.from_columns(detection_columns(fixtures))
+        records = detect_on_keyframes(keyframes, detector)
         assert records[0].t == 20.0 and records[0].objects == (obj,)
         assert records[1].objects == ()
 

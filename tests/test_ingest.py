@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -66,6 +67,13 @@ class TestParseSrt:
         data = b"1\n100:00:01,000 --> 100:00:02,000\nlong video\n"
         (s,) = parse_srt(data)
         assert s.t_start == 360001.0
+
+    def test_hours_past_the_float_range_read_as_inf(self):
+        # int(hours) * 3600.0 overflows past 308 digits, and int() refuses more than 4,300.
+        for digits in (400, 5000):
+            hours = "9" * digits
+            (s,) = parse_srt(f"1\n{hours}:00:01,000 --> {hours}:00:02,000\nx\n".encode())
+            assert (s.t_start, s.t_end) == (math.inf, math.inf)
 
 
 class TestParseVtt:
@@ -206,7 +214,7 @@ class TestParseOcrJsonl:
     def test_failures_beside_empty_text_keep_the_file(self):
         data = b'junk\n{"id": "a", "channel": "ocr", "text": "", "t_start": 1, "t_end": 1}\n'
         report = parse_snippet_jsonl(data)
-        assert (report.snippets, report.dropped_empty, len(report.errors)) == ([], 1, 1)
+        assert (len(report.snippets), report.dropped_empty, len(report.errors)) == (0, 1, 1)
 
 
 class TestDetections:
@@ -214,8 +222,9 @@ class TestDetections:
         data = b'{"frame_index": 3, "t": 12.0, "objects": [{"label": "cat", "box": [0.1, 0.2, 0.5, 0.9], "confidence": 0.7}]}\n'
         records, errors = parse_detections_jsonl(data)
         assert not errors
-        assert records[0].frame_index == 3
-        assert records[0].objects[0].label == "cat"
+        assert records.frame_index.tolist() == [3] and records.n_objects.tolist() == [1]
+        assert records.labels == ["cat"] and records.box.tolist() == [[0.1, 0.2, 0.5, 0.9]]
+        assert records.confidence.tolist() == [0.7]
 
     @pytest.mark.parametrize("frame_index", [-1, 2**32])
     def test_frame_index_outside_u32_is_line_error(self, frame_index):
@@ -224,7 +233,7 @@ class TestDetections:
             + json.dumps({"frame_index": frame_index, "t": 1.0, "objects": []}).encode()
         )
         records, errors = parse_detections_jsonl(data)
-        assert [r.frame_index for r in records] == [3]
+        assert records.frame_index.tolist() == [3]
         assert errors == [
             (2, f"frame_index must be an integer within [0, 2**32), got {frame_index}")
         ]
@@ -252,7 +261,7 @@ class TestDetections:
             + json.dumps({"frame_index": frame_index, "t": t, "objects": []}).encode()
         )
         records, errors = parse_detections_jsonl(data)
-        assert [r.frame_index for r in records] == [3]
+        assert records.frame_index.tolist() == [3]
         assert len(errors) == 1 and errors[0][0] == 2
         assert errors[0][1].endswith(message)
 
@@ -265,7 +274,7 @@ class TestDetections:
             + json.dumps({"frame_index": 4, "t": 1.0, "objects": [obj]}).encode()
         )
         records, errors = parse_detections_jsonl(data)
-        assert [r.frame_index for r in records] == [3]
+        assert records.frame_index.tolist() == [3]
         assert errors == [(2, f"detection label must be a non-empty string, got {label!r}")]
 
     @pytest.mark.parametrize(
@@ -288,7 +297,7 @@ class TestDetections:
             + json.dumps({"frame_index": 4, "t": 1.0, "objects": [obj]}).encode()
         )
         records, errors = parse_detections_jsonl(data)
-        assert [r.frame_index for r in records] == [3]
+        assert records.frame_index.tolist() == [3]
         assert errors == [(2, f"bad detection object: {obj!r}")]
 
     def test_invalid_box(self):

@@ -27,7 +27,7 @@ from temporag.pipeline import (
 from temporag.providers import StubDetector, StubLvlm
 from temporag.rescore import AnchorSet, DecayParams, RescoreConfig, rescore, top_k
 from temporag.textindex import F4, build_index
-from temporag.types import Channel, QueryRequest, ScoredSnippet, VideoRecord
+from temporag.types import Channel, QueryRequest, ScoredSnippet, VideoRecord, snippet_columns
 from temporag.vectorindex import HashEmbedder, normalize
 
 from conftest import make_snippet
@@ -70,7 +70,7 @@ class TestDecoupleQuery:
 
 def build_channel(snippets, embedder):
     vectors = [normalize(v) for v in embedder.embed([s.text for s in snippets])]
-    return build_index(snippets, vectors=vectors)
+    return build_index(snippet_columns(snippets), vectors=vectors)
 
 
 def seeded_corpus(rng, n, duration=600.0, channel=Channel.ASR):
@@ -152,7 +152,7 @@ class TestRetrieveChannel:
             )
 
     def test_empty_index_error(self):
-        chan = build_index([])
+        chan = build_index(snippet_columns([]))
         with pytest.raises(DataError, match="^channel asr: empty index$"):
             retrieve_channel(
                 "x",

@@ -19,7 +19,7 @@ from temporag.providers import (
 )
 from temporag.types import FrameRecord
 
-from conftest import MUTATIONS, mutate_bytes
+from conftest import MUTATIONS, detection_columns, mutate_bytes
 
 
 class TestStubLvlmDecouple:
@@ -300,21 +300,21 @@ def _frames(*indices):
 
 class TestFixtureDetector:
     def test_echoes_last_record_per_frame(self):
-        detector = FixtureDetector.from_records(DETECTIONS)
+        detector = FixtureDetector.from_columns(detection_columns(DETECTIONS))
         assert detector.detect(_frames(7, 5, 2, 3)) == [
             list(DETECTIONS[0].objects), [_obj("new")], [], []
         ]
 
     def test_table_round_trip(self, tmp_path):
         path = tmp_path / "detections.tbl"
-        built = FixtureDetector.from_records(DETECTIONS)
+        built = FixtureDetector.from_columns(detection_columns(DETECTIONS))
         built.save(str(path))
         keyframes = _frames(0, 2, 5, 7, 9)
         assert FixtureDetector.load(str(path)).detect(keyframes) == built.detect(keyframes)
 
     def test_builds_objects_only_for_requested_frames(self, tmp_path, monkeypatch):
         path = tmp_path / "detections.tbl"
-        FixtureDetector.from_records(DETECTIONS).save(str(path))
+        FixtureDetector.from_columns(detection_columns(DETECTIONS)).save(str(path))
         detector = FixtureDetector.load(str(path))
         built = []
 
@@ -342,7 +342,7 @@ class TestFixtureDetector:
              "empty_label", "frame_index_unsorted"],
     )
     def test_bad_table_rejected(self, tmp_path, column, value, problem):
-        detector = FixtureDetector.from_records(DETECTIONS)
+        detector = FixtureDetector.from_columns(detection_columns(DETECTIONS))
         getattr(detector, column)[0] = value
         path = tmp_path / "detections.tbl"
         detector.save(str(path))
@@ -353,7 +353,7 @@ class TestFixtureDetector:
 @pytest.fixture(scope="module")
 def detection_table_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("detection_table_fuzz")
-    FixtureDetector.from_records(DETECTIONS).save(str(path / "clean.tbl"))
+    FixtureDetector.from_columns(detection_columns(DETECTIONS)).save(str(path / "clean.tbl"))
     return path
 
 

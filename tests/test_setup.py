@@ -1,5 +1,6 @@
 """Set-up, ``ingest`` then ``build``, on seeded synthetic inputs: the bytes of every file
-it writes, pinned to a golden file, and the traced memory of its two tokenizing steps."""
+it writes, pinned to a golden file, and the traced memory of its parsers and of its two
+tokenizing steps."""
 
 import hashlib
 import json
@@ -8,8 +9,9 @@ import tracemalloc
 from pathlib import Path
 
 from temporag.cli import main
+from temporag.ingest import parse_snippet_jsonl, parse_srt
 from temporag.textindex import build_index
-from temporag.types import Channel
+from temporag.types import Channel, snippet_columns
 from temporag.vectorindex import _CHUNK_TEXTS, HashEmbedder
 
 from conftest import make_snippet
@@ -134,8 +136,23 @@ def test_embed_peak_scales_with_rows_not_tokens():
 
 def test_build_index_peak_scales_with_its_arrays_not_tokens():
     docs = [make_snippet(f"d{i:05d}", text, float(i)) for i, text in enumerate(_texts(4000))]
-    index, peak = _traced_peak(build_index, docs)
+    index, peak = _traced_peak(build_index, snippet_columns(docs))
     assert index.channel is Channel.ASR and index.n_docs == 4000
     arrays = (index.t_start, index.t_end, index.doc_len, index.offsets, index.doc_pos, index.tf)
     # The sort keys and their temporaries are int64 arrays, a few times the u4 postings.
     assert peak < 10 * sum(a.nbytes for a in arrays)
+
+
+# The peaks the line-by-line parsers, one Snippet per cue or line, reached on
+# the ``write_inputs`` SRT and OCR JSONL (Python 3.11.7, numpy 2.4.6): 7.4 and
+# 4.1 times the file's size. Columns must not cost more.
+LINE_BY_LINE_PEAK = {"audio.srt": 647_905, "screen_text.jsonl": 294_225}
+
+
+def test_parser_peaks_stay_under_the_line_by_line_parsers(tmp_path):
+    srt, screen, _ = write_inputs(tmp_path)
+    for path, parse in ((srt, parse_srt), (screen, parse_snippet_jsonl)):
+        data = path.read_bytes()
+        parse(data)  # once untraced, so one-time work is not counted
+        _, peak = _traced_peak(parse, data)
+        assert peak <= LINE_BY_LINE_PEAK[path.name], path.name

@@ -24,7 +24,7 @@ from temporag.textindex import (
     search,
     tokenize,
 )
-from temporag.types import Channel
+from temporag.types import Channel, snippet_columns
 from temporag.vectorindex import HashEmbedder, normalize
 
 from conftest import MUTATIONS, STRINGS, bm25_score, make_snippet, mutate_bytes
@@ -47,7 +47,7 @@ DURATION_S = 100.0
 def embedded_index(docs):
     """``build_index`` with a dense row per document, as ``build`` writes them."""
     vectors = [normalize(v) for v in HashEmbedder(8).embed([d.text for d in docs])]
-    return build_index(docs, vectors=vectors)
+    return build_index(snippet_columns(docs), vectors=vectors)
 
 
 def oracle_postings(docs):
@@ -93,20 +93,22 @@ class TestTokenize:
 
 class TestBuildIndex:
     def test_single_doc_stats(self):
-        index = build_index([make_snippet("a", "cat sat", 0.0, 1.0)])
+        index = build_index(snippet_columns([make_snippet("a", "cat sat", 0.0, 1.0)]))
         assert index.n_docs == 1
         assert index.avg_dl == 2
 
     def test_avg_dl_is_mean(self):
         index = build_index(
-            [make_snippet("a", "x y", 0.0, 1.0), make_snippet("b", "x y z w", 1.0, 2.0)]
+            snippet_columns(
+                [make_snippet("a", "x y", 0.0, 1.0), make_snippet("b", "x y z w", 1.0, 2.0)]
+            )
         )
         assert index.avg_dl == 3
 
     def test_duplicate_id(self):
         docs = [make_snippet("a", "x", 0.0, 1.0), make_snippet("a", "y", 1.0, 2.0)]
         with pytest.raises(DataError, match="^duplicate doc id 'a'$"):
-            build_index(docs)
+            build_index(snippet_columns(docs))
 
     def test_mixed_channels(self):
         docs = [
@@ -114,13 +116,14 @@ class TestBuildIndex:
             make_snippet("b", "y", 1.0, 2.0, channel=Channel.OCR),
         ]
         with pytest.raises(DataError, match=r"^documents span channels \['asr', 'ocr'\]$"):
-            build_index(docs)
+            build_index(snippet_columns(docs))
 
     # Each mismatch message names the two things it compares.
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: build_index([make_snippet("a", "x", 0.0, 1.0)], [[1.0, 0.0], [0.0, 1.0]]),
+            (lambda: build_index(snippet_columns([make_snippet("a", "x", 0.0, 1.0)]),
+                                 [[1.0, 0.0], [0.0, 1.0]]),
              "1 documents but 2 vectors"),
             (lambda: FrameTable([0, 1], [0.0, 1.0], [True]), "2 frame times but 1 embedded flags"),
             (lambda: f4_matrix([[1.0, 0.0], [1.0]], 2), "rows of unequal lengths, expected dim 2"),
@@ -135,7 +138,7 @@ class TestBuildIndex:
 
     def test_postings_sorted_by_doc_id(self):
         docs = [make_snippet(sid, "shared word", 0.0, 1.0) for sid in ("z", "a", "m")]
-        index = build_index(docs)
+        index = build_index(snippet_columns(docs))
         row = list(index.tokens).index("shared")
         span = index.doc_pos[index.offsets[row] : index.offsets[row + 1]]
         assert [index.doc_ids[p] for p in span.tolist()] == ["a", "m", "z"]
@@ -163,7 +166,7 @@ class TestBuildIndex:
 
     @staticmethod
     def _assert_matches_oracle(docs):
-        index = build_index(docs)
+        index = build_index(snippet_columns(docs))
         vocab, doc_len, offsets, doc_pos, tf = oracle_postings(docs)
         assert list(index.tokens) == vocab
         for got, want in zip(
@@ -176,22 +179,22 @@ class TestBuildIndex:
 
 class TestBm25Score:
     def test_absent_term_scores_zero(self):
-        index = build_index([make_snippet("a", "cat sat", 0.0, 1.0)])
+        index = build_index(snippet_columns([make_snippet("a", "cat sat", 0.0, 1.0)]))
         assert bm25_score(index, ["dinosaur"], "a") == 0.0
 
     def test_single_doc_single_term(self):
         # idf = ln(1 + 0.5/1.5) = ln(4/3); tf=1, dl=avg_dl makes the tf
         # factor exactly 1, so score = ln(4/3).
-        index = build_index([make_snippet("a", "cat", 0.0, 1.0)])
+        index = build_index(snippet_columns([make_snippet("a", "cat", 0.0, 1.0)]))
         assert bm25_score(index, ["cat"], "a") == pytest.approx(math.log(4.0 / 3.0), abs=1e-9)
 
     def test_all_empty_token_docs_score_zero(self):
         # Every document tokenizes to nothing, so avg_dl is 0.
-        index = build_index([make_snippet("a", "!!!", 0.0, 1.0)])
+        index = build_index(snippet_columns([make_snippet("a", "!!!", 0.0, 1.0)]))
         assert bm25_score(index, ["x"], "a") == 0.0
 
     def test_unknown_doc(self):
-        index = build_index([make_snippet("a", "cat", 0.0, 1.0)])
+        index = build_index(snippet_columns([make_snippet("a", "cat", 0.0, 1.0)]))
         assert bm25_score(index, ["cat"], "a") > 0.0
         with pytest.raises(IndexError):
             index.snippet(1)
@@ -202,7 +205,7 @@ class TestBm25Score:
             make_snippet("b", "the dog sat", 1.0, 2.0),
             make_snippet("c", "cat cat dog", 2.0, 3.0),
         ]
-        index = build_index(docs)
+        index = build_index(snippet_columns(docs))
         for query in (["cat"], ["the", "dog"], ["cat", "sat", "mat"], ["missing"]):
             want = dict(search(index, " ".join(query), len(docs)))
             for pos, doc in enumerate(docs):  # ids a < b < c: position order
@@ -214,7 +217,7 @@ class TestBm25Score:
         # Every stored doc_len one too high moves each length's ratio to
         # avg_dl here, so search must disagree with an oracle that counts.
         docs = [make_snippet("a", "cat", 0.0, 1.0), make_snippet("b", "cat dog", 1.0, 2.0)]
-        index = build_index(docs)
+        index = build_index(snippet_columns(docs))
         wrong = dataclasses.replace(index, doc_len=index.doc_len + 1)
         assert len(search(wrong, "cat", 2)) == 2
         for pos, score in search(index, "cat", 2):
@@ -229,25 +232,25 @@ class TestBm25Score:
             make_snippet("b", "q q x x", 1.0, 2.0),
             make_snippet("c", "q q q x", 2.0, 3.0),
         ]
-        index = build_index(docs)
+        index = build_index(snippet_columns(docs))
         scores = [bm25_score(index, ["q"], d.id) for d in docs]
         assert scores[0] < scores[1] < scores[2]
 
 
 class TestSearch:
     def test_no_match_is_empty(self):
-        index = build_index([make_snippet("a", "cat", 0.0, 1.0)])
+        index = build_index(snippet_columns([make_snippet("a", "cat", 0.0, 1.0)]))
         assert search(index, "dinosaur", 10) == []
 
     def test_pool_larger_than_corpus(self):
         docs = [make_snippet(f"d{i}", "cat", float(i), float(i) + 1) for i in range(3)]
-        index = build_index(docs)
+        index = build_index(snippet_columns(docs))
         assert len(search(index, "cat", 50)) == 3
 
     def test_ranking_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(7)
         docs = random_corpus(rng, 20)
-        index = build_index(docs)
+        index = build_index(snippet_columns(docs))
         query = "w0 w3 w7"
         expected = [(d.id, bm25_score(index, tokenize(query), d.id)) for d in docs]
         expected = [(i, s) for i, s in expected if s > 0]
@@ -259,14 +262,14 @@ class TestSearch:
 
     def test_tie_break_ascending_doc_id(self):
         docs = [make_snippet(sid, "cat", 0.0, 1.0) for sid in ("b", "a", "c")]
-        index = build_index(docs)
+        index = build_index(snippet_columns(docs))
         assert hit_ids(index, search(index, "cat", 3)) == ["a", "b", "c"]
 
     def test_ties_at_the_pool_cut_keep_ascending_doc_id(self):
         # One best document, then five tied ones of which the pool keeps two.
         docs = [make_snippet(sid, "cat dog", 0.0, 1.0) for sid in ("e", "c", "a", "d", "b")]
         docs.append(make_snippet("z", "cat cat dog", 0.0, 1.0))
-        index = build_index(docs)
+        index = build_index(snippet_columns(docs))
         assert hit_ids(index, search(index, "cat", 3)) == ["z", "a", "b"]
 
     def test_loaded_search_decodes_only_the_pool(self, tmp_path, monkeypatch):
@@ -298,9 +301,9 @@ def test_disjoint_doc_changes_scores_only_through_idf():
         make_snippet("b", "dog ran far", 1.0, 2.0),
         make_snippet("c", "cat nap now", 2.0, 3.0),
     ]
-    index_before = build_index(base)
+    index_before = build_index(snippet_columns(base))
     extra = make_snippet("z", "qqq www eee", 3.0, 4.0)  # disjoint, length 3 = avg
-    index_after = build_index(base + [extra])
+    index_after = build_index(snippet_columns(base + [extra]))
     assert index_after.avg_dl == index_before.avg_dl
     before = dict(search(index_before, "cat", 10))
     after = dict(search(index_after, "cat", 10))
@@ -365,7 +368,7 @@ class TestPersistence:
         # in position order and saves it again: the bytes of a build from snippets.
         docs = random_corpus(np.random.default_rng(5), 15)
         store, built, want = (tmp_path / f"{name}.bm25" for name in ("store", "built", "want"))
-        save_index(build_index(docs), str(store))
+        save_index(build_index(snippet_columns(docs)), str(store))
         index = load_index(str(store), DURATION_S)
         assert index.dim == 0
         texts = list(index.texts)
@@ -383,7 +386,7 @@ class TestPersistence:
     def test_version_mismatch(self, tmp_path):
         docs = [make_snippet("a", "cat", 0.0, 1.0)]
         path = tmp_path / "v.bm25"
-        save_index(build_index(docs), str(path))
+        save_index(build_index(snippet_columns(docs)), str(path))
         data = bytearray(path.read_bytes())
         data[4:8] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(data))
@@ -435,7 +438,8 @@ class TestPersistence:
             load_index(str(path), DURATION_S)
 
     def test_text_offset_inside_utf8_character_rejected(self, tmp_path):
-        index = build_index([make_snippet("a", "é", 0.0, 1.0), make_snippet("b", "x", 1.0, 2.0)])
+        docs = [make_snippet("a", "é", 0.0, 1.0), make_snippet("b", "x", 1.0, 2.0)]
+        index = build_index(snippet_columns(docs))
         path = tmp_path / "split.bm25"
         save_index(index, str(path))
         data = path.read_bytes()
@@ -493,7 +497,7 @@ def test_mutated_file_loads_or_raises_temporag_error(fuzz_dir, mutations):
 def test_avg_dl_invariant_random():
     rng = np.random.default_rng(21)
     docs = random_corpus(rng, 40)
-    index = build_index(docs)
+    index = build_index(snippet_columns(docs))
     assert index.avg_dl == pytest.approx(
         sum(index.doc_len.tolist()) / index.n_docs, abs=1e-9
     )

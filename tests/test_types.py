@@ -11,6 +11,7 @@ from temporag.types import (
     Channel,
     Snippet,
     VideoRecord,
+    snippet_columns,
     snippet_from_obj,
     validate_snippet,
 )
@@ -101,7 +102,7 @@ def test_store_table_round_trip_is_identity(channel, rows):
     docs = [Snippet(i, channel, text, t0, t0 + delta) for i, (text, t0, delta) in rows.items()]
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / f"{channel.value}.bm25")
-        save_index(build_index(docs), path)
+        save_index(build_index(snippet_columns(docs)), path)
         index = load_index(path, 1e6 + 100.0)
     assert index.dim == 0
     assert [index.snippet(p) for p in range(index.n_docs)] == sorted(docs, key=lambda d: d.id)
@@ -111,6 +112,25 @@ def test_store_table_round_trip_is_identity(channel, rows):
 def test_t_mid_is_arithmetic_mean(t_start, delta):
     s = snip(t_start=t_start, t_end=t_start + delta)
     assert abs(s.t_mid - (s.t_start + s.t_end) / 2.0) <= 1e-12
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None)
+@given(t_start=_FLOATS, t_end=_FLOATS)
+def test_t_mid_keeps_the_half_sum_bits_wherever_the_sum_is_finite(t_start, t_end):
+    t_mid = snip(t_start=t_start, t_end=t_end).t_mid
+    if math.isfinite(t_start + t_end):
+        assert t_mid.hex() == ((t_start + t_end) / 2.0).hex()
+    else:  # the sum overflows: the midpoint is still finite and between the ends
+        assert min(t_start, t_end) <= t_mid <= max(t_start, t_end)
+
+
+def test_t_mid_of_subnormal_times_is_not_rounded_to_zero():
+    tiny = math.ulp(0.0)  # 5e-324: halved alone, each end would round to 0.0
+    assert snip(t_start=tiny, t_end=tiny).t_mid == tiny
+    assert snip(t_start=1.6e308, t_end=1.7e308).t_mid == 1.6e308 / 2 + 1.7e308 / 2
 
 
 def test_unknown_keys_ignored():

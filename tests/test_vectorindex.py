@@ -8,6 +8,7 @@ import pytest
 
 from temporag.errors import DataError
 from temporag.textindex import build_index, dense_search, tokenize
+from temporag.types import snippet_columns
 from temporag.vectorindex import (
     _CHUNK_TEXTS,
     HashEmbedder,
@@ -59,7 +60,7 @@ class TestNormalize:
 def dense_index(vectors: dict[str, list[float] | np.ndarray]):
     """A channel index whose dense rows are the given vectors, normalized, by id."""
     docs = [make_snippet(doc_id, "x", 0.0, 1.0) for doc_id in vectors]
-    return build_index(docs, vectors=[normalize(v) for v in vectors.values()])
+    return build_index(snippet_columns(docs), vectors=[normalize(v) for v in vectors.values()])
 
 
 def filled_index(rng, n, dim=16):
@@ -79,7 +80,7 @@ class TestFlatVectorIndex:
     def test_dim_mismatch(self):
         docs = [make_snippet("a", "x", 0.0, 1.0), make_snippet("b", "y", 0.0, 1.0)]
         with pytest.raises(DataError, match="^rows of unequal lengths, expected dim 4$"):
-            build_index(docs, vectors=[[1.0, 0.0, 0.0, 0.0], [1.0, 2.0]])
+            build_index(snippet_columns(docs), vectors=[[1.0, 0.0, 0.0, 0.0], [1.0, 2.0]])
         index = dense_index({"a": [1.0, 0.0, 0.0, 0.0]})
         with pytest.raises(DataError, match="^expected dim 4, got 2$"):
             dense_search(index, np.array([1.0, 0.0]), 1, threshold=0.3)
@@ -87,7 +88,7 @@ class TestFlatVectorIndex:
     def test_duplicate_id(self):
         docs = [make_snippet("a", "x", 0.0, 1.0), make_snippet("a", "y", 0.0, 1.0)]
         with pytest.raises(DataError, match="^duplicate doc id 'a'$"):
-            build_index(docs, vectors=[[1.0, 0.0], [0.0, 1.0]])
+            build_index(snippet_columns(docs), vectors=[[1.0, 0.0], [0.0, 1.0]])
 
     def test_orthogonal_below_threshold_excluded(self):
         index = dense_index({"x": [0.0, 1.0]})
