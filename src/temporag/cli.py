@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tables
 from .config import RunConfig, config_from_dict, load_config
 from .errors import (
     ConfigError,
@@ -32,7 +33,7 @@ from .evalharness import (
     run_eval,
     sweep_threshold,
 )
-from .frames import FrameTable, load_frame_table, save_frame_table
+from .frames import FrameTable
 from .ingest import (
     DetectionColumns,
     FrameColumns,
@@ -51,38 +52,15 @@ from .providers import (
     StubDetector,
     StubLvlm,
 )
+from .tables import load_index as load_bm25, save_index as save_bm25
 from .textindex import F4, Bm25Index, build_index
-from .textindex import load_index as load_bm25
-from .textindex import save_index as save_bm25
 from .types import Channel, SnippetColumns, VideoRecord, is_finite_number, validate_snippets
 from .vectorindex import EmbeddingProvider, HashEmbedder
-
-FRAME_TABLE = "frames.tbl"
-DETECTION_TABLE = "detections.tbl"
-# Every file ingest may write. Ingest removes them all first, and the files
-# of older stores, which build refuses: JSONL, then one snippet table per
-# channel and the frame text table, which the .bm25 files and frames.tbl replaced.
-STORE_FILES = frozenset({"video.json", "asr.bm25", "ocr.bm25", FRAME_TABLE, DETECTION_TABLE})
-OLD_STORE_FILES = (
-    "asr.jsonl", "ocr.jsonl", "frames.jsonl", "detections.jsonl", "asr.docs", "ocr.docs",
-    "frames.docs",
-)
-# Every file build may write, and the .vec files that builds wrote before
-# the frame table and the .bm25 files held the embeddings. Build removes
-# them all first, so a rebuild leaves none of an earlier build's files behind.
-INDEX_FILES = frozenset(
-    {"video.json", FRAME_TABLE, "frames.vec", DETECTION_TABLE}
-    | {f"{c.value}.{ext}" for c in Channel for ext in ("bm25", "vec")}
-)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse API
         raise ConfigError(message)
-
-
-def _write_video(path: Path, video: VideoRecord) -> None:
-    path.write_text(json.dumps(asdict(video)) + "\n", encoding="utf-8")
 
 
 def _echo_config(cfg: RunConfig) -> None:
@@ -215,17 +193,20 @@ def cmd_ingest(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name in STORE_FILES.union(OLD_STORE_FILES):
+    for name in tables.STORE_FILES.union(tables.OLD_STORE_FILES):
         (out / name).unlink(missing_ok=True)
-    _write_video(out / "video.json", video)
+    tables.save_video(out / tables.VIDEO_FILE, video)
     for index in indices:
-        save_bm25(index, str(out / f"{index.channel.value}.bm25"))
+        save_bm25(index, out / f"{index.channel.value}.bm25")
     if len(detections):
-        FixtureDetector.from_columns(detections).save(str(out / DETECTION_TABLE))
+        detector = FixtureDetector.from_columns(detections)
+        tables.save_detections(detector, out / tables.DETECTION_TABLE)
     if len(frames):
         order = np.lexsort((frames.frame_index, frames.t))  # by (t, frame_index), which is unique
         texts = [frames.texts[i] for i in order.tolist()]
-        save_frame_table(str(out / FRAME_TABLE), frames.frame_index[order], frames.t[order], texts)
+        tables.save_frame_table(
+            out / tables.FRAME_TABLE, frames.frame_index[order], frames.t[order], texts
+        )
 
     for channel in Channel:
         print(f"{channel.value}: {len(by_channel[channel])} snippets")
@@ -245,25 +226,6 @@ def _make_embedder(cfg: RunConfig):
     return HttpEmbeddingClient(base_url=cfg.providers.embed_url)
 
 
-def _read_video(path: Path) -> VideoRecord:
-    try:
-        meta = json.loads(path.read_bytes())
-        return VideoRecord(video_id=meta["video_id"], duration_s=meta["duration_s"])
-    except (ValueError, RecursionError, KeyError, TypeError, AttributeError, DataError) as exc:
-        raise DataError(f"{path}: bad video record ({exc})") from None
-
-
-def _load_channel(path: Path, channel: Channel, duration_s: float) -> Bm25Index:
-    """The ``.bm25`` file of ``channel``; one that holds another channel is a ``DataError``."""
-    index = load_bm25(str(path), duration_s)
-    if index.channel != channel:
-        raise DataError(
-            f"{path}: truncated or corrupt index "
-            f"(channel tag {index.channel.value!r}, expected {channel.value!r})"
-        )
-    return index
-
-
 def _build_channel(
     store: Path,
     out: Path,
@@ -275,19 +237,19 @@ def _build_channel(
     path = store / f"{channel.value}.bm25"
     if not path.exists():
         return
-    index = _load_channel(path, channel, video.duration_s)
+    index = load_bm25(path, channel, video.duration_s)
     # The rows are in position order, the order of the texts.
     index.vectors = embedder().embed(index.texts.decode_all()).astype(F4)
-    save_bm25(index, str(out / f"{channel.value}.bm25"))
+    save_bm25(index, out / f"{channel.value}.bm25")
     print(f"{channel.value}: indexed {index.n_docs} snippets")
 
 
 def cmd_build(args) -> int:
     cfg = _load_effective_config(args)
     store = Path(args.store)
-    if not (store / "video.json").exists():
-        raise DataError(f"{store}/video.json not found; run ingest first")
-    old = [name for name in OLD_STORE_FILES if (store / name).exists()]
+    if not (store / tables.VIDEO_FILE).exists():
+        raise DataError(f"{store}/{tables.VIDEO_FILE} not found; run ingest first")
+    old = [name for name in tables.OLD_STORE_FILES if (store / name).exists()]
     if old:
         raise DataError(f"{store / old[0]}: a store file of an older ingest; run ingest again")
     out = Path(args.out)
@@ -295,10 +257,10 @@ def cmd_build(args) -> int:
         raise ConfigError("--out must not be the --store directory: build replaces its files")
     out.mkdir(parents=True, exist_ok=True)
 
-    video = _read_video(store / "video.json")
-    for name in INDEX_FILES:
+    video = tables.load_video(store / tables.VIDEO_FILE)
+    for name in tables.INDEX_FILES:
         (out / name).unlink(missing_ok=True)
-    _write_video(out / "video.json", video)
+    tables.save_video(out / tables.VIDEO_FILE, video)
 
     # One embedder serves the channels and the frames, so a hash build draws
     # each distinct token once. It is made at the first text to embed: a
@@ -309,17 +271,20 @@ def cmd_build(args) -> int:
 
     # Like a channel's .bm25: the store's frame table, with the rows attached.
     frames = FrameTable([], [])
-    if (store / FRAME_TABLE).exists():
-        frames = load_frame_table(str(store / FRAME_TABLE), video.duration_s)
+    if (store / tables.FRAME_TABLE).exists():
+        frames = tables.load_frame_table(store / tables.FRAME_TABLE, video.duration_s)
     with_text = [text for text in frames.texts if text]
     vectors = ()
     if with_text:
         vectors = embedder().embed(with_text)
-    save_frame_table(str(out / FRAME_TABLE), frames.frame_index, frames.t, frames.texts, vectors)
+    tables.save_frame_table(
+        out / tables.FRAME_TABLE, frames.frame_index, frames.t, frames.texts, vectors
+    )
     print(f"frames: {len(frames)} records, {len(with_text)} embedded")
 
-    if (store / DETECTION_TABLE).exists():
-        FixtureDetector.load(str(store / DETECTION_TABLE)).save(str(out / DETECTION_TABLE))
+    if (store / tables.DETECTION_TABLE).exists():
+        detector = tables.load_detections(store / tables.DETECTION_TABLE)
+        tables.save_detections(detector, out / tables.DETECTION_TABLE)
     return 0
 
 
@@ -361,24 +326,24 @@ class _DimCheckedEmbedder:
 
 
 def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
-    meta_path = index_dir / "video.json"
+    meta_path = index_dir / tables.VIDEO_FILE
     if not meta_path.exists():
         raise DataError(f"{meta_path} not found; run build first")
-    video = _read_video(meta_path)
+    video = tables.load_video(meta_path)
 
     channels: dict[Channel, Bm25Index] = {}
     for channel in Channel:
         bm25_path = index_dir / f"{channel.value}.bm25"
         if bm25_path.exists():
-            index = _load_channel(bm25_path, channel, video.duration_s)
+            index = load_bm25(bm25_path, channel, video.duration_s)
             if index.n_docs and not index.dim:  # a store file: no fusion mode can use it
                 raise DataError(f"{bm25_path}: no dense rows; run build on this store")
             channels[channel] = index
 
-    frame_table_path = index_dir / FRAME_TABLE
+    frame_table_path = index_dir / tables.FRAME_TABLE
     if not frame_table_path.exists():
         raise DataError(f"{frame_table_path} not found; re-run build")
-    frames = load_frame_table(str(frame_table_path), video.duration_s)
+    frames = tables.load_frame_table(frame_table_path, video.duration_s)
     if len(frames.matrix) and not frames.matrix.shape[1]:  # a store file
         raise DataError(f"{frame_table_path}: no dense rows; run build on this store")
 
@@ -399,12 +364,12 @@ def _load_runtime(index_dir: Path, cfg: RunConfig) -> VideoRuntime:
     elif cfg.providers.detector == "http":
         detector = HttpDetector(base_url=cfg.providers.detector_url)
     else:
-        table_path = index_dir / DETECTION_TABLE
+        table_path = index_dir / tables.DETECTION_TABLE
         if not table_path.exists():
             raise DataError(
                 f"{table_path} not found; build copies it from the store's detections.tbl"
             )
-        detector = FixtureDetector.load(str(table_path))
+        detector = tables.load_detections(table_path)
 
     return VideoRuntime(
         video=video,

@@ -69,7 +69,7 @@ class SyntheticSpec:
             raise DataError("n_frames must be >= 2")
         if not set(self.query_terms).isdisjoint(map(_vocab_word, range(self.vocab_size))):
             raise DataError("query_terms must not collide with the generated vocabulary")
-        _, segments = _needle_layout(self)
+        _, segments = _needle_layout(self, "")
         if not segments:
             raise DataError(
                 f"cannot place duplicates at least {self.duration_s / 4.0:.1f}s from the needle"
@@ -80,19 +80,21 @@ def _vocab_word(i: int) -> str:
     return f"term{i:03d}"
 
 
-def _needle_layout(spec: SyntheticSpec) -> tuple[float, list[tuple[float, float]]]:
-    """The needle's start time, and the intervals left for duplicate midpoints.
+def _needle_layout(spec: SyntheticSpec, text: str) -> tuple[Snippet, list[tuple[float, float]]]:
+    """The needle snippet, holding ``text``, and the intervals left for duplicate midpoints.
 
-    The intervals are those at least duration/4 from the needle's midpoint.
+    The intervals are those at least duration/4 from the needle's ``t_mid``.
     """
     duration = spec.duration_s
     half = _NEEDLE_DUR / 2
-    needle_start = min(max(spec.needle_time - half, 0.0), duration - _NEEDLE_DUR)
-    needle_mid = (needle_start + (needle_start + _NEEDLE_DUR)) / 2.0  # as ``Snippet.t_mid``
+    t_start = min(max(spec.needle_time - half, 0.0), duration - _NEEDLE_DUR)
+    needle = Snippet(
+        id="needle", channel=Channel.ASR, text=text, t_start=t_start, t_end=t_start + _NEEDLE_DUR
+    )
     gap = duration / 4.0
-    left = (half, max(half, needle_mid - gap))
-    right = (min(duration - half, needle_mid + gap), duration - half)
-    return needle_start, [(lo, hi) for lo, hi in (left, right) if hi - lo > 1e-9]
+    left = (half, max(half, needle.t_mid - gap))
+    right = (min(duration - half, needle.t_mid + gap), duration - half)
+    return needle, [(lo, hi) for lo, hi in (left, right) if hi - lo > 1e-9]
 
 
 @dataclass(frozen=True)
@@ -145,16 +147,8 @@ def gen_corpus(spec: SyntheticSpec) -> Corpus:
     duration = spec.duration_s
     vocab = [_vocab_word(i) for i in range(spec.vocab_size)]
     half = _NEEDLE_DUR / 2
-    needle_start, segments = _needle_layout(spec)
     fillers = [vocab[int(i)] for i in rng.integers(0, spec.vocab_size, size=2)]
-    needle_text = " ".join(list(spec.query_terms) + fillers)
-    needle = Snippet(
-        id="needle",
-        channel=Channel.ASR,
-        text=needle_text,
-        t_start=needle_start,
-        t_end=needle_start + _NEEDLE_DUR,
-    )
+    needle, segments = _needle_layout(spec, " ".join(list(spec.query_terms) + fillers))
     needle_mid = needle.t_mid
 
     total = sum(hi - lo for lo, hi in segments)
@@ -170,7 +164,7 @@ def gen_corpus(spec: SyntheticSpec) -> Corpus:
             Snippet(
                 id=f"dup-{i:03d}",
                 channel=Channel.ASR,
-                text=needle_text,
+                text=needle.text,
                 t_start=mid - half,
                 t_end=mid + half,
             )
@@ -231,10 +225,8 @@ def build_runtime(corpus: Corpus, config: RunConfig) -> VideoRuntime:
     ``config.providers`` names, so an eval needs no external service.
     """
     embedder = HashEmbedder(config.providers.embed_dim, config.providers.embed_seed)
-    asr = build_index(
-        snippet_columns(corpus.snippets),
-        vectors=embedder.embed([s.text for s in corpus.snippets]),
-    )
+    asr = build_index(snippet_columns(corpus.snippets))
+    asr.vectors = embedder.embed(asr.texts).astype(F4)  # in position order, as ``build`` does
     frames = FrameTable(
         [f.frame_index for f in corpus.frames],
         [f.t for f in corpus.frames],
@@ -288,9 +280,11 @@ def run_eval(
     recall_at_k = 1.0 if needle_id in ranked else 0.0
     mrr = 1.0 / (ranked.index(needle_id) + 1) if needle_id in ranked else 0.0
     if hits:
-        mean_time_error = float(
-            np.mean([abs(h.snippet.t_mid - corpus.ground_truth.needle_time) for h in hits])
-        )
+        errors = np.array([abs(h.snippet.t_mid - corpus.ground_truth.needle_time) for h in hits])
+        with np.errstate(over="ignore"):
+            mean_time_error = float(np.mean(errors))
+        if mean_time_error == np.inf:  # the sum overflowed: the mean of the shares cannot
+            mean_time_error = float(np.sum(errors / len(errors)))
     else:
         mean_time_error = corpus.spec.duration_s
 

@@ -8,7 +8,6 @@ stay spread over the video.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,8 +16,7 @@ import numpy as np
 from .errors import DataError
 from .ingest import DetectionRecord
 from .providers import DetectorProvider
-from .textindex import F4, F8, U4, IndexFileReader, f4_matrix, pack_strings
-from .textindex import row_similarities, write_index_file
+from .textindex import row_similarities
 from .types import FrameRecord
 
 
@@ -202,77 +200,3 @@ def detect_on_keyframes(
         DetectionRecord(frame_index=frame.frame_index, t=frame.t, objects=tuple(objects))
         for frame, objects in zip(keyframes, per_frame)
     ]
-
-
-# --- the frame table -------------------------------------------------------------
-#
-# One file, frames.tbl, for the store and the index; format version 3:
-# magic "TVRG" | u32 version | u32 n | <u4 frame_index[n] | <f8 t[n]
-# | text table | u32 dim | <f4 matrix[n_rows][dim]. The frames are sorted
-# by (t, frame_index), and an empty text means the frame has none. A frame
-# is embedded exactly when its text is not empty. The matrix holds one row
-# per embedded frame, in table order; the store's file, which ingest
-# writes, holds none and has ``dim`` 0. Zero frames means the store had no
-# frame metadata.
-
-FRAME_TABLE_VERSION = 3
-
-
-def save_frame_table(
-    path: str,
-    frame_index: Sequence[int],
-    t: Sequence[float],
-    texts: Sequence[str],
-    vectors: Sequence[np.ndarray] = (),
-) -> None:
-    """Write the frame columns in the order given, with no vectors or one per frame with text."""
-    n_with_text = sum(1 for text in texts if text)
-    if len(vectors) not in (0, n_with_text):
-        raise DataError(f"{len(vectors)} vectors for {n_with_text} frames with text")
-    dim = len(vectors[0]) if len(vectors) else 0
-    write_index_file(
-        path,
-        FRAME_TABLE_VERSION,
-        struct.pack("<I", len(t)),
-        np.asarray(frame_index, dtype=U4).tobytes(),
-        np.asarray(t, dtype=F8).tobytes(),
-        pack_strings(texts),
-        struct.pack("<I", dim),
-        f4_matrix(vectors, dim).tobytes(),
-    )
-
-
-def load_frame_table(path: str, duration_s: float) -> FrameTable:
-    """A frame table whose columns and texts are views of the file, its matrix a float64 cast.
-
-    The times must be within ``[0, duration_s]``, the frame indices unique,
-    the frames sorted by ``(t, frame_index)`` and the embeddings finite. A
-    frame is embedded when its text table entry is not empty, which the
-    offsets tell without decoding a text; in a store's file, ``dim`` 0
-    gives its row zero width. Besides the errors of
-    ``textindex.IndexFileReader``, each failure is a ``DataError`` naming
-    the path.
-    """
-    reader = IndexFileReader(path, FRAME_TABLE_VERSION)
-    (n,) = reader.unpack("<I")
-    frame_index = reader.array(n)
-    t = reader.array(n, F8)
-    if not np.all((0.0 <= t) & (t <= duration_s)):  # NaN fails too
-        raise reader.corrupt(f"frame times outside [0, {duration_s}]")
-    ranked = np.sort(frame_index)  # not np.unique, which imports numpy.ma
-    if np.any(ranked[1:] == ranked[:-1]):
-        raise reader.corrupt("duplicate frame_index")
-    dt = np.diff(t)
-    if np.any((dt < 0.0) | ((dt == 0.0) & (frame_index[1:] <= frame_index[:-1]))):
-        raise reader.corrupt("rows not sorted by (t, frame_index)")
-    texts = reader.string_table(n)
-    embedded = texts.offsets[1:] > texts.offsets[:-1]
-    n_embedded = int(np.count_nonzero(embedded))
-    (dim,) = reader.unpack("<I")
-    if dim and not n_embedded:
-        raise reader.corrupt(f"dim {dim} for 0 embedded frames")
-    matrix = reader.array(n_embedded * dim, F4).reshape(n_embedded, dim)
-    reader.end()
-    if not np.all(np.isfinite(matrix)):
-        raise reader.corrupt("non-finite embedding values")
-    return FrameTable(frame_index, t, embedded, matrix, texts)

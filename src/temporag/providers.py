@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import prompts
 from .errors import DataError, ProviderUnavailableError
 from .ingest import DetectedObject, DetectionColumns, detected_objects
-from .textindex import F8, U4, IndexFileReader, pack_strings, tokenize, write_index_file
+from .textindex import F8, U4, tokenize
 from .types import FrameRecord
 from .vectorindex import unit_rows
 
@@ -178,41 +178,24 @@ class StubDetector:
         return out
 
 
-# Detection table, format version 1:
-#   magic "TVRG" | u32 version | u32 n_frames | <u4 frame_index[n_frames]
-#   | u32 object_offsets[n_frames + 1] | label table | <f8 box[n_objects][4]
-#   | <f8 confidence[n_objects]
-# Frame indices are unique and ascending. The objects of row r are
-# object_offsets[r] up to object_offsets[r + 1], and n_objects is
-# object_offsets[n_frames]. The label table is a string table (see
-# ``textindex.pack_strings``) with one entry per object.
-DETECTION_TABLE_VERSION = 1
-
-
+@dataclass(eq=False)
 class FixtureDetector:
     """Echoes stored detections, held as one table keyed by sorted frame index.
 
-    ``from_columns`` builds the table from parsed records and ``load`` reads
-    it from a file written by ``save``. ``detect`` finds each keyframe's row
-    by binary search and builds ``DetectedObject``s for those rows only, at
-    their first request; a detector asked many questions builds each row
-    once. Concurrent calls need no lock: a race at worst builds a row twice.
+    ``from_columns`` builds the table from parsed records, and
+    ``tables.load_detections`` from a file that ``tables.save_detections``
+    wrote. ``detect`` finds each keyframe's row by binary search and builds
+    ``DetectedObject``s for those rows only, at their first request; a
+    detector asked many questions builds each row once. Concurrent calls
+    need no lock: a race at worst builds a row twice.
     """
 
-    def __init__(
-        self,
-        frame_index: np.ndarray,
-        object_offsets: np.ndarray,
-        labels: Sequence[str],
-        box: np.ndarray,
-        confidence: np.ndarray,
-    ):
-        self.frame_index = frame_index
-        self.object_offsets = object_offsets
-        self.labels = labels
-        self.box = box
-        self.confidence = confidence
-        self._rows: dict[int, list[DetectedObject]] = {}
+    frame_index: np.ndarray
+    object_offsets: np.ndarray
+    labels: Sequence[str]
+    box: np.ndarray
+    confidence: np.ndarray
+    _rows: dict[int, list[DetectedObject]] = field(init=False, repr=False, default_factory=dict)
 
     @classmethod
     def from_columns(cls, records: DetectionColumns) -> "FixtureDetector":
@@ -233,45 +216,6 @@ class FixtureDetector:
             labels=[records.labels[j] for j in objects.tolist()],
             box=records.box[objects].astype(F8),
             confidence=records.confidence[objects].astype(F8),
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "FixtureDetector":
-        """Read a detection table; the arrays are views of the file.
-
-        Besides the errors of ``textindex.IndexFileReader``, the loader checks
-        every object as ``DetectedObject`` would, so ``detect`` never raises.
-        """
-        reader = IndexFileReader(path, DETECTION_TABLE_VERSION)
-        (n_frames,) = reader.unpack("<I")
-        frame_index = reader.array(n_frames)
-        object_offsets = reader.offsets(n_frames)
-        n_objects = int(object_offsets[-1])
-        labels = reader.string_table(n_objects)
-        box = reader.array(4 * n_objects, F8).reshape(n_objects, 4)
-        confidence = reader.array(n_objects, F8)
-        reader.end()
-        if np.any(frame_index[1:] <= frame_index[:-1]):
-            raise reader.corrupt("frame indices not unique and sorted")
-        if np.any(labels.offsets[1:] == labels.offsets[:-1]):
-            raise reader.corrupt("empty label")
-        x1, y1, x2, y2 = box.T  # NaN fails every comparison below
-        if not np.all((0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0)):
-            raise reader.corrupt("box outside 0 <= x1 < x2 <= 1, 0 <= y1 < y2 <= 1")
-        if not np.all((0.0 <= confidence) & (confidence <= 1.0)):
-            raise reader.corrupt("confidence outside [0, 1]")
-        return cls(frame_index, object_offsets, labels, box, confidence)
-
-    def save(self, path: str) -> None:
-        write_index_file(
-            path,
-            DETECTION_TABLE_VERSION,
-            struct.pack("<I", len(self.frame_index)),
-            self.frame_index.tobytes(),
-            self.object_offsets.tobytes(),
-            pack_strings(self.labels),
-            self.box.tobytes(),
-            self.confidence.tobytes(),
         )
 
     def detect(self, keyframes: Sequence[FrameRecord]) -> list[list[DetectedObject]]:

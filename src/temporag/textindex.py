@@ -1,8 +1,8 @@
 """One channel's index: tokenization, Okapi BM25 and exact dense search.
 
-One index per channel, one file per index. Indices are write-once/read-many:
-``build_index`` is the single writer, after which concurrent searches need
-no locking.
+One index per channel, one file per index (``tables`` holds its layout).
+Indices are write-once/read-many: ``build_index`` is the single builder,
+after which concurrent searches need no locking.
 
 Both searches return document positions, not ids: a position indexes the
 doc table, the postings and the dense rows alike. A loaded index decodes
@@ -15,23 +15,19 @@ from __future__ import annotations
 
 import math
 import re
-import struct
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, pairwise
+from itertools import pairwise
 
 import numpy as np
 
 from .errors import DataError
 from .types import CHANNELS, Channel, Snippet, SnippetColumns
 
-MAGIC = b"TVRG"
-FORMAT_VERSION = 6
-U1 = np.dtype("u1")
 U4 = np.dtype("<u4")
 F4 = np.dtype("<f4")
 F8 = np.dtype("<f8")
@@ -90,9 +86,9 @@ class Bm25Index:
     the matching ``tf`` term frequencies. These and ``doc_len`` are
     ``<u4``. After a load, ``doc_ids``, ``texts`` and ``tokens`` are
     ``StringTable``s that decode one entry per lookup, and every array is a
-    read-only view of the file. An index built without vectors, such as
-    the store file ``ingest`` writes, has ``dim`` 0: it can rank lexically,
-    not densely.
+    read-only view of the file. An index without dense rows, as
+    ``build_index`` returns it and ``ingest`` stores it, has ``dim`` 0: it
+    can rank lexically, not densely.
 
     ``token_row`` is a lookup cache, filled as tokens are asked for: token
     to row, -1 for a token the index does not hold.
@@ -212,26 +208,7 @@ def top_hits(scores: np.ndarray, keep: np.ndarray, k: int) -> tuple[list[int], l
     return hits[best].tolist(), hit_scores[best].tolist()
 
 
-def f4_matrix(vectors: Sequence[np.ndarray] | np.ndarray, dim: int) -> np.ndarray:
-    """The vectors as the rows of one ``<f4`` matrix, stacked and cast in one numpy step.
-
-    A vector of another length is a ``DataError``; no vectors give no rows.
-    """
-    try:
-        matrix = np.asarray(vectors, dtype=F4)
-    except ValueError:
-        raise DataError(f"rows of unequal lengths, expected dim {dim}") from None
-    if matrix.shape == (0,):
-        matrix = matrix.reshape(0, dim)
-    if matrix.ndim != 2 or matrix.shape[1] != dim:
-        raise DataError(f"expected dim {dim}, got {matrix.shape[-1] if matrix.ndim else 0}")
-    return matrix
-
-
-def build_index(
-    docs: SnippetColumns,
-    vectors: Sequence[np.ndarray] | np.ndarray | None = None,
-) -> Bm25Index:
+def build_index(docs: SnippetColumns) -> Bm25Index:
     """Build a BM25 index over snippet columns whose rows all share one channel.
 
     The documents are ordered by id, and a document's position is its
@@ -246,17 +223,14 @@ def build_index(
     postings come out in ascending position order, and a row's offset is
     the number of postings of the rows before it.
 
-    ``vectors`` holds one unit embedding per row of ``docs``, in row order
-    (a sequence of vectors or one 2-D array); they become the dense rows,
-    reordered with the documents. Without them the index has ``dim`` 0.
+    The index has ``dim`` 0; ``build`` attaches the dense rows by assigning
+    ``vectors`` one embedding per position, the order of ``texts``.
     """
     codes = sorted(set(docs.channels.tolist()))
     if len(codes) > 1:
         raise DataError(f"documents span channels {sorted(CHANNELS[c].value for c in codes)}")
     channel = CHANNELS[codes[0]] if codes else Channel.ASR
     n_docs = len(docs)
-    if vectors is not None and len(vectors) != n_docs:
-        raise DataError(f"{n_docs} documents but {len(vectors)} vectors")
 
     order = sorted(range(n_docs), key=docs.ids.__getitem__)
     doc_ids = [docs.ids[i] for i in order]
@@ -276,10 +250,6 @@ def build_index(
     keys.sort()
     firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # the first key of each run
     token_row, doc_pos = np.divmod(keys[firsts], n_docs)
-    if vectors is None or not len(vectors):
-        matrix = np.zeros((n_docs, 0), dtype=F4)
-    else:
-        matrix = f4_matrix(vectors, len(vectors[0]))[order]
     return Bm25Index(
         channel=channel,
         doc_ids=doc_ids,
@@ -291,7 +261,7 @@ def build_index(
         offsets=np.searchsorted(token_row, np.arange(len(vocab) + 1)).astype(U4),
         doc_pos=doc_pos.astype(U4),
         tf=np.diff(firsts, append=len(keys)).astype(U4),
-        vectors=matrix,
+        vectors=np.zeros((n_docs, 0), dtype=F4),
     )
 
 
@@ -335,247 +305,3 @@ def dense_search(
     scores = index.similarities(q)
     best, best_scores = top_hits(scores, scores >= threshold, k)
     return list(zip(best, best_scores))
-
-
-# --- binary persistence, format version 6 ---------------------------------------
-#
-# All integers little-endian u32, floats f64 unless marked:
-#   magic "TVRG" | version | channel (a one-string table)
-#   | n_docs | n_tokens | doc-id table (sorted) | text table
-#   | t_start[n_docs] | t_end[n_docs] | token table (sorted)
-#   | doc_len[n_docs] | offsets[n_tokens + 1] | doc_pos[n_postings] | tf[n_postings]
-#   | dim | <f4 vectors[n_docs][dim]
-# A string table is offsets[n + 1] into one UTF-8 blob that follows them.
-# n_postings is offsets[n_tokens]. The vector rows are in doc-position
-# order, so they carry no ids of their own. A store file, which ``ingest``
-# writes, has dim 0; ``build`` adds the rows.
-# The arrays load as views of the file's bytes, so the loader checks every
-# invariant that both searches and the document lookup rely on. No table
-# is decoded whole: the loader checks each one's order on its bytes, and
-# lookups bisect.
-
-
-def pack_strings(strings: Sequence[str]) -> bytes:
-    """A string table: u32 offsets[n + 1], then the concatenated UTF-8.
-
-    A loaded ``StringTable`` is written as the bytes it was read from.
-    """
-    if isinstance(strings, StringTable):
-        return strings.offsets.tobytes() + strings._blob().tobytes()
-    blobs = [s.encode("utf-8") for s in strings]
-    offsets = np.array(list(accumulate(map(len, blobs), initial=0)), dtype=U4)
-    return offsets.tobytes() + b"".join(blobs)
-
-
-class StringTable(Sequence):
-    """A loaded string table that decodes one entry per lookup.
-
-    ``IndexFileReader.string_table`` checks the blob once, so no lookup
-    raises on its bytes: the whole blob is valid UTF-8 and every entry
-    starts on a character boundary.
-    """
-
-    def __init__(self, data: bytes, base: int, offsets: np.ndarray):
-        self._data = data
-        self._base = base
-        self.offsets = offsets
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __getitem__(self, i: int) -> str:
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        lo = self._base + self.offsets.item(i)
-        return self._data[lo : self._base + self.offsets.item(i + 1)].decode("utf-8")
-
-    def decode_all(self) -> list[str]:
-        """Every entry, decoded: for a reader of the whole table, not for lookups."""
-        blob = self._data[self._base : self._base + self.offsets.item(-1)]
-        return [blob[lo:hi].decode("utf-8") for lo, hi in pairwise(self.offsets.tolist())]
-
-    def _blob(self) -> np.ndarray:
-        return np.frombuffer(self._data, dtype=U1, count=self.offsets.item(-1), offset=self._base)
-
-    def is_strictly_sorted(self) -> bool:
-        """Whether every entry is less than the next, compared as UTF-8 bytes.
-
-        UTF-8 byte order is code-point order, Python's ``str`` order. Adjacent
-        entries are compared eight bytes at a time, all pairs at once, and
-        only the pairs still tied move on to the next eight bytes; memory
-        stays linear in the table's size.
-        """
-        if len(self) < 2:
-            return True
-        size = self.offsets.item(-1)
-        padded = np.zeros(size + 8, dtype=U1)
-        padded[:size] = self._blob()
-        # words[i]: the eight bytes from byte i on, as one big-endian integer.
-        words = np.ndarray((size + 1,), dtype=">u8", buffer=padded, strides=(1,))
-        starts = self.offsets[:-1].astype(np.intp)
-        lens = np.diff(self.offsets).astype(np.intp)
-        pairs = np.arange(len(self) - 1)  # left entry of each pair still tied
-        done = 0  # bytes compared so far in every tied pair
-        while len(pairs):
-            left, right = pairs, pairs + 1
-            rest_l, rest_r = lens[left] - done, lens[right] - done
-            word_l = words[starts[left] + done] & _HEAD_MASKS[np.minimum(rest_l, 8)]
-            word_r = words[starts[right] + done] & _HEAD_MASKS[np.minimum(rest_r, 8)]
-            if np.any(word_l > word_r):
-                return False
-            tied = word_l == word_r
-            # A tie where either entry ends is a prefix: ordered iff the left is shorter.
-            ends = tied & ((rest_l <= 8) | (rest_r <= 8))
-            if np.any(rest_l[ends] >= rest_r[ends]):
-                return False
-            pairs = pairs[tied & ~ends]
-            done += 8
-        return True
-
-
-# _HEAD_MASKS[k] keeps the first k bytes of a big-endian u8 word.
-_HEAD_MASKS = np.array(
-    [(2**64 - 1) ^ (2 ** (64 - 8 * k) - 1) for k in range(9)], dtype=np.uint64
-)
-
-
-class IndexFileReader:
-    """Bounds-checked reads over one index file, read whole at open.
-
-    Arrays are ``np.frombuffer`` views of the file's bytes. Every failure,
-    a bad magic or a format version other than ``version`` included, is a
-    ``DataError`` naming the path.
-    """
-
-    def __init__(self, path: str, version: int):
-        self.path = path
-        try:
-            with open(path, "rb") as fh:
-                self.data = fh.read()
-        except OSError as exc:
-            raise DataError(f"{path}: cannot read index ({exc.strerror})") from None
-        if self.data[:4] != MAGIC:
-            raise DataError(f"{path}: bad magic, not a temporag index")
-        self.pos = 4
-        (found,) = self.unpack("<I")
-        if found != version:
-            raise DataError(f"{path}: format version {found}, expected {version}")
-
-    def corrupt(self, problem: str) -> DataError:
-        return DataError(f"{self.path}: truncated or corrupt index ({problem})")
-
-    def _take(self, n_bytes: int) -> int:
-        start = self.pos
-        if start + n_bytes > len(self.data):
-            raise self.corrupt(f"needs {start + n_bytes} bytes, has {len(self.data)}")
-        self.pos += n_bytes
-        return start
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack_from(fmt, self.data, self._take(struct.calcsize(fmt)))
-
-    def array(self, count: int, dtype: np.dtype = U4) -> np.ndarray:
-        offset = self._take(count * dtype.itemsize)
-        return np.frombuffer(self.data, dtype=dtype, count=count, offset=offset)
-
-    def offsets(self, n: int) -> np.ndarray:
-        """``n + 1`` u32 offsets that start at 0 and never decrease."""
-        offsets = self.array(n + 1)
-        if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
-            raise self.corrupt("offsets not monotone")
-        return offsets
-
-    def string_table(self, n: int) -> StringTable:
-        """A string table of ``n`` entries, checked whole and decoded per lookup."""
-        offsets = self.offsets(n)
-        size = int(offsets[-1])
-        base = self._take(size)
-        try:
-            str(memoryview(self.data)[base : base + size], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise self.corrupt(f"invalid UTF-8: {exc.reason}") from None
-        starts = offsets[offsets < size]
-        blob = np.frombuffer(self.data, dtype=U1, count=size, offset=base)
-        if np.any((blob[starts] & 0xC0) == 0x80):  # a UTF-8 continuation byte
-            raise self.corrupt("string offset inside a UTF-8 character")
-        return StringTable(self.data, base, offsets)
-
-    def end(self) -> None:
-        if self.pos != len(self.data):
-            raise self.corrupt(f"{len(self.data) - self.pos} trailing bytes")
-
-
-def write_index_file(path: str, version: int, *parts: bytes) -> None:
-    """Write the magic, ``version`` and ``parts``: a file ``IndexFileReader`` opens."""
-    with open(path, "wb") as fh:
-        fh.writelines((MAGIC, struct.pack("<I", version), *parts))
-
-
-def save_index(index: Bm25Index, path: str) -> None:
-    write_index_file(
-        path,
-        FORMAT_VERSION,
-        pack_strings([index.channel.value]),
-        struct.pack("<II", index.n_docs, len(index.tokens)),
-        pack_strings(index.doc_ids),
-        pack_strings(index.texts),
-        *(a.tobytes() for a in (index.t_start, index.t_end)),
-        pack_strings(index.tokens),
-        *(a.tobytes() for a in (index.doc_len, index.offsets, index.doc_pos, index.tf)),
-        struct.pack("<I", index.dim),
-        index.vectors.tobytes(),
-    )
-
-
-def load_index(path: str, duration_s: float) -> Bm25Index:
-    """Read an index written by ``save_index``, no document ending after ``duration_s``.
-
-    The ids must be unique and sorted, and the times finite with
-    ``0 <= t_start <= t_end <= duration_s``; see ``IndexFileReader`` for
-    the other errors.
-    """
-    reader = IndexFileReader(path, FORMAT_VERSION)
-    (channel_tag,) = reader.string_table(1)
-    n_docs, n_tokens = reader.unpack("<II")
-    try:
-        channel = Channel.parse(channel_tag)
-    except DataError as exc:
-        raise reader.corrupt(str(exc)) from None
-    doc_ids = reader.string_table(n_docs)
-    texts = reader.string_table(n_docs)
-    t_start = reader.array(n_docs, F8)
-    t_end = reader.array(n_docs, F8)
-    tokens = reader.string_table(n_tokens)
-    doc_len = reader.array(n_docs)
-    offsets = reader.offsets(n_tokens)
-    doc_pos = reader.array(int(offsets[-1]))
-    tf = reader.array(int(offsets[-1]))
-    (dim,) = reader.unpack("<I")
-    vectors = reader.array(n_docs * dim, F4).reshape(n_docs, dim)
-    reader.end()
-    if not doc_ids.is_strictly_sorted():
-        raise reader.corrupt("doc ids not unique and sorted")
-    # NaN fails every comparison, and t_end < inf bounds both columns.
-    if not np.all((0.0 <= t_start) & (t_start <= t_end) & (t_end < np.inf)):
-        raise reader.corrupt("times not finite with 0 <= t_start <= t_end")
-    if np.any(t_end > duration_s):
-        raise reader.corrupt(f"a document ends after duration_s {duration_s}")
-    if not tokens.is_strictly_sorted():
-        raise reader.corrupt("token table not strictly sorted")
-    if len(doc_pos) and (doc_pos.max() >= n_docs or tf.min() < 1):
-        raise reader.corrupt("posting out of range")
-    if not np.all(np.isfinite(vectors)):
-        raise reader.corrupt("non-finite vector values")
-    return Bm25Index(
-        channel=channel,
-        doc_ids=doc_ids,
-        texts=texts,
-        t_start=t_start,
-        t_end=t_end,
-        tokens=tokens,
-        doc_len=doc_len,
-        offsets=offsets,
-        doc_pos=doc_pos,
-        tf=tf,
-        vectors=vectors,
-    )

@@ -3,7 +3,7 @@
 Vectors are normalized before they are stored so inner product equals
 cosine similarity and one acceptance threshold is meaningful across
 providers. A channel's dense rows live in its ``.bm25`` file (see
-``textindex``), positional and searched there.
+``tables``), positional, and ``textindex`` searches them.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from temporag.evalharness import SyntheticSpec, gen_corpus, run_eval, sweep_thre
 from temporag.frames import weight_frames
 from temporag.pipeline import AblationFlags
 from temporag.rescore import AnchorSet, DecayParams, rescore, top_k
-from temporag.textindex import build_index, dense_search, search, tokenize
+from temporag.textindex import F4, build_index, dense_search, search, tokenize
 from temporag.types import snippet_columns
 from temporag.vectorindex import normalize
 
@@ -126,8 +126,9 @@ def test_c4_vector_index_exactness():
         dim = 32
         docs = [make_snippet(f"v{i:05d}", "x", 0.0, 1.0) for i in range(1000)]
         vectors = [normalize(rng.standard_normal(dim)) for _ in docs]
-        index = build_index(snippet_columns(docs), vectors=vectors)
-        rows = [row.astype(np.float64) for row in index.vectors]  # ids sort in i order
+        index = build_index(snippet_columns(docs))
+        index.vectors = np.array(vectors, dtype=F4)  # ids sort in i order: position order
+        rows = [row.astype(np.float64) for row in index.vectors]
         for _ in range(100):
             q = normalize(rng.standard_normal(dim))
             scores = [float(np.dot(r, q)) for r in rows]

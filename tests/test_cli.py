@@ -28,21 +28,21 @@ from temporag.frames import (
     FrameTable,
     SelectorConfig,
     frame_similarities,
-    load_frame_table,
-    save_frame_table,
     select_keyframes,
 )
 from temporag.pipeline import dense_accept, run_query
-from temporag.providers import FixtureDetector
 from temporag.rescore import compute_anchors
-from temporag.textindex import (
+from temporag.tables import (
     IndexFileReader,
     StringTable,
-    build_index,
+    load_detections,
+    load_frame_table,
     load_index,
+    save_detections,
+    save_frame_table,
     save_index,
-    tokenize,
 )
+from temporag.textindex import build_index, tokenize
 from temporag.types import Channel, Snippet, snippet_columns
 from temporag.vectorindex import HashEmbedder, normalize
 
@@ -58,7 +58,7 @@ def run_cli(args):
 
 def store_snippets(store: Path, channel: str, duration_s: float = 120.0) -> list[Snippet]:
     """The snippets of one channel's store index, in position order, which is id order."""
-    index = load_index(str(store / f"{channel}.bm25"), duration_s)
+    index = load_index(str(store / f"{channel}.bm25"), Channel(channel), duration_s)
     assert index.channel == Channel(channel) and index.dim == 0
     return [index.snippet(pos) for pos in range(index.n_docs)]
 
@@ -271,7 +271,7 @@ class TestIngest:
         )
         assert rc == 0
         assert sorted(p.name for p in out.iterdir()) == ["detections.tbl", "video.json"]
-        assert len(FixtureDetector.load(str(out / "detections.tbl")).frame_index) == 15
+        assert len(load_detections(str(out / "detections.tbl")).frame_index) == 15
 
     def test_reingest_removes_jsonl_and_stale_tables(self, tmp_path):
         out = tmp_path / "store"
@@ -471,7 +471,7 @@ class TestBuild:
     def test_bad_store_snippet_time_is_data_error(self, tmp_path, built_index, capsys, t_start,
                                                   t_end, problem):
         path = built_index.parent / "store" / "ocr.bm25"
-        index = load_index(str(path), 120.0)
+        index = load_index(str(path), Channel.OCR, 120.0)
         index.t_start, index.t_end = index.t_start.copy(), index.t_end.copy()
         index.t_start[0], index.t_end[0] = t_start, t_end
         save_index(index, str(path))
@@ -492,10 +492,9 @@ class TestBuild:
 
     def test_non_utf8_detections_is_data_error(self, tmp_path, built_index, capsys):
         path = built_index.parent / "store" / "detections.tbl"
-        table = FixtureDetector.load(str(path))
+        table = load_detections(str(path))
         labels = ["\u00e9" * 2] + list(table.labels)[1:]
-        FixtureDetector(table.frame_index, table.object_offsets, labels, table.box,
-                        table.confidence).save(str(path))
+        save_detections(dataclasses.replace(table, labels=labels), str(path))
         # Swap the UTF-8 of the first label for as many bytes that are no UTF-8.
         data = path.read_bytes().replace("\u00e9\u00e9".encode(), b"\xff\xfe\xfd\xfc", 1)
         path.write_bytes(data)
@@ -507,10 +506,9 @@ class TestBuild:
 
     def test_store_detection_empty_label_is_data_error(self, tmp_path, built_index, capsys):
         path = built_index.parent / "store" / "detections.tbl"
-        table = FixtureDetector.load(str(path))
+        table = load_detections(str(path))
         labels = [""] + list(table.labels)[1:]
-        FixtureDetector(table.frame_index, table.object_offsets, labels, table.box,
-                        table.confidence).save(str(path))
+        save_detections(dataclasses.replace(table, labels=labels), str(path))
         rc = run_cli(["build", "--store", path.parent, "--out", tmp_path / "o"])
         assert rc == 2
         assert f"data error: {path}: truncated or corrupt index (empty label)" in (
@@ -787,7 +785,7 @@ class TestAnswer:
     @pytest.mark.parametrize("damage", ["token_order", "duplicate_doc_id", "doc_id_order"])
     def test_unsorted_id_table_is_data_error(self, built_index, capsys, damage):
         path = built_index / "ocr.bm25"
-        index = load_index(str(path), 120.0)
+        index = load_index(str(path), Channel.OCR, 120.0)
         column = "tokens" if damage == "token_order" else "doc_ids"
         table = list(getattr(index, column))
         if damage == "duplicate_doc_id":
@@ -825,7 +823,7 @@ class TestAnswer:
         # Documents without dense rows, as in a store: no fusion mode can filter or rank them.
         path = built_index / "ocr.bm25"
         shutil.copyfile(built_index.parent / "store" / "ocr.bm25", path)
-        assert load_index(str(path), 120.0).dim == 0
+        assert load_index(str(path), Channel.OCR, 120.0).dim == 0
         rc = run_cli(
             ["answer", "--index", built_index, "--query", self.QUERY,
              "--config", DEMO / "config.json", "--fusion", fusion]
@@ -908,7 +906,7 @@ class TestAnswer:
                 str(path), columns["frame_index"], columns["t"], table.texts, table.matrix
             )
         elif isinstance(damage, dict):  # rewrite the first document's times
-            index = load_index(str(path), math.inf)
+            index = load_index(str(path), Channel(path.stem), math.inf)
             for column, value in damage.items():
                 times = getattr(index, column).copy()
                 times[0] = value
@@ -1270,6 +1268,26 @@ class TestEval:
         rc = run_cli(["eval", "--spec", spec])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "spec",
+        [{"needle_time": 1e308, "duration_s": 1e308}, {"duration_s": 1e308}],
+        ids=["needle_at_the_float_limit", "duration_at_the_float_limit"],
+    )
+    def test_times_near_the_float_limit_report_strict_json(self, tmp_path, spec):
+        # The needle's midpoint once overflowed to inf in a copy of ``Snippet.t_mid``,
+        # and the mean time error summed past the float range into ``Infinity``.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        rc = run_cli(["eval", "--spec", path, "--out", tmp_path / "r"])
+        assert rc == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = (tmp_path / "r" / "report.json").read_text(encoding="utf-8")
+        (row,) = json.loads(text, parse_constant=reject)["rows"]
+        assert 0.0 < row["mean_time_error_s"] <= 1e308
+
     @pytest.mark.parametrize("key", sorted(evalharness.SPEC_LIMITS))
     def test_spec_size_past_its_limit_is_usage_error(self, tmp_path, capsys, key):
         # Checked before gen_corpus loops over the size: 10**9 returns at once.
@@ -1300,7 +1318,7 @@ def test_dense_accept_matches_per_id_oracle(demo_index):
     embedder = HashEmbedder(config["embed_dim"], config["embed_seed"])
     rng = np.random.default_rng(0)
     for channel in ("asr", "ocr"):
-        index = load_index(str(demo_index / f"{channel}.bm25"), 120.0)
+        index = load_index(str(demo_index / f"{channel}.bm25"), Channel(channel), 120.0)
         ids = list(index.doc_ids)
         by_id = {
             doc_id: normalize(vec).astype(np.float32)

@@ -13,14 +13,13 @@ from temporag.frames import (
     SelectorConfig,
     detect_on_keyframes,
     frame_similarities,
-    load_frame_table,
-    save_frame_table,
     select_keyframes,
     weight_frames,
 )
 from temporag.ingest import DetectedObject
 from temporag.providers import FixtureDetector, StubDetector
-from temporag.textindex import F4, write_index_file
+from temporag.tables import load_frame_table, save_frame_table, write_index_file
+from temporag.textindex import F4
 from temporag.ingest import DetectionRecord
 from temporag.types import FrameRecord
 from temporag.vectorindex import normalize

@@ -69,8 +69,9 @@ class TestDecoupleQuery:
 
 
 def build_channel(snippets, embedder):
-    vectors = [normalize(v) for v in embedder.embed([s.text for s in snippets])]
-    return build_index(snippet_columns(snippets), vectors=vectors)
+    index = build_index(snippet_columns(snippets))
+    index.vectors = np.array([normalize(v) for v in embedder.embed(index.texts)], dtype=F4)
+    return index
 
 
 def seeded_corpus(rng, n, duration=600.0, channel=Channel.ASR):

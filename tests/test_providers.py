@@ -17,6 +17,7 @@ from temporag.providers import (
     StubDetector,
     StubLvlm,
 )
+from temporag.tables import load_detections, save_detections
 from temporag.types import FrameRecord
 
 from conftest import MUTATIONS, detection_columns, mutate_bytes
@@ -308,14 +309,14 @@ class TestFixtureDetector:
     def test_table_round_trip(self, tmp_path):
         path = tmp_path / "detections.tbl"
         built = FixtureDetector.from_columns(detection_columns(DETECTIONS))
-        built.save(str(path))
+        save_detections(built, str(path))
         keyframes = _frames(0, 2, 5, 7, 9)
-        assert FixtureDetector.load(str(path)).detect(keyframes) == built.detect(keyframes)
+        assert load_detections(str(path)).detect(keyframes) == built.detect(keyframes)
 
     def test_builds_objects_only_for_requested_frames(self, tmp_path, monkeypatch):
         path = tmp_path / "detections.tbl"
-        FixtureDetector.from_columns(detection_columns(DETECTIONS)).save(str(path))
-        detector = FixtureDetector.load(str(path))
+        save_detections(FixtureDetector.from_columns(detection_columns(DETECTIONS)), str(path))
+        detector = load_detections(str(path))
         built = []
 
         class CountingObject(DetectedObject):
@@ -345,15 +346,16 @@ class TestFixtureDetector:
         detector = FixtureDetector.from_columns(detection_columns(DETECTIONS))
         getattr(detector, column)[0] = value
         path = tmp_path / "detections.tbl"
-        detector.save(str(path))
+        save_detections(detector, str(path))
         with pytest.raises(DataError, match=f"{re.escape(str(path))}: .*{problem}"):
-            FixtureDetector.load(str(path))
+            load_detections(str(path))
 
 
 @pytest.fixture(scope="module")
 def detection_table_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("detection_table_fuzz")
-    FixtureDetector.from_columns(detection_columns(DETECTIONS)).save(str(path / "clean.tbl"))
+    detector = FixtureDetector.from_columns(detection_columns(DETECTIONS))
+    save_detections(detector, str(path / "clean.tbl"))
     return path
 
 
@@ -363,7 +365,7 @@ def test_mutated_file_loads_or_raises_temporag_error(detection_table_dir, mutati
     path = detection_table_dir / "mutated.tbl"
     path.write_bytes(mutate_bytes((detection_table_dir / "clean.tbl").read_bytes(), mutations))
     try:
-        detector = FixtureDetector.load(str(path))
+        detector = load_detections(str(path))
     except TemporagError:
         return
     keyframes = _frames(*detector.frame_index.tolist(), 3)

@@ -77,3 +77,55 @@ def dead_definitions(tree: ast.Module, read: frozenset[str]) -> list[str]:
 def test_no_dead_definition(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert dead_definitions(tree, names_read_anywhere()) == []
+
+
+# The binary-table machinery: with ``struct``, only ``tables`` may name it.
+TABLE_MACHINERY = frozenset({"IndexFileReader", "write_index_file", "pack_strings", "MAGIC"})
+
+
+def table_machinery_names(tree: ast.Module) -> list[str]:
+    """Each import of ``struct`` and each name of ``TABLE_MACHINERY`` the tree holds."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: struct" for a in node.names if a.name == "struct"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "struct":
+            found.append(f"line {node.lineno}: struct")
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+            name = node.name.rpartition(".")[2]
+        if name in TABLE_MACHINERY:
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def top_level_names(tree: ast.Module, imports: bool = True) -> set[str]:
+    """Every name a module defines or assigns at its top level, and those it imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.partition(".")[0] for a in node.names}
+    return names
+
+
+OTHER_MODULES = sorted(set(SRC.glob("*.py")) - {SRC / "tables.py"})
+
+
+@pytest.mark.parametrize("path", OTHER_MODULES, ids=lambda path: path.name)
+def test_only_tables_knows_the_binary_layout(path):
+    assert table_machinery_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize("path", OTHER_MODULES, ids=lambda path: path.name)
+def test_no_module_rebinds_a_tables_name(path):
+    # So each file name, layout, reader and writer has one home: no re-export,
+    # no copy. ``cli`` imports two readers and writers under names of its own.
+    tables = ast.parse((SRC / "tables.py").read_text(encoding="utf-8"))
+    tables_names = top_level_names(tables, imports=False)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert sorted(top_level_names(tree) & tables_names) == []

@@ -11,16 +11,12 @@ from hypothesis import strategies as st
 
 from temporag.errors import DataError, TemporagError
 from temporag.frames import FrameTable
+from temporag.tables import StringTable, f4_matrix, load_index, pack_strings, save_index
 from temporag.textindex import (
     F4,
-    StringTable,
     build_index,
     dense_search,
-    f4_matrix,
-    load_index,
-    pack_strings,
     row_similarities,
-    save_index,
     search,
     tokenize,
 )
@@ -45,9 +41,10 @@ DURATION_S = 100.0
 
 
 def embedded_index(docs):
-    """``build_index`` with a dense row per document, as ``build`` writes them."""
-    vectors = [normalize(v) for v in HashEmbedder(8).embed([d.text for d in docs])]
-    return build_index(snippet_columns(docs), vectors=vectors)
+    """``build_index``, then a dense row per position, attached as ``build`` does."""
+    index = build_index(snippet_columns(docs))
+    index.vectors = np.array([normalize(v) for v in HashEmbedder(8).embed(index.texts)], dtype=F4)
+    return index
 
 
 def oracle_postings(docs):
@@ -122,15 +119,12 @@ class TestBuildIndex:
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: build_index(snippet_columns([make_snippet("a", "x", 0.0, 1.0)]),
-                                 [[1.0, 0.0], [0.0, 1.0]]),
-             "1 documents but 2 vectors"),
             (lambda: FrameTable([0, 1], [0.0, 1.0], [True]), "2 frame times but 1 embedded flags"),
             (lambda: f4_matrix([[1.0, 0.0], [1.0]], 2), "rows of unequal lengths, expected dim 2"),
             (lambda: row_similarities(np.eye(2), np.eye(2)),
              r"query of shape \(2, 2\), expected one vector of dim 2"),
         ],
-        ids=["documents_vectors", "frames_flags", "ragged_rows", "query_not_1d"],
+        ids=["frames_flags", "ragged_rows", "query_not_1d"],
     )
     def test_mismatch_message_names_both_sides(self, call, message):
         with pytest.raises(DataError, match=f"^{message}$"):
@@ -276,7 +270,7 @@ class TestSearch:
         docs = [make_snippet(f"d{i:03d}", f"cat w{i}", 0.0, 1.0) for i in range(200)]
         path = tmp_path / "asr.bm25"
         save_index(embedded_index(docs), str(path))
-        loaded = load_index(str(path), DURATION_S)
+        loaded = load_index(str(path), Channel.ASR, DURATION_S)
         decoded = []
         table_get = StringTable.__getitem__
 
@@ -324,7 +318,7 @@ class TestPersistence:
         index = embedded_index(docs)
         path = tmp_path / "asr.bm25"
         save_index(index, str(path))
-        loaded = load_index(str(path), DURATION_S)
+        loaded = load_index(str(path), Channel.ASR, DURATION_S)
         assert loaded.n_docs == index.n_docs
         assert loaded.avg_dl == pytest.approx(index.avg_dl, abs=1e-9)
         assert list(loaded.doc_ids) == index.doc_ids
@@ -354,7 +348,7 @@ class TestPersistence:
         path = tmp_path / "bad.bm25"
         save_index(index, str(path))
         with pytest.raises(DataError, match=f"{path}: .*times not finite"):
-            load_index(str(path), DURATION_S)
+            load_index(str(path), Channel.ASR, DURATION_S)
 
     def test_save_is_deterministic(self, tmp_path):
         docs = random_corpus(np.random.default_rng(3), 15)
@@ -369,7 +363,7 @@ class TestPersistence:
         docs = random_corpus(np.random.default_rng(5), 15)
         store, built, want = (tmp_path / f"{name}.bm25" for name in ("store", "built", "want"))
         save_index(build_index(snippet_columns(docs)), str(store))
-        index = load_index(str(store), DURATION_S)
+        index = load_index(str(store), Channel.ASR, DURATION_S)
         assert index.dim == 0
         texts = list(index.texts)
         index.vectors = np.array([normalize(v) for v in HashEmbedder(8).embed(texts)], dtype=F4)
@@ -381,7 +375,7 @@ class TestPersistence:
         path = tmp_path / "junk.bm25"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(DataError, match="junk.bm25: bad magic, not a temporag index$"):
-            load_index(str(path), DURATION_S)
+            load_index(str(path), Channel.ASR, DURATION_S)
 
     def test_version_mismatch(self, tmp_path):
         docs = [make_snippet("a", "cat", 0.0, 1.0)]
@@ -391,7 +385,7 @@ class TestPersistence:
         data[4:8] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(DataError, match="format version 99, expected 6$"):
-            load_index(str(path), DURATION_S)
+            load_index(str(path), Channel.ASR, DURATION_S)
 
     def test_version_1_file_rejected(self, tmp_path):
         # Version 1: per-doc (id, length) and per-token (token, postings) records.
@@ -405,7 +399,7 @@ class TestPersistence:
             + struct.pack("<I", 1) + s("cat") + struct.pack("<III", 1, 0, 1)
         )
         with pytest.raises(DataError, match="version 1"):
-            load_index(str(path), DURATION_S)
+            load_index(str(path), Channel.ASR, DURATION_S)
 
     def test_version_2_file_rejected(self, tmp_path):
         # Version 2: no text table or time columns after the doc-id table.
@@ -416,7 +410,7 @@ class TestPersistence:
             + struct.pack("<IIIII", 1, 0, 1, 0, 1)
         )
         with pytest.raises(DataError, match="version 2, expected 6"):
-            load_index(str(path), DURATION_S)
+            load_index(str(path), Channel.ASR, DURATION_S)
 
 
     @pytest.mark.parametrize(
@@ -435,7 +429,7 @@ class TestPersistence:
         path = tmp_path / "bad.bm25"
         save_index(index, str(path))
         with pytest.raises(DataError, match=f"{path}: .*{problem}"):
-            load_index(str(path), DURATION_S)
+            load_index(str(path), Channel.ASR, DURATION_S)
 
     def test_text_offset_inside_utf8_character_rejected(self, tmp_path):
         docs = [make_snippet("a", "é", 0.0, 1.0), make_snippet("b", "x", 1.0, 2.0)]
@@ -448,7 +442,7 @@ class TestPersistence:
         assert data.count(table) == 1
         path.write_bytes(data.replace(table, split))
         with pytest.raises(DataError, match=f"{path}: .*offset inside a UTF-8 character"):
-            load_index(str(path), DURATION_S)
+            load_index(str(path), Channel.ASR, DURATION_S)
 
 
 def string_table(strings):
@@ -482,7 +476,7 @@ def test_mutated_file_loads_or_raises_temporag_error(fuzz_dir, mutations):
     path = fuzz_dir / "mutated.bm25"
     path.write_bytes(mutate_bytes((fuzz_dir / "clean.bm25").read_bytes(), mutations))
     try:
-        loaded = load_index(str(path), DURATION_S)
+        loaded = load_index(str(path), Channel.ASR, DURATION_S)
     except TemporagError:
         return
     search(loaded, "w1 w2 café w3", 5)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from temporag.errors import DataError
-from temporag.textindex import build_index, load_index, save_index
+from temporag.tables import load_index, save_index
+from temporag.textindex import build_index
 from temporag.types import (
     Channel,
     Snippet,
@@ -102,8 +103,9 @@ def test_store_table_round_trip_is_identity(channel, rows):
     docs = [Snippet(i, channel, text, t0, t0 + delta) for i, (text, t0, delta) in rows.items()]
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / f"{channel.value}.bm25")
-        save_index(build_index(snippet_columns(docs)), path)
-        index = load_index(path, 1e6 + 100.0)
+        built = build_index(snippet_columns(docs))  # of no docs: an ASR index
+        save_index(built, path)
+        index = load_index(path, built.channel, 1e6 + 100.0)
     assert index.dim == 0
     assert [index.snippet(p) for p in range(index.n_docs)] == sorted(docs, key=lambda d: d.id)
 

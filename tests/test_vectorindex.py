@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from temporag.errors import DataError
-from temporag.textindex import build_index, dense_search, tokenize
+from temporag.textindex import F4, build_index, dense_search, tokenize
 from temporag.types import snippet_columns
 from temporag.vectorindex import (
     _CHUNK_TEXTS,
@@ -60,7 +60,9 @@ class TestNormalize:
 def dense_index(vectors: dict[str, list[float] | np.ndarray]):
     """A channel index whose dense rows are the given vectors, normalized, by id."""
     docs = [make_snippet(doc_id, "x", 0.0, 1.0) for doc_id in vectors]
-    return build_index(snippet_columns(docs), vectors=[normalize(v) for v in vectors.values()])
+    index = build_index(snippet_columns(docs))
+    index.vectors = np.array([normalize(vectors[doc_id]) for doc_id in index.doc_ids], dtype=F4)
+    return index
 
 
 def filled_index(rng, n, dim=16):
@@ -78,9 +80,6 @@ class TestFlatVectorIndex:
         assert hits[0][1] == pytest.approx(1.0, abs=1e-6)
 
     def test_dim_mismatch(self):
-        docs = [make_snippet("a", "x", 0.0, 1.0), make_snippet("b", "y", 0.0, 1.0)]
-        with pytest.raises(DataError, match="^rows of unequal lengths, expected dim 4$"):
-            build_index(snippet_columns(docs), vectors=[[1.0, 0.0, 0.0, 0.0], [1.0, 2.0]])
         index = dense_index({"a": [1.0, 0.0, 0.0, 0.0]})
         with pytest.raises(DataError, match="^expected dim 4, got 2$"):
             dense_search(index, np.array([1.0, 0.0]), 1, threshold=0.3)
@@ -88,7 +87,7 @@ class TestFlatVectorIndex:
     def test_duplicate_id(self):
         docs = [make_snippet("a", "x", 0.0, 1.0), make_snippet("a", "y", 0.0, 1.0)]
         with pytest.raises(DataError, match="^duplicate doc id 'a'$"):
-            build_index(snippet_columns(docs), vectors=[[1.0, 0.0], [0.0, 1.0]])
+            build_index(snippet_columns(docs))
 
     def test_orthogonal_below_threshold_excluded(self):
         index = dense_index({"x": [0.0, 1.0]})
