@@ -320,8 +320,12 @@ def aggregate_reports(reports: list[EvalReport]) -> dict[str, dict[str, float]]:
     out = {}
     for name in (f.name for f in fields(EvalReport)):
         values = [float(getattr(r, name)) for r in reports]
+        try:
+            mean = statistics.fmean(values)
+        except OverflowError:  # the float sum passes the float range; mean sums exactly
+            mean = statistics.mean(values)
         out[name] = {
-            "mean": statistics.fmean(values),
+            "mean": mean,
             "stddev": statistics.stdev(values) if len(values) > 1 else 0.0,
         }
     return out

@@ -109,10 +109,13 @@ class StringTable(Sequence):
     def is_strictly_sorted(self) -> bool:
         """Whether every entry is less than the next, compared as UTF-8 bytes.
 
-        UTF-8 byte order is code-point order, Python's ``str`` order. Adjacent
-        entries are compared eight bytes at a time, all pairs at once, and
-        only the pairs still tied move on to the next eight bytes; memory
-        stays linear in the table's size.
+        UTF-8 byte order is code-point order, Python's ``str`` order. In a
+        sorted table every entry starts with the prefix that the first and
+        last share, so the check asks that of all entries, one masked word
+        per eight bytes of prefix, and an entry shorter than the prefix fails
+        it at once. Past the prefix, adjacent entries are compared eight bytes
+        at a time, every pair at once in the first round and only the pairs
+        still tied after it; time and memory stay linear in the table's size.
         """
         if len(self) < 2:
             return True
@@ -121,25 +124,45 @@ class StringTable(Sequence):
         padded[:size] = self._blob()
         # words[i]: the eight bytes from byte i on, as one big-endian integer.
         words = np.ndarray((size + 1,), dtype=">u8", buffer=padded, strides=(1,))
-        starts = self.offsets[:-1].astype(np.intp)
-        lens = np.diff(self.offsets).astype(np.intp)
-        pairs = np.arange(len(self) - 1)  # left entry of each pair still tied
-        done = 0  # bytes compared so far in every tied pair
-        while len(pairs):
-            left, right = pairs, pairs + 1
-            rest_l, rest_r = lens[left] - done, lens[right] - done
-            word_l = words[starts[left] + done] & _HEAD_MASKS[np.minimum(rest_l, 8)]
-            word_r = words[starts[right] + done] & _HEAD_MASKS[np.minimum(rest_r, 8)]
+        offsets = self.offsets.astype(np.intp)
+        starts, lens = offsets[:-1], offsets[1:] - offsets[:-1]
+        # The prefix the first and last entries share: their XOR's leading zero bytes.
+        first = padded[: lens[0]].tobytes()
+        last = padded[starts[-1] : size].tobytes()
+        common = min(len(first), len(last))
+        diff = int.from_bytes(first[:common], "big") ^ int.from_bytes(last[:common], "big")
+        prefix = common - (diff.bit_length() + 7) // 8
+        if lens.min() < prefix:  # which also bounds the prefix passes by the blob's size
+            return False
+
+        def heads(entries, done):
+            # The entries' eight bytes from byte ``done`` on, masked where each ends,
+            # and the bytes each has left there; take's clip mode caps those at 8.
+            rest = lens[entries] - done
+            return words[starts[entries] + done] & _HEAD_MASKS.take(rest, mode="clip"), rest
+
+        for done in range(0, prefix, 8):  # words[done]: the first entry's bytes
+            mask = _HEAD_MASKS[min(prefix - done, 8)]
+            if np.any(words[starts + done] & mask != words[done] & mask):
+                return False
+        word, rest = heads(slice(None), prefix)
+        word_l, word_r, rest_l, rest_r = word[:-1], word[1:], rest[:-1], rest[1:]
+        pairs = None  # left entry of each pair still tied; None for every pair
+        done = prefix  # bytes compared so far in every tied pair
+        while True:
             if np.any(word_l > word_r):
                 return False
             tied = word_l == word_r
-            # A tie where either entry ends is a prefix: ordered iff the left is shorter.
-            ends = tied & ((rest_l <= 8) | (rest_r <= 8))
-            if np.any(rest_l[ends] >= rest_r[ends]):
+            # A tie where the right entry ends is ordered only if the left one ended first.
+            if np.any(tied & (rest_r <= 8) & (rest_l >= rest_r)):
                 return False
-            pairs = pairs[tied & ~ends]
+            tied &= np.minimum(rest_l, rest_r) > 8
+            pairs = np.flatnonzero(tied) if pairs is None else pairs[tied]
+            if not len(pairs):
+                return True
             done += 8
-        return True
+            word_l, rest_l = heads(pairs, done)
+            word_r, rest_r = heads(pairs + 1, done)
 
 
 # _HEAD_MASKS[k] keeps the first k bytes of a big-endian u8 word.
@@ -195,10 +218,17 @@ class IndexFileReader:
         return offsets
 
     def string_table(self, n: int) -> StringTable:
-        """A string table of ``n`` entries, checked whole and decoded per lookup."""
+        """A string table of ``n`` entries, checked whole and decoded per lookup.
+
+        The blob must be valid UTF-8 with every entry starting on a character
+        boundary. An all-ASCII blob is both, so one ``isascii`` pass checks
+        it; any other blob is decoded whole and its entry starts are read.
+        """
         offsets = self.offsets(n)
         size = int(offsets[-1])
         base = self._take(size)
+        if self.data[base : base + size].isascii():
+            return StringTable(self.data, base, offsets)
         try:
             str(memoryview(self.data)[base : base + size], "utf-8")
         except UnicodeDecodeError as exc:

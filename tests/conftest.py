@@ -7,6 +7,7 @@ import json
 import math
 import threading
 import time
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Sequence
 
@@ -54,6 +55,18 @@ def make_snippet(
         t_start=t_start,
         t_end=t_end if t_end is not None else t_start,
     )
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated, as ``tracemalloc`` traces it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def detection_columns(records: Sequence[DetectionRecord]) -> DetectionColumns:

@@ -1288,6 +1288,22 @@ class TestEval:
         (row,) = json.loads(text, parse_constant=reject)["rows"]
         assert 0.0 < row["mean_time_error_s"] <= 1e308
 
+    def test_mean_across_seeds_past_the_float_range_reports_strict_json(self, tmp_path):
+        # Each seed's mean time error is finite, but four of them sum past the float range.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"needle_time": 0, "duration_s": 1.7e308}), encoding="utf-8")
+        rc = run_cli(["eval", "--spec", path, "--seeds", "4", "--out", tmp_path / "r"])
+        assert rc == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = (tmp_path / "r" / "report.json").read_text(encoding="utf-8")
+        report = json.loads(text, parse_constant=reject)
+        errors = [row["mean_time_error_s"] for row in report["rows"]]
+        assert sum(errors) == math.inf
+        assert min(errors) <= report["aggregate"]["mean_time_error_s"]["mean"] <= max(errors)
+
     @pytest.mark.parametrize("key", sorted(evalharness.SPEC_LIMITS))
     def test_spec_size_past_its_limit_is_usage_error(self, tmp_path, capsys, key):
         # Checked before gen_corpus loops over the size: 10**9 returns at once.

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from temporag import evalharness
@@ -198,6 +200,13 @@ def test_aggregate_reports():
     assert agg["recall_at_1"]["mean"] == 0.5
     assert agg["tokens_retained"]["mean"] == 90.0
     assert agg["mean_time_error_s"]["stddev"] == pytest.approx(1.4142135, abs=1e-6)
+
+
+def test_aggregate_mean_past_the_float_range_is_the_rounded_exact_mean():
+    errors = (1.7e308, 1.7e308, 1.5e308)
+    reports = [EvalReport(1.0, 1.0, 1.0, error, 100, 5.0) for error in errors]
+    mean = aggregate_reports(reports)["mean_time_error_s"]["mean"]
+    assert mean == float(sum(map(Fraction, errors)) / len(errors))
 
 
 def test_render_table_alignment():

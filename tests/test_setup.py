@@ -5,7 +5,6 @@ tokenizing steps."""
 import hashlib
 import json
 import random
-import tracemalloc
 from pathlib import Path
 
 from temporag.cli import main
@@ -14,7 +13,7 @@ from temporag.textindex import build_index
 from temporag.types import Channel, snippet_columns
 from temporag.vectorindex import _CHUNK_TEXTS, HashEmbedder
 
-from conftest import make_snippet
+from conftest import make_snippet, traced_peak
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -112,31 +111,19 @@ def _texts(n: int, n_tokens: int = 40, seed: int = 11) -> list[str]:
     return [" ".join(rng.choices(vocab, k=n_tokens)) for _ in range(n)]
 
 
-def _traced_peak(fn, *args):
-    """``fn(*args)`` and the peak of the memory it allocated, as ``tracemalloc`` traces it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_embed_peak_scales_with_rows_not_tokens():
     # 4,000 texts of 40 tokens: their token strings alone would outweigh the
     # row cache and the output together.
     texts = _texts(4000)
     embedder = HashEmbedder(64, 3)
-    out, peak = _traced_peak(embedder.embed, texts)
+    out, peak = traced_peak(embedder.embed, texts)
     # The rest is one int64 row id per token and a chunk's sums.
     assert peak < 3 * (embedder._rows.nbytes + out.nbytes)
 
 
 def test_build_index_peak_scales_with_its_arrays_not_tokens():
     docs = [make_snippet(f"d{i:05d}", text, float(i)) for i, text in enumerate(_texts(4000))]
-    index, peak = _traced_peak(build_index, snippet_columns(docs))
+    index, peak = traced_peak(build_index, snippet_columns(docs))
     assert index.channel is Channel.ASR and index.n_docs == 4000
     arrays = (index.t_start, index.t_end, index.doc_len, index.offsets, index.doc_pos, index.tf)
     # The sort keys and their temporaries are int64 arrays, a few times the u4 postings.
@@ -154,5 +141,5 @@ def test_parser_peaks_stay_under_the_line_by_line_parsers(tmp_path):
     for path, parse in ((srt, parse_srt), (screen, parse_snippet_jsonl)):
         data = path.read_bytes()
         parse(data)  # once untraced, so one-time work is not counted
-        _, peak = _traced_peak(parse, data)
+        _, peak = traced_peak(parse, data)
         assert peak <= LINE_BY_LINE_PEAK[path.name], path.name

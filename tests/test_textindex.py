@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import time
 from collections import Counter
 from itertools import accumulate, pairwise
 
@@ -11,7 +12,18 @@ from hypothesis import strategies as st
 
 from temporag.errors import DataError, TemporagError
 from temporag.frames import FrameTable
-from temporag.tables import StringTable, f4_matrix, load_index, pack_strings, save_index
+from temporag.providers import FixtureDetector
+from temporag.tables import (
+    StringTable,
+    f4_matrix,
+    load_detections,
+    load_frame_table,
+    load_index,
+    pack_strings,
+    save_detections,
+    save_frame_table,
+    save_index,
+)
 from temporag.textindex import (
     F4,
     build_index,
@@ -23,7 +35,15 @@ from temporag.textindex import (
 from temporag.types import Channel, snippet_columns
 from temporag.vectorindex import HashEmbedder, normalize
 
-from conftest import MUTATIONS, STRINGS, bm25_score, make_snippet, mutate_bytes
+from conftest import (
+    MUTATIONS,
+    STRING_PIECES,
+    STRINGS,
+    bm25_score,
+    make_snippet,
+    mutate_bytes,
+    traced_peak,
+)
 
 
 def random_corpus(rng, n_docs, vocab_size=30):
@@ -458,6 +478,120 @@ def test_sort_check_agrees_with_pairwise(strings, presort):
         strings = sorted(strings)
     table = string_table(strings)
     assert table.is_strictly_sorted() == all(x < y for x, y in pairwise(strings))
+
+
+# Prefixes of up to 24 UTF-8 bytes: NULs, multi-byte characters, runs past one word.
+PREFIXES = st.lists(STRING_PIECES, max_size=6).map(
+    lambda pieces: "".join(pieces).encode()[:24].decode("utf-8", "ignore")
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    prefix=PREFIXES,
+    suffixes=st.lists(STRINGS, min_size=3, max_size=12),
+    presort=st.booleans(),
+    damage=st.sampled_from(["none", "shorter", "inside", "equal"]),
+    where=st.integers(0, 2**16),
+    char=st.sampled_from(["\x00", "a", "b", "\x7f", "é", "\U0001f600"]),
+)
+def test_sort_check_agrees_with_pairwise_on_shared_prefixes(
+    prefix, suffixes, presort, damage, where, char
+):
+    strings = [prefix + suffix for suffix in suffixes]
+    if presort:
+        strings.sort()
+    # Damage one middle entry, so that the first and last still share the prefix.
+    i = 1 + where % (len(strings) - 2)
+    cut = where % len(prefix) if prefix else 0
+    if damage == "shorter":
+        strings[i] = prefix[:cut]
+    elif damage == "inside":
+        strings[i] = strings[i][:cut] + char + strings[i][cut + 1 :]
+    elif damage == "equal":
+        strings[i] = strings[i - 1]
+    table = string_table(strings)
+    assert table.is_strictly_sorted() == all(x < y for x, y in pairwise(strings))
+
+
+def test_sort_check_memory_is_linear_in_a_long_shared_prefix():
+    ids = [f"{'x' * 1500}-{i:06d}" for i in range(2000)]
+    blob = sum(map(len, ids))  # bytes: the ids are ASCII
+    changed = ids[1000][:1200] + "y" + ids[1000][1201:]  # found on the prefix's 151st pass
+    for strings in (ids, ids[:1000] + [changed] + ids[1001:]):
+        table = string_table(strings)
+        ordered, peak = traced_peak(table.is_strictly_sorted)
+        assert ordered == (strings is ids)
+        # One padded copy of the blob, and a few arrays of one entry each.
+        assert peak < 1.5 * blob
+
+
+def test_sort_check_stops_at_an_entry_shorter_than_the_shared_prefix():
+    # Each pass over the prefix reads every entry, so without the length test
+    # 40,000 empty entries between two 128 KB ones would take 16,384 passes.
+    prefix = "x" * 131_072
+    table = string_table([prefix + "a"] + [""] * 40_000 + [prefix + "b"])
+    start = time.perf_counter()
+    assert not table.is_strictly_sorted()
+    assert time.perf_counter() - start < 0.5
+
+
+def _write_doc_ids(path, strings):
+    docs = [make_snippet(s, "w", float(i), float(i) + 1.0) for i, s in enumerate(strings)]
+    save_index(build_index(snippet_columns(docs)), str(path))
+
+
+def _write_tokens(path, strings):
+    docs = [make_snippet("d", " ".join(strings), 0.0, 1.0)]
+    save_index(build_index(snippet_columns(docs)), str(path))
+
+
+def _write_frame_texts(path, strings):
+    n = len(strings)
+    save_frame_table(str(path), range(n), [float(i) for i in range(n)], strings)
+
+
+def _write_labels(path, strings):
+    n = len(strings)
+    detector = FixtureDetector(
+        frame_index=np.array([3], dtype="<u4"),
+        object_offsets=np.array([0, n], dtype="<u4"),
+        labels=strings,
+        box=np.array([[0.1, 0.1, 0.5, 0.5]] * n),
+        confidence=np.full(n, 0.9),
+    )
+    save_detections(detector, str(path))
+
+
+# Each kind of string table: a writer that puts the strings given into it, and its file's loader.
+STRING_TABLE_FILES = {
+    "doc_ids": (_write_doc_ids, lambda path: load_index(str(path), Channel.ASR, DURATION_S)),
+    "tokens": (_write_tokens, lambda path: load_index(str(path), Channel.ASR, DURATION_S)),
+    "frame_texts": (_write_frame_texts, lambda path: load_frame_table(str(path), DURATION_S)),
+    "detection_labels": (_write_labels, lambda path: load_detections(str(path))),
+}
+
+
+@pytest.mark.parametrize("table", sorted(STRING_TABLE_FILES))
+@pytest.mark.parametrize(
+    "strings, damaged, problem",
+    [
+        (["x", "é"], struct.pack("<III", 0, 2, 3) + "xé".encode(),
+         "string offset inside a UTF-8 character"),
+        (["x", "y"], struct.pack("<III", 0, 1, 2) + b"\x80y", "invalid UTF-8"),
+    ],
+    ids=["offset_splits_e_acute", "lone_0x80"],
+)
+def test_every_string_table_checks_its_non_ascii_blob(tmp_path, table, strings, damaged, problem):
+    write, load = STRING_TABLE_FILES[table]
+    path = tmp_path / table
+    write(path, strings)
+    data = path.read_bytes()
+    clean = pack_strings(strings)
+    assert data.count(clean) == 1
+    path.write_bytes(data.replace(clean, damaged))
+    with pytest.raises(DataError, match=f"{path}: truncated or corrupt index \\({problem}"):
+        load(path)
 
 
 @pytest.fixture(scope="module")
