@@ -254,14 +254,16 @@ def run_eval(
     Recall, MRR and the mean time error score the ASR top-K hits (before
     the prompt budget trims them) against the planted needle; with no hits
     the time error is the video's duration. ``tokens_retained`` counts
-    whitespace tokens of the ASR pool that passed the dense threshold,
-    before the top-K cut. ``runtime`` is ``build_runtime(corpus, config)``
-    by default; evals of one corpus under settings that leave the runtime
-    as it is (``tau``, the decay, the flags) can share one.
+    whitespace tokens of the ASR pool's texts (``Retrieval.pool``): the
+    candidates that passed the dense threshold, before the top-K cut.
+    ``runtime`` is ``build_runtime(corpus, config)`` by default; evals of
+    one corpus under settings that leave the runtime as it is (``tau``,
+    the decay, the flags) can share one.
     """
     t0 = time.perf_counter()
+    runtime = runtime or build_runtime(corpus, config)
     result = run_query(
-        runtime if runtime is not None else build_runtime(corpus, config),
+        runtime,
         eval_question(corpus.spec),
         selector_cfg=config.selector_config(),
         decay=config.decay_params(),
@@ -273,6 +275,7 @@ def run_eval(
     )
     asr = result.retrieval[Channel.ASR]
     hits = asr.hits
+    texts = runtime.channels[Channel.ASR].texts
 
     needle_id = corpus.ground_truth.needle_id
     ranked = [h.snippet.id for h in hits]
@@ -294,7 +297,7 @@ def run_eval(
         recall_at_k=recall_at_k,
         mrr=mrr,
         mean_time_error_s=mean_time_error,
-        tokens_retained=sum(len(h.snippet.text.split()) for h in asr.pool),
+        tokens_retained=sum(len(texts[pos].split()) for pos in asr.pool.pos.tolist()),
         wall_time_ms=wall_ms,
     )
 

@@ -32,14 +32,8 @@ from .frames import (
 from .ingest import serialize_scene_graph
 from .providers import DetectorProvider, LvlmProvider
 from .rescore import AnchorSet, DecayParams, RescoreConfig, compute_anchors
-from .textindex import Bm25Index
-from .types import (
-    Channel,
-    QueryRequest,
-    RetrievalRequest,
-    ScoredSnippet,
-    VideoRecord,
-)
+from .textindex import NO_HITS, Bm25Index, Hits
+from .types import Channel, QueryRequest, RetrievalRequest, ScoredSnippet, VideoRecord, midpoints
 from .vectorindex import EmbeddingProvider
 
 log = logging.getLogger(__name__)
@@ -117,10 +111,13 @@ class AblationFlags:
 
 @dataclass(frozen=True)
 class Retrieval:
-    """One channel's top-K hits and the rescored, accepted pool they were cut from."""
+    """One channel's top-K hits, and the pool they were cut from as positions and raw scores.
+
+    The pool is every candidate that passed pooling and the dense filter.
+    """
 
     hits: list[ScoredSnippet]
-    pool: list[ScoredSnippet]
+    pool: Hits = NO_HITS
 
 
 # --- stage 1: query decoupling -------------------------------------------------
@@ -162,29 +159,19 @@ def decouple_query(lvlm: LvlmProvider, q: QueryRequest) -> RetrievalRequest:
 # --- stage 2: per-channel retrieval ----------------------------------------------
 
 
-def dense_accept(
-    bm25: Bm25Index,
-    query_vec: np.ndarray,
-    ids: Sequence[int],
-    tau: float,
-) -> list[int]:
-    """Filter document positions by dense similarity >= tau, preserving order.
+def dense_accept(bm25: Bm25Index, query_vec: np.ndarray, ids: Hits, tau: float) -> Hits:
+    """The hits of ``ids`` whose dense similarity is >= tau, in their order.
 
     Each row's similarity is its own dot product with the query, whatever
     else is filtered with it (``textindex.row_similarities``).
     """
-    pos = np.asarray(ids, dtype=np.intp)
-    return pos[textindex.row_similarities(bm25.vectors, query_vec, pos) >= tau].tolist()
+    kept = textindex.row_similarities(bm25.vectors, query_vec, ids.pos) >= tau
+    return Hits(ids.pos[kept], ids.score[kept])
 
 
-def _min_max_rescale(hits: Sequence[tuple[int, float]]) -> dict[int, float]:
-    if not hits:
-        return {}
-    values = [score for _, score in hits]
-    low, high = min(values), max(values)
-    if high <= low:
-        return {pos: 1.0 for pos, _ in hits}
-    return {pos: (score - low) / (high - low) for pos, score in hits}
+def _min_max_rescale(scores: np.ndarray) -> np.ndarray:
+    low, high = (scores.min(), scores.max()) if len(scores) else (0.0, 0.0)
+    return np.ones_like(scores) if high <= low else (scores - low) / (high - low)
 
 
 def retrieve_channel(
@@ -202,12 +189,11 @@ def retrieve_channel(
     """Pool, rescore, and cut one channel's candidates.
 
     LEXICAL pools BM25 hits and applies the dense acceptance filter;
-    DENSE pools vector hits with similarity >= ``tau``; MAX_FUSE unions both
-    pools with each signal min-max rescaled and fused by max. Candidates
-    are document positions throughout. The pool is then temporally
-    rescored and cut to ``cfg.top_k``; only pooled positions become
-    ``Snippet``s. Both lists are empty when nothing survives pooling or
-    filtering.
+    DENSE pools vector hits with similarity >= ``tau``, scored at least 0;
+    MAX_FUSE unions both pools with each signal min-max rescaled and fused
+    by max. The pool stays ``Hits`` (positions and raw scores) through the
+    rescore and the top-K order; only the top K become ``Snippet``s. Both
+    are empty when nothing survives pooling or filtering.
     """
     if not req_text.strip():
         raise DataError("request text must be non-empty; NULL channels are skipped by the caller")
@@ -216,37 +202,34 @@ def retrieve_channel(
     if bm25.n_docs == 0:
         raise DataError(f"channel {bm25.channel.value}: empty index")
     if fusion is FusionMode.LEXICAL:
-        pool = textindex.search(bm25, req_text, pool_size)
-        kept = set(dense_accept(bm25, query_vec, [pos for pos, _ in pool], tau))
-        candidates = [(pos, raw) for pos, raw in pool if pos in kept]
+        lexical = textindex.search(bm25, req_text, pool_size)
+        candidates = dense_accept(bm25, query_vec, lexical, tau)
     elif fusion is FusionMode.DENSE:
-        candidates = [
-            (pos, max(score, 0.0))
-            for pos, score in textindex.dense_search(bm25, query_vec, pool_size, tau)
-        ]
+        dense = textindex.dense_search(bm25, query_vec, pool_size, tau)
+        candidates = Hits(dense.pos, np.where(dense.score < 0.0, 0.0, dense.score))
     elif fusion is FusionMode.MAX_FUSE:
         # One dense pass gives the dense pool and filters the union.
         sims = bm25.similarities(query_vec)
-        lex_scaled = _min_max_rescale(textindex.search(bm25, req_text, pool_size))
-        den_best, den_scores = textindex.top_hits(sims, sims >= tau, pool_size)
-        den_scaled = _min_max_rescale(list(zip(den_best, den_scores)))
-        # Position order is doc-id order, so ties keep ascending ids.
-        union = sorted(set(lex_scaled) | set(den_scaled))
-        fused = [
-            (pos, max(lex_scaled.get(pos, 0.0), den_scaled.get(pos, 0.0)))
-            for pos in union
-            if sims[pos] >= tau
-        ]
-        fused.sort(key=lambda h: (-h[1], h[0]))
-        candidates = fused[:pool_size]
+        lexical = textindex.search(bm25, req_text, pool_size)
+        dense = textindex.top_hits(sims, sims >= tau, pool_size)
+        fused = np.zeros(bm25.n_docs)
+        pooled = np.zeros(bm25.n_docs, dtype=bool)
+        fused[lexical.pos] = _min_max_rescale(lexical.score)
+        fused[dense.pos] = np.maximum(fused[dense.pos], _min_max_rescale(dense.score))
+        pooled[lexical.pos] = pooled[dense.pos] = True
+        candidates = textindex.top_hits(fused, pooled & (sims >= tau), pool_size)
     else:  # pragma: no cover - exhaustive enum
         raise DataError(f"unknown fusion mode {fusion!r}")
 
-    if not candidates:
-        return Retrieval(hits=[], pool=[])
-    pool_snippets = [(bm25.snippet(pos), raw) for pos, raw in candidates]
-    scored = rescore_mod.rescore(pool_snippets, anchors, decay, duration_s)
-    return Retrieval(hits=rescore_mod.top_k(scored, cfg.top_k), pool=scored)
+    if not len(candidates):
+        return Retrieval(hits=[])
+    t_mid = midpoints(bm25.t_start[candidates.pos], bm25.t_end[candidates.pos])
+    scores, decays = rescore_mod.rescore(candidates, t_mid, anchors, decay, duration_s)
+    best = rescore_mod.top_k(candidates, t_mid, scores, cfg.top_k)
+    top = zip(candidates.pos[best].tolist(), candidates.score[best].tolist(),
+              decays[best].tolist(), scores[best].tolist())
+    hits = [ScoredSnippet(bm25.snippet(pos), *values) for pos, *values in top]
+    return Retrieval(hits=hits, pool=candidates)
 
 
 # --- stage 3: augmentation ---------------------------------------------------------
@@ -487,7 +470,7 @@ def run_query(
     )
     anchors = compute_anchors(runtime.frames, sims, runtime.video.duration_s)
 
-    retrieval = {channel: Retrieval(hits=[], pool=[]) for channel in (Channel.ASR, Channel.OCR)}
+    retrieval = {channel: Retrieval(hits=[]) for channel in (Channel.ASR, Channel.OCR)}
     for (channel, req_text), vec in zip(wanted, channel_vecs, strict=True):
         retrieval[channel] = retrieve_channel(
             req_text,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .frames import FrameTable
-from .types import ScoredSnippet, Snippet
+from .textindex import Hits
 
 
 class TimeNorm(str, Enum):
@@ -100,28 +100,25 @@ def compute_anchors(frames: FrameTable, sims: Sequence[float], duration_s: float
 
 
 def rescore(
-    candidates: Sequence[tuple[Snippet, float]],
-    anchors: AnchorSet,
-    params: DecayParams,
-    duration_s: float,
-) -> list[ScoredSnippet]:
-    """Apply temporal decay and normalize scores over the candidate pool.
+    candidates: Hits, t_mid: np.ndarray, anchors: AnchorSet, params: DecayParams, duration_s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each candidate's score, decayed and normalized over the pool, and its decay.
 
-    Every candidate's raw score must be non-negative; the normalized scores
-    sum to one. The masses ``raw * exp(-exponent)`` are normalized in log
-    space: every exponent is first shifted by the smallest one over the
-    positive-raw candidates, a common factor that cancels in the
-    normalization. So no leading mass underflows, to 0.0 or to a subnormal
-    of a few significant bits, whatever the video's length in raw seconds.
-    An exponent past the float range is a decay of exactly 0; when every
-    positive-raw exponent is, the shift is taken in units of the largest
-    strength, which is the scores' limit as the strengths grow. A
-    candidate's ``decay`` is its unshifted ``exp(-exponent)``. Raises a
-    ``DataError`` when every raw score is zero.
+    ``t_mid`` holds the candidates' midpoints, row by row. Every raw score
+    must be non-negative; the normalized scores sum to one. The masses
+    ``raw * exp(-exponent)`` are normalized in log space: every exponent is
+    first shifted by the smallest one over the positive-raw candidates, a
+    common factor that cancels in the normalization. So no leading mass
+    underflows, to 0.0 or to a subnormal of a few significant bits,
+    whatever the video's length in raw seconds. An exponent past the float
+    range is a decay of exactly 0; when every positive-raw exponent is, the
+    shift is taken in units of the largest strength, which is the scores'
+    limit as the strengths grow. A candidate's decay is its unshifted
+    ``exp(-exponent)``. Raises a ``DataError`` when every raw score is zero.
     """
-    if not candidates:
+    if not len(candidates):
         raise DataError("candidate pool must be non-empty")
-    raws = np.array([raw for _, raw in candidates], dtype=np.float64)
+    raws = candidates.score
     if np.any(raws < 0):
         raise DataError("raw scores must be non-negative")
 
@@ -133,7 +130,7 @@ def rescore(
     positive = raws > 0.0
     if not np.any(positive):
         raise DataError("every raw score is zero")
-    times = np.array([snippet.t_mid / scale for snippet, _ in candidates], dtype=np.float64)
+    times = t_mid / scale
     distances = [np.abs(a / scale - times) for a in anchors.as_tuple()]
     with np.errstate(over="ignore"):  # an exponent past the float range is a decay of exactly 0
         exponents = sum(l * d for l, d in zip(params.lambdas, distances))
@@ -147,16 +144,14 @@ def rescore(
             shifted = top * (4 * (e - e[positive].min()))
     # A zero-raw candidate's shifted exponent may be negative; clipping it keeps its mass 0.
     mass = raws * np.exp(-np.maximum(shifted, 0.0))
-    scores = mass / float(np.sum(mass))
-    return [
-        ScoredSnippet(snippet=snippet, raw_score=float(raw), decay=float(d), score=float(s))
-        for (snippet, raw), d, s in zip(candidates, np.exp(-exponents), scores)
-    ]
+    return mass / float(np.sum(mass)), np.exp(-exponents)
 
 
-def top_k(scored: Sequence[ScoredSnippet], k: int) -> list[ScoredSnippet]:
-    """The k highest-scoring snippets, ties broken by earlier t_mid then id."""
+def top_k(candidates: Hits, t_mid: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """The rows of the ``k`` highest ``scores``, best first.
+
+    Ties break by earlier ``t_mid``, then by position, which is id order.
+    """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    ordered = sorted(scored, key=lambda s: (-s.score, s.snippet.t_mid, s.snippet.id))
-    return ordered[:k]
+    return np.lexsort((candidates.pos, t_mid, -scores))[:k]

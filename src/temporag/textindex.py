@@ -4,11 +4,13 @@ One index per channel, one file per index (``tables`` holds its layout).
 Indices are write-once/read-many: ``build_index`` is the single builder,
 after which concurrent searches need no locking.
 
-Both searches return document positions, not ids: a position indexes the
-doc table, the postings and the dense rows alike. A loaded index decodes
-no id table whole: its doc ids and tokens stay sorted ``StringTable``s, a
-token lookup bisects (decoding one entry per probe, once per distinct
-token), and only the documents turned into ``Snippet``s decode their id.
+Both searches return ``Hits``: document positions and their scores, not
+ids. A position indexes the doc table, the postings and the dense rows
+alike, and a channel's candidate pool stays positions and scores until its
+top K (``pipeline.retrieve_channel``). A loaded index decodes no id table
+whole: its doc ids and tokens stay sorted ``StringTable``s, a token lookup
+bisects (decoding one entry per probe, once per distinct token), and only
+the top-K hits, turned into ``Snippet``s, decode their id.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class Bm25Index:
         """The document at position ``pos``, built at its first lookup and then kept.
 
         A load builds no ``Snippet``; an index asked many questions builds
-        each pooled document once. Concurrent lookups need no lock: a race
+        each top-K document once. Concurrent lookups need no lock: a race
         at worst builds an equal snippet twice.
         """
         snippet = self._snippets.get(pos)
@@ -192,7 +194,21 @@ def row_similarities(
     return (picked[:, None, :] @ q[:, None]).ravel()
 
 
-def top_hits(scores: np.ndarray, keep: np.ndarray, k: int) -> tuple[list[int], list[float]]:
+@dataclass(frozen=True, eq=False)
+class Hits:
+    """Documents of one index, row by row: positions (intp) and scores (float64)."""
+
+    pos: np.ndarray
+    score: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pos)
+
+
+NO_HITS = Hits(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64))
+
+
+def top_hits(scores: np.ndarray, keep: np.ndarray, k: int) -> Hits:
     """The ``k`` best positions ``i`` with ``keep[i]`` and their scores.
 
     Order is score descending, then position: over a strictly sorted id
@@ -205,7 +221,7 @@ def top_hits(scores: np.ndarray, keep: np.ndarray, k: int) -> tuple[list[int], l
         hits = hits[scores[hits] >= kth]
     hit_scores = scores[hits]
     best = np.lexsort((hits, -hit_scores))[:k]
-    return hits[best].tolist(), hit_scores[best].tolist()
+    return Hits(hits[best], hit_scores[best])
 
 
 def build_index(docs: SnippetColumns) -> Bm25Index:
@@ -265,21 +281,17 @@ def build_index(docs: SnippetColumns) -> Bm25Index:
     )
 
 
-def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[int, float]]:
-    """Positions and scores of the top ``pool_size`` documents with positive score, best first.
+def search(index: Bm25Index, query_text: str, pool_size: int) -> Hits:
+    """The top ``pool_size`` documents with positive score, best first.
 
-    Ties break by ascending position, which is doc-id order. Fewer results
+    Ties break by ascending position, which is doc-id order. Fewer hits
     are returned when fewer documents match any query token.
     """
     if pool_size < 1:
         raise DataError(f"pool_size must be >= 1, got {pool_size}")
-    query_tokens = tokenize(query_text)
-    if not query_tokens or index.n_docs == 0:
-        return []
-
-    spans = [(lo, hi) for lo, hi in map(index._span, query_tokens) if hi > lo]
+    spans = [(lo, hi) for lo, hi in map(index._span, tokenize(query_text)) if hi > lo]
     if not spans:
-        return []
+        return NO_HITS
     # intp, not the stored u4: numpy fancy-indexes with intp several times faster.
     positions = np.concatenate([index.doc_pos[lo:hi] for lo, hi in spans], dtype=np.intp)
     tfs = np.concatenate([index.tf[lo:hi] for lo, hi in spans], dtype=np.float64)
@@ -289,19 +301,15 @@ def search(index: Bm25Index, query_text: str, pool_size: int) -> list[tuple[int,
     scores = np.zeros(n_docs, dtype=np.float64)
     # Okapi term contributions, accumulated per document in query-token order.
     np.add.at(scores, positions, idfs * tfs * (K1 + 1.0) / (tfs + index.dl_norm[positions]))
-    best, best_scores = top_hits(scores, scores > 0.0, pool_size)
-    return list(zip(best, best_scores))
+    return top_hits(scores, scores > 0.0, pool_size)
 
 
-def dense_search(
-    index: Bm25Index, q: np.ndarray, k: int, threshold: float
-) -> list[tuple[int, float]]:
-    """Positions and scores of up to ``k`` rows with inner product >= ``threshold``, best first.
+def dense_search(index: Bm25Index, q: np.ndarray, k: int, threshold: float) -> Hits:
+    """Up to ``k`` rows with inner product >= ``threshold``, best first.
 
     Exact full scan; ties break by ascending position, which is doc-id order.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     scores = index.similarities(q)
-    best, best_scores = top_hits(scores, scores >= threshold, k)
-    return list(zip(best, best_scores))
+    return top_hits(scores, scores >= threshold, k)

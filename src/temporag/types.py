@@ -92,6 +92,13 @@ class Snippet:
         return mid if math.isfinite(mid) else self.t_start / 2.0 + self.t_end / 2.0
 
 
+def midpoints(t_start: np.ndarray, t_end: np.ndarray) -> np.ndarray:
+    """``Snippet.t_mid`` of each pair of float64 times, with the same bits."""
+    with np.errstate(over="ignore"):  # an overflowing sum takes the halves
+        mid = (t_start + t_end) / 2.0
+    return np.where(np.isfinite(mid), mid, t_start / 2.0 + t_end / 2.0)
+
+
 # A row's channel code in ``SnippetColumns.channels`` is the channel's position here.
 CHANNELS = tuple(Channel)
 

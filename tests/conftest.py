@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from temporag.errors import DataError
 from temporag.ingest import DetectionColumns, DetectionRecord
-from temporag.rescore import AnchorSet, DecayParams, TimeNorm
-from temporag.textindex import Bm25Index, tokenize
-from temporag.types import Channel, Snippet
+from temporag.rescore import AnchorSet, DecayParams, TimeNorm, rescore, top_k
+from temporag.textindex import Bm25Index, Hits, tokenize
+from temporag.types import Channel, ScoredSnippet, Snippet
 
 _SESSION_START = time.perf_counter()
 
@@ -55,6 +55,40 @@ def make_snippet(
         t_start=t_start,
         t_end=t_end if t_end is not None else t_start,
     )
+
+
+def hit_pairs(hits: Hits) -> list[tuple[int, float]]:
+    """A ``textindex.Hits`` as its (position, score) pairs, in its order."""
+    return list(zip(hits.pos.tolist(), hits.score.tolist()))
+
+
+def _pool(candidates: Sequence[tuple[Snippet, float]]) -> tuple[Hits, np.ndarray]:
+    """(snippet, raw score) pairs as ``Hits`` and midpoints; a position is its id's rank."""
+    rank = {sid: r for r, sid in enumerate(sorted({s.id for s, _ in candidates}))}
+    pool = Hits(
+        np.array([rank[s.id] for s, _ in candidates], dtype=np.intp),
+        np.array([raw for _, raw in candidates], dtype=np.float64),
+    )
+    return pool, np.array([s.t_mid for s, _ in candidates], dtype=np.float64)
+
+
+def rescore_pairs(
+    candidates: Sequence[tuple[Snippet, float]], anchors: AnchorSet, params: DecayParams,
+    duration_s: float,
+) -> list[ScoredSnippet]:
+    """``rescore`` over (snippet, raw score) pairs: one ``ScoredSnippet`` each, in their order."""
+    scores, decays = rescore(*_pool(candidates), anchors, params, duration_s)
+    return [
+        ScoredSnippet(snippet=s, raw_score=raw, decay=d, score=score)
+        for (s, raw), d, score in zip(candidates, decays.tolist(), scores.tolist())
+    ]
+
+
+def top_k_of(scored: Sequence[ScoredSnippet], k: int) -> list[ScoredSnippet]:
+    """``top_k`` over ``rescore_pairs``' output: the ``k`` best, best first."""
+    pool, t_mid = _pool([(s.snippet, s.raw_score) for s in scored])
+    rows = top_k(pool, t_mid, np.array([s.score for s in scored], dtype=np.float64), k)
+    return [scored[row] for row in rows.tolist()]
 
 
 def traced_peak(fn, *args):

@@ -19,12 +19,12 @@ from temporag.config import RunConfig
 from temporag.evalharness import SyntheticSpec, gen_corpus, run_eval, sweep_threshold
 from temporag.frames import weight_frames
 from temporag.pipeline import AblationFlags
-from temporag.rescore import AnchorSet, DecayParams, rescore, top_k
+from temporag.rescore import AnchorSet, DecayParams
 from temporag.textindex import F4, build_index, dense_search, search, tokenize
 from temporag.types import snippet_columns
 from temporag.vectorindex import normalize
 
-from conftest import bm25_score, decay_multiplier, make_snippet
+from conftest import bm25_score, decay_multiplier, hit_pairs, make_snippet, rescore_pairs, top_k_of
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -83,7 +83,7 @@ def test_c2_decay_formula_fidelity():
                 (make_snippet(f"c{i}", "x", float(t), float(t)), float(r))
                 for i, (t, r) in enumerate(zip(times, raws))
             ]
-            got_scores = [s.score for s in rescore(candidates, a, DecayParams(lambdas=lambdas), duration)]
+            got_scores = [s.score for s in rescore_pairs(candidates, a, DecayParams(lambdas=lambdas), duration)]
             masses = [
                 r * math.exp(-sum(l * abs(x / duration - t / duration) for l, x in zip(lambdas, a.as_tuple())))
                 for t, r in zip(times, raws)
@@ -114,7 +114,7 @@ def test_c3_bm25_oracle_equivalence():
             exhaustive = [(d.id, bm25_score(index, tokens, d.id)) for d in docs]
             exhaustive = [(i, s) for i, s in exhaustive if s > 0]
             exhaustive.sort(key=lambda h: (-h[1], h[0]))
-            got = [(index.doc_ids[pos], score) for pos, score in search(index, query, n_docs)]
+            got = [(index.doc_ids[pos], score) for pos, score in hit_pairs(search(index, query, n_docs))]
             assert [i for i, _ in got] == [i for i, _ in exhaustive]
             for (_, a), (_, b) in zip(got, exhaustive):
                 assert abs(a - b) <= 1e-9
@@ -134,7 +134,7 @@ def test_c4_vector_index_exactness():
             scores = [float(np.dot(r, q)) for r in rows]
             expected = [(f"v{i:05d}", scores[i]) for i in range(1000) if scores[i] >= 0.3]
             expected.sort(key=lambda h: (-h[1], h[0]))
-            got = dense_search(index, q, 10, threshold=0.3)
+            got = hit_pairs(dense_search(index, q, 10, threshold=0.3))
             assert [index.doc_ids[i] for i, _ in got] == [i for i, _ in expected[:10]]
             np.testing.assert_allclose(
                 [s for _, s in got], [s for _, s in expected[:10]], atol=1e-12
@@ -193,13 +193,13 @@ def test_c7_invariance_suite():
         ]
         index = build_index(snippet_columns(tie_free))
         by_id = {d.id: d for d in tie_free}
-        pool = [(index.doc_ids[pos], r) for pos, r in search(index, "q", len(tie_free))]
+        pool = [(index.doc_ids[pos], r) for pos, r in hit_pairs(search(index, "q", len(tie_free)))]
         scores = [r for _, r in pool]
         assert len(set(scores)) == len(scores), "corpus must be tie-free"
-        scored = rescore(
+        scored = rescore_pairs(
             [(by_id[i], r) for i, r in pool], anchors, DecayParams(lambdas=(0, 0, 0)), 500.0
         )
-        out = top_k(scored, len(pool))
+        out = top_k_of(scored, len(pool))
         assert [s.snippet.id for s in out] == [i for i, _ in pool]
 
         vocab = [f"w{i}" for i in range(20)]
@@ -210,11 +210,11 @@ def test_c7_invariance_suite():
             docs.append(make_snippet(f"d{i:03d}", words, t, t + 2.0))
         index = build_index(snippet_columns(docs))
         by_id = {d.id: d for d in docs}
-        pool = [(index.doc_ids[pos], r) for pos, r in search(index, "w0 w4 w8", 80)]
-        scored = rescore(
+        pool = [(index.doc_ids[pos], r) for pos, r in hit_pairs(search(index, "w0 w4 w8", 80))]
+        scored = rescore_pairs(
             [(by_id[i], r) for i, r in pool], anchors, DecayParams(lambdas=(0, 0, 0)), 500.0
         )
-        out = top_k(scored, len(pool))
+        out = top_k_of(scored, len(pool))
 
         def runs(pairs):
             grouped = []
@@ -229,8 +229,8 @@ def test_c7_invariance_suite():
 
         # Scaling raw scores leaves normalized scores unchanged.
         candidates = [(by_id[i], r) for i, r in pool[:20]]
-        base = rescore(candidates, anchors, DecayParams(), 500.0)
-        scaled = rescore([(s, 11.0 * r) for s, r in candidates], anchors, DecayParams(), 500.0)
+        base = rescore_pairs(candidates, anchors, DecayParams(), 500.0)
+        scaled = rescore_pairs([(s, 11.0 * r) for s, r in candidates], anchors, DecayParams(), 500.0)
         for a, b in zip(base, scaled):
             assert abs(a.score - b.score) <= 1e-9
 

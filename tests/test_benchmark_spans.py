@@ -9,15 +9,21 @@ function or argument would first break a traced run; this test runs one.
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 from temporag.cli import main
+from temporag.textindex import row_similarities, tokenize
+
+from conftest import bm25_score
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "demo"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 QUESTION = "What does the sign near the marina office say?"
+# Speech and on-screen cues: both channels pool, with other hit counts than QUESTION's.
+SECOND = "What does the narrator say about the harbor, the fish market and the ferry?"
 # Entries whose code is gone: the tracer skips them and their metrics read 0.
 GONE = {
     ("temporag._kernels", "bm25_accumulate"),
@@ -54,12 +60,20 @@ def test_traced_answer_flushes_every_span(tmp_path, capsys):
     capsys.readouterr()
 
     recorder = spans.Recorder()
+    rcs = []
     with spans.tracing(recorder):
-        recorder.begin_op("answer")
-        rc = main(["answer", "--index", str(index), "--query", QUESTION, "--config", config])
+        for op, question in (("answer", QUESTION), ("second", SECOND)):
+            recorder.begin_op(op)
+            rcs.append(main(["answer", "--index", str(index), "--query", question,
+                             "--config", config]))
+    # Each deferred call's arguments, by span, as ``flush`` binds them.
+    calls = {
+        span.id: inspect.signature(fn).bind(*args, **kwargs).arguments
+        for span, _, fn, args, kwargs, _ in recorder._pending
+    }
     recorder.flush()
-    assert rc == 0
-    answer = capsys.readouterr().out.strip()
+    assert rcs == [0, 0]
+    answer = capsys.readouterr().out.strip().splitlines()[0]
     assert answer == (GOLDEN / "demo_answer.txt").read_text(encoding="utf-8").strip()
 
     with_attrs = {name for _, _, name, attrs_fn in spans.traced_targets() if attrs_fn}
@@ -67,3 +81,24 @@ def test_traced_answer_flushes_every_span(tmp_path, capsys):
     assert with_attrs <= seen
     assert not any(span.error for span in recorder.spans)
     assert all(span.attrs for span in recorder.spans if span.name in with_attrs)
+
+    # The deferred values count hits, recounted here from the call's arguments.
+    by_name = {}
+    for span in recorder.spans:
+        by_name.setdefault(span.name, []).append(span)
+    for span in by_name["textindex.search"]:
+        a = calls[span.id]
+        tokens = tokenize(a["query_text"])
+        positive = [i for i in a["index"].doc_ids if bm25_score(a["index"], tokens, i) > 0.0]
+        assert span.attrs == {"positive_hits": len(positive)}
+    kept = []
+    for span in by_name["pipeline.dense_accept"]:
+        a = calls[span.id]
+        sims = [row_similarities(a["bm25"].vectors, a["query_vec"], [p]).item()
+                for p in a["ids"].pos.tolist()]
+        kept.append(sum(sim >= a["tau"] for sim in sims))
+        assert span.attrs == {"in": len(sims), "kept": kept[-1]}
+        assert kept[-1] <= len(sims)
+    # Lexical fusion: the dense filter's survivors are the pool, rescored when not empty.
+    pools = [span.attrs["candidates"] for span in by_name["rescore.rescore"]]
+    assert pools == [n for n in kept if n] and pools

@@ -42,7 +42,7 @@ from temporag.tables import (
     save_frame_table,
     save_index,
 )
-from temporag.textindex import build_index, tokenize
+from temporag.textindex import Hits, build_index, tokenize
 from temporag.types import Channel, Snippet, snippet_columns
 from temporag.vectorindex import HashEmbedder, normalize
 
@@ -1348,7 +1348,8 @@ def test_dense_accept_matches_per_id_oracle(demo_index):
             # Every threshold a document sits on exactly, so one stray bit flips a decision.
             for tau in [-1.0, 0.0, 0.3, *sims.values()]:
                 want = [p for p in positions if sims[ids[p]] >= tau]
-                assert dense_accept(index, q, positions, tau) == want
+                pool = Hits(np.array(positions), np.ones(len(positions)))
+                assert dense_accept(index, q, pool, tau).pos.tolist() == want
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

@@ -148,7 +148,9 @@ class TestRunEval:
         }
         asr = result.retrieval[Channel.ASR]
         assert report.recall_at_1 == float(asr.hits[0].snippet.id == "needle")
-        assert report.tokens_retained == sum(len(h.snippet.text.split()) for h in asr.pool)
+        by_position = sorted(corpus.snippets, key=lambda s: s.id)  # an index's doc order
+        pooled = [by_position[pos] for pos in asr.pool.pos.tolist()]
+        assert report.tokens_retained == sum(len(s.text.split()) for s in pooled)
         assert len(asr.pool) > len(asr.hits)
 
     def test_question_carries_a_speech_cue(self):

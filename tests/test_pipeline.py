@@ -25,12 +25,12 @@ from temporag.pipeline import (
     run_query,
 )
 from temporag.providers import StubDetector, StubLvlm
-from temporag.rescore import AnchorSet, DecayParams, RescoreConfig, rescore, top_k
-from temporag.textindex import F4, build_index
+from temporag.rescore import AnchorSet, DecayParams, RescoreConfig
+from temporag.textindex import F4, Hits, build_index
 from temporag.types import Channel, QueryRequest, ScoredSnippet, VideoRecord, snippet_columns
 from temporag.vectorindex import HashEmbedder, normalize
 
-from conftest import make_snippet
+from conftest import hit_pairs, make_snippet, rescore_pairs, top_k_of
 
 
 class CannedLvlm:
@@ -130,12 +130,13 @@ class TestRetrieveChannel:
             tau=0.0,
         )
         pool = textindex.search(chan, req, cfg.pool_size)
-        kept = set(dense_accept(chan, qv, [pos for pos, _ in pool], 0.0))
+        kept = set(dense_accept(chan, qv, pool, 0.0).pos.tolist())
         by_id = {s.id: s for s in snippets}
-        pool = [(by_id[chan.doc_ids[pos]], r) for pos, r in pool if pos in kept]
-        scored = rescore(pool, self.ANCHORS, decay, 600.0)
-        assert got.hits == top_k(scored, cfg.top_k)
-        assert got.pool == scored
+        pool = [(pos, r) for pos, r in hit_pairs(pool) if pos in kept]
+        scored = rescore_pairs([(by_id[chan.doc_ids[p]], r) for p, r in pool], self.ANCHORS, decay,
+                               600.0)
+        assert got.hits == top_k_of(scored, cfg.top_k)
+        assert hit_pairs(got.pool) == pool
 
     def test_empty_request_rejected(self):
         embedder = HashEmbedder(32)
@@ -237,9 +238,10 @@ class TestRetrieveChannel:
         embedder = HashEmbedder(32, seed=6)
         snippets = [make_snippet(f"s{i}", "harbor ferry dock", 100.0 * i, 100.0 * i + 2)
                     for i in range(n_docs)]
+        chan = build_channel(snippets, embedder)
         got = retrieve_channel(
             req,
-            build_channel(snippets, embedder),
+            chan,
             self.ANCHORS,
             DecayParams(),
             RescoreConfig(top_k=3),
@@ -248,7 +250,7 @@ class TestRetrieveChannel:
             query_vec=normalize(embedder.embed([req])[0]),
             tau=tau,
         )
-        assert [(h.snippet.id, h.raw_score) for h in got.pool] == [
+        assert [(chan.doc_ids[pos], raw) for pos, raw in hit_pairs(got.pool)] == [
             (s.id, 1.0) for s in snippets
         ]
 
@@ -272,7 +274,7 @@ class TestRetrieveChannel:
     def test_dense_accept_wrong_width_query_is_data_error(self):
         chan = build_channel([make_snippet("a", "x", 0.0, 1.0)], HashEmbedder(8))
         with pytest.raises(DataError, match="^expected dim 8, got 16$"):
-            dense_accept(chan, normalize(np.ones(16)), [0], 0.0)
+            dense_accept(chan, normalize(np.ones(16)), Hits(np.array([0]), np.ones(1)), 0.0)
 
 
 class TestAugmentQuery:

@@ -13,13 +13,11 @@ from temporag.rescore import (
     RescoreConfig,
     TimeNorm,
     compute_anchors,
-    rescore,
-    top_k,
 )
 from temporag.textindex import F4
 from temporag.vectorindex import normalize
 
-from conftest import decay_multiplier, make_snippet
+from conftest import decay_multiplier, make_snippet, rescore_pairs, top_k_of
 
 
 def log_space_oracle(raws, times, anchors, lambdas, scale):
@@ -183,13 +181,13 @@ class TestRescore:
     ANCHORS = AnchorSet(t_last=100.0, t_first=0.0, t_semantic=50.0)
 
     def test_single_candidate_score_one(self):
-        out = rescore([(make_snippet("a", "x", 10.0, 12.0), 3.0)], self.ANCHORS, DecayParams(), 100.0)
+        out = rescore_pairs([(make_snippet("a", "x", 10.0, 12.0), 3.0)], self.ANCHORS, DecayParams(), 100.0)
         assert out[0].score == pytest.approx(1.0, abs=1e-12)
 
     def test_nearer_candidate_wins_on_equal_raw(self):
         near = make_snippet("near", "x", 49.0, 51.0)  # at the semantic anchor
         far = make_snippet("far", "x", 0.0, 2.0)
-        out = rescore([(far, 2.0), (near, 2.0)], self.ANCHORS, DecayParams(), 100.0)
+        out = rescore_pairs([(far, 2.0), (near, 2.0)], self.ANCHORS, DecayParams(), 100.0)
         by_id = {s.snippet.id: s.score for s in out}
         assert by_id["near"] > by_id["far"]
 
@@ -199,7 +197,7 @@ class TestRescore:
             (make_snippet(f"c{i}", "x", float(t), float(t) + 2.0), float(r))
             for i, (t, r) in enumerate(zip(rng.uniform(0, 98, 40), rng.uniform(0.1, 5, 40)))
         ]
-        out = rescore(candidates, self.ANCHORS, DecayParams(), 100.0)
+        out = rescore_pairs(candidates, self.ANCHORS, DecayParams(), 100.0)
         assert sum(s.score for s in out) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_term_by_term_oracle(self):
@@ -214,14 +212,14 @@ class TestRescore:
             candidates = [
                 (make_snippet(f"c{i}", "x", t, t), r) for i, (t, r) in enumerate(zip(times, raws))
             ]
-            got = rescore(candidates, anchors, DecayParams(lambdas=lambdas), 100.0)
+            got = rescore_pairs(candidates, anchors, DecayParams(lambdas=lambdas), 100.0)
             want = oracle_rescore(raws, times, anchors.as_tuple(), lambdas, 100.0)
             for s, w in zip(got, want):
                 assert s.score == pytest.approx(w, abs=1e-9)
 
     def test_all_zero_mass(self):
         with pytest.raises(DataError, match="^every raw score is zero$"):
-            rescore([(make_snippet("a", "x", 1.0, 2.0), 0.0)], self.ANCHORS, DecayParams(), 100.0)
+            rescore_pairs([(make_snippet("a", "x", 1.0, 2.0), 0.0)], self.ANCHORS, DecayParams(), 100.0)
 
     def test_raw_seconds_underflow_matches_log_space_oracle(self):
         # A 2 h video in raw seconds: every decay underflows to 0.0, yet the
@@ -232,14 +230,14 @@ class TestRescore:
         candidates = [
             (make_snippet(f"c{i}", "x", t, t), r) for i, (t, r) in enumerate(zip(times, raws))
         ]
-        got = rescore(candidates, anchors, params, 7200.0)
+        got = rescore_pairs(candidates, anchors, params, 7200.0)
         assert [s.decay for s in got] == [0.0] * 4
         want = log_space_oracle(raws, times, anchors.as_tuple(), params.lambdas, 1.0)
         for s, w in zip(got, want):
             assert s.score == pytest.approx(w, abs=1e-12)
         assert got[1].score > got[2].score > 0.0 == got[0].score == got[3].score
 
-        two = rescore(candidates[:2], anchors, params, 7200.0)
+        two = rescore_pairs(candidates[:2], anchors, params, 7200.0)
         assert [s.score for s in two] == [0.0, 1.0]
 
     @pytest.mark.parametrize("lam", [1e300, 1e308])
@@ -254,7 +252,7 @@ class TestRescore:
         candidates = [
             (make_snippet(f"c{i}", "x", t, t), r) for i, (t, r) in enumerate(zip(times, raws))
         ]
-        got = rescore(candidates, anchors, params, 120.0)
+        got = rescore_pairs(candidates, anchors, params, 120.0)
         assert [s.score for s in got] == [0.25, 0.75, 0.0, 0.0]
         assert sum(s.score for s in got) == 1.0
         assert [s.decay for s in got] == [0.0] * 4
@@ -269,7 +267,7 @@ class TestRescore:
         candidates = [
             (make_snippet(f"c{i}", "x", t, t), r) for i, (t, r) in enumerate(zip(times, raws))
         ]
-        got = rescore(candidates, anchors, params, duration)
+        got = rescore_pairs(candidates, anchors, params, duration)
         assert [s.score for s in got] == [0.0, 1.0, 0.0]
 
     def test_partly_overflowing_pool_decays_the_overflow_to_zero(self):
@@ -280,7 +278,7 @@ class TestRescore:
         candidates = [
             (make_snippet(f"c{i}", "x", t, t), r) for i, (t, r) in enumerate(zip(times, raws))
         ]
-        got = rescore(candidates, anchors, params, 1000.0)
+        got = rescore_pairs(candidates, anchors, params, 1000.0)
         assert [s.score for s in got] == [1.0, 0.0, 0.0]
         assert sum(s.score for s in got) == 1.0
         assert [s.decay for s in got] == [0.0] * 3
@@ -300,7 +298,7 @@ class TestRescore:
             candidates = [
                 (make_snippet(f"c{i}", "x", t, t), r) for i, (t, r) in enumerate(zip(times, raws))
             ]
-            got = rescore(candidates, anchors, params, duration)
+            got = rescore_pairs(candidates, anchors, params, duration)
             want = log_space_oracle(raws, times, anchors.as_tuple(), params.lambdas, 1.0)
             worst = max(worst, max(abs(s.score - w) for s, w in zip(got, want)))
         assert worst <= 1e-12
@@ -333,7 +331,7 @@ class TestRescore:
         candidates = [
             (make_snippet(f"c{i}", "x", t, t), r) for i, (t, r) in enumerate(zip(times, raws))
         ]
-        got = rescore(candidates, anchors, params, duration)
+        got = rescore_pairs(candidates, anchors, params, duration)
         want = log_space_oracle(raws, times, anchors.as_tuple(), lambdas, scale)
         for s, w in zip(got, want):
             assert s.score == pytest.approx(w, abs=1e-12)
@@ -358,14 +356,14 @@ class TestRescore:
             for i, (f, r) in enumerate(pool)
             for t in [t_first + f * (t_last - t_first)]
         ]
-        both = rescore(candidates, anchors, DecayParams(lambdas=(lam, lam, lam2)), duration)
-        semantic_only = rescore(candidates, anchors, DecayParams(lambdas=(0, 0, lam2)), duration)
+        both = rescore_pairs(candidates, anchors, DecayParams(lambdas=(lam, lam, lam2)), duration)
+        semantic_only = rescore_pairs(candidates, anchors, DecayParams(lambdas=(0, 0, lam2)), duration)
         for a, b in zip(both, semantic_only):
             assert abs(a.score - b.score) <= 1e-12
 
     def test_negative_raw_rejected(self):
         with pytest.raises(DataError):
-            rescore([(make_snippet("a", "x", 1.0, 2.0), -0.1)], self.ANCHORS, DecayParams(), 100.0)
+            rescore_pairs([(make_snippet("a", "x", 1.0, 2.0), -0.1)], self.ANCHORS, DecayParams(), 100.0)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(31)
@@ -374,8 +372,8 @@ class TestRescore:
             for i, (t, r) in enumerate(zip(rng.uniform(0, 100, 20), rng.uniform(0.1, 3, 20)))
         ]
         scaled = [(s, 7.3 * r) for s, r in candidates]
-        a = rescore(candidates, self.ANCHORS, DecayParams(), 100.0)
-        b = rescore(scaled, self.ANCHORS, DecayParams(), 100.0)
+        a = rescore_pairs(candidates, self.ANCHORS, DecayParams(), 100.0)
+        b = rescore_pairs(scaled, self.ANCHORS, DecayParams(), 100.0)
         for x, y in zip(a, b):
             assert x.score == pytest.approx(y.score, abs=1e-9)
 
@@ -386,8 +384,8 @@ class TestTopK:
         candidates = [
             (make_snippet(f"c{i}", "x", float(i), float(i)), float(i + 1)) for i in range(4)
         ]
-        scored = rescore(candidates, anchors, DecayParams(lambdas=(0, 0, 0)), 10.0)
-        out = top_k(scored, 10)
+        scored = rescore_pairs(candidates, anchors, DecayParams(lambdas=(0, 0, 0)), 10.0)
+        out = top_k_of(scored, 10)
         assert len(out) == 4
         assert [s.snippet.id for s in out] == ["c3", "c2", "c1", "c0"]
 
@@ -395,8 +393,8 @@ class TestTopK:
         anchors = AnchorSet(t_last=10.0, t_first=0.0, t_semantic=5.0)
         late = make_snippet("a-late", "x", 8.0, 8.0)
         early = make_snippet("z-early", "x", 1.0, 1.0)
-        scored = rescore([(late, 1.0), (early, 1.0)], anchors, DecayParams(lambdas=(0, 0, 0)), 10.0)
-        out = top_k(scored, 2)
+        scored = rescore_pairs([(late, 1.0), (early, 1.0)], anchors, DecayParams(lambdas=(0, 0, 0)), 10.0)
+        out = top_k_of(scored, 2)
         assert [s.snippet.id for s in out] == ["z-early", "a-late"]
 
     def test_matches_full_sort_oracle(self):
@@ -406,10 +404,10 @@ class TestTopK:
             (make_snippet(f"c{i}", "x", float(t), float(t)), float(r))
             for i, (t, r) in enumerate(zip(rng.uniform(0, 50, 30), rng.uniform(0.1, 2, 30)))
         ]
-        scored = rescore(candidates, anchors, DecayParams(), 50.0)
+        scored = rescore_pairs(candidates, anchors, DecayParams(), 50.0)
         expected = sorted(scored, key=lambda s: (-s.score, s.snippet.t_mid, s.snippet.id))
         for k in (1, 5, 30):
-            assert top_k(scored, k) == expected[:k]
+            assert top_k_of(scored, k) == expected[:k]
 
 
 def test_lambda_zero_preserves_raw_ranking():
@@ -426,7 +424,7 @@ def test_lambda_zero_preserves_raw_ranking():
             for i, (t, r) in enumerate(zip(times, raws))
         ]
         raw_ranking = [c[0].id for c in sorted(candidates, key=lambda c: -c[1])]
-        out = top_k(rescore(candidates, anchors, DecayParams(lambdas=(0, 0, 0)), 200.0), n)
+        out = top_k_of(rescore_pairs(candidates, anchors, DecayParams(lambdas=(0, 0, 0)), 200.0), n)
         assert [s.snippet.id for s in out] == raw_ranking
 
 
@@ -441,8 +439,8 @@ def test_needle_among_duplicates_ranks_first():
     for lam in (0.1, 1.0, 5.0):
         # The first/last anchors contribute a constant factor over [0, D];
         # only the semantic anchor separates duplicates here.
-        out = top_k(
-            rescore(candidates, anchors, DecayParams(lambdas=(lam, lam, lam)), 100.0), 5
+        out = top_k_of(
+            rescore_pairs(candidates, anchors, DecayParams(lambdas=(lam, lam, lam)), 100.0), 5
         )
         assert out[0].snippet.id == "needle"
 

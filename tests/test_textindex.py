@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from temporag.errors import DataError, TemporagError
 from temporag.frames import FrameTable
+from temporag.pipeline import retrieve_channel
 from temporag.providers import FixtureDetector
+from temporag.rescore import AnchorSet, DecayParams, RescoreConfig
 from temporag.tables import (
     StringTable,
     f4_matrix,
@@ -40,6 +42,7 @@ from conftest import (
     STRING_PIECES,
     STRINGS,
     bm25_score,
+    hit_pairs,
     make_snippet,
     mutate_bytes,
     traced_peak,
@@ -88,7 +91,7 @@ def oracle_postings(docs):
 
 
 def hit_ids(index, hits):
-    return [index.doc_ids[pos] for pos, _ in hits]
+    return [index.doc_ids[pos] for pos in hits.pos.tolist()]
 
 
 class TestTokenize:
@@ -221,7 +224,7 @@ class TestBm25Score:
         ]
         index = build_index(snippet_columns(docs))
         for query in (["cat"], ["the", "dog"], ["cat", "sat", "mat"], ["missing"]):
-            want = dict(search(index, " ".join(query), len(docs)))
+            want = dict(hit_pairs(search(index, " ".join(query), len(docs))))
             for pos, doc in enumerate(docs):  # ids a < b < c: position order
                 assert bm25_score(index, query, doc.id) == pytest.approx(
                     want.get(pos, 0.0), abs=1e-9
@@ -234,9 +237,9 @@ class TestBm25Score:
         index = build_index(snippet_columns(docs))
         wrong = dataclasses.replace(index, doc_len=index.doc_len + 1)
         assert len(search(wrong, "cat", 2)) == 2
-        for pos, score in search(index, "cat", 2):
+        for pos, score in hit_pairs(search(index, "cat", 2)):
             assert score == pytest.approx(bm25_score(index, ["cat"], docs[pos].id), abs=1e-9)
-        for pos, score in search(wrong, "cat", 2):
+        for pos, score in hit_pairs(search(wrong, "cat", 2)):
             assert score != pytest.approx(bm25_score(wrong, ["cat"], docs[pos].id), abs=1e-9)
 
     def test_monotone_in_term_frequency(self):
@@ -254,7 +257,7 @@ class TestBm25Score:
 class TestSearch:
     def test_no_match_is_empty(self):
         index = build_index(snippet_columns([make_snippet("a", "cat", 0.0, 1.0)]))
-        assert search(index, "dinosaur", 10) == []
+        assert hit_pairs(search(index, "dinosaur", 10)) == []
 
     def test_pool_larger_than_corpus(self):
         docs = [make_snippet(f"d{i}", "cat", float(i), float(i) + 1) for i in range(3)]
@@ -271,7 +274,7 @@ class TestSearch:
         expected.sort(key=lambda h: (-h[1], h[0]))
         got = search(index, query, len(docs))
         assert hit_ids(index, got) == [i for i, _ in expected]
-        for (_, a), (_, b) in zip(got, expected):
+        for (_, a), (_, b) in zip(hit_pairs(got), expected):
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_tie_break_ascending_doc_id(self):
@@ -286,8 +289,9 @@ class TestSearch:
         index = build_index(snippet_columns(docs))
         assert hit_ids(index, search(index, "cat", 3)) == ["z", "a", "b"]
 
-    def test_loaded_search_decodes_only_the_pool(self, tmp_path, monkeypatch):
-        docs = [make_snippet(f"d{i:03d}", f"cat w{i}", 0.0, 1.0) for i in range(200)]
+    def test_loaded_retrieval_decodes_only_the_top_k_ids(self, tmp_path, monkeypatch):
+        # 200 documents match "cat"; a pool of 9 is rescored and 3 become hits.
+        docs = [make_snippet(f"d{i:03d}", f"cat w{i}", i % 90, i % 90 + 1.0) for i in range(200)]
         path = tmp_path / "asr.bm25"
         save_index(embedded_index(docs), str(path))
         loaded = load_index(str(path), Channel.ASR, DURATION_S)
@@ -299,11 +303,26 @@ class TestSearch:
                 decoded.append(i)
             return table_get(table, i)
 
+        def ask():
+            return retrieve_channel(
+                "cat w7 w150",
+                loaded,
+                AnchorSet(t_last=DURATION_S, t_first=0.0, t_semantic=60.0),
+                DecayParams(),
+                RescoreConfig(top_k=3, pool_multiplier=3),
+                duration_s=DURATION_S,
+                query_vec=normalize(np.ones(loaded.dim)),
+                tau=-2.0,  # below every similarity: the whole pool is rescored
+            )
+
         monkeypatch.setattr(StringTable, "__getitem__", counting_get)
-        hits = search(loaded, "cat w7", 5)
-        assert hits[0][0] == 7 and not decoded  # positions: search decodes no id
-        assert [loaded.snippet(pos).id for pos, _ in hits][:1] == ["d007"]
-        assert len(decoded) == 5
+        first = ask()
+        assert (len(first.pool), len(first.hits)) == (9, 3)
+        top = [int(h.snippet.id[1:]) for h in first.hits]  # "dNNN" sits at position NNN
+        assert {7, 150} < set(top) and sorted(decoded) == sorted(top)
+        decoded.clear()
+        again = ask()
+        assert decoded == [] and again.hits == first.hits
 
 
 def test_disjoint_doc_changes_scores_only_through_idf():
@@ -319,8 +338,8 @@ def test_disjoint_doc_changes_scores_only_through_idf():
     extra = make_snippet("z", "qqq www eee", 3.0, 4.0)  # disjoint, length 3 = avg
     index_after = build_index(snippet_columns(base + [extra]))
     assert index_after.avg_dl == index_before.avg_dl
-    before = dict(search(index_before, "cat", 10))
-    after = dict(search(index_after, "cat", 10))
+    before = dict(hit_pairs(search(index_before, "cat", 10)))
+    after = dict(hit_pairs(search(index_after, "cat", 10)))
     assert sorted(before) == sorted(after) == [0, 2]  # a and c, at the same positions
 
     def idf(n, df):
@@ -349,9 +368,11 @@ class TestPersistence:
         assert loaded.vectors.tobytes() == index.vectors.tobytes()
         assert loaded.channel is index.channel
         query = "w1 w2 w9"
-        assert search(loaded, query, 10) == search(index, query, 10)
+        assert hit_pairs(search(loaded, query, 10)) == hit_pairs(search(index, query, 10))
         q = normalize(np.arange(8.0))
-        assert dense_search(loaded, q, 10, 0.0) == dense_search(index, q, 10, 0.0)
+        assert hit_pairs(dense_search(loaded, q, 10, 0.0)) == hit_pairs(
+            dense_search(index, q, 10, 0.0)
+        )
         by_id = sorted(docs, key=lambda d: d.id)
         assert [loaded.snippet(pos) for pos in range(len(docs))] == by_id
 

@@ -2,6 +2,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from temporag.types import (
     Channel,
     Snippet,
     VideoRecord,
+    midpoints,
     snippet_columns,
     snippet_from_obj,
     validate_snippet,
@@ -133,6 +135,25 @@ def test_t_mid_of_subnormal_times_is_not_rounded_to_zero():
     tiny = math.ulp(0.0)  # 5e-324: halved alone, each end would round to 0.0
     assert snip(t_start=tiny, t_end=tiny).t_mid == tiny
     assert snip(t_start=1.6e308, t_end=1.7e308).t_mid == 1.6e308 / 2 + 1.7e308 / 2
+
+
+# Times near the float limit, whose sums overflow, and subnormal times, whose halves round.
+_EDGE_TIMES = st.one_of(
+    _FLOATS,
+    st.floats(1.6e308, 1.7976931348623157e308),
+    st.floats(-1.7976931348623157e308, -1.6e308),
+    st.floats(-1e-307, 1e-307),
+    st.sampled_from([0.0, -0.0, math.ulp(0.0), 3 * math.ulp(0.0)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(times=st.lists(st.tuples(_EDGE_TIMES, _EDGE_TIMES), max_size=20))
+def test_array_midpoints_have_the_bits_of_t_mid(times):
+    t_start = np.array([a for a, _ in times], dtype=np.float64)
+    t_end = np.array([b for _, b in times], dtype=np.float64)
+    got = midpoints(t_start, t_end)  # the suite turns an overflow warning into an error
+    assert [m.hex() for m in got.tolist()] == [snip(t_start=a, t_end=b).t_mid.hex() for a, b in times]
 
 
 def test_unknown_keys_ignored():

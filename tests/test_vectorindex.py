@@ -17,7 +17,7 @@ from temporag.vectorindex import (
     unit_rows,
 )
 
-from conftest import make_snippet
+from conftest import hit_pairs, make_snippet
 
 
 class TestNormalize:
@@ -75,7 +75,7 @@ class TestFlatVectorIndex:
     def test_self_similarity(self):
         index = dense_index({"a": [1.0, 2.0, 3.0, 4.0]})
         q = normalize([1.0, 2.0, 3.0, 4.0])
-        hits = dense_search(index, q, 1, threshold=0.3)
+        hits = hit_pairs(dense_search(index, q, 1, threshold=0.3))
         assert hits[0][0] == 0
         assert hits[0][1] == pytest.approx(1.0, abs=1e-6)
 
@@ -91,12 +91,12 @@ class TestFlatVectorIndex:
 
     def test_orthogonal_below_threshold_excluded(self):
         index = dense_index({"x": [0.0, 1.0]})
-        assert dense_search(index, np.array([1.0, 0.0]), 5, threshold=0.3) == []
+        assert len(dense_search(index, np.array([1.0, 0.0]), 5, threshold=0.3)) == 0
 
     def test_threshold_boundary_is_inclusive(self):
         index = dense_index({"x": [1.0, 0.0]})
         hits = dense_search(index, np.array([1.0, 0.0]), 1, threshold=1.0)
-        assert [h[0] for h in hits] == [0]
+        assert hits.pos.tolist() == [0]
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
@@ -106,7 +106,7 @@ class TestFlatVectorIndex:
             scores = np.array([float(np.dot(row.astype(np.float64), q)) for row in index.vectors])
             expected = [(j, scores[j]) for j in range(index.n_docs) if scores[j] >= 0.3]
             expected.sort(key=lambda h: (-h[1], h[0]))
-            got = dense_search(index, q, 10, threshold=0.3)
+            got = hit_pairs(dense_search(index, q, 10, threshold=0.3))
             assert [i for i, _ in got] == [i for i, _ in expected[:10]]
             np.testing.assert_allclose(
                 [s for _, s in got], [s for _, s in expected[:10]], atol=1e-12
@@ -116,7 +116,7 @@ class TestFlatVectorIndex:
         rng = np.random.default_rng(6)
         index = filled_index(rng, 100)
         q = normalize(rng.standard_normal(16))
-        for _, score in dense_search(index, q, 100, threshold=-1.0):
+        for score in dense_search(index, q, 100, threshold=-1.0).score.tolist():
             assert -1.0 - 1e-9 <= score <= 1.0 + 1e-9
 
     def test_k_must_be_positive(self):
@@ -136,7 +136,7 @@ class TestFlatVectorIndex:
         )
         q = np.array([1.0, 0.0])
         hits = dense_search(index, q, 3, threshold=0.0)
-        assert [index.doc_ids[pos] for pos, _ in hits] == ["a", "b", "c"]
+        assert [index.doc_ids[pos] for pos in hits.pos.tolist()] == ["a", "b", "c"]
 
 
 def oracle_token_vector(token: str, dim: int, seed: int) -> np.ndarray:
@@ -342,7 +342,7 @@ def test_search_equals_brute_force_at_scale():
         scores = [float(np.dot(r, q)) for r in rows]
         expected = [(i, scores[i]) for i in range(1000) if scores[i] >= 0.0]
         expected.sort(key=lambda h: (-h[1], h[0]))
-        got = dense_search(index, q, 25, threshold=0.0)
+        got = hit_pairs(dense_search(index, q, 25, threshold=0.0))
         assert [i for i, _ in got] == [i for i, _ in expected[:25]]
         np.testing.assert_allclose(
             [s for _, s in got], [s for _, s in expected[:25]], atol=1e-12
