@@ -7,11 +7,13 @@ never a silent partial loss beyond the documented empty-text drop.
 
 Each parser returns checked columns, not one object per cue or line.
 Subtitles are matched by one regular-expression pass over the decoded
-file, and each JSONL line is decoded by one scanner call. The type, time,
-box and confidence checks then run over whole columns. Only a cue or a
-line those checks reject goes through the per-record checks below, which
-word its error, so every error, its line number and its order are those
-of checking one record at a time.
+file, and the time checks run over whole columns; only when a cue fails
+them are the cue blocks walked one at a time, to word the first failing
+cue's error. Each JSONL line is decoded by one scanner call and checked
+once, in the same loop, by its format's per-record rules, which word a
+rejected line's error; the columns are built from what those checks
+return. So every error, its line number and its order are those of
+checking one record at a time.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import DataError
-from .types import CHANNELS, Channel, SnippetColumns, is_finite_number, snippet_from_obj
+from .types import CHANNELS, Channel, SnippetColumns, is_finite_number, snippet_fields
 
 # Frame indices are stored as u32 in the index's frame and detection tables.
 FRAME_INDEX_LIMIT = 1 << 32
@@ -125,40 +125,6 @@ def _decode(data: bytes) -> str:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"not valid UTF-8 ({exc})") from None
-
-
-# An int or float strictly between -_FINITE and _FINITE converts to a finite
-# float: an int from 2**1024 - 2**970 on rounds to inf. Python compares ints
-# and floats exactly, and NaN and the infinities fall outside.
-_FINITE = 2**1024 - 2**970
-_NUMBERS = (int, float)
-
-
-def _finite_floats(values: list) -> np.ndarray:
-    """Each value as a float64, or NaN where it is no finite number (a bool is none).
-
-    Every check the parsers run on a number fails on NaN.
-    """
-    if set(map(type, values)) <= {int, float}:
-        try:
-            out = np.array(values, dtype=np.float64)
-        except OverflowError:  # an int past the float range
-            pass
-        else:
-            out[np.isinf(out)] = math.nan
-            return out
-    return np.array(
-        [v if type(v) in _NUMBERS and -_FINITE < v < _FINITE else math.nan for v in values],
-        dtype=np.float64,
-    )
-
-
-def _frame_indices(values: list) -> np.ndarray:
-    """Each value as an int64, or -1 where it is no int within [0, 2**32) (a bool is none)."""
-    return np.array(
-        [v if type(v) is int and 0 <= v < FRAME_INDEX_LIMIT else -1 for v in values],
-        dtype=np.int64,
-    )
 
 
 # --- subtitles ----------------------------------------------------------------
@@ -358,57 +324,21 @@ def parse_vtt(data: bytes) -> SnippetColumns:
 _scan_value = json.JSONDecoder().scan_once
 
 
-@dataclass(frozen=True, eq=False)
-class _JsonlRows:
-    """The fields of each non-blank line of a JSONL file that decodes, and the errors of the rest.
-
-    ``columns`` holds one list per field, with one entry per decoded line,
-    whose number is in ``line_nos``; a line whose value lacks a field has
-    ``None`` in every column. ``errors`` are the lines that do not decode.
-    """
-
-    data: bytes
-    line_nos: list[int]
-    columns: list[list]
-    errors: list[tuple[int, str]]
-
-    @cached_property
-    def _lines(self) -> list[str]:
-        return _decode(self.data).splitlines()
-
-    def located(self, rows: np.ndarray, check: Callable, *args) -> list[tuple[int, str]]:
-        """The decode errors and the errors of ``rows``, rejected by the column checks, by line.
-
-        A rejected row's value is decoded again, and ``check(value, *args)``,
-        the per-record check, words its error.
-        """
-        errors = list(self.errors)
-        for row in rows.tolist():
-            line_no = self.line_nos[row]
-            try:
-                check(json.loads(self._lines[line_no - 1]), *args)
-            except DataError as exc:
-                errors.append((line_no, str(exc)))
-            else:
-                raise AssertionError(f"{check.__name__} accepts line {line_no}")
-        return sorted(errors)
-
-
-def _jsonl_rows(data: bytes, fields: Callable[[object], tuple], n_fields: int) -> _JsonlRows:
-    """``fields`` of the JSON value of each non-blank line of ``data``.
+def _jsonl_records(
+    data: bytes, record: Callable[[object], tuple]
+) -> tuple[list[tuple], list[tuple[int, str]]]:
+    """``record`` of the JSON value of each non-blank line of ``data``, and each other line's error.
 
     A line that is one JSON value and nothing more decodes in one scanner
     call; any other goes through ``json.loads``, which decodes it or words
-    its error (an integer past ``int``'s digit limit is one too). Only the
-    fields of a value are kept, and ``fields`` raising ``KeyError`` or
-    ``TypeError`` (no object, or one without a field it needs) gives
-    ``None`` for each. Each line is dropped once read, so the file's lines
-    and its fields are never all held at once.
+    its error (an integer past ``int``'s digit limit is one too). A
+    ``DataError`` that ``record`` raises is its line's error. Errors carry
+    their line number and come in line order. Each line is dropped once
+    read, so the file's lines and its records are never all held at once.
     """
     lines = _decode(data).splitlines()
     lines.reverse()  # popped in file order
-    line_nos, rows, errors = [], [], []
-    missing = (None,) * n_fields
+    records, errors = [], []
     line_no = 0
     while lines:
         line = lines.pop()
@@ -425,58 +355,36 @@ def _jsonl_rows(data: bytes, fields: Callable[[object], tuple], n_fields: int) -
             except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
                 errors.append((line_no, str(exc)))
                 continue
-        line_nos.append(line_no)
-        rows.append(_fields_of(fields, value, missing))
-    return _JsonlRows(data, line_nos, _columns(rows, n_fields), errors)
-
-
-def _fields_of(fields: Callable[[object], tuple], value: object, missing: tuple) -> tuple:
-    try:
-        return fields(value)
-    except (KeyError, TypeError):  # no object, or one without a field ``fields`` needs
-        return missing
-
-
-def _columns(rows: list[tuple], n_fields: int) -> list[list]:
-    return [list(column) for column in zip(*rows)] if rows else [[] for _ in range(n_fields)]
+        try:
+            records.append(record(value))
+        except DataError as exc:
+            errors.append((line_no, str(exc)))
+    return records, errors
 
 
 # --- snippet JSONL ----------------------------------------------------------
-
-_SNIPPET_KEYS = ("id", "channel", "text", "t_start", "t_end")
-_snippet_fields = itemgetter(*_SNIPPET_KEYS)
-_CHANNEL_CODES = {c.value: code for code, c in enumerate(CHANNELS)}
 
 
 def parse_snippet_jsonl(data: bytes) -> JsonlReport:
     """Tolerantly parse snippet JSONL into columns, collecting per-line errors.
 
-    A line is checked as ``types.snippet_from_obj`` checks it, which words
-    the error of a rejected line. Empty-text lines are dropped and counted.
-    The file is rejected (with a ``DataError``) only when lines exist and
-    every one fails.
+    Each line is checked by ``types.snippet_fields``, whose error is the
+    line's. Empty-text lines are dropped and counted. The file is rejected
+    (with a ``DataError``) only when lines exist and every one fails.
     """
-    jsonl = _jsonl_rows(data, _snippet_fields, len(_SNIPPET_KEYS))
-    ids, tags, texts, t_start, t_end = jsonl.columns
-    t_start, t_end = _finite_floats(t_start), _finite_floats(t_end)
-    ok = np.isfinite(t_start) & np.isfinite(t_end)
-    ok &= np.array(
-        [type(i) is str and type(x) is str and type(c) is str and c in _CHANNEL_CODES
-         for i, c, x in zip(ids, tags, texts)],
-        dtype=bool,
-    )
-    errors = jsonl.located(np.flatnonzero(~ok), snippet_from_obj)
-    if errors and not ok.any():
+    records, errors = _jsonl_records(data, snippet_fields)
+    if errors and not records:
         raise DataError(f"all {len(errors)} lines failed to parse")
-    rows = [i for i in np.flatnonzero(ok).tolist() if texts[i].strip()]
+    kept = [r for r in records if r[2].strip()]  # r[2] is the text
+    ids, codes, texts, t_start, t_end = map(list, zip(*kept)) if kept else ([],) * 5
     snippets = SnippetColumns(
-        [ids[i] for i in rows],
-        np.array([_CHANNEL_CODES[tags[i]] for i in rows], dtype=np.uint8),
-        [texts[i] for i in rows],
-        t_start[rows],
-        t_end[rows],
+        ids,
+        np.array(codes, dtype=np.uint8),
+        texts,
+        np.array(t_start, dtype=np.float64),
+        np.array(t_end, dtype=np.float64),
     )
-    return JsonlReport(snippets, errors, int(ok.sum()) - len(rows))
+    return JsonlReport(snippets, errors, len(records) - len(kept))
 
 
 # --- detections ---------------------------------------------------------------
@@ -528,73 +436,34 @@ def detected_objects(entries: object) -> list[DetectedObject]:
     return objects
 
 
-def detection_from_obj(obj: object) -> DetectionRecord:
-    frame_index, t = _frame_key(obj)
-    objects = tuple(detected_objects(obj.get("objects")))
-    return DetectionRecord(frame_index=frame_index, t=t, objects=objects)
-
-
-_record_fields = itemgetter("frame_index", "t", "objects")
-_object_fields = itemgetter("label", "box", "confidence")
+def _detection(obj: object) -> tuple[int, list[DetectedObject]]:
+    """The frame index and objects of a detection record; its ``t`` is checked, not kept."""
+    frame_index, _ = _frame_key(obj)
+    return frame_index, detected_objects(obj.get("objects"))
 
 
 def parse_detections_jsonl(data: bytes) -> tuple[DetectionColumns, list[tuple[int, str]]]:
     """Tolerantly parse detection JSONL into columns, with the same rules as snippet JSONL.
 
-    A line is checked as ``detection_from_obj`` checks it, which words the
-    error of a rejected line.
+    A line is {"frame_index", "t", "objects"}: ``frame_index`` and ``t``
+    are checked by ``_frame_key`` and ``objects`` by ``detected_objects``,
+    whose error is the line's.
     """
-    jsonl = _jsonl_rows(data, _record_fields, 3)
-    frame_index, t, objects = jsonl.columns
-    frame_index = _frame_indices(frame_index)
-    ok = (frame_index >= 0) & (_finite_floats(t) >= 0.0)
-    ok &= np.array([type(entries) is list for entries in objects], dtype=bool)
-    # The objects of the records that pass so far, each with its record's position.
-    objects = [entries if k else [] for entries, k in zip(objects, ok.tolist())]
-    n_objects = np.array(list(map(len, objects)), dtype=np.int64)
-    record_of = np.repeat(np.arange(len(objects)), n_objects)
-    labels, boxes, confidence = _columns(
-        [_fields_of(_object_fields, e, (None,) * 3) for e in chain.from_iterable(objects)], 3
-    )
-    shaped = [
-        type(label) is str and label != "" and type(box) is list and len(box) == 4
-        for label, box in zip(labels, boxes)
-    ]
-    box = _finite_floats(
-        list(chain.from_iterable(b if k else (None,) * 4 for b, k in zip(boxes, shaped)))
-    ).reshape(-1, 4)
-    confidence = _finite_floats(confidence)
-    x1, y1, x2, y2 = box.T  # NaN fails every comparison
-    fine = np.array(shaped, dtype=bool) & (0.0 <= confidence) & (confidence <= 1.0)
-    fine &= (0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0)
-    ok[record_of[~fine]] = False
-    errors = jsonl.located(np.flatnonzero(~ok), detection_from_obj)
-    if errors and not ok.any():
+    records, errors = _jsonl_records(data, _detection)
+    if errors and not records:
         raise DataError(f"all {len(errors)} lines failed to parse")
-    kept = ok[record_of]
+    objects = [o for _, entries in records for o in entries]
     columns = DetectionColumns(
-        frame_index[ok],
-        n_objects[ok],
-        [labels[j] for j in np.flatnonzero(kept).tolist()],
-        box[kept],
-        confidence[kept],
+        np.array([frame_index for frame_index, _ in records], dtype=np.int64),
+        np.array([len(entries) for _, entries in records], dtype=np.int64),
+        [o.label for o in objects],
+        np.array([o.box for o in objects], dtype=np.float64).reshape(-1, 4),
+        np.array([o.confidence for o in objects], dtype=np.float64),
     )
     return columns, errors
 
 
 # --- frames -------------------------------------------------------------------
-
-
-def _frame_fields(value: object) -> tuple:
-    return value["frame_index"], value["t"], value.get("text", "")
-
-
-def _check_frame(obj: object, duration_s: float) -> None:
-    """Raise the error of a frames record whose frame index, time or text is bad."""
-    _frame_key(obj, duration_s)
-    text = obj.get("text", "")
-    if not isinstance(text, str):
-        raise DataError(f"text must be a string, got {type(text).__name__}")
 
 
 def parse_frames_jsonl(
@@ -603,29 +472,29 @@ def parse_frames_jsonl(
     """Parse frames JSONL into columns plus located line errors.
 
     A line is {"frame_index", "t", optional "text"}: ``frame_index`` and
-    ``t`` are checked as ``_frame_key`` says, ``text`` must be a string
-    ("" when absent), and unknown keys are dropped. A record that repeats an
-    earlier record's ``frame_index`` is a line error.
+    ``t`` are checked by ``_frame_key``, ``text`` must be a string ("" when
+    absent), and unknown keys are dropped. A record that repeats the
+    ``frame_index`` of an earlier record that passed is a line error.
     """
-    jsonl = _jsonl_rows(data, _frame_fields, 3)
-    frame_index, t_given, texts = jsonl.columns
-    frame_index = _frame_indices(frame_index)
-    t = _finite_floats(t_given)
-    ok = (frame_index >= 0) & (0.0 <= t) & (t <= duration_s)
-    # ``_frame_key`` compares t unrounded, and an int past 2**53 may round onto duration_s.
-    at_end = np.flatnonzero(t == duration_s)
-    ok[at_end] &= np.array([t_given[i] <= duration_s for i in at_end.tolist()], dtype=bool)
-    ok &= np.array([type(text) is str for text in texts], dtype=bool)
-    errors = jsonl.located(np.flatnonzero(~ok), _check_frame, duration_s)
-    # A record that repeats the frame index of an earlier one that passed is an error too.
-    passed = np.flatnonzero(ok)
-    by_index = passed[np.argsort(frame_index[passed], kind="stable")]
-    repeats = by_index[1:][frame_index[by_index[1:]] == frame_index[by_index[:-1]]]
-    ok[repeats] = False
-    errors += [(jsonl.line_nos[i], f"duplicate frame_index {frame_index.item(i)}")
-               for i in repeats.tolist()]
-    frames = FrameColumns(frame_index[ok], t[ok], [texts[i] for i in np.flatnonzero(ok).tolist()])
-    return frames, sorted(errors)
+    seen = set()
+
+    def frame(obj: object) -> tuple[int, float, str]:
+        frame_index, t = _frame_key(obj, duration_s)
+        text = obj.get("text", "")
+        if type(text) is not str:
+            raise DataError(f"text must be a string, got {type(text).__name__}")
+        if frame_index in seen:
+            raise DataError(f"duplicate frame_index {frame_index}")
+        seen.add(frame_index)
+        return frame_index, t, text
+
+    records, errors = _jsonl_records(data, frame)
+    frames = FrameColumns(
+        np.array([frame_index for frame_index, _, _ in records], dtype=np.int64),
+        np.array([t for _, t, _ in records], dtype=np.float64),
+        [text for _, _, text in records],
+    )
+    return frames, errors
 
 
 # --- scene graph ----------------------------------------------------------------

@@ -192,8 +192,9 @@ def retrieve_channel(
     DENSE pools vector hits with similarity >= ``tau``, scored at least 0;
     MAX_FUSE unions both pools with each signal min-max rescaled and fused
     by max. The pool stays ``Hits`` (positions and raw scores) through the
-    rescore and the top-K order; only the top K become ``Snippet``s. Both
-    are empty when nothing survives pooling or filtering.
+    rescore and the top-K order; only the top K become ``Snippet``s. There
+    are no hits when nothing survives pooling or filtering, or when no raw
+    score in the pool is positive (a dense pool, with ``tau`` below 0).
     """
     if not req_text.strip():
         raise DataError("request text must be non-empty; NULL channels are skipped by the caller")
@@ -221,8 +222,8 @@ def retrieve_channel(
     else:  # pragma: no cover - exhaustive enum
         raise DataError(f"unknown fusion mode {fusion!r}")
 
-    if not len(candidates):
-        return Retrieval(hits=[])
+    if not (candidates.score > 0.0).any():  # empty, or a dense pool of similarities <= 0
+        return Retrieval(hits=[], pool=candidates)
     t_mid = midpoints(bm25.t_start[candidates.pos], bm25.t_end[candidates.pos])
     scores, decays = rescore_mod.rescore(candidates, t_mid, anchors, decay, duration_s)
     best = rescore_mod.top_k(candidates, t_mid, scores, cfg.top_k)

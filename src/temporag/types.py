@@ -12,6 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -109,7 +110,8 @@ class SnippetColumns:
 
     ``channels`` holds each row's channel code (see ``CHANNELS``) as a u1
     array; ``t_start`` and ``t_end`` are float64 arrays. The parsers in
-    ``ingest`` return these, ``validate_snippets`` checks them and
+    ``ingest`` return these (snippet JSONL from the rows ``snippet_fields``
+    returns), ``validate_snippets`` checks them and
     ``textindex.build_index`` indexes them. Indexing builds one row's
     ``Snippet``, which set-up does only to word a row's error.
     """
@@ -263,21 +265,37 @@ def validate_snippets(
 # anything else is a per-line error.
 
 _REQUIRED_KEYS = ("id", "channel", "text", "t_start", "t_end")
+_required = itemgetter(*_REQUIRED_KEYS)
+_CHANNEL_CODES = {channel.value: code for code, channel in enumerate(CHANNELS)}
+
+
+def snippet_fields(obj: object) -> tuple[str, int, str, float, float]:
+    """The id, channel code (see ``CHANNELS``), text and times of a decoded JSONL object.
+
+    Unknown keys are ignored. The first rule the object breaks, in this
+    order, is its ``DataError``: an object, every key present, a string id
+    and text, a string channel, a known channel tag, finite number times.
+    """
+    try:
+        doc_id, tag, text, t_start, t_end = _required(obj)
+    except (KeyError, TypeError):  # no object, or one without a key
+        if not isinstance(obj, dict):
+            raise DataError(f"expected an object, got {type(obj).__name__}") from None
+        missing = [k for k in _REQUIRED_KEYS if k not in obj]
+        raise DataError(f"missing keys: {', '.join(missing)}") from None
+    if type(doc_id) is not str or type(text) is not str:
+        raise DataError("id and text must be strings")
+    if type(tag) is not str:
+        raise DataError("channel must be a string")
+    code = _CHANNEL_CODES.get(tag)
+    if code is None:
+        raise DataError(f"unknown channel tag {tag!r}")
+    if not (is_finite_number(t_start) and is_finite_number(t_end)):
+        raise DataError("t_start and t_end must be finite numbers")
+    return doc_id, code, text, float(t_start), float(t_end)
 
 
 def snippet_from_obj(obj: object) -> Snippet:
     """Build a snippet from a decoded JSONL object, ignoring unknown keys."""
-    if not isinstance(obj, dict):
-        raise DataError(f"expected an object, got {type(obj).__name__}")
-    missing = [k for k in _REQUIRED_KEYS if k not in obj]
-    if missing:
-        raise DataError(f"missing keys: {', '.join(missing)}")
-    if not isinstance(obj["id"], str) or not isinstance(obj["text"], str):
-        raise DataError("id and text must be strings")
-    if not isinstance(obj["channel"], str):
-        raise DataError("channel must be a string")
-    channel = Channel.parse(obj["channel"])
-    t_start, t_end = obj["t_start"], obj["t_end"]
-    if not (is_finite_number(t_start) and is_finite_number(t_end)):
-        raise DataError("t_start and t_end must be finite numbers")
-    return Snippet(obj["id"], channel, obj["text"], float(t_start), float(t_end))
+    doc_id, code, text, t_start, t_end = snippet_fields(obj)
+    return Snippet(doc_id, CHANNELS[code], text, t_start, t_end)

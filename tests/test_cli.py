@@ -656,6 +656,26 @@ class TestAnswer:
         trace = json.loads(trace_path.read_text(encoding="utf-8"))
         assert trace["channels"]["asr"] == [] and trace["channels"]["ocr"] == []
 
+    def test_dense_pool_without_a_positive_similarity_answers(self, tmp_path):
+        # With tau -1 the OCR line's dense pool holds only a similarity below 0:
+        # no evidence, where it was a data error on a valid index and question.
+        (tmp_path / "a.srt").write_text(
+            "1\n00:00:01,000 --> 00:00:03,000\nthe ferry leaves at noon\n", encoding="utf-8"
+        )
+        line = {"id": "o1", "channel": "ocr", "text": "MARINA OFFICE", "t_start": 5, "t_end": 6}
+        (tmp_path / "s.jsonl").write_text(json.dumps(line) + "\n", encoding="utf-8")
+        store, index, trace_path = tmp_path / "store", tmp_path / "index", tmp_path / "trace.json"
+        assert run_cli(["ingest", tmp_path / "a.srt", tmp_path / "s.jsonl", "--video-id", "v",
+                        "--duration-s", "60", "--out", store]) == 0
+        assert run_cli(["build", "--store", store, "--out", index,
+                        "--config", DEMO / "config.json"]) == 0
+        rc = run_cli(["answer", "--index", index, "--fusion", "dense", "--tau", "-1",
+                      "--query", "What does the sign say about alpha?", "--trace", trace_path])
+        assert rc == 0
+        trace = json.loads(trace_path.read_text(encoding="utf-8"))
+        assert trace["request"]["ocr"] == "sign alpha"
+        assert trace["channels"] == {"asr": [], "ocr": []}
+
     def test_answers_without_store(self, built_index, capsys):
         shutil.rmtree(built_index.parent / "store")
         rc = run_cli(

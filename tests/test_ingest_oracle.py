@@ -5,6 +5,9 @@ one ``Snippet`` or record per cue or line, each checked as it is read, and
 the ``ingest`` loop that validated one snippet at a time. Two mends are in
 both: an hour count past the float range reads as inf, and a JSON integer
 past ``int``'s digit limit is a line error; before, each ended in a traceback.
+The per-record JSONL checks are copies here, not imports: the code under
+test checks each line with its own, so a rule changed there by mistake
+cannot agree with itself.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import re
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,15 +28,13 @@ from hypothesis import strategies as st
 from temporag.cli import main
 from temporag.errors import DataError, TemporagError
 from temporag.ingest import (
-    detection_from_obj,
-    _frame_key,
     parse_detections_jsonl,
     parse_frames_jsonl,
     parse_snippet_jsonl,
     parse_srt,
     parse_vtt,
 )
-from temporag.types import CHANNELS, Channel, Snippet, VideoRecord, snippet_from_obj
+from temporag.types import CHANNELS, Channel, Snippet, VideoRecord
 from temporag.types import validate_snippet
 
 from conftest import MUTATIONS, detection_columns, mutate_bytes
@@ -123,6 +126,94 @@ def oracle_vtt(data: bytes) -> list[Snippet]:
     return _asr_snippets(cues)
 
 
+FRAME_INDEX_LIMIT = 1 << 32
+REQUIRED_KEYS = ("id", "channel", "text", "t_start", "t_end")
+
+
+def is_finite_number(value) -> bool:
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def snippet_from_obj(obj) -> Snippet:
+    if not isinstance(obj, dict):
+        raise DataError(f"expected an object, got {type(obj).__name__}")
+    missing = [k for k in REQUIRED_KEYS if k not in obj]
+    if missing:
+        raise DataError(f"missing keys: {', '.join(missing)}")
+    if not isinstance(obj["id"], str) or not isinstance(obj["text"], str):
+        raise DataError("id and text must be strings")
+    if not isinstance(obj["channel"], str):
+        raise DataError("channel must be a string")
+    if obj["channel"] not in {c.value for c in Channel}:
+        raise DataError(f"unknown channel tag {obj['channel']!r}")
+    t_start, t_end = obj["t_start"], obj["t_end"]
+    if not (is_finite_number(t_start) and is_finite_number(t_end)):
+        raise DataError("t_start and t_end must be finite numbers")
+    return Snippet(obj["id"], Channel(obj["channel"]), obj["text"], float(t_start), float(t_end))
+
+
+class OracleObject(NamedTuple):
+    label: str
+    box: tuple
+    confidence: float
+
+
+class OracleRecord(NamedTuple):
+    frame_index: int
+    t: float
+    objects: tuple
+
+
+def checked_object(label, box, confidence) -> OracleObject:
+    """An object that keeps the rules of a detected object: label, box, then confidence."""
+    if not isinstance(label, str) or not label:
+        raise DataError(f"detection label must be a non-empty string, got {label!r}")
+    x1, y1, x2, y2 = box
+    if not (0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0):
+        raise DataError(f"box {box} violates 0 <= x1 < x2 <= 1, 0 <= y1 < y2 <= 1")
+    if not 0.0 <= confidence <= 1.0:
+        raise DataError(f"confidence must be within [0, 1], got {confidence}")
+    return OracleObject(label, box, confidence)
+
+
+def detected_objects(entries) -> list[OracleObject]:
+    if not isinstance(entries, list):
+        raise DataError("objects must be a list")
+    objects = []
+    for entry in entries:
+        try:
+            box, confidence = entry["box"], entry["confidence"]
+            if not (isinstance(box, list) and all(map(is_finite_number, [*box, confidence]))):
+                raise ValueError
+            objects.append(checked_object(entry["label"], tuple(map(float, box)), float(confidence)))
+        except (KeyError, TypeError, ValueError):
+            raise DataError(f"bad detection object: {entry!r}") from None
+    return objects
+
+
+def frame_key(obj, duration_s: float = math.inf) -> tuple[int, float]:
+    if not isinstance(obj, dict):
+        raise DataError(f"expected an object, got {type(obj).__name__}")
+    frame_index, t = obj.get("frame_index"), obj.get("t")
+    if type(frame_index) is not int or not 0 <= frame_index < FRAME_INDEX_LIMIT:
+        raise DataError(f"frame_index must be an integer within [0, 2**32), got {frame_index!r}")
+    if type(t) not in (int, float):
+        raise DataError(f"t must be a number, got {t!r}")
+    if not (0.0 <= t <= duration_s and is_finite_number(t)):
+        raise DataError(f"time {t!r} outside [0, {duration_s!r}]")
+    return frame_index, float(t)
+
+
+def detection_from_obj(obj) -> OracleRecord:
+    frame_index, t = frame_key(obj)
+    return OracleRecord(frame_index, t, tuple(detected_objects(obj.get("objects"))))
+
+
 def _jsonl_lines(data, from_obj):
     records, errors = [], []
     for line_no, line in enumerate(_decode(data).splitlines(), start=1):
@@ -161,7 +252,7 @@ def oracle_frames_jsonl(data: bytes, duration_s: float):
     seen = set()
 
     def from_obj(obj):
-        frame_index, t = _frame_key(obj, duration_s)
+        frame_index, t = frame_key(obj, duration_s)
         text = obj.get("text", "")
         if not isinstance(text, str):
             raise DataError(f"text must be a string, got {type(text).__name__}")
@@ -446,6 +537,18 @@ EDGE_INPUTS = {
                              '{"frame_index": 4294967295, "t": 1e308, "objects": []}\n'
                              '{"frame_index": 1, "t": 1, "objects": [{"label": "a", "box": [0, 0, 1, '
                              + "9" * 400 + '], "confidence": 1}]}'),
+    "list_line": ("ocr", '[1, 2]\n{"id": "b", "channel": "ocr", "text": "y", "t_start": 1, "t_end": 2}'),
+    "two_keys_missing": ("ocr", '{"id": "a", "text": "x", "t_end": 2}\n'
+                         '{"id": "b", "channel": "ocr", "text": "y", "t_start": 1, "t_end": 2}'),
+    "int_id_unknown_channel": ("ocr", '{"id": 1, "channel": "nope", "text": "x", "t_start": 1, "t_end": 2}\n'
+                               '{"id": 2, "channel": 3, "text": "y", "t_start": "1", "t_end": 2}\n'
+                               '{"id": "c", "channel": "ocr", "text": "z", "t_start": 1, "t_end": 2}'),
+    "empty_label_short_box": ("det", '{"frame_index": 1, "t": 1, "objects": [{"label": "", "box": [0, 0, 1], '
+                              '"confidence": 0.5}]}\n{"frame_index": 2, "t": 2, "objects": []}'),
+    "non_object_entry": ("det", '{"frame_index": 1, "t": 1, "objects": [{"label": "a", "box": [0, 0, 1, 1], '
+                         '"confidence": 1}, 5]}\n{"frame_index": 2, "t": 2, "objects": []}'),
+    "bad_text_repeated_index": ("frames", '{"frame_index": 1, "t": 1}\n{"frame_index": 1, "t": 2, "text": 7}\n'
+                                '{"frame_index": 1, "t": 3, "text": "x"}'),
     "frame_time_at_the_end": ("frames", '{"frame_index": 1, "t": 90}\n{"frame_index": 1, "t": 5}\n'
                               '{"frame_index": 2, "t": 90.00000000000001}\n{"frame_index": 3, "t": 1, "text": 5}'),
 }

@@ -203,6 +203,24 @@ class TestRetrieveChannel:
         ).hits
         assert [h.snippet.id for h in hits] == ["close"]
 
+    def test_dense_pool_without_a_positive_similarity_has_no_hits(self):
+        # A tau below 0 pools hits of negative similarity, each scored 0. No raw
+        # score is positive, so nothing is ranked: no hit, and the pool is kept.
+        embedder = HashEmbedder(32, seed=3)
+        chan = build_channel([make_snippet("a", "harbor ferry dock", 10.0, 12.0)], embedder)
+        got = retrieve_channel(
+            "harbor ferry dock",
+            chan,
+            self.ANCHORS,
+            DecayParams(),
+            RescoreConfig(top_k=2),
+            FusionMode.DENSE,
+            duration_s=600.0,
+            query_vec=-chan.vectors[0].astype(np.float64),
+            tau=-1.5,
+        )
+        assert got.hits == [] and hit_pairs(got.pool) == [(0, 0.0)]
+
     def test_max_fuse_unions_both_signals(self):
         embedder = HashEmbedder(32, seed=4)
         snippets = [

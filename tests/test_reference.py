@@ -18,10 +18,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from temporag.errors import DataError
 from temporag.frames import FrameTable
 from temporag.pipeline import FusionMode, retrieve_channel
 from temporag.rescore import AnchorSet, DecayParams, RescoreConfig, TimeNorm, compute_anchors
@@ -80,10 +78,8 @@ def decayed(raw: dict[str, float], times: dict[str, float], anchors, lambdas, sc
     ``E_min`` the least exponent of a positive raw score. When every such
     exponent is past the float range, ``E_i - E_min`` is the limit as the
     strengths grow: the strengths in units of the largest, over quarter
-    distances, scaled back.
+    distances, scaled back. Some raw score is positive.
     """
-    if not any(r > 0.0 for r in raw.values()):
-        raise DataError("every raw score is zero")
 
     def exponent(i: str, strengths, part: float = 1.0) -> float:
         return sum(
@@ -125,7 +121,7 @@ def reference_channel(docs, query, query_vec, anchors, lambdas, time_norm, durat
         den = min_max({i: dense[i] for i in best(dense, pool_size)})
         fused = {i: max(lex.get(i, 0.0), den.get(i, 0.0)) for i in lex | den if sims[i] >= tau}
         raw = {i: fused[i] for i in best(fused, pool_size)}
-    if not raw:
+    if not any(r > 0.0 for r in raw.values()):  # empty, or a dense pool of similarities <= 0
         return []
     times = {d["id"]: t_mid(d) for d in docs}
     scale = duration if time_norm is TimeNorm.NORMALIZED_BY_DURATION else 1.0
@@ -196,14 +192,7 @@ def test_retrieve_channel_matches_the_reference(docs, query, query_vec, duration
     query_text = " ".join(query)
     args = (docs, query_text, query_vec, anchors.as_tuple(), lambdas, time_norm, duration, top_k,
             pool_multiplier, fusion, tau)
-    try:
-        want = reference_channel(*args)
-    except DataError as exc:
-        with pytest.raises(DataError, match=f"^{exc}$"):
-            retrieve_channel(query_text, index, anchors, DecayParams(lambdas, time_norm),
-                             RescoreConfig(top_k, pool_multiplier), fusion, duration_s=duration,
-                             query_vec=np.array(query_vec), tau=tau)
-        return
+    want = reference_channel(*args)
     got = retrieve_channel(query_text, index, anchors, DecayParams(lambdas, time_norm),
                            RescoreConfig(top_k, pool_multiplier), fusion, duration_s=duration,
                            query_vec=np.array(query_vec), tau=tau).hits

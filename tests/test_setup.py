@@ -2,13 +2,14 @@
 it writes, pinned to a golden file, and the traced memory of its parsers and of its two
 tokenizing steps."""
 
+import functools
 import hashlib
 import json
 import random
 from pathlib import Path
 
 from temporag.cli import main
-from temporag.ingest import parse_snippet_jsonl, parse_srt
+from temporag.ingest import parse_frames_jsonl, parse_snippet_jsonl, parse_srt
 from temporag.textindex import build_index
 from temporag.types import Channel, snippet_columns
 from temporag.vectorindex import _CHUNK_TEXTS, HashEmbedder
@@ -130,15 +131,17 @@ def test_build_index_peak_scales_with_its_arrays_not_tokens():
     assert peak < 10 * sum(a.nbytes for a in arrays)
 
 
-# The peaks the line-by-line parsers, one Snippet per cue or line, reached on
-# the ``write_inputs`` SRT and OCR JSONL (Python 3.11.7, numpy 2.4.6): 7.4 and
-# 4.1 times the file's size. Columns must not cost more.
-LINE_BY_LINE_PEAK = {"audio.srt": 647_905, "screen_text.jsonl": 294_225}
+# The peaks the line-by-line parsers, one Snippet or record per cue or line,
+# reached on the ``write_inputs`` SRT, OCR JSONL and frames JSONL (Python
+# 3.11.7, numpy 2.4.6): 7.4, 4.1 and 4.4 times the file's size. Columns must
+# not cost more.
+LINE_BY_LINE_PEAK = {"audio.srt": 647_905, "screen_text.jsonl": 294_225, "frames.jsonl": 35_216}
 
 
 def test_parser_peaks_stay_under_the_line_by_line_parsers(tmp_path):
-    srt, screen, _ = write_inputs(tmp_path)
-    for path, parse in ((srt, parse_srt), (screen, parse_snippet_jsonl)):
+    srt, screen, frames = write_inputs(tmp_path)
+    parse_frames = functools.partial(parse_frames_jsonl, duration_s=DURATION_S)
+    for path, parse in ((srt, parse_srt), (screen, parse_snippet_jsonl), (frames, parse_frames)):
         data = path.read_bytes()
         parse(data)  # once untraced, so one-time work is not counted
         _, peak = traced_peak(parse, data)
